@@ -195,12 +195,6 @@ def mat_inverse(rows) -> list[list[Fraction]]:
     return [row[n:] for row in a]
 
 
-def mat_mul(a, b) -> list[list[Fraction]]:
-    """Product of two Fraction matrices given as row lists."""
-    cols = list(zip(*b))
-    return [[sum(x * y for x, y in zip(row, col)) for col in cols] for row in a]
-
-
 def combination_in_rows(rows, target):
     """Coefficients expressing target as a rational combination of rows.
 

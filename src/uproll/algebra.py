@@ -29,6 +29,7 @@ from .cartan import (
     CartanDatum,
     ExponentModL,
     Weight,
+    bilinear,
     in_simple_current_lattice,
     is_multiple,
     pairing,
@@ -82,10 +83,6 @@ class AlgebraSpec:
             return self.generators
         return self.generators + (self.mu,)
 
-    @property
-    def extended_generators(self) -> tuple[Weight, ...]:
-        return self.ordered_basis
-
     def pair_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairings of the ordered basis against itself."""
         if self._pair_cache is None:
@@ -94,14 +91,6 @@ class AlgebraSpec:
                 tuple(pairing(self.datum, a, b) for b in basis) for a in basis
             )
         return self._pair_cache
-
-    def weight_of(self, coefficients) -> Weight:
-        basis = self.ordered_basis
-        total = Weight.zero(self.datum.rank)
-        for c, g in zip(coefficients, basis):
-            if c:
-                total = total + c * g
-        return total
 
     def coefficients(self, lam: Weight) -> tuple[int, ...]:
         """Canonical generator coefficients of a lattice element.
@@ -318,15 +307,6 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
         tuple(pairing(datum, a, b) for b in gens) for a in gens
     )
 
-    def form(u, v) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if not a:
-                continue
-            row = pairs[i]
-            total += a * sum(row[j] * b for j, b in enumerate(v) if b)
-        return total
-
     vecs = list(table.vectors())
     structure_violation = None
     for v in vecs:
@@ -362,7 +342,7 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
             delta = (
                 table.lookup(v1, v2).value
                 - table.lookup(v2, v1).value
-                - form(v1, v2)
+                - bilinear(pairs, v1, v2)
             )
             if delta % ell != 0:
                 commutative_violation = ("commutativity", v1, v2)

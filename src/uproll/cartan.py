@@ -19,7 +19,12 @@ from fractions import Fraction
 from math import gcd
 
 from . import _linalg
-from .errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
+from .errors import (
+    DimensionMismatch,
+    HypothesisViolated,
+    InternalError,
+    InvalidSeriesRank,
+)
 
 
 def _frac(x) -> Fraction:
@@ -227,10 +232,6 @@ class CartanDatum:
     gram: tuple[tuple[Fraction, ...], ...]
     rho: Weight
 
-    @property
-    def half_ell(self) -> Fraction:
-        return Fraction(self.ell, 2)
-
     def fundamental_weight(self, i: int) -> Weight:
         coords = [Fraction(0)] * self.rank
         coords[i] = Fraction(1)
@@ -265,12 +266,13 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
         )
     n = len(d)
     b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
-    for i in range(n):
-        for j in range(n):
-            assert b[i][j] == b[j][i], "symmetrized Cartan matrix must be symmetric"
+    if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
+        raise InternalError(f"symmetrized Cartan matrix of {series}{n} is asymmetric")
     for k in range(1, n + 1):
-        minor = [row[:k] for row in b[:k]]
-        assert _linalg.det_int(minor) > 0, "symmetrized Cartan matrix must be positive definite"
+        if _linalg.det_int([row[:k] for row in b[:k]]) <= 0:
+            raise InternalError(
+                f"symmetrized Cartan matrix of {series}{n} is not positive definite"
+            )
     binv = _linalg.mat_inverse(b)
     gram = tuple(
         tuple(d[i] * binv[i][j] * d[j] for j in range(n)) for i in range(n)
@@ -288,19 +290,22 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     )
 
 
+def bilinear(matrix, u, v) -> Fraction:
+    """The bilinear form sum_ij u_i M_ij v_j, exact, skipping zero coefficients."""
+    total = Fraction(0)
+    for a, row in zip(u, matrix):
+        if a:
+            total += a * sum(m * b for m, b in zip(row, v) if b)
+    return total
+
+
 def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
     """The normalized bilinear form <lam, mu>, exact."""
     if len(lam) != datum.rank or len(mu) != datum.rank:
         raise DimensionMismatch(
             f"weights must have length {datum.rank}"
         )
-    total = Fraction(0)
-    for i, a in enumerate(lam.coords):
-        if not a:
-            continue
-        row = datum.gram[i]
-        total += a * sum(row[j] * c for j, c in enumerate(mu.coords) if c)
-    return total
+    return bilinear(datum.gram, lam.coords, mu.coords)
 
 
 def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
@@ -311,11 +316,14 @@ def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
 
 
 def alpha_coordinates(datum: CartanDatum, lam: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of a weight over the simple roots."""
-    inv = _cartan_inverse(datum)
+    """Coordinates of a weight over the simple roots.
+
+    Since <omega_i, alpha_j> = d_j delta_ij, coordinate i is
+    <lam, omega_i> / d_i, read off row i of the Gram matrix.
+    """
     return tuple(
-        sum(inv[i][j] * c for j, c in enumerate(lam.coords))
-        for i in range(datum.rank)
+        sum(g * c for g, c in zip(row, lam.coords)) / d
+        for row, d in zip(datum.gram, datum.symmetrizers)
     )
 
 
@@ -323,14 +331,3 @@ def in_root_lattice(datum: CartanDatum, lam: Weight) -> bool:
     """True when the weight is an integer combination of simple roots."""
     return all(is_integer(c) for c in alpha_coordinates(datum, lam))
 
-
-_INVERSE_CACHE: dict[tuple, list[list[Fraction]]] = {}
-
-
-def _cartan_inverse(datum: CartanDatum) -> list[list[Fraction]]:
-    key = datum.cartan
-    inv = _INVERSE_CACHE.get(key)
-    if inv is None:
-        inv = _linalg.mat_inverse([list(row) for row in datum.cartan])
-        _INVERSE_CACHE[key] = inv
-    return inv

@@ -7,8 +7,10 @@ strings; no value is ever rendered through floating point.
 
 Exit codes:
   0  report produced (verdict commands exit 0 on clean negative verdicts)
-  2  malformed input: bad JSON, bad rationals, unknown Dynkin type,
-     dimension mismatches, an odd generator that is not half-odd
+  2  malformed input: bad JSON, a "rank" or "ell" that is not a JSON
+     integer, a rational that is not a "p/q" string or an integer,
+     --box below 0, unknown Dynkin type, dimension mismatches, an odd
+     generator that is not half-odd
   3  hypothesis violated: ell < 3, r <= max gcd(d_i, r), or a non-ADE
      series passed to the triplet command
   4  a lattice generator (or the odd generator) is outside the
@@ -16,6 +18,9 @@ Exit codes:
   5  the command needs a spec the input fails to provide: the
      (super)commutativity check fails, the census is infinite, or a
      weight is not local
+
+A failed internal invariant (errors.InternalError) is a bug, not bad
+input, so it is left uncaught rather than mapped to one of these codes.
 """
 
 from __future__ import annotations
@@ -25,14 +30,8 @@ import json
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, check_commutative, check_supercommutative
-from .cartan import (
-    CartanDatum,
-    ExponentModL,
-    Weight,
-    build_cartan_datum,
-    weight,
-)
+from .algebra import AlgebraSpec, spec_verdict
+from .cartan import CartanDatum, ExponentModL, Weight, build_cartan_datum
 from .errors import (
     AlgebraInvalid,
     HypothesisViolated,
@@ -88,23 +87,42 @@ def _load_document(args) -> dict:
     return doc
 
 
+def _doc_int(doc: dict, key: str) -> int:
+    value = doc[key]
+    # bool is a subclass of int, and a JSON float is not an exact integer
+    if type(value) is not int:
+        raise ValueError(f"{key!r} must be a JSON integer, got {value!r}")
+    return value
+
+
+def _doc_rational(value, field: str) -> Fraction:
+    if type(value) not in (int, str):
+        raise ValueError(f"{field} must be a 'p/q' string or an integer, got {value!r}")
+    try:
+        return Fraction(value)
+    except (ValueError, ZeroDivisionError):
+        raise ValueError(f"{field} is not a rational: {value!r}") from None
+
+
 def _doc_datum(doc: dict) -> CartanDatum:
-    return build_cartan_datum(str(doc["series"]), int(doc["rank"]), int(doc["ell"]))
+    return build_cartan_datum(
+        str(doc["series"]), _doc_int(doc, "rank"), _doc_int(doc, "ell")
+    )
 
 
-def _doc_row(row, rank: int) -> Weight:
+def _doc_row(row, rank: int, field: str) -> Weight:
     if not isinstance(row, list) or len(row) != rank:
-        raise ValueError(f"weight row must be a list of {rank} rationals")
-    return weight([Fraction(str(x)) for x in row])
+        raise ValueError(f"{field} must be a list of {rank} rationals")
+    return Weight(tuple(_doc_rational(x, f"{field}[{k}]") for k, x in enumerate(row)))
 
 
 def _doc_spec(doc: dict) -> tuple[CartanDatum, AlgebraSpec]:
     datum = _doc_datum(doc)
     rows = doc.get("lattice", [])
-    gens = [_doc_row(row, datum.rank) for row in rows]
+    gens = [_doc_row(row, datum.rank, f"lattice[{i}]") for i, row in enumerate(rows)]
     mu = None
     if doc.get("mu") is not None:
-        mu = _doc_row(doc["mu"], datum.rank)
+        mu = _doc_row(doc["mu"], datum.rank, "mu")
     return datum, AlgebraSpec(datum, gens, mu)
 
 
@@ -121,7 +139,6 @@ def _census_json(census) -> dict:
     return {
         "finite": census.finite,
         "order": census.order,
-        "free_rank": census.free_rank,
         "invariant_factors": list(census.invariant_factors),
         "complement_dimension": census.complement_dimension,
         "reps": [_weight_json(r) for r in census.reps] if census.reps else None,
@@ -148,25 +165,16 @@ def _cmd_datum(args) -> dict:
 
 def _cmd_check_algebra(args) -> dict:
     _, spec = _doc_spec(_load_document(args))
-    if spec.mu is None:
-        verdict = check_commutative(spec)
-        return {
-            "commutative": verdict.commutative,
-            "witnesses": [_witness_json(w) for w in verdict.witnesses],
-        }
-    verdict = check_supercommutative(spec)
+    verdict = spec_verdict(spec)
     return {
-        "supercommutative": verdict.supercommutative,
+        "commutative" if spec.mu is None else "supercommutative": bool(verdict),
         "witnesses": [_witness_json(w) for w in verdict.witnesses],
     }
 
 
-def _twist_rows(datum, census) -> list[dict]:
-    rows = []
-    for rep in census.reps or ():
-        e = twist_exponent(datum, rep)
-        rows.append({"rep": _weight_json(rep), **_exponent_json(e)})
-    return rows
+def _twist_rows(twists) -> list[dict]:
+    """JSON rows for (rep, twist exponent) pairs, in the order given."""
+    return [{"rep": _weight_json(rep), **_exponent_json(e)} for rep, e in twists]
 
 
 def _census_tsv(datum, census) -> str:
@@ -196,7 +204,7 @@ def _cmd_twists(args):
     if args.format == "tsv":
         return _census_tsv(datum, census)
     out = _census_json(census)
-    out["twists"] = _twist_rows(datum, census)
+    out["twists"] = _twist_rows((rep, twist_exponent(datum, rep)) for rep in census.reps)
     return out
 
 
@@ -205,11 +213,11 @@ def _cmd_monodromy(args) -> dict:
     datum = _doc_datum(doc)
     pairs = []
     if doc.get("pairs"):
-        for item in doc["pairs"]:
+        for i, item in enumerate(doc["pairs"]):
             if not isinstance(item, list) or len(item) != 2:
                 raise ValueError("each monodromy pair must be a list of two rows")
-            a = _doc_row(item[0], datum.rank)
-            b = _doc_row(item[1], datum.rank)
+            a = _doc_row(item[0], datum.rank, f"pairs[{i}][0]")
+            b = _doc_row(item[1], datum.rank, f"pairs[{i}][1]")
             pairs.append((a, b))
     else:
         _, spec = _doc_spec(doc)
@@ -271,10 +279,7 @@ def _cmd_triplet(args) -> dict:
             "trivial": muger.trivial,
             "hypothesis_ok": muger.hypothesis_ok,
         },
-        "twists": _twist_rows(
-            build_cartan_datum(report.series, report.rank, report.ell),
-            report.report.census,
-        ),
+        "twists": _twist_rows(report.report.twists.items()),
     }
 
 
@@ -283,10 +288,13 @@ def _cmd_bq(args) -> dict:
     datum = _doc_datum(doc)
     a_squared = None
     if doc.get("heisenberg") is not None:
-        a_squared = Fraction(str(doc["heisenberg"]["a_squared"]))
+        a_squared = _doc_rational(doc["heisenberg"]["a_squared"], "heisenberg.a_squared")
     gens = None
     if doc.get("lattice"):
-        gens = [_doc_row(row, datum.rank) for row in doc["lattice"]]
+        gens = [
+            _doc_row(row, datum.rank, f"lattice[{i}]")
+            for i, row in enumerate(doc["lattice"])
+        ]
     spec = BqSpec(datum, gens, a_squared)
     out = {
         "a_squared": _frac_str(spec.a_squared),
@@ -294,11 +302,11 @@ def _cmd_bq(args) -> dict:
         "ribbon": bq_ribbon_verdict(datum),
     }
     ext_weights = []
-    for item in doc.get("ext_weights", []):
+    for i, item in enumerate(doc.get("ext_weights", [])):
         ext_weights.append(
             ExtWeight(
-                _doc_row(item["qg"], datum.rank),
-                _doc_row(item["fock"], datum.rank),
+                _doc_row(item["qg"], datum.rank, f"ext_weights[{i}].qg"),
+                _doc_row(item["fock"], datum.rank, f"ext_weights[{i}].fock"),
             )
         )
     standard = spec.is_full_weight_lattice and spec.a_squared == Fraction(-1, datum.r)
@@ -314,7 +322,7 @@ def _cmd_bq(args) -> dict:
         if standard:
             row["local"] = bq_is_local(spec, w)
             if row["local"]:
-                row["transparent"] = bq_transparent(spec, w, args.probes)
+                row["transparent"] = bq_transparent(spec, w)
         rows.append(row)
     pairs = []
     for i in range(len(ext_weights)):
@@ -374,10 +382,12 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         p = sub.add_parser(name)
-        p.add_argument("--input", default=None, help="problem JSON file (default stdin)")
-        p.add_argument("--format", choices=("json", "tsv"), default="json")
-        p.add_argument("--box", type=int, default=3, help="oracle coefficient bound")
-        p.add_argument("--probes", type=int, default=8, help="transparency probe count")
+        if name != "triplet":
+            p.add_argument("--input", default=None, help="problem JSON file (default stdin)")
+        if name in ("census", "twists"):
+            p.add_argument("--format", choices=("json", "tsv"), default="json")
+        if name == "oracle":
+            p.add_argument("--box", type=int, default=3, help="oracle coefficient bound")
         if name in ("datum", "triplet"):
             p.add_argument("--series", default=None)
             p.add_argument("--rank", type=int, default=None)

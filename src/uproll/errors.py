@@ -59,3 +59,7 @@ class OddEll(UprollError):
 
 class NonADESeries(UprollError):
     """The triplet construction is only defined for series A, D, E."""
+
+
+class InternalError(RuntimeError):
+    """An invariant of the library itself failed: a bug, never bad input."""

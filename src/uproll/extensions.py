@@ -18,7 +18,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import count
 
 from . import _linalg
 from .algebra import AlgebraSpec, CommutativityVerdict, check_commutative
@@ -122,11 +121,10 @@ class BqSpec:
         self.a_squared = (
             Fraction(-1, datum.r) if a_squared is None else Fraction(a_squared)
         )
-
-    @property
-    def is_full_weight_lattice(self) -> bool:
-        """Whether the lattice equals r times the full weight lattice."""
-        return self.lattice == weight_lattice_scaled(self.datum, self.datum.r)
+        # Whether the lattice equals r times the full weight lattice.
+        self.is_full_weight_lattice = self.lattice == weight_lattice_scaled(
+            datum, datum.r
+        )
 
 
 def bq_check_commutative(spec: BqSpec) -> bool:
@@ -198,49 +196,17 @@ def bq_twist_exponent(datum: CartanDatum, w: ExtWeight) -> ExponentModL:
     return ExponentModL(val, 2 * datum.r)
 
 
-def _probe_offsets(rank: int):
-    """Non-negative coordinate vectors ordered by total then lexicographically."""
-
-    def compositions(total: int, parts: int):
-        if parts == 1:
-            yield (total,)
-            return
-        for first in range(total + 1):
-            for rest in compositions(total - first, parts - 1):
-                yield (first,) + rest
-
-    for total in count():
-        yield from compositions(total, rank)
-
-
-def bq_transparent(spec: BqSpec, w: ExtWeight, probe_count: int = 8) -> bool:
+def bq_transparent(spec: BqSpec, w: ExtWeight) -> bool:
     """Transparency of a local weight against the whole local family.
 
-    Probes a deterministic family of diagonal local weights (kappa,
-    kappa) and (omega_i + kappa, omega_i + kappa) built from fundamental
-    weights; any nonzero monodromy refutes transparency.  Passing every
-    probe is not yet a proof, so a positive verdict additionally demands
-    equivalence with the unit (0, 0), which is exact: the transparent
-    weights are precisely the unit orbit.
+    The transparent weights are exactly the unit orbit, so this is
+    equivalence with the unit (0, 0).  No monodromy probe can say more: a
+    unit-orbit weight (r lam, r lam) and a local weight (x, y) have
+    monodromy 2r<lam, x - y> with x - y in the root lattice, which is
+    0 mod 2r because <omega_i, alpha_j> = d_j delta_ij.  Raises NotLocal
+    for a weight that is not local.
     """
-    if not bq_is_local(spec, w):
-        raise NotLocal(f"{w!r} does not induce a local module")
-    datum = spec.datum
-    offsets = _probe_offsets(datum.rank)
-    kappas = [
-        Weight(tuple(Fraction(c) for c in next(offsets)))
-        for _ in range(max(1, probe_count))
-    ]
-    probes = []
-    for kappa in kappas:
-        probes.append(ExtWeight(kappa, kappa))
-        for i in range(datum.rank):
-            shifted = datum.fundamental_weight(i) + kappa
-            probes.append(ExtWeight(shifted, shifted))
-    for probe in probes:
-        if not bq_monodromy_exponent(datum, w, probe).is_zero:
-            return False
-    unit = ExtWeight(Weight.zero(datum.rank), Weight.zero(datum.rank))
+    unit = ExtWeight(Weight.zero(spec.datum.rank), Weight.zero(spec.datum.rank))
     return bq_equivalent(spec, w, unit)
 
 

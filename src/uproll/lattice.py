@@ -20,7 +20,7 @@ from math import lcm
 
 from . import _linalg
 from .cartan import CartanDatum, Weight, is_multiple, pairing
-from .errors import DimensionMismatch, NotSubgroup
+from .errors import DimensionMismatch, InternalError, NotSubgroup
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,7 +206,6 @@ class Census:
     """Structure of the quotient of a dual group by the lattice inside it."""
 
     finite: bool
-    free_rank: int
     invariant_factors: tuple[int, ...]
     reps: tuple[Weight, ...] | None
     order: int | None
@@ -219,10 +218,12 @@ def _change_of_basis(dual_rows, lattice_rows) -> list[list[int]]:
         coeffs = _linalg.combination_in_rows(
             [list(w.coords) for w in dual_rows], list(row.coords)
         )
-        assert coeffs is not None, "lattice row left the dual span"
-        assert all(c.denominator == 1 for c in coeffs), (
-            "lattice row is not an integer combination of the dual basis"
-        )
+        if coeffs is None:
+            raise InternalError(f"lattice row {row!r} left the dual span")
+        if any(c.denominator != 1 for c in coeffs):
+            raise InternalError(
+                f"lattice row {row!r} is not an integer combination of the dual basis"
+            )
         mat.append([int(c) for c in coeffs])
     return mat
 
@@ -246,7 +247,6 @@ def quotient_census(
         finite = dual.complement_dimension == 0 and len(dual_rows) == 0
         return Census(
             finite=finite,
-            free_rank=0,
             invariant_factors=(),
             reps=(Weight.zero(datum.rank),) if finite else None,
             order=1 if finite else None,
@@ -254,12 +254,14 @@ def quotient_census(
         )
     change = _change_of_basis(dual_rows, lattice.canonical_rows)
     diag, vinv = _linalg.smith_normal_form(change)
-    assert len(diag) == lattice.rank, "quotient by an equal-rank sublattice is finite"
+    if len(diag) != lattice.rank:
+        raise InternalError(
+            f"rank-{lattice.rank} lattice has {len(diag)} Smith diagonal entries"
+        )
     factors = tuple(s for s in diag if s > 1)
     if dual.complement_dimension > 0:
         return Census(
             finite=False,
-            free_rank=0,
             invariant_factors=factors,
             reps=None,
             order=None,
@@ -289,7 +291,6 @@ def quotient_census(
     )
     return Census(
         finite=True,
-        free_rank=0,
         invariant_factors=factors,
         reps=reps,
         order=order,

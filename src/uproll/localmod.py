@@ -45,7 +45,7 @@ def is_local(spec: AlgebraSpec, lam: Weight) -> bool:
     ell = spec.datum.ell
     return all(
         is_multiple(2 * pairing(spec.datum, lam, g), ell)
-        for g in spec.extended_generators
+        for g in spec.ordered_basis
     )
 
 

@@ -1,18 +1,19 @@
 """Brute-force checkers for the closed-form verdicts.
 
 These enumerate bounded coefficient boxes and test the defining
-conditions directly, with no shortcuts shared with the closed-form
-implementations they validate.  They are deliberately naive.
+conditions directly.  The only code they share with the closed-form
+implementations they validate is the evaluation of the bilinear form
+(``cartan.pairing`` and ``cartan.bilinear``); beyond that they take no
+shortcuts and are deliberately naive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraSpec, structure_constant_table
-from .cartan import Weight, pairing
+from .cartan import Weight, bilinear, pairing
 from .errors import InfiniteCensus
 from .lattice import coset_reduce, scaled_dual
 from .localmod import simple_census
@@ -24,6 +25,11 @@ class Box:
 
     bound: int
     dimension: int
+
+    def __post_init__(self):
+        # A negative bound gives an empty box, on which every check is vacuous.
+        if self.bound < 0:
+            raise ValueError(f"box bound must be >= 0, got {self.bound}")
 
     def __iter__(self):
         return product(range(-self.bound, self.bound + 1), repeat=self.dimension)
@@ -46,20 +52,13 @@ def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     ell = spec.datum.ell
     pairs = [[pairing(spec.datum, x, y) for y in gens] for x in gens]
 
-    def form(u, v) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if a:
-                total += a * sum(pairs[i][j] * c for j, c in enumerate(v) if c)
-        return total
-
     vecs = list(b)
     for u in vecs:
-        if (form(u, u) / ell).denominator != 1:
+        if (bilinear(pairs, u, u) / ell).denominator != 1:
             return False
     for i, u in enumerate(vecs):
         for v in vecs[i:]:
-            if (2 * form(u, v) / ell).denominator != 1:
+            if (2 * bilinear(pairs, u, v) / ell).denominator != 1:
                 return False
     return True
 
@@ -78,13 +77,6 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     gens = table.generators
     pairs = [[pairing(spec.datum, x, y) for y in gens] for x in gens]
 
-    def form(u, v) -> Fraction:
-        total = Fraction(0)
-        for i, a in enumerate(u):
-            if a:
-                total += a * sum(pairs[i][j] * c for j, c in enumerate(v) if c)
-        return total
-
     vecs = list(table.vectors())
     zero = (0,) * table.dimension
     for v in vecs:
@@ -95,7 +87,7 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
             delta = (
                 table.lookup(v1, v2).value
                 - table.lookup(v2, v1).value
-                - form(v1, v2)
+                - bilinear(pairs, v1, v2)
             )
             if delta % ell:
                 return False

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from uproll import (
     ExponentModL,
     Weight,
+    alpha_coordinates,
     build_cartan_datum,
     exponent,
     in_simple_current_lattice,
@@ -213,3 +214,25 @@ class TestExponentModL:
         e = ExponentModL(v, 5)
         assert 0 <= e.canonical < 5
         assert e == exponent(v + 15, 5)
+
+
+# Every Dynkin type up to rank 8; ell = 7 satisfies the datum hypothesis for all.
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(1, 9)]
+    + [("C", n) for n in range(1, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_alpha_coordinates_invert_the_cartan_matrix(series, rank):
+    sympy = pytest.importorskip("sympy")
+    d = build_cartan_datum(series, rank, 7)
+    unit = [tuple(int(i == j) for j in range(rank)) for i in range(rank)]
+    assert [alpha_coordinates(d, d.simple_root(i)) for i in range(rank)] == unit
+    inv = sympy.Matrix(d.cartan).inv()
+    for i in range(rank):
+        expected = tuple(Fraction(int(inv[j, i].p), int(inv[j, i].q)) for j in range(rank))
+        assert alpha_coordinates(d, d.fundamental_weight(i)) == expected

@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from uproll import build_cartan_datum, twist_exponent, weight
 from uproll.cli import run
 
@@ -245,3 +247,46 @@ class TestOtherCommands:
         assert doc["a_squared"] == "-1/2"
         assert [w["local"] for w in doc["weights"]] == [True, True]
         assert doc["pairs"][0]["equivalent"] is True
+
+
+A1_NON_COMMUTATIVE = {"series": "A", "rank": 1, "ell": 4, "lattice": [["2"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,field",
+    [
+        (["census"], {"series": "A", "rank": 2.7, "ell": 4, "lattice": []}, "'rank'"),
+        (["census"], {"series": "A", "rank": True, "ell": 4, "lattice": []}, "'rank'"),
+        (["census"], {"series": "A", "rank": 1, "ell": 1e400, "lattice": []}, "'ell'"),
+        (["census"], {"series": "A", "rank": 1, "ell": "4", "lattice": []}, "'ell'"),
+        (["census"], {"series": "A", "rank": 1, "ell": 4, "lattice": [["1/0"]]},
+         "lattice[0][0]"),
+        (["census"], {"series": "A", "rank": 1, "ell": 4, "lattice": [[4.0]]},
+         "lattice[0][0]"),
+        (["check-algebra"], {**A1_NON_COMMUTATIVE, "mu": [True]}, "mu[0]"),
+        (["bq"], {"series": "A", "rank": 1, "ell": 4, "heisenberg": {"a_squared": 0.5}},
+         "heisenberg.a_squared"),
+        (["oracle", "--box", "-1"], A1_NON_COMMUTATIVE, "box"),
+    ],
+    ids=["rank-float", "rank-bool", "ell-overflow", "ell-string", "zero-denominator",
+         "rational-float", "mu-bool", "a-squared-float", "negative-box"],
+)
+def test_bad_numbers_exit_two_naming_the_field(argv, doc, field, tmp_path, capsys):
+    path = write_doc(tmp_path, "p.json", doc)
+    assert run(argv + ["--input", path]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert field in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_internal_error_is_not_reported_as_malformed_input(tmp_path, monkeypatch):
+    from uproll import _linalg
+    from uproll.errors import InternalError
+
+    path = write_doc(tmp_path, "p.json", {"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]]})
+    monkeypatch.setattr(
+        _linalg, "combination_in_rows", lambda rows, target: [Fraction(1, 3)] * len(rows)
+    )
+    with pytest.raises(InternalError):
+        run(["census", "--input", path])

@@ -3,6 +3,8 @@ from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from uproll import (
     BqSpec,
@@ -211,6 +213,45 @@ class TestBqTransparency:
             if not bq_is_local(spec, w):
                 continue
             assert bq_transparent(spec, w) == bq_equivalent(spec, w, unit)
+
+
+# Even orders ell = 2r that satisfy the datum hypothesis r > max gcd(d_i, r).
+UNIT_ORBIT_TYPES = [
+    ("A", 1, 4), ("A", 2, 4), ("A", 3, 6), ("A", 4, 4),
+    ("B", 2, 6), ("C", 2, 6), ("G", 2, 4), ("D", 4, 6),
+]
+
+
+class TestUnitOrbitMonodromy:
+    """The unit orbit (r lam, r lam) braids trivially with every local weight.
+
+    For a local probe (x, y) the monodromy is 2r<lam, x - y> with x - y in
+    the root lattice, hence 0 mod 2r; this is why transparency reduces to
+    equivalence with the unit.
+    """
+
+    @pytest.mark.parametrize("series,rank,ell", UNIT_ORBIT_TYPES)
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data())
+    def test_unit_orbit_has_zero_monodromy_with_local_probes(self, series, rank, ell, data):
+        datum = build_cartan_datum(series, rank, ell)
+        spec = BqSpec(datum)
+        ints = st.lists(st.integers(-3, 3), min_size=rank, max_size=rank)
+        rationals = st.lists(
+            st.fractions(min_value=-4, max_value=4, max_denominator=6),
+            min_size=rank, max_size=rank,
+        )
+        orbit = datum.r * weight(data.draw(ints))
+        w = ExtWeight(orbit, orbit)
+        x = weight(data.draw(rationals))
+        root = sum(
+            (k * alpha for k, alpha in zip(data.draw(ints), datum.simple_roots)),
+            Weight.zero(rank),
+        )
+        probe = ExtWeight(x, x - root)
+        assert bq_is_local(spec, probe)
+        assert bq_transparent(spec, w)
+        assert bq_monodromy_exponent(datum, w, probe).is_zero
 
 
 class TestBqRibbonVerdict:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from uproll import (
+    _linalg,
     Weight,
     adjoin,
     build_cartan_datum,
@@ -14,7 +15,7 @@ from uproll import (
     scaled_dual,
     weight,
 )
-from uproll.errors import NotSubgroup
+from uproll.errors import InternalError, NotSubgroup, UprollError
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -203,8 +204,19 @@ class TestQuotientCensus:
         assert not census.finite
         assert census.order is None
         assert census.reps is None
-        assert census.free_rank == 0
+        assert not hasattr(census, "free_rank")  # the always-zero field is gone
         assert census.complement_dimension == 1
+
+    def test_broken_change_of_basis_raises_internal_error(self, monkeypatch):
+        a1, a2 = a2_roots()
+        lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
+        dual = scaled_dual(A2_4, lat)
+        monkeypatch.setattr(
+            _linalg, "combination_in_rows", lambda rows, target: [Fraction(1, 2)] * len(rows)
+        )
+        with pytest.raises(InternalError):
+            quotient_census(A2_4, dual, lat)
+        assert not issubclass(InternalError, UprollError)
 
     def test_not_subgroup(self):
         base = canonical_basis(A1_4, [weight([2])])
