@@ -71,7 +71,13 @@ from .extensions import (
     triplet_report,
     weight_lattice_scaled,
 )
-from .oracle import Box, brute_census_order, brute_cocycle, brute_commutativity
+from .oracle import (
+    Box,
+    brute_census_order,
+    brute_cocycle,
+    brute_commutativity,
+    brute_transparent_reps,
+)
 from . import errors
 
 __all__ = [name for name in dir() if not name.startswith("_")]

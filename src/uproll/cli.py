@@ -8,9 +8,10 @@ strings; no value is ever rendered through floating point.
 Exit codes:
   0  report produced (verdict commands exit 0 on clean negative verdicts)
   2  malformed input: bad JSON, a "rank" or "ell" that is not a JSON
-     integer, a rational that is not a "p/q" string or an integer,
-     --box below 0, unknown Dynkin type, dimension mismatches, an odd
-     generator that is not half-odd
+     integer, a rational that is not a "p/q" string or an integer, a
+     list or object field of another JSON type, --box below 0, a partial
+     set of datum or triplet flags, unknown Dynkin type, dimension
+     mismatches, an odd generator that is not half-odd
   3  hypothesis violated: ell < 3, r <= max gcd(d_i, r), or a non-ADE
      series passed to the triplet command
   4  a lattice generator (or the odd generator) is outside the
@@ -110,6 +111,27 @@ def _doc_datum(doc: dict) -> CartanDatum:
     )
 
 
+def _doc_list(doc: dict, key: str) -> list | None:
+    """A list-valued field, or None when it is absent or null."""
+    value = doc.get(key)
+    if value is not None and not isinstance(value, list):
+        raise ValueError(f"{key!r} must be a JSON list, got {value!r}")
+    return value
+
+
+def _doc_object(value, field: str, *keys: str) -> dict:
+    if not isinstance(value, dict) or not all(k in value for k in keys):
+        raise ValueError(f"{field} must be a JSON object with keys {keys}, got {value!r}")
+    return value
+
+
+def _doc_rows(doc: dict, key: str, rank: int) -> list[Weight] | None:
+    rows = _doc_list(doc, key)
+    return None if rows is None else [
+        _doc_row(row, rank, f"{key}[{i}]") for i, row in enumerate(rows)
+    ]
+
+
 def _doc_row(row, rank: int, field: str) -> Weight:
     if not isinstance(row, list) or len(row) != rank:
         raise ValueError(f"{field} must be a list of {rank} rationals")
@@ -118,21 +140,9 @@ def _doc_row(row, rank: int, field: str) -> Weight:
 
 def _doc_spec(doc: dict) -> tuple[CartanDatum, AlgebraSpec]:
     datum = _doc_datum(doc)
-    rows = doc.get("lattice", [])
-    gens = [_doc_row(row, datum.rank, f"lattice[{i}]") for i, row in enumerate(rows)]
-    mu = None
-    if doc.get("mu") is not None:
-        mu = _doc_row(doc["mu"], datum.rank, "mu")
+    gens = _doc_rows(doc, "lattice", datum.rank) or []
+    mu = None if doc.get("mu") is None else _doc_row(doc["mu"], datum.rank, "mu")
     return datum, AlgebraSpec(datum, gens, mu)
-
-
-def _witness_json(witness) -> dict:
-    return {
-        "kind": witness.kind,
-        "i": witness.i,
-        "j": witness.j,
-        "value": _frac_str(witness.value),
-    }
 
 
 def _census_json(census) -> dict:
@@ -168,7 +178,10 @@ def _cmd_check_algebra(args) -> dict:
     verdict = spec_verdict(spec)
     return {
         "commutative" if spec.mu is None else "supercommutative": bool(verdict),
-        "witnesses": [_witness_json(w) for w in verdict.witnesses],
+        "witnesses": [
+            {"kind": w.kind, "i": w.i, "j": w.j, "value": _frac_str(w.value)}
+            for w in verdict.witnesses
+        ],
     }
 
 
@@ -177,49 +190,34 @@ def _twist_rows(twists) -> list[dict]:
     return [{"rep": _weight_json(rep), **_exponent_json(e)} for rep, e in twists]
 
 
-def _census_tsv(datum, census) -> str:
-    lines = []
-    for rep in census.reps or ():
-        e = twist_exponent(datum, rep)
-        coords = ",".join(_weight_json(rep))
-        lines.append(f"{coords}\t{_frac_str(e.canonical)}\t{e.scalar_str()}")
-    return "\n".join(lines)
-
-
 def _cmd_census(args):
+    """census and twists: the census JSON, or each rep with its twist as
+    TSV rows or, for twists, as JSON rows after the census."""
     datum, spec = _doc_spec(_load_document(args))
     census = simple_census(spec)
-    if args.format == "tsv":
-        if not census.finite:
-            raise InfiniteCensus("tsv output needs a finite census")
-        return _census_tsv(datum, census)
-    return _census_json(census)
-
-
-def _cmd_twists(args):
-    datum, spec = _doc_spec(_load_document(args))
-    census = simple_census(spec)
+    if args.command == "census" and args.format == "json":
+        return _census_json(census)
     if not census.finite:
-        raise InfiniteCensus("twist table needs a finite census")
+        raise InfiniteCensus(f"{args.command} --format {args.format} needs a finite census")
+    twists = [(rep, twist_exponent(datum, rep)) for rep in census.reps]
     if args.format == "tsv":
-        return _census_tsv(datum, census)
-    out = _census_json(census)
-    out["twists"] = _twist_rows((rep, twist_exponent(datum, rep)) for rep in census.reps)
-    return out
+        return "\n".join(
+            f"{','.join(_weight_json(rep))}\t{_frac_str(e.canonical)}\t{e.scalar_str()}"
+            for rep, e in twists
+        )
+    return {**_census_json(census), "twists": _twist_rows(twists)}
 
 
 def _cmd_monodromy(args) -> dict:
     doc = _load_document(args)
     datum = _doc_datum(doc)
     pairs = []
-    if doc.get("pairs"):
-        for i, item in enumerate(doc["pairs"]):
-            if not isinstance(item, list) or len(item) != 2:
-                raise ValueError("each monodromy pair must be a list of two rows")
-            a = _doc_row(item[0], datum.rank, f"pairs[{i}][0]")
-            b = _doc_row(item[1], datum.rank, f"pairs[{i}][1]")
-            pairs.append((a, b))
-    else:
+    for i, item in enumerate(_doc_list(doc, "pairs") or []):
+        if not isinstance(item, list) or len(item) != 2:
+            raise ValueError(f"pairs[{i}] must be a list of two rows")
+        a, b = (_doc_row(w, datum.rank, f"pairs[{i}][{k}]") for k, w in enumerate(item))
+        pairs.append((a, b))
+    if not pairs:
         _, spec = _doc_spec(doc)
         census = simple_census(spec)
         if not census.finite:
@@ -250,9 +248,7 @@ def _cmd_ribbon(args) -> dict:
     }
 
 
-def _cmd_muger(args) -> dict:
-    _, spec = _doc_spec(_load_document(args))
-    report = muger_center(spec)
+def _muger_json(report) -> dict:
     return {
         "transparent_reps": [_weight_json(w) for w in report.transparent_reps],
         "trivial": report.trivial,
@@ -260,9 +256,12 @@ def _cmd_muger(args) -> dict:
     }
 
 
+def _cmd_muger(args) -> dict:
+    return _muger_json(muger_center(_doc_spec(_load_document(args))[1]))
+
+
 def _cmd_triplet(args) -> dict:
     report = triplet_report(args.series, args.rank, args.r)
-    muger = report.report.muger
     return {
         "series": report.series,
         "rank": report.rank,
@@ -274,11 +273,7 @@ def _cmd_triplet(args) -> dict:
         "match": report.match,
         "invariant_factors": list(report.report.census.invariant_factors),
         "ribbon": report.report.ribbon.status,
-        "muger": {
-            "transparent_reps": [_weight_json(w) for w in muger.transparent_reps],
-            "trivial": muger.trivial,
-            "hypothesis_ok": muger.hypothesis_ok,
-        },
+        "muger": _muger_json(report.report.muger),
         "twists": _twist_rows(report.report.twists.items()),
     }
 
@@ -288,21 +283,17 @@ def _cmd_bq(args) -> dict:
     datum = _doc_datum(doc)
     a_squared = None
     if doc.get("heisenberg") is not None:
-        a_squared = _doc_rational(doc["heisenberg"]["a_squared"], "heisenberg.a_squared")
-    gens = None
-    if doc.get("lattice"):
-        gens = [
-            _doc_row(row, datum.rank, f"lattice[{i}]")
-            for i, row in enumerate(doc["lattice"])
-        ]
-    spec = BqSpec(datum, gens, a_squared)
+        heisenberg = _doc_object(doc["heisenberg"], "heisenberg", "a_squared")
+        a_squared = _doc_rational(heisenberg["a_squared"], "heisenberg.a_squared")
+    spec = BqSpec(datum, _doc_rows(doc, "lattice", datum.rank), a_squared)
     out = {
         "a_squared": _frac_str(spec.a_squared),
         "commutative": bq_check_commutative(spec),
         "ribbon": bq_ribbon_verdict(datum),
     }
     ext_weights = []
-    for i, item in enumerate(doc.get("ext_weights", [])):
+    for i, item in enumerate(_doc_list(doc, "ext_weights") or []):
+        item = _doc_object(item, f"ext_weights[{i}]", "qg", "fock")
         ext_weights.append(
             ExtWeight(
                 _doc_row(item["qg"], datum.rank, f"ext_weights[{i}].qg"),
@@ -364,7 +355,7 @@ _COMMANDS = {
     "datum": _cmd_datum,
     "check-algebra": _cmd_check_algebra,
     "census": _cmd_census,
-    "twists": _cmd_twists,
+    "twists": _cmd_census,
     "monodromy": _cmd_monodromy,
     "ribbon": _cmd_ribbon,
     "muger": _cmd_muger,
@@ -372,6 +363,11 @@ _COMMANDS = {
     "bq": _cmd_bq,
     "oracle": _cmd_oracle,
 }
+
+
+# Flags that describe a datum on the command line.  triplet reads no
+# document, so it needs all of them; datum takes all of them or none.
+_DATUM_FLAGS = {"datum": ("series", "rank", "ell"), "triplet": ("series", "rank", "r")}
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -388,13 +384,8 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--format", choices=("json", "tsv"), default="json")
         if name == "oracle":
             p.add_argument("--box", type=int, default=3, help="oracle coefficient bound")
-        if name in ("datum", "triplet"):
-            p.add_argument("--series", default=None)
-            p.add_argument("--rank", type=int, default=None)
-            if name == "triplet":
-                p.add_argument("--r", type=int, default=None)
-            else:
-                p.add_argument("--ell", type=int, default=None)
+        for flag in _DATUM_FLAGS.get(name, ()):
+            p.add_argument(f"--{flag}", type=None if flag == "series" else int)
     return parser
 
 
@@ -402,10 +393,10 @@ def run(argv=None) -> int:
     """Entry point returning the process exit code."""
     parser = _build_parser()
     args = parser.parse_args(argv)
-    if args.command == "triplet" and (
-        args.series is None or args.rank is None or args.r is None
-    ):
-        print("triplet needs --series, --rank and --r", file=sys.stderr)
+    flags = _DATUM_FLAGS.get(args.command, ())
+    missing = [f"--{name}" for name in flags if getattr(args, name) is None]
+    if missing and (args.command == "triplet" or len(missing) < len(flags)):
+        print(f"{args.command} is missing {', '.join(missing)}", file=sys.stderr)
         return 2
     try:
         result = _COMMANDS[args.command](args)

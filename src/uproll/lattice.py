@@ -43,9 +43,6 @@ class RationalLattice:
             Weight(tuple(Fraction(v, d) for v in row)) for row in self.hnf
         )
 
-    def contains(self, lam: Weight) -> bool:
-        return contains(self, lam)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, RationalLattice):
             return NotImplemented
@@ -86,22 +83,8 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
 
 
 def contains(lattice: RationalLattice, lam: Weight) -> bool:
-    """Exact membership test by back-substitution against the HNF basis."""
-    if len(lam) != lattice.rank_ambient:
-        raise DimensionMismatch(
-            f"weight must have length {lattice.rank_ambient}"
-        )
-    v = [c * lattice.denominator for c in lam.coords]
-    for row in lattice.hnf:
-        p = next(j for j, x in enumerate(row) if x)
-        if any(v[:p]):
-            return False
-        coeff = v[p] / row[p]
-        if coeff.denominator != 1:
-            return False
-        if coeff:
-            v = [a - coeff * b for a, b in zip(v, row)]
-    return not any(v)
+    """Exact membership test: lam reduces to zero modulo the lattice."""
+    return coset_reduce(lattice, lam).is_zero
 
 
 def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:

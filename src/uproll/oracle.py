@@ -1,19 +1,21 @@
 """Brute-force checkers for the closed-form verdicts.
 
-These enumerate bounded coefficient boxes and test the defining
-conditions directly.  The only code they share with the closed-form
-implementations they validate is the evaluation of the bilinear form
-(``cartan.pairing`` and ``cartan.bilinear``); beyond that they take no
-shortcuts and are deliberately naive.
+These enumerate bounded coefficient boxes or census representatives and
+test the defining conditions directly.  Beyond the evaluation of the
+bilinear form (``cartan.pairing`` and ``cartan.bilinear``) and, for the
+census-based checks, the census itself, they share no code with the
+closed forms they validate; they take no shortcuts and are deliberately
+naive.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
 from .algebra import AlgebraSpec, structure_constant_table
-from .cartan import Weight, bilinear, pairing
+from .cartan import Weight, bilinear, is_multiple, pairing
 from .errors import InfiniteCensus
 from .lattice import coset_reduce, scaled_dual
 from .localmod import simple_census
@@ -130,3 +132,24 @@ def brute_census_order(spec: AlgebraSpec, box=None) -> int:
                 x = x + c * w
         found.add(coset_reduce(lat, x))
     return len(found)
+
+
+def brute_transparent_reps(spec: AlgebraSpec) -> tuple[Weight, ...]:
+    """Transparent census representatives by pairing every two of them.
+
+    A representative lam is transparent when <lam, gamma> lies in
+    (ell/2)*Z for every representative gamma; testing representatives
+    suffices because the pairing descends to cosets for weights in the
+    dual group.
+    """
+    census = simple_census(spec)
+    if not census.finite:
+        raise InfiniteCensus("transparency scan needs a finite census")
+    datum = spec.datum
+    half = Fraction(datum.ell, 2)
+    reps = census.reps
+    return tuple(
+        lam
+        for lam in reps
+        if all(is_multiple(pairing(datum, lam, gamma), half) for gamma in reps)
+    )

@@ -8,6 +8,15 @@ from fractions import Fraction
 from uproll import AlgebraSpec, build_cartan_datum, weight
 from uproll.errors import HypothesisViolated
 
+# (series, rank, r, expected census order det(A) * r^rank) of triplet cases
+TRIPLET_CASES = [
+    ("A", 1, 2, 4),
+    ("A", 1, 3, 6),
+    ("A", 1, 4, 8),
+    ("A", 2, 2, 12),
+    ("A", 3, 2, 32),
+]
+
 TYPE_POOL = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]
 
 

@@ -11,7 +11,7 @@ from itertools import product
 
 import pytest
 
-from helpers import draw_commutativity_specs
+from helpers import TRIPLET_CASES, draw_commutativity_specs
 from uproll import (
     AlgebraSpec,
     BqSpec,
@@ -54,15 +54,6 @@ def criterion(number, description):
         print(f"criterion {number:2d}: FAIL  {description}")
         raise
     print(f"criterion {number:2d}: PASS  {description}")
-
-
-TRIPLET_CASES = [
-    ("A", 1, 2, 4),
-    ("A", 1, 3, 6),
-    ("A", 1, 4, 8),
-    ("A", 2, 2, 12),
-    ("A", 3, 2, 32),
-]
 
 
 def test_criterion_1_triplet_counts():

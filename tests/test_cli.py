@@ -272,6 +272,10 @@ A1_NON_COMMUTATIVE = {"series": "A", "rank": 1, "ell": 4, "lattice": [["2"]]}
          "rational-float", "mu-bool", "a-squared-float", "negative-box"],
 )
 def test_bad_numbers_exit_two_naming_the_field(argv, doc, field, tmp_path, capsys):
+    assert_exit_two_naming(argv, doc, field, tmp_path, capsys)
+
+
+def assert_exit_two_naming(argv, doc, field, tmp_path, capsys):
     path = write_doc(tmp_path, "p.json", doc)
     assert run(argv + ["--input", path]) == 2
     captured = capsys.readouterr()
@@ -290,3 +294,75 @@ def test_internal_error_is_not_reported_as_malformed_input(tmp_path, monkeypatch
     )
     with pytest.raises(InternalError):
         run(["census", "--input", path])
+
+
+A1_4 = {"series": "A", "rank": 1, "ell": 4}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,field",
+    [
+        (["census"], {**A1_4, "lattice": "x"}, "'lattice'"),
+        (["census"], {**A1_4, "lattice": {"0": ["4"]}}, "'lattice'"),
+        (["check-algebra"], {**A1_4, "lattice": 4}, "'lattice'"),
+        (["monodromy"], {**A1_4, "pairs": "x"}, "'pairs'"),
+        (["monodromy"], {**A1_4, "pairs": [["1"]]}, "pairs[0]"),
+        (["bq"], {**A1_4, "lattice": "x"}, "'lattice'"),
+        (["bq"], {**A1_4, "ext_weights": "x"}, "'ext_weights'"),
+        (["bq"], {**A1_4, "ext_weights": [["1"]]}, "ext_weights[0]"),
+        (["bq"], {**A1_4, "ext_weights": [{"qg": ["1"]}]}, "ext_weights[0]"),
+        (["bq"], {**A1_4, "heisenberg": "x"}, "heisenberg"),
+        (["bq"], {**A1_4, "heisenberg": {"a": "1"}}, "heisenberg"),
+    ],
+    ids=["lattice-string", "lattice-object", "lattice-number", "pairs-string",
+         "pair-short", "bq-lattice-string", "ext-weights-string", "ext-weight-list",
+         "ext-weight-no-fock", "heisenberg-string", "heisenberg-no-a-squared"],
+)
+def test_bad_structure_exits_two_naming_the_field(argv, doc, field, tmp_path, capsys):
+    assert_exit_two_naming(argv, doc, field, tmp_path, capsys)
+
+
+@pytest.mark.parametrize(
+    "argv,key,rest",
+    [
+        (["census"], "lattice", {}),
+        (["monodromy"], "pairs", {"lattice": [["4"]]}),
+        (["bq"], "lattice", {}),
+        (["bq"], "heisenberg", {}),
+        (["bq"], "ext_weights", {}),
+    ],
+)
+def test_null_field_means_absent(argv, key, rest, tmp_path, capsys):
+    absent = run_json(capsys, argv + ["--input", write_doc(tmp_path, "a.json", {**A1_4, **rest})])
+    null = run_json(
+        capsys, argv + ["--input", write_doc(tmp_path, "n.json", {**A1_4, **rest, key: None})]
+    )
+    assert absent[0] == 0 and null == absent
+
+
+def test_bq_empty_lattice_is_not_the_default(tmp_path, capsys):
+    doc = {**A1_4, "ext_weights": [{"qg": ["1"], "fock": ["1"]}]}
+    _, default = run_json(capsys, ["bq", "--input", write_doc(tmp_path, "d.json", doc)])
+    _, empty = run_json(
+        capsys, ["bq", "--input", write_doc(tmp_path, "e.json", {**doc, "lattice": []})]
+    )
+    assert default["weights"][0]["local"] is True
+    assert empty["weights"][0]["local"] is None
+
+
+@pytest.mark.parametrize(
+    "flags,missing",
+    [
+        (["--rank", "2", "--ell", "4"], "--series"),
+        (["--series", "A", "--rank", "2"], "--ell"),
+        (["--series", "A"], "--rank, --ell"),
+    ],
+)
+def test_datum_takes_all_flags_or_none(flags, missing, monkeypatch, capsys):
+    import io
+
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(A1_4)))
+    assert run(["datum"] + flags) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.strip().endswith(missing)

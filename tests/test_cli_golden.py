@@ -2,7 +2,8 @@
 
 Each digest is the sha256 of the stdout that the CLI printed for the
 invocation before the unread `free_rank` census key was dropped, with that
-one line removed.  A refactor that changes any other byte of a report fails
+one line removed; the two `muger-*` digests were taken when transparency
+was still found by the pairwise scan.  A refactor that changes any other byte of a report fails
 here.
 """
 
@@ -73,6 +74,14 @@ CASES = {
     "muger": (
         ["muger"], A2_4_DOUBLED_ROOTS,
         "b7d2b525a79b051e036b874390830d25d30a53abc4d91cc57b1edcca55a7436e",
+    ),
+    "muger-super": (
+        ["muger"], A1_4_SUPER,
+        "bff191ee87ae404fd78e3e44697fa9ff745ad6122f61ae850bfdff9a19702180",
+    ),
+    "muger-tripled-roots": (
+        ["muger"], A2_6_TRIPLED_ROOTS,
+        "2a7b81bcfb1f86410f0a2cfb7a3ea066860b10d5bd568af8f86e3567a512582f",
     ),
     "triplet-A2": (
         ["triplet", "--series", "A", "--rank", "2", "--r", "2"], None,

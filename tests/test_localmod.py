@@ -5,9 +5,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import TRIPLET_CASES, draw_commutativity_specs
 from uproll import (
     AlgebraSpec,
+    brute_transparent_reps,
     build_cartan_datum,
+    check_commutative,
     check_ribbon,
     contains,
     is_local,
@@ -16,9 +19,11 @@ from uproll import (
     muger_center,
     pairing,
     simple_census,
+    triplet_report,
     twist_exponent,
     weight,
 )
+from uproll import localmod
 from uproll.errors import AlgebraInvalid, InfiniteCensus
 
 A1_4 = build_cartan_datum("A", 1, 4)
@@ -174,6 +179,62 @@ class TestMugerCenter:
         datum = build_cartan_datum("A", 1, 6)
         spec = AlgebraSpec(datum, [3 * datum.simple_root(0)])
         assert muger_center(spec).hypothesis_ok  # r = 3 does not divide 2
+
+
+def muger_cross_check_specs():
+    """Triplet, doubled-root, super and hypothesis-flag specs, plus the valid
+    full-rank random specs."""
+    specs = []
+    for series, rank, r, _ in TRIPLET_CASES:
+        datum = build_cartan_datum(series, rank, 2 * r)
+        specs.append(AlgebraSpec(datum, [r * a for a in datum.simple_roots]))
+    a1_6 = build_cartan_datum("A", 1, 6)
+    specs += [
+        doubled_root_spec(),
+        super_spec(),
+        AlgebraSpec(A2_4, [2 * A2_4.simple_root(0), 2 * A2_4.simple_root(1)]),
+        AlgebraSpec(a1_6, [3 * a1_6.simple_root(0)]),
+    ]
+    specs += [
+        s for s in draw_commutativity_specs(20250809, 200)
+        if check_commutative(s) and s.extended_lattice.rank == s.datum.rank
+    ]
+    return specs
+
+
+class TestMugerClosedForm:
+    def test_matches_the_pairwise_scan(self):
+        specs = muger_cross_check_specs()
+        assert any(not muger_center(s).hypothesis_ok for s in specs)
+        assert len(specs) > 40
+        for spec in specs:
+            assert muger_center(spec).transparent_reps == brute_transparent_reps(spec)
+
+    def test_both_reject_an_infinite_census(self):
+        spec = AlgebraSpec(A2_4, [2 * A2_4.simple_root(0)])
+        for check in (muger_center, brute_transparent_reps):
+            with pytest.raises(InfiniteCensus):
+                check(spec)
+
+    def test_invalid_spec_rejected(self):
+        with pytest.raises(AlgebraInvalid):
+            muger_center(AlgebraSpec(A1_4, [A1_4.simple_root(0)]))
+
+    def test_census_is_built_once_per_report(self, monkeypatch):
+        calls = []
+        real = localmod.quotient_census
+
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(localmod, "quotient_census", counting)
+        muger_center(doubled_root_spec())
+        assert len(calls) == 0
+        local_report(doubled_root_spec())
+        assert len(calls) == 1
+        triplet_report("A", 2, 2)
+        assert len(calls) == 2
 
 
 class TestLocalReport:
