@@ -22,7 +22,9 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import product
+from operator import add
 
 from . import _linalg
 from .cartan import (
@@ -74,7 +76,6 @@ class AlgebraSpec:
             if not joined.two_mu_in_lattice:
                 raise MuNotHalfOdd(f"twice the odd generator {mu!r} must lie in L")
             self.extended_lattice = joined.lattice
-        self._pair_cache: tuple[tuple[Fraction, ...], ...] | None = None
 
     @property
     def ordered_basis(self) -> tuple[Weight, ...]:
@@ -83,14 +84,26 @@ class AlgebraSpec:
             return self.generators
         return self.generators + (self.mu,)
 
+    @cached_property
+    def _pairs(self) -> tuple[tuple[Fraction, ...], ...]:
+        basis = self.ordered_basis
+        return tuple(tuple(pairing(self.datum, a, b) for b in basis) for a in basis)
+
+    @cached_property
+    def _lower_pairs(self) -> tuple[tuple[Fraction, ...], ...]:
+        # Row i keeps columns < i, the strictly lower part for cartan.bilinear.
+        return tuple(row[:i] for i, row in enumerate(self._pairs))
+
     def pair_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
         """Pairings of the ordered basis against itself."""
-        if self._pair_cache is None:
-            basis = self.ordered_basis
-            self._pair_cache = tuple(
-                tuple(pairing(self.datum, a, b) for b in basis) for a in basis
-            )
-        return self._pair_cache
+        return self._pairs
+
+    @cached_property
+    def verdict(self) -> CommutativityVerdict | SuperVerdict:
+        """The validity check, commutative or supercommutative, run once."""
+        if self.mu is None:
+            return check_commutative(self)
+        return check_supercommutative(self)
 
     def coefficients(self, lam: Weight) -> tuple[int, ...]:
         """Canonical generator coefficients of a lattice element.
@@ -153,14 +166,15 @@ class SuperVerdict:
 
 def _commutative_witnesses(spec: AlgebraSpec) -> list[Witness]:
     ell = spec.datum.ell
-    gens = spec.generators
+    pairs = spec.pair_matrix()
+    m = len(spec.generators)
     out = []
-    for i, a in enumerate(gens):
-        val = pairing(spec.datum, a, a)
+    for i in range(m):
+        val = pairs[i][i]
         if not is_multiple(val, ell):
             out.append(Witness("diagonal", i, i, val))
-        for j in range(i + 1, len(gens)):
-            val = 2 * pairing(spec.datum, a, gens[j])
+        for j in range(i + 1, m):
+            val = 2 * pairs[i][j]
             if not is_multiple(val, ell):
                 out.append(Witness("off_diagonal", i, j, val))
     return out
@@ -190,11 +204,12 @@ def check_supercommutative(spec: AlgebraSpec) -> SuperVerdict:
     ell = spec.datum.ell
     bad = _commutative_witnesses(spec)
     m = len(spec.generators)
-    val = 2 * pairing(spec.datum, spec.mu, spec.mu)
+    odd = spec.pair_matrix()[m]
+    val = 2 * odd[m]
     if not is_multiple(val, ell) or is_multiple(val, 2 * ell):
         bad.append(Witness("odd_diagonal", m, m, val))
-    for j, g in enumerate(spec.generators):
-        val = 2 * pairing(spec.datum, spec.mu, g)
+    for j in range(m):
+        val = 2 * odd[j]
         if not is_multiple(val, ell):
             bad.append(Witness("odd_even", m, j, val))
     return SuperVerdict(not bad, tuple(bad))
@@ -202,26 +217,13 @@ def check_supercommutative(spec: AlgebraSpec) -> SuperVerdict:
 
 def spec_verdict(spec: AlgebraSpec):
     """The spec's own validity check: commutative or supercommutative."""
-    if spec.mu is None:
-        return check_commutative(spec)
-    return check_supercommutative(spec)
+    return spec.verdict
 
 
 def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
-    """Normal-form exponent for elements given by generator coefficients."""
-    pairs = spec.pair_matrix()
-    total = Fraction(0)
-    dims = len(pairs)
-    for k in range(dims):
-        mk = right[k]
-        if not mk:
-            continue
-        acc = Fraction(0)
-        for i in range(k + 1, dims):
-            if left[i]:
-                acc += left[i] * pairs[i][k]
-        total += mk * acc
-    return ExponentModL(total, spec.datum.ell)
+    """Normal-form exponent for elements given by generator coefficients:
+    the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
+    return ExponentModL(bilinear(spec._lower_pairs, left, right), spec.datum.ell)
 
 
 def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> ExponentModL:
@@ -283,6 +285,17 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 
+def _in_box_pairs(table: CocycleTable) -> dict:
+    """Each in-box vector, mapped to the (vector, sum) pairs of the in-box
+    vectors whose sum with it stays in the box; all in lexicographic order."""
+    vecs = list(table.vectors())
+    inside = set(vecs)
+    return {
+        v1: [(v2, v12) for v2 in vecs if (v12 := tuple(map(add, v1, v2))) in inside]
+        for v1 in vecs
+    }
+
+
 @dataclass(frozen=True)
 class CocycleVerdict:
     valid: bool
@@ -303,52 +316,33 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     ell = table.ell
     zero = (0,) * table.dimension
     gens = table.generators
-    pairs = tuple(
-        tuple(pairing(datum, a, b) for b in gens) for a in gens
-    )
+    pairs = tuple(tuple(pairing(datum, a, b) for b in gens) for a in gens)
+    in_box = _in_box_pairs(table)
 
-    vecs = list(table.vectors())
-    structure_violation = None
-    for v in vecs:
-        if (
-            table.lookup(v, zero).canonical != 0
-            or table.lookup(zero, v).canonical != 0
-        ):
-            structure_violation = ("unit", v)
-            break
-    if structure_violation is None:
-        for v1 in vecs:
-            for v2 in vecs:
-                v12 = tuple(a + b for a, b in zip(v1, v2))
-                if not table.in_box(v12):
-                    continue
-                e12 = table.lookup(v1, v2).value
-                for v3 in vecs:
-                    v23 = tuple(a + b for a, b in zip(v2, v3))
-                    if not table.in_box(v23):
-                        continue
-                    lhs = table.lookup(v12, v3).value + e12
-                    rhs = table.lookup(v1, v23).value + table.lookup(v2, v3).value
-                    if (lhs - rhs) % ell != 0:
-                        structure_violation = ("associativity", v1, v2, v3)
-                        break
-                if structure_violation:
-                    break
-            if structure_violation:
-                break
-    commutative_violation = None
-    for v1 in vecs:
-        for v2 in vecs:
-            delta = (
-                table.lookup(v1, v2).value
-                - table.lookup(v2, v1).value
-                - bilinear(pairs, v1, v2)
-            )
-            if delta % ell != 0:
-                commutative_violation = ("commutativity", v1, v2)
-                break
-        if commutative_violation:
-            break
+    def value(left, right) -> Fraction:
+        return table.lookup(left, right).value
+
+    structure_violation = next(
+        (("unit", v) for v in in_box if value(v, zero) % ell or value(zero, v) % ell), None
+    ) or next(
+        (
+            ("associativity", v1, v2, v3)
+            for v1, row in in_box.items()
+            for v2, v12 in row
+            for v3, v23 in in_box[v2]
+            if (value(v12, v3) + value(v1, v2) - value(v1, v23) - value(v2, v3)) % ell
+        ),
+        None,
+    )
+    commutative_violation = next(
+        (
+            ("commutativity", v1, v2)
+            for v1 in in_box
+            for v2 in in_box
+            if (value(v1, v2) - value(v2, v1) - bilinear(pairs, v1, v2)) % ell
+        ),
+        None,
+    )
     return CocycleVerdict(
         valid=structure_violation is None,
         commutative=commutative_violation is None,
@@ -445,13 +439,13 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     for vec in table.vectors():
         phi_of(vec)
 
-    entries = {}
-    for (v1, v2), e in table.entries.items():
-        v12 = tuple(a + b for a, b in zip(v1, v2))
-        if not table.in_box(v12):
-            continue
-        entries[(v1, v2)] = ExponentModL(
-            e.value + phi[v12].value - phi[v1].value - phi[v2].value, ell
+    entries = {
+        (v1, v2): ExponentModL(
+            table.lookup(v1, v2).value + phi[v12].value - phi[v1].value - phi[v2].value,
+            ell,
         )
+        for v1, row in _in_box_pairs(table).items()
+        for v2, v12 in row
+    }
     normalized = CocycleTable(table.generators, box, ell, entries)
     return GaugeResult(phi, normalized)

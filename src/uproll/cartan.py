@@ -291,7 +291,11 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
 
 
 def bilinear(matrix, u, v) -> Fraction:
-    """The bilinear form sum_ij u_i M_ij v_j, exact, skipping zero coefficients."""
+    """The bilinear form sum_ij u_i M_ij v_j, exact, skipping zero coefficients.
+
+    A row shorter than v stands for a row padded with zeros, so ragged
+    rows give a triangular part of M without its zero entries.
+    """
     total = Fraction(0)
     for a, row in zip(u, matrix):
         if a:

@@ -19,6 +19,11 @@ Exit codes:
   5  the command needs a spec the input fails to provide: the
      (super)commutativity check fails, the census is infinite, or a
      weight is not local
+  6  stdout was closed before the report was written (for example by
+     "| head"); the report is dropped without a traceback
+
+A null field means the same as an absent one, so monodromy prints every
+census pair when "pairs" is absent or null, and no pair for "pairs": [].
 
 A failed internal invariant (errors.InternalError) is a bug, not bad
 input, so it is left uncaught rather than mapped to one of these codes.
@@ -28,6 +33,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -211,13 +217,14 @@ def _cmd_census(args):
 def _cmd_monodromy(args) -> dict:
     doc = _load_document(args)
     datum = _doc_datum(doc)
+    items = _doc_list(doc, "pairs")
     pairs = []
-    for i, item in enumerate(_doc_list(doc, "pairs") or []):
+    for i, item in enumerate(items or []):
         if not isinstance(item, list) or len(item) != 2:
             raise ValueError(f"pairs[{i}] must be a list of two rows")
         a, b = (_doc_row(w, datum.rank, f"pairs[{i}][{k}]") for k, w in enumerate(item))
         pairs.append((a, b))
-    if not pairs:
+    if items is None:
         _, spec = _doc_spec(doc)
         census = simple_census(spec)
         if not census.finite:
@@ -412,10 +419,15 @@ def run(argv=None) -> int:
     except (UprollError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
-    if isinstance(result, str):
-        print(result)
-    else:
-        print(json.dumps(result, indent=2))
+    try:
+        print(result if isinstance(result, str) else json.dumps(result, indent=2))
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The interpreter flushes stdout again at exit; send what is left to
+        # devnull so that flush cannot fail too.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("stdout was closed before the report was written", file=sys.stderr)
+        return 6
     return 0
 
 

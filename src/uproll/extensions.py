@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
-from .algebra import AlgebraSpec, CommutativityVerdict, check_commutative
+from .algebra import AlgebraSpec, CommutativityVerdict
 from .cartan import (
     CartanDatum,
     ExponentModL,
@@ -62,7 +62,6 @@ def triplet_report(series: str, rank: int, r: int) -> TripletReport:
     datum = build_cartan_datum(series, rank, 2 * r)
     gens = [r * alpha for alpha in datum.simple_roots]
     spec = AlgebraSpec(datum, gens)
-    verdict = check_commutative(spec)
     report = local_report(spec)
     expected = _linalg.det_int([list(row) for row in datum.cartan]) * r ** datum.rank
     return TripletReport(
@@ -70,7 +69,7 @@ def triplet_report(series: str, rank: int, r: int) -> TripletReport:
         rank=datum.rank,
         r=r,
         ell=datum.ell,
-        commutative=verdict,
+        commutative=spec.verdict,
         report=report,
         expected_order=expected,
         match=report.census.order == expected,

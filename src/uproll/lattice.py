@@ -15,8 +15,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import product
+from functools import cached_property
+from itertools import accumulate, repeat
 from math import lcm
+from operator import add
 
 from . import _linalg
 from .cartan import CartanDatum, Weight, is_multiple, pairing
@@ -36,7 +38,7 @@ class RationalLattice:
     def rank(self) -> int:
         return len(self.hnf)
 
-    @property
+    @cached_property
     def canonical_rows(self) -> tuple[Weight, ...]:
         d = self.denominator
         return tuple(
@@ -159,6 +161,11 @@ class DualGroup:
         )
 
 
+def _combination(coeffs, rows, n: int) -> Weight:
+    """The weight sum_j coeffs[j] * rows[j] in rank n."""
+    return sum((c * w for c, w in zip(coeffs, rows) if c), Weight.zero(n))
+
+
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     """The scaled dual group {x : 2<x, g> in ell*Z for all g in L}."""
     n = datum.rank
@@ -171,16 +178,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
         [2 * pairing(datum, a, b) / datum.ell for b in basis] for a in basis
     ]
     coeffs = _linalg.mat_inverse(gram)
-    rows = [
-        Weight(
-            tuple(
-                sum(coeffs[i][j] * basis[j].coords[c] for j in range(k))
-                for c in range(n)
-            )
-        )
-        for i in range(k)
-    ]
-    part = canonical_basis(datum, rows)
+    part = canonical_basis(datum, [_combination(row, basis, n) for row in coeffs])
     return DualGroup(datum, lattice, n - k, part)
 
 
@@ -250,32 +248,16 @@ def quotient_census(
             order=None,
             complement_dimension=dual.complement_dimension,
         )
-    adapted = [
-        Weight(
-            tuple(
-                sum(
-                    Fraction(vinv[i][j]) * dual_rows[j].coords[c]
-                    for j in range(len(dual_rows))
-                )
-                for c in range(datum.rank)
-            )
-        )
-        for i in range(len(dual_rows))
-    ]
-    order = 1
-    for s in diag:
-        order *= s
-    reps = tuple(
-        sum(
-            (adapted[i] * c for i, c in enumerate(combo)),
-            Weight.zero(datum.rank),
-        )
-        for combo in product(*(range(s) for s in diag))
-    )
+    adapted = [_combination(row, dual_rows, datum.rank) for row in vinv]
+    # Lexicographic in the coefficients, last one fastest: each coefficient
+    # c in range(s) extends every rep so far by a running sum of c steps.
+    reps = [Weight.zero(datum.rank)]
+    for s, step in zip(diag, adapted):
+        reps = [x for rep in reps for x in accumulate(repeat(step, s - 1), add, initial=rep)]
     return Census(
         finite=True,
         invariant_factors=factors,
-        reps=reps,
-        order=order,
+        reps=tuple(reps),
+        order=len(reps),
         complement_dimension=0,
     )

@@ -19,20 +19,18 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, spec_verdict
+from .algebra import AlgebraSpec
 from .cartan import CartanDatum, ExponentModL, Weight, is_multiple, pairing
 from .errors import AlgebraInvalid, InfiniteCensus
 from .lattice import Census, quotient_census, scaled_dual
 
 
-def _require_valid(spec: AlgebraSpec):
-    verdict = spec_verdict(spec)
-    if not verdict:
+def _require_valid(spec: AlgebraSpec) -> None:
+    if not spec.verdict:
         kind = "supercommutative" if spec.mu is not None else "commutative"
         raise AlgebraInvalid(
-            f"spec is not {kind}; witnesses: {verdict.witnesses}"
+            f"spec is not {kind}; witnesses: {spec.verdict.witnesses}"
         )
-    return verdict
 
 
 def is_local(spec: AlgebraSpec, lam: Weight) -> bool:

@@ -162,6 +162,65 @@ class TestCocycleCheck:
         assert verdict.first_violation[0] == "commutativity"
 
 
+# cocycle_check's full first_violation on the box-2 normal-form tables and
+# on seeded single-entry perturbations of them (perturbed_table), recorded
+# before the check was rewritten around the precomputed in-box pairs.
+FIRST_VIOLATIONS = {
+    "A2": (
+        None,
+        ("associativity", (-2, 0), (1, -2), (1, 2)),
+        ("unit", (-1, -2)),
+        ("associativity", (-2, -2), (0, 2), (-1, 0)),
+        ("associativity", (-2, 1), (1, 1), (1, 1)),
+        ("associativity", (-2, 0), (1, 2), (1, -1)),
+        ("associativity", (-2, -2), (2, 0), (0, -1)),
+        ("unit", (2, 1)),
+        ("associativity", (-2, -2), (0, 1), (-1, -1)),
+    ),
+    "A1-super": (
+        ("commutativity", (-2, -1), (-2, -1)),
+        ("associativity", (-2, 0), (1, -2), (1, 2)),
+        ("unit", (-1, -2)),
+        ("associativity", (-2, -2), (0, 2), (-1, 0)),
+        ("associativity", (-2, 1), (1, 1), (1, 1)),
+        ("associativity", (-2, 0), (1, 2), (1, -1)),
+        ("associativity", (-2, -2), (2, 0), (0, -1)),
+        ("unit", (2, 1)),
+        ("associativity", (-2, -2), (0, 1), (-1, -1)),
+    ),
+}
+
+
+def perturbed_table(spec, seed):
+    """The box-2 normal-form table with one seeded entry shifted by a
+    seeded nonzero amount; seed None leaves it unperturbed."""
+    table = structure_constant_table(spec, 2)
+    if seed is not None:
+        rng = random.Random(seed)
+        key = rng.choice(sorted(table.entries))
+        table.entries[key] = table.entries[key] + exponent(rng.randrange(1, table.ell), table.ell)
+    return table
+
+
+@pytest.mark.parametrize("name,spec", [("A2", three_q_spec()), ("A1-super", super_spec())])
+def test_cocycle_first_violation_is_pinned(name, spec):
+    seeds = (None,) + tuple(range(len(FIRST_VIOLATIONS[name]) - 1))
+    for seed, expected in zip(seeds, FIRST_VIOLATIONS[name]):
+        verdict = cocycle_check(perturbed_table(spec, seed), spec.datum)
+        assert verdict.first_violation == expected, seed
+        assert verdict.valid == (expected is None or expected[0] == "commutativity")
+
+
+def test_cocycle_first_violation_takes_the_first_third_vector():
+    # Shifting e(a, b) breaks associativity at (a, b, c) for every c but 0
+    # with b + c in the box; the lexicographically first c is reported.
+    table = perturbed_table(three_q_spec(), None)
+    key = ((-2, -2), (0, 1))
+    table.entries[key] = table.entries[key] + exponent(1, 6)
+    verdict = cocycle_check(table, A2_6)
+    assert verdict.first_violation == ("associativity", (-2, -2), (0, 1), (-2, -2))
+
+
 def random_cochain(rng, dims, box, ell):
     """A random 1-cochain on the doubled box, vanishing at zero."""
     return {

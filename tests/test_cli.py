@@ -1,8 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import uproll
 from uproll import build_cartan_datum, twist_exponent, weight
 from uproll.cli import run
 
@@ -366,3 +371,31 @@ def test_datum_takes_all_flags_or_none(flags, missing, monkeypatch, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.strip().endswith(missing)
+
+
+@pytest.mark.parametrize("rest", [{}, {"lattice": [["4"]]}])
+def test_empty_pairs_print_an_empty_table(rest, tmp_path, capsys):
+    path = write_doc(tmp_path, "p.json", {**A1_4, **rest, "pairs": []})
+    assert run_json(capsys, ["monodromy", "--input", path]) == (0, {"pairs": []})
+
+
+def test_closed_stdout_exits_six_without_traceback(tmp_path):
+    # The census monodromy table of 4*Q for A2 at ell = 8 (48 reps, 1176
+    # pairs) is about 180 kB, more than a pipe holds, so the CLI is still
+    # writing when the reader closes its end after one line.
+    path = write_doc(
+        tmp_path, "p.json",
+        {"series": "A", "rank": 2, "ell": 8, "lattice": [["8", "-4"], ["-4", "8"]]},
+    )
+    src = str(Path(uproll.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "uproll.cli", "monodromy", "--input", path],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait(timeout=60) == 6
+    assert "Traceback" not in err
+    assert "stdout was closed" in err

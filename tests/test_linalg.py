@@ -3,6 +3,8 @@ from fractions import Fraction
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from sympy import Matrix
+from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
 from uproll._linalg import (
     combination_in_rows,
@@ -92,6 +94,55 @@ class TestSmithForm:
         # rows of diag(diag) * vinv generate the same lattice as mat
         scaled = [[diag[i] * vinv[i][j] for j in range(3)] for i in range(3)]
         assert row_hermite_form(scaled) == row_hermite_form(mat)
+
+
+def seeded_matrices(seed=20251018, count=200):
+    """Random integer matrices up to 5x5 with entries in [-6, 6]; every
+    fourth one with two or more rows ends in the negated first row, so
+    rank-deficient inputs are covered too."""
+    rng = random.Random(seed)
+    out = []
+    for k in range(count):
+        rows, cols = rng.randint(1, 5), rng.randint(1, 5)
+        mat = [[rng.randint(-6, 6) for _ in range(cols)] for _ in range(rows)]
+        if k % 4 == 0 and rows > 1:
+            mat[-1] = [-x for x in mat[0]]
+        out.append(mat)
+    return out
+
+
+def integer_span_test(rows):
+    """Membership in the integer row span, decided with sympy's Smith
+    decomposition S = U * A * V: x * A = t has an integer solution exactly
+    when z * S = t * V does, which reads off the diagonal of S."""
+    smith, _, v = smith_normal_decomp(Matrix(rows))
+    diag = [smith[j, j] for j in range(min(smith.shape))]
+
+    def contains(target):
+        w = Matrix([target]) * v
+        return all(
+            (w[j] % diag[j] if j < len(diag) and diag[j] else w[j]) == 0
+            for j in range(len(target))
+        )
+
+    return contains
+
+
+class TestAgainstSympy:
+    def test_smith_invariant_factors(self):
+        for mat in seeded_matrices():
+            theirs = [abs(int(x)) for x in invariant_factors(Matrix(mat)) if x]
+            assert smith_normal_form(mat)[0] == theirs, mat
+
+    def test_hermite_rows_span_the_input_lattice(self):
+        for mat in seeded_matrices():
+            hnf = row_hermite_form(mat)
+            if not hnf:
+                assert not any(map(any, mat))
+                continue
+            in_input, in_hnf = integer_span_test(mat), integer_span_test(hnf)
+            assert all(in_input(row) for row in hnf), mat
+            assert all(in_hnf(row) for row in mat), mat
 
 
 class TestRationalKernels:

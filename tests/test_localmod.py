@@ -23,7 +23,7 @@ from uproll import (
     twist_exponent,
     weight,
 )
-from uproll import localmod
+from uproll import algebra, localmod
 from uproll.errors import AlgebraInvalid, InfiniteCensus
 
 A1_4 = build_cartan_datum("A", 1, 4)
@@ -249,3 +249,19 @@ class TestLocalReport:
         spec = AlgebraSpec(A2_4, [2 * A2_4.simple_root(0)])
         with pytest.raises(InfiniteCensus):
             local_report(spec)
+
+    def test_spec_is_validated_once_per_report(self, monkeypatch):
+        calls = []
+        real = algebra._commutative_witnesses
+
+        def counting(spec):
+            calls.append(spec)
+            return real(spec)
+
+        monkeypatch.setattr(algebra, "_commutative_witnesses", counting)
+        local_report(doubled_root_spec())
+        assert len(calls) == 1
+        local_report(super_spec())
+        assert len(calls) == 2
+        triplet_report("A", 2, 2)
+        assert len(calls) == 3
