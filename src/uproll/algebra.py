@@ -24,6 +24,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
+from math import lcm
 from operator import add
 
 from . import _linalg
@@ -33,10 +34,10 @@ from .cartan import (
     Weight,
     bilinear,
     in_simple_current_lattice,
-    is_multiple,
-    pairing,
+    pairing_matrix,
 )
 from .errors import (
+    BudgetExceeded,
     DependentGenerators,
     IncompleteTable,
     MuNotHalfOdd,
@@ -44,6 +45,10 @@ from .errors import (
     NotInSimpleCurrentLattice,
 )
 from .lattice import adjoin, canonical_basis
+
+# The most entries a structure-constant table may hold.  The brute-force
+# oracles and the CLI monodromy table are held to the same bound.
+MAX_TABLE_ENTRIES = 100_000
 
 
 class AlgebraSpec:
@@ -85,18 +90,15 @@ class AlgebraSpec:
         return self.generators + (self.mu,)
 
     @cached_property
-    def _pairs(self) -> tuple[tuple[Fraction, ...], ...]:
-        basis = self.ordered_basis
-        return tuple(tuple(pairing(self.datum, a, b) for b in basis) for a in basis)
+    def pair_matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
+        """Pairings of the ordered basis against itself, as an integer
+        matrix P over one denominator p: <b_i, b_j> = P_ij / p."""
+        return pairing_matrix(self.datum, self.ordered_basis)
 
     @cached_property
-    def _lower_pairs(self) -> tuple[tuple[Fraction, ...], ...]:
+    def _lower_pairs(self) -> tuple[tuple[int, ...], ...]:
         # Row i keeps columns < i, the strictly lower part for cartan.bilinear.
-        return tuple(row[:i] for i, row in enumerate(self._pairs))
-
-    def pair_matrix(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Pairings of the ordered basis against itself."""
-        return self._pairs
+        return tuple(row[:i] for i, row in enumerate(self.pair_matrix[0]))
 
     @cached_property
     def verdict(self) -> CommutativityVerdict | SuperVerdict:
@@ -165,18 +167,16 @@ class SuperVerdict:
 
 
 def _commutative_witnesses(spec: AlgebraSpec) -> list[Witness]:
-    ell = spec.datum.ell
-    pairs = spec.pair_matrix()
+    pairs, den = spec.pair_matrix
+    step = spec.datum.ell * den
     m = len(spec.generators)
     out = []
     for i in range(m):
-        val = pairs[i][i]
-        if not is_multiple(val, ell):
-            out.append(Witness("diagonal", i, i, val))
+        if pairs[i][i] % step:
+            out.append(Witness("diagonal", i, i, Fraction(pairs[i][i], den)))
         for j in range(i + 1, m):
-            val = 2 * pairs[i][j]
-            if not is_multiple(val, ell):
-                out.append(Witness("off_diagonal", i, j, val))
+            if 2 * pairs[i][j] % step:
+                out.append(Witness("off_diagonal", i, j, Fraction(2 * pairs[i][j], den)))
     return out
 
 
@@ -201,17 +201,16 @@ def check_supercommutative(spec: AlgebraSpec) -> SuperVerdict:
     """
     if spec.mu is None:
         raise ValueError("check_supercommutative expects a spec with an odd generator")
-    ell = spec.datum.ell
     bad = _commutative_witnesses(spec)
     m = len(spec.generators)
-    odd = spec.pair_matrix()[m]
-    val = 2 * odd[m]
-    if not is_multiple(val, ell) or is_multiple(val, 2 * ell):
-        bad.append(Witness("odd_diagonal", m, m, val))
+    pairs, den = spec.pair_matrix
+    step = spec.datum.ell * den
+    odd = [2 * x for x in pairs[m]]
+    if odd[m] % step or not odd[m] % (2 * step):
+        bad.append(Witness("odd_diagonal", m, m, Fraction(odd[m], den)))
     for j in range(m):
-        val = 2 * odd[j]
-        if not is_multiple(val, ell):
-            bad.append(Witness("odd_even", m, j, val))
+        if odd[j] % step:
+            bad.append(Witness("odd_even", m, j, Fraction(odd[j], den)))
     return SuperVerdict(not bad, tuple(bad))
 
 
@@ -223,7 +222,10 @@ def spec_verdict(spec: AlgebraSpec):
 def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
     """Normal-form exponent for elements given by generator coefficients:
     the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
-    return ExponentModL(bilinear(spec._lower_pairs, left, right), spec.datum.ell)
+    return ExponentModL(
+        Fraction(bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1]),
+        spec.datum.ell,
+    )
 
 
 def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> ExponentModL:
@@ -272,8 +274,16 @@ class CocycleTable:
         return total
 
 
+def check_box_budget(box: int, dimension: int) -> None:
+    """Raise BudgetExceeded when a box has more than MAX_TABLE_ENTRIES pairs."""
+    size = (2 * box + 1) ** (2 * dimension)
+    if size > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(f"box {box} has {size} coefficient pairs, over {MAX_TABLE_ENTRIES}")
+
+
 def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     """The normal-form table on all coefficient pairs within the box."""
+    check_box_budget(box, len(spec.ordered_basis))
     vecs = list(
         product(range(-box, box + 1), repeat=len(spec.ordered_basis))
     )
@@ -285,15 +295,15 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 
-def _in_box_pairs(table: CocycleTable) -> dict:
-    """Each in-box vector, mapped to the (vector, sum) pairs of the in-box
-    vectors whose sum with it stays in the box; all in lexicographic order."""
-    vecs = list(table.vectors())
-    inside = set(vecs)
-    return {
-        v1: [(v2, v12) for v2 in vecs if (v12 := tuple(map(add, v1, v2))) in inside]
+def _in_box_pairs(vecs: list) -> list:
+    """For each vector of the box, listed in lexicographic order as vecs,
+    the index pairs (j, k) with vecs[j] in the box and vecs[k] its sum
+    with that vector, for every sum that stays in the box."""
+    index = {v: i for i, v in enumerate(vecs)}
+    return [
+        [(j, k) for j, v2 in enumerate(vecs) if (k := index.get(tuple(map(add, v1, v2)))) is not None]
         for v1 in vecs
-    }
+    ]
 
 
 @dataclass(frozen=True)
@@ -312,34 +322,39 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     associativity plus unit; the commutation relation is reported
     separately (tables of supercommutative algebras fail it on odd-odd
     pairs by the half-shift, which is the expected sign).
-    """
-    ell = table.ell
-    zero = (0,) * table.dimension
-    gens = table.generators
-    pairs = tuple(tuple(pairing(datum, a, b) for b in gens) for a in gens)
-    in_box = _in_box_pairs(table)
 
-    def value(left, right) -> Fraction:
-        return table.lookup(left, right).value
+    The in-box exponents and the pairings are read once as integers over
+    one common denominator M, and tested on integers modulo M * ell; a
+    missing in-box entry raises IncompleteTable, the first one in
+    lexicographic order.
+    """
+    pairs, p = pairing_matrix(datum, table.generators)
+    vecs = list(table.vectors())
+    values = [[table.lookup(v1, v2).value for v2 in vecs] for v1 in vecs]
+    den = lcm(p, *(x.denominator for row in values for x in row))
+    e = [[x.numerator * (den // x.denominator) for x in row] for row in values]
+    scale, mod = den // p, den * table.ell
+    z = vecs.index((0,) * table.dimension)
+    in_box = _in_box_pairs(vecs)
 
     structure_violation = next(
-        (("unit", v) for v in in_box if value(v, zero) % ell or value(zero, v) % ell), None
+        (("unit", v) for i, v in enumerate(vecs) if e[i][z] % mod or e[z][i] % mod), None
     ) or next(
         (
-            ("associativity", v1, v2, v3)
-            for v1, row in in_box.items()
-            for v2, v12 in row
-            for v3, v23 in in_box[v2]
-            if (value(v12, v3) + value(v1, v2) - value(v1, v23) - value(v2, v3)) % ell
+            ("associativity", vecs[i1], vecs[i2], vecs[i3])
+            for i1, row in enumerate(in_box)
+            for i2, i12 in row
+            for i3, i23 in in_box[i2]
+            if (e[i12][i3] + e[i1][i2] - e[i1][i23] - e[i2][i3]) % mod
         ),
         None,
     )
     commutative_violation = next(
         (
             ("commutativity", v1, v2)
-            for v1 in in_box
-            for v2 in in_box
-            if (value(v1, v2) - value(v2, v1) - bilinear(pairs, v1, v2)) % ell
+            for i1, v1 in enumerate(vecs)
+            for i2, v2 in enumerate(vecs)
+            if (e[i1][i2] - e[i2][i1] - scale * bilinear(pairs, v1, v2)) % mod
         ),
         None,
     )
@@ -425,27 +440,24 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
                 ell,
             )
 
-    def phi_of(vec: tuple[int, ...]) -> Fraction:
-        got = phi.get(vec)
-        if got is not None:
-            return got.value
-        k = max(i for i, c in enumerate(vec) if c)
-        head = vec[:k] + (0,) * (dims - k)
-        tail = unit_vec(k, vec[k])
-        val = phi_of(head) + phi_of(tail) - table.lookup(head, tail).value
-        phi[vec] = ExponentModL(val, ell)
-        return val
+    vecs = list(table.vectors())
+    # Fewer nonzero components first, so each head is known before its vector.
+    for vec in sorted(vecs, key=lambda v: len(v) - v.count(0)):
+        if vec not in phi:
+            k = max(i for i, c in enumerate(vec) if c)
+            head = vec[:k] + (0,) * (dims - k)
+            tail = unit_vec(k, vec[k])
+            phi[vec] = ExponentModL(
+                phi[head].value + phi[tail].value - table.lookup(head, tail).value, ell
+            )
 
-    for vec in table.vectors():
-        phi_of(vec)
-
-    entries = {
-        (v1, v2): ExponentModL(
-            table.lookup(v1, v2).value + phi[v12].value - phi[v1].value - phi[v2].value,
-            ell,
-        )
-        for v1, row in _in_box_pairs(table).items()
-        for v2, v12 in row
-    }
+    entries = {}
+    for v1, row in zip(vecs, _in_box_pairs(vecs)):
+        for j, k in row:
+            v2 = vecs[j]
+            entries[(v1, v2)] = ExponentModL(
+                table.lookup(v1, v2).value + phi[vecs[k]].value - phi[v1].value - phi[v2].value,
+                ell,
+            )
     normalized = CocycleTable(table.generators, box, ell, entries)
     return GaugeResult(phi, normalized)

@@ -7,6 +7,10 @@ G = D (D A)^-1 D for the Cartan matrix A and symmetrizer D = diag(d_i).
 Simple root j then has omega-coordinates equal to column j of A, and the
 contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
+A datum stores N*G as integers, N the least common denominator of G (it
+divides det(D A)); the form is evaluated by the integer kernel bilinear()
+on weights scaled to integers, and a Fraction is formed only for results.
+
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
 kept, as rationals compared modulo ell.
@@ -16,7 +20,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from . import _linalg
 from .errors import (
@@ -25,6 +30,10 @@ from .errors import (
     InternalError,
     InvalidSeriesRank,
 )
+
+# Larger ranks are refused before anything is allocated: the exact inverse
+# of the Cartan matrix takes seconds from rank 128 on.
+MAX_RANK = 32
 
 
 def _frac(x) -> Fraction:
@@ -167,6 +176,8 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
     n = rank
     if n < 1:
         raise InvalidSeriesRank(f"rank must be positive, got {n}")
+    if n > MAX_RANK:
+        raise InvalidSeriesRank(f"rank {n} exceeds the largest supported rank {MAX_RANK}")
     if series == "A":
         return _chain(n), (1,) * n
     if series == "B":
@@ -229,8 +240,16 @@ class CartanDatum:
     symmetrizers: tuple[int, ...]
     r: int
     r_i: tuple[int, ...]
-    gram: tuple[tuple[Fraction, ...], ...]
+    # The Gram matrix G as the integer matrix N*G and its denominator N.
+    scaled_gram: tuple[tuple[int, ...], ...]
+    gram_denominator: int
     rho: Weight
+
+    @property
+    def gram(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The Gram matrix G of the form on fundamental weights."""
+        n = self.gram_denominator
+        return tuple(tuple(Fraction(x, n) for x in row) for row in self.scaled_gram)
 
     def fundamental_weight(self, i: int) -> Weight:
         coords = [Fraction(0)] * self.rank
@@ -274,9 +293,8 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
                 f"symmetrized Cartan matrix of {series}{n} is not positive definite"
             )
     binv = _linalg.mat_inverse(b)
-    gram = tuple(
-        tuple(d[i] * binv[i][j] * d[j] for j in range(n)) for i in range(n)
-    )
+    gram = [[d[i] * binv[i][j] * d[j] for j in range(n)] for i in range(n)]
+    den = lcm(*(x.denominator for row in gram for x in row))
     return CartanDatum(
         series=series,
         rank=n,
@@ -285,31 +303,42 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
         symmetrizers=tuple(d),
         r=r,
         r_i=tuple(r // gi for gi in g),
-        gram=gram,
+        scaled_gram=tuple(tuple(int(x * den) for x in row) for row in gram),
+        gram_denominator=den,
         rho=Weight((Fraction(1),) * n),
     )
 
 
-def bilinear(matrix, u, v) -> Fraction:
-    """The bilinear form sum_ij u_i M_ij v_j, exact, skipping zero coefficients.
+def bilinear(matrix, u, v) -> int:
+    """The integer bilinear form sum_ij u_i M_ij v_j, skipping zero u_i.
 
     A row shorter than v stands for a row padded with zeros, so ragged
     rows give a triangular part of M without its zero entries.
     """
-    total = Fraction(0)
-    for a, row in zip(u, matrix):
-        if a:
-            total += a * sum(m * b for m, b in zip(row, v) if b)
-    return total
+    return sum(a * sum(map(mul, row, v)) for a, row in zip(u, matrix) if a)
+
+
+def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[list[int], int]:
+    """Integer coordinates of lam over their least common denominator den,
+    so that lam = coords / den."""
+    if len(lam) != datum.rank:
+        raise DimensionMismatch(f"weights must have length {datum.rank}")
+    den = lcm(*(c.denominator for c in lam.coords))
+    return [c.numerator * (den // c.denominator) for c in lam.coords], den
 
 
 def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
     """The normalized bilinear form <lam, mu>, exact."""
-    if len(lam) != datum.rank or len(mu) != datum.rank:
-        raise DimensionMismatch(
-            f"weights must have length {datum.rank}"
-        )
-    return bilinear(datum.gram, lam.coords, mu.coords)
+    x, dx = scaled_coords(datum, lam)
+    y, dy = scaled_coords(datum, mu)
+    return Fraction(bilinear(datum.scaled_gram, x, y), datum.gram_denominator * dx * dy)
+
+
+def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """The pairings <w_i, w_j> as an integer matrix P over one denominator p."""
+    mat = [[pairing(datum, a, b) for b in weights] for a in weights]
+    p = lcm(1, *(x.denominator for row in mat for x in row))
+    return tuple(tuple(x.numerator * (p // x.denominator) for x in row) for row in mat), p
 
 
 def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
@@ -325,13 +354,14 @@ def alpha_coordinates(datum: CartanDatum, lam: Weight) -> tuple[Fraction, ...]:
     Since <omega_i, alpha_j> = d_j delta_ij, coordinate i is
     <lam, omega_i> / d_i, read off row i of the Gram matrix.
     """
+    x, den = scaled_coords(datum, lam)
+    scale = datum.gram_denominator * den
     return tuple(
-        sum(g * c for g, c in zip(row, lam.coords)) / d
-        for row, d in zip(datum.gram, datum.symmetrizers)
+        Fraction(sum(map(mul, row, x)), scale * d)
+        for row, d in zip(datum.scaled_gram, datum.symmetrizers)
     )
 
 
 def in_root_lattice(datum: CartanDatum, lam: Weight) -> bool:
     """True when the weight is an integer combination of simple roots."""
     return all(is_integer(c) for c in alpha_coordinates(datum, lam))
-

@@ -21,6 +21,14 @@ Exit codes:
      weight is not local
   6  stdout was closed before the report was written (for example by
      "| head"); the report is dropped without a traceback
+  7  the work exceeds a fixed budget and is refused before it starts: a
+     census of more than lattice.MAX_CENSUS_ORDER representatives, a
+     monodromy table or an oracle box of more than
+     algebra.MAX_TABLE_ENTRIES pairs, or an oracle coset search of more
+     than lattice.MAX_CENSUS_ORDER combinations
+
+A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
+refused before any Cartan data is built.
 
 A null field means the same as an absent one, so monodromy prints every
 census pair when "pairs" is absent or null, and no pair for "pairs": [].
@@ -37,10 +45,11 @@ import os
 import sys
 from fractions import Fraction
 
-from .algebra import AlgebraSpec, spec_verdict
+from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, spec_verdict
 from .cartan import CartanDatum, ExponentModL, Weight, build_cartan_datum
 from .errors import (
     AlgebraInvalid,
+    BudgetExceeded,
     HypothesisViolated,
     InfiniteCensus,
     NonADESeries,
@@ -229,6 +238,11 @@ def _cmd_monodromy(args) -> dict:
         census = simple_census(spec)
         if not census.finite:
             raise InfiniteCensus("monodromy table needs a finite census")
+        size = census.order * (census.order + 1) // 2
+        if size > MAX_TABLE_ENTRIES:
+            raise BudgetExceeded(
+                f"monodromy table of {size} pairs exceeds the budget of {MAX_TABLE_ENTRIES}"
+            )
         reps = census.reps
         pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i:]]
     return {
@@ -416,6 +430,9 @@ def run(argv=None) -> int:
     except (AlgebraInvalid, InfiniteCensus, NotLocal, NotSubgroup) as exc:
         print(f"spec does not meet the command's precondition: {exc}", file=sys.stderr)
         return 5
+    except BudgetExceeded as exc:
+        print(f"budget exceeded: {exc}", file=sys.stderr)
+        return 7
     except (UprollError, ValueError, KeyError, TypeError, OSError) as exc:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2

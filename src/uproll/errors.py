@@ -61,5 +61,10 @@ class NonADESeries(UprollError):
     """The triplet construction is only defined for series A, D, E."""
 
 
+class BudgetExceeded(UprollError):
+    """The requested work exceeds a fixed size budget and was refused
+    before anything was allocated."""
+
+
 class InternalError(RuntimeError):
     """An invariant of the library itself failed: a bug, never bad input."""

@@ -17,12 +17,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import lcm
-from operator import add
+from math import lcm, prod
+from operator import add, mul
 
 from . import _linalg
 from .cartan import CartanDatum, Weight, is_multiple, pairing
-from .errors import DimensionMismatch, InternalError, NotSubgroup
+from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
+
+# The most representatives a finite census may enumerate.
+MAX_CENSUS_ORDER = 100_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -161,11 +164,6 @@ class DualGroup:
         )
 
 
-def _combination(coeffs, rows, n: int) -> Weight:
-    """The weight sum_j coeffs[j] * rows[j] in rank n."""
-    return sum((c * w for c, w in zip(coeffs, rows) if c), Weight.zero(n))
-
-
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     """The scaled dual group {x : 2<x, g> in ell*Z for all g in L}."""
     n = datum.rank
@@ -178,7 +176,10 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
         [2 * pairing(datum, a, b) / datum.ell for b in basis] for a in basis
     ]
     coeffs = _linalg.mat_inverse(gram)
-    part = canonical_basis(datum, [_combination(row, basis, n) for row in coeffs])
+    part = canonical_basis(
+        datum,
+        [sum((c * w for c, w in zip(row, basis) if c), Weight.zero(n)) for row in coeffs],
+    )
     return DualGroup(datum, lattice, n - k, part)
 
 
@@ -209,6 +210,10 @@ def _change_of_basis(dual_rows, lattice_rows) -> list[list[int]]:
     return mat
 
 
+def _add_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(map(add, a, b))
+
+
 def quotient_census(
     datum: CartanDatum, dual: DualGroup, lattice: RationalLattice
 ) -> Census:
@@ -218,7 +223,8 @@ def quotient_census(
     failure raises NotSubgroup, which signals a non-local summand
     upstream.  Representatives are enumerated only for finite quotients,
     as the lexicographically smallest non-negative coefficient vectors in
-    the Smith-adapted dual basis.
+    the Smith-adapted dual basis; a finite quotient of order above
+    MAX_CENSUS_ORDER raises BudgetExceeded before any is built.
     """
     for g in lattice.canonical_rows:
         if not dual.contains_weight(g):
@@ -248,16 +254,26 @@ def quotient_census(
             order=None,
             complement_dimension=dual.complement_dimension,
         )
-    adapted = [_combination(row, dual_rows, datum.rank) for row in vinv]
+    order = prod(diag)
+    if order > MAX_CENSUS_ORDER:
+        raise BudgetExceeded(
+            f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
+        )
+    # The Smith-adapted dual basis as integer rows over the dual's denominator.
+    part = dual.lattice_part
+    adapted = [
+        tuple(sum(map(mul, col, row)) for col in zip(*part.hnf)) for row in vinv
+    ]
     # Lexicographic in the coefficients, last one fastest: each coefficient
     # c in range(s) extends every rep so far by a running sum of c steps.
-    reps = [Weight.zero(datum.rank)]
+    reps = [(0,) * datum.rank]
     for s, step in zip(diag, adapted):
-        reps = [x for rep in reps for x in accumulate(repeat(step, s - 1), add, initial=rep)]
+        reps = [x for rep in reps for x in accumulate(repeat(step, s - 1), _add_rows, initial=rep)]
+    coord = {a: Fraction(a, part.denominator) for a in {a for rep in reps for a in rep}}
     return Census(
         finite=True,
         invariant_factors=factors,
-        reps=tuple(reps),
-        order=len(reps),
+        reps=tuple(Weight(tuple(map(coord.__getitem__, rep))) for rep in reps),
+        order=order,
         complement_dimension=0,
     )

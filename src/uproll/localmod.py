@@ -20,7 +20,15 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .algebra import AlgebraSpec
-from .cartan import CartanDatum, ExponentModL, Weight, is_multiple, pairing
+from .cartan import (
+    CartanDatum,
+    ExponentModL,
+    Weight,
+    bilinear,
+    is_multiple,
+    pairing,
+    scaled_coords,
+)
 from .errors import AlgebraInvalid, InfiniteCensus
 from .lattice import Census, quotient_census, scaled_dual
 
@@ -56,9 +64,15 @@ def simple_census(spec: AlgebraSpec) -> Census:
 
 def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:
     """Exponent of the twist scalar on the simple of highest weight lam:
-    <lam, lam + 2(1-r) rho> mod ell."""
-    shifted = lam + (2 * (1 - datum.r)) * datum.rho
-    return ExponentModL(pairing(datum, lam, shifted), datum.ell)
+    <lam, lam + 2(1-r) rho> mod ell.
+
+    With lam = x / den and rho = (1, ..., 1), the shifted weight is
+    (x + 2(1-r) den) / den, so the form is one integer evaluation.
+    """
+    x, den = scaled_coords(datum, lam)
+    shift = 2 * (1 - datum.r) * den
+    total = bilinear(datum.scaled_gram, x, [c + shift for c in x])
+    return ExponentModL(Fraction(total, datum.gram_denominator * den * den), datum.ell)
 
 
 def monodromy_exponent(datum: CartanDatum, lam: Weight, mu: Weight) -> ExponentModL:

@@ -1,11 +1,12 @@
 """Brute-force checkers for the closed-form verdicts.
 
 These enumerate bounded coefficient boxes or census representatives and
-test the defining conditions directly.  Beyond the evaluation of the
-bilinear form (``cartan.pairing`` and ``cartan.bilinear``) and, for the
-census-based checks, the census itself, they share no code with the
-closed forms they validate; they take no shortcuts and are deliberately
-naive.
+test the defining conditions directly.  Beyond ``cartan.pairing``, which
+they apply to whole weights, and, for the census-based checks, the
+census itself, they share no code with the closed forms they validate;
+they take no shortcuts and are deliberately naive.  A box of more than ``algebra.MAX_TABLE_ENTRIES``
+pairs, or a coset search over more than ``lattice.MAX_CENSUS_ORDER``
+combinations, raises BudgetExceeded before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -14,10 +15,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
-from .algebra import AlgebraSpec, structure_constant_table
-from .cartan import Weight, bilinear, is_multiple, pairing
-from .errors import InfiniteCensus
-from .lattice import coset_reduce, scaled_dual
+from .algebra import AlgebraSpec, check_box_budget, structure_constant_table
+from .cartan import Weight, is_multiple, pairing
+from .errors import BudgetExceeded, InfiniteCensus
+from .lattice import MAX_CENSUS_ORDER, coset_reduce, scaled_dual
 from .localmod import simple_census
 
 
@@ -32,6 +33,7 @@ class Box:
         # A negative bound gives an empty box, on which every check is vacuous.
         if self.bound < 0:
             raise ValueError(f"box bound must be >= 0, got {self.bound}")
+        check_box_budget(self.bound, self.dimension)
 
     def __iter__(self):
         return product(range(-self.bound, self.bound + 1), repeat=self.dimension)
@@ -43,6 +45,13 @@ def _as_box(box, dimension: int) -> Box:
     return Box(int(box), dimension)
 
 
+def _weight_of(vec, gens, rank: int) -> Weight:
+    total = Weight.zero(rank)
+    for c, g in zip(vec, gens):
+        total = total + c * g
+    return total
+
+
 def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     """Check the full-lattice commutativity conditions on a box.
 
@@ -51,16 +60,15 @@ def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     """
     gens = spec.generators
     b = _as_box(box, len(gens))
-    ell = spec.datum.ell
-    pairs = [[pairing(spec.datum, x, y) for y in gens] for x in gens]
-
-    vecs = list(b)
-    for u in vecs:
-        if (bilinear(pairs, u, u) / ell).denominator != 1:
+    datum = spec.datum
+    ell = datum.ell
+    lams = [_weight_of(u, gens, datum.rank) for u in b]
+    for lam in lams:
+        if not is_multiple(pairing(datum, lam, lam), ell):
             return False
-    for i, u in enumerate(vecs):
-        for v in vecs[i:]:
-            if (2 * bilinear(pairs, u, v) / ell).denominator != 1:
+    for i, lam in enumerate(lams):
+        for mu in lams[i:]:
+            if not is_multiple(2 * pairing(datum, lam, mu), ell):
                 return False
     return True
 
@@ -75,11 +83,11 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     """
     b = _as_box(box, len(spec.ordered_basis))
     table = structure_constant_table(spec, b.bound)
-    ell = spec.datum.ell
-    gens = table.generators
-    pairs = [[pairing(spec.datum, x, y) for y in gens] for x in gens]
+    datum = spec.datum
+    ell = datum.ell
 
     vecs = list(table.vectors())
+    lams = {v: _weight_of(v, table.generators, datum.rank) for v in vecs}
     zero = (0,) * table.dimension
     for v in vecs:
         if table.lookup(v, zero).canonical or table.lookup(zero, v).canonical:
@@ -89,7 +97,7 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
             delta = (
                 table.lookup(v1, v2).value
                 - table.lookup(v2, v1).value
-                - bilinear(pairs, v1, v2)
+                - pairing(datum, lams[v1], lams[v2])
             )
             if delta % ell:
                 return False
@@ -124,13 +132,14 @@ def brute_census_order(spec: AlgebraSpec, box=None) -> int:
     lat = spec.extended_lattice
     dual = scaled_dual(spec.datum, lat)
     rows = dual.lattice_part.canonical_rows
+    combos = max(side, 0) ** len(rows)
+    if combos > MAX_CENSUS_ORDER:
+        raise BudgetExceeded(
+            f"coset search over {combos} combinations exceeds {MAX_CENSUS_ORDER}"
+        )
     found = set()
     for combo in product(range(side), repeat=len(rows)):
-        x = Weight.zero(spec.datum.rank)
-        for c, w in zip(combo, rows):
-            if c:
-                x = x + c * w
-        found.add(coset_reduce(lat, x))
+        found.add(coset_reduce(lat, _weight_of(combo, rows, spec.datum.rank)))
     return len(found)
 
 

@@ -45,6 +45,25 @@ def draw_commutativity_specs(seed: int, count: int) -> list[AlgebraSpec]:
     return specs
 
 
+def sympy_gram(datum):
+    """The Gram matrix D (D A)^-1 D of the datum, computed by sympy."""
+    import sympy
+
+    d = sympy.diag(*datum.symmetrizers)
+    return d * (d * sympy.Matrix(datum.cartan)).inv() * d
+
+
+def sympy_form(gram, lam, mu) -> Fraction:
+    """<lam, mu> through a sympy Gram matrix, as a Fraction."""
+    import sympy
+
+    def column(w):
+        return sympy.Matrix([sympy.Rational(c.numerator, c.denominator) for c in w.coords])
+
+    value = (column(lam).T * gram * column(mu))[0, 0]
+    return Fraction(int(value.p), int(value.q))
+
+
 def random_weight(rng: random.Random, rank: int, span: int = 6, den: int = 4):
     """A random rational weight with bounded numerators and denominators."""
     return weight(

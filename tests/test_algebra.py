@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 from itertools import product
@@ -7,7 +8,9 @@ import pytest
 from helpers import draw_commutativity_specs
 from uproll import (
     AlgebraSpec,
+    Weight,
     apply_coboundary,
+    brute_cocycle,
     build_cartan_datum,
     check_commutative,
     check_supercommutative,
@@ -19,7 +22,9 @@ from uproll import (
     structure_constant_table,
     weight,
 )
+from uproll.algebra import MAX_TABLE_ENTRIES
 from uproll.errors import (
+    BudgetExceeded,
     DependentGenerators,
     IncompleteTable,
     MuNotHalfOdd,
@@ -323,3 +328,98 @@ class TestRandomSpecs:
         spec = three_q_spec()
         verdict = cocycle_check(structure_constant_table(spec, 3), A2_6)
         assert verdict.valid and verdict.commutative
+
+
+def hand_made_specs():
+    a1 = A1_4.simple_root(0)
+    a1_5 = build_cartan_datum("A", 1, 5)
+    return {
+        "A2-3Q": three_q_spec(),
+        "A1-super": super_spec(),
+        "A1-doubled-root": AlgebraSpec(A1_4, [2 * a1]),
+        "A1-single-root": AlgebraSpec(A1_4, [a1]),
+        "A1-unit": AlgebraSpec(A1_4, ()),
+        "A1-super-odd-ell": AlgebraSpec(a1_5, [weight([10])], mu=weight([5])),
+        "A2-dependent": AlgebraSpec(A2_6, [3 * A2_6.simple_root(0), 6 * A2_6.simple_root(0)]),
+    }
+
+
+def reference_scan(table, datum):
+    """cocycle_check's three scans in its order, over the Fraction values
+    of the table and the pairings of the box weights."""
+    ell, box = table.ell, table.box
+    vecs = list(table.vectors())
+    zero = (0,) * table.dimension
+
+    def e(a, b):
+        return table.lookup(a, b).value
+
+    def plus(a, b):
+        s = tuple(x + y for x, y in zip(a, b))
+        return s if all(-box <= x <= box for x in s) else None
+
+    structure = next((("unit", v) for v in vecs if e(v, zero) % ell or e(zero, v) % ell), None)
+    structure = structure or next(
+        (
+            ("associativity", a, b, c)
+            for a in vecs
+            for b in vecs
+            if (ab := plus(a, b))
+            for c in vecs
+            if (bc := plus(b, c)) and (e(ab, c) + e(a, b) - e(a, bc) - e(b, c)) % ell
+        ),
+        None,
+    )
+    weights = {
+        v: sum((c * g for c, g in zip(v, table.generators)), Weight.zero(datum.rank))
+        for v in vecs
+    }
+    commutation = next(
+        (
+            ("commutativity", a, b)
+            for a in vecs
+            for b in vecs
+            if (e(a, b) - e(b, a) - pairing(datum, weights[a], weights[b])) % ell
+        ),
+        None,
+    )
+    return structure or commutation, structure is None, commutation is None
+
+
+@pytest.mark.parametrize("name,spec", list(hand_made_specs().items()))
+def test_cocycle_check_agrees_with_the_oracle_on_normal_forms(name, spec):
+    verdict = cocycle_check(structure_constant_table(spec, 2), spec.datum)
+    assert verdict.valid
+    assert brute_cocycle(spec, 2) == (verdict.valid and verdict.commutative)
+
+
+@pytest.mark.parametrize("name,spec", list(hand_made_specs().items()))
+def test_cocycle_check_matches_a_fraction_scan_on_perturbed_tables(name, spec):
+    rng = random.Random(f"perturb {name}")
+    shifts = [1, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), 6]
+    for trial in range(8):
+        table = structure_constant_table(spec, 2)
+        if trial % 2 and table.dimension:
+            # Adding a bilinear form k n_i m_j keeps the table a cocycle,
+            # so only the commutation scan can fail.
+            i, j, k = rng.randrange(table.dimension), rng.randrange(table.dimension), rng.choice(shifts)
+            for (n, m), e in table.entries.items():
+                table.entries[(n, m)] = e + exponent(k * n[i] * m[j], table.ell)
+            assert cocycle_check(table, spec.datum).valid
+        else:
+            for key in rng.sample(sorted(table.entries), min(rng.randint(1, 3), len(table.entries))):
+                # fractional shifts give the table a denominator the pairings lack
+                shift = rng.choice(shifts)
+                table.entries[key] = table.entries[key] + exponent(shift, table.ell)
+        verdict = cocycle_check(table, spec.datum)
+        assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
+            table, spec.datum
+        )
+
+
+def test_table_budget_is_checked_before_building():
+    spec = three_q_spec()
+    with pytest.raises(BudgetExceeded, match="1000000000"):
+        structure_constant_table(spec, 10**9)
+    side = math.isqrt(math.isqrt(MAX_TABLE_ENTRIES))  # (2b+1)^4 entries for 2 generators
+    assert len(structure_constant_table(spec, (side - 1) // 2).entries) <= MAX_TABLE_ENTRIES

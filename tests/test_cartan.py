@@ -1,9 +1,12 @@
+import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from helpers import random_weight, sympy_form, sympy_gram
 from uproll import (
     ExponentModL,
     Weight,
@@ -14,6 +17,7 @@ from uproll import (
     pairing,
     weight,
 )
+from uproll.cartan import MAX_RANK, bilinear
 from uproll.errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
 
 # a valid order of the root of unity for each type used in table tests
@@ -236,3 +240,46 @@ def test_alpha_coordinates_invert_the_cartan_matrix(series, rank):
     for i in range(rank):
         expected = tuple(Fraction(int(inv[j, i].p), int(inv[j, i].q)) for j in range(rank))
         assert alpha_coordinates(d, d.fundamental_weight(i)) == expected
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_scaled_gram_is_the_gram_over_a_divisor_of_det(series, rank):
+    sympy = pytest.importorskip("sympy")
+    d = build_cartan_datum(series, rank, 7)
+    n = d.gram_denominator
+    assert all(type(x) is int for row in d.scaled_gram for x in row)
+    # N is the least common denominator: no common factor is left over.
+    assert gcd(n, *(x for row in d.scaled_gram for x in row)) == 1
+    gram = sympy_gram(d)
+    assert sympy.Matrix(d.scaled_gram) == n * gram
+    assert d.gram == tuple(
+        tuple(Fraction(int(x.p), int(x.q)) for x in gram.row(i)) for i in range(rank)
+    )
+    da = sympy.Matrix([[di * a for a in row] for di, row in zip(d.symmetrizers, d.cartan)])
+    assert int(da.det()) % n == 0
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_pairing_matches_a_sympy_gram(series, rank):
+    pytest.importorskip("sympy")
+    d = build_cartan_datum(series, rank, 7)
+    gram = sympy_gram(d)
+    rng = random.Random(f"pairing {series}{rank}")
+    for _ in range(6):
+        lam = random_weight(rng, rank, span=9, den=12)
+        mu = random_weight(rng, rank, span=9, den=12)
+        assert pairing(d, lam, mu) == sympy_form(gram, lam, mu)
+
+
+def test_bilinear_is_an_integer_kernel():
+    m = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
+    value = bilinear(m, (1, 0, 3), (4, 5, -6))
+    assert type(value) is int and value == 1 * (8 - 5) + 3 * (-5 - 12)
+    # ragged rows stand for zero-padded ones: the strictly lower part
+    assert bilinear(((), (7,), (1, 2)), (1, 1, 1), (1, 1, 1)) == 10
+
+
+def test_rank_above_the_cap_is_refused():
+    with pytest.raises(InvalidSeriesRank, match=str(MAX_RANK + 1)):
+        build_cartan_datum("A", MAX_RANK + 1, 6)
+    assert build_cartan_datum("A", MAX_RANK, 6).rank == MAX_RANK

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -399,3 +400,38 @@ def test_closed_stdout_exits_six_without_traceback(tmp_path):
     assert proc.wait(timeout=60) == 6
     assert "Traceback" not in err
     assert "stdout was closed" in err
+
+
+def test_rank_past_the_cap_exits_two_at_once(tmp_path, capsys):
+    start = time.perf_counter()
+    assert run(["datum", "--series", "A", "--rank", str(10**8), "--ell", "6"]) == 2
+    path = write_doc(tmp_path, "p.json", {"series": "A", "rank": 10**8, "ell": 6})
+    assert run(["census", "--input", path]) == 2
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count(str(10**8)) == 2
+
+
+@pytest.mark.parametrize(
+    "argv,doc",
+    [
+        (["triplet", "--series", "E", "--rank", "8", "--r", "30"], None),
+        (["oracle", "--box", str(10**9)], {**A1_4, "lattice": [["4"]]}),
+        (["census"], {**A1_4, "lattice": [["2000"]]}),
+        (["twists", "--format", "tsv"], {**A1_4, "lattice": [["2000"]]}),
+        # 484 reps are within the census budget, but not their 117370 pairs
+        (["monodromy"], {**A1_4, "lattice": [["44"]]}),
+    ],
+    ids=["triplet-E8-r30", "oracle-huge-box", "census", "twists", "monodromy-table"],
+)
+def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
+    if doc is not None:
+        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
+    start = time.perf_counter()
+    assert run(argv) == 7
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("budget exceeded: ")
+    assert "Traceback" not in captured.err

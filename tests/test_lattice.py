@@ -15,7 +15,8 @@ from uproll import (
     scaled_dual,
     weight,
 )
-from uproll.errors import InternalError, NotSubgroup, UprollError
+from uproll.errors import BudgetExceeded, InternalError, NotSubgroup, UprollError
+from uproll.lattice import MAX_CENSUS_ORDER
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -239,3 +240,15 @@ class TestQuotientCensus:
         census = quotient_census(A1_4, scaled_dual(A1_4, lat), lat)
         for rep in census.reps:
             assert contains(lat, census.order * rep)
+
+
+def test_census_past_the_budget_is_refused_before_enumeration():
+    # 2k * omega for A1 at ell = 4 has a cyclic census of order k**2.
+    for k, order in ((316, 316**2), (317, 317**2), (10**6, 10**12)):
+        lat = canonical_basis(A1_4, [weight([2 * k])])
+        dual = scaled_dual(A1_4, lat)
+        if order <= MAX_CENSUS_ORDER:
+            assert quotient_census(A1_4, dual, lat).order == order
+        else:
+            with pytest.raises(BudgetExceeded, match=str(order)):
+                quotient_census(A1_4, dual, lat)

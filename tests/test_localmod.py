@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TRIPLET_CASES, draw_commutativity_specs
+from helpers import TRIPLET_CASES, draw_commutativity_specs, sympy_form, sympy_gram
 from uproll import (
     AlgebraSpec,
     brute_transparent_reps,
@@ -125,6 +125,20 @@ class TestTwistAndMonodromy:
             - pairing(datum, wb, wb + (2 * (1 - datum.r)) * datum.rho)
         )
         assert raw == 2 * pairing(datum, wa, wb)
+
+    @pytest.mark.parametrize("series,rank,r,order", TRIPLET_CASES)
+    def test_twists_and_monodromy_match_sympy_on_triplet_census(self, series, rank, r, order):
+        pytest.importorskip("sympy")
+        datum = build_cartan_datum(series, rank, 2 * r)
+        gram = sympy_gram(datum)
+        shift = weight([2 * (1 - r)] * rank)
+        reps = simple_census(AlgebraSpec(datum, [r * a for a in datum.simple_roots])).reps
+        assert len(reps) == order
+        for lam in reps:
+            # the exact value, not only its class mod ell
+            assert twist_exponent(datum, lam).value == sympy_form(gram, lam, lam + shift)
+        for lam, mu in zip(reps, reps[::-1]):
+            assert monodromy_exponent(datum, lam, mu).value == 2 * sympy_form(gram, lam, mu)
 
 
 class TestCheckRibbon:

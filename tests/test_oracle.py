@@ -10,7 +10,8 @@ from uproll import (
     simple_census,
     weight,
 )
-from uproll.errors import InfiniteCensus
+from uproll.algebra import MAX_TABLE_ENTRIES
+from uproll.errors import BudgetExceeded, InfiniteCensus
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -27,6 +28,22 @@ class TestBox:
 
     def test_size(self):
         assert len(list(Box(2, 3))) == 5**3
+
+    def test_box_past_the_table_budget_is_refused(self):
+        with pytest.raises(BudgetExceeded, match="1000000000"):
+            Box(10**9, 1)
+        assert (2 * 3 + 1) ** 6 > MAX_TABLE_ENTRIES
+        with pytest.raises(BudgetExceeded):
+            Box(3, 3)
+        Box(2, 3)
+
+    def test_oracles_refuse_a_huge_box(self):
+        spec = AlgebraSpec(A1_4, [weight([4])])
+        for oracle in (brute_commutativity, brute_cocycle):
+            with pytest.raises(BudgetExceeded):
+                oracle(spec, 10**9)
+        with pytest.raises(BudgetExceeded):
+            brute_census_order(spec, 10**9)
 
 
 class TestBruteCommutativity:
