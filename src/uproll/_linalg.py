@@ -1,14 +1,17 @@
 """Small exact linear-algebra kernels.
 
 Integer Hermite and Smith normal forms with plain bignum arithmetic (no
-modular shortcuts), an integer determinant, and rational Gaussian
-elimination.  Everything here works on lists of lists and is sized for
-rank <= 8 problems.
+modular shortcuts), an integer determinant, and fraction-free
+Gauss-Jordan elimination: mat_inverse returns the integer pair
+(adjugate, determinant), and combination_in_rows solves over the
+integers, forming a Fraction only for its results.  Everything here
+works on lists of lists and is sized for rank <= 8 problems.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -174,25 +177,40 @@ def det_int(mat) -> int:
     return sign * a[-1][-1]
 
 
-def mat_inverse(rows) -> list[list[Fraction]]:
-    """Inverse of a square matrix, computed over Fraction."""
-    n = len(rows)
-    a = [
-        [Fraction(x) for x in row] + [Fraction(int(i == j)) for j in range(n)]
-        for i, row in enumerate(rows)
-    ]
-    for col in range(n):
-        piv = next((i for i in range(col, n) if a[i][col]), None)
+def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:
+    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
+    a, in place, on columns 0..width-1; Sylvester's identity makes every
+    division exact.  The first width columns end as the last pivot times
+    the identity over zero rows.  Returns (last pivot, sign of the row
+    permutation), or None when some column has no pivot."""
+    n = len(a)
+    sign, prev = 1, 1
+    for k in range(width):
+        piv = next((i for i in range(k, n) if a[i][k]), None)
         if piv is None:
-            raise ValueError("matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        f = a[col][col]
-        a[col] = [x / f for x in a[col]]
+            return None
+        if piv != k:
+            a[k], a[piv] = a[piv], a[k]
+            sign = -sign
+        row, p = a[k], a[k][k]
         for i in range(n):
-            if i != col and a[i][col]:
-                g = a[i][col]
-                a[i] = [x - g * y for x, y in zip(a[i], a[col])]
-    return [row[n:] for row in a]
+            if i != k:
+                f = a[i][k]
+                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+    return prev, sign
+
+
+def mat_inverse(rows) -> tuple[list[list[int]], int]:
+    """Adjugate and determinant (adj, det) of a square integer matrix, so
+    that adj = det * rows ** -1.  Raises ValueError when it is singular."""
+    n = len(rows)
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
+    done = _gauss_jordan(a, n)
+    if done is None:
+        raise ValueError("matrix is singular")
+    det, sign = done
+    return [[sign * x for x in row[n:]] for row in a], sign * det
 
 
 def combination_in_rows(rows, target):
@@ -205,25 +223,15 @@ def combination_in_rows(rows, target):
     k = len(rows)
     if k == 0:
         return [] if not any(target) else None
-    n = len(target)
+    # Clear every denominator at once; the solution does not change.
+    den = lcm(1, *(x.denominator for row in rows for x in row), *(x.denominator for x in target))
     aug = [
-        [Fraction(rows[j][i]) for j in range(k)] + [Fraction(target[i])]
-        for i in range(n)
+        [(row[i] * den).numerator for row in rows] + [(target[i] * den).numerator]
+        for i in range(len(target))
     ]
-    r = 0
-    for c in range(k):
-        piv = next((i for i in range(r, n) if aug[i][c]), None)
-        if piv is None:
-            raise ValueError("rows are linearly dependent")
-        aug[r], aug[piv] = aug[piv], aug[r]
-        f = aug[r][c]
-        aug[r] = [x / f for x in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][c]:
-                g = aug[i][c]
-                aug[i] = [x - g * y for x, y in zip(aug[i], aug[r])]
-        r += 1
-    for i in range(r, n):
-        if aug[i][k]:
-            return None
-    return [aug[i][k] for i in range(k)]
+    done = _gauss_jordan(aug, k)
+    if done is None:
+        raise ValueError("rows are linearly dependent")
+    if any(row[k] for row in aug[k:]):
+        return None
+    return [Fraction(row[k], done[0]) for row in aug[:k]]

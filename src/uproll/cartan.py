@@ -32,7 +32,7 @@ from .errors import (
 )
 
 # Larger ranks are refused before anything is allocated: the exact inverse
-# of the Cartan matrix takes seconds from rank 128 on.
+# of the Cartan matrix alone takes on the order of rank**3 bignum steps.
 MAX_RANK = 32
 
 
@@ -292,9 +292,10 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
             raise InternalError(
                 f"symmetrized Cartan matrix of {series}{n} is not positive definite"
             )
-    binv = _linalg.mat_inverse(b)
-    gram = [[d[i] * binv[i][j] * d[j] for j in range(n)] for i in range(n)]
-    den = lcm(*(x.denominator for row in gram for x in row))
+    # G = D (D A)^-1 D = D adj(D A) D / det(D A), reduced by the common gcd.
+    adj, det = _linalg.mat_inverse(b)
+    scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
+    common = gcd(det, *(x for row in scaled for x in row))
     return CartanDatum(
         series=series,
         rank=n,
@@ -303,8 +304,8 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
         symmetrizers=tuple(d),
         r=r,
         r_i=tuple(r // gi for gi in g),
-        scaled_gram=tuple(tuple(int(x * den) for x in row) for row in gram),
-        gram_denominator=den,
+        scaled_gram=tuple(tuple(x // common for x in row) for row in scaled),
+        gram_denominator=det // common,
         rho=Weight((Fraction(1),) * n),
     )
 

@@ -17,11 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
-from math import lcm, prod
+from math import gcd, lcm
 from operator import add, mul
 
 from . import _linalg
-from .cartan import CartanDatum, Weight, is_multiple, pairing
+from .cartan import CartanDatum, Weight, bilinear, scaled_coords
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
 
 # The most representatives a finite census may enumerate.
@@ -78,13 +78,13 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
             raise DimensionMismatch(f"generator {g!r} must have length {n}")
     den = lcm(1, *(c.denominator for g in gens for c in g.coords)) if gens else 1
     rows = [[int(c * den) for c in g.coords] for g in gens]
+    return _from_rows(n, gens, rows, den)
+
+
+def _from_rows(n: int, generators, rows, den: int) -> RationalLattice:
+    """The lattice spanned by the integer rows over the denominator den."""
     hnf = _linalg.row_hermite_form(rows)
-    return RationalLattice(
-        rank_ambient=n,
-        generators=gens,
-        hnf=tuple(tuple(r) for r in hnf),
-        denominator=den,
-    )
+    return RationalLattice(n, tuple(generators), tuple(map(tuple, hnf)), den)
 
 
 def contains(lattice: RationalLattice, lam: Weight) -> bool:
@@ -131,13 +131,7 @@ def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
     scale = den // lattice.denominator
     rows = [[v * scale for v in row] for row in lattice.hnf]
     rows.append([int(c * den) for c in mu.coords])
-    hnf = _linalg.row_hermite_form(rows)
-    new = RationalLattice(
-        rank_ambient=lattice.rank_ambient,
-        generators=lattice.generators + (mu,),
-        hnf=tuple(tuple(r) for r in hnf),
-        denominator=den,
-    )
+    new = _from_rows(lattice.rank_ambient, lattice.generators + (mu,), rows, den)
     return AdjoinResult(new, mu_in, two_in)
 
 
@@ -157,10 +151,13 @@ class DualGroup:
     lattice_part: RationalLattice
 
     def contains_weight(self, lam: Weight) -> bool:
-        """Direct test of the defining condition 2<lam, g> in ell*Z."""
+        """Direct test of the defining condition 2<lam, g> in ell*Z, for
+        lam = x / den and g = h / d: 2 x (N G) h = 0 mod ell * N * den * d."""
+        datum = self.datum
+        x, den = scaled_coords(datum, lam)
+        step = datum.ell * datum.gram_denominator * den * self.source.denominator
         return all(
-            is_multiple(2 * pairing(self.datum, lam, g), self.datum.ell)
-            for g in self.source.canonical_rows
+            2 * bilinear(datum.scaled_gram, x, h) % step == 0 for h in self.source.hnf
         )
 
 
@@ -171,16 +168,19 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     if k == 0:
         empty = canonical_basis(datum, ())
         return DualGroup(datum, lattice, n, empty)
-    basis = lattice.canonical_rows
-    gram = [
-        [2 * pairing(datum, a, b) / datum.ell for b in basis] for a in basis
-    ]
-    coeffs = _linalg.mat_inverse(gram)
-    part = canonical_basis(
-        datum,
-        [sum((c * w for c, w in zip(row, basis) if c), Weight.zero(n)) for row in coeffs],
-    )
-    return DualGroup(datum, lattice, n - k, part)
+    # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
+    # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
+    # the basis gives the dual rows adj(P) H * ell N d / (2 det P).
+    h = lattice.hnf
+    pairs = [[bilinear(datum.scaled_gram, a, b) for b in h] for a in h]
+    adj, det = _linalg.mat_inverse(pairs)
+    rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
+    num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
+    common = gcd(den, num * gcd(*(x for row in rows for x in row)))
+    rows = [[x * num // common for x in row] for row in rows]
+    den //= common
+    gens = [Weight(tuple(Fraction(x, den) for x in row)) for row in rows]
+    return DualGroup(datum, lattice, n - k, _from_rows(n, gens, rows, den))
 
 
 @dataclass(frozen=True)
@@ -194,12 +194,13 @@ class Census:
     complement_dimension: int
 
 
-def _change_of_basis(dual_rows, lattice_rows) -> list[list[int]]:
+def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[list[int]]:
+    # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
+    # sum c_j (dl D_j) = dd L_i, an equation over the integers.
+    rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
     mat = []
-    for row in lattice_rows:
-        coeffs = _linalg.combination_in_rows(
-            [list(w.coords) for w in dual_rows], list(row.coords)
-        )
+    for h, row in zip(lattice.hnf, lattice.canonical_rows):
+        coeffs = _linalg.combination_in_rows(rows, [x * dual.denominator for x in h])
         if coeffs is None:
             raise InternalError(f"lattice row {row!r} left the dual span")
         if any(c.denominator != 1 for c in coeffs):
@@ -224,14 +225,13 @@ def quotient_census(
     upstream.  Representatives are enumerated only for finite quotients,
     as the lexicographically smallest non-negative coefficient vectors in
     the Smith-adapted dual basis; a finite quotient of order above
-    MAX_CENSUS_ORDER raises BudgetExceeded before any is built.
+    MAX_CENSUS_ORDER raises BudgetExceeded before the Smith form is taken.
     """
     for g in lattice.canonical_rows:
         if not dual.contains_weight(g):
             raise NotSubgroup(f"lattice generator {g!r} fails the dual condition")
-    dual_rows = dual.lattice_part.canonical_rows
     if lattice.rank == 0:
-        finite = dual.complement_dimension == 0 and len(dual_rows) == 0
+        finite = dual.complement_dimension == 0 and dual.lattice_part.rank == 0
         return Census(
             finite=finite,
             invariant_factors=(),
@@ -239,7 +239,16 @@ def quotient_census(
             order=1 if finite else None,
             complement_dimension=dual.complement_dimension,
         )
-    change = _change_of_basis(dual_rows, lattice.canonical_rows)
+    change = _change_of_basis(dual.lattice_part, lattice)
+    if dual.complement_dimension == 0:
+        # The change of basis is square, and the order is its determinant.
+        order = abs(_linalg.det_int(change))
+        if order == 0:
+            raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
+        if order > MAX_CENSUS_ORDER:
+            raise BudgetExceeded(
+                f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
+            )
     diag, vinv = _linalg.smith_normal_form(change)
     if len(diag) != lattice.rank:
         raise InternalError(
@@ -253,11 +262,6 @@ def quotient_census(
             reps=None,
             order=None,
             complement_dimension=dual.complement_dimension,
-        )
-    order = prod(diag)
-    if order > MAX_CENSUS_ORDER:
-        raise BudgetExceeded(
-            f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
         )
     # The Smith-adapted dual basis as integer rows over the dual's denominator.
     part = dual.lattice_part

@@ -17,6 +17,15 @@ TRIPLET_CASES = [
     ("A", 3, 2, 32),
 ]
 
+# Every Dynkin type up to rank 8; ell = 7 satisfies the datum hypothesis for all.
+ALL_TYPES = (
+    [("A", n) for n in range(1, 9)]
+    + [("B", n) for n in range(1, 9)]
+    + [("C", n) for n in range(1, 9)]
+    + [("D", n) for n in range(3, 9)]
+    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
+)
+
 TYPE_POOL = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]
 
 

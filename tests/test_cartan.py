@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import random_weight, sympy_form, sympy_gram
+from helpers import ALL_TYPES, random_weight, sympy_form, sympy_gram
 from uproll import (
     ExponentModL,
     Weight,
@@ -218,16 +218,6 @@ class TestExponentModL:
         e = ExponentModL(v, 5)
         assert 0 <= e.canonical < 5
         assert e == exponent(v + 15, 5)
-
-
-# Every Dynkin type up to rank 8; ell = 7 satisfies the datum hypothesis for all.
-ALL_TYPES = (
-    [("A", n) for n in range(1, 9)]
-    + [("B", n) for n in range(1, 9)]
-    + [("C", n) for n in range(1, 9)]
-    + [("D", n) for n in range(3, 9)]
-    + [("E", 6), ("E", 7), ("E", 8), ("F", 4), ("G", 2)]
-)
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)

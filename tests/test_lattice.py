@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from helpers import ALL_TYPES, random_weight
 
 from uproll import (
     _linalg,
@@ -15,7 +16,14 @@ from uproll import (
     scaled_dual,
     weight,
 )
-from uproll.errors import BudgetExceeded, InternalError, NotSubgroup, UprollError
+from uproll.cartan import is_multiple, pairing
+from uproll.errors import (
+    BudgetExceeded,
+    HypothesisViolated,
+    InternalError,
+    NotSubgroup,
+    UprollError,
+)
 from uproll.lattice import MAX_CENSUS_ORDER
 
 A1_4 = build_cartan_datum("A", 1, 4)
@@ -180,6 +188,62 @@ class TestScaledDual:
                 assert dual_inner.contains_weight(row)
 
 
+def reference_dual(datum, lattice):
+    """The lattice part of the scaled dual in its first formulation: the
+    Fraction Gram matrix of 2<,>/ell on the canonical rows, inverted by
+    Gauss-Jordan elimination over Fraction and applied to those rows."""
+    basis = lattice.canonical_rows
+    k = len(basis)
+    a = [
+        [2 * pairing(datum, x, y) / datum.ell for y in basis]
+        + [Fraction(int(i == j)) for j in range(k)]
+        for i, x in enumerate(basis)
+    ]
+    for col in range(k):
+        piv = next(i for i in range(col, k) if a[i][col])
+        a[col], a[piv] = a[piv], a[col]
+        f = a[col][col]
+        a[col] = [x / f for x in a[col]]
+        for i in range(k):
+            if i != col and a[i][col]:
+                g = a[i][col]
+                a[i] = [x - g * y for x, y in zip(a[i], a[col])]
+    rows = [
+        sum((c * w for c, w in zip(row[k:], basis)), Weight.zero(datum.rank))
+        for row in a
+    ]
+    return canonical_basis(datum, rows)
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_scaled_dual_matches_the_fraction_gram_inverse(series, rank):
+    rng = random.Random(f"dual {series}{rank}")
+    for _ in range(4):
+        try:
+            datum = build_cartan_datum(series, rank, rng.choice((5, 6, 8, 12)))
+        except HypothesisViolated:
+            datum = build_cartan_datum(series, rank, 7)
+        gens = [random_weight(rng, rank, span=4, den=3) for _ in range(rng.randint(1, rank))]
+        lattice = canonical_basis(datum, gens)
+        dual = scaled_dual(datum, lattice)
+        part = reference_dual(datum, lattice)
+        assert dual.lattice_part == part
+        assert dual.lattice_part.generators == part.generators
+        assert dual.complement_dimension == rank - lattice.rank
+        # The integer membership test against the defining condition.
+        rows = part.canonical_rows
+        probes = list(rows) + [Fraction(1, 2) * w for w in rows] + [
+            sum((rng.randint(-2, 2) * w for w in rows), random_weight(rng, rank, span=1, den=2))
+            for _ in range(4)
+        ]
+        for lam in probes:
+            expected = all(
+                is_multiple(2 * pairing(datum, lam, g), datum.ell)
+                for g in lattice.canonical_rows
+            )
+            assert dual.contains_weight(lam) == expected
+
+
 class TestQuotientCensus:
     def test_a1_order_four(self):
         lat = canonical_basis(A1_4, [weight([4])])
@@ -197,6 +261,19 @@ class TestQuotientCensus:
         assert census.order == 12
         assert census.invariant_factors == (2, 6)
         assert len(census.reps) == 12
+
+    def test_half_integer_lattice(self):
+        # Generators in (ell/2)P with ell odd: the lattice denominator is 2.
+        datum = build_cartan_datum("A", 2, 5)
+        lat = canonical_basis(datum, [weight([-5, -5]), weight(["5/2", -5])])
+        assert lat.denominator == 2
+        census = quotient_census(datum, scaled_dual(datum, lat), lat)
+        (a, b), (c, d) = [
+            [2 * pairing(datum, x, y) / 5 for y in lat.canonical_rows]
+            for x in lat.canonical_rows
+        ]
+        assert census.order == abs(a * d - b * c) == 75
+        assert census.invariant_factors == (5, 15)
 
     def test_rank_deficit_is_infinite(self):
         a1, _ = a2_roots()
@@ -218,6 +295,16 @@ class TestQuotientCensus:
         with pytest.raises(InternalError):
             quotient_census(A2_4, dual, lat)
         assert not issubclass(InternalError, UprollError)
+
+    def test_singular_change_of_basis_raises_internal_error(self, monkeypatch):
+        a1, a2 = a2_roots()
+        lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
+        dual = scaled_dual(A2_4, lat)
+        monkeypatch.setattr(
+            _linalg, "combination_in_rows", lambda rows, target: [Fraction(1)] * len(rows)
+        )
+        with pytest.raises(InternalError, match="singular"):
+            quotient_census(A2_4, dual, lat)
 
     def test_not_subgroup(self):
         base = canonical_basis(A1_4, [weight([2])])
@@ -252,3 +339,17 @@ def test_census_past_the_budget_is_refused_before_enumeration():
         else:
             with pytest.raises(BudgetExceeded, match=str(order)):
                 quotient_census(A1_4, dual, lat)
+
+
+def test_census_budget_is_checked_before_the_smith_form(monkeypatch):
+    # 200 * alpha_i for A2 at ell = 4: 100 times the order-12 census above.
+    a1, a2 = a2_roots()
+    lat = canonical_basis(A2_4, [200 * a1, 200 * a2])
+    dual = scaled_dual(A2_4, lat)
+
+    def refuse(mat):
+        raise AssertionError("smith_normal_form ran on an over-budget census")
+
+    monkeypatch.setattr(_linalg, "smith_normal_form", refuse)
+    with pytest.raises(BudgetExceeded, match="120000"):
+        quotient_census(A2_4, dual, lat)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from sympy import Matrix
@@ -15,12 +16,10 @@ from uproll._linalg import (
     xgcd,
 )
 
-small_int = st.integers(-9, 9)
 
-
-def matrix_st(rows, cols):
+def matrix_st(rows, cols, bound=9):
     return st.lists(
-        st.lists(small_int, min_size=cols, max_size=cols),
+        st.lists(st.integers(-bound, bound), min_size=cols, max_size=cols),
         min_size=rows,
         max_size=rows,
     )
@@ -151,11 +150,12 @@ class TestRationalKernels:
     def test_inverse(self, mat):
         if det_int(mat) == 0:
             return
-        inv = mat_inverse(mat)
+        adj, det = mat_inverse(mat)
+        assert det == det_int(mat)
         for i in range(3):
             for j in range(3):
-                entry = sum(Fraction(mat[i][k]) * inv[k][j] for k in range(3))
-                assert entry == (1 if i == j else 0)
+                entry = sum(mat[i][k] * adj[k][j] for k in range(3))
+                assert entry == (det if i == j else 0)
 
     def test_combination_solves_and_detects(self):
         rows = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]
@@ -177,6 +177,73 @@ class TestRationalKernels:
                 sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)
             ]
             assert combination_in_rows(rows, target) == coeffs
+
+
+@st.composite
+def square_matrices(draw):
+    """Square matrices up to 8x8 with entries in [-100, 100]; about half
+    start with a zero entry, which forces a row swap, and about one in
+    four has its last row replaced by a combination of two others, so
+    singular inputs are drawn too."""
+    n = draw(st.integers(1, 8))
+    mat = draw(matrix_st(n, n, 100))
+    if draw(st.booleans()):
+        mat[0][0] = 0
+    if n > 1 and draw(st.integers(0, 3)) == 0:
+        a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
+        mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[n // 2 - 1])]
+    return mat
+
+
+@st.composite
+def combination_problems(draw):
+    """Rows and a target over the rationals: k rows of length n >= k, some
+    made dependent, and targets both inside and outside the row span."""
+    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    rows = draw(st.lists(st.lists(frac, min_size=n, max_size=n), min_size=k, max_size=k))
+    if k > 1 and draw(st.integers(0, 3)) == 0:
+        c = draw(frac)
+        rows[-1] = [c * x - y for x, y in zip(rows[0], rows[k // 2 - 1])]
+    if draw(st.booleans()):
+        coeffs = draw(st.lists(frac, min_size=k, max_size=k))
+        target = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
+    else:
+        target = draw(st.lists(frac, min_size=n, max_size=n))
+    return rows, target
+
+
+class TestEliminationAgainstSympy:
+    @settings(max_examples=120, deadline=None)
+    @given(mat=square_matrices())
+    def test_inverse_is_adjugate_and_determinant(self, mat):
+        ref = Matrix(mat)
+        det = ref.det()
+        if det == 0:
+            with pytest.raises(ValueError):
+                mat_inverse(mat)
+            return
+        adj, got = mat_inverse(mat)
+        assert got == det
+        assert Matrix(adj) == ref.adjugate()
+
+    @settings(max_examples=150, deadline=None)
+    @given(problem=combination_problems())
+    def test_combination_matches_sympy_solve(self, problem):
+        rows, target = problem
+        ref = Matrix(rows)
+        if ref.rank() < len(rows):
+            with pytest.raises(ValueError):
+                combination_in_rows(rows, target)
+            return
+        try:
+            solution, _ = ref.T.gauss_jordan_solve(Matrix(target))
+        except ValueError:  # sympy: no solution, target outside the span
+            assert combination_in_rows(rows, target) is None
+            return
+        expected = [Fraction(int(x.p), int(x.q)) for x in solution]
+        assert combination_in_rows(rows, target) == expected
 
 
 def combination_is_degenerate(rows):
