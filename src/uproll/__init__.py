@@ -71,13 +71,23 @@ from .extensions import (
     triplet_report,
     weight_lattice_scaled,
 )
-from .oracle import (
-    Box,
-    brute_census_order,
-    brute_cocycle,
-    brute_commutativity,
-    brute_transparent_reps,
-)
 from . import errors
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# The brute-force oracle is loaded on first use of one of its names, so that
+# an import of the package, which every CLI request makes, leaves it out.
+_ORACLE_NAMES = ("Box", "brute_census_order", "brute_cocycle", "brute_commutativity",
+                 "brute_transparent_reps")
+
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)
+
+
+def __getattr__(name):
+    if name in _ORACLE_NAMES:
+        from . import oracle
+
+        return getattr(oracle, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__():
+    return sorted({*globals(), *_ORACLE_NAMES})

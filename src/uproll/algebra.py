@@ -20,7 +20,6 @@ separate bookkeeping by callers and the exponent tables stay unsigned.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
@@ -28,6 +27,7 @@ from math import lcm
 from operator import add
 
 from . import _linalg
+from ._record import Record
 from .cartan import (
     CartanDatum,
     ExponentModL,
@@ -138,8 +138,7 @@ class AlgebraSpec:
         raise NotInLattice(f"{lam!r} is not in the extended algebra lattice")
 
 
-@dataclass(frozen=True)
-class Witness:
+class Witness(Record):
     """One failed congruence, with the exact offending value."""
 
     kind: str
@@ -148,8 +147,7 @@ class Witness:
     value: Fraction
 
 
-@dataclass(frozen=True)
-class CommutativityVerdict:
+class CommutativityVerdict(Record):
     commutative: bool
     witnesses: tuple[Witness, ...]
 
@@ -157,8 +155,7 @@ class CommutativityVerdict:
         return self.commutative
 
 
-@dataclass(frozen=True)
-class SuperVerdict:
+class SuperVerdict(Record):
     supercommutative: bool
     witnesses: tuple[Witness, ...]
 
@@ -235,8 +232,7 @@ def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> E
     )
 
 
-@dataclass
-class CocycleTable:
+class CocycleTable(Record):
     """Structure-constant exponents on a bounded coefficient box.
 
     Entries are keyed by pairs of generator-coefficient vectors with all
@@ -306,8 +302,7 @@ def _in_box_pairs(vecs: list) -> list:
     ]
 
 
-@dataclass(frozen=True)
-class CocycleVerdict:
+class CocycleVerdict(Record):
     valid: bool
     commutative: bool
     first_violation: tuple | None
@@ -385,8 +380,7 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
     return CocycleTable(table.generators, table.box, table.ell, entries)
 
 
-@dataclass(frozen=True)
-class GaugeResult:
+class GaugeResult(Record):
     """Gauge 1-cochain (on coefficient vectors) and the normalized table."""
 
     phi: dict

@@ -18,12 +18,12 @@ kept, as rationals compared modulo ell.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd, lcm
 from operator import mul
 
 from . import _linalg
+from ._record import Record
 from .errors import (
     DimensionMismatch,
     HypothesisViolated,
@@ -54,11 +54,20 @@ def is_multiple(x, step) -> bool:
     return is_integer(_frac(x) / _frac(step))
 
 
-@dataclass(frozen=True)
-class Weight:
+class Weight(Record):
     """Weight-space element: exact rational omega-basis coordinates."""
 
+    __slots__ = ("coords",)
     coords: tuple[Fraction, ...]
+
+    def __init__(self, coords: tuple[Fraction, ...]):
+        object.__setattr__(self, "coords", coords)
+
+    def __eq__(self, other) -> bool:
+        return self.coords == other.coords if type(other) is Weight else NotImplemented
+
+    def __hash__(self) -> int:
+        return hash((self.coords,))
 
     @staticmethod
     def zero(n: int) -> "Weight":
@@ -100,16 +109,20 @@ def weight(coords) -> Weight:
     return Weight(tuple(_frac(c) for c in coords))
 
 
-@dataclass(frozen=True)
-class ExponentModL:
+class ExponentModL(Record):
     """Exact rational exponent e standing for the scalar q ** e.
 
     Equality is congruence of exponents modulo the order of q, so two
     instances compare equal exactly when they name the same scalar.
     """
 
+    __slots__ = ("value", "modulus")
     value: Fraction
     modulus: int
+
+    def __init__(self, value: Fraction, modulus: int):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "modulus", modulus)
 
     @property
     def canonical(self) -> Fraction:
@@ -229,8 +242,7 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
     raise InvalidSeriesRank(f"unknown series {series!r}")
 
 
-@dataclass(frozen=True)
-class CartanDatum:
+class CartanDatum(Record):
     """Root-system constants for one simple type at one root of unity."""
 
     series: str

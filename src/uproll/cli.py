@@ -77,19 +77,15 @@ from .localmod import (
     simple_census,
     twist_exponent,
 )
-from .oracle import brute_census_order, brute_cocycle, brute_commutativity
-
-
-def _frac_str(value) -> str:
-    return str(Fraction(value))
 
 
 def _weight_json(w: Weight) -> list[str]:
-    return [_frac_str(c) for c in w.coords]
+    return [str(c) for c in w.coords]
 
 
 def _exponent_json(e: ExponentModL) -> dict:
-    return {"exponent": _frac_str(e.canonical), "scalar": e.scalar_str()}
+    canonical = e.canonical
+    return {"exponent": str(canonical), "scalar": f"q^{{{canonical}}}"}
 
 
 def _load_document(args) -> dict:
@@ -183,7 +179,7 @@ def _cmd_datum(args) -> dict:
         "symmetrizers": list(datum.symmetrizers),
         "r_i": list(datum.r_i),
         "cartan": [list(row) for row in datum.cartan],
-        "gram": [[_frac_str(x) for x in row] for row in datum.gram],
+        "gram": [[str(x) for x in row] for row in datum.gram],
         "rho": _weight_json(datum.rho),
     }
 
@@ -194,7 +190,7 @@ def _cmd_check_algebra(args) -> dict:
     return {
         "commutative" if spec.mu is None else "supercommutative": bool(verdict),
         "witnesses": [
-            {"kind": w.kind, "i": w.i, "j": w.j, "value": _frac_str(w.value)}
+            {"kind": w.kind, "i": w.i, "j": w.j, "value": str(w.value)}
             for w in verdict.witnesses
         ],
     }
@@ -217,7 +213,7 @@ def _cmd_census(args):
     twists = [(rep, twist_exponent(datum, rep)) for rep in census.reps]
     if args.format == "tsv":
         return "\n".join(
-            f"{','.join(_weight_json(rep))}\t{_frac_str(e.canonical)}\t{e.scalar_str()}"
+            "\t".join((",".join(_weight_json(rep)), *_exponent_json(e).values()))
             for rep, e in twists
         )
     return {**_census_json(census), "twists": _twist_rows(twists)}
@@ -263,7 +259,7 @@ def _cmd_ribbon(args) -> dict:
     return {
         "verdict": verdict.status,
         "witnesses": [
-            {"kind": kind, "index": idx, "value": _frac_str(val)}
+            {"kind": kind, "index": idx, "value": str(val)}
             for kind, idx, val in verdict.witnesses
         ],
     }
@@ -308,7 +304,7 @@ def _cmd_bq(args) -> dict:
         a_squared = _doc_rational(heisenberg["a_squared"], "heisenberg.a_squared")
     spec = BqSpec(datum, _doc_rows(doc, "lattice", datum.rank), a_squared)
     out = {
-        "a_squared": _frac_str(spec.a_squared),
+        "a_squared": str(spec.a_squared),
         "commutative": bq_check_commutative(spec),
         "ribbon": bq_ribbon_verdict(datum),
     }
@@ -358,15 +354,17 @@ def _cmd_bq(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
+    from . import oracle
+
     _, spec = _doc_spec(_load_document(args))
     out = {
         "box": args.box,
-        "brute_commutativity": brute_commutativity(spec, args.box),
-        "brute_cocycle": brute_cocycle(spec, args.box),
+        "brute_commutativity": oracle.brute_commutativity(spec, args.box),
+        "brute_cocycle": oracle.brute_cocycle(spec, args.box),
         "brute_census_order": None,
     }
     try:
-        out["brute_census_order"] = brute_census_order(spec)
+        out["brute_census_order"] = oracle.brute_census_order(spec)
     except (InfiniteCensus, AlgebraInvalid):
         pass
     return out

@@ -16,10 +16,10 @@ from.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 from . import _linalg
+from ._record import Record
 from .algebra import AlgebraSpec, CommutativityVerdict
 from .cartan import (
     CartanDatum,
@@ -36,8 +36,7 @@ from .lattice import RationalLattice, canonical_basis
 from .localmod import LocalReport, local_report
 
 
-@dataclass(frozen=True)
-class TripletReport:
+class TripletReport(Record):
     """Local-module structure of the extension along r times the root lattice."""
 
     series: str
@@ -76,8 +75,7 @@ def triplet_report(series: str, rank: int, r: int) -> TripletReport:
     )
 
 
-@dataclass(frozen=True)
-class ExtWeight:
+class ExtWeight(Record):
     """Weight of a current-Fock pair.
 
     fock_tilde is the rational shadow of the Fock weight: the actual

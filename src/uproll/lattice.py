@@ -13,7 +13,6 @@ point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from itertools import accumulate, repeat
@@ -21,6 +20,7 @@ from math import gcd, lcm
 from operator import add, mul
 
 from . import _linalg
+from ._record import Record
 from .cartan import CartanDatum, Weight, bilinear, scaled_coords
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
 
@@ -28,8 +28,7 @@ from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgrou
 MAX_CENSUS_ORDER = 100_000
 
 
-@dataclass(frozen=True, eq=False)
-class RationalLattice:
+class RationalLattice(Record):
     """Finitely generated subgroup of the weight space."""
 
     rank_ambient: int
@@ -114,8 +113,7 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
     return Weight(tuple(Fraction(a, den) if a else Fraction(0) for a in v))
 
 
-@dataclass(frozen=True)
-class AdjoinResult:
+class AdjoinResult(Record):
     """Outcome of adjoining one weight to a lattice."""
 
     lattice: RationalLattice
@@ -135,8 +133,7 @@ def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
     return AdjoinResult(new, mu_in, two_in)
 
 
-@dataclass(frozen=True)
-class DualGroup:
+class DualGroup(Record):
     """The group of weights pairing into (ell/2) Z with every element of L.
 
     When L has full rank this is itself a full lattice and lattice_part
@@ -183,8 +180,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     return DualGroup(datum, lattice, n - k, _from_rows(n, gens, rows, den))
 
 
-@dataclass(frozen=True)
-class Census:
+class Census(Record):
     """Structure of the quotient of a dual group by the lattice inside it."""
 
     finite: bool

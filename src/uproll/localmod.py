@@ -16,9 +16,9 @@ surfaced as a flag instead of being assumed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
+from ._record import Record
 from .algebra import AlgebraSpec
 from .cartan import (
     CartanDatum,
@@ -80,8 +80,7 @@ def monodromy_exponent(datum: CartanDatum, lam: Weight, mu: Weight) -> ExponentM
     return ExponentModL(2 * pairing(datum, lam, mu), datum.ell)
 
 
-@dataclass(frozen=True)
-class RibbonVerdict:
+class RibbonVerdict(Record):
     status: str  # "ribbon" or "inconclusive"
     witnesses: tuple
 
@@ -111,8 +110,7 @@ def check_ribbon(spec: AlgebraSpec) -> RibbonVerdict:
     return RibbonVerdict("inconclusive" if bad else "ribbon", tuple(bad))
 
 
-@dataclass(frozen=True)
-class MugerReport:
+class MugerReport(Record):
     """Transparent census representatives and the hypothesis flag."""
 
     transparent_reps: tuple[Weight, ...]
@@ -141,8 +139,7 @@ def muger_center(spec: AlgebraSpec) -> MugerReport:
     return MugerReport((Weight.zero(datum.rank),), True, hypothesis_ok)
 
 
-@dataclass(frozen=True)
-class LocalReport:
+class LocalReport(Record):
     """Census, per-representative twists, ribbon verdict, transparent simples."""
 
     census: Census

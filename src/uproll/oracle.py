@@ -11,10 +11,10 @@ combinations, raises BudgetExceeded before anything is enumerated.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from itertools import product
 
+from ._record import Record
 from .algebra import AlgebraSpec, check_box_budget, structure_constant_table
 from .cartan import Weight, is_multiple, pairing
 from .errors import BudgetExceeded, InfiniteCensus
@@ -22,14 +22,14 @@ from .lattice import MAX_CENSUS_ORDER, coset_reduce, scaled_dual
 from .localmod import simple_census
 
 
-@dataclass(frozen=True)
-class Box:
+class Box(Record):
     """All coefficient vectors in [-bound, bound]^dimension, lexicographic."""
 
     bound: int
     dimension: int
 
-    def __post_init__(self):
+    def __init__(self, bound: int, dimension: int):
+        super().__init__(bound, dimension)
         # A negative bound gives an empty box, on which every check is vacuous.
         if self.bound < 0:
             raise ValueError(f"box bound must be >= 0, got {self.bound}")
