@@ -33,7 +33,7 @@ from .cartan import (
 )
 from .errors import NonADESeries, NotInSimpleCurrentLattice, NotLocal, OddEll
 from .lattice import RationalLattice, canonical_basis
-from .localmod import LocalReport, local_report
+from .localmod import LocalReport, local_report, twist_exponent
 
 
 class TripletReport(Record):
@@ -187,10 +187,8 @@ def bq_twist_exponent(datum: CartanDatum, w: ExtWeight) -> ExponentModL:
     """Twist exponent <qg, qg + 2(1-r) rho> - <t, t> mod 2r."""
     if datum.ell % 2:
         raise OddEll("the augmented twist needs ell = 2r even")
-    val = pairing(
-        datum, w.qg, w.qg + (2 * (1 - datum.r)) * datum.rho
-    ) - pairing(datum, w.fock_tilde, w.fock_tilde)
-    return ExponentModL(val, 2 * datum.r)
+    t = w.fock_tilde
+    return ExponentModL(twist_exponent(datum, w.qg).value - pairing(datum, t, t), datum.ell)
 
 
 def bq_transparent(spec: BqSpec, w: ExtWeight) -> bool:

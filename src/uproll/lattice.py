@@ -1,10 +1,10 @@
 """Exact lattice algebra over the weight space.
 
 A finitely generated subgroup of the rational weight space is stored as
-its generator list together with a canonical basis: an integer matrix in
-row-style Hermite normal form over a single common denominator.  The
-canonical form depends only on the span, so lattice equality is literal
-equality of (ambient rank, denominator, HNF rows).
+its canonical basis only: an integer matrix in row-style Hermite normal
+form over a single common denominator.  The canonical form depends only
+on the span, so lattice equality is literal equality of (ambient rank,
+HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
@@ -32,7 +32,6 @@ class RationalLattice(Record):
     """Finitely generated subgroup of the weight space."""
 
     rank_ambient: int
-    generators: tuple[Weight, ...]
     hnf: tuple[tuple[int, ...], ...]
     denominator: int
 
@@ -46,18 +45,6 @@ class RationalLattice(Record):
         return tuple(
             Weight(tuple(Fraction(v, d) for v in row)) for row in self.hnf
         )
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, RationalLattice):
-            return NotImplemented
-        return (
-            self.rank_ambient == other.rank_ambient
-            and self.denominator == other.denominator
-            and self.hnf == other.hnf
-        )
-
-    def __hash__(self) -> int:
-        return hash((self.rank_ambient, self.denominator, self.hnf))
 
     def __repr__(self) -> str:
         rows = ", ".join(repr(w) for w in self.canonical_rows)
@@ -77,13 +64,13 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
             raise DimensionMismatch(f"generator {g!r} must have length {n}")
     den = lcm(1, *(c.denominator for g in gens for c in g.coords)) if gens else 1
     rows = [[int(c * den) for c in g.coords] for g in gens]
-    return _from_rows(n, gens, rows, den)
+    return _from_rows(n, rows, den)
 
 
-def _from_rows(n: int, generators, rows, den: int) -> RationalLattice:
+def _from_rows(n: int, rows, den: int) -> RationalLattice:
     """The lattice spanned by the integer rows over the denominator den."""
     hnf = _linalg.row_hermite_form(rows)
-    return RationalLattice(n, tuple(generators), tuple(map(tuple, hnf)), den)
+    return RationalLattice(n, tuple(map(tuple, hnf)), den)
 
 
 def contains(lattice: RationalLattice, lam: Weight) -> bool:
@@ -129,8 +116,7 @@ def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
     scale = den // lattice.denominator
     rows = [[v * scale for v in row] for row in lattice.hnf]
     rows.append([int(c * den) for c in mu.coords])
-    new = _from_rows(lattice.rank_ambient, lattice.generators + (mu,), rows, den)
-    return AdjoinResult(new, mu_in, two_in)
+    return AdjoinResult(_from_rows(lattice.rank_ambient, rows, den), mu_in, two_in)
 
 
 class DualGroup(Record):
@@ -148,14 +134,16 @@ class DualGroup(Record):
     lattice_part: RationalLattice
 
     def contains_weight(self, lam: Weight) -> bool:
-        """Direct test of the defining condition 2<lam, g> in ell*Z, for
-        lam = x / den and g = h / d: 2 x (N G) h = 0 mod ell * N * den * d."""
-        datum = self.datum
-        x, den = scaled_coords(datum, lam)
-        step = datum.ell * datum.gram_denominator * den * self.source.denominator
-        return all(
-            2 * bilinear(datum.scaled_gram, x, h) % step == 0 for h in self.source.hnf
-        )
+        """Direct test of the defining condition 2<lam, g> in ell*Z."""
+        return in_dual(self.datum, self.source, *scaled_coords(self.datum, lam))
+
+
+def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
+    """Whether the weight x / den, with integer x, lies in the scaled dual
+    of the lattice: for each HNF row h / d, 2<x / den, h / d> in ell*Z,
+    that is 2 x (N G) h = 0 mod ell * N * den * d."""
+    step = datum.ell * datum.gram_denominator * den * lattice.denominator
+    return all(2 * bilinear(datum.scaled_gram, x, h) % step == 0 for h in lattice.hnf)
 
 
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
@@ -163,8 +151,8 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     n = datum.rank
     k = lattice.rank
     if k == 0:
-        empty = canonical_basis(datum, ())
-        return DualGroup(datum, lattice, n, empty)
+        # The zero lattice spans nothing, so the dual's lattice part is zero too.
+        return DualGroup(datum, lattice, n, lattice)
     # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
     # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
     # the basis gives the dual rows adj(P) H * ell N d / (2 det P).
@@ -175,9 +163,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
-    den //= common
-    gens = [Weight(tuple(Fraction(x, den) for x in row)) for row in rows]
-    return DualGroup(datum, lattice, n - k, _from_rows(n, gens, rows, den))
+    return DualGroup(datum, lattice, n - k, _from_rows(n, rows, den // common))
 
 
 class Census(Record):
@@ -193,15 +179,21 @@ class Census(Record):
 def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[list[int]]:
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
     # sum c_j (dl D_j) = dd L_i, an equation over the integers.
+    # A row outside the span of the D_j meets the dual condition only through
+    # the continuous part of the dual group, which the census does not cover.
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
     mat = []
-    for h, row in zip(lattice.hnf, lattice.canonical_rows):
+    for i, h in enumerate(lattice.hnf):
         coeffs = _linalg.combination_in_rows(rows, [x * dual.denominator for x in h])
         if coeffs is None:
-            raise InternalError(f"lattice row {row!r} left the dual span")
+            raise NotSubgroup(
+                f"lattice row {lattice.canonical_rows[i]!r} lies outside the span"
+                " of the dual's lattice part"
+            )
         if any(c.denominator != 1 for c in coeffs):
             raise InternalError(
-                f"lattice row {row!r} is not an integer combination of the dual basis"
+                f"lattice row {lattice.canonical_rows[i]!r} is not an integer"
+                " combination of the dual basis"
             )
         mat.append([int(c) for c in coeffs])
     return mat
@@ -216,25 +208,22 @@ def quotient_census(
 ) -> Census:
     """Invariant factors and coset representatives of dual / lattice.
 
-    Every generator of the lattice must satisfy the dual condition; a
-    failure raises NotSubgroup, which signals a non-local summand
-    upstream.  Representatives are enumerated only for finite quotients,
-    as the lexicographically smallest non-negative coefficient vectors in
-    the Smith-adapted dual basis; a finite quotient of order above
+    Every generator of the lattice must satisfy the dual condition and
+    lie in the span of the dual's lattice part; a failure raises
+    NotSubgroup, which signals a non-local summand upstream.
+    Representatives are enumerated only for finite quotients, as the
+    lexicographically smallest non-negative coefficient vectors in the
+    Smith-adapted dual basis; a finite quotient of order above
     MAX_CENSUS_ORDER raises BudgetExceeded before the Smith form is taken.
     """
-    for g in lattice.canonical_rows:
-        if not dual.contains_weight(g):
-            raise NotSubgroup(f"lattice generator {g!r} fails the dual condition")
+    for i, h in enumerate(lattice.hnf):
+        if not in_dual(datum, dual.source, h, lattice.denominator):
+            raise NotSubgroup(
+                f"lattice generator {lattice.canonical_rows[i]!r} fails the dual condition"
+            )
     if lattice.rank == 0:
-        finite = dual.complement_dimension == 0 and dual.lattice_part.rank == 0
-        return Census(
-            finite=finite,
-            invariant_factors=(),
-            reps=(Weight.zero(datum.rank),) if finite else None,
-            order=1 if finite else None,
-            complement_dimension=dual.complement_dimension,
-        )
+        # The quotient is the dual group itself, never finite at rank >= 1.
+        return Census(False, (), None, None, dual.complement_dimension)
     change = _change_of_basis(dual.lattice_part, lattice)
     if dual.complement_dimension == 0:
         # The change of basis is square, and the order is its determinant.
@@ -252,13 +241,7 @@ def quotient_census(
         )
     factors = tuple(s for s in diag if s > 1)
     if dual.complement_dimension > 0:
-        return Census(
-            finite=False,
-            invariant_factors=factors,
-            reps=None,
-            order=None,
-            complement_dimension=dual.complement_dimension,
-        )
+        return Census(False, factors, None, None, dual.complement_dimension)
     # The Smith-adapted dual basis as integer rows over the dual's denominator.
     part = dual.lattice_part
     adapted = [

@@ -30,7 +30,7 @@ from .cartan import (
     scaled_coords,
 )
 from .errors import AlgebraInvalid, InfiniteCensus
-from .lattice import Census, quotient_census, scaled_dual
+from .lattice import Census, in_dual, quotient_census, scaled_dual
 
 
 def _require_valid(spec: AlgebraSpec) -> None:
@@ -48,11 +48,7 @@ def is_local(spec: AlgebraSpec, lam: Weight) -> bool:
     the extended lattice.
     """
     _require_valid(spec)
-    ell = spec.datum.ell
-    return all(
-        is_multiple(2 * pairing(spec.datum, lam, g), ell)
-        for g in spec.ordered_basis
-    )
+    return in_dual(spec.datum, spec.extended_lattice, *scaled_coords(spec.datum, lam))
 
 
 def simple_census(spec: AlgebraSpec) -> Census:

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from helpers import ALL_TYPES, random_weight
 
+import uproll.lattice
 from uproll import (
     _linalg,
     Weight,
@@ -24,7 +25,7 @@ from uproll.errors import (
     NotSubgroup,
     UprollError,
 )
-from uproll.lattice import MAX_CENSUS_ORDER
+from uproll.lattice import MAX_CENSUS_ORDER, Census, RationalLattice, in_dual
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -68,6 +69,19 @@ class TestCanonicalBasis:
             lat = canonical_basis(A2_4, gens)
             for g in gens:
                 assert contains(lat, g)
+
+
+def test_a_lattice_is_its_canonical_form():
+    assert RationalLattice._fields == ("rank_ambient", "hnf", "denominator")
+    a1, a2 = a2_roots()
+    spans = [
+        canonical_basis(A2_4, [2 * a1, 2 * a2]),
+        canonical_basis(A2_4, [2 * a1 + 2 * a2, 2 * a2, 4 * a1]),
+        canonical_basis(A2_4, [-2 * a1, 6 * a2, 2 * a1 + 2 * a2]),
+    ]
+    assert spans[0] == spans[1] == spans[2]
+    assert len({hash(lat) for lat in spans}) == 1
+    assert len(set(spans)) == 1
 
 
 class TestContains:
@@ -228,7 +242,6 @@ def test_scaled_dual_matches_the_fraction_gram_inverse(series, rank):
         dual = scaled_dual(datum, lattice)
         part = reference_dual(datum, lattice)
         assert dual.lattice_part == part
-        assert dual.lattice_part.generators == part.generators
         assert dual.complement_dimension == rank - lattice.rank
         # The integer membership test against the defining condition.
         rows = part.canonical_rows
@@ -327,6 +340,43 @@ class TestQuotientCensus:
         census = quotient_census(A1_4, scaled_dual(A1_4, lat), lat)
         for rep in census.reps:
             assert contains(lat, census.order * rep)
+
+
+def test_lattice_outside_the_dual_span_is_not_a_subgroup():
+    # Both lattices meet the dual condition of 3 alpha_1 at ell = 6 through
+    # the continuous part of its dual, outside the census's lattice part.
+    datum = build_cartan_datum("A", 2, 6)
+    a1, a2 = datum.simple_root(0), datum.simple_root(1)
+    dual = scaled_dual(datum, canonical_basis(datum, [3 * a1]))
+    for gens in ([3 * a2], [3 * a1, 3 * a2]):
+        lattice = canonical_basis(datum, gens)
+        assert all(dual.contains_weight(row) for row in lattice.canonical_rows)
+        with pytest.raises(NotSubgroup, match="outside the span"):
+            quotient_census(datum, dual, lattice)
+
+
+def test_empty_lattice_in_a_full_dual_is_infinite():
+    # The empty spec, with the whole space as its dual, is in test_localmod.
+    datum = build_cartan_datum("A", 2, 6)
+    empty = canonical_basis(datum, ())
+    three_q = canonical_basis(datum, [3 * a for a in datum.simple_roots])
+    assert quotient_census(datum, scaled_dual(datum, three_q), empty) == Census(
+        False, (), None, None, 0
+    )
+
+
+def test_dual_and_membership_build_no_weights(monkeypatch):
+    datum = build_cartan_datum("E", 8, 4)
+    lattice = canonical_basis(datum, [2 * a for a in datum.simple_roots])
+
+    def refuse(*args):
+        raise AssertionError("a Weight was built")
+
+    monkeypatch.setattr(uproll.lattice, "Weight", refuse)
+    part = scaled_dual(datum, lattice).lattice_part
+    assert part.rank == 8
+    assert all(in_dual(datum, lattice, h, part.denominator) for h in part.hnf)
+    assert all(in_dual(datum, part, h, lattice.denominator) for h in lattice.hnf)
 
 
 def test_census_past_the_budget_is_refused_before_enumeration():

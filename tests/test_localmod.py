@@ -5,7 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import TRIPLET_CASES, draw_commutativity_specs, sympy_form, sympy_gram
+from helpers import (
+    TRIPLET_CASES,
+    draw_commutativity_specs,
+    random_weight,
+    sympy_form,
+    sympy_gram,
+)
 from uproll import (
     AlgebraSpec,
     brute_transparent_reps,
@@ -18,13 +24,16 @@ from uproll import (
     monodromy_exponent,
     muger_center,
     pairing,
+    scaled_dual,
     simple_census,
     triplet_report,
     twist_exponent,
     weight,
 )
 from uproll import algebra, localmod
+from uproll.cartan import is_multiple
 from uproll.errors import AlgebraInvalid, InfiniteCensus
+from uproll.lattice import Census
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -66,6 +75,32 @@ class TestIsLocal:
                 assert is_local(spec, lam + A2_4.simple_root(i)) == base
 
 
+def test_is_local_matches_the_definition_and_the_dual():
+    # is_local tests the HNF rows of the extended lattice; the definition
+    # quantifies over the ordered basis, which spans the same group.
+    rng = random.Random(41)
+    specs = [doubled_root_spec(), super_spec()] + [
+        spec for spec in draw_commutativity_specs(41, 30) if spec.verdict
+    ]
+    checked = {True: 0, False: 0}
+    for spec in specs:
+        datum = spec.datum
+        dual = scaled_dual(datum, spec.extended_lattice)
+        census = simple_census(spec)
+        probes = [random_weight(rng, datum.rank, span=12, den=6) for _ in range(12)]
+        probes += [Fraction(1, rng.randint(1, 6)) * w for w in probes[:4]]
+        probes += list(census.reps or ())[:6]
+        for lam in probes:
+            expected = all(
+                is_multiple(2 * pairing(datum, lam, b), datum.ell)
+                for b in spec.ordered_basis
+            )
+            assert is_local(spec, lam) == expected
+            assert dual.contains_weight(lam) == expected
+            checked[expected] += 1
+    assert min(checked.values()) >= 20
+
+
 class TestSimpleCensus:
     def test_doubled_root(self):
         census = simple_census(doubled_root_spec())
@@ -76,6 +111,11 @@ class TestSimpleCensus:
         census = simple_census(super_spec())
         assert census.finite and census.order == 1
         assert census.reps == (weight([0]),)
+
+    def test_empty_spec_is_infinite_over_the_whole_space(self):
+        a2_6 = build_cartan_datum("A", 2, 6)
+        census = simple_census(AlgebraSpec(a2_6, []))
+        assert census == Census(False, (), None, None, 2)
 
     def test_rank_deficit_infinite(self):
         spec = AlgebraSpec(A2_4, [2 * A2_4.simple_root(0)])
