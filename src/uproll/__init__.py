@@ -1,6 +1,8 @@
 """Exact classification of lattice simple-current extension algebras and
 the structure of their categories of local modules."""
 
+from importlib import import_module as _import_module
+
 from .cartan import (
     CartanDatum,
     ExponentModL,
@@ -29,7 +31,6 @@ from .lattice import (
 )
 from .algebra import (
     AlgebraSpec,
-    CocycleTable,
     CocycleVerdict,
     CommutativityVerdict,
     GaugeResult,
@@ -73,21 +74,21 @@ from .extensions import (
 )
 from . import errors
 
-# The brute-force oracle is loaded on first use of one of its names, so that
-# an import of the package, which every CLI request makes, leaves it out.
+# The brute-force oracle and the dense table storage are loaded on first use
+# of one of their names, so that an import of the package, which every CLI
+# request makes, leaves them out.
 _ORACLE_NAMES = ("Box", "brute_census_order", "brute_cocycle", "brute_commutativity",
                  "brute_transparent_reps")
+_LAZY_NAMES = {**dict.fromkeys(_ORACLE_NAMES, "oracle"), "CocycleTable": "_table"}
 
-__all__ = [name for name in dir() if not name.startswith("_")] + list(_ORACLE_NAMES)
+__all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY_NAMES)
 
 
 def __getattr__(name):
-    if name in _ORACLE_NAMES:
-        from . import oracle
-
-        return getattr(oracle, name)
+    if name in _LAZY_NAMES:
+        return getattr(_import_module(f"{__name__}.{_LAZY_NAMES[name]}"), name)
     raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 def __dir__():
-    return sorted({*globals(), *_ORACLE_NAMES})
+    return sorted({*globals(), *_LAZY_NAMES})

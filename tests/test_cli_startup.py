@@ -55,8 +55,22 @@ def test_oracle_names_resolve_on_first_use():
         assert getattr(uproll, name) is getattr(oracle, name)
 
 
+def test_cli_import_leaves_out_the_table_storage():
+    done = _python("-c", "import sys, uproll.cli; print('uproll._table' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_table_names_resolve_on_first_use():
+    from uproll import _table, algebra
+
+    assert uproll.CocycleTable is algebra.CocycleTable is _table.CocycleTable
+    assert "CocycleTable" in uproll.__all__ and "CocycleTable" in dir(uproll)
+
+
 def test_unknown_attribute_is_still_an_attribute_error():
     assert not hasattr(uproll, "no_such_name")
+    assert not hasattr(uproll.algebra, "no_such_name")
 
 
 def test_star_import_exports_the_oracle_names():
