@@ -50,6 +50,7 @@ from .localmod import (
     LocalReport,
     MugerReport,
     RibbonVerdict,
+    census_twists,
     check_ribbon,
     is_local,
     local_report,
@@ -74,12 +75,13 @@ from .extensions import (
 )
 from . import errors
 
-# The brute-force oracle and the dense table storage are loaded on first use
-# of one of their names, so that an import of the package, which every CLI
-# request makes, leaves them out.
+# The brute-force oracle, the dense table storage and the census views are
+# loaded on first use of one of their names, so that an import of the
+# package, which every CLI request makes, leaves them out.
 _ORACLE_NAMES = ("Box", "brute_census_order", "brute_cocycle", "brute_commutativity",
                  "brute_transparent_reps")
-_LAZY_NAMES = {**dict.fromkeys(_ORACLE_NAMES, "oracle"), "CocycleTable": "_table"}
+_LAZY_NAMES = {**dict.fromkeys(_ORACLE_NAMES, "oracle"), "CocycleTable": "_table",
+               "CensusReps": "_census", "CensusTwists": "_census"}
 
 __all__ = [name for name in dir() if not name.startswith("_")] + list(_LAZY_NAMES)
 

@@ -71,11 +71,11 @@ from .extensions import (
     triplet_report,
 )
 from .localmod import (
+    census_twists,
     check_ribbon,
     monodromy_exponent,
     muger_center,
     simple_census,
-    twist_exponent,
 )
 
 
@@ -210,7 +210,7 @@ def _cmd_census(args):
         return _census_json(census)
     if not census.finite:
         raise InfiniteCensus(f"{args.command} --format {args.format} needs a finite census")
-    twists = [(rep, twist_exponent(datum, rep)) for rep in census.reps]
+    twists = census_twists(datum, census).items()
     if args.format == "tsv":
         return "\n".join(
             "\t".join((",".join(_weight_json(rep)), *_exponent_json(e).values()))
@@ -239,7 +239,7 @@ def _cmd_monodromy(args) -> dict:
             raise BudgetExceeded(
                 f"monodromy table of {size} pairs exceeds the budget of {MAX_TABLE_ENTRIES}"
             )
-        reps = census.reps
+        reps = tuple(census.reps)
         pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i:]]
     return {
         "pairs": [

@@ -8,21 +8,25 @@ HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
-point.
+point.  A finite census keeps its coset representatives as integer rows
+over the dual's denominator in the view CensusReps (uproll._census).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import accumulate, repeat
 from math import gcd, lcm
-from operator import add, mul
+from operator import mul
+from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
 from .cartan import CartanDatum, Weight, bilinear, scaled_coords
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
+
+if TYPE_CHECKING:
+    from ._census import CensusReps
 
 # The most representatives a finite census may enumerate.
 MAX_CENSUS_ORDER = 100_000
@@ -171,7 +175,7 @@ class Census(Record):
 
     finite: bool
     invariant_factors: tuple[int, ...]
-    reps: tuple[Weight, ...] | None
+    reps: CensusReps | None
     order: int | None
     complement_dimension: int
 
@@ -197,10 +201,6 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
             )
         mat.append([int(c) for c in coeffs])
     return mat
-
-
-def _add_rows(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, ...]:
-    return tuple(map(add, a, b))
 
 
 def quotient_census(
@@ -242,21 +242,22 @@ def quotient_census(
     factors = tuple(s for s in diag if s > 1)
     if dual.complement_dimension > 0:
         return Census(False, factors, None, None, dual.complement_dimension)
+    from ._census import CensusReps
+
     # The Smith-adapted dual basis as integer rows over the dual's denominator.
     part = dual.lattice_part
-    adapted = [
-        tuple(sum(map(mul, col, row)) for col in zip(*part.hnf)) for row in vinv
+    radix = [
+        (s, tuple(sum(map(mul, col, row)) for col in zip(*part.hnf)))
+        for s, row in zip(diag, vinv) if s > 1
     ]
-    # Lexicographic in the coefficients, last one fastest: each coefficient
-    # c in range(s) extends every rep so far by a running sum of c steps.
-    reps = [(0,) * datum.rank]
-    for s, step in zip(diag, adapted):
-        reps = [x for rep in reps for x in accumulate(repeat(step, s - 1), _add_rows, initial=rep)]
-    coord = {a: Fraction(a, part.denominator) for a in {a for rep in reps for a in rep}}
-    return Census(
-        finite=True,
-        invariant_factors=factors,
-        reps=tuple(Weight(tuple(map(coord.__getitem__, rep))) for rep in reps),
-        order=order,
-        complement_dimension=0,
-    )
+    return Census(True, factors, CensusReps(radix, part.denominator, datum.rank), order, 0)
+
+
+def __getattr__(name):
+    # The census views (uproll._census) are loaded on the first finite
+    # census: a command that builds none would otherwise compile them.
+    if name == "CensusReps":
+        from ._census import CensusReps
+
+        return CensusReps
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

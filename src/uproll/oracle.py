@@ -148,7 +148,7 @@ def brute_transparent_reps(spec: AlgebraSpec) -> tuple[Weight, ...]:
         raise InfiniteCensus("transparency scan needs a finite census")
     datum = spec.datum
     half = Fraction(datum.ell, 2)
-    reps = census.reps
+    reps = tuple(census.reps)
     return tuple(
         lam
         for lam in reps

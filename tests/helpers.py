@@ -6,7 +6,7 @@ import random
 from fractions import Fraction
 
 from uproll import AlgebraSpec, build_cartan_datum, weight
-from uproll.errors import HypothesisViolated
+from uproll.errors import HypothesisViolated, UprollError
 
 # (series, rank, r, expected census order det(A) * r^rank) of triplet cases
 TRIPLET_CASES = [
@@ -52,6 +52,19 @@ def draw_commutativity_specs(seed: int, count: int) -> list[AlgebraSpec]:
         ]
         specs.append(AlgebraSpec(datum, gens))
     return specs
+
+
+def draw_super_specs(specs) -> list[AlgebraSpec]:
+    """A superalgebra variant of each spec that admits one: the even
+    generators doubled and the first generator as the odd one."""
+    out = []
+    for spec in specs:
+        gens = spec.generators
+        try:
+            out.append(AlgebraSpec(spec.datum, [2 * g for g in gens], mu=gens[0]))
+        except UprollError:
+            continue
+    return out
 
 
 def sympy_gram(datum):

@@ -68,6 +68,22 @@ def test_table_names_resolve_on_first_use():
     assert "CocycleTable" in uproll.__all__ and "CocycleTable" in dir(uproll)
 
 
+def test_cli_import_leaves_out_the_census_views():
+    done = _python("-c", "import sys, uproll.cli; print('uproll._census' in sys.modules)")
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "False"
+
+
+def test_census_names_resolve_on_first_use():
+    from uproll import _census, lattice
+
+    assert uproll.CensusReps is lattice.CensusReps is _census.CensusReps
+    assert uproll.CensusTwists is _census.CensusTwists
+    for name in ("CensusReps", "CensusTwists"):
+        assert name in uproll.__all__ and name in dir(uproll)
+    assert not hasattr(lattice, "no_such_name")
+
+
 def test_unknown_attribute_is_still_an_attribute_error():
     assert not hasattr(uproll, "no_such_name")
     assert not hasattr(uproll.algebra, "no_such_name")

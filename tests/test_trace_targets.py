@@ -78,3 +78,29 @@ def test_traced_sample_reaches_every_required_span():
     assert done.returncode == 0, done.stderr
     missing = json.loads(done.stdout.splitlines()[-1])
     assert missing == {"spec-stream": [], "triplet-census": [], "cocycle-box": []}
+
+
+# Runs only the triplet report, so the triplet-census guard is met by what
+# triplet_report reaches, not by direct calls elsewhere in SAMPLE.
+TRIPLET_ONLY = """
+import importlib.util, json, sys
+spec = importlib.util.spec_from_file_location("perfbench_spans", sys.argv[1])
+spans = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(spans)
+import uproll as u
+tracer = spans.Tracer()
+tracer.install()
+u.triplet_report("A", 1, 2)
+print(json.dumps(tracer.missing("triplet-census")))
+"""
+
+
+def test_triplet_report_alone_reaches_the_triplet_census_spans():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    done = subprocess.run(
+        [sys.executable, "-c", TRIPLET_ONLY, str(SPANS)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout.splitlines()[-1]) == []
