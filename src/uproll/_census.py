@@ -1,15 +1,14 @@
 """Storage for the representatives of a finite census and their twists:
 integer rows and integer numerators over one denominator each, enumerated
 one mixed-radix digit at a time.  Weight and ExponentModL values appear
-only through the read-only views CensusReps and CensusTwists.  The module
-is loaded on the first finite census, so that a command that builds none
-does not compile it."""
+only through the read-only views CensusReps and CensusTwists; a Weight is
+built from its integers.  The module is loaded on the first finite
+census, so that a command that builds none does not compile it."""
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, Sequence
 from fractions import Fraction
-from itertools import chain
 
 from .cartan import ExponentModL, Weight
 
@@ -24,7 +23,7 @@ def extend_column(column: list[int], s: int, x: int) -> list[int]:
 class CensusReps(Sequence):
     """The coset representatives of a finite census, a read-only sequence
     of Weights held as integer rows over one denominator: the weight at
-    index i is rows[i] / den, built when it is read.
+    index i is Weight.over(rows[i], den), built when it is read.
 
     radix lists the (invariant factor, adapted step) pairs with factor
     above 1, slowest first; the representative at index i is the
@@ -47,31 +46,22 @@ class CensusReps(Sequence):
     def __len__(self) -> int:
         return len(self.rows)
 
-    def _weights(self, rows):
-        # One shared Fraction per distinct coordinate.
-        coord = {a: Fraction(a, self.den) for a in set(chain.from_iterable(rows))}
-        return (Weight(tuple(map(coord.__getitem__, row))) for row in rows)
-
     def __iter__(self):
-        return self._weights(self.rows)
+        den = self.den
+        return (Weight.over(row, den) for row in self.rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(self._weights(self.rows[i]))
-        return Weight(tuple(Fraction(a, self.den) for a in self.rows[i]))
+            return tuple(Weight.over(row, self.den) for row in self.rows[i])
+        return Weight.over(self.rows[i], self.den)
 
     def position(self, lam) -> int | None:
         """The index of the weight lam, or None when it is no representative."""
-        if type(lam) is not Weight or len(lam) != len(self.rows[0]):
+        if type(lam) is not Weight or len(lam) != len(self.rows[0]) or self.den % lam.den:
             return None
-        den, row = self.den, []
-        for c in lam.coords:
-            if den % c.denominator:
-                return None
-            row.append(c.numerator * (den // c.denominator))
         if self._positions is None:
             self._positions = {r: i for i, r in enumerate(self.rows)}
-        return self._positions.get(tuple(row))
+        return self._positions.get(tuple(lam.row_over(self.den)))
 
     def __contains__(self, lam) -> bool:
         return self.position(lam) is not None

@@ -41,6 +41,7 @@ from .cartan import (
     ExponentModL,
     Weight,
     bilinear,
+    common_rows,
     in_simple_current_lattice,
     pairing_matrix,
 )
@@ -131,6 +132,10 @@ class AlgebraSpec:
             return check_commutative(self)
         return check_supercommutative(self)
 
+    @cached_property
+    def _generator_rows(self) -> tuple[list[list[int]], int]:
+        return common_rows(self.generators)
+
     def coefficients(self, lam: Weight) -> tuple[int, ...]:
         """Canonical generator coefficients of a lattice element.
 
@@ -138,11 +143,14 @@ class AlgebraSpec:
         Raises NotInLattice when the weight is outside the algebra and
         DependentGenerators when the even generators are not a basis.
         """
-        rows = [list(g.coords) for g in self.generators]
+        rows, den = self._generator_rows
 
         def solve(target: Weight):
+            # The integer span of rows / den lies in (1/den) Z^n.
+            if den % target.den:
+                return None
             try:
-                combo = _linalg.combination_in_rows(rows, list(target.coords))
+                combo = _linalg.combination_in_rows(rows, target.row_over(den))
             except ValueError as exc:
                 raise DependentGenerators(str(exc)) from None
             if combo is None or any(c.denominator != 1 for c in combo):

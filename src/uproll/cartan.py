@@ -1,15 +1,17 @@
 """Exact root-system data for the finite simple Lie types.
 
-Weights are stored as exact rational coordinate vectors in the
-fundamental-weight basis.  The bilinear form is normalized so that short
-roots have squared length 2; its Gram matrix in that basis is
+A weight is an exact rational vector in the fundamental-weight basis,
+stored as integer numerators row over one positive denominator den in
+lowest terms; Weight.over builds one from such integers, and its coords,
+as Fractions, are derived on reading.  The bilinear form is normalized
+so that short roots have squared length 2; its Gram matrix in that basis is
 G = D (D A)^-1 D for the Cartan matrix A and symmetrizer D = diag(d_i).
 Simple root j then has omega-coordinates equal to column j of A, and the
 contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)); the form is evaluated by the integer kernel bilinear()
-on weights scaled to integers, and a Fraction is formed only for results.
+on the weights' integer rows, and a Fraction is formed only for results.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -20,7 +22,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul
 
 from . import _linalg
 from ._record import Record
@@ -55,58 +57,99 @@ def is_multiple(x, step) -> bool:
 
 
 class Weight(Record):
-    """Weight-space element: exact rational omega-basis coordinates."""
+    """Weight-space element: exact rational omega-basis coordinates, held as
+    integer numerators row over one denominator den > 0 with
+    gcd(den, *row) = 1, so equal weights have equal fields.  Weight(coords,
+    den) stands for coords / den; coords are read back as Fractions."""
 
-    __slots__ = ("coords",)
-    coords: tuple[Fraction, ...]
+    __slots__ = ("row", "den")
+    row: tuple[int, ...]
+    den: int
 
-    def __init__(self, coords: tuple[Fraction, ...]):
-        object.__setattr__(self, "coords", coords)
+    def __init__(self, coords, den: int = 1):
+        if den < 1:
+            raise ValueError(f"weight denominator must be positive, got {den}")
+        coords = [c if type(c) is int else _frac(c) for c in coords]
+        scale = lcm(1, *(c.denominator for c in coords))
+        w = Weight.over([c.numerator * (scale // c.denominator) for c in coords], den * scale)
+        object.__setattr__(self, "row", w.row)
+        object.__setattr__(self, "den", w.den)
 
-    def __eq__(self, other) -> bool:
-        return self.coords == other.coords if type(other) is Weight else NotImplemented
+    @classmethod
+    def over(cls, row, den: int) -> "Weight":
+        """The weight row / den, from integers row and den > 0."""
+        row = tuple(row)
+        g = gcd(den, *row)
+        w = object.__new__(cls)
+        object.__setattr__(w, "row", row if g == 1 else tuple(a // g for a in row))
+        object.__setattr__(w, "den", den // g)
+        return w
+
+    def row_over(self, den: int) -> list[int]:
+        """The integers x with self = x / den, for a multiple den of self.den."""
+        s = den // self.den
+        return [a * s for a in self.row]
+
+    @property
+    def coords(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(a, self.den) for a in self.row)
+
+    def coord_strings(self) -> list[str]:
+        """Each coordinate as str() of its Fraction, "p" or "p/q"."""
+        den = self.den
+        if den == 1:
+            return list(map(str, self.row))
+        return [
+            str(a // g) if (g := gcd(a, den)) == den else f"{a // g}/{den // g}"
+            for a in self.row
+        ]
 
     def __hash__(self) -> int:
         return hash((self.coords,))
 
     @staticmethod
     def zero(n: int) -> "Weight":
-        return Weight((Fraction(0),) * n)
+        return Weight.over((0,) * n, 1)
 
     def __len__(self) -> int:
-        return len(self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
+        return len(self.row)
 
     def __add__(self, other: "Weight") -> "Weight":
         if len(self) != len(other):
             raise DimensionMismatch("weights have different lengths")
-        return Weight(tuple(a + b for a, b in zip(self.coords, other.coords)))
+        den = lcm(self.den, other.den)
+        return Weight.over(map(add, self.row_over(den), other.row_over(den)), den)
 
     def __sub__(self, other: "Weight") -> "Weight":
         return self + (-other)
 
     def __neg__(self) -> "Weight":
-        return Weight(tuple(-a for a in self.coords))
+        return Weight.over([-a for a in self.row], self.den)
 
     def __mul__(self, k) -> "Weight":
-        k = _frac(k)
-        return Weight(tuple(a * k for a in self.coords))
+        if type(k) is not int:
+            k = _frac(k)
+        return Weight.over([a * k.numerator for a in self.row], self.den * k.denominator)
 
     __rmul__ = __mul__
 
     @property
     def is_zero(self) -> bool:
-        return not any(self.coords)
+        return not any(self.row)
 
     def __repr__(self) -> str:
-        return "Weight(%s)" % ", ".join(str(c) for c in self.coords)
+        return "Weight(%s)" % ", ".join(self.coord_strings())
+
+
+def common_rows(weights) -> tuple[list[list[int]], int]:
+    """The weights as integer rows over their least common denominator."""
+    den = lcm(1, *(w.den for w in weights))
+    return [w.row_over(den) for w in weights], den
 
 
 def weight(coords) -> Weight:
     """Build a Weight from a sequence of ints, Fractions, or 'p/q' strings."""
-    return Weight(tuple(_frac(c) for c in coords))
+    return Weight(coords)
 
 
 class ExponentModL(Record):
@@ -175,13 +218,11 @@ def exponent(value, ell: int) -> ExponentModL:
 # Cartan matrices follow the convention a_ij = <alpha_i, alpha_j> / d_i,
 # which keeps D*A symmetric for the symmetrizers below.
 
-def _chain(n: int) -> list[list[int]]:
-    a = [[0] * n for _ in range(n)]
-    for i in range(n):
-        a[i][i] = 2
-    for i in range(n - 1):
-        a[i][i + 1] = -1
-        a[i + 1][i] = -1
+def _diagram(n: int, edges) -> list[list[int]]:
+    """The simply-laced Cartan matrix of n nodes joined by the given edges."""
+    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    for i, j in edges:
+        a[i][j] = a[j][i] = -1
     return a
 
 
@@ -191,48 +232,27 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
         raise InvalidSeriesRank(f"rank must be positive, got {n}")
     if n > MAX_RANK:
         raise InvalidSeriesRank(f"rank {n} exceeds the largest supported rank {MAX_RANK}")
-    if series == "A":
-        return _chain(n), (1,) * n
+    # B, C and F double one bond of the chain A_n.
+    a = _diagram(n, [(i, i + 1) for i in range(n - 1)])
+    if series == "A" or series in ("B", "C") and n == 1:
+        return a, (1,) * n
     if series == "B":
-        if n == 1:
-            return _chain(1), (1,)
-        a = _chain(n)
         a[n - 1][n - 2] = -2
         return a, (2,) * (n - 1) + (1,)
     if series == "C":
-        if n == 1:
-            return _chain(1), (1,)
-        a = _chain(n)
         a[n - 2][n - 1] = -2
         return a, (1,) * (n - 1) + (2,)
     if series == "D":
         if n < 3:
             raise InvalidSeriesRank(f"series D needs rank >= 3, got {n}")
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            a[i][i] = 2
-        for i in range(n - 2):
-            a[i][i + 1] = a[i + 1][i] = -1
-        a[n - 3][n - 1] = a[n - 1][n - 3] = -1
-        return a, (1,) * n
+        return _diagram(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]), (1,) * n
     if series == "E":
         if n not in (6, 7, 8):
             raise InvalidSeriesRank(f"series E needs rank 6, 7 or 8, got {n}")
-        a = [[0] * n for _ in range(n)]
-        for i in range(n):
-            a[i][i] = 2
-        edges = [(0, 2), (2, 3), (3, 4), (4, 5), (1, 3)]
-        if n >= 7:
-            edges.append((5, 6))
-        if n == 8:
-            edges.append((6, 7))
-        for i, j in edges:
-            a[i][j] = a[j][i] = -1
-        return a, (1,) * n
+        return _diagram(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]), (1,) * n
     if series == "F":
         if n != 4:
             raise InvalidSeriesRank(f"series F needs rank 4, got {n}")
-        a = _chain(4)
         a[2][1] = -2
         return a, (2, 2, 1, 1)
     if series == "G":
@@ -264,13 +284,13 @@ class CartanDatum(Record):
         return tuple(tuple(Fraction(x, n) for x in row) for row in self.scaled_gram)
 
     def fundamental_weight(self, i: int) -> Weight:
-        coords = [Fraction(0)] * self.rank
-        coords[i] = Fraction(1)
-        return Weight(tuple(coords))
+        row = [0] * self.rank
+        row[i] = 1
+        return Weight.over(row, 1)
 
     def simple_root(self, i: int) -> Weight:
         """Simple root i as a weight (column i of the Cartan matrix)."""
-        return Weight(tuple(Fraction(self.cartan[k][i]) for k in range(self.rank)))
+        return Weight.over([row[i] for row in self.cartan], 1)
 
     @property
     def simple_roots(self) -> tuple[Weight, ...]:
@@ -318,7 +338,7 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
         r_i=tuple(r // gi for gi in g),
         scaled_gram=tuple(tuple(x // common for x in row) for row in scaled),
         gram_denominator=det // common,
-        rho=Weight((Fraction(1),) * n),
+        rho=Weight.over((1,) * n, 1),
     )
 
 
@@ -331,13 +351,12 @@ def bilinear(matrix, u, v) -> int:
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, matrix) if a)
 
 
-def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[list[int], int]:
+def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[tuple[int, ...], int]:
     """Integer coordinates of lam over their least common denominator den,
     so that lam = coords / den."""
     if len(lam) != datum.rank:
         raise DimensionMismatch(f"weights must have length {datum.rank}")
-    den = lcm(*(c.denominator for c in lam.coords))
-    return [c.numerator * (den // c.denominator) for c in lam.coords], den
+    return lam.row, lam.den
 
 
 def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
@@ -358,7 +377,7 @@ def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
     """Membership in the simple-current lattice: every coordinate in (ell/2) Z."""
     if len(lam) != datum.rank:
         raise DimensionMismatch(f"weight must have length {datum.rank}")
-    return all(is_integer(2 * c / datum.ell) for c in lam.coords)
+    return all(2 * a % (datum.ell * lam.den) == 0 for a in lam.row)
 
 
 def alpha_coordinates(datum: CartanDatum, lam: Weight) -> tuple[Fraction, ...]:

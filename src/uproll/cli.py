@@ -44,6 +44,7 @@ import json
 import os
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, spec_verdict
 from .cartan import CartanDatum, ExponentModL, Weight, build_cartan_datum
@@ -77,10 +78,6 @@ from .localmod import (
     muger_center,
     simple_census,
 )
-
-
-def _weight_json(w: Weight) -> list[str]:
-    return [str(c) for c in w.coords]
 
 
 def _exponent_json(e: ExponentModL) -> dict:
@@ -162,7 +159,7 @@ def _census_json(census) -> dict:
         "order": census.order,
         "invariant_factors": list(census.invariant_factors),
         "complement_dimension": census.complement_dimension,
-        "reps": [_weight_json(r) for r in census.reps] if census.reps else None,
+        "reps": [r.coord_strings() for r in census.reps] if census.reps else None,
     }
 
 
@@ -180,7 +177,7 @@ def _cmd_datum(args) -> dict:
         "r_i": list(datum.r_i),
         "cartan": [list(row) for row in datum.cartan],
         "gram": [[str(x) for x in row] for row in datum.gram],
-        "rho": _weight_json(datum.rho),
+        "rho": datum.rho.coord_strings(),
     }
 
 
@@ -198,7 +195,7 @@ def _cmd_check_algebra(args) -> dict:
 
 def _twist_rows(twists) -> list[dict]:
     """JSON rows for (rep, twist exponent) pairs, in the order given."""
-    return [{"rep": _weight_json(rep), **_exponent_json(e)} for rep, e in twists]
+    return [{"rep": rep.coord_strings(), **_exponent_json(e)} for rep, e in twists]
 
 
 def _cmd_census(args):
@@ -213,7 +210,7 @@ def _cmd_census(args):
     twists = census_twists(datum, census).items()
     if args.format == "tsv":
         return "\n".join(
-            "\t".join((",".join(_weight_json(rep)), *_exponent_json(e).values()))
+            "\t".join((",".join(rep.coord_strings()), *_exponent_json(e).values()))
             for rep, e in twists
         )
     return {**_census_json(census), "twists": _twist_rows(twists)}
@@ -244,8 +241,8 @@ def _cmd_monodromy(args) -> dict:
     return {
         "pairs": [
             {
-                "a": _weight_json(a),
-                "b": _weight_json(b),
+                "a": a.coord_strings(),
+                "b": b.coord_strings(),
                 **_exponent_json(monodromy_exponent(datum, a, b)),
             }
             for a, b in pairs
@@ -267,7 +264,7 @@ def _cmd_ribbon(args) -> dict:
 
 def _muger_json(report) -> dict:
     return {
-        "transparent_reps": [_weight_json(w) for w in report.transparent_reps],
+        "transparent_reps": [w.coord_strings() for w in report.transparent_reps],
         "trivial": report.trivial,
         "hypothesis_ok": report.hypothesis_ok,
     }
@@ -320,36 +317,26 @@ def _cmd_bq(args) -> dict:
     standard = spec.is_full_weight_lattice and spec.a_squared == Fraction(-1, datum.r)
     rows = []
     for w in ext_weights:
-        row = {
-            "qg": _weight_json(w.qg),
-            "fock": _weight_json(w.fock_tilde),
+        local = bq_is_local(spec, w) if standard else None
+        rows.append({
+            "qg": w.qg.coord_strings(),
+            "fock": w.fock_tilde.coord_strings(),
             "twist": _exponent_json(bq_twist_exponent(datum, w)),
-            "local": None,
-            "transparent": None,
-        }
-        if standard:
-            row["local"] = bq_is_local(spec, w)
-            if row["local"]:
-                row["transparent"] = bq_transparent(spec, w)
-        rows.append(row)
-    pairs = []
-    for i in range(len(ext_weights)):
-        for j in range(i + 1, len(ext_weights)):
-            entry = {
-                "i": i,
-                "j": j,
-                "monodromy": _exponent_json(
-                    bq_monodromy_exponent(datum, ext_weights[i], ext_weights[j])
-                ),
-                "equivalent": None,
-            }
-            if standard and rows[i]["local"] and rows[j]["local"]:
-                entry["equivalent"] = bq_equivalent(
-                    spec, ext_weights[i], ext_weights[j]
-                )
-            pairs.append(entry)
+            "local": local,
+            "transparent": bq_transparent(spec, w) if local else None,
+        })
     out["weights"] = rows
-    out["pairs"] = pairs
+    out["pairs"] = [
+        {
+            "i": i,
+            "j": j,
+            "monodromy": _exponent_json(bq_monodromy_exponent(datum, a, b)),
+            "equivalent": (
+                bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
+            ),
+        }
+        for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
+    ]
     return out
 
 

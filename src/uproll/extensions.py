@@ -168,7 +168,7 @@ def bq_equivalent(spec: BqSpec, w: ExtWeight, other: ExtWeight) -> bool:
     df = other.fock_tilde - w.fock_tilde
     if dq != df:
         return False
-    return all(is_multiple(c, spec.datum.r) for c in dq.coords)
+    return all(a % (spec.datum.r * dq.den) == 0 for a in dq.row)
 
 
 def bq_monodromy_exponent(datum: CartanDatum, w: ExtWeight, other: ExtWeight) -> ExponentModL:

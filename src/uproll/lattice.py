@@ -2,9 +2,10 @@
 
 A finitely generated subgroup of the rational weight space is stored as
 its canonical basis only: an integer matrix in row-style Hermite normal
-form over a single common denominator.  The canonical form depends only
-on the span, so lattice equality is literal equality of (ambient rank,
-HNF rows, denominator).
+form over a single common denominator, the convention a Weight follows
+with its (row, den) fields, which are read here as integers.  The
+canonical form depends only on the span, so lattice equality is literal
+equality of (ambient rank, HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
@@ -14,15 +15,14 @@ over the dual's denominator in the view CensusReps (uproll._census).
 
 from __future__ import annotations
 
-from fractions import Fraction
 from functools import cached_property
-from math import gcd, lcm
+from math import gcd
 from operator import mul
 from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, bilinear, scaled_coords
+from .cartan import CartanDatum, Weight, bilinear, common_rows, scaled_coords
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
 
 if TYPE_CHECKING:
@@ -45,10 +45,7 @@ class RationalLattice(Record):
 
     @cached_property
     def canonical_rows(self) -> tuple[Weight, ...]:
-        d = self.denominator
-        return tuple(
-            Weight(tuple(Fraction(v, d) for v in row)) for row in self.hnf
-        )
+        return tuple(Weight.over(row, self.denominator) for row in self.hnf)
 
     def __repr__(self) -> str:
         rows = ", ".join(repr(w) for w in self.canonical_rows)
@@ -66,9 +63,7 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
     for g in gens:
         if len(g) != n:
             raise DimensionMismatch(f"generator {g!r} must have length {n}")
-    den = lcm(1, *(c.denominator for g in gens for c in g.coords)) if gens else 1
-    rows = [[int(c * den) for c in g.coords] for g in gens]
-    return _from_rows(n, rows, den)
+    return _from_rows(n, *common_rows(gens))
 
 
 def _from_rows(n: int, rows, den: int) -> RationalLattice:
@@ -94,14 +89,14 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
         raise DimensionMismatch(
             f"weight must have length {lattice.rank_ambient}"
         )
-    v = [c * lattice.denominator for c in lam.coords]
-    for row in lattice.hnf:
+    rows, den = common_rows((*lattice.canonical_rows, lam))
+    v = rows.pop()
+    for row in rows:
         p = next(j for j, x in enumerate(row) if x)
         q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    den = lattice.denominator
-    return Weight(tuple(Fraction(a, den) if a else Fraction(0) for a in v))
+    return Weight.over(v, den)
 
 
 class AdjoinResult(Record):
@@ -116,10 +111,7 @@ def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
     """Canonical form of L + Z*mu, with the flags (mu in L, 2*mu in L)."""
     mu_in = contains(lattice, mu)
     two_in = contains(lattice, 2 * mu)
-    den = lcm(lattice.denominator, *(c.denominator for c in mu.coords), 1)
-    scale = den // lattice.denominator
-    rows = [[v * scale for v in row] for row in lattice.hnf]
-    rows.append([int(c * den) for c in mu.coords])
+    rows, den = common_rows((*lattice.canonical_rows, mu))
     return AdjoinResult(_from_rows(lattice.rank_ambient, rows, den), mu_in, two_in)
 
 

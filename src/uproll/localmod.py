@@ -167,8 +167,7 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     scale = datum.gram_denominator * den * den
 
     def form(row) -> int:
-        lam = Weight(tuple(Fraction(a, den) for a in row))
-        return (twist_exponent(datum, lam).value * scale).numerator
+        return (twist_exponent(datum, Weight.over(row, den)).value * scale).numerator
 
     steps = [step for _, step in reps.radix]
     single = [form(a) for a in steps]

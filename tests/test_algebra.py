@@ -550,3 +550,33 @@ def test_check_against_a_datum_at_another_order_is_refused():
     table = structure_constant_table(three_q_spec(), 1)
     with pytest.raises(ValueError, match=r"order 6 .* order 9"):
         cocycle_check(table, build_cartan_datum("A", 2, 9))
+
+
+def test_coefficients_solve_integer_rows_over_the_generators_denominator(monkeypatch):
+    datum = build_cartan_datum("A", 2, 3)
+    spec = AlgebraSpec(datum, [weight(["3/2", 0]), weight(["3/2", "3/2"])])
+    assert spec._generator_rows == ([[3, 0], [3, 3]], 2)
+    real = uproll._linalg.combination_in_rows
+    seen = []
+
+    def recording(rows, target):
+        seen.append((rows, target))
+        return real(rows, target)
+
+    monkeypatch.setattr(uproll._linalg, "combination_in_rows", recording)
+    assert spec.coefficients(weight([3, "3/2"])) == (1, 1)
+    assert spec.coefficients(weight(["-9/2", 0])) == (-3, 0)
+    assert seen == [([[3, 0], [3, 3]], [6, 3]), ([[3, 0], [3, 3]], [-9, 0])]
+    with pytest.raises(NotInLattice):
+        spec.coefficients(weight(["3/2", "1/2"]))
+
+
+def test_coefficients_refuse_a_denominator_the_generators_cannot_reach(monkeypatch):
+    def refuse(rows, target):
+        raise AssertionError("the target was solved for")
+
+    monkeypatch.setattr(uproll._linalg, "combination_in_rows", refuse)
+    with pytest.raises(NotInLattice):
+        AlgebraSpec(A1_4, [weight([4])]).coefficients(weight(["1/2"]))
+    with pytest.raises(NotInLattice):
+        super_spec().coefficients(weight(["2/3"]))
