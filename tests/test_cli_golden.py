@@ -113,6 +113,24 @@ CASES = {
         },
         "ac80fdccd1f35a1a7bafa9f6f64a7e552c07e3f08d94d1ec2f6a27cbd2c278c3",
     ),
+    # A lattice other than r*P: local, transparent and equivalent print null.
+    "bq-coarse-lattice": (
+        ["bq"],
+        {
+            **A2_4,
+            "lattice": [["4", "0"], ["0", "4"]],
+            "ext_weights": [
+                {"qg": ["2", "0"], "fock": ["2", "0"]},
+                {"qg": ["1", "0"], "fock": ["0", "0"]},
+            ],
+        },
+        "f30cb4235b0a96ac41229e554aaaa4189bdd55e57b91090dd82e42138ded3e5f",
+    ),
+    # 2(1-r)<-4 omega, rho> = 12 is not in 8Z: inconclusive, witness 12.
+    "ribbon-inconclusive": (
+        ["ribbon"], {"series": "A", "rank": 1, "ell": 8, "lattice": [["-4"]]},
+        "3b14307ac3066a5e894aa9a184f3c24af10bbaf14757e935e77abe7313fd8c0e",
+    ),
     "oracle-commutative": (
         ["oracle", "--box", "2"], {**A1_4, "lattice": [["4"]]},
         "2e42fd1e42eaf64f4fc2da66f5f13083bf933b3e35d983cb4e227e851f84a6e4",
