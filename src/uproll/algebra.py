@@ -196,9 +196,12 @@ class SuperVerdict(Record):
 
 
 def _commutative_witnesses(spec: AlgebraSpec) -> list[Witness]:
-    pairs, den = spec.pair_matrix
-    step = spec.datum.ell * den
-    m = len(spec.generators)
+    return commutativity_witnesses(*spec.pair_matrix, spec.datum.ell, len(spec.generators))
+
+
+def commutativity_witnesses(pairs, den: int, ell: int, m: int) -> list[Witness]:
+    """The failures of P_ii / den and 2 P_ij / den in ell*Z for i, j < m."""
+    step = ell * den
     out = []
     for i in range(m):
         if pairs[i][i] % step:

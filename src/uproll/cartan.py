@@ -11,7 +11,9 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)); the form is evaluated by the integer kernel bilinear()
-on the weights' integer rows, and a Fraction is formed only for results.
+on the weights' integer rows.  pairing_matrix and in_root_lattice stay on
+those integers; pairing and alpha_coordinates form a Fraction for each
+result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -53,7 +55,7 @@ def is_integer(x) -> bool:
 
 def is_multiple(x, step) -> bool:
     """True when x lies in step * Z, for a nonzero rational step."""
-    return is_integer(_frac(x) / _frac(step))
+    return (_frac(x) / _frac(step)).denominator == 1
 
 
 class Weight(Record):
@@ -367,10 +369,16 @@ def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
 
 
 def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], ...], int]:
-    """The pairings <w_i, w_j> as an integer matrix P over one denominator p."""
-    mat = [[pairing(datum, a, b) for b in weights] for a in weights]
-    p = lcm(1, *(x.denominator for row in mat for x in row))
-    return tuple(tuple(x.numerator * (p // x.denominator) for x in row) for row in mat), p
+    """The pairings <w_i, w_j> as an integer matrix P over the least denominator
+    p: over the weights' common denominator d each is an integer over
+    M = N d^2, and p = M / gcd(M, *P)."""
+    if any(len(w) != datum.rank for w in weights):
+        raise DimensionMismatch(f"weights must have length {datum.rank}")
+    rows, d = common_rows(weights)
+    mat = [[bilinear(datum.scaled_gram, a, b) for b in rows] for a in rows]
+    m = datum.gram_denominator * d * d
+    g = gcd(m, *(x for row in mat for x in row))
+    return tuple(tuple(x // g for x in row) for row in mat), m // g
 
 
 def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
@@ -380,20 +388,25 @@ def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
     return all(2 * a % (datum.ell * lam.den) == 0 for a in lam.row)
 
 
+def _alpha_parts(datum: CartanDatum, lam: Weight) -> list[tuple[int, int]]:
+    # Coordinate i of alpha_coordinates as the integers (N G x)_i and N den d_i.
+    x, den = scaled_coords(datum, lam)
+    scale = datum.gram_denominator * den
+    return [
+        (sum(map(mul, row, x)), scale * d)
+        for row, d in zip(datum.scaled_gram, datum.symmetrizers)
+    ]
+
+
 def alpha_coordinates(datum: CartanDatum, lam: Weight) -> tuple[Fraction, ...]:
     """Coordinates of a weight over the simple roots.
 
     Since <omega_i, alpha_j> = d_j delta_ij, coordinate i is
     <lam, omega_i> / d_i, read off row i of the Gram matrix.
     """
-    x, den = scaled_coords(datum, lam)
-    scale = datum.gram_denominator * den
-    return tuple(
-        Fraction(sum(map(mul, row, x)), scale * d)
-        for row, d in zip(datum.scaled_gram, datum.symmetrizers)
-    )
+    return tuple(Fraction(a, b) for a, b in _alpha_parts(datum, lam))
 
 
 def in_root_lattice(datum: CartanDatum, lam: Weight) -> bool:
     """True when the weight is an integer combination of simple roots."""
-    return all(is_integer(c) for c in alpha_coordinates(datum, lam))
+    return all(a % b == 0 for a, b in _alpha_parts(datum, lam))

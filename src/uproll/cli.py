@@ -300,24 +300,14 @@ def _cmd_bq(args) -> dict:
         heisenberg = _doc_object(doc["heisenberg"], "heisenberg", "a_squared")
         a_squared = _doc_rational(heisenberg["a_squared"], "heisenberg.a_squared")
     spec = BqSpec(datum, _doc_rows(doc, "lattice", datum.rank), a_squared)
-    out = {
-        "a_squared": str(spec.a_squared),
-        "commutative": bq_check_commutative(spec),
-        "ribbon": bq_ribbon_verdict(datum),
-    }
     ext_weights = []
     for i, item in enumerate(_doc_list(doc, "ext_weights") or []):
         item = _doc_object(item, f"ext_weights[{i}]", "qg", "fock")
-        ext_weights.append(
-            ExtWeight(
-                _doc_row(item["qg"], datum.rank, f"ext_weights[{i}].qg"),
-                _doc_row(item["fock"], datum.rank, f"ext_weights[{i}].fock"),
-            )
-        )
-    standard = spec.is_full_weight_lattice and spec.a_squared == Fraction(-1, datum.r)
+        qg, fock = (_doc_row(item[k], datum.rank, f"ext_weights[{i}].{k}") for k in ("qg", "fock"))
+        ext_weights.append(ExtWeight(qg, fock))
     rows = []
     for w in ext_weights:
-        local = bq_is_local(spec, w) if standard else None
+        local = bq_is_local(spec, w) if spec.is_standard else None
         rows.append({
             "qg": w.qg.coord_strings(),
             "fock": w.fock_tilde.coord_strings(),
@@ -325,19 +315,23 @@ def _cmd_bq(args) -> dict:
             "local": local,
             "transparent": bq_transparent(spec, w) if local else None,
         })
-    out["weights"] = rows
-    out["pairs"] = [
-        {
-            "i": i,
-            "j": j,
-            "monodromy": _exponent_json(bq_monodromy_exponent(datum, a, b)),
-            "equivalent": (
-                bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
-            ),
-        }
-        for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
-    ]
-    return out
+    return {
+        "a_squared": str(spec.a_squared),
+        "commutative": bq_check_commutative(spec),
+        "ribbon": bq_ribbon_verdict(datum),
+        "weights": rows,
+        "pairs": [
+            {
+                "i": i,
+                "j": j,
+                "monodromy": _exponent_json(bq_monodromy_exponent(datum, a, b)),
+                "equivalent": (
+                    bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
+                ),
+            }
+            for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
+        ],
+    }
 
 
 def _cmd_oracle(args) -> dict:

@@ -11,7 +11,8 @@ never evaluated: every formula is pre-substituted with a**2, so a Fock
 weight a*gamma is stored through its rational shadow gamma (the "tilde"
 coordinate) and all exponents stay rational.  Pairings acquire a factor
 a**2 = -1/r per Fock slot, which is where the minus signs below come
-from.
+from.  The currents are an AlgebraSpec: the generator check, the integer
+pair matrix and the commutativity scan are the algebra layer's.
 """
 
 from __future__ import annotations
@@ -20,20 +21,18 @@ from fractions import Fraction
 
 from . import _linalg
 from ._record import Record
-from .algebra import AlgebraSpec, CommutativityVerdict
+from .algebra import AlgebraSpec, CommutativityVerdict, commutativity_witnesses
 from .cartan import (
     CartanDatum,
     ExponentModL,
     Weight,
     build_cartan_datum,
     in_root_lattice,
-    in_simple_current_lattice,
-    is_multiple,
     pairing,
 )
-from .errors import NonADESeries, NotInSimpleCurrentLattice, NotLocal, OddEll
+from .errors import NonADESeries, NotLocal, OddEll
 from .lattice import RationalLattice, canonical_basis
-from .localmod import LocalReport, local_report, twist_exponent
+from .localmod import LocalReport, local_report, monodromy_exponent, twist_exponent
 
 
 class TripletReport(Record):
@@ -59,8 +58,7 @@ def triplet_report(series: str, rank: int, r: int) -> TripletReport:
     if series not in ("A", "D", "E"):
         raise NonADESeries(f"triplet extension needs series A, D or E, got {series!r}")
     datum = build_cartan_datum(series, rank, 2 * r)
-    gens = [r * alpha for alpha in datum.simple_roots]
-    spec = AlgebraSpec(datum, gens)
+    spec = AlgebraSpec(datum, [r * alpha for alpha in datum.simple_roots])
     report = local_report(spec)
     expected = _linalg.det_int([list(row) for row in datum.cartan]) * r ** datum.rank
     return TripletReport(
@@ -100,7 +98,7 @@ def weight_lattice_scaled(datum: CartanDatum, factor: int) -> RationalLattice:
 
 
 class BqSpec:
-    """Heisenberg-augmented extension data: even order, a lattice, and a**2."""
+    """Augmented extension data: even order, the currents' AlgebraSpec, and a**2."""
 
     def __init__(self, datum: CartanDatum, generators=None, a_squared=None):
         if datum.ell % 2:
@@ -108,20 +106,15 @@ class BqSpec:
         self.datum = datum
         if generators is None:
             generators = [datum.r * datum.fundamental_weight(i) for i in range(datum.rank)]
-        self.generators = tuple(generators)
-        for g in self.generators:
-            if not in_simple_current_lattice(datum, g):
-                raise NotInSimpleCurrentLattice(
-                    f"generator {g!r} is outside the simple-current lattice"
-                )
-        self.lattice = canonical_basis(datum, self.generators)
-        self.a_squared = (
-            Fraction(-1, datum.r) if a_squared is None else Fraction(a_squared)
-        )
+        self.algebra = AlgebraSpec(datum, generators)
+        self.generators = self.algebra.generators
+        self.lattice = self.algebra.lattice
+        special = Fraction(-1, datum.r)
+        self.a_squared = special if a_squared is None else Fraction(a_squared)
         # Whether the lattice equals r times the full weight lattice.
-        self.is_full_weight_lattice = self.lattice == weight_lattice_scaled(
-            datum, datum.r
-        )
+        self.is_full_weight_lattice = self.lattice == weight_lattice_scaled(datum, datum.r)
+        # Whether the locality formula of bq_is_local applies.
+        self.is_standard = self.is_full_weight_lattice and self.a_squared == special
 
 
 def bq_check_commutative(spec: BqSpec) -> bool:
@@ -129,29 +122,26 @@ def bq_check_commutative(spec: BqSpec) -> bool:
 
     With c = 1 + r * a**2 the conditions are c<g, g> in 2r*Z on each
     generator and c<g, h> in r*Z on distinct pairs; bilinearity then
-    covers the whole lattice.
+    covers the whole lattice.  As ell = 2r, they are the even algebra's
+    congruences, c<g, g> in ell*Z and 2c<g, h> in ell*Z, on the pair
+    matrix scaled by c.
     """
-    datum = spec.datum
-    r = datum.r
-    c = 1 + r * spec.a_squared
-    gens = spec.generators
-    for i, g in enumerate(gens):
-        if not is_multiple(c * pairing(datum, g, g), 2 * r):
-            return False
-        for h in gens[i + 1 :]:
-            if not is_multiple(c * pairing(datum, g, h), r):
-                return False
-    return True
+    a2 = spec.a_squared
+    c = a2.denominator + spec.datum.r * a2.numerator  # c / a2.denominator = 1 + r * a**2
+    pairs, den = spec.algebra.pair_matrix
+    scaled = [[c * x for x in row] for row in pairs]
+    return not commutativity_witnesses(scaled, den * a2.denominator, spec.datum.ell, len(pairs))
 
 
 def bq_is_local(spec: BqSpec, w: ExtWeight) -> bool:
     """Locality of an induced current-Fock module over the r*P extension.
 
     With a**2 = -1/r the condition reduces to qg - fock_tilde lying in
-    the root lattice, tested by integrality of simple-root coordinates.
+    the root lattice.  Raises ValueError for another lattice or another
+    a**2, where the formula does not apply.
     """
-    if not spec.is_full_weight_lattice:
-        raise ValueError("the locality formula is specific to the lattice r*P")
+    if not spec.is_standard:
+        raise ValueError("the locality formula is specific to the lattice r*P and a**2 = -1/r")
     return in_root_lattice(spec.datum, w.qg - w.fock_tilde)
 
 
@@ -165,22 +155,21 @@ def bq_equivalent(spec: BqSpec, w: ExtWeight, other: ExtWeight) -> bool:
         if not bq_is_local(spec, candidate):
             raise NotLocal(f"{candidate!r} does not induce a local module")
     dq = other.qg - w.qg
-    df = other.fock_tilde - w.fock_tilde
-    if dq != df:
-        return False
-    return all(a % (spec.datum.r * dq.den) == 0 for a in dq.row)
+    step = spec.datum.r * dq.den
+    return dq == other.fock_tilde - w.fock_tilde and all(a % step == 0 for a in dq.row)
 
 
 def bq_monodromy_exponent(datum: CartanDatum, w: ExtWeight, other: ExtWeight) -> ExponentModL:
-    """Double-braiding exponent 2<qg, qg'> - 2<t, t'> mod 2r.
+    """Double-braiding exponent 2<qg, qg'> - 2<t, t'> mod ell = 2r.
 
     The Fock slots contribute 2r<a t, a t'> = -2<t, t'> after the
     substitution a**2 = -1/r.
     """
-    val = 2 * pairing(datum, w.qg, other.qg) - 2 * pairing(
+    if datum.ell % 2:
+        raise OddEll("the augmented monodromy needs ell = 2r even")
+    return monodromy_exponent(datum, w.qg, other.qg) - monodromy_exponent(
         datum, w.fock_tilde, other.fock_tilde
     )
-    return ExponentModL(val, 2 * datum.r)
 
 
 def bq_twist_exponent(datum: CartanDatum, w: ExtWeight) -> ExponentModL:

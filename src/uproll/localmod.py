@@ -35,7 +35,6 @@ from .cartan import (
     ExponentModL,
     Weight,
     bilinear,
-    is_multiple,
     pairing,
     scaled_coords,
 )
@@ -101,21 +100,22 @@ def check_ribbon(spec: AlgebraSpec) -> RibbonVerdict:
     """Sufficient ribbon test on generators.
 
     Reports "ribbon" when 2(1-r)<g, rho> lies in ell*Z for every even
-    generator and, for a superalgebra, 2(1-r)<mu, rho> lies in (ell/2)*Z.
-    Anything else is "inconclusive": the test cannot certify a negative.
+    generator; anything else is "inconclusive": the test cannot certify a
+    negative.  The odd generator's condition, 2(1-r)<mu, rho> in (ell/2)*Z,
+    always holds: mu = (ell/2) x with x integral, and <omega_i, 2 rho>, the
+    sum of c_i(alpha) d_i over positive roots alpha = sum c_j(alpha) alpha_j,
+    is an integer, so 2(1-r)<mu, rho> = (1-r)(ell/2)<x, 2 rho>.
     """
     _require_valid(spec)
     datum = spec.datum
     factor = 2 * (1 - datum.r)
     bad = []
     for i, g in enumerate(spec.generators):
-        val = factor * pairing(datum, g, datum.rho)
-        if not is_multiple(val, datum.ell):
-            bad.append(("generator", i, val))
-    if spec.mu is not None:
-        val = factor * pairing(datum, spec.mu, datum.rho)
-        if not is_multiple(val, Fraction(datum.ell, 2)):
-            bad.append(("odd", len(spec.generators), val))
+        x, den = scaled_coords(datum, g)
+        val = factor * bilinear(datum.scaled_gram, x, datum.rho.row)
+        den *= datum.gram_denominator
+        if val % (datum.ell * den):
+            bad.append(("generator", i, Fraction(val, den)))
     return RibbonVerdict("inconclusive" if bad else "ribbon", tuple(bad))
 
 
