@@ -1,11 +1,11 @@
 """Small exact linear-algebra kernels.
 
 Integer Hermite and Smith normal forms with plain bignum arithmetic (no
-modular shortcuts), an integer determinant, and fraction-free
-Gauss-Jordan elimination: mat_inverse returns the integer pair
-(adjugate, determinant), and combination_in_rows solves over the
-integers, forming a Fraction only for its results.  Everything here
-works on lists of lists and is sized for rank <= 8 problems.
+modular shortcuts), an integer determinant, the leading principal
+minors, and fraction-free Gauss-Jordan elimination: mat_inverse returns
+the integer pair (adjugate, determinant), and combination_in_rows solves
+over the integers, forming a Fraction only for its results.  Everything
+here works on lists of lists and is sized for rank <= 8 problems.
 """
 
 from __future__ import annotations
@@ -175,6 +175,25 @@ def det_int(mat) -> int:
                 a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
         prev = a[k][k]
     return sign * a[-1][-1]
+
+
+def leading_minors(mat) -> list[int]:
+    """The leading principal minors of a square integer matrix, in order,
+    up to and including the first that is not positive.  They are the
+    pivots of one fraction-free elimination (Bareiss) without row
+    exchanges; every division is by an earlier, positive pivot and exact."""
+    a = [list(r) for r in mat]
+    minors, prev = [], 1
+    for k, row in enumerate(a):
+        p = row[k]
+        minors.append(p)
+        if p <= 0:
+            break
+        for i in range(k + 1, len(a)):
+            f = a[i][k]
+            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
+        prev = p
+    return minors
 
 
 def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:

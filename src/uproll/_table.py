@@ -1,7 +1,11 @@
 """Dense storage for structure-constant tables: integer rows over one
 denominator, indexed by the box vectors in lexicographic order.  The table
 operations in uproll.algebra work on these rows; ExponentModL values
-appear only through the mapping view TableEntries."""
+appear only through the mapping view TableEntries.
+
+The cocycle identities are decided here too: the gauge recursion that
+builds a table's cochain, the split certificate that proves them in one
+pass over the pairs, and the scans that run when it does not apply."""
 
 from __future__ import annotations
 
@@ -9,7 +13,8 @@ from collections.abc import MutableMapping
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import gcd
+from math import gcd, lcm
+from operator import mul
 
 from ._record import Record
 from .algebra import check_box_budget
@@ -45,6 +50,21 @@ class Grid:
             for i, v1 in enumerate(self.vecs)
         ]
 
+    @cached_property
+    def units(self) -> list[int]:
+        """The positions of the unit vectors, one per axis; none at box 0."""
+        if not self.box:
+            return []
+        return [self.zero + (2 * self.box + 1) ** t for t in reversed(range(self.dimension))]
+
+    @cached_property
+    def doubled(self) -> tuple[list[int], int]:
+        """Positions in the doubled box [-2 box, 2 box]^dimension, which
+        holds every sum of two box vectors: (at, zero) with the sum of the
+        i-th and j-th box vectors at zero + at[i] + at[j]."""
+        radix = [(4 * self.box + 1) ** t for t in reversed(range(self.dimension))]
+        return self.dots(radix), 2 * self.box * sum(radix)
+
     def dots(self, w) -> list[int]:
         """The integers w.m for every vector m of the box, in order."""
         row = [0]
@@ -52,6 +72,12 @@ class Grid:
             steps = [x * c for c in self.span]
             row = [y + s for y in row for s in steps]
         return row
+
+    def forms(self, matrix):
+        """For each vector a of the box in order, the integers a.matrix.m
+        for every vector m of the box, in order."""
+        cols = list(zip(*matrix))
+        return (self.dots([sum(map(mul, a, col)) for col in cols]) for a in self.vecs)
 
 
 class TableEntries(MutableMapping):
@@ -162,3 +188,122 @@ class CocycleTable(Record):
             if c:
                 total = total + c * g
         return total
+
+
+def gauge_cochain(grid: Grid, e) -> list[int]:
+    """The cochain f of algebra.gauge_normalize's recursion on integer rows
+    e: zero at 0 and on each generator, and built so that e(a, b) +
+    f(a + b) - f(a) - f(b) vanishes on the pairs (n g_i, g_i) and on
+    (v - t, t) for t the last nonzero component of v."""
+    vecs, zero = grid.vecs, grid.zero
+    f = [None] * len(vecs)
+    f[zero] = 0
+    for one in grid.units:
+        step = one - zero
+        f[one] = 0
+        for pos in range(one, zero + grid.box * step, step):
+            f[pos + step] = f[pos] - e[pos][one]
+        for pos in range(zero - step, zero - grid.box * step - 1, -step):
+            f[pos] = f[pos + step] + e[pos][one]
+    steps = [one - zero for one in grid.units]
+    # Fewer nonzero components first, so each head is known before its vector.
+    for pos in sorted(range(len(vecs)), key=lambda i: len(vecs[i]) - vecs[i].count(0)):
+        if f[pos] is None:
+            vec = vecs[pos]
+            k = max(i for i, c in enumerate(vec) if c)
+            tail = zero + vec[k] * steps[k]
+            head = pos + zero - tail
+            f[pos] = f[head] + f[tail] - e[head][tail]
+    return f
+
+
+# The split certificate.  Modulo den * ell, let B be the strictly lower form
+# with B(g_i, g_k) = e(g_i, g_k) - e(g_k, g_i) for i > k and phi = -f the
+# gauge cochain.  If h(a, b) = e(a, b) - B(a, b) + phi(a) + phi(b) depends
+# only on a + b for every pair of box vectors, as psi(a + b), with psi = phi
+# on the box, then e = B + psi(a + b) - phi(a) - phi(b), and:
+# - the unit rows are e(a, 0) = -phi(0) = 0;
+# - in each associativity defect on a triple the scan reads, the B terms
+#   cancel by bilinearity, the phi terms cancel, and psi(a + b + c), also
+#   where a + b + c leaves the box, enters both sides;
+# - e(a, b) - e(b, a) = B(a, b) - B(b, a), so the commutation defect is
+#   bilinear and vanishes on the box iff it does on the unit pairs.
+# Every pair counts: e(a + b, c) is read where a + b + c leaves the box.
+# A fail proves nothing, and the scans decide.
+def split_certificate(entries: TableEntries) -> bool:
+    """Whether the table is a bilinear form plus a coboundary on every pair
+    of the box (see the comment above)."""
+    grid, rows, mod = entries.grid, entries.rows, entries.den * entries.ell
+    f = gauge_cochain(grid, rows)
+    # B's matrix is empty at box 0, where the only vector is zero.
+    units = grid.units
+    lower = [[rows[ui][uk] - rows[uk][ui] if i > k else 0 for k, uk in enumerate(units)]
+             for i, ui in enumerate(units)]
+    # A sum's position in the doubled box, which every sum reaches, and h
+    # modulo den * ell make one int; a map of sums has one int per sum.
+    at, zero = grid.doubled
+    keys = [mod * (zero + t) for t in at]
+    seen = {k + -x % mod for k, x in zip(keys, f)}
+    for fa, t, row, form in zip(f, at, rows, grid.forms(lower)):
+        shift = mod * t
+        seen.update([(x - y - fa - fb) % mod + k + shift for x, y, fb, k in zip(row, form, f, keys)])
+    return len(seen) == (4 * grid.box + 1) ** grid.dimension
+
+
+def scan_structure(entries: TableEntries) -> tuple | None:
+    """The first failure of the unit rows, then of associativity, in
+    lexicographic order (see algebra.cocycle_check)."""
+    grid, e, mod = entries.grid, entries.rows, entries.den * entries.ell
+    vecs, in_box, z = grid.vecs, grid.pairs, grid.zero
+    # The generator expression binds its hoisted rows with "for x in
+    # [value]", which Python compiles to a plain assignment.
+    return next(
+        (("unit", v) for i, v in enumerate(vecs) if e[i][z] % mod or e[z][i] % mod), None
+    ) or next(
+        (
+            ("associativity", vecs[i1], vecs[i2], vecs[i3])
+            for i1, (e1, row) in enumerate(zip(e, in_box))
+            for i2, i12 in row
+            for e2, e12, e1_2 in [(e[i2], e[i12], e1[i2])]
+            for i3, i23 in in_box[i2]
+            if (e12[i3] + e1_2 - e1[i23] - e2[i3]) % mod
+        ),
+        None,
+    )
+
+
+def scan_commutation(entries: TableEntries, pairs, p: int) -> tuple | None:
+    """The first pair, in lexicographic order, failing the commutation
+    relation, with <g_i, g_k> = pairs[i][k] / p."""
+    grid = entries.grid
+    vecs, den = grid.vecs, lcm(p, entries.den)
+    up, scale, mod = den // entries.den, den // p, den * entries.ell
+    e = [[x * up for x in row] for row in entries.rows] if up > 1 else entries.rows
+    scaled = [[scale * x for x in row] for row in pairs]
+    return next(
+        (
+            ("commutativity", v1, vecs[i2])
+            for i1, (v1, e1, pair_row) in enumerate(zip(vecs, e, grid.forms(scaled)))
+            for i2, (x, e2, c) in enumerate(zip(e1, e, pair_row))
+            if (x - e2[i1] - c) % mod
+        ),
+        None,
+    )
+
+
+def violations(entries: TableEntries, pairs, p: int) -> tuple[tuple | None, tuple | None]:
+    """cocycle_check's first structure and first commutation violation,
+    None for each that holds; the certificate spares what it proves."""
+    entries.require(product(range(len(entries.grid.vecs)), repeat=2))
+    if not split_certificate(entries):
+        return scan_structure(entries), scan_commutation(entries, pairs, p)
+    # The commutation defect is now bilinear, so the unit pairs decide it.
+    rows, units, den = entries.rows, entries.grid.units, lcm(p, entries.den)
+    up, scale, mod = den // entries.den, den // p, den * entries.ell
+    if all(
+        ((rows[ui][uk] - rows[uk][ui]) * up - scale * pairs[i][k]) % mod == 0
+        for i, ui in enumerate(units)
+        for k, uk in enumerate(units)
+    ):
+        return None, None
+    return None, scan_commutation(entries, pairs, p)

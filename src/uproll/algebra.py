@@ -31,7 +31,6 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import lcm
-from operator import mul
 from typing import TYPE_CHECKING
 
 from . import _linalg
@@ -284,8 +283,7 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     from ._table import CocycleTable, Grid, TableEntries
 
     grid = Grid(len(spec.ordered_basis), box)
-    cols = list(zip(*spec._lower_pairs))
-    rows = [grid.dots([sum(map(mul, n, col)) for col in cols]) for n in grid.vecs]
+    rows = list(grid.forms(spec._lower_pairs))
     entries = TableEntries(grid, spec.datum.ell, rows, spec.pair_matrix[1])
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
@@ -297,60 +295,33 @@ class CocycleVerdict(Record):
 
 
 def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
-    """Verify the algebra-object congruences on all in-box triples.
+    """Verify the algebra-object congruences of a table on its box.
 
-    Checks associativity e(a+b, c) + e(a, b) = e(a, b+c) + e(b, c), the
-    unit rows e(a, 0) = e(0, a) = 0, and the ungraded commutation
-    relation e(a, b) = e(b, a) + <a, b>, all modulo ell.  Validity means
-    associativity plus unit; the commutation relation is reported
-    separately (tables of supercommutative algebras fail it on odd-odd
-    pairs by the half-shift, which is the expected sign).
+    Checks the unit rows e(a, 0) = e(0, a) = 0, associativity
+    e(a+b, c) + e(a, b) = e(a, b+c) + e(b, c) on every triple of box
+    vectors with a+b and b+c in the box (a+b+c may leave it: e(a+b, c)
+    and e(a, b+c) are read all the same), and the ungraded commutation
+    relation e(a, b) = e(b, a) + <a, b> on every pair, all modulo ell.
+    Validity means unit plus associativity; the commutation relation is
+    reported separately (tables of supercommutative algebras fail it on
+    odd-odd pairs by the half-shift, which is the expected sign).
 
-    The table's integer rows and the pairings are brought over one common
-    denominator M and tested on integers modulo M * ell; a missing entry
+    The split certificate comes first: if the table is a bilinear form B
+    plus the coboundary of a cochain on every pair of the box, the unit
+    rows and associativity hold, and the commutation defect is bilinear,
+    so the unit pairs decide it.  Whatever it leaves open is scanned in
+    lexicographic order, which fixes first_violation.  A missing entry
     raises IncompleteTable, the first one in lexicographic order.
     """
+    from ._table import violations
+
     if datum.ell != table.ell:
         raise ValueError(f"table at order {table.ell} of q, datum at order {datum.ell}")
-    entries = table.entries
-    grid = entries.grid
-    vecs, in_box, z = grid.vecs, grid.pairs, grid.zero
-    entries.require(product(range(len(vecs)), repeat=2))
-    pairs, p = pairing_matrix(datum, table.generators)
-    den = lcm(p, entries.den)
-    up, scale, mod = den // entries.den, den // p, den * table.ell
-    e = [[x * up for x in row] for row in entries.rows] if up > 1 else entries.rows
-    cols = list(zip(*pairs))
-
-    # Each generator expression below binds its hoisted rows with
-    # "for x in [value]", which Python compiles to a plain assignment.
-    structure_violation = next(
-        (("unit", v) for i, v in enumerate(vecs) if e[i][z] % mod or e[z][i] % mod), None
-    ) or next(
-        (
-            ("associativity", vecs[i1], vecs[i2], vecs[i3])
-            for i1, (e1, row) in enumerate(zip(e, in_box))
-            for i2, i12 in row
-            for e2, e12, e1_2 in [(e[i2], e[i12], e1[i2])]
-            for i3, i23 in in_box[i2]
-            if (e12[i3] + e1_2 - e1[i23] - e2[i3]) % mod
-        ),
-        None,
-    )
-    commutative_violation = next(
-        (
-            ("commutativity", v1, vecs[i2])
-            for i1, (v1, e1) in enumerate(zip(vecs, e))
-            for pair_row in [grid.dots([scale * sum(map(mul, v1, col)) for col in cols])]
-            for i2, (x, e2, c) in enumerate(zip(e1, e, pair_row))
-            if (x - e2[i1] - c) % mod
-        ),
-        None,
-    )
+    structure, commutation = violations(table.entries, *pairing_matrix(datum, table.generators))
     return CocycleVerdict(
-        valid=structure_violation is None,
-        commutative=commutative_violation is None,
-        first_violation=structure_violation or commutative_violation,
+        valid=structure is None,
+        commutative=commutation is None,
+        first_violation=structure or commutation,
     )
 
 
@@ -379,10 +350,7 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
     den = lcm(entries.den, *(x.denominator for x in values))
     f = [x.numerator * (den // x.denominator) for x in values]
     up = den // entries.den
-    # Doubled-box positions are affine: v sits at zero + at(v), v1 + v2 at
-    # zero + at(v1) + at(v2).
-    radix = [(4 * box + 1) ** t for t in reversed(range(dims))]
-    at, zero = entries.grid.dots(radix), 2 * box * sum(radix)
+    at, zero = entries.grid.doubled
     f_box = [f[zero + a] for a in at]
     rows = [
         [x if x is None else x * up + f[zero + a + b] - fa - fb for x, b, fb in zip(row, at, f_box)]
@@ -409,43 +377,23 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     and by splitting off the last nonzero component for mixed vectors.
     The normalized table carries entries for every in-box pair whose sum
     stays in the box, and on those pairs it agrees with the normal form.
-    The recursion runs on the table's integer rows; phi is returned as a
-    dict of ExponentModL built at the end.
+    The recursion (uproll._table.gauge_cochain, which cocycle_check's
+    certificate shares) runs on the table's integer rows; phi is returned
+    as a dict of ExponentModL built at the end.
     """
-    from ._table import CocycleTable, TableEntries
+    from ._table import CocycleTable, TableEntries, gauge_cochain
 
     if spec.ordered_basis != table.generators:
         raise ValueError("table generators do not match the spec's ordered basis")
-    entries, box, dims, ell = table.entries, table.box, table.dimension, table.ell
+    entries, ell = table.entries, table.ell
     grid = entries.grid
-    vecs, index, in_box = grid.vecs, grid.index, grid.pairs
-    entries.require((i, j) for i, row in enumerate(in_box) for j, _ in row)
-    e = entries.rows
-    f = [None] * len(vecs)
-    f[grid.zero] = 0
-
-    def at(i: int, n: int) -> int:
-        return index[(0,) * i + (n,) + (0,) * (dims - i - 1)]
-
-    for i in range(dims if box else 0):
-        one = at(i, 1)
-        f[one] = 0
-        for n in range(2, box + 1):
-            f[at(i, n)] = f[at(i, n - 1)] - e[at(i, n - 1)][one]
-        for n in range(-1, -box - 1, -1):
-            f[at(i, n)] = f[at(i, n + 1)] + e[at(i, n)][one]
-
-    # Fewer nonzero components first, so each head is known before its vector.
-    for vec in sorted(vecs, key=lambda v: len(v) - v.count(0)):
-        if f[pos := index[vec]] is None:
-            k = max(i for i, c in enumerate(vec) if c)
-            head, tail = index[vec[:k] + (0,) * (dims - k)], at(k, vec[k])
-            f[pos] = f[head] + f[tail] - e[head][tail]
-
+    entries.require((i, j) for i, row in enumerate(grid.pairs) for j, _ in row)
+    e, vecs = entries.rows, grid.vecs
+    f = gauge_cochain(grid, e)
     rows = [[None] * len(vecs) for _ in vecs]
-    for out, fa, row, pairs in zip(rows, f, e, in_box):
+    for out, fa, row, pairs in zip(rows, f, e, grid.pairs):
         for j, k in pairs:
             out[j] = row[j] + f[k] - fa - f[j]
     phi = {v: ExponentModL(Fraction(x, entries.den), ell) for v, x in zip(vecs, f)}
-    normalized = CocycleTable(table.generators, box, ell, TableEntries(grid, ell, rows, entries.den))
+    normalized = CocycleTable(table.generators, table.box, ell, TableEntries(grid, ell, rows, entries.den))
     return GaugeResult(phi, normalized)

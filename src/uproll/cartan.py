@@ -321,11 +321,10 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
     if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
         raise InternalError(f"symmetrized Cartan matrix of {series}{n} is asymmetric")
-    for k in range(1, n + 1):
-        if _linalg.det_int([row[:k] for row in b[:k]]) <= 0:
-            raise InternalError(
-                f"symmetrized Cartan matrix of {series}{n} is not positive definite"
-            )
+    if _linalg.leading_minors(b)[-1] <= 0:
+        raise InternalError(
+            f"symmetrized Cartan matrix of {series}{n} is not positive definite"
+        )
     # G = D (D A)^-1 D = D adj(D A) D / det(D A), reduced by the common gcd.
     adj, det = _linalg.mat_inverse(b)
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]

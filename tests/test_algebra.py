@@ -10,10 +10,11 @@ from hypothesis import strategies as st
 
 import uproll._table
 import uproll.algebra
-from helpers import draw_commutativity_specs
+from helpers import draw_commutativity_specs, draw_super_specs
 from uproll import (
     AlgebraSpec,
     CocycleTable,
+    CocycleVerdict,
     ExponentModL,
     Weight,
     apply_coboundary,
@@ -423,6 +424,82 @@ def test_cocycle_check_matches_a_fraction_scan_on_perturbed_tables(name, spec):
         assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
             table, spec.datum
         )
+
+
+def certified_table(spec, box, kind, rng):
+    """A table that is a cocycle by construction: the normal form, twisted
+    by a coboundary with fractional cochain values, or with bilinear forms
+    k n_i m_j added."""
+    table = structure_constant_table(spec, box)
+    ell, dims = table.ell, table.dimension
+    if kind == "coboundary":
+        cochain = {
+            vec: exponent(Fraction(rng.randrange(4 * ell), rng.randint(1, 4)) if any(vec) else 0, ell)
+            for vec in product(range(-2 * box, 2 * box + 1), repeat=dims)
+        }
+        table = apply_coboundary(table, cochain)
+    elif kind == "bilinear" and dims:
+        for _ in range(rng.randint(1, 3)):
+            i, j = rng.randrange(dims), rng.randrange(dims)
+            k = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+            for (n, m), e in table.entries.items():
+                table.entries[(n, m)] = e + exponent(k * n[i] * m[j], ell)
+    return table
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    box=st.integers(0, 2),
+    family=st.sampled_from(["even", "super", "unit"]),
+    kind=st.sampled_from(["normal", "coboundary", "bilinear"]),
+    perturb=st.booleans(),
+)
+def test_certificate_path_agrees_with_the_scan(seed, box, family, kind, perturb):
+    specs = draw_commutativity_specs(seed, 1)
+    if family == "super":
+        specs = draw_super_specs(specs) or specs
+    elif family == "unit":
+        specs = [AlgebraSpec(specs[0].datum, ())]
+    (spec,) = specs
+    # The Fraction reference scan is cubic in the box size.
+    box = min(box, 1) if len(spec.ordered_basis) > 2 else box
+    rng = random.Random(seed)
+    table = certified_table(spec, box, kind, rng)
+    assert uproll._table.split_certificate(table.entries)
+    if perturb:
+        key = rng.choice(sorted(table.entries))
+        shift = rng.choice([1, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])
+        table.entries[key] = table.entries[key] + exponent(shift, table.ell)
+    verdict = cocycle_check(table, spec.datum)
+    assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
+        table, spec.datum
+    )
+
+
+class ScanReached(Exception):
+    pass
+
+
+def test_certified_tables_skip_both_scans(monkeypatch):
+    def refuse(name):
+        def scan(*args):
+            raise ScanReached(name)
+
+        return scan
+
+    monkeypatch.setattr(uproll._table, "scan_structure", refuse("structure"))
+    monkeypatch.setattr(uproll._table, "scan_commutation", refuse("commutation"))
+    table = structure_constant_table(three_q_spec(), 3)
+    assert cocycle_check(table, A2_6) == CocycleVerdict(True, True, None)
+    twisted = apply_coboundary(table, random_cochain(random.Random(3), 2, 3, 6))
+    assert cocycle_check(twisted, A2_6) == CocycleVerdict(True, True, None)
+    perturbed = perturbed_table(three_q_spec(), 0)
+    with pytest.raises(ScanReached, match="structure"):
+        cocycle_check(perturbed, A2_6)
+    # The super table is a cocycle, so only the commutation scan runs.
+    with pytest.raises(ScanReached, match="commutation"):
+        cocycle_check(structure_constant_table(super_spec(), 2), A1_4)
 
 
 def test_table_budget_is_checked_before_building():

@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uproll.cartan
 from helpers import ALL_TYPES, random_weight, sympy_form, sympy_gram
 from uproll import (
     ExponentModL,
@@ -18,7 +19,7 @@ from uproll import (
     weight,
 )
 from uproll.cartan import MAX_RANK, bilinear
-from uproll.errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
+from uproll.errors import DimensionMismatch, HypothesisViolated, InternalError, InvalidSeriesRank
 
 # a valid order of the root of unity for each type used in table tests
 DATA = [
@@ -56,6 +57,11 @@ class TestBuildCartanDatum:
             (Fraction(2, 3), Fraction(1, 3)),
             (Fraction(1, 3), Fraction(2, 3)),
         )
+
+    def test_indefinite_symmetrized_matrix_is_an_internal_error(self, monkeypatch):
+        monkeypatch.setattr(uproll.cartan, "_series_data", lambda s, n: ([[2, -3], [-3, 2]], (1, 1)))
+        with pytest.raises(InternalError, match="symmetrized Cartan matrix of A2 is not positive definite"):
+            build_cartan_datum("A", 2, 7)
 
     def test_ell_below_three_rejected(self):
         with pytest.raises(HypothesisViolated):

@@ -7,9 +7,12 @@ from hypothesis import strategies as st
 from sympy import Matrix
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 
+from helpers import ALL_TYPES
+from uproll import build_cartan_datum
 from uproll._linalg import (
     combination_in_rows,
     det_int,
+    leading_minors,
     mat_inverse,
     row_hermite_form,
     smith_normal_form,
@@ -244,6 +247,44 @@ class TestEliminationAgainstSympy:
             return
         expected = [Fraction(int(x.p), int(x.q)) for x in solution]
         assert combination_in_rows(rows, target) == expected
+
+
+def sympy_minors_to_first_nonpositive(mat) -> list[int]:
+    ref, out = Matrix(mat), []
+    for k in range(1, ref.rows + 1):
+        out.append(int(ref[:k, :k].det()))
+        if out[-1] <= 0:
+            break
+    return out
+
+
+@pytest.mark.parametrize("series,rank", ALL_TYPES)
+def test_leading_minors_of_every_symmetrized_cartan_matrix(series, rank):
+    datum = build_cartan_datum(series, rank, 7)
+    b = [[d * x for x in row] for d, row in zip(datum.symmetrizers, datum.cartan)]
+    minors = leading_minors(b)
+    assert minors == sympy_minors_to_first_nonpositive(b)
+    assert len(minors) == rank and min(minors) > 0
+
+
+def test_leading_minors_stop_at_the_first_nonpositive_one():
+    rng = random.Random(31)
+    # Random draws seldom give a zero minor after a positive one.
+    cases = [[[2, 2, 1], [2, 2, 0], [1, 0, 3]], [[4, 2, 0, 1], [2, 5, 4, 0], [0, 4, 4, 1], [1, 0, 1, 9]]]
+    for _ in range(300):
+        n = rng.randint(1, 8)
+        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
+        # A diagonal lift of the first k entries makes the first minors
+        # positive, so the elimination runs some steps before it stops.
+        k = rng.randint(0, n)
+        cases.append([[a[i][j] + a[j][i] + 40 * (i == j < k) for j in range(n)] for i in range(n)])
+    stops = set()
+    for sym in cases:
+        minors = leading_minors(sym)
+        assert minors == sympy_minors_to_first_nonpositive(sym)
+        if minors[-1] <= 0:
+            stops.add((len(minors) > 1, minors[-1] == 0))
+    assert stops == {(False, False), (False, True), (True, False), (True, True)}
 
 
 def combination_is_degenerate(rows):
