@@ -196,16 +196,15 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
     f(a + b) - f(a) - f(b) vanishes on the pairs (n g_i, g_i) and on
     (v - t, t) for t the last nonzero component of v."""
     vecs, zero = grid.vecs, grid.zero
+    steps = [one - zero for one in grid.units]
     f = [None] * len(vecs)
     f[zero] = 0
-    for one in grid.units:
-        step = one - zero
+    for one, step in zip(grid.units, steps):
         f[one] = 0
         for pos in range(one, zero + grid.box * step, step):
             f[pos + step] = f[pos] - e[pos][one]
         for pos in range(zero - step, zero - grid.box * step - 1, -step):
             f[pos] = f[pos + step] + e[pos][one]
-    steps = [one - zero for one in grid.units]
     # Fewer nonzero components first, so each head is known before its vector.
     for pos in sorted(range(len(vecs)), key=lambda i: len(vecs[i]) - vecs[i].count(0)):
         if f[pos] is None:
