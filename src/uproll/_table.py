@@ -137,6 +137,8 @@ class TableEntries(MutableMapping):
 
     def require(self, positions) -> None:
         """Raise IncompleteTable naming the first (i, j) in positions with no entry."""
+        if not any(None in row for row in self.rows):
+            return
         for i, j in positions:
             if self.rows[i][j] is None:
                 raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")

@@ -10,7 +10,8 @@ Simple root j then has omega-coordinates equal to column j of A, and the
 contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
-divides det(D A)); the form is evaluated by the integer kernel bilinear()
+divides det(D A)), computed once per Dynkin type since it does not depend
+on ell; the form is evaluated by the integer kernel bilinear()
 on the weights' integer rows.  pairing_matrix and in_root_lattice stay on
 those integers; pairing and alpha_coordinates form a Fraction for each
 result.
@@ -23,6 +24,7 @@ kept, as rationals compared modulo ell.
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import cache
 from math import gcd, lcm
 from operator import add, mul
 
@@ -48,6 +50,21 @@ def _frac(x) -> Fraction:
     raise TypeError(f"expected a rational, got {type(x).__name__}")
 
 
+def _ratio(x) -> tuple[int, int]:
+    """x as integers (p, q), q > 0, with x = p / q.  A str of the form
+    -?[0-9]+ or -?[0-9]+/[0-9]+ with ASCII digits is read directly; anything
+    else goes through Fraction, with its syntax and its exceptions."""
+    if type(x) is int:
+        return x, 1
+    if type(x) is str and x.isascii():
+        num, slash, den = x.partition("/")
+        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
+            if q := int(den or 1):
+                return int(num), q
+    x = _frac(x)
+    return x.numerator, x.denominator
+
+
 def is_integer(x) -> bool:
     """True when the rational x is an integer."""
     return _frac(x).denominator == 1
@@ -71,9 +88,9 @@ class Weight(Record):
     def __init__(self, coords, den: int = 1):
         if den < 1:
             raise ValueError(f"weight denominator must be positive, got {den}")
-        coords = [c if type(c) is int else _frac(c) for c in coords]
-        scale = lcm(1, *(c.denominator for c in coords))
-        w = Weight.over([c.numerator * (scale // c.denominator) for c in coords], den * scale)
+        pairs = list(map(_ratio, coords))
+        scale = lcm(1, *(q for _, q in pairs))
+        w = Weight.over([p * (scale // q) for p, q in pairs], den * scale)
         object.__setattr__(self, "row", w.row)
         object.__setattr__(self, "den", w.den)
 
@@ -129,9 +146,8 @@ class Weight(Record):
         return Weight.over([-a for a in self.row], self.den)
 
     def __mul__(self, k) -> "Weight":
-        if type(k) is not int:
-            k = _frac(k)
-        return Weight.over([a * k.numerator for a in self.row], self.den * k.denominator)
+        p, q = _ratio(k)
+        return Weight.over([a * p for a in self.row], self.den * q)
 
     __rmul__ = __mul__
 
@@ -222,7 +238,9 @@ def exponent(value, ell: int) -> ExponentModL:
 
 def _diagram(n: int, edges) -> list[list[int]]:
     """The simply-laced Cartan matrix of n nodes joined by the given edges."""
-    a = [[2 * (i == j) for j in range(n)] for i in range(n)]
+    a = [[0] * n for _ in range(n)]
+    for i in range(n):
+        a[i][i] = 2
     for i, j in edges:
         a[i][j] = a[j][i] = -1
     return a
@@ -234,16 +252,6 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
         raise InvalidSeriesRank(f"rank must be positive, got {n}")
     if n > MAX_RANK:
         raise InvalidSeriesRank(f"rank {n} exceeds the largest supported rank {MAX_RANK}")
-    # B, C and F double one bond of the chain A_n.
-    a = _diagram(n, [(i, i + 1) for i in range(n - 1)])
-    if series == "A" or series in ("B", "C") and n == 1:
-        return a, (1,) * n
-    if series == "B":
-        a[n - 1][n - 2] = -2
-        return a, (2,) * (n - 1) + (1,)
-    if series == "C":
-        a[n - 2][n - 1] = -2
-        return a, (1,) * (n - 1) + (2,)
     if series == "D":
         if n < 3:
             raise InvalidSeriesRank(f"series D needs rank >= 3, got {n}")
@@ -252,16 +260,26 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
         if n not in (6, 7, 8):
             raise InvalidSeriesRank(f"series E needs rank 6, 7 or 8, got {n}")
         return _diagram(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]), (1,) * n
-    if series == "F":
-        if n != 4:
-            raise InvalidSeriesRank(f"series F needs rank 4, got {n}")
-        a[2][1] = -2
-        return a, (2, 2, 1, 1)
     if series == "G":
         if n != 2:
             raise InvalidSeriesRank(f"series G needs rank 2, got {n}")
         return [[2, -3], [-1, 2]], (1, 3)
-    raise InvalidSeriesRank(f"unknown series {series!r}")
+    if series not in ("A", "B", "C", "F"):
+        raise InvalidSeriesRank(f"unknown series {series!r}")
+    if series == "F" and n != 4:
+        raise InvalidSeriesRank(f"series F needs rank 4, got {n}")
+    # B, C and F double one bond of the chain A_n.
+    a = _diagram(n, [(i, i + 1) for i in range(n - 1)])
+    if series == "A" or n == 1:
+        return a, (1,) * n
+    if series == "B":
+        a[n - 1][n - 2] = -2
+        return a, (2,) * (n - 1) + (1,)
+    if series == "C":
+        a[n - 2][n - 1] = -2
+        return a, (1,) * (n - 1) + (2,)
+    a[2][1] = -2
+    return a, (2, 2, 1, 1)
 
 
 class CartanDatum(Record):
@@ -299,24 +317,12 @@ class CartanDatum(Record):
         return tuple(self.simple_root(i) for i in range(self.rank))
 
 
-def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
-    """Assemble the exact constants for (series, rank) at order ell.
-
-    Raises InvalidSeriesRank for an unknown Dynkin type and
-    HypothesisViolated when ell < 3 or when r = 2*ell / (3 + (-1)**ell)
-    fails to exceed every gcd(d_i, r).
-    """
-    series = str(series).upper()
-    cartan, d = _series_data(series, int(rank))
-    ell = int(ell)
-    if ell < 3:
-        raise HypothesisViolated(f"need ell >= 3, got {ell}")
-    r = ell if ell % 2 else ell // 2
-    g = [gcd(di, r) for di in d]
-    if r <= max(g):
-        raise HypothesisViolated(
-            f"need r > max gcd(d_i, r): r={r}, gcds={tuple(g)}"
-        )
+@cache
+def _type_table(series: str, rank: int):
+    """The constants of the type (series, rank) that do not depend on ell,
+    as tuples (cartan, symmetrizers, scaled_gram, gram_denominator); each
+    type is checked and its Gram matrix inverted once per process."""
+    cartan, d = _series_data(series, rank)
     n = len(d)
     b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
     if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
@@ -329,17 +335,39 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     adj, det = _linalg.mat_inverse(b)
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
     common = gcd(det, *(x for row in scaled for x in row))
+    return (
+        tuple(map(tuple, cartan)),
+        tuple(d),
+        tuple(tuple(x // common for x in row) for row in scaled),
+        det // common,
+    )
+
+
+def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
+    """Assemble the exact constants for (series, rank) at order ell.
+
+    Raises InvalidSeriesRank for an unknown Dynkin type and
+    HypothesisViolated when ell < 3 or when r = 2*ell / (3 + (-1)**ell)
+    fails to exceed every gcd(d_i, r).  The ell-free constants come from
+    _type_table, which a refused type or ell never reaches.
+    """
+    series = str(series).upper()
+    _, d = _series_data(series, int(rank))
+    ell = int(ell)
+    if ell < 3:
+        raise HypothesisViolated(f"need ell >= 3, got {ell}")
+    r = ell if ell % 2 else ell // 2
+    g = [gcd(di, r) for di in d]
+    if r <= max(g):
+        raise HypothesisViolated(
+            f"need r > max gcd(d_i, r): r={r}, gcds={tuple(g)}"
+        )
+    n = len(d)
+    cartan, d, scaled_gram, gram_denominator = _type_table(series, n)
+    # Positional, in field order: a datum is built per spec.
     return CartanDatum(
-        series=series,
-        rank=n,
-        ell=ell,
-        cartan=tuple(tuple(row) for row in cartan),
-        symmetrizers=tuple(d),
-        r=r,
-        r_i=tuple(r // gi for gi in g),
-        scaled_gram=tuple(tuple(x // common for x in row) for row in scaled),
-        gram_denominator=det // common,
-        rho=Weight.over((1,) * n, 1),
+        series, n, ell, cartan, d, r, tuple(r // gi for gi in g),
+        scaled_gram, gram_denominator, Weight.over((1,) * n, 1),
     )
 
 

@@ -207,6 +207,8 @@ def quotient_census(
     lexicographically smallest non-negative coefficient vectors in the
     Smith-adapted dual basis; a finite quotient of order above
     MAX_CENSUS_ORDER raises BudgetExceeded before the Smith form is taken.
+    An infinite quotient gets its invariant factors alone, modulo the order
+    of its torsion part.
     """
     for i, h in enumerate(lattice.hnf):
         if not in_dual(datum, dual.source, h, lattice.denominator):
@@ -217,23 +219,21 @@ def quotient_census(
         # The quotient is the dual group itself, never finite at rank >= 1.
         return Census(False, (), None, None, dual.complement_dimension)
     change = _change_of_basis(dual.lattice_part, lattice)
-    if dual.complement_dimension == 0:
-        # The change of basis is square, and the order is its determinant.
-        order = abs(_linalg.det_int(change))
-        if order == 0:
-            raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
-        if order > MAX_CENSUS_ORDER:
-            raise BudgetExceeded(
-                f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
-            )
-    diag, vinv = _linalg.smith_normal_form(change)
-    if len(diag) != lattice.rank:
-        raise InternalError(
-            f"rank-{lattice.rank} lattice has {len(diag)} Smith diagonal entries"
-        )
-    factors = tuple(s for s in diag if s > 1)
+    # The change of basis is square, and its determinant is the order of
+    # the quotient of the dual's lattice part.
+    order = abs(_linalg.det_int(change))
+    if order == 0:
+        raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
     if dual.complement_dimension > 0:
+        # No transform is read, so the elimination runs modulo the order.
+        factors = tuple(s for s in _linalg.smith_diagonal_mod(change, order) if s > 1)
         return Census(False, factors, None, None, dual.complement_dimension)
+    if order > MAX_CENSUS_ORDER:
+        raise BudgetExceeded(
+            f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
+        )
+    diag, vinv = _linalg.smith_normal_form(change)
+    factors = tuple(s for s in diag if s > 1)
     from ._census import CensusReps
 
     # The Smith-adapted dual basis as integer rows over the dual's denominator.

@@ -315,6 +315,23 @@ class TestIncompleteTables:
         with pytest.raises(IncompleteTable):
             gauge_normalize(table, spec)
 
+    def test_gauge_normalize_names_the_first_missing_pair(self):
+        spec = three_q_spec()
+        table = structure_constant_table(spec, 2)
+        later, first = ((1, 0), (-1, 1)), ((0, 1), (1, -1))
+        del table.entries[later]
+        del table.entries[first]
+        with pytest.raises(IncompleteTable, match=re.escape(f"({first[0]}, {first[1]})")):
+            gauge_normalize(table, spec)
+
+    def test_gauge_normalize_ignores_pairs_that_leave_the_box(self):
+        # A normalized table has entries only where the sum stays in the box.
+        spec = three_q_spec()
+        normalized = gauge_normalize(structure_constant_table(spec, 2), spec).normalized
+        assert ((2, 0), (1, 0)) not in normalized.entries
+        again = gauge_normalize(normalized, spec).normalized
+        assert dict(again.entries.items()) == dict(normalized.entries.items())
+
     def test_coboundary_needs_the_doubled_box(self):
         spec = three_q_spec()
         table = structure_constant_table(spec, 1)

@@ -1,6 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
+from functools import cache
+from math import gcd, lcm
 
 import pytest
 from hypothesis import given, settings
@@ -59,6 +60,10 @@ class TestBuildCartanDatum:
         )
 
     def test_indefinite_symmetrized_matrix_is_an_internal_error(self, monkeypatch):
+        # The type table may already hold A2, so the patched data goes
+        # through an empty table of its own, dropped with the patch.
+        fresh = cache(uproll.cartan._type_table.__wrapped__)
+        monkeypatch.setattr(uproll.cartan, "_type_table", fresh)
         monkeypatch.setattr(uproll.cartan, "_series_data", lambda s, n: ([[2, -3], [-3, 2]], (1, 1)))
         with pytest.raises(InternalError, match="symmetrized Cartan matrix of A2 is not positive definite"):
             build_cartan_datum("A", 2, 7)
@@ -279,3 +284,39 @@ def test_rank_above_the_cap_is_refused():
     with pytest.raises(InvalidSeriesRank, match=str(MAX_RANK + 1)):
         build_cartan_datum("A", MAX_RANK + 1, 6)
     assert build_cartan_datum("A", MAX_RANK, 6).rank == MAX_RANK
+
+
+@pytest.mark.parametrize(
+    "series,rank", ALL_TYPES + [("A", MAX_RANK), ("B", MAX_RANK), ("D", MAX_RANK)]
+)
+def test_type_table_matches_a_direct_sympy_gram(series, rank):
+    import sympy
+
+    cartan, d = uproll.cartan._series_data(series, rank)
+    sym = sympy.diag(*d)
+    gram = sym * (sym * sympy.Matrix(cartan)).inv() * sym
+    n = lcm(*(int(x.q) for x in gram))
+    scaled = tuple(tuple(int(x * n) for x in gram.row(i)) for i in range(rank))
+    assert uproll.cartan._type_table(series, rank) == (
+        tuple(map(tuple, cartan)), tuple(d), scaled, n
+    )
+    datum = build_cartan_datum(series, rank, 7)
+    assert (datum.scaled_gram, datum.gram_denominator) == (scaled, n)
+
+
+@pytest.mark.parametrize(
+    "series,rank,ell",
+    [("Z", 1, 7), ("A", 0, 7), ("A", MAX_RANK + 1, 7), ("D", 2, 7), ("E", 5, 7),
+     ("A", 2, 2), ("G", 2, 6), ("B", 2, 4)],
+)
+def test_refused_types_and_orders_store_nothing(series, rank, ell, monkeypatch):
+    table = cache(uproll.cartan._type_table.__wrapped__)
+    monkeypatch.setattr(uproll.cartan, "_type_table", table)
+    with pytest.raises((InvalidSeriesRank, HypothesisViolated)):
+        build_cartan_datum(series, rank, ell)
+    assert table.cache_info().currsize == 0
+    build_cartan_datum("A", 2, 7)
+    build_cartan_datum("A", 2, 9)
+    with pytest.raises((InvalidSeriesRank, HypothesisViolated)):
+        build_cartan_datum(series, rank, ell)
+    assert table.cache_info().currsize == 1

@@ -134,6 +134,22 @@ class TestCensus:
         assert doc["finite"] is False
         assert doc["reps"] is None
 
+    def test_dense_infinite_census_ends_at_once(self, tmp_path, capsys):
+        # A rank-5 lattice in A6 whose full Smith form once ran for minutes.
+        lattice = [
+            ["-98", "-56", "-42", "-28", "-56", "0"], ["-84", "-112", "14", "-70", "-98", "70"],
+            ["-70", "-28", "-112", "0", "28", "-112"], ["126", "-98", "70", "-42", "-28", "-56"],
+            ["-84", "-112", "-42", "-112", "-84", "-98"],
+        ]
+        doc = {"series": "A", "rank": 6, "ell": 4, "lattice": lattice}
+        path = write_doc(tmp_path, "p.json", doc)
+        start = time.perf_counter()
+        code, doc = run_json(capsys, ["census", "--input", path])
+        assert time.perf_counter() - start < 1
+        assert code == 0
+        assert doc["invariant_factors"] == [14, 98, 98, 98, 34088968368]
+        assert doc["complement_dimension"] == 1
+
 
 class TestRationalRoundTrip:
     def test_twists_report_round_trips(self, tmp_path, capsys):

@@ -10,12 +10,14 @@ import io
 import json
 import random
 import sys
+import time
 from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from uproll import build_cartan_datum
 from uproll.cli import run
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
@@ -167,3 +169,34 @@ def invocation(draw):
 @given(case=invocation())
 def test_every_invocation_ends_in_a_documented_exit_code(case):
     assert invoke(*case) in EXIT_CODES
+
+
+# Dense lattices of rank below the datum's: the census is infinite, and its
+# Smith form once ran for minutes on such a lattice of rank 5 in A6.  The
+# rows are ell*N times integers up to 9, N the Gram denominator, so they
+# lie in the simple-current lattice and pair into ell*Z; no entry is zero.
+DENSE_TYPES = [("A", 4), ("A", 5), ("A", 6), ("D", 5), ("D", 6), ("E", 6)]
+DENSE_COMMANDS = ["census", "twists", "monodromy", "ribbon", "muger", "check-algebra"]
+
+
+@st.composite
+def dense_deficient_invocation(draw):
+    series, rank = draw(st.sampled_from(DENSE_TYPES))
+    ell = draw(st.sampled_from([3, 4, 5, 6, 8]))
+    scale = ell * build_cartan_datum(series, rank, ell).gram_denominator
+    k = rank - draw(st.integers(1, 2))
+    rows = draw(st.lists(
+        st.lists(st.integers(-9, 9).filter(bool), min_size=rank, max_size=rank),
+        min_size=k, max_size=k,
+    ))
+    doc = {"series": series, "rank": rank, "ell": ell,
+           "lattice": [[str(scale * c) for c in row] for row in rows]}
+    return [draw(st.sampled_from(DENSE_COMMANDS))], json.dumps(doc)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=dense_deficient_invocation())
+def test_dense_rank_deficient_lattices_end_promptly(case):
+    start = time.perf_counter()
+    assert invoke(*case) in EXIT_CODES
+    assert time.perf_counter() - start < 2.0, case

@@ -1,11 +1,13 @@
 import random
+import time
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix
+from sympy import ZZ, Matrix
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from helpers import ALL_TYPES
 from uproll import build_cartan_datum
@@ -15,6 +17,7 @@ from uproll._linalg import (
     leading_minors,
     mat_inverse,
     row_hermite_form,
+    smith_diagonal_mod,
     smith_normal_form,
     xgcd,
 )
@@ -196,6 +199,43 @@ def square_matrices(draw):
         a, b = draw(st.integers(-3, 3)), draw(st.integers(-3, 3))
         mat[-1] = [a * x + b * y for x, y in zip(mat[0], mat[n // 2 - 1])]
     return mat
+
+
+@st.composite
+def nonsingular_matrices(draw):
+    """Dense square matrices up to 8x8 with nonzero entries in [-100, 100]
+    and a nonzero determinant, with that determinant."""
+    n = draw(st.integers(1, 8))
+    entry = st.integers(-100, 100).filter(bool)
+    mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
+    det = det_int(mat)
+    assume(det)
+    return mat, det
+
+
+class TestSmithDiagonalModDeterminant:
+    @settings(max_examples=150, deadline=None)
+    @given(case=nonsingular_matrices())
+    def test_matches_sympy_within_a_time_bound(self, case):
+        mat, det = case
+        start = time.perf_counter()
+        diag = smith_diagonal_mod(mat, abs(det))
+        assert time.perf_counter() - start < 1.0
+        ref = sympy_smith(Matrix(mat), domain=ZZ)
+        assert diag == [abs(int(ref[i, i])) for i in range(len(mat))]
+
+    def test_entries_above_the_determinant(self):
+        # Upper triangular like the census's change of basis, with entries
+        # far above the determinant; sympy gives (1, 1, 1210104).
+        mat = [[14, 2**31 - 1, 5], [0, 98, 2**30 + 7], [0, 0, 98 * 9]]
+        assert smith_diagonal_mod(mat, det_int(mat)) == [1, 1, 1210104]
+
+    def test_unimodular_and_scalar(self):
+        assert smith_diagonal_mod([[2, 1], [1, 1]], 1) == [1, 1]
+        assert smith_diagonal_mod([[6, 0], [0, 6]], 36) == [6, 6]
+        assert smith_diagonal_mod([[6, 0], [0, 4]], 24) == [2, 12]
+        # A zero pivot over a zero entry and a nonzero one.
+        assert smith_diagonal_mod([[0, 2, 0], [0, 0, 3], [5, 0, 0]], 30) == [1, 1, 30]
 
 
 @st.composite

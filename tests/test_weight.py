@@ -14,7 +14,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import uproll
@@ -37,6 +37,25 @@ models = st.integers(0, 4).flatmap(lambda n: st.lists(rationals, min_size=n, max
 # Two models of one length.
 pairs = st.integers(0, 4).flatmap(
     lambda n: st.tuples(*(st.lists(rationals, min_size=n, max_size=n),) * 2)
+)
+
+# Rational strings as Fraction reads them or refuses them: signs, leading
+# zeros, empty parts, zero denominators, decimals, exponents, underscores,
+# whitespace, and digits outside ASCII ('\u0663' is a digit to Fraction,
+# '\u00b2' is not, though str.isdigit accepts both).
+STRING_PIECES = ["-", "+", "/", " ", "\t", ".", "e", "E", "_", "0", "7",
+                 "\u0663", "\u00b2", "\uff13"]
+rational_strings = st.one_of(
+    st.builds(
+        "".join,
+        st.tuples(
+            st.sampled_from(["", "", "-", "+", "--", " "]),
+            st.text("0123456789", max_size=4),
+            st.sampled_from(["", "", "/", ".", "e", "_"]),
+            st.text("0123456789", max_size=3),
+        ),
+    ),
+    st.lists(st.sampled_from(STRING_PIECES + list("123")), max_size=6).map("".join),
 )
 
 
@@ -107,6 +126,24 @@ class TestModel:
         assert w.coord_strings() == ["-3/4", "3/2", "0", "-2"]
         assert (Weight([2, 4], 6).row, Weight([2, 4], 6).den) == ((1, 2), 3)
         assert (Weight.zero(3).row, Weight.zero(3).den) == ((0, 0, 0), 1)
+
+    @settings(max_examples=400, deadline=None)
+    @given(strings=st.lists(rational_strings, max_size=4))
+    @example(["3/2", "-3", "0", "6"])
+    @example(["-007/0140", "\u0663", "\u00b2"])
+    @example(["+3", " 3", "1.5", "1e3", "1_0", "-", "", "3/", "/3", "3/0", "-0/00"])
+    def test_strings_read_as_fraction_reads_them(self, strings):
+        # The CLI prints the message, so it has to be Fraction's as well.
+        def outcome(build):
+            try:
+                return build()
+            except (ValueError, ZeroDivisionError, TypeError) as exc:
+                return type(exc), str(exc)
+
+        expected = outcome(lambda: Weight([Fraction(s) for s in strings]))
+        assert outcome(lambda: weight(strings)) == expected
+        for s in strings:
+            assert outcome(lambda: weight([s])) == outcome(lambda: Weight([Fraction(s)]))
 
     def test_a_denominator_below_one_is_refused(self):
         for den in (0, -2):
