@@ -1,18 +1,18 @@
-"""Small exact linear-algebra kernels.
+"""Small exact linear-algebra kernels, on integers only.
 
 Integer Hermite and Smith normal forms with plain bignum arithmetic, and
 the Smith diagonal alone taken modulo the determinant, which bounds every
-entry; an integer determinant, the leading principal minors, and
-fraction-free Gauss-Jordan elimination: mat_inverse returns the integer
-pair (adjugate, determinant), and combination_in_rows solves over the
-integers, forming a Fraction only for its results.  Everything here works
-on lists of lists and is sized for rank <= 8 problems.
+entry; the leading principal minors; and one fraction-free Gauss-Jordan
+elimination (Bareiss) behind det_int, mat_inverse, which returns the pair
+(adjugate, determinant), and combination_in_rows, which solves any number
+of targets at once as integer numerators over one denominator.
+Everything here works on lists of lists and is sized for rank <= 8
+problems.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import gcd, lcm
+from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -185,30 +185,6 @@ def smith_diagonal_mod(mat, det: int) -> list[int]:
     return diag
 
 
-def det_int(mat) -> int:
-    """Determinant of a square integer matrix (fraction-free Bareiss)."""
-    a = [list(r) for r in mat]
-    n = len(a)
-    if n == 0:
-        return 1
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if a[k][k] == 0:
-            for i in range(k + 1, n):
-                if a[i][k]:
-                    a[k], a[i] = a[i], a[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
-        prev = a[k][k]
-    return sign * a[-1][-1]
-
-
 def leading_minors(mat) -> list[int]:
     """The leading principal minors of a square integer matrix, in order,
     up to and including the first that is not positive.  They are the
@@ -252,6 +228,13 @@ def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:
     return prev, sign
 
 
+def det_int(mat) -> int:
+    """Determinant of a square integer matrix."""
+    a = [list(r) for r in mat]
+    done = _gauss_jordan(a, len(a))
+    return 0 if done is None else done[0] * done[1]
+
+
 def mat_inverse(rows) -> tuple[list[list[int]], int]:
     """Adjugate and determinant (adj, det) of a square integer matrix, so
     that adj = det * rows ** -1.  Raises ValueError when it is singular."""
@@ -264,25 +247,25 @@ def mat_inverse(rows) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in a], sign * det
 
 
-def combination_in_rows(rows, target):
-    """Coefficients expressing target as a rational combination of rows.
+def combination_in_rows(rows, targets) -> tuple[int, list[list[int] | None]]:
+    """Each integer target as a rational combination of the integer rows.
 
-    Returns the coefficient list, or None when target lies outside the
-    rational row span.  Raises ValueError when the rows are linearly
-    dependent, since coefficients would not be unique.
+    Returns (den, solutions) with den > 0: solution i lists integer
+    numerators over den, or is None when target i lies outside the
+    rational row span.  One elimination serves every target.  Raises
+    ValueError when the rows are linearly dependent, since coefficients
+    would not be unique.
     """
     k = len(rows)
     if k == 0:
-        return [] if not any(target) else None
-    # Clear every denominator at once; the solution does not change.
-    den = lcm(1, *(x.denominator for row in rows for x in row), *(x.denominator for x in target))
-    aug = [
-        [(row[i] * den).numerator for row in rows] + [(target[i] * den).numerator]
-        for i in range(len(target))
-    ]
+        return 1, [None if any(t) else [] for t in targets]
+    # The rows are the first k columns, and each target one more column.
+    aug = [[row[i] for row in rows] + [t[i] for t in targets] for i in range(len(rows[0]))]
     done = _gauss_jordan(aug, k)
     if done is None:
         raise ValueError("rows are linearly dependent")
-    if any(row[k] for row in aug[k:]):
-        return None
-    return [Fraction(row[k], done[0]) for row in aug[:k]]
+    sign = 1 if done[0] > 0 else -1
+    return sign * done[0], [
+        None if any(row[j] for row in aug[k:]) else [sign * row[j] for row in aug[:k]]
+        for j in range(k, k + len(targets))
+    ]

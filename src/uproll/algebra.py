@@ -149,12 +149,12 @@ class AlgebraSpec:
             if den % target.den:
                 return None
             try:
-                combo = _linalg.combination_in_rows(rows, target.row_over(den))
+                q, (combo,) = _linalg.combination_in_rows(rows, [target.row_over(den)])
             except ValueError as exc:
                 raise DependentGenerators(str(exc)) from None
-            if combo is None or any(c.denominator != 1 for c in combo):
+            if combo is None or any(c % q for c in combo):
                 return None
-            return tuple(int(c) for c in combo)
+            return tuple(c // q for c in combo)
 
         even = solve(lam)
         if self.mu is None:

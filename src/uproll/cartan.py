@@ -246,7 +246,10 @@ def _diagram(n: int, edges) -> list[list[int]]:
     return a
 
 
-def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ...]]:
+@cache
+def _series_data(series: str, rank: int) -> tuple[tuple[tuple[int, ...], ...], tuple[int, ...]]:
+    """The Cartan matrix and symmetrizers of the type (series, rank),
+    memoised: build_cartan_datum reads the symmetrizers on every call."""
     n = rank
     if n < 1:
         raise InvalidSeriesRank(f"rank must be positive, got {n}")
@@ -255,31 +258,32 @@ def _series_data(series: str, rank: int) -> tuple[list[list[int]], tuple[int, ..
     if series == "D":
         if n < 3:
             raise InvalidSeriesRank(f"series D needs rank >= 3, got {n}")
-        return _diagram(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]), (1,) * n
-    if series == "E":
+        a, d = _diagram(n, [(i, i + 1) for i in range(n - 2)] + [(n - 3, n - 1)]), (1,) * n
+    elif series == "E":
         if n not in (6, 7, 8):
             raise InvalidSeriesRank(f"series E needs rank 6, 7 or 8, got {n}")
-        return _diagram(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]), (1,) * n
-    if series == "G":
+        a, d = _diagram(n, [(0, 2), (1, 3)] + [(i, i + 1) for i in range(2, n - 1)]), (1,) * n
+    elif series == "G":
         if n != 2:
             raise InvalidSeriesRank(f"series G needs rank 2, got {n}")
-        return [[2, -3], [-1, 2]], (1, 3)
-    if series not in ("A", "B", "C", "F"):
+        a, d = [[2, -3], [-1, 2]], (1, 3)
+    elif series not in ("A", "B", "C", "F"):
         raise InvalidSeriesRank(f"unknown series {series!r}")
-    if series == "F" and n != 4:
+    elif series == "F" and n != 4:
         raise InvalidSeriesRank(f"series F needs rank 4, got {n}")
-    # B, C and F double one bond of the chain A_n.
-    a = _diagram(n, [(i, i + 1) for i in range(n - 1)])
-    if series == "A" or n == 1:
-        return a, (1,) * n
-    if series == "B":
-        a[n - 1][n - 2] = -2
-        return a, (2,) * (n - 1) + (1,)
-    if series == "C":
-        a[n - 2][n - 1] = -2
-        return a, (1,) * (n - 1) + (2,)
-    a[2][1] = -2
-    return a, (2, 2, 1, 1)
+    else:
+        # B, C and F double one bond of the chain A_n.
+        a, d = _diagram(n, [(i, i + 1) for i in range(n - 1)]), (1,) * n
+        if series == "B" and n > 1:
+            a[n - 1][n - 2] = -2
+            d = (2,) * (n - 1) + (1,)
+        elif series == "C" and n > 1:
+            a[n - 2][n - 1] = -2
+            d = (1,) * (n - 1) + (2,)
+        elif series == "F":
+            a[2][1] = -2
+            d = (2, 2, 1, 1)
+    return tuple(map(tuple, a)), d
 
 
 class CartanDatum(Record):
@@ -336,8 +340,8 @@ def _type_table(series: str, rank: int):
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
     common = gcd(det, *(x for row in scaled for x in row))
     return (
-        tuple(map(tuple, cartan)),
-        tuple(d),
+        cartan,
+        d,
         tuple(tuple(x // common for x in row) for row in scaled),
         det // common,
     )

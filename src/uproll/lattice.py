@@ -174,25 +174,23 @@ class Census(Record):
 
 def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[list[int]]:
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
-    # sum c_j (dl D_j) = dd L_i, an equation over the integers.
+    # sum c_j (dl D_j) = dd L_i, an equation over the integers; one
+    # elimination of the dual rows solves it for every lattice row.
     # A row outside the span of the D_j meets the dual condition only through
     # the continuous part of the dual group, which the census does not cover.
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
-    mat = []
-    for i, h in enumerate(lattice.hnf):
-        coeffs = _linalg.combination_in_rows(rows, [x * dual.denominator for x in h])
+    targets = [[x * dual.denominator for x in row] for row in lattice.hnf]
+    den, solutions = _linalg.combination_in_rows(rows, targets)
+    for coeffs, lam in zip(solutions, lattice.canonical_rows):
         if coeffs is None:
             raise NotSubgroup(
-                f"lattice row {lattice.canonical_rows[i]!r} lies outside the span"
-                " of the dual's lattice part"
+                f"lattice row {lam!r} lies outside the span of the dual's lattice part"
             )
-        if any(c.denominator != 1 for c in coeffs):
+        if any(c % den for c in coeffs):
             raise InternalError(
-                f"lattice row {lattice.canonical_rows[i]!r} is not an integer"
-                " combination of the dual basis"
+                f"lattice row {lam!r} is not an integer combination of the dual basis"
             )
-        mat.append([int(c) for c in coeffs])
-    return mat
+    return [[c // den for c in coeffs] for coeffs in solutions]
 
 
 def quotient_census(
@@ -218,9 +216,10 @@ def quotient_census(
     if lattice.rank == 0:
         # The quotient is the dual group itself, never finite at rank >= 1.
         return Census(False, (), None, None, dual.complement_dimension)
+    # The change of basis comes from one elimination of the dual rows. It
+    # is square, and its determinant is the order of the quotient of the
+    # dual's lattice part.
     change = _change_of_basis(dual.lattice_part, lattice)
-    # The change of basis is square, and its determinant is the order of
-    # the quotient of the dual's lattice part.
     order = abs(_linalg.det_int(change))
     if order == 0:
         raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")

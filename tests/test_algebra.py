@@ -653,20 +653,20 @@ def test_coefficients_solve_integer_rows_over_the_generators_denominator(monkeyp
     real = uproll._linalg.combination_in_rows
     seen = []
 
-    def recording(rows, target):
-        seen.append((rows, target))
-        return real(rows, target)
+    def recording(rows, targets):
+        seen.append((rows, targets))
+        return real(rows, targets)
 
     monkeypatch.setattr(uproll._linalg, "combination_in_rows", recording)
     assert spec.coefficients(weight([3, "3/2"])) == (1, 1)
     assert spec.coefficients(weight(["-9/2", 0])) == (-3, 0)
-    assert seen == [([[3, 0], [3, 3]], [6, 3]), ([[3, 0], [3, 3]], [-9, 0])]
+    assert seen == [([[3, 0], [3, 3]], [[6, 3]]), ([[3, 0], [3, 3]], [[-9, 0]])]
     with pytest.raises(NotInLattice):
         spec.coefficients(weight(["3/2", "1/2"]))
 
 
 def test_coefficients_refuse_a_denominator_the_generators_cannot_reach(monkeypatch):
-    def refuse(rows, target):
+    def refuse(rows, targets):
         raise AssertionError("the target was solved for")
 
     monkeypatch.setattr(uproll._linalg, "combination_in_rows", refuse)

@@ -312,9 +312,10 @@ def test_internal_error_is_not_reported_as_malformed_input(tmp_path, monkeypatch
 
     path = write_doc(tmp_path, "p.json", {"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]]})
     monkeypatch.setattr(
-        _linalg, "combination_in_rows", lambda rows, target: [Fraction(1, 3)] * len(rows)
+        _linalg, "combination_in_rows",
+        lambda rows, targets: (3, [[1] * len(rows) for _ in targets]),
     )
-    with pytest.raises(InternalError):
+    with pytest.raises(InternalError, match="lattice row Weight\\(4\\)"):
         run(["census", "--input", path])
 
 

@@ -2,9 +2,10 @@
 
 pairing_matrix, in_root_lattice, check_ribbon and bq_check_commutative
 run on integer numerators; each is checked here against the Fraction
-formula it replaced, written out with pairing and is_multiple.  Two
+formula it replaced, written out with pairing and is_multiple.  Three
 guards keep it that way: outside the oracle no module calls is_multiple
-or is_integer, and the passing paths build no Fraction.
+or is_integer, _linalg imports nothing from fractions, and the passing
+paths build no Fraction.
 """
 
 import ast
@@ -244,6 +245,18 @@ def test_only_the_oracle_calls_is_multiple_or_is_integer():
             callers[path.name] = lines
     assert "oracle.py" in callers  # the walk finds the calls it looks for
     assert set(callers) == {"oracle.py"}, callers
+
+
+def test_linalg_imports_nothing_from_fractions():
+    tree = ast.parse((Path(uproll.__file__).parent / "_linalg.py").read_text(encoding="utf-8"))
+    modules = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            modules.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            modules.add(node.module)
+    assert "math" in modules  # the walk finds the imports it looks for
+    assert not {m for m in modules if m and m.partition(".")[0] == "fractions"}, modules
 
 
 def test_verdict_paths_build_no_fractions(monkeypatch):

@@ -302,10 +302,12 @@ class TestQuotientCensus:
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
         dual = scaled_dual(A2_4, lat)
+        # Every coefficient 1/2: the first lattice row is named.
         monkeypatch.setattr(
-            _linalg, "combination_in_rows", lambda rows, target: [Fraction(1, 2)] * len(rows)
+            _linalg, "combination_in_rows",
+            lambda rows, targets: (2, [[1] * len(rows) for _ in targets]),
         )
-        with pytest.raises(InternalError):
+        with pytest.raises(InternalError, match=r"lattice row Weight\(2, 2\) is not an integer"):
             quotient_census(A2_4, dual, lat)
         assert not issubclass(InternalError, UprollError)
 
@@ -314,10 +316,36 @@ class TestQuotientCensus:
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
         dual = scaled_dual(A2_4, lat)
         monkeypatch.setattr(
-            _linalg, "combination_in_rows", lambda rows, target: [Fraction(1)] * len(rows)
+            _linalg, "combination_in_rows",
+            lambda rows, targets: (1, [[1] * len(rows) for _ in targets]),
         )
         with pytest.raises(InternalError, match="singular"):
             quotient_census(A2_4, dual, lat)
+
+    def test_one_change_of_basis_solve_per_census(self, monkeypatch):
+        real, seen = _linalg.combination_in_rows, []
+
+        def recording(rows, targets):
+            seen.append((len(rows), len(targets)))
+            return real(rows, targets)
+
+        a1, a2 = a2_roots()
+        d4 = build_cartan_datum("D", 4, 6)
+        cases = [
+            (A2_4, [2 * a1, 2 * a2]),  # finite
+            (A2_4, [4 * a1]),  # infinite, rank 1 in 2
+            (d4, [3 * r for r in d4.simple_roots]),  # finite, rank 4
+            (d4, [6 * r for r in d4.simple_roots[:3]]),  # infinite, rank 3 in 4
+        ]
+        monkeypatch.setattr(_linalg, "combination_in_rows", recording)
+        for datum, gens in cases:
+            lat = canonical_basis(datum, gens)
+            dual = scaled_dual(datum, lat)
+            seen.clear()
+            census = quotient_census(datum, dual, lat)
+            assert census.finite == (lat.rank == datum.rank)
+            # One elimination of the dual rows for every lattice row at once.
+            assert seen == [(dual.lattice_part.rank, lat.rank)]
 
     def test_not_subgroup(self):
         base = canonical_basis(A1_4, [weight([2])])

@@ -164,25 +164,35 @@ class TestRationalKernels:
                 assert entry == (det if i == j else 0)
 
     def test_combination_solves_and_detects(self):
-        rows = [[Fraction(2), Fraction(0)], [Fraction(1), Fraction(3)]]
-        combo = combination_in_rows(rows, [Fraction(4), Fraction(6)])
-        assert combo == [Fraction(1), Fraction(2)]
-        assert combination_in_rows([[Fraction(1), Fraction(0)]], [Fraction(0), Fraction(1)]) is None
+        den, solutions = combination_in_rows([[2, 0], [1, 3]], [[4, 6], [0, 0], [1, 0]])
+        assert den > 0
+        assert [[Fraction(x, den) for x in sol] for sol in solutions] == [
+            [1, 2], [0, 0], [Fraction(1, 2), 0]
+        ]
+        # Inside and outside the span in one call.
+        rows = [[1, 0, 0], [0, 1, 0]]
+        den, solutions = combination_in_rows(rows, [[0, 0, 1], [2, 3, 0], [0, 0, 0]])
+        assert solutions[0] is None and solutions[2] == [0, 0]
+        assert [Fraction(x, den) for x in solutions[1]] == [2, 3]
+        assert combination_in_rows(rows, [])[1] == []
+        assert combination_in_rows([], [[0, 0], [1, 0]]) == (1, [[], None])
+        for dependent in ([[0, 0], [1, 0]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]]):
+            with pytest.raises(ValueError):
+                combination_in_rows(dependent, [[0, 0]])
 
     def test_random_combinations_round_trip(self):
         rng = random.Random(9)
         for _ in range(40):
-            rows = [
-                [Fraction(rng.randint(-5, 5), rng.randint(1, 3)) for _ in range(3)]
-                for _ in range(2)
-            ]
+            rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)]
             if combination_is_degenerate(rows):
                 continue
-            coeffs = [Fraction(rng.randint(-4, 4), rng.randint(1, 2)) for _ in range(2)]
-            target = [
-                sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)
+            batch = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(rng.randint(1, 3))]
+            targets = [
+                [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
+                for coeffs in batch
             ]
-            assert combination_in_rows(rows, target) == coeffs
+            den, solutions = combination_in_rows(rows, targets)
+            assert [[Fraction(x, den) for x in sol] for sol in solutions] == batch
 
 
 @st.composite
@@ -240,21 +250,29 @@ class TestSmithDiagonalModDeterminant:
 
 @st.composite
 def combination_problems(draw):
-    """Rows and a target over the rationals: k rows of length n >= k, some
-    made dependent, and targets both inside and outside the row span."""
-    frac = st.builds(Fraction, st.integers(-9, 9), st.integers(1, 4))
+    """Integer rows and one batch of integer targets: 1 <= k <= n rows of
+    length n, some made dependent or zero, and targets inside the row
+    span, anywhere, or zero, in any number."""
+    entry = st.integers(-9, 9)
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
-    rows = draw(st.lists(st.lists(frac, min_size=n, max_size=n), min_size=k, max_size=k))
-    if k > 1 and draw(st.integers(0, 3)) == 0:
-        c = draw(frac)
+    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    broken = draw(st.integers(0, 5))
+    if k > 1 and broken == 0:
+        c = draw(entry)
         rows[-1] = [c * x - y for x, y in zip(rows[0], rows[k // 2 - 1])]
-    if draw(st.booleans()):
-        coeffs = draw(st.lists(frac, min_size=k, max_size=k))
-        target = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)]
-    else:
-        target = draw(st.lists(frac, min_size=n, max_size=n))
-    return rows, target
+    elif broken == 1:
+        rows[draw(st.integers(0, k - 1))] = [0] * n
+    targets = []
+    for kind in draw(st.lists(st.sampled_from(["span", "any", "zero"]), max_size=4)):
+        if kind == "span":
+            coeffs = draw(st.lists(entry, min_size=k, max_size=k))
+            targets.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
+        elif kind == "any":
+            targets.append(draw(st.lists(entry, min_size=n, max_size=n)))
+        else:
+            targets.append([0] * n)
+    return rows, targets
 
 
 class TestEliminationAgainstSympy:
@@ -272,21 +290,31 @@ class TestEliminationAgainstSympy:
         assert Matrix(adj) == ref.adjugate()
 
     @settings(max_examples=150, deadline=None)
+    @given(mat=square_matrices())
+    def test_determinant_matches_sympy(self, mat):
+        assert det_int(mat) == Matrix(mat).det()
+
+    def test_determinant_of_the_empty_matrix(self):
+        assert det_int([]) == Matrix.zeros(0, 0).det() == 1
+
+    @settings(max_examples=150, deadline=None)
     @given(problem=combination_problems())
     def test_combination_matches_sympy_solve(self, problem):
-        rows, target = problem
-        ref = Matrix(rows)
-        if ref.rank() < len(rows):
+        rows, targets = problem
+        if Matrix(rows).rank() < len(rows):
             with pytest.raises(ValueError):
-                combination_in_rows(rows, target)
+                combination_in_rows(rows, targets)
             return
-        try:
-            solution, _ = ref.T.gauss_jordan_solve(Matrix(target))
-        except ValueError:  # sympy: no solution, target outside the span
-            assert combination_in_rows(rows, target) is None
-            return
-        expected = [Fraction(int(x.p), int(x.q)) for x in solution]
-        assert combination_in_rows(rows, target) == expected
+        den, solutions = combination_in_rows(rows, targets)
+        assert den > 0 and len(solutions) == len(targets)
+        for target, got in zip(targets, solutions):
+            try:
+                solution, _ = Matrix(rows).T.gauss_jordan_solve(Matrix(target))
+            except ValueError:  # sympy: no solution, target outside the span
+                assert got is None
+                continue
+            expected = [Fraction(int(x.p), int(x.q)) for x in solution]
+            assert [Fraction(x, den) for x in got] == expected
 
 
 def sympy_minors_to_first_nonpositive(mat) -> list[int]:
