@@ -12,7 +12,6 @@ from .cartan import (
     exponent,
     in_root_lattice,
     in_simple_current_lattice,
-    is_integer,
     is_multiple,
     pairing,
     weight,

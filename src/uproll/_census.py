@@ -1,14 +1,13 @@
 """Storage for the representatives of a finite census and their twists:
 integer rows and integer numerators over one denominator each, enumerated
 one mixed-radix digit at a time.  Weight and ExponentModL values appear
-only through the read-only views CensusReps and CensusTwists; a Weight is
+only through the read-only views CensusReps and CensusTwists; each is
 built from its integers.  The module is loaded on the first finite
 census, so that a command that builds none does not compile it."""
 
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, Sequence
-from fractions import Fraction
 
 from .cartan import ExponentModL, Weight
 
@@ -95,14 +94,11 @@ class CensusTwists(Mapping):
     def __init__(self, reps: CensusReps, numerators: list[int], den: int, ell: int):
         self.reps, self.numerators, self.den, self.ell = reps, numerators, den, ell
 
-    def _exponent(self, x: int) -> ExponentModL:
-        return ExponentModL(Fraction(x, self.den), self.ell)
-
     def __getitem__(self, lam) -> ExponentModL:
         i = self.reps.position(lam)
         if i is None:
             raise KeyError(lam)
-        return self._exponent(self.numerators[i])
+        return ExponentModL.over(self.numerators[i], self.den, self.ell)
 
     def __iter__(self):
         return iter(self.reps)
@@ -118,4 +114,5 @@ class _TwistItems(ItemsView):
     # Pairs in census order, without looking each representative up.
     def __iter__(self):
         twists = self._mapping
-        return zip(twists.reps, map(twists._exponent, twists.numerators))
+        den, ell = twists.den, twists.ell
+        return zip(twists.reps, (ExponentModL.over(x, den, ell) for x in twists.numerators))

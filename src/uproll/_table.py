@@ -10,7 +10,6 @@ pass over the pairs, and the scans that run when it does not apply."""
 from __future__ import annotations
 
 from collections.abc import MutableMapping
-from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
@@ -100,7 +99,7 @@ class TableEntries(MutableMapping):
         i, j = self._position(key)
         if (x := self.rows[i][j]) is None:
             raise KeyError(key)
-        return ExponentModL(Fraction(x, self.den), self.ell)
+        return ExponentModL.over(x, self.den, self.ell)
 
     def __setitem__(self, key, e: ExponentModL) -> None:
         try:
@@ -111,12 +110,11 @@ class TableEntries(MutableMapping):
             raise ValueError(
                 f"exponents live at different orders of q: {e.modulus} at {key}, {self.ell} in the table"
             )
-        x = e.value
-        if self.den % x.denominator:
-            up = x.denominator // gcd(self.den, x.denominator)
+        if self.den % e.den:
+            up = e.den // gcd(self.den, e.den)
             self.rows = [[y if y is None else y * up for y in row] for row in self.rows]
             self.den *= up
-        self.rows[i][j] = x.numerator * (self.den // x.denominator)
+        self.rows[i][j] = e.num * (self.den // e.den)
 
     def __delitem__(self, key) -> None:
         i, j = self._position(key)
@@ -177,19 +175,6 @@ class CocycleTable(Record):
 
     def in_box(self, vec) -> bool:
         return all(-self.box <= c <= self.box for c in vec)
-
-    def lookup(self, left, right) -> ExponentModL:
-        try:
-            return self.entries[(tuple(left), tuple(right))]
-        except KeyError:
-            raise IncompleteTable(f"no entry for pair ({left}, {right})") from None
-
-    def weight_of(self, vec) -> Weight:
-        total = Weight.zero(len(self.generators[0]) if self.generators else 0)
-        for c, g in zip(vec, self.generators):
-            if c:
-                total = total + c * g
-        return total
 
 
 def gauge_cochain(grid: Grid, e) -> list[int]:

@@ -253,9 +253,8 @@ def spec_verdict(spec: AlgebraSpec):
 def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
     """Normal-form exponent for elements given by generator coefficients:
     the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
-    return ExponentModL(
-        Fraction(bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1]),
-        spec.datum.ell,
+    return ExponentModL.over(
+        bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1], spec.datum.ell
     )
 
 
@@ -346,9 +345,9 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
             raise ValueError(
                 f"exponents live at different orders of q: {x.modulus} at {vec}, {ell} in the table"
             )
-        values.append(x.value)
-    den = lcm(entries.den, *(x.denominator for x in values))
-    f = [x.numerator * (den // x.denominator) for x in values]
+        values.append(x)
+    den = lcm(entries.den, *(x.den for x in values))
+    f = [x.num * (den // x.den) for x in values]
     up = den // entries.den
     at, zero = entries.grid.doubled
     f_box = [f[zero + a] for a in at]
@@ -394,6 +393,6 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     for out, fa, row, pairs in zip(rows, f, e, grid.pairs):
         for j, k in pairs:
             out[j] = row[j] + f[k] - fa - f[j]
-    phi = {v: ExponentModL(Fraction(x, entries.den), ell) for v, x in zip(vecs, f)}
+    phi = {v: ExponentModL.over(x, entries.den, ell) for v, x in zip(vecs, f)}
     normalized = CocycleTable(table.generators, table.box, ell, TableEntries(grid, ell, rows, entries.den))
     return GaugeResult(phi, normalized)

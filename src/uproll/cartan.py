@@ -11,14 +11,14 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
-on ell; the form is evaluated by the integer kernel bilinear()
-on the weights' integer rows.  pairing_matrix and in_root_lattice stay on
-those integers; pairing and alpha_coordinates form a Fraction for each
-result.
+on ell, as is the flat twist form (_twist_form): N*G's upper triangle and
+its row sums N*G*rho.  bilinear() evaluates the form on the weights'
+integer rows; pairing_matrix and in_root_lattice stay on those integers,
+and pairing and alpha_coordinates form a Fraction for each result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
-kept, as rationals compared modulo ell.
+kept, as an ExponentModL holding integers num / den compared modulo ell.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache
 from math import gcd, lcm
-from operator import add, mul
+from operator import add, index, mul
 
 from . import _linalg
 from ._record import Record
@@ -42,18 +42,11 @@ from .errors import (
 MAX_RANK = 32
 
 
-def _frac(x) -> Fraction:
-    if isinstance(x, Fraction):
-        return x
-    if isinstance(x, (int, str)):
-        return Fraction(x)
-    raise TypeError(f"expected a rational, got {type(x).__name__}")
-
-
 def _ratio(x) -> tuple[int, int]:
-    """x as integers (p, q), q > 0, with x = p / q.  A str of the form
-    -?[0-9]+ or -?[0-9]+/[0-9]+ with ASCII digits is read directly; anything
-    else goes through Fraction, with its syntax and its exceptions."""
+    """x, an int, a Fraction or a str, as integers (p, q), q > 0, with x = p / q.
+    A str -?[0-9]+ or -?[0-9]+/[0-9]+ of ASCII digits is read directly, any
+    other str through Fraction, with its syntax and exceptions; anything
+    else raises TypeError."""
     if type(x) is int:
         return x, 1
     if type(x) is str and x.isascii():
@@ -61,18 +54,15 @@ def _ratio(x) -> tuple[int, int]:
         if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
             if q := int(den or 1):
                 return int(num), q
-    x = _frac(x)
+    if not isinstance(x, (Fraction, int, str)):
+        raise TypeError(f"expected a rational, got {type(x).__name__}")
+    x = Fraction(x)
     return x.numerator, x.denominator
-
-
-def is_integer(x) -> bool:
-    """True when the rational x is an integer."""
-    return _frac(x).denominator == 1
 
 
 def is_multiple(x, step) -> bool:
     """True when x lies in step * Z, for a nonzero rational step."""
-    return (_frac(x) / _frac(step)).denominator == 1
+    return (Fraction(*_ratio(x)) / Fraction(*_ratio(step))).denominator == 1
 
 
 class Weight(Record):
@@ -171,58 +161,74 @@ def weight(coords) -> Weight:
 
 
 class ExponentModL(Record):
-    """Exact rational exponent e standing for the scalar q ** e.
-
-    Equality is congruence of exponents modulo the order of q, so two
-    instances compare equal exactly when they name the same scalar.
+    """Exact rational exponent e standing for the scalar q ** e, held like a
+    Weight row: integers num / den in lowest terms at the order modulus >= 1
+    of q.  ExponentModL(value, modulus) reads an int, a Fraction or a 'p/q'
+    string and raises TypeError on anything else, a float too; over builds
+    one from integers, and value and canonical are Fractions read off them.
+    Equality is congruence modulo the order of q (exponents that differ by an
+    integer share a reduced denominator): equal instances name one scalar.
     """
 
-    __slots__ = ("value", "modulus")
-    value: Fraction
+    __slots__ = ("num", "den", "modulus")
+    num: int
+    den: int
     modulus: int
 
-    def __init__(self, value: Fraction, modulus: int):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "modulus", modulus)
+    def __init__(self, value, modulus: int):
+        if (modulus := index(modulus)) < 1:
+            raise ValueError(f"the order of q must be positive, got {modulus}")
+        e = ExponentModL.over(*_ratio(value), modulus)
+        super().__init__(e.num, e.den, modulus)
+
+    @classmethod
+    def over(cls, num: int, den: int, modulus: int) -> "ExponentModL":
+        """The exponent num / den at order modulus, from integers den, modulus > 0."""
+        g = gcd(num, den)
+        e = object.__new__(cls)
+        object.__setattr__(e, "num", num // g)
+        object.__setattr__(e, "den", den // g)
+        object.__setattr__(e, "modulus", modulus)
+        return e
+
+    @property
+    def value(self) -> Fraction:
+        return Fraction(self.num, self.den)
 
     @property
     def canonical(self) -> Fraction:
         """The reduced representative in [0, modulus)."""
-        return self.value % self.modulus
+        return Fraction(self.num % (self.modulus * self.den), self.den)
 
     @property
     def is_zero(self) -> bool:
-        return self.canonical == 0
-
-    def _check(self, other: "ExponentModL") -> None:
-        if self.modulus != other.modulus:
-            raise ValueError("exponents live at different orders of q")
+        return not self.num % (self.modulus * self.den)
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentModL):
             return NotImplemented
-        return self.modulus == other.modulus and self.canonical == other.canonical
+        return (self.modulus, self.den) == (other.modulus, other.den) and not (
+            (self.num - other.num) % (self.modulus * self.den)
+        )
 
     def __hash__(self) -> int:
-        return hash((self.canonical, self.modulus))
+        return hash((self.num % (self.modulus * self.den), self.den, self.modulus))
 
     def __add__(self, other: "ExponentModL") -> "ExponentModL":
-        self._check(other)
-        return ExponentModL(self.value + other.value, self.modulus)
+        if self.modulus != other.modulus:
+            raise ValueError("exponents live at different orders of q")
+        den = lcm(self.den, other.den)
+        num = self.num * (den // self.den) + other.num * (den // other.den)
+        return ExponentModL.over(num, den, self.modulus)
 
     def __sub__(self, other: "ExponentModL") -> "ExponentModL":
-        self._check(other)
-        return ExponentModL(self.value - other.value, self.modulus)
+        return self + (-other)
 
     def __neg__(self) -> "ExponentModL":
-        return ExponentModL(-self.value, self.modulus)
+        return ExponentModL.over(-self.num, self.den, self.modulus)
 
-    def scaled(self, k: int) -> "ExponentModL":
-        """The exponent of the k-th power of the scalar (integer k only)."""
-        return ExponentModL(self.value * k, self.modulus)
-
-    def scalar_str(self) -> str:
-        return "q^{%s}" % self.canonical
+    def __reduce__(self):
+        return ExponentModL.over, (self.num, self.den, self.modulus)
 
     def __repr__(self) -> str:
         return f"ExponentModL({self.value} mod {self.modulus})"
@@ -230,7 +236,7 @@ class ExponentModL(Record):
 
 def exponent(value, ell: int) -> ExponentModL:
     """Build an ExponentModL from a rational value at order ell."""
-    return ExponentModL(_frac(value), ell)
+    return ExponentModL(value, ell)
 
 
 # Cartan matrices follow the convention a_ij = <alpha_i, alpha_j> / d_i,
@@ -347,6 +353,17 @@ def _type_table(series: str, rank: int):
     )
 
 
+@cache
+def _twist_form(series: str, rank: int) -> tuple[tuple[int, int, int], ...]:
+    """The twist numerator x.(N G).x + s (N G rho).x of the type as a flat
+    form on (x, s): terms (i, j, c), i <= j, c != 0, from the upper triangle
+    of N*G, off-diagonal entries doubled, then its row sums at (i, rank)."""
+    g = _type_table(series, rank)[2]
+    terms = [(i, j, g[i][j] * (1 + (i < j))) for i in range(rank) for j in range(i, rank)]
+    terms += [(i, rank, sum(row)) for i, row in enumerate(g)]
+    return tuple(t for t in terms if t[2])
+
+
 def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     """Assemble the exact constants for (series, rank) at order ell.
 
@@ -387,7 +404,7 @@ def bilinear(matrix, u, v) -> int:
 def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[tuple[int, ...], int]:
     """Integer coordinates of lam over their least common denominator den,
     so that lam = coords / den."""
-    if len(lam) != datum.rank:
+    if len(lam.row) != datum.rank:
         raise DimensionMismatch(f"weights must have length {datum.rank}")
     return lam.row, lam.den
 

@@ -26,9 +26,10 @@ from .cartan import (
     CartanDatum,
     ExponentModL,
     Weight,
+    bilinear,
     build_cartan_datum,
     in_root_lattice,
-    pairing,
+    scaled_coords,
 )
 from .errors import NonADESeries, NotLocal, OddEll
 from .lattice import RationalLattice, canonical_basis
@@ -176,8 +177,10 @@ def bq_twist_exponent(datum: CartanDatum, w: ExtWeight) -> ExponentModL:
     """Twist exponent <qg, qg + 2(1-r) rho> - <t, t> mod 2r."""
     if datum.ell % 2:
         raise OddEll("the augmented twist needs ell = 2r even")
-    t = w.fock_tilde
-    return ExponentModL(twist_exponent(datum, w.qg).value - pairing(datum, t, t), datum.ell)
+    t, den = scaled_coords(datum, w.fock_tilde)
+    square = bilinear(datum.scaled_gram, t, t)
+    fock = ExponentModL.over(square, datum.gram_denominator * den * den, datum.ell)
+    return twist_exponent(datum, w.qg) - fock
 
 
 def bq_transparent(spec: BqSpec, w: ExtWeight) -> bool:

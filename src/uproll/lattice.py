@@ -22,7 +22,7 @@ from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, bilinear, common_rows, scaled_coords
+from .cartan import CartanDatum, Weight, bilinear, common_rows
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
 
 if TYPE_CHECKING:
@@ -128,10 +128,6 @@ class DualGroup(Record):
     source: RationalLattice
     complement_dimension: int
     lattice_part: RationalLattice
-
-    def contains_weight(self, lam: Weight) -> bool:
-        """Direct test of the defining condition 2<lam, g> in ell*Z."""
-        return in_dual(self.datum, self.source, *scaled_coords(self.datum, lam))
 
 
 def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:

@@ -6,12 +6,12 @@ lattice itself.  This module computes that census together with the
 twist and monodromy exponents, a ribbon verdict, and the transparent
 simples.
 
-census_twists gives the twists of a whole census as integer numerators
-over one denominator, by running sums along the census's mixed-radix
-enumeration: the twist form is quadratic plus linear, so its values at
-the adapted steps and, by polarization, at their pairwise sums determine
-it, and those are read off twist_exponent, which stays the one twist
-formula.  Each further representative costs O(1) amortised.
+Exponents are integer arithmetic end to end, each an ExponentModL built
+from integers: twist_exponent evaluates its Dynkin type's flat twist form
+(cartan._twist_form) on a weight's row, monodromy_exponent the integer
+form bilinear, and census_twists, seeded by twist_exponent on the adapted
+steps and their pairwise sums, runs sums along the census's mixed-radix
+enumeration at O(1) amortised per further representative.
 
 The ribbon condition implemented here is sufficient only, so its
 negative answer is reported as "inconclusive" rather than as a
@@ -34,8 +34,8 @@ from .cartan import (
     CartanDatum,
     ExponentModL,
     Weight,
+    _twist_form,
     bilinear,
-    pairing,
     scaled_coords,
 )
 from .errors import AlgebraInvalid, InfiniteCensus
@@ -74,18 +74,21 @@ def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:
     """Exponent of the twist scalar on the simple of highest weight lam:
     <lam, lam + 2(1-r) rho> mod ell.
 
-    With lam = x / den and rho = (1, ..., 1), the shifted weight is
-    (x + 2(1-r) den) / den, so the form is one integer evaluation.
+    With lam = x / den and rho = (1, ..., 1), the numerator over N den^2 is
+    x.(N G).x + s (N G rho).x with s = 2(1-r) den: one pass over the
+    type's flat twist form, about n(n+1)/2 integer products.
     """
     x, den = scaled_coords(datum, lam)
-    shift = 2 * (1 - datum.r) * den
-    total = bilinear(datum.scaled_gram, x, [c + shift for c in x])
-    return ExponentModL(Fraction(total, datum.gram_denominator * den * den), datum.ell)
+    x = (*x, 2 * (1 - datum.r) * den)
+    total = sum([c * x[i] * x[j] for i, j, c in _twist_form(datum.series, datum.rank)])
+    return ExponentModL.over(total, datum.gram_denominator * den * den, datum.ell)
 
 
 def monodromy_exponent(datum: CartanDatum, lam: Weight, mu: Weight) -> ExponentModL:
     """Exponent of the double braiding between two simples: 2<lam, mu> mod ell."""
-    return ExponentModL(2 * pairing(datum, lam, mu), datum.ell)
+    (x, dx), (y, dy) = scaled_coords(datum, lam), scaled_coords(datum, mu)
+    total = 2 * bilinear(datum.scaled_gram, x, y)
+    return ExponentModL.over(total, datum.gram_denominator * dx * dy, datum.ell)
 
 
 class RibbonVerdict(Record):
@@ -167,7 +170,8 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     scale = datum.gram_denominator * den * den
 
     def form(row) -> int:
-        return (twist_exponent(datum, Weight.over(row, den)).value * scale).numerator
+        e = twist_exponent(datum, Weight.over(row, den))
+        return e.num * (scale // e.den)
 
     steps = [step for _, step in reps.radix]
     single = [form(a) for a in steps]

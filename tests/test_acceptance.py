@@ -44,6 +44,7 @@ from uproll import (
     weight,
 )
 from uproll.cli import run
+from uproll.oracle import _weight_of
 
 
 @contextmanager
@@ -148,9 +149,8 @@ def test_criterion_7_supercommutativity():
         half = Fraction(ell, 2)
         odd_pairs = 0
         for (v1, v2), e in table.entries.items():
-            flip = table.entries[(v2, v1)].value + pairing(
-                a1, table.weight_of(v1), table.weight_of(v2)
-            )
+            w1, w2 = (_weight_of(v, table.generators, a1.rank) for v in (v1, v2))
+            flip = table.entries[(v2, v1)].value + pairing(a1, w1, w2)
             if (v1[-1] % 2) and (v2[-1] % 2):
                 odd_pairs += 1
                 assert (e.value - flip - half) % ell == 0

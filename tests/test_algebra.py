@@ -40,6 +40,7 @@ from uproll.errors import (
     NotInLattice,
     NotInSimpleCurrentLattice,
 )
+from uproll.oracle import _weight_of
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A1_6 = build_cartan_datum("A", 1, 6)
@@ -286,7 +287,7 @@ class TestSuperSignLaw:
         ell = A1_4.ell
         half = Fraction(ell, 2)
         for (v1, v2), e in table.entries.items():
-            w1, w2 = table.weight_of(v1), table.weight_of(v2)
+            w1, w2 = (_weight_of(v, table.generators, A1_4.rank) for v in (v1, v2))
             flip = table.entries[(v2, v1)].value + pairing(A1_4, w1, w2)
             both_odd = (v1[-1] % 2) and (v2[-1] % 2)
             expected = flip + half if both_odd else flip
@@ -300,7 +301,7 @@ class TestSuperSignLaw:
         table = structure_constant_table(spec, 2)
         half = Fraction(5, 2)
         for (v1, v2), e in table.entries.items():
-            w1, w2 = table.weight_of(v1), table.weight_of(v2)
+            w1, w2 = (_weight_of(v, table.generators, datum.rank) for v in (v1, v2))
             flip = table.entries[(v2, v1)].value + pairing(datum, w1, w2)
             both_odd = (v1[-1] % 2) and (v2[-1] % 2)
             expected = flip + half if both_odd else flip
@@ -378,7 +379,7 @@ def reference_scan(table, datum):
     zero = (0,) * table.dimension
 
     def e(a, b):
-        return table.lookup(a, b).value
+        return table.entries[a, b].value
 
     def plus(a, b):
         s = tuple(x + y for x, y in zip(a, b))
@@ -582,8 +583,8 @@ def test_deleted_entries_are_missing_for_lookup_and_check():
     assert len(table.entries) == 79 and first not in table.entries
     with pytest.raises(KeyError):
         del table.entries[first]
-    with pytest.raises(IncompleteTable, match=re.escape(str(first))):
-        table.lookup(*first)
+    with pytest.raises(KeyError, match=re.escape(str(first))):
+        table.entries[first]
     with pytest.raises(IncompleteTable, match=re.escape(f"({first[0]}, {first[1]})")):
         cocycle_check(table, A2_6)
 
@@ -592,14 +593,16 @@ def test_table_operations_build_no_exponent_objects(monkeypatch):
     spec = three_q_spec()
     psi = random_cochain(random.Random(5), 2, 2, 6)
     built = []
+    over = ExponentModL.over.__func__
 
-    def counting(*args):
+    def counting(cls, *args):
         built.append(args)
-        return ExponentModL(*args)
+        return over(cls, *args)
 
-    # The algebra operations and the table's mapping view both count.
-    monkeypatch.setattr(uproll.algebra, "ExponentModL", counting)
-    monkeypatch.setattr(uproll._table, "ExponentModL", counting)
+    # Every exponent, through either constructor, is built by ExponentModL.over.
+    monkeypatch.setattr(ExponentModL, "over", classmethod(counting))
+    assert exponent(1, 6) == ExponentModL.over(1, 1, 6) and len(built) == 2
+    built.clear()
     table = structure_constant_table(spec, 2)
     assert cocycle_check(table, A2_6).valid
     twisted = apply_coboundary(table, psi)

@@ -1,3 +1,4 @@
+import pickle
 import random
 from fractions import Fraction
 from functools import cache
@@ -20,6 +21,7 @@ from uproll import (
     weight,
 )
 from uproll.cartan import MAX_RANK, bilinear
+from uproll.cli import _exponent_json
 from uproll.errors import DimensionMismatch, HypothesisViolated, InternalError, InvalidSeriesRank
 
 # a valid order of the root of unity for each type used in table tests
@@ -214,14 +216,48 @@ class TestExponentModL:
         assert (a + b) == exponent(0, 4)
         assert (a - b) == exponent(1, 4)
         assert (-a) == exponent(Fraction(3, 2), 4)
-        assert a.scaled(8) == exponent(0, 4)
+        assert sum([a] * 7, a) == exponent(0, 4)  # the eighth power of q^{5/2}
 
     def test_mixed_modulus_rejected(self):
         with pytest.raises(ValueError):
             exponent(1, 4) + exponent(1, 6)
 
     def test_scalar_string(self):
-        assert exponent(Fraction(-1, 2), 4).scalar_str() == "q^{7/2}"
+        assert _exponent_json(exponent(Fraction(-1, 2), 4))["scalar"] == "q^{7/2}"
+
+    @pytest.mark.parametrize("build", [ExponentModL, exponent])
+    def test_a_float_value_is_refused(self, build):
+        with pytest.raises(TypeError, match="float"):
+            build(0.5, 4)
+
+    @pytest.mark.parametrize("build", [ExponentModL, exponent])
+    @pytest.mark.parametrize("modulus", [0, -4])
+    def test_an_order_below_one_is_refused(self, build, modulus):
+        with pytest.raises(ValueError, match=f"got {modulus}"):
+            build(1, modulus)
+
+    def test_a_float_order_is_refused(self):
+        with pytest.raises(TypeError):
+            exponent(1, 4.0)
+
+    def test_a_string_value_is_read_as_a_rational(self):
+        e = ExponentModL("1/2", 4)
+        assert (e.num, e.den, e.modulus) == (1, 2, 4)
+        assert e == exponent(Fraction(1, 2), 4)
+        assert repr(e) == "ExponentModL(1/2 mod 4)"
+        assert exponent("-9/2", 4).canonical == Fraction(7, 2)
+
+    @settings(max_examples=200, deadline=None)
+    @given(a=fractions_st, b=fractions_st, modulus=st.integers(1, 12), k=st.integers(-3, 3))
+    def test_equality_and_hash_are_congruence_modulo_the_order(self, a, b, modulus, k):
+        x, y = ExponentModL(a, modulus), ExponentModL(b, modulus)
+        assert (x == y) == (((a - b) / modulus).denominator == 1)
+        shifted = ExponentModL(a + k * modulus, modulus)
+        assert x == shifted and hash(x) == hash(shifted)
+        assert x != ExponentModL(a, modulus + 1)
+        assert (x.num, x.den) == (a.numerator, a.denominator) and x.value == a
+        again = pickle.loads(pickle.dumps(x))
+        assert again == x and (again.num, again.den, again.modulus) == (x.num, x.den, modulus)
 
     @settings(max_examples=50, deadline=None)
     @given(v=fractions_st)

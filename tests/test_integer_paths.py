@@ -1,11 +1,11 @@
 """B_Q(r) on the algebra layer, and the integer forms of the exact tests.
 
-pairing_matrix, in_root_lattice, check_ribbon and bq_check_commutative
-run on integer numerators; each is checked here against the Fraction
-formula it replaced, written out with pairing and is_multiple.  Three
-guards keep it that way: outside the oracle no module calls is_multiple
-or is_integer, _linalg imports nothing from fractions, and the passing
-paths build no Fraction.
+pairing_matrix, in_root_lattice, check_ribbon, bq_check_commutative and
+the twist and monodromy exponents run on integer numerators; each is
+checked here against the Fraction formula it replaced, written out with
+pairing and is_multiple.  Three guards keep it that way: outside the
+oracle no module calls is_multiple or is_integer, _linalg imports nothing
+from fractions, and the passing paths build no Fraction.
 """
 
 import ast
@@ -30,11 +30,16 @@ from uproll import (
     bq_equivalent,
     bq_is_local,
     bq_monodromy_exponent,
+    bq_twist_exponent,
     build_cartan_datum,
+    census_twists,
     check_ribbon,
     in_root_lattice,
     is_multiple,
+    monodromy_exponent,
     pairing,
+    simple_census,
+    twist_exponent,
     weight,
 )
 from uproll.cartan import pairing_matrix
@@ -103,6 +108,48 @@ class TestPairingMatrix:
         datum = build_cartan_datum("A", 2, 4)
         with pytest.raises(DimensionMismatch):
             pairing_matrix(datum, [weight([1, 0]), weight([1])])
+
+
+class TestExponents:
+    @pytest.mark.parametrize("series,rank", ALL_TYPES)
+    @settings(max_examples=12, deadline=None)
+    @given(data=st.data())
+    def test_match_the_fraction_formulas(self, series, rank, data):
+        # B, C, F4 and G2 have an asymmetric form on omega coordinates, so
+        # they check the doubled off-diagonal terms of the twist form.
+        datum = draw_datum(data, [(series, rank)], [5, 6, 7, 8, 12])
+        lam, mu = (weight(data.draw(rational_rows(rank))) for _ in range(2))
+        twist = pairing(datum, lam, lam + 2 * (1 - datum.r) * datum.rho)
+        e = twist_exponent(datum, lam)
+        assert (e.value, e.modulus) == (twist, datum.ell)
+        m = monodromy_exponent(datum, lam, mu)
+        assert (m.value, m.modulus) == (2 * pairing(datum, lam, mu), datum.ell)
+        if datum.ell % 2 == 0:
+            w = ExtWeight(lam, mu)
+            assert bq_twist_exponent(datum, w).value == twist - pairing(datum, mu, mu)
+
+    def test_the_exponent_paths_build_no_fractions(self, monkeypatch):
+        datum = build_cartan_datum("B", 2, 8)
+        spec = AlgebraSpec(datum, [4 * a for a in datum.simple_roots])
+        census = simple_census(spec)
+        reps = list(census.reps)
+        assert len(reps) == 64
+        ws = [ExtWeight(a, b) for a, b in zip(reps, reversed(reps))]
+        made = count_fractions(monkeypatch)
+        Fraction(1, 2)
+        assert made == [(1, 2)]  # the counter sees constructions
+        made.clear()
+
+        twists = [twist_exponent(datum, lam) for lam in reps]
+        assert list(census_twists(datum, census).values()) == twists
+        # The twist's additivity defect is the monodromy, on both sides.
+        for a, b in zip(reps, reps[1:]):
+            t = [twist_exponent(datum, lam) for lam in (a + b, a, b)]
+            assert t[0] - t[1] - t[2] == monodromy_exponent(datum, a, b)
+        for x, y in zip(ws, ws[1:]):
+            t = [bq_twist_exponent(datum, w) for w in (x + y, x, y)]
+            assert t[0] - t[1] - t[2] == bq_monodromy_exponent(datum, x, y)
+        assert made == []
 
 
 class TestInRootLattice:
