@@ -70,7 +70,6 @@ from .extensions import (
     bq_transparent,
     bq_twist_exponent,
     triplet_report,
-    weight_lattice_scaled,
 )
 from . import errors
 

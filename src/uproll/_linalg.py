@@ -5,9 +5,12 @@ the Smith diagonal alone taken modulo the determinant, which bounds every
 entry; the leading principal minors; and one fraction-free Gauss-Jordan
 elimination (Bareiss) behind det_int, mat_inverse, which returns the pair
 (adjugate, determinant), and combination_in_rows, which solves any number
-of targets at once as integer numerators over one denominator.
-Everything here works on lists of lists and is sized for rank <= 8
-problems.
+of targets at once as integer numerators over one denominator; and the
+echelon reduction that finishes the Hermite form and reduces a vector
+modulo a lattice.  Everything here works on lists of lists of plain ints,
+up to cartan.MAX_RANK = 32 columns: dense lattices up to rank 16 take
+about 0.02 s, but at ranks 22-31 the Hermite form of a scaled dual can
+run for tens of seconds.
 """
 
 from __future__ import annotations
@@ -66,13 +69,20 @@ def row_hermite_form(rows) -> list[list[int]]:
             result.append(acc)
         if not work:
             break
-    for i, row in enumerate(result):
-        p = next(j for j, v in enumerate(row) if v)
-        for k in range(i):
-            q = result[k][p] // row[p]
-            if q:
-                result[k] = [a - q * b for a, b in zip(result[k], row)]
-    return result
+    return [echelon_reduce(row, result[i + 1:]) for i, row in enumerate(result)]
+
+
+def echelon_reduce(v, rows) -> list[int]:
+    """The integer vector v less integer multiples of the echelon rows,
+    taken in order of their pivots, so that v's entry at each row's pivot
+    ends in [0, pivot).  On the rows of a row Hermite form this is the
+    canonical representative of v modulo their integer span."""
+    for row in rows:
+        p = row.index(next(filter(None, row)))  # the first nonzero entry
+        q = v[p] // row[p]
+        if q:
+            v = [a - q * b for a, b in zip(v, row)]
+    return v
 
 
 def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:

@@ -62,16 +62,6 @@ if TYPE_CHECKING:
 MAX_TABLE_ENTRIES = 100_000
 
 
-def __getattr__(name):
-    # The dense table storage (uproll._table) is loaded on first use: a CLI
-    # request builds no table, and would otherwise compile it on start-up.
-    if name == "CocycleTable":
-        from ._table import CocycleTable
-
-        return CocycleTable
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
 class AlgebraSpec:
     """An algebra of simple currents: ordered even generators, optional odd one.
 
@@ -194,10 +184,6 @@ class SuperVerdict(Record):
         return self.supercommutative
 
 
-def _commutative_witnesses(spec: AlgebraSpec) -> list[Witness]:
-    return commutativity_witnesses(*spec.pair_matrix, spec.datum.ell, len(spec.generators))
-
-
 def commutativity_witnesses(pairs, den: int, ell: int, m: int) -> list[Witness]:
     """The failures of P_ii / den and 2 P_ij / den in ell*Z for i, j < m."""
     step = ell * den
@@ -220,7 +206,7 @@ def check_commutative(spec: AlgebraSpec) -> CommutativityVerdict:
     """
     if spec.mu is not None:
         raise ValueError("check_commutative expects a spec without an odd generator")
-    bad = _commutative_witnesses(spec)
+    bad = commutativity_witnesses(*spec.pair_matrix, spec.datum.ell, len(spec.generators))
     return CommutativityVerdict(not bad, tuple(bad))
 
 
@@ -232,9 +218,9 @@ def check_supercommutative(spec: AlgebraSpec) -> SuperVerdict:
     """
     if spec.mu is None:
         raise ValueError("check_supercommutative expects a spec with an odd generator")
-    bad = _commutative_witnesses(spec)
     m = len(spec.generators)
     pairs, den = spec.pair_matrix
+    bad = commutativity_witnesses(pairs, den, spec.datum.ell, m)
     step = spec.datum.ell * den
     odd = [2 * x for x in pairs[m]]
     if odd[m] % step or not odd[m] % (2 * step):

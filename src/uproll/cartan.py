@@ -11,10 +11,11 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
-on ell, as is the flat twist form (_twist_form): N*G's upper triangle and
-its row sums N*G*rho.  bilinear() evaluates the form on the weights'
-integer rows; pairing_matrix and in_root_lattice stay on those integers,
-and pairing and alpha_coordinates form a Fraction for each result.
+on ell, as is the flat twist form (the fifth element of _type_table):
+N*G's upper triangle and its row sums N*G*rho.  bilinear() evaluates the
+form on the weights' integer rows; pairing_matrix and in_root_lattice stay
+on those integers, and pairing and alpha_coordinates form a Fraction for
+each result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -39,6 +40,8 @@ from .errors import (
 
 # Larger ranks are refused before anything is allocated: the exact inverse
 # of the Cartan matrix alone takes on the order of rank**3 bignum steps.
+# Dense lattices up to rank 16 finish in about 0.02 s, but at ranks 22-31
+# the Hermite form of a scaled dual can run for tens of seconds.
 MAX_RANK = 32
 
 
@@ -112,9 +115,6 @@ class Weight(Record):
             str(a // g) if (g := gcd(a, den)) == den else f"{a // g}/{den // g}"
             for a in self.row
         ]
-
-    def __hash__(self) -> int:
-        return hash((self.coords,))
 
     @staticmethod
     def zero(n: int) -> "Weight":
@@ -330,8 +330,12 @@ class CartanDatum(Record):
 @cache
 def _type_table(series: str, rank: int):
     """The constants of the type (series, rank) that do not depend on ell,
-    as tuples (cartan, symmetrizers, scaled_gram, gram_denominator); each
-    type is checked and its Gram matrix inverted once per process."""
+    as tuples (cartan, symmetrizers, scaled_gram, gram_denominator,
+    twist_form); each type is checked and its Gram matrix inverted once
+    per process.  The twist form is the numerator x.(N G).x + s (N G rho).x
+    of twist_exponent as a flat form on (x, s): terms (i, j, c), i <= j,
+    c != 0, from the upper triangle of N*G, off-diagonal entries doubled,
+    then its row sums at (i, rank)."""
     cartan, d = _series_data(series, rank)
     n = len(d)
     b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
@@ -345,23 +349,10 @@ def _type_table(series: str, rank: int):
     adj, det = _linalg.mat_inverse(b)
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
     common = gcd(det, *(x for row in scaled for x in row))
-    return (
-        cartan,
-        d,
-        tuple(tuple(x // common for x in row) for row in scaled),
-        det // common,
-    )
-
-
-@cache
-def _twist_form(series: str, rank: int) -> tuple[tuple[int, int, int], ...]:
-    """The twist numerator x.(N G).x + s (N G rho).x of the type as a flat
-    form on (x, s): terms (i, j, c), i <= j, c != 0, from the upper triangle
-    of N*G, off-diagonal entries doubled, then its row sums at (i, rank)."""
-    g = _type_table(series, rank)[2]
-    terms = [(i, j, g[i][j] * (1 + (i < j))) for i in range(rank) for j in range(i, rank)]
-    terms += [(i, rank, sum(row)) for i, row in enumerate(g)]
-    return tuple(t for t in terms if t[2])
+    g = tuple(tuple(x // common for x in row) for row in scaled)
+    terms = [(i, j, g[i][j] * (1 + (i < j))) for i in range(n) for j in range(i, n)]
+    terms += [(i, n, sum(row)) for i, row in enumerate(g)]
+    return cartan, d, g, det // common, tuple(t for t in terms if t[2])
 
 
 def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
@@ -384,7 +375,7 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
             f"need r > max gcd(d_i, r): r={r}, gcds={tuple(g)}"
         )
     n = len(d)
-    cartan, d, scaled_gram, gram_denominator = _type_table(series, n)
+    cartan, d, scaled_gram, gram_denominator, _ = _type_table(series, n)
     # Positional, in field order: a datum is built per spec.
     return CartanDatum(
         series, n, ell, cartan, d, r, tuple(r // gi for gi in g),

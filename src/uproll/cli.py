@@ -293,6 +293,9 @@ def _cmd_triplet(args) -> dict:
 
 
 def _cmd_bq(args) -> dict:
+    """Twists and monodromy are always taken at a**2 = -1/r; another
+    heisenberg.a_squared changes only commutative, local, transparent and
+    equivalent, and turns the last three null."""
     doc = _load_document(args)
     datum = _doc_datum(doc)
     a_squared = None

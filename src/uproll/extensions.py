@@ -32,7 +32,7 @@ from .cartan import (
     scaled_coords,
 )
 from .errors import NonADESeries, NotLocal, OddEll
-from .lattice import RationalLattice, canonical_basis
+from .lattice import RationalLattice
 from .localmod import LocalReport, local_report, monodromy_exponent, twist_exponent
 
 
@@ -92,28 +92,29 @@ class ExtWeight(Record):
         return ExtWeight(self.qg - other.qg, self.fock_tilde - other.fock_tilde)
 
 
-def weight_lattice_scaled(datum: CartanDatum, factor: int) -> RationalLattice:
-    """The lattice spanned by factor times the fundamental weights."""
-    gens = [factor * datum.fundamental_weight(i) for i in range(datum.rank)]
-    return canonical_basis(datum, gens)
-
-
 class BqSpec:
-    """Augmented extension data: even order, the currents' AlgebraSpec, and a**2."""
+    """Augmented extension data: even order, the currents' AlgebraSpec, and a**2.
+
+    a**2 feeds bq_check_commutative and is_standard only: bq_twist_exponent
+    and bq_monodromy_exponent take the datum alone, at a**2 = -1/r.
+    """
 
     def __init__(self, datum: CartanDatum, generators=None, a_squared=None):
         if datum.ell % 2:
             raise OddEll("the augmented construction needs ell = 2r even")
         self.datum = datum
+        n = datum.rank
+        # r*P as the rows r*I over 1, which are also its Hermite form.
+        r_identity = tuple(tuple(datum.r * (i == j) for j in range(n)) for i in range(n))
         if generators is None:
-            generators = [datum.r * datum.fundamental_weight(i) for i in range(datum.rank)]
+            generators = [Weight.over(row, 1) for row in r_identity]
         self.algebra = AlgebraSpec(datum, generators)
         self.generators = self.algebra.generators
         self.lattice = self.algebra.lattice
         special = Fraction(-1, datum.r)
         self.a_squared = special if a_squared is None else Fraction(a_squared)
         # Whether the lattice equals r times the full weight lattice.
-        self.is_full_weight_lattice = self.lattice == weight_lattice_scaled(datum, datum.r)
+        self.is_full_weight_lattice = self.lattice == RationalLattice(n, r_identity, 1)
         # Whether the locality formula of bq_is_local applies.
         self.is_standard = self.is_full_weight_lattice and self.a_squared == special
 

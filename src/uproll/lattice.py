@@ -16,7 +16,7 @@ over the dual's denominator in the view CensusReps (uproll._census).
 from __future__ import annotations
 
 from functools import cached_property
-from math import gcd
+from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING
 
@@ -72,6 +72,17 @@ def _from_rows(n: int, rows, den: int) -> RationalLattice:
     return RationalLattice(n, tuple(map(tuple, hnf)), den)
 
 
+def _over(lattice: RationalLattice, lam: Weight) -> tuple[list[list[int]], list[int], int]:
+    """The lattice's HNF rows and lam as integers over one denominator."""
+    if len(lam) != lattice.rank_ambient:
+        raise DimensionMismatch(
+            f"weight must have length {lattice.rank_ambient}"
+        )
+    den = lcm(lattice.denominator, lam.den)
+    s = den // lattice.denominator
+    return [[s * a for a in row] for row in lattice.hnf], lam.row_over(den), den
+
+
 def contains(lattice: RationalLattice, lam: Weight) -> bool:
     """Exact membership test: lam reduces to zero modulo the lattice."""
     return coset_reduce(lattice, lam).is_zero
@@ -85,18 +96,8 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
     congruent modulo the lattice exactly when they reduce to the same
     representative.
     """
-    if len(lam) != lattice.rank_ambient:
-        raise DimensionMismatch(
-            f"weight must have length {lattice.rank_ambient}"
-        )
-    rows, den = common_rows((*lattice.canonical_rows, lam))
-    v = rows.pop()
-    for row in rows:
-        p = next(j for j, x in enumerate(row) if x)
-        q = v[p] // row[p]
-        if q:
-            v = [a - q * b for a, b in zip(v, row)]
-    return Weight.over(v, den)
+    rows, x, den = _over(lattice, lam)
+    return Weight.over(_linalg.echelon_reduce(x, rows), den)
 
 
 class AdjoinResult(Record):
@@ -108,11 +109,13 @@ class AdjoinResult(Record):
 
 
 def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
-    """Canonical form of L + Z*mu, with the flags (mu in L, 2*mu in L)."""
-    mu_in = contains(lattice, mu)
-    two_in = contains(lattice, 2 * mu)
-    rows, den = common_rows((*lattice.canonical_rows, mu))
-    return AdjoinResult(_from_rows(lattice.rank_ambient, rows, den), mu_in, two_in)
+    """Canonical form of L + Z*mu, with the flags (mu in L, 2*mu in L), both
+    read off one reduction: 2*mu is in L when 2*(mu mod L) reduces to zero."""
+    rows, x, den = _over(lattice, mu)
+    rest = _linalg.echelon_reduce(x, rows)
+    twice = _linalg.echelon_reduce([2 * a for a in rest], rows)
+    joined = _from_rows(lattice.rank_ambient, rows + [x], den)
+    return AdjoinResult(joined, not any(rest), not any(twice))
 
 
 class DualGroup(Record):
@@ -238,13 +241,3 @@ def quotient_census(
         for s, row in zip(diag, vinv) if s > 1
     ]
     return Census(True, factors, CensusReps(radix, part.denominator, datum.rank), order, 0)
-
-
-def __getattr__(name):
-    # The census views (uproll._census) are loaded on the first finite
-    # census: a command that builds none would otherwise compile them.
-    if name == "CensusReps":
-        from ._census import CensusReps
-
-        return CensusReps
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

@@ -8,10 +8,11 @@ simples.
 
 Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
-(cartan._twist_form) on a weight's row, monodromy_exponent the integer
-form bilinear, and census_twists, seeded by twist_exponent on the adapted
-steps and their pairwise sums, runs sums along the census's mixed-radix
-enumeration at O(1) amortised per further representative.
+(the fifth element of cartan._type_table) on a weight's row,
+monodromy_exponent the integer form bilinear, and census_twists, seeded
+by twist_exponent on the adapted steps and by bilinear on their pairs,
+runs sums along the census's mixed-radix enumeration at O(1) amortised
+per further representative.
 
 The ribbon condition implemented here is sufficient only, so its
 negative answer is reported as "inconclusive" rather than as a
@@ -25,19 +26,11 @@ from __future__ import annotations
 
 from fractions import Fraction
 from itertools import accumulate
-from operator import add
 from typing import TYPE_CHECKING
 
 from ._record import Record
 from .algebra import AlgebraSpec
-from .cartan import (
-    CartanDatum,
-    ExponentModL,
-    Weight,
-    _twist_form,
-    bilinear,
-    scaled_coords,
-)
+from .cartan import CartanDatum, ExponentModL, Weight, _type_table, bilinear, scaled_coords
 from .errors import AlgebraInvalid, InfiniteCensus
 from .lattice import Census, in_dual, quotient_census, scaled_dual
 
@@ -80,7 +73,8 @@ def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:
     """
     x, den = scaled_coords(datum, lam)
     x = (*x, 2 * (1 - datum.r) * den)
-    total = sum([c * x[i] * x[j] for i, j, c in _twist_form(datum.series, datum.rank)])
+    form = _type_table(datum.series, datum.rank)[4]
+    total = sum([c * x[i] * x[j] for i, j, c in form])
     return ExponentModL.over(total, datum.gram_denominator * den * den, datum.ell)
 
 
@@ -157,9 +151,8 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     For a representative x / d with integer row x, the numerator
     T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer.  Along the adapted
     step a, T(x + c a) = T(x) + c 2<x, a> + T(c a), and the cross term
-    2<x, a> moves by 2<b, a> per step b taken before a.  T(a) and
-    2<a, b> = T(a + b) - T(a) - T(b) (the linear term cancels) come from
-    twist_exponent on the steps and their pairwise sums.
+    2<x, a> moves by 2<b, a> per step b taken before a.  T(a) comes from
+    twist_exponent on the step, and 2<a, b> over N d^2 is 2 a.(N G).b.
     """
     from ._census import CensusTwists, extend_column
 
@@ -175,10 +168,7 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
 
     steps = [step for _, step in reps.radix]
     single = [form(a) for a in steps]
-    twice = [[0] * len(steps) for _ in steps]
-    for j, a in enumerate(steps):
-        for k in range(j + 1):
-            twice[j][k] = twice[k][j] = form(map(add, a, steps[k])) - single[j] - single[k]
+    twice = [[2 * bilinear(datum.scaled_gram, a, b) for b in steps] for a in steps]
     # T over the prefixes enumerated so far, and for each step its cross
     # term 2<x, a> over the same prefixes.
     values, cross = [0], [[0] for _ in steps]

@@ -333,9 +333,15 @@ def test_type_table_matches_a_direct_sympy_gram(series, rank):
     gram = sym * (sym * sympy.Matrix(cartan)).inv() * sym
     n = lcm(*(int(x.q) for x in gram))
     scaled = tuple(tuple(int(x * n) for x in gram.row(i)) for i in range(rank))
-    assert uproll.cartan._type_table(series, rank) == (
-        tuple(map(tuple, cartan)), tuple(d), scaled, n
-    )
+    # The fifth element is the flat twist form on (x, s), checked as the
+    # polynomial x.(N G).x + s (N G rho).x in symbols.
+    *table, form = uproll.cartan._type_table(series, rank)
+    assert table == [tuple(map(tuple, cartan)), tuple(d), scaled, n]
+    x = sympy.symbols(f"x0:{rank + 1}")
+    v = sympy.Matrix(x[:rank])
+    expected = (v.T * sympy.Matrix(scaled) * (v + x[rank] * sympy.ones(rank, 1)))[0]
+    assert all(c != 0 and i <= j for i, j, c in form)
+    assert sympy.expand(sum(c * x[i] * x[j] for i, j, c in form) - expected) == 0
     datum = build_cartan_datum(series, rank, 7)
     assert (datum.scaled_gram, datum.gram_denominator) == (scaled, n)
 

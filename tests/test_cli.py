@@ -452,3 +452,27 @@ def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
     assert captured.out == ""
     assert captured.err.startswith("budget exceeded: ")
     assert "Traceback" not in captured.err
+
+
+def test_bq_twist_and_monodromy_are_taken_at_minus_one_over_r(tmp_path, capsys):
+    # bq_twist_exponent and bq_monodromy_exponent read the datum only, so
+    # another a**2 changes the verdicts but not a single exponent.
+    doc = {
+        "series": "A", "rank": 2, "ell": 4,
+        "ext_weights": [{"qg": ["1", "1"], "fock": ["0", "1"]},
+                        {"qg": ["2", "0"], "fock": ["2", "0"]}],
+    }
+    _, special = run_json(capsys, ["bq", "--input", write_doc(tmp_path, "s.json", doc)])
+    other = {**doc, "heisenberg": {"a_squared": "1/3"}}
+    _, shifted = run_json(capsys, ["bq", "--input", write_doc(tmp_path, "o.json", other)])
+    assert (special["a_squared"], shifted["a_squared"]) == ("-1/2", "1/3")
+    for report in (special, shifted):
+        assert [w["twist"]["exponent"] for w in report["weights"]] == ["4/3", "0"]
+        assert [p["monodromy"]["exponent"] for p in report["pairs"]] == ["8/3"]
+    assert [w["twist"] for w in special["weights"]] == [w["twist"] for w in shifted["weights"]]
+    assert [p["monodromy"] for p in special["pairs"]] == [p["monodromy"] for p in shifted["pairs"]]
+    assert (special["commutative"], shifted["commutative"]) == (True, False)
+    assert [w["local"] for w in special["weights"]] == [False, True]
+    assert special["weights"][1]["transparent"] is True
+    assert all(w["local"] is None and w["transparent"] is None for w in shifted["weights"])
+    assert shifted["pairs"][0]["equivalent"] is None

@@ -3,6 +3,9 @@ from fractions import Fraction
 
 import pytest
 from helpers import ALL_TYPES, random_weight
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from sympy import Matrix, Rational
 
 import uproll.lattice
 from uproll import (
@@ -154,6 +157,56 @@ class TestAdjoin:
             assert contains(res.lattice, mu)
             for row in lat.canonical_rows:
                 assert contains(res.lattice, row)
+
+
+A3_4 = build_cartan_datum("A", 3, 4)
+small_rationals = st.fractions(min_value=-6, max_value=6, max_denominator=4)
+rank3_weights = st.lists(small_rationals, min_size=3, max_size=3).map(weight)
+
+
+@st.composite
+def adjoin_cases(draw):
+    """Up to four generators in rank 3, so L is often rank-deficient, and
+    mu = (an integer combination of them) / k plus, sometimes, a weight
+    that may leave the span of L."""
+    gens = draw(st.lists(rank3_weights, max_size=4))
+    mu = Weight.zero(3)
+    for g in gens:
+        mu = mu + draw(st.integers(-3, 3)) * g
+    mu = mu * Fraction(1, draw(st.integers(1, 3)))
+    if draw(st.booleans()):
+        mu = mu + draw(rank3_weights)
+    return gens, mu
+
+
+def in_lattice_by_sympy(lattice, mu) -> bool:
+    """Membership by sympy's Gauss-Jordan solve on the HNF rows, then an
+    integrality check on the unique solution."""
+    if lattice.rank == 0:
+        return mu.is_zero
+    basis = Matrix([[Rational(x, lattice.denominator) for x in row] for row in lattice.hnf])
+    try:
+        solution, free = basis.T.gauss_jordan_solve(Matrix([Rational(a, mu.den) for a in mu.row]))
+    except ValueError:
+        return False
+    assert free.rows == 0
+    return all(x.is_integer for x in solution)
+
+
+@settings(max_examples=200, deadline=None)
+@given(case=adjoin_cases())
+# Full rank, mu in L; full rank, 2*mu in L only; rank 1 with mu outside its span.
+@example(case=([weight([2, 0, 0]), weight([0, 2, 0]), weight([0, 0, 2])], weight([2, -4, 6])))
+@example(case=([weight([2, 0, 0]), weight([0, 2, 0]), weight([0, 0, 2])], weight([1, 0, 3])))
+@example(case=([weight(["1/2", 1, 0])], weight(["1/3", "1/2", 2])))
+def test_adjoin_against_sympy(case):
+    gens, mu = case
+    lat = canonical_basis(A3_4, gens)
+    res = adjoin(lat, mu)
+    assert res.mu_in_lattice == in_lattice_by_sympy(lat, mu)
+    assert res.two_mu_in_lattice == in_lattice_by_sympy(lat, 2 * mu)
+    assert res.lattice == canonical_basis(A3_4, [*lat.canonical_rows, mu])
+    assert res.lattice == canonical_basis(A3_4, [*gens, mu])
 
 
 class TestScaledDual:

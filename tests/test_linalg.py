@@ -6,6 +6,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix
+from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
@@ -148,6 +149,43 @@ class TestAgainstSympy:
             in_input, in_hnf = integer_span_test(mat), integer_span_test(hnf)
             assert all(in_input(row) for row in hnf), mat
             assert all(in_hnf(row) for row in mat), mat
+
+
+@st.composite
+def hermite_inputs(draw):
+    """Integer matrices up to 6x6 with entries in [-9, 9], with zero rows
+    and rows repeated up to sign, so rank deficiency is common."""
+    n = draw(st.integers(1, 6))
+    rows = []
+    for _ in range(draw(st.integers(0, 6))):
+        kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
+        if kind == "zero":
+            rows.append([0] * n)
+        elif kind == "repeat" and rows:
+            sign = draw(st.sampled_from([-1, 1]))
+            rows.append([sign * x for x in draw(st.sampled_from(rows))])
+        else:
+            rows.append(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    return rows
+
+
+def sympy_row_hermite(rows):
+    """The row Hermite form from sympy's, which is column-style with pivots
+    at the right: reverse the columns, transpose, take sympy's form,
+    transpose back, reverse the columns again, drop the zero rows and
+    order the rest by pivot."""
+    if not any(map(any, rows)):
+        return []
+    flipped = Matrix([row[::-1] for row in rows])
+    h = sympy_hermite(flipped.T).T
+    out = [[int(x) for x in h.row(i)][::-1] for i in range(h.rows)]
+    return sorted((r for r in out if any(r)), key=lambda r: next(j for j, x in enumerate(r) if x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(rows=hermite_inputs())
+def test_hermite_form_matches_sympy(rows):
+    assert row_hermite_form(rows) == sympy_row_hermite(rows)
 
 
 class TestRationalKernels:

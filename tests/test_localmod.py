@@ -306,13 +306,13 @@ class TestLocalReport:
 
     def test_spec_is_validated_once_per_report(self, monkeypatch):
         calls = []
-        real = algebra._commutative_witnesses
+        real = algebra.commutativity_witnesses
 
-        def counting(spec):
-            calls.append(spec)
-            return real(spec)
+        def counting(*args):
+            calls.append(args)
+            return real(*args)
 
-        monkeypatch.setattr(algebra, "_commutative_witnesses", counting)
+        monkeypatch.setattr(algebra, "commutativity_witnesses", counting)
         local_report(doubled_root_spec())
         assert len(calls) == 1
         local_report(super_spec())

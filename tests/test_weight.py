@@ -70,7 +70,7 @@ class TestModel:
         assert w.coords == model
         assert all(type(c) is Fraction for c in w.coords)
         assert len(w) == len(model)
-        assert hash(w) == hash((model,))
+        assert hash(w) == hash((w.row, w.den))
         assert w.coord_strings() == [str(c) for c in model]
         assert repr(w) == "Weight(%s)" % ", ".join(str(c) for c in model)
         assert w.is_zero == (not any(model))
@@ -190,20 +190,29 @@ def test_hot_paths_build_no_fractions(monkeypatch):
     assert list(reps)[3] == reps[3] == reps[3:4][0]
     assert reps[-1] in reps
     assert [reps.index(w) for w in reps] == list(range(len(reps)))
+    # Hashing a weight, a set of weights and the census reps.
+    w = weight(["1/2", 3, 0])
+    hashes = [hash(w), len({*probes, *gens, w}), hash(reps)]
     assert made == []
+    # Weights hash on their (row, den) fields.
+    assert hashes == [hash(((1, 6, 0), 2)), len(probes) + len(gens) + 1, hash(tuple(reps))]
+
+
+def coords_reads(source: str) -> list[int]:
+    """The lines of the source that read an attribute named coords."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute) and node.attr == "coords"
+    ]
 
 
 def test_only_cartan_and_the_oracle_read_weight_coords():
+    # The walk finds the reads it looks for, and not the property itself.
+    assert coords_reads("def coords(self):\n    pass\nw.coords\n") == [3]
     src = Path(uproll.__file__).parent
     readers = {}
     for path in sorted(src.glob("*.py")):
-        tree = ast.parse(path.read_text(encoding="utf-8"))
-        lines = [
-            node.lineno
-            for node in ast.walk(tree)
-            if isinstance(node, ast.Attribute) and node.attr == "coords"
-        ]
-        if lines:
+        if lines := coords_reads(path.read_text(encoding="utf-8")):
             readers[path.name] = lines
-    assert "cartan.py" in readers  # the walk finds the reads it looks for
     assert set(readers) <= {"cartan.py", "oracle.py"}, readers
