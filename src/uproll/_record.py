@@ -1,4 +1,7 @@
-"""Immutable value records, whose fields are the class's own annotations."""
+"""Immutable value records, whose fields are the class's own annotations.
+A record class that declares __slots__ writes each field through its slot's
+__set__ (past the blocking __setattr__, cheaper than object.__setattr__), any
+other one its __dict__ in one update; reads from a __dict__ are slower."""
 
 
 class Record:
@@ -7,10 +10,13 @@ class Record:
 
     __slots__ = ()
     _fields = ()
+    _setters = None
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         cls._fields = tuple(cls.__annotations__)
+        if "__slots__" in vars(cls):
+            cls._setters = tuple(getattr(cls, key).__set__ for key in cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields, name = self._fields, type(self).__name__
@@ -25,8 +31,11 @@ class Record:
                 raise TypeError(f"{name} {problem % key}")
         if len(args) != len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
-        for key, value in zip(fields, args):
-            object.__setattr__(self, key, value)
+        if self._setters is None:
+            self.__dict__.update(zip(fields, args))
+        else:
+            for set_field, value in zip(self._setters, args):
+                set_field(self, value)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")

@@ -11,8 +11,8 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
-on ell, as is the flat twist form (the fifth element of _type_table):
-N*G's upper triangle and its row sums N*G*rho.  bilinear() evaluates the
+on ell, as is the flat twist form, N*G's upper triangle and its row sums
+N*G*rho, which a datum reads once as twist_form.  bilinear() evaluates the
 form on the weights' integer rows; pairing_matrix and in_root_lattice stay
 on those integers, and pairing and alpha_coordinates form a Fraction for
 each result.
@@ -25,7 +25,7 @@ kept, as an ExponentModL holding integers num / den compared modulo ell.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache
+from functools import cache, cached_property
 from math import gcd, lcm
 from operator import add, index, mul
 
@@ -83,9 +83,11 @@ class Weight(Record):
             raise ValueError(f"weight denominator must be positive, got {den}")
         pairs = list(map(_ratio, coords))
         scale = lcm(1, *(q for _, q in pairs))
-        w = Weight.over([p * (scale // q) for p, q in pairs], den * scale)
-        object.__setattr__(self, "row", w.row)
-        object.__setattr__(self, "den", w.den)
+        row, den = [p * (scale // q) for p, q in pairs], den * scale
+        g = gcd(den, *row)
+        set_row, set_den = self._setters
+        set_row(self, tuple([a // g for a in row]))
+        set_den(self, den // g)
 
     @classmethod
     def over(cls, row, den: int) -> "Weight":
@@ -93,8 +95,9 @@ class Weight(Record):
         row = tuple(row)
         g = gcd(den, *row)
         w = object.__new__(cls)
-        object.__setattr__(w, "row", row if g == 1 else tuple(a // g for a in row))
-        object.__setattr__(w, "den", den // g)
+        set_row, set_den = cls._setters
+        set_row(w, row if g == 1 else tuple(a // g for a in row))
+        set_den(w, den // g)
         return w
 
     def row_over(self, den: int) -> list[int]:
@@ -186,9 +189,10 @@ class ExponentModL(Record):
         """The exponent num / den at order modulus, from integers den, modulus > 0."""
         g = gcd(num, den)
         e = object.__new__(cls)
-        object.__setattr__(e, "num", num // g)
-        object.__setattr__(e, "den", den // g)
-        object.__setattr__(e, "modulus", modulus)
+        set_num, set_den, set_modulus = cls._setters
+        set_num(e, num // g)
+        set_den(e, den // g)
+        set_modulus(e, modulus)
         return e
 
     @property
@@ -293,8 +297,11 @@ def _series_data(series: str, rank: int) -> tuple[tuple[tuple[int, ...], ...], t
 
 
 class CartanDatum(Record):
-    """Root-system constants for one simple type at one root of unity."""
+    """Root-system constants for one simple type at one root of unity,
+    slotted for the loops that read it; __dict__ holds only twist_form."""
 
+    __slots__ = ("series", "rank", "ell", "cartan", "symmetrizers", "r", "r_i",
+                 "scaled_gram", "gram_denominator", "rho", "__dict__")
     series: str
     rank: int
     ell: int
@@ -326,16 +333,21 @@ class CartanDatum(Record):
     def simple_roots(self) -> tuple[Weight, ...]:
         return tuple(self.simple_root(i) for i in range(self.rank))
 
+    @cached_property
+    def twist_form(self) -> tuple[tuple[int, int, int], ...]:
+        """The type's flat twist form (see _type_table); not a field."""
+        return _type_table(self.series, self.rank)[4]
+
 
 @cache
 def _type_table(series: str, rank: int):
     """The constants of the type (series, rank) that do not depend on ell,
     as tuples (cartan, symmetrizers, scaled_gram, gram_denominator,
     twist_form); each type is checked and its Gram matrix inverted once
-    per process.  The twist form is the numerator x.(N G).x + s (N G rho).x
-    of twist_exponent as a flat form on (x, s): terms (i, j, c), i <= j,
-    c != 0, from the upper triangle of N*G, off-diagonal entries doubled,
-    then its row sums at (i, rank)."""
+    per process.  The twist form, which twist_exponent reads as the datum's
+    twist_form, is its numerator x.(N G).x + s (N G rho).x as a flat form on
+    (x, s): terms (i, j, c), i <= j, c != 0, from the upper triangle of N*G,
+    off-diagonal entries doubled, then its row sums at (i, rank)."""
     cartan, d = _series_data(series, rank)
     n = len(d)
     b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]

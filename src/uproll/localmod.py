@@ -8,7 +8,7 @@ simples.
 
 Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
-(the fifth element of cartan._type_table) on a weight's row,
+(the datum's twist_form, read once per datum) on a weight's row,
 monodromy_exponent the integer form bilinear, and census_twists, seeded
 by twist_exponent on the adapted steps and by bilinear on their pairs,
 runs sums along the census's mixed-radix enumeration at O(1) amortised
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .algebra import AlgebraSpec
-from .cartan import CartanDatum, ExponentModL, Weight, _type_table, bilinear, scaled_coords
+from .cartan import CartanDatum, ExponentModL, Weight, bilinear, scaled_coords
 from .errors import AlgebraInvalid, InfiniteCensus
 from .lattice import Census, in_dual, quotient_census, scaled_dual
 
@@ -73,8 +73,7 @@ def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:
     """
     x, den = scaled_coords(datum, lam)
     x = (*x, 2 * (1 - datum.r) * den)
-    form = _type_table(datum.series, datum.rank)[4]
-    total = sum([c * x[i] * x[j] for i, j, c in form])
+    total = sum([c * x[i] * x[j] for i, j, c in datum.twist_form])
     return ExponentModL.over(total, datum.gram_denominator * den * den, datum.ell)
 
 

@@ -1,10 +1,13 @@
 """Semantics of the immutable value records behind uproll's result types."""
 
+import ast
 import pickle
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+import uproll
 from uproll import (
     Box,
     Census,
@@ -12,10 +15,13 @@ from uproll import (
     ExponentModL,
     SuperVerdict,
     Weight,
+    build_cartan_datum,
     exponent,
     weight,
 )
+from uproll import _census, _table, oracle  # noqa: F401  (loads every Record subclass)
 from uproll._record import Record
+from uproll.cartan import _type_table
 from uproll.errors import BudgetExceeded
 
 
@@ -24,6 +30,17 @@ def _census(**kwargs):
         finite=True, invariant_factors=(2,), reps=None, order=2, complement_dimension=0
     )
     return Census(**{**fields, **kwargs})
+
+
+def uproll_records() -> list[type]:
+    """Every Record subclass the uproll package defines."""
+    found, todo = [], [Record]
+    while todo:
+        for cls in todo.pop().__subclasses__():
+            todo.append(cls)
+            if cls.__module__.startswith("uproll."):
+                found.append(cls)
+    return found
 
 
 class TestConstruction:
@@ -71,6 +88,113 @@ class TestImmutability:
     def test_hot_value_types_have_no_instance_dict(self):
         assert not hasattr(Weight.zero(2), "__dict__")
         assert not hasattr(exponent(1, 4), "__dict__")
+
+    @pytest.mark.parametrize(
+        "cls", sorted(uproll_records(), key=lambda c: c.__qualname__), ids=lambda c: c.__name__
+    )
+    def test_every_record_class_refuses_changes(self, cls):
+        # Filled through Record.__init__, past any validating __init__ of its own.
+        record = object.__new__(cls)
+        Record.__init__(record, *range(len(cls._fields)))
+        for field in cls._fields:
+            with pytest.raises(AttributeError):
+                setattr(record, field, None)
+            with pytest.raises(AttributeError):
+                delattr(record, field)
+        with pytest.raises(AttributeError):
+            record.new_field = 1
+        assert record._values() == tuple(range(len(cls._fields)))
+
+
+def test_all_record_classes_are_found_and_choose_their_storage_once():
+    classes = {cls.__name__: cls for cls in uproll_records()}
+    assert {"Weight", "CartanDatum", "Census", "CocycleTable", "Box"} <= set(classes)
+    assert len(classes) == 19
+    for name, cls in classes.items():
+        if name in ("Weight", "ExponentModL", "CartanDatum"):
+            assert len(cls._setters) == len(cls._fields)
+        else:
+            assert cls._setters is None, name
+
+
+def _weights():
+    return [
+        Weight.over((2, 1), 2),
+        Weight.over([4, 2], 4),
+        Weight((1, Fraction(1, 2))),
+        Weight(coords=(2, 1), den=2),
+        Weight(["1", "1/2"]),
+    ]
+
+
+def _exponents():
+    return [
+        ExponentModL.over(3, 2, 4),
+        ExponentModL.over(6, 4, 4),
+        ExponentModL(Fraction(3, 2), 4),
+        ExponentModL(value="6/4", modulus=4),
+    ]
+
+
+def _censuses():
+    return [
+        Census(True, (2,), None, 2, 0),
+        _census(),
+        Census(True, (2,), None, order=2, complement_dimension=0),
+    ]
+
+
+@pytest.mark.parametrize("make", [_weights, _exponents, _censuses])
+def test_every_construction_path_agrees(make):
+    built = make()
+    built += [pickle.loads(pickle.dumps(record)) for record in built]
+    first = built[0]
+    for record in built:
+        assert type(record) is type(first)
+        assert record == first and hash(record) == hash(first)
+        assert record._values() == first._values()
+
+
+def test_reading_the_twist_form_leaves_a_datum_unchanged():
+    fresh, read = build_cartan_datum("F", 4, 6), build_cartan_datum("F", 4, 6)
+    assert read.twist_form is _type_table("F", 4)[4]
+    assert "twist_form" in vars(read) and "twist_form" not in vars(fresh)
+    assert read == fresh and hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert pickle.dumps(read) == pickle.dumps(fresh)
+    restored = pickle.loads(pickle.dumps(read))
+    assert restored == fresh and "twist_form" not in vars(restored)
+    with pytest.raises(AttributeError):
+        read.twist_form = ()
+
+
+def object_setattr_uses(source: str) -> list[int]:
+    """The lines of the source that name object.__setattr__, called or not."""
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Attribute)
+        and node.attr == "__setattr__"
+        and isinstance(node.value, ast.Name)
+        and node.value.id == "object"
+    ]
+
+
+def test_only_the_record_module_uses_object_setattr():
+    # The walk finds calls and aliases, and not other __setattr__s or text.
+    snippet = (
+        '"""object.__setattr__"""\n'
+        "object.__setattr__(w, 'row', r)\n"
+        "super().__setattr__('row', r)\n"
+        "set_field = object.__setattr__\n"
+    )
+    assert sorted(object_setattr_uses(snippet)) == [2, 4]
+    src = Path(uproll.__file__).parent
+    users = {}
+    for path in sorted(src.glob("*.py")):
+        if lines := object_setattr_uses(path.read_text(encoding="utf-8")):
+            users[path.name] = lines
+    assert set(users) <= {"_record.py"}, users
 
 
 class TestEqualityAndHash:
