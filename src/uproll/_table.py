@@ -1,7 +1,8 @@
 """Dense storage for structure-constant tables: integer rows over one
 denominator, indexed by the box vectors in lexicographic order.  The table
-operations in uproll.algebra work on these rows; ExponentModL values
-appear only through the mapping view TableEntries.
+operations in uproll.algebra run their kernels here, on these rows, and
+read each pair sum at its position in the doubled box; ExponentModL
+values appear only through the mapping view TableEntries.
 
 The cocycle identities are decided here too: the gauge recursion that
 builds a table's cochain, the split certificate that proves them in one
@@ -13,7 +14,6 @@ from collections.abc import MutableMapping
 from functools import cached_property
 from itertools import product
 from math import gcd, lcm
-from operator import mul
 
 from ._record import Record
 from .algebra import check_box_budget
@@ -23,8 +23,8 @@ from .errors import IncompleteTable
 
 class Grid:
     """The box [-box, box]^dimension: its vectors in lexicographic order,
-    their positions and (on first use) the in-box pair sums, built once per
-    table and handed on to the tables derived from it."""
+    their positions and (on first use) those in the doubled box of the pair
+    sums, built once per table and handed on to the tables derived from it."""
 
     def __init__(self, dimension: int, box: int):
         check_box_budget(box, dimension)
@@ -32,22 +32,6 @@ class Grid:
         self.vecs = list(product(self.span, repeat=dimension))
         self.index = {v: i for i, v in enumerate(self.vecs)}
         self.zero = self.index[(0,) * dimension]
-
-    @cached_property
-    def pairs(self) -> list[list[tuple[int, int]]]:
-        """For each vector v1, the positions (j, k) of every vecs[j] whose
-        sum vecs[k] with v1 stays in the box, j ascending.  Positions are
-        mixed radix, so affine in the vector: k = i + j - zero."""
-        box, index, zero = self.box, self.index, self.zero
-        return [
-            [
-                (j, i + j - zero)
-                for j in map(index.__getitem__, product(
-                    *(range(-box - min(c, 0), box - max(c, 0) + 1) for c in v1)
-                ))
-            ]
-            for i, v1 in enumerate(self.vecs)
-        ]
 
     @cached_property
     def units(self) -> list[int]:
@@ -64,6 +48,14 @@ class Grid:
         radix = [(4 * self.box + 1) ** t for t in reversed(range(self.dimension))]
         return self.dots(radix), 2 * self.box * sum(radix)
 
+    @cached_property
+    def inside(self) -> list[int | None]:
+        """For each position of the doubled box, the position of the same
+        vector in the box, None where it lies outside."""
+        at, zero = self.doubled
+        where = {zero + t: k for k, t in enumerate(at)}
+        return [where.get(pos) for pos in range((4 * self.box + 1) ** self.dimension)]
+
     def dots(self, w) -> list[int]:
         """The integers w.m for every vector m of the box, in order."""
         row = [0]
@@ -72,11 +64,15 @@ class Grid:
             row = [y + s for y in row for s in steps]
         return row
 
-    def forms(self, matrix):
+    def forms(self, matrix) -> list[list[int]]:
         """For each vector a of the box in order, the integers a.matrix.m
-        for every vector m of the box, in order."""
-        cols = list(zip(*matrix))
-        return (self.dots([sum(map(mul, a, col)) for col in cols]) for a in self.vecs)
+        for every vector m of the box, in order.  By bilinearity each row
+        is the one before it along an axis plus that axis's unit row."""
+        rows = [self.dots([-self.box * sum(col) for col in zip(*matrix)])]  # at (-box, ..., -box)
+        for unit in map(self.dots, matrix):
+            rows = [(row := first if c == -self.box else [x + y for x, y in zip(row, unit)])
+                    for first in rows for c in self.span]
+        return rows
 
 
 class TableEntries(MutableMapping):
@@ -135,11 +131,10 @@ class TableEntries(MutableMapping):
 
     def require(self, positions) -> None:
         """Raise IncompleteTable naming the first (i, j) in positions with no entry."""
-        if not any(None in row for row in self.rows):
-            return
-        for i, j in positions:
-            if self.rows[i][j] is None:
-                raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")
+        if any(None in row for row in self.rows):
+            for i, j in positions:
+                if self.rows[i][j] is None:
+                    raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")
 
 
 class CocycleTable(Record):
@@ -203,6 +198,49 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
     return f
 
 
+def coboundary_rows(grid: Grid, rows, f) -> list[list]:
+    """The rows of x + f(a + b) - f(a) - f(b), with x = rows[i][j] at the
+    i-th and j-th box vectors a and b and f listed over the doubled box
+    (Grid.doubled); None where x or f(a + b) is None."""
+    at, zero = grid.doubled
+    keys = [zero + t for t in at]
+    f_box = [f[k] for k in keys]
+    return [[None if x is None or (s := f[a + b]) is None else x + s - fa - fb
+             for x, b, fb in zip(row, at, f_box)] for a, fa, row in zip(keys, f_box, rows)]
+
+
+def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
+    """algebra.apply_coboundary on the table's rows."""
+    grid, ell = entries.grid, entries.ell
+    values = []
+    for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension):
+        if (x := phi.get(vec)) is None:
+            raise IncompleteTable(f"coboundary cochain missing {vec}")
+        if x.modulus != ell:
+            raise ValueError(
+                f"exponents live at different orders of q: {x.modulus} at {vec}, {ell} in the table"
+            )
+        values.append(x)
+    den = lcm(entries.den, *(x.den for x in values))
+    rows = entries.rows
+    if (up := den // entries.den) > 1:
+        rows = [[x if x is None else x * up for x in row] for row in rows]
+    f = [x.num * (den // x.den) for x in values]
+    return TableEntries(grid, ell, coboundary_rows(grid, rows, f), den)
+
+
+def normalize(entries: TableEntries) -> tuple[list[int], TableEntries]:
+    """algebra.gauge_normalize on the table's rows: the gauge cochain on the
+    box, in order, and the normalized entries, none where a sum leaves the box."""
+    grid, rows = entries.grid, entries.rows
+    (at, zero), inside = grid.doubled, grid.inside
+    entries.require((i, j) for i, a in enumerate(at) for j, b in enumerate(at)
+                    if inside[zero + a + b] is not None)
+    f = gauge_cochain(grid, rows)
+    spread = [k if k is None else f[k] for k in inside]
+    return f, TableEntries(grid, entries.ell, coboundary_rows(grid, rows, spread), entries.den)
+
+
 # The split certificate.  Modulo den * ell, let B be the strictly lower form
 # with B(g_i, g_k) = e(g_i, g_k) - e(g_k, g_i) for i > k and phi = -f the
 # gauge cochain.  If h(a, b) = e(a, b) - B(a, b) + phi(a) + phi(b) depends
@@ -240,7 +278,9 @@ def scan_structure(entries: TableEntries) -> tuple | None:
     """The first failure of the unit rows, then of associativity, in
     lexicographic order (see algebra.cocycle_check)."""
     grid, e, mod = entries.grid, entries.rows, entries.den * entries.ell
-    vecs, in_box, z = grid.vecs, grid.pairs, grid.zero
+    vecs, z, inside, (at, zero) = grid.vecs, grid.zero, grid.inside, grid.doubled
+    # For each vector, the positions (j, k) of every vecs[j] whose sum vecs[k] with it stays in the box.
+    in_box = [[(j, k) for j, b in enumerate(at) if (k := inside[zero + a + b]) is not None] for a in at]
     # The generator expression binds its hoisted rows with "for x in
     # [value]", which Python compiles to a plain assignment.
     return next(

@@ -29,8 +29,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from itertools import product
-from math import lcm
 from typing import TYPE_CHECKING
 
 from . import _linalg
@@ -47,7 +45,6 @@ from .cartan import (
 from .errors import (
     BudgetExceeded,
     DependentGenerators,
-    IncompleteTable,
     MuNotHalfOdd,
     NotInLattice,
     NotInSimpleCurrentLattice,
@@ -239,16 +236,12 @@ def spec_verdict(spec: AlgebraSpec):
 def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
     """Normal-form exponent for elements given by generator coefficients:
     the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
-    return ExponentModL.over(
-        bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1], spec.datum.ell
-    )
+    return ExponentModL.over(bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1], spec.datum.ell)
 
 
 def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> ExponentModL:
     """Normal-form structure-constant exponent on a pair of lattice elements."""
-    return exponent_from_coefficients(
-        spec, spec.coefficients(lam), spec.coefficients(mu)
-    )
+    return exponent_from_coefficients(spec, spec.coefficients(lam), spec.coefficients(mu))
 
 
 def check_box_budget(box: int, dimension: int) -> None:
@@ -268,8 +261,7 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     from ._table import CocycleTable, Grid, TableEntries
 
     grid = Grid(len(spec.ordered_basis), box)
-    rows = list(grid.forms(spec._lower_pairs))
-    entries = TableEntries(grid, spec.datum.ell, rows, spec.pair_matrix[1])
+    entries = TableEntries(grid, spec.datum.ell, grid.forms(spec._lower_pairs), spec.pair_matrix[1])
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 
@@ -303,11 +295,7 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     if datum.ell != table.ell:
         raise ValueError(f"table at order {table.ell} of q, datum at order {datum.ell}")
     structure, commutation = violations(table.entries, *pairing_matrix(datum, table.generators))
-    return CocycleVerdict(
-        valid=structure is None,
-        commutative=commutation is None,
-        first_violation=structure or commutation,
-    )
+    return CocycleVerdict(structure is None, commutation is None, structure or commutation)
 
 
 def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
@@ -318,30 +306,9 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
     2*box) with phi(0) = 0.  It is read once into integers over one
     denominator, listed by mixed-radix position in that doubled box.
     """
-    from ._table import CocycleTable, TableEntries
+    from ._table import CocycleTable, coboundary
 
-    entries, box, ell, dims = table.entries, table.box, table.ell, table.dimension
-    values = []
-    for vec in product(range(-2 * box, 2 * box + 1), repeat=dims):
-        try:
-            x = phi[vec]
-        except KeyError:
-            raise IncompleteTable(f"coboundary cochain missing {vec}") from None
-        if x.modulus != ell:
-            raise ValueError(
-                f"exponents live at different orders of q: {x.modulus} at {vec}, {ell} in the table"
-            )
-        values.append(x)
-    den = lcm(entries.den, *(x.den for x in values))
-    f = [x.num * (den // x.den) for x in values]
-    up = den // entries.den
-    at, zero = entries.grid.doubled
-    f_box = [f[zero + a] for a in at]
-    rows = [
-        [x if x is None else x * up + f[zero + a + b] - fa - fb for x, b, fb in zip(row, at, f_box)]
-        for a, fa, row in zip(at, f_box, entries.rows)
-    ]
-    return CocycleTable(table.generators, box, ell, TableEntries(entries.grid, ell, rows, den))
+    return CocycleTable(table.generators, table.box, table.ell, coboundary(table.entries, phi))
 
 
 class GaugeResult(Record):
@@ -363,22 +330,15 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     The normalized table carries entries for every in-box pair whose sum
     stays in the box, and on those pairs it agrees with the normal form.
     The recursion (uproll._table.gauge_cochain, which cocycle_check's
-    certificate shares) runs on the table's integer rows; phi is returned
-    as a dict of ExponentModL built at the end.
+    certificate shares) runs on the table's integer rows, and each pair
+    sum is read at its position in the doubled box, with no pair list
+    kept; phi is returned as a dict of ExponentModL built at the end.
     """
-    from ._table import CocycleTable, TableEntries, gauge_cochain
+    from ._table import CocycleTable, normalize
 
     if spec.ordered_basis != table.generators:
         raise ValueError("table generators do not match the spec's ordered basis")
     entries, ell = table.entries, table.ell
-    grid = entries.grid
-    entries.require((i, j) for i, row in enumerate(grid.pairs) for j, _ in row)
-    e, vecs = entries.rows, grid.vecs
-    f = gauge_cochain(grid, e)
-    rows = [[None] * len(vecs) for _ in vecs]
-    for out, fa, row, pairs in zip(rows, f, e, grid.pairs):
-        for j, k in pairs:
-            out[j] = row[j] + f[k] - fa - f[j]
-    phi = {v: ExponentModL.over(x, entries.den, ell) for v, x in zip(vecs, f)}
-    normalized = CocycleTable(table.generators, table.box, ell, TableEntries(grid, ell, rows, entries.den))
-    return GaugeResult(phi, normalized)
+    f, normalized = normalize(entries)
+    phi = {v: ExponentModL.over(x, entries.den, ell) for v, x in zip(entries.grid.vecs, f)}
+    return GaugeResult(phi, CocycleTable(table.generators, table.box, ell, normalized))

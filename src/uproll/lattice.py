@@ -230,7 +230,7 @@ def quotient_census(
         raise BudgetExceeded(
             f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
         )
-    diag, vinv = _linalg.smith_normal_form(change)
+    diag, vinv = _linalg.smith_normal_form(_linalg.row_hermite_form(change))
     factors = tuple(s for s in diag if s > 1)
     from ._census import CensusReps
 

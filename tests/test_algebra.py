@@ -622,6 +622,107 @@ def test_table_sizes_read_by_the_benchmark(name, spec):
         assert len(normalized.entries) == (3 * b * b + 3 * b + 1) ** d
 
 
+def plus(a, b):
+    return tuple(x + y for x, y in zip(a, b))
+
+
+def reference_coboundary(table, phi):
+    """apply_coboundary by its definition, on the Fraction values of dicts."""
+    doubled = product(range(-2 * table.box, 2 * table.box + 1), repeat=table.dimension)
+    missing = next((vec for vec in doubled if vec not in phi), None)
+    if missing is not None:
+        raise IncompleteTable(f"coboundary cochain missing {missing}")
+    f = {vec: x.value for vec, x in phi.items()}
+    return {(a, b): x.value + f[plus(a, b)] - f[a] - f[b] for (a, b), x in table.entries.items()}
+
+
+def reference_gauge(table):
+    """gauge_normalize by its docstring's recursion, on the Fraction values
+    of dicts: the cochain phi and the normalized entries."""
+    box, dims = table.box, table.dimension
+    vecs = list(table.vectors())
+    e = {key: x.value for key, x in table.entries.items()}
+    in_box = [(a, b) for a in vecs for b in vecs if all(-box <= c <= box for c in plus(a, b))]
+    first = next((pair for pair in in_box if pair not in e), None)
+    if first is not None:
+        raise IncompleteTable(f"no entry for pair ({first[0]}, {first[1]})")
+    phi = {(0,) * dims: 0}
+    for i in range(dims if box else 0):
+        line = {n: tuple(n if k == i else 0 for k in range(dims)) for n in range(-box, box + 1)}
+        g = line[1]
+        phi[g] = 0
+        for n in range(2, box + 1):
+            phi[line[n]] = phi[line[n - 1]] + phi[g] - e[line[n - 1], g]
+        for n in range(1, box + 1):
+            phi[line[-n]] = phi[line[1 - n]] - phi[g] + e[line[-n], g]
+
+    def cochain(v):
+        # Split off the last nonzero component.
+        if v not in phi:
+            k = max(i for i, c in enumerate(v) if c)
+            tail = tuple(c if i == k else 0 for i, c in enumerate(v))
+            head = tuple(0 if i == k else c for i, c in enumerate(v))
+            phi[v] = cochain(head) + cochain(tail) - e[head, tail]
+        return phi[v]
+
+    for v in vecs:
+        cochain(v)
+    return phi, {(a, b): e[a, b] + phi[plus(a, b)] - phi[a] - phi[b] for a, b in in_box}
+
+
+def outcome(fn, *args):
+    try:
+        return fn(*args)
+    except IncompleteTable as exc:
+        return f"IncompleteTable: {exc}"
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    dims=st.integers(1, 3),
+    box=st.integers(0, 3),
+    holes=st.sampled_from(["none", "in box", "outside", "both"]),
+    thin_cochain=st.booleans(),
+)
+def test_table_kernels_agree_with_a_dict_reference(seed, dims, box, holes, thin_cochain):
+    while (2 * box + 1) ** (2 * dims) > MAX_TABLE_ENTRIES:
+        box -= 1
+    a1, (b1, b2) = A1_4.simple_root(0), (A2_6.simple_root(0), A2_6.simple_root(1))
+    spec = {
+        1: AlgebraSpec(A1_4, [2 * a1]),
+        2: three_q_spec(),
+        3: AlgebraSpec(A2_6, [3 * b1, 3 * b2, 6 * b1]),
+    }[dims]
+    ell, rng = spec.datum.ell, random.Random(seed)
+
+    def value():
+        return exponent(Fraction(rng.randrange(-4 * ell, 4 * ell), rng.randint(1, 4)), ell)
+
+    vecs = list(product(range(-box, box + 1), repeat=dims))
+    table = CocycleTable(spec.ordered_basis, box, ell, {(a, b): value() for a in vecs for b in vecs})
+    pools = {"in box": [], "outside": []}
+    for key in table.entries:
+        pools["in box" if all(-box <= c <= box for c in plus(*key)) else "outside"].append(key)
+    for kind, pool in pools.items():
+        if holes in (kind, "both") and pool:
+            for key in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
+                del table.entries[key]
+    phi = {vec: value() for vec in product(range(-2 * box, 2 * box + 1), repeat=dims)}
+    if thin_cochain:
+        del phi[rng.choice(sorted(phi))]
+
+    twisted = outcome(apply_coboundary, table, phi)
+    if not isinstance(twisted, str):
+        twisted = {key: e.value for key, e in twisted.entries.items()}
+    assert twisted == outcome(reference_coboundary, table, phi)
+    gauge = outcome(gauge_normalize, table, spec)
+    if not isinstance(gauge, str):
+        gauge = ({v: e.value for v, e in gauge.phi.items()},
+                 {key: e.value for key, e in gauge.normalized.entries.items()})
+    assert gauge == outcome(reference_gauge, table)
+
+
 def test_negative_box_is_refused_when_the_table_is_built():
     with pytest.raises(ValueError, match="-1"):
         structure_constant_table(three_q_spec(), -1)

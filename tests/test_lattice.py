@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -5,7 +6,8 @@ import pytest
 from helpers import ALL_TYPES, random_weight
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
-from sympy import Matrix, Rational
+from sympy import ZZ, Matrix, Rational
+from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 import uproll.lattice
 from uproll import (
@@ -484,3 +486,47 @@ def test_census_budget_is_checked_before_the_smith_form(monkeypatch):
     monkeypatch.setattr(_linalg, "smith_normal_form", refuse)
     with pytest.raises(BudgetExceeded, match="120000"):
         quotient_census(A2_4, dual, lat)
+
+
+@st.composite
+def upper_triangular_changes(draw):
+    """Upper-triangular integer matrices up to 8x8, the shape of the
+    census's change of basis: a positive diagonal whose product stays
+    within MAX_CENSUS_ORDER, entries above it in [-9, 9]."""
+    n = draw(st.integers(1, 8))
+    mat, order = [], 1
+    for i in range(n):
+        pivot = draw(st.integers(1, MAX_CENSUS_ORDER // order))
+        order *= pivot
+        above = st.lists(st.integers(-9, 9), min_size=n - i - 1, max_size=n - i - 1)
+        mat.append([0] * i + [pivot] + draw(above))
+    return mat
+
+
+@settings(max_examples=100, deadline=3000)
+@given(change=upper_triangular_changes())
+def test_census_smith_diagonal_matches_sympy(change):
+    # The census of 2 alpha_i for A_n at ell = 4, run on the drawn change of
+    # basis: the Smith form is taken on its Hermite form, which upper-
+    # triangular inputs with large pivots need to finish at all.
+    n = len(change)
+    datum = build_cartan_datum("A", n, 4)
+    lat = canonical_basis(datum, [2 * r for r in datum.simple_roots])
+    dual = scaled_dual(datum, lat)
+    real, seen = _linalg.smith_normal_form, []
+
+    def recording(mat):
+        # Refused before it can stall the Smith form, if not in Hermite form.
+        assert mat == _linalg.row_hermite_form(change)
+        seen.append(real(mat))
+        return seen[-1]
+
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(uproll.lattice, "_change_of_basis", lambda part, lattice: change)
+        patch.setattr(_linalg, "smith_normal_form", recording)
+        census = quotient_census(datum, dual, lat)
+    ((diag, _),) = seen
+    ref = sympy_smith(Matrix(change), domain=ZZ)
+    assert diag == [abs(int(ref[i, i])) for i in range(n)]
+    assert census.invariant_factors == tuple(s for s in diag if s > 1)
+    assert census.order == math.prod(diag)
