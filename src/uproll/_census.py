@@ -1,6 +1,9 @@
 """Storage for the representatives of a finite census and their twists:
-integer rows and integer numerators over one denominator each, enumerated
-one mixed-radix digit at a time.  Weight and ExponentModL values appear
+the census's mixed-radix system alone, its invariant factors above 1 with
+their Smith-adapted steps as integer rows over one denominator, and the
+twists as integer numerators over one denominator.  Representatives are
+derived one mixed-radix digit at a time as they are read, and a weight is
+found by solving for its digits.  Weight and ExponentModL values appear
 only through the read-only views CensusReps and CensusTwists; each is
 built from its integers.  The module is loaded on the first finite
 census, so that a command that builds none does not compile it."""
@@ -8,7 +11,10 @@ census, so that a command that builds none does not compile it."""
 from __future__ import annotations
 
 from collections.abc import ItemsView, Mapping, Sequence
+from math import prod
+from operator import index
 
+from . import _linalg
 from .cartan import ExponentModL, Weight
 
 
@@ -21,46 +27,74 @@ def extend_column(column: list[int], s: int, x: int) -> list[int]:
 
 class CensusReps(Sequence):
     """The coset representatives of a finite census, a read-only sequence
-    of Weights held as integer rows over one denominator: the weight at
-    index i is Weight.over(rows[i], den), built when it is read.
+    of Weights that stores only its mixed-radix system: radix, den, rank.
 
-    radix lists the (invariant factor, adapted step) pairs with factor
-    above 1, slowest first; the representative at index i is the
-    combination of steps whose coefficients are the mixed-radix digits of
-    i, so the order is lexicographic in the coefficients, last one
-    fastest.  index and in look a weight up by its integer row.  The view
+    radix lists the (invariant factor s, adapted step) pairs with s above
+    1, slowest first, each step an integer row over den.  The
+    representative at index i is the combination of steps whose
+    coefficients are the mixed-radix digits of i, so the order is
+    lexicographic in the coefficients, last one fastest, and the length is
+    the product of the factors.  [i] builds one row from the digits of i;
+    iteration and slices derive the rows from extend_column columns as
+    they are read, and keep none.  position, index and in solve a weight's
+    digits on the steps with one elimination (_linalg.combination_in_rows)
+    and accept only digits that are integers in [0, s).  So a lookup costs
+    one small elimination, not O(1) after a table of every row; nothing in
+    the package looks representatives up one by one in a loop.  The view
     equals, and hashes like, the tuple of Weights it stands for.
     """
 
-    __slots__ = ("radix", "den", "rows", "_positions")
+    __slots__ = ("radix", "den", "rank")
 
     def __init__(self, radix, den: int, rank: int):
-        self.radix, self.den = tuple(radix), den
-        cols = [[0] for _ in range(rank)]
+        self.radix, self.den, self.rank = tuple(radix), den, rank
+
+    def _columns(self) -> list[list[int]]:
+        # Coordinate j of every representative, in census order.
+        cols = [[0] for _ in range(self.rank)]
         for s, step in self.radix:
             cols = [extend_column(col, s, x) for col, x in zip(cols, step)]
-        self.rows = tuple(zip(*cols))
-        self._positions = None
+        return cols
 
     def __len__(self) -> int:
-        return len(self.rows)
+        return prod(s for s, _ in self.radix)
 
     def __iter__(self):
         den = self.den
-        return (Weight.over(row, den) for row in self.rows)
+        return (Weight.over(row, den) for row in zip(*self._columns()))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return tuple(Weight.over(row, self.den) for row in self.rows[i])
-        return Weight.over(self.rows[i], self.den)
+            cols = self._columns()
+            return tuple(Weight.over([col[k] for col in cols], self.den)
+                         for k in range(len(self))[i])
+        n, i = len(self), index(i)
+        if not -n <= i < n:
+            raise IndexError("census index out of range")
+        i %= n
+        row = [0] * self.rank
+        for s, step in reversed(self.radix):
+            i, c = divmod(i, s)
+            if c:
+                row = [y + c * x for y, x in zip(row, step)]
+        return Weight.over(row, self.den)
 
     def position(self, lam) -> int | None:
         """The index of the weight lam, or None when it is no representative."""
-        if type(lam) is not Weight or len(lam) != len(self.rows[0]) or self.den % lam.den:
+        if type(lam) is not Weight or len(lam) != self.rank or self.den % lam.den:
             return None
-        if self._positions is None:
-            self._positions = {r: i for i, r in enumerate(self.rows)}
-        return self._positions.get(tuple(lam.row_over(self.den)))
+        d, (coeffs,) = _linalg.combination_in_rows(
+            [step for _, step in self.radix], [lam.row_over(self.den)]
+        )
+        if coeffs is None:
+            return None
+        i = 0
+        for (s, _), c in zip(self.radix, coeffs):
+            digit, rest = divmod(c, d)
+            if rest or not 0 <= digit < s:
+                return None
+            i = i * s + digit
+        return i
 
     def __contains__(self, lam) -> bool:
         return self.position(lam) is not None

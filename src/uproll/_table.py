@@ -131,7 +131,11 @@ class TableEntries(MutableMapping):
 
     def require(self, positions) -> None:
         """Raise IncompleteTable naming the first (i, j) in positions with no entry."""
-        if any(None in row for row in self.rows):
+        # A sum of ints raises exactly when some entry is None, without the
+        # rich comparison with None that "None in row" makes per entry.
+        try:
+            sum(map(sum, self.rows))
+        except TypeError:
             for i, j in positions:
                 if self.rows[i][j] is None:
                     raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")

@@ -12,10 +12,11 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
 on ell, as is the flat twist form, N*G's upper triangle and its row sums
-N*G*rho, which a datum reads once as twist_form.  bilinear() evaluates the
-form on the weights' integer rows; pairing_matrix and in_root_lattice stay
-on those integers, and pairing and alpha_coordinates form a Fraction for
-each result.
+N*G*rho, which a datum reads once as twist_form, and det(A), which
+cartan_determinant takes once per type.  bilinear() evaluates the form on
+two weights' integer rows and form_matrix on every pair of two lists of
+them; pairing_matrix and in_root_lattice stay on those integers, and
+pairing and alpha_coordinates form a Fraction for each result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -367,6 +368,12 @@ def _type_table(series: str, rank: int):
     return cartan, d, g, det // common, tuple(t for t in terms if t[2])
 
 
+@cache
+def cartan_determinant(series: str, rank: int) -> int:
+    """det(A) of the type (series, rank), taken once per type."""
+    return _linalg.det_int(_series_data(series, rank)[0])
+
+
 def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     """Assemble the exact constants for (series, rank) at order ell.
 
@@ -404,6 +411,19 @@ def bilinear(matrix, u, v) -> int:
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, matrix) if a)
 
 
+def form_matrix(matrix, left, right=None) -> list[list[int]]:
+    """The integers u M v for each u in left (rows) and v in right (columns,
+    left by default), for a symmetric integer matrix M.  Each u M is formed
+    once, so k rows of length n take O(k n^2 + k^2 n) products where k^2
+    calls of bilinear take O(k^2 n^2)."""
+    right = left if right is None else right
+    out = []
+    for u in left:
+        um = [sum(map(mul, row, u)) for row in matrix]  # u M, as M is symmetric
+        out.append([sum(map(mul, um, v)) for v in right])
+    return out
+
+
 def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[tuple[int, ...], int]:
     """Integer coordinates of lam over their least common denominator den,
     so that lam = coords / den."""
@@ -426,7 +446,7 @@ def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], 
     if any(len(w) != datum.rank for w in weights):
         raise DimensionMismatch(f"weights must have length {datum.rank}")
     rows, d = common_rows(weights)
-    mat = [[bilinear(datum.scaled_gram, a, b) for b in rows] for a in rows]
+    mat = form_matrix(datum.scaled_gram, rows)
     m = datum.gram_denominator * d * d
     g = gcd(m, *(x for row in mat for x in row))
     return tuple(tuple(x // g for x in row) for row in mat), m // g

@@ -19,7 +19,6 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from . import _linalg
 from ._record import Record
 from .algebra import AlgebraSpec, CommutativityVerdict, commutativity_witnesses
 from .cartan import (
@@ -28,6 +27,7 @@ from .cartan import (
     Weight,
     bilinear,
     build_cartan_datum,
+    cartan_determinant,
     in_root_lattice,
     scaled_coords,
 )
@@ -61,7 +61,7 @@ def triplet_report(series: str, rank: int, r: int) -> TripletReport:
     datum = build_cartan_datum(series, rank, 2 * r)
     spec = AlgebraSpec(datum, [r * alpha for alpha in datum.simple_roots])
     report = local_report(spec)
-    expected = _linalg.det_int([list(row) for row in datum.cartan]) * r ** datum.rank
+    expected = cartan_determinant(series, datum.rank) * r ** datum.rank
     return TripletReport(
         series=series,
         rank=datum.rank,

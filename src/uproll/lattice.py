@@ -9,8 +9,11 @@ equality of (ambient rank, HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
-point.  A finite census keeps its coset representatives as integer rows
-over the dual's denominator in the view CensusReps (uproll._census).
+point.  A finite census keeps only the mixed-radix system of its coset
+representatives, the invariant factors above 1 with their Smith-adapted
+dual steps as integer rows over the dual's denominator, in the view
+CensusReps (uproll._census), which derives a representative when it is
+read and finds a weight's index by solving for its digits.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, bilinear, common_rows
+from .cartan import CartanDatum, Weight, common_rows, form_matrix
 from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
 
 if TYPE_CHECKING:
@@ -138,7 +141,7 @@ def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
     of the lattice: for each HNF row h / d, 2<x / den, h / d> in ell*Z,
     that is 2 x (N G) h = 0 mod ell * N * den * d."""
     step = datum.ell * datum.gram_denominator * den * lattice.denominator
-    return all(2 * bilinear(datum.scaled_gram, x, h) % step == 0 for h in lattice.hnf)
+    return all(2 * p % step == 0 for p in form_matrix(datum.scaled_gram, [x], lattice.hnf)[0])
 
 
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
@@ -152,8 +155,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
     # the basis gives the dual rows adj(P) H * ell N d / (2 det P).
     h = lattice.hnf
-    pairs = [[bilinear(datum.scaled_gram, a, b) for b in h] for a in h]
-    adj, det = _linalg.mat_inverse(pairs)
+    adj, det = _linalg.mat_inverse(form_matrix(datum.scaled_gram, h))
     rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
     num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))

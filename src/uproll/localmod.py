@@ -10,7 +10,7 @@ Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
 (the datum's twist_form, read once per datum) on a weight's row,
 monodromy_exponent the integer form bilinear, and census_twists, seeded
-by twist_exponent on the adapted steps and by bilinear on their pairs,
+by twist_exponent on the adapted steps and by form_matrix on their pairs,
 runs sums along the census's mixed-radix enumeration at O(1) amortised
 per further representative.
 
@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING
 
 from ._record import Record
 from .algebra import AlgebraSpec
-from .cartan import CartanDatum, ExponentModL, Weight, bilinear, scaled_coords
+from .cartan import CartanDatum, ExponentModL, Weight, bilinear, form_matrix, scaled_coords
 from .errors import AlgebraInvalid, InfiniteCensus
 from .lattice import Census, in_dual, quotient_census, scaled_dual
 
@@ -167,7 +167,7 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
 
     steps = [step for _, step in reps.radix]
     single = [form(a) for a in steps]
-    twice = [[2 * bilinear(datum.scaled_gram, a, b) for b in steps] for a in steps]
+    twice = [[2 * p for p in row] for row in form_matrix(datum.scaled_gram, steps)]
     # T over the prefixes enumerated so far, and for each step its cross
     # term 2<x, a> over the same prefixes.
     values, cross = [0], [[0] for _ in steps]

@@ -1,19 +1,20 @@
-"""The census views: representatives held as integer rows (CensusReps) and
-the census twists computed by running sums (CensusTwists).
+"""The census views: representatives held as their mixed-radix system
+(CensusReps) and the census twists computed by running sums (CensusTwists).
 
 Each view is checked against what it stands for: the tuple of Weights
-that the Smith-adapted enumeration gives, and the dict of
-twist_exponent values taken one representative at a time.
+that the Smith-adapted enumeration gives, a brute expansion of the radix,
+and the dict of twist_exponent values taken one representative at a time.
 """
 
 import pickle
 from fractions import Fraction
+from itertools import product
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from helpers import draw_commutativity_specs, draw_super_specs
+from helpers import TRIPLET_CASES, draw_commutativity_specs, draw_super_specs
 from uproll import (
     AlgebraSpec,
     CensusReps,
@@ -208,3 +209,137 @@ class TestCensusReps:
         assert cli.run(["monodromy", "--input", str(path)]) == 0
         assert len(capsys.readouterr().out) > 0
         assert reads == ["iter"]
+
+
+def brute_radix(reps) -> tuple:
+    """Every combination of the adapted steps with digits below their
+    factors, last digit fastest, as Weights over the census denominator."""
+    out = []
+    for digits in product(*(range(s) for s, _ in reps.radix)):
+        row = [0] * reps.rank
+        for c, (_, step) in zip(digits, reps.radix):
+            row = [y + c * x for y, x in zip(row, step)]
+        out.append(Weight.over(row, reps.den))
+    return tuple(out)
+
+
+def check_views(spec) -> list:
+    """Every read of the census views of a valid finite spec against the
+    brute expansion of its radix, and the outsiders that each lookup must
+    refuse; returns those outsiders."""
+    datum, census = spec.datum, simple_census(spec)
+    reps, twists = census.reps, census_twists(datum, census)
+    brute = brute_radix(reps)
+    n = len(brute)
+    assert len(reps) == n == census.order and tuple(reps) == brute
+    assert [reps[i] for i in range(n)] == list(brute)
+    assert [reps[-k] for k in range(1, n + 1)] == [brute[-k] for k in range(1, n + 1)]
+    for cut in (slice(None), slice(2, 7), slice(None, None, -1), slice(-3, None),
+                slice(None, None, 3), slice(5, 2), slice(1, -1, 2)):
+        assert reps[cut] == brute[cut]
+    for i, w in enumerate(brute):
+        assert w in reps and reps.index(w) == i == reps.position(w)
+        assert twists[w] == twist_exponent(datum, w)
+    for bad in (n, -n - 1):
+        with pytest.raises(IndexError):
+            reps[bad]
+    rank, den = reps.rank, reps.den
+    outsiders = [
+        Weight.zero(rank + 1),  # a wrong length
+        Weight.over([1] + [0] * (rank - 1), 2 * den),  # a denominator not dividing den
+    ]
+    # Representatives moved by s steps along one digit, or by one step below 0.
+    for s, step in reps.radix:
+        a = Weight.over(step, den)
+        outsiders += [brute[0] + s * a, brute[-1] + s * a, brute[0] - a]
+    # A unit row over den outside the dual's lattice part has a digit that
+    # is no integer, or lies outside the span of the steps.
+    part = scaled_dual(datum, spec.extended_lattice).lattice_part
+    for j in range(rank):
+        w = Weight.over([int(i == j) for i in range(rank)], den)
+        if not lattice.contains(part, w):
+            outsiders.append(w)
+    for w in outsiders:
+        assert w not in brute
+        assert reps.position(w) is None and w not in reps
+        assert twists.get(w) is None
+        with pytest.raises(ValueError):
+            reps.index(w)
+        with pytest.raises(KeyError):
+            twists[w]
+    return outsiders
+
+
+def triplet_spec(series, rank, r):
+    datum = build_cartan_datum(series, rank, 2 * r)
+    return AlgebraSpec(datum, [r * a for a in datum.simple_roots])
+
+
+class TestMixedRadixViews:
+    @pytest.mark.parametrize("series,rank,r,order", TRIPLET_CASES)
+    def test_triplet_censuses(self, series, rank, r, order):
+        check_views(triplet_spec(series, rank, r))
+
+    @pytest.mark.parametrize("seed", [0, 1, 8, 11, 14])
+    def test_super_and_half_integer_helper_censuses(self, seed):
+        specs = draw_commutativity_specs(seed, 4)
+        finite = valid_finite(specs + draw_super_specs(specs))
+        assert finite
+        for spec in finite:
+            check_views(spec)
+
+    @settings(max_examples=15, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_drawn_specs(self, seed):
+        specs = draw_commutativity_specs(seed, 3)
+        for spec in valid_finite(specs + draw_super_specs(specs)):
+            check_views(spec)
+
+    def test_a_non_integral_digit(self):
+        # B2 at ell 9, super: the steps are (1, 0) / 2 and (0, 2) / 2, so
+        # (0, 1) / 2 solves to the digits (0, 1/2).
+        datum = build_cartan_datum("B", 2, 9)
+        spec = AlgebraSpec(datum, [weight([9, 0]), weight([18, -9])], mu=weight(["9/2", 0]))
+        assert simple_census(spec).reps.radix == ((9, (1, 0)), (9, (0, 2)))
+        assert weight([0, "1/2"]) in check_views(spec)
+
+    def test_a_weight_outside_the_span(self):
+        # A cyclic census of rank 2: one step, (1, 1).
+        datum = build_cartan_datum("A", 2, 6)
+        spec = AlgebraSpec(datum, [weight([3, 0]), weight([0, 3])])
+        assert simple_census(spec).reps.radix == ((3, (1, 1)),)
+        outsiders = check_views(spec)
+        assert weight([1, 0]) in outsiders and weight([0, 1]) in outsiders
+
+    def test_order_one_census_has_an_empty_radix(self):
+        datum = build_cartan_datum("B", 1, 4)
+        spec = AlgebraSpec(datum, [weight([4])], mu=weight([2]))
+        reps = simple_census(spec).reps
+        assert reps.radix == () and len(reps) == 1
+        assert tuple(reps) == (weight([0]),) == reps[:] == reps[::-1]
+        assert reps[0] == reps[-1] == weight([0])
+        assert reps.index(weight([0])) == 0 and weight([1]) not in reps
+        check_views(spec)
+        with pytest.raises(IndexError):
+            CensusReps((), 1, 3)[1]
+        assert list(CensusReps((), 1, 3)) == [Weight.zero(3)]
+
+    def test_a_triplet_report_builds_no_row_table(self, monkeypatch):
+        assert CensusReps.__slots__ == ("radix", "den", "rank")
+
+        def refuse(name):
+            return lambda *args: pytest.fail(f"CensusReps.{name} read the rows")
+
+        for name in ("_columns", "__iter__", "__getitem__"):
+            monkeypatch.setattr(CensusReps, name, refuse(name))
+        solves = []
+        real = _linalg.combination_in_rows
+        monkeypatch.setattr(_linalg, "combination_in_rows",
+                            lambda *args: solves.append(args) or real(*args))
+        report = triplet_report("E", 7, 3)
+        solves.clear()
+        reps = report.report.census.reps
+        assert not hasattr(reps, "__dict__")
+        assert report.report.twists.get(Weight.zero(7)).is_zero
+        assert len(solves) == 1
+        assert len(reps) == report.expected_order == 4374
