@@ -1,12 +1,13 @@
 """Storage for the representatives of a finite census and their twists:
-the census's mixed-radix system alone, its invariant factors above 1 with
-their Smith-adapted steps as integer rows over one denominator, and the
-twists as integer numerators over one denominator.  Representatives are
-derived one mixed-radix digit at a time as they are read, and a weight is
-found by solving for its digits.  Weight and ExponentModL values appear
-only through the read-only views CensusReps and CensusTwists; each is
-built from its integers.  The module is loaded on the first finite
-census, so that a command that builds none does not compile it."""
+the census's mixed-radix system alone, and the twists as integer
+numerators over one denominator.  The representatives are Sum c_i D_i over
+the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of the
+change of basis; they are derived one mixed-radix digit at a time as they
+are read, and a weight's digits are read off at the steps' pivots.  Weight
+and ExponentModL values appear only through the read-only views CensusReps
+and CensusTwists; each is built from its integers.  The module is loaded on
+the first finite census, so that a command that builds none does not
+compile it."""
 
 from __future__ import annotations
 
@@ -14,7 +15,6 @@ from collections.abc import ItemsView, Mapping, Sequence
 from math import prod
 from operator import index
 
-from . import _linalg
 from .cartan import ExponentModL, Weight
 
 
@@ -29,18 +29,19 @@ class CensusReps(Sequence):
     """The coset representatives of a finite census, a read-only sequence
     of Weights that stores only its mixed-radix system: radix, den, rank.
 
-    radix lists the (invariant factor s, adapted step) pairs with s above
-    1, slowest first, each step an integer row over den.  The
-    representative at index i is the combination of steps whose
-    coefficients are the mixed-radix digits of i, so the order is
-    lexicographic in the coefficients, last one fastest, and the length is
-    the product of the factors.  [i] builds one row from the digits of i;
-    iteration and slices derive the rows from extend_column columns as
-    they are read, and keep none.  position, index and in solve a weight's
-    digits on the steps with one elimination (_linalg.combination_in_rows)
-    and accept only digits that are integers in [0, s).  So a lookup costs
-    one small elimination, not O(1) after a table of every row; nothing in
-    the package looks representatives up one by one in a loop.  The view
+    radix lists the pairs (s, step) = (H_ii, D_i) with H_ii above 1,
+    slowest first: the representatives are Sum c_i D_i over the dual's HNF
+    rows D_i, integer rows over den, with 0 <= c_i < H_ii, H the Hermite
+    form of the change of basis.  So the steps are echelon rows, their
+    pivot columns strictly increasing.  The representative at index i is
+    the combination of steps whose coefficients are the mixed-radix digits
+    of i, so the order is lexicographic in the coefficients, last one
+    fastest, and the length is the product of the s.  [i] builds one row
+    from the digits of i; iteration and slices derive the rows from
+    extend_column columns as they are read, and keep none.  position,
+    index and in read a weight's digits by back-substitution, each at its
+    step's pivot, and accept only integer digits in [0, s) that leave
+    nothing over: no elimination and no table of every row.  The view
     equals, and hashes like, the tuple of Weights it stands for.
     """
 
@@ -83,18 +84,15 @@ class CensusReps(Sequence):
         """The index of the weight lam, or None when it is no representative."""
         if type(lam) is not Weight or len(lam) != self.rank or self.den % lam.den:
             return None
-        d, (coeffs,) = _linalg.combination_in_rows(
-            [step for _, step in self.radix], [lam.row_over(self.den)]
-        )
-        if coeffs is None:
-            return None
-        i = 0
-        for (s, _), c in zip(self.radix, coeffs):
-            digit, rest = divmod(c, d)
+        x, i = lam.row_over(self.den), 0
+        for s, step in self.radix:
+            p = step.index(next(filter(None, step)))  # the step's pivot
+            digit, rest = divmod(x[p], step[p])
             if rest or not 0 <= digit < s:
                 return None
+            x = [a - digit * b for a, b in zip(x, step)]
             i = i * s + digit
-        return i
+        return None if any(x) else i
 
     def __contains__(self, lam) -> bool:
         return self.position(lam) is not None

@@ -182,8 +182,9 @@ class ExponentModL(Record):
     def __init__(self, value, modulus: int):
         if (modulus := index(modulus)) < 1:
             raise ValueError(f"the order of q must be positive, got {modulus}")
-        e = ExponentModL.over(*_ratio(value), modulus)
-        super().__init__(e.num, e.den, modulus)
+        num, den = _ratio(value)
+        g = gcd(num, den)
+        super().__init__(num // g, den // g, modulus)
 
     @classmethod
     def over(cls, num: int, den: int, modulus: int) -> "ExponentModL":

@@ -9,11 +9,11 @@ equality of (ambient rank, HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
-point.  A finite census keeps only the mixed-radix system of its coset
-representatives, the invariant factors above 1 with their Smith-adapted
-dual steps as integer rows over the dual's denominator, in the view
-CensusReps (uproll._census), which derives a representative when it is
-read and finds a weight's index by solving for its digits.
+point.  The coset representatives of a finite census are Sum c_i D_i over
+the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of the
+change of basis; the view CensusReps (uproll._census) keeps only that
+mixed-radix system, derives a representative when it is read and reads a
+weight's digits off at the pivots of the rows.
 """
 
 from __future__ import annotations
@@ -202,12 +202,13 @@ def quotient_census(
     Every generator of the lattice must satisfy the dual condition and
     lie in the span of the dual's lattice part; a failure raises
     NotSubgroup, which signals a non-local summand upstream.
-    Representatives are enumerated only for finite quotients, as the
-    lexicographically smallest non-negative coefficient vectors in the
-    Smith-adapted dual basis; a finite quotient of order above
-    MAX_CENSUS_ORDER raises BudgetExceeded before the Smith form is taken.
-    An infinite quotient gets its invariant factors alone, modulo the order
-    of its torsion part.
+    Representatives are enumerated only for finite quotients: Sum c_i D_i
+    over the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of
+    the change of basis, one per coset (Cohen, GTM 138, 2.4.3), each entry at
+    most order - 1 times the largest |D_i| entry; H's Smith diagonal gives
+    the invariant factors.  A finite order above MAX_CENSUS_ORDER raises
+    BudgetExceeded before either form is taken.  An infinite quotient gets
+    its invariant factors alone, modulo the order of its torsion part.
     """
     for i, h in enumerate(lattice.hnf):
         if not in_dual(datum, dual.source, h, lattice.denominator):
@@ -232,14 +233,10 @@ def quotient_census(
         raise BudgetExceeded(
             f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
         )
-    diag, vinv = _linalg.smith_normal_form(_linalg.row_hermite_form(change))
-    factors = tuple(s for s in diag if s > 1)
+    box = _linalg.row_hermite_form(change)
+    factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
     from ._census import CensusReps
 
-    # The Smith-adapted dual basis as integer rows over the dual's denominator.
     part = dual.lattice_part
-    radix = [
-        (s, tuple(sum(map(mul, col, row)) for col in zip(*part.hnf)))
-        for s, row in zip(diag, vinv) if s > 1
-    ]
+    radix = [(row[i], step) for i, (row, step) in enumerate(zip(box, part.hnf)) if row[i] > 1]
     return Census(True, factors, CensusReps(radix, part.denominator, datum.rank), order, 0)

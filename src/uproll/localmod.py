@@ -10,7 +10,7 @@ Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
 (the datum's twist_form, read once per datum) on a weight's row,
 monodromy_exponent the integer form bilinear, and census_twists, seeded
-by twist_exponent on the adapted steps and by form_matrix on their pairs,
+by twist_exponent on the census steps and by form_matrix on their pairs,
 runs sums along the census's mixed-radix enumeration at O(1) amortised
 per further representative.
 
@@ -147,9 +147,10 @@ def muger_center(spec: AlgebraSpec) -> MugerReport:
 def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     """Twist exponents of every representative of a finite census.
 
-    For a representative x / d with integer row x, the numerator
-    T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer.  Along the adapted
-    step a, T(x + c a) = T(x) + c 2<x, a> + T(c a), and the cross term
+    The representatives are Sum c_i D_i over the dual's HNF rows D_i with
+    0 <= c_i < H_ii (see quotient_census).  For x / d with integer row x,
+    T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer.  Along the step
+    a = D_i, T(x + c a) = T(x) + c 2<x, a> + T(c a), and the cross term
     2<x, a> moves by 2<b, a> per step b taken before a.  T(a) comes from
     twist_exponent on the step, and 2<a, b> over N d^2 is 2 a.(N G).b.
     """

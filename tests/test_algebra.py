@@ -593,14 +593,19 @@ def test_table_operations_build_no_exponent_objects(monkeypatch):
     spec = three_q_spec()
     psi = random_cochain(random.Random(5), 2, 2, 6)
     built = []
-    over = ExponentModL.over.__func__
+    over, init = ExponentModL.over.__func__, ExponentModL.__init__
 
-    def counting(cls, *args):
+    def counting_over(cls, *args):
         built.append(args)
         return over(cls, *args)
 
-    # Every exponent, through either constructor, is built by ExponentModL.over.
-    monkeypatch.setattr(ExponentModL, "over", classmethod(counting))
+    def counting_init(self, *args):
+        built.append(args)
+        init(self, *args)
+
+    # Every exponent is built by one of the two constructors, each counted once.
+    monkeypatch.setattr(ExponentModL, "over", classmethod(counting_over))
+    monkeypatch.setattr(ExponentModL, "__init__", counting_init)
     assert exponent(1, 6) == ExponentModL.over(1, 1, 6) and len(built) == 2
     built.clear()
     table = structure_constant_table(spec, 2)

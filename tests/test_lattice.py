@@ -530,3 +530,68 @@ def test_census_smith_diagonal_matches_sympy(change):
     assert diag == [abs(int(ref[i, i])) for i in range(n)]
     assert census.invariant_factors == tuple(s for s in diag if s > 1)
     assert census.order == math.prod(diag)
+
+
+# The largest order a drawn census below lists coset by coset.
+LISTED_ORDER = 3000
+
+
+@st.composite
+def census_changes(draw):
+    """Nonsingular integer changes of basis up to 8x8 with entries in
+    [-100, 100] and an order of at most LISTED_ORDER: upper triangular, or
+    made dense from an upper-triangular one by unimodular row and column
+    steps, each kept only when every entry stays within the bound."""
+    n = draw(st.integers(1, 8))
+    dense = draw(st.booleans())
+    mat, order = [], 1
+    for i in range(n):
+        pivot = draw(st.integers(1, min(100, LISTED_ORDER // order)))
+        order *= pivot
+        above = st.integers(-9, 9) if dense else st.integers(-100, 100)
+        mat.append([0] * i + [pivot] + draw(st.lists(above, min_size=n - i - 1,
+                                                     max_size=n - i - 1)))
+    if dense:
+        steps = st.tuples(st.booleans(), st.integers(0, n - 1), st.integers(0, n - 1),
+                          st.integers(-3, 3))
+        for on_rows, i, j, c in draw(st.lists(steps, min_size=n * n, max_size=4 * n * n)):
+            if i == j:
+                continue
+            if on_rows:
+                row = [a + c * b for a, b in zip(mat[i], mat[j])]
+                if max(map(abs, row)) <= 100:
+                    mat[i] = row
+            elif all(abs(row[i] + c * row[j]) <= 100 for row in mat):
+                for row in mat:
+                    row[i] += c * row[j]
+    return mat
+
+
+@settings(max_examples=60, deadline=5000)
+@given(change=census_changes(), series=st.sampled_from("ABCD"))
+def test_finite_census_reps_fill_the_hermite_box(change, series):
+    # The lattice whose change of basis on the HNF rows of the dual of
+    # ell * P is the drawn matrix, in a datum of the matrix's rank.
+    n = len(change)
+    if n < {"A": 1, "B": 2, "C": 2, "D": 4}[series]:
+        series = "A"
+    datum = build_cartan_datum(series, n, 6)
+    dual = scaled_dual(datum, canonical_basis(datum, [6 * datum.fundamental_weight(i)
+                                                      for i in range(n)]))
+    part = dual.lattice_part
+    rows = [[sum(c * h[j] for c, h in zip(coeffs, part.hnf)) for j in range(n)]
+            for coeffs in change]
+    lat = canonical_basis(datum, [Weight.over(row, part.denominator) for row in rows])
+    census = quotient_census(datum, dual, lat)
+    order = abs(int(Matrix(change).det()))
+    ref = sympy_smith(Matrix(change), domain=ZZ)
+    assert census.finite and census.order == order
+    assert census.invariant_factors == tuple(
+        s for s in (abs(int(ref[i, i])) for i in range(n)) if s > 1
+    )
+    reps = list(census.reps)
+    assert len(reps) == order
+    assert len({coset_reduce(lat, w) for w in reps}) == order
+    assert all(contains(part, w) for w in reps)
+    bound = (order - 1) * max(abs(x) for row in part.hnf for x in row)
+    assert max(abs(x) for w in reps for x in w.row_over(part.denominator)) <= bound
