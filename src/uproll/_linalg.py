@@ -1,11 +1,10 @@
 """Small exact linear-algebra kernels, on integers only.
 
-Integer Hermite and Smith normal forms with plain bignum arithmetic, and
-the Smith diagonal alone taken modulo the determinant, which bounds every
-entry; the leading principal minors; and one fraction-free Gauss-Jordan
-elimination (Bareiss) behind det_int, mat_inverse, which returns the pair
-(adjugate, determinant), and combination_in_rows, which solves any number
-of targets at once as integer numerators over one denominator; and the
+Integer Hermite and Smith normal forms with plain bignum arithmetic; the
+leading principal minors; and one fraction-free Gauss-Jordan elimination
+(Bareiss) behind det_int, mat_inverse, which returns the pair (adjugate,
+determinant), and combination_in_rows, which solves any number of
+targets at once as integer numerators over one denominator; and the
 echelon reduction that finishes the Hermite form and reduces a vector
 modulo a lattice.  Everything here works on lists of lists of plain ints,
 up to cartan.MAX_RANK = 32 columns: dense lattices up to rank 16 take
@@ -14,8 +13,6 @@ run for tens of seconds.
 """
 
 from __future__ import annotations
-
-from math import gcd
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -162,37 +159,6 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
         t += 1
     diag = [a[i][i] for i in range(t)]
     return diag, vinv
-
-
-def smith_diagonal_mod(mat, det: int) -> list[int]:
-    """The Smith diagonal of a nonsingular square integer matrix with
-    determinant +-det, computed modulo det with no transform tracked
-    (Kannan-Bachem 1979; Cohen, GTM 138, 2.4).  det Z^n lies in the row
-    lattice L, so unimodular steps and reductions modulo det all keep the
-    group Z^n / (L + det Z^n) = Z^n / L.  A diagonal of residues w gives
-    the summands Z / gcd(w, det), which gcd/lcm swaps put in divisor order.
-    """
-    a = [[x % det for x in row] for row in mat]
-    for t in range(len(a)):
-        # Clear column t below the pivot by row steps, then row t by the
-        # same steps on the transpose; a step that leaves the pivot as it
-        # is leaves the other line clear, so the loop ends.
-        while any(row[t] for row in a[t + 1:]) or any(a[t][t + 1:]):
-            for i in range(t + 1, len(a)):
-                p, b, u, v = a[t][t], a[i][t], a[t], a[i]
-                if p and b % p == 0:
-                    a[i] = [(y - b // p * x) % det for x, y in zip(u, v)]
-                elif b:
-                    g, x, y = xgcd(p, b)
-                    a[t] = [(x * c + y * e) % det for c, e in zip(u, v)]
-                    a[i] = [(p // g * e - b // g * c) % det for c, e in zip(u, v)]
-            a = [list(col) for col in zip(*a)]
-    diag = [gcd(row[t], det) for t, row in enumerate(a)]
-    for i in range(len(diag)):
-        for j in range(i + 1, len(diag)):
-            g = gcd(diag[i], diag[j])
-            diag[i], diag[j] = g, diag[i] * diag[j] // g
-    return diag
 
 
 def leading_minors(mat) -> list[int]:

@@ -7,11 +7,11 @@ strings; no value is ever rendered through floating point.
 
 Exit codes:
   0  report produced (verdict commands exit 0 on clean negative verdicts)
-  2  malformed input: bad JSON, a "rank" or "ell" that is not a JSON
-     integer, a rational that is not a "p/q" string or an integer, a
-     list or object field of another JSON type, --box below 0, a partial
-     set of datum or triplet flags, unknown Dynkin type, dimension
-     mismatches, an odd generator that is not half-odd
+  2  malformed input: bad or too deeply nested JSON, a "rank" or "ell"
+     that is not a JSON integer, a rational that is not a "p/q" string
+     or an integer, a list or object field of another JSON type, --box
+     below 0, a partial set of datum or triplet flags, unknown Dynkin
+     type, dimension mismatches, an odd generator that is not half-odd
   3  hypothesis violated: ell < 3, r <= max gcd(d_i, r), or a non-ADE
      series passed to the triplet command
   4  a lattice generator (or the odd generator) is outside the
@@ -86,11 +86,14 @@ def _exponent_json(e: ExponentModL) -> dict:
 
 
 def _load_document(args) -> dict:
-    if args.input:
-        with open(args.input, "r", encoding="utf-8") as handle:
-            doc = json.load(handle)
-    else:
-        doc = json.load(sys.stdin)
+    try:
+        if args.input:
+            with open(args.input, "r", encoding="utf-8") as handle:
+                doc = json.load(handle)
+        else:
+            doc = json.load(sys.stdin)
+    except RecursionError:
+        raise ValueError("problem document nests too deeply") from None
     if not isinstance(doc, dict):
         raise ValueError("problem document must be a JSON object")
     return doc

@@ -9,11 +9,12 @@ equality of (ambient rank, HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
-point.  The coset representatives of a finite census are Sum c_i D_i over
-the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of the
-change of basis; the view CensusReps (uproll._census) keeps only that
-mixed-radix system, derives a representative when it is read and reads a
-weight's digits off at the pivots of the rows.
+point.  Every census takes its invariant factors off the Smith form of H,
+the Hermite form of the change of basis; a lattice below the rank of the
+dual's lattice part leaves it infinite.  A finite census lists Sum c_i D_i
+over the dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
+(uproll._census) keeps only that mixed-radix system, derives each rep as
+it is read and reads a weight's digits off at the pivots of the rows.
 """
 
 from __future__ import annotations
@@ -147,10 +148,6 @@ def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     """The scaled dual group {x : 2<x, g> in ell*Z for all g in L}."""
     n = datum.rank
-    k = lattice.rank
-    if k == 0:
-        # The zero lattice spans nothing, so the dual's lattice part is zero too.
-        return DualGroup(datum, lattice, n, lattice)
     # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
     # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
     # the basis gives the dual rows adj(P) H * ell N d / (2 det P).
@@ -160,7 +157,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
-    return DualGroup(datum, lattice, n - k, _from_rows(n, rows, den // common))
+    return DualGroup(datum, lattice, n - lattice.rank, _from_rows(n, rows, den // common))
 
 
 class Census(Record):
@@ -201,40 +198,38 @@ def quotient_census(
 
     Every generator of the lattice must satisfy the dual condition and
     lie in the span of the dual's lattice part; a failure raises
-    NotSubgroup, which signals a non-local summand upstream.
-    Representatives are enumerated only for finite quotients: Sum c_i D_i
-    over the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of
-    the change of basis, one per coset (Cohen, GTM 138, 2.4.3), each entry at
-    most order - 1 times the largest |D_i| entry; H's Smith diagonal gives
-    the invariant factors.  A finite order above MAX_CENSUS_ORDER raises
-    BudgetExceeded before either form is taken.  An infinite quotient gets
-    its invariant factors alone, modulo the order of its torsion part.
+    NotSubgroup, which signals a non-local summand upstream.  Every
+    quotient takes its invariant factors off the Smith form of H, the
+    Hermite form of the change of basis; it is finite when the lattice
+    has the rank of the dual's lattice part and the dual no continuous
+    part, and a finite order above MAX_CENSUS_ORDER raises BudgetExceeded
+    before either form is taken.  A finite census lists Sum c_i D_i over
+    the dual's HNF rows D_i with 0 <= c_i < H_ii, one per coset (Cohen,
+    GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
     """
     for i, h in enumerate(lattice.hnf):
         if not in_dual(datum, dual.source, h, lattice.denominator):
             raise NotSubgroup(
                 f"lattice generator {lattice.canonical_rows[i]!r} fails the dual condition"
             )
-    if lattice.rank == 0:
-        # The quotient is the dual group itself, never finite at rank >= 1.
-        return Census(False, (), None, None, dual.complement_dimension)
-    # The change of basis comes from one elimination of the dual rows. It
-    # is square, and its determinant is the order of the quotient of the
+    # The change of basis comes from one elimination of the dual rows.  When
+    # it is square, its determinant is the order of the quotient of the
     # dual's lattice part.
     change = _change_of_basis(dual.lattice_part, lattice)
-    order = abs(_linalg.det_int(change))
-    if order == 0:
-        raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
-    if dual.complement_dimension > 0:
-        # No transform is read, so the elimination runs modulo the order.
-        factors = tuple(s for s in _linalg.smith_diagonal_mod(change, order) if s > 1)
-        return Census(False, factors, None, None, dual.complement_dimension)
-    if order > MAX_CENSUS_ORDER:
+    square = lattice.rank == dual.lattice_part.rank
+    if square:
+        order = abs(_linalg.det_int(change))
+        if order == 0:
+            raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
+    finite = square and not dual.complement_dimension
+    if finite and order > MAX_CENSUS_ORDER:
         raise BudgetExceeded(
             f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
         )
     box = _linalg.row_hermite_form(change)
     factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
+    if not finite:
+        return Census(False, factors, None, None, dual.complement_dimension)
     from ._census import CensusReps
 
     part = dual.lattice_part

@@ -25,6 +25,12 @@ def run_json(capsys, argv):
     return code, json.loads(out) if out.strip() else None
 
 
+def child_env() -> dict:
+    """The environment of a CLI child process that imports this source tree."""
+    src = str(Path(uproll.__file__).resolve().parents[1])
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
 def walk_rationals(node):
     """Yield every string that encodes a rational in a report document."""
     if isinstance(node, dict):
@@ -405,11 +411,9 @@ def test_closed_stdout_exits_six_without_traceback(tmp_path):
         tmp_path, "p.json",
         {"series": "A", "rank": 2, "ell": 8, "lattice": [["8", "-4"], ["-4", "8"]]},
     )
-    src = str(Path(uproll.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.Popen(
         [sys.executable, "-m", "uproll.cli", "monodromy", "--input", path],
-        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
     )
     assert proc.stdout.readline() == b"{\n"
     proc.stdout.close()
@@ -417,6 +421,34 @@ def test_closed_stdout_exits_six_without_traceback(tmp_path):
     assert proc.wait(timeout=60) == 6
     assert "Traceback" not in err
     assert "stdout was closed" in err
+
+
+DEEP = "[" * 1200 + "]" * 1200
+
+
+@pytest.mark.parametrize(
+    "command,text,from_file",
+    [
+        ("census", DEEP, False),
+        ("census", DEEP, True),
+        ("bq", '{"series": "A", "rank": 2, "ell": 4, "heisenberg": %s}' % DEEP, False),
+        ("bq", '{"series": "A", "rank": 2, "ell": 4, "lattice": %s}' % DEEP, True),
+    ],
+    ids=["census-stdin", "census-input", "bq-heisenberg", "bq-lattice"],
+)
+def test_deeply_nested_json_exits_two_without_traceback(command, text, from_file, tmp_path):
+    # Past about a thousand levels json.load runs out of recursion depth.
+    argv = [sys.executable, "-m", "uproll.cli", command]
+    if from_file:
+        path = tmp_path / "p.json"
+        path.write_text(text, encoding="utf-8")
+        argv += ["--input", str(path)]
+    proc = subprocess.run(argv, input="" if from_file else text, capture_output=True,
+                          text=True, env=child_env(), timeout=60)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert "nests too deeply" in proc.stderr
 
 
 def test_rank_past_the_cap_exits_two_at_once(tmp_path, capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -30,7 +31,7 @@ from uproll.errors import (
     NotSubgroup,
     UprollError,
 )
-from uproll.lattice import MAX_CENSUS_ORDER, Census, RationalLattice, in_dual
+from uproll.lattice import MAX_CENSUS_ORDER, Census, DualGroup, RationalLattice, in_dual
 
 A1_4 = build_cartan_datum("A", 1, 4)
 A2_4 = build_cartan_datum("A", 2, 4)
@@ -448,6 +449,23 @@ def test_empty_lattice_in_a_full_dual_is_infinite():
     )
 
 
+def test_lattice_below_the_dual_rank_is_infinite():
+    # 3 alpha_1 inside the full-rank dual of 3Q: Z^2 / (3Z + 0) is Z/3 + Z,
+    # infinite although the dual has no continuous part.
+    datum = build_cartan_datum("A", 2, 6)
+    a1, a2 = datum.simple_roots
+    dual = scaled_dual(datum, canonical_basis(datum, [3 * a1, 3 * a2]))
+    assert dual.complement_dimension == 0
+    census = quotient_census(datum, dual, canonical_basis(datum, [3 * a1]))
+    assert census == Census(False, (3,), None, None, 0)
+
+
+def test_dual_of_the_zero_lattice_is_everything():
+    datum = build_cartan_datum("A", 2, 6)
+    empty = canonical_basis(datum, ())
+    assert scaled_dual(datum, empty) == DualGroup(datum, empty, 2, empty)
+
+
 def test_dual_and_membership_build_no_weights(monkeypatch):
     datum = build_cartan_datum("E", 8, 4)
     lattice = canonical_basis(datum, [2 * a for a in datum.simple_roots])
@@ -595,3 +613,43 @@ def test_finite_census_reps_fill_the_hermite_box(change, series):
     assert all(contains(part, w) for w in reps)
     bound = (order - 1) * max(abs(x) for row in part.hnf for x in row)
     assert max(abs(x) for w in reps for x in w.row_over(part.denominator)) <= bound
+
+
+# Dense lattices below full rank, as in test_cli_fuzz.py: rows ell*N times
+# nonzero integers up to 9, N the Gram denominator.  Their censuses are
+# infinite, and the Smith form once stalled on such a change of basis.
+DEFICIENT_TYPES = [("A", n) for n in range(4, 9)] + [("D", n) for n in range(5, 9)] + [("E", 6)]
+
+
+@st.composite
+def deficient_lattices(draw):
+    series, rank = draw(st.sampled_from(DEFICIENT_TYPES))
+    datum = build_cartan_datum(series, rank, draw(st.sampled_from([3, 4, 5, 6, 8])))
+    scale = datum.ell * datum.gram_denominator
+    k = rank - draw(st.integers(1, 2))
+    rows = draw(st.lists(
+        st.lists(st.integers(-9, 9).filter(bool), min_size=rank, max_size=rank),
+        min_size=k, max_size=k,
+    ))
+    return datum, canonical_basis(datum, [Weight.over([scale * c for c in row], 1)
+                                          for row in rows])
+
+
+@settings(max_examples=40, deadline=None)
+@given(case=deficient_lattices())
+def test_infinite_census_factors_match_sympy(case):
+    datum, lat = case
+    start = time.perf_counter()
+    dual = scaled_dual(datum, lat)
+    census = quotient_census(datum, dual, lat)
+    assert time.perf_counter() - start < 2.0
+    assert not census.finite and census.reps is None and census.order is None
+    assert census.complement_dimension == datum.rank - lat.rank
+    # The change of basis C with C D = L on the HNF rows, solved by sympy.
+    part = dual.lattice_part
+    d = Matrix(part.hnf) / part.denominator
+    change = Matrix(lat.hnf) / lat.denominator * d.T * (d * d.T).inv()
+    assert all(x.is_integer for x in change)
+    ref = sympy_smith(change, domain=ZZ)
+    diag = (abs(int(ref[i, i])) for i in range(lat.rank))
+    assert census.invariant_factors == tuple(s for s in diag if s > 1)

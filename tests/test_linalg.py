@@ -18,7 +18,6 @@ from uproll._linalg import (
     leading_minors,
     mat_inverse,
     row_hermite_form,
-    smith_diagonal_mod,
     smith_normal_form,
     xgcd,
 )
@@ -252,22 +251,25 @@ def square_matrices(draw):
 @st.composite
 def nonsingular_matrices(draw):
     """Dense square matrices up to 8x8 with nonzero entries in [-100, 100]
-    and a nonzero determinant, with that determinant."""
+    and a nonzero determinant."""
     n = draw(st.integers(1, 8))
     entry = st.integers(-100, 100).filter(bool)
     mat = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=n, max_size=n))
-    det = det_int(mat)
-    assume(det)
-    return mat, det
+    assume(det_int(mat))
+    return mat
 
 
-class TestSmithDiagonalModDeterminant:
+def smith_of_hermite(mat) -> list[int]:
+    """The Smith diagonal as the census takes it: on the Hermite form."""
+    return smith_normal_form(row_hermite_form(mat))[0]
+
+
+class TestSmithDiagonalOfHermiteForm:
     @settings(max_examples=150, deadline=None)
-    @given(case=nonsingular_matrices())
-    def test_matches_sympy_within_a_time_bound(self, case):
-        mat, det = case
+    @given(mat=nonsingular_matrices())
+    def test_matches_sympy_within_a_time_bound(self, mat):
         start = time.perf_counter()
-        diag = smith_diagonal_mod(mat, abs(det))
+        diag = smith_of_hermite(mat)
         assert time.perf_counter() - start < 1.0
         ref = sympy_smith(Matrix(mat), domain=ZZ)
         assert diag == [abs(int(ref[i, i])) for i in range(len(mat))]
@@ -276,14 +278,14 @@ class TestSmithDiagonalModDeterminant:
         # Upper triangular like the census's change of basis, with entries
         # far above the determinant; sympy gives (1, 1, 1210104).
         mat = [[14, 2**31 - 1, 5], [0, 98, 2**30 + 7], [0, 0, 98 * 9]]
-        assert smith_diagonal_mod(mat, det_int(mat)) == [1, 1, 1210104]
+        assert smith_of_hermite(mat) == [1, 1, 1210104]
 
     def test_unimodular_and_scalar(self):
-        assert smith_diagonal_mod([[2, 1], [1, 1]], 1) == [1, 1]
-        assert smith_diagonal_mod([[6, 0], [0, 6]], 36) == [6, 6]
-        assert smith_diagonal_mod([[6, 0], [0, 4]], 24) == [2, 12]
+        assert smith_of_hermite([[2, 1], [1, 1]]) == [1, 1]
+        assert smith_of_hermite([[6, 0], [0, 6]]) == [6, 6]
+        assert smith_of_hermite([[6, 0], [0, 4]]) == [2, 12]
         # A zero pivot over a zero entry and a nonzero one.
-        assert smith_diagonal_mod([[0, 2, 0], [0, 0, 3], [5, 0, 0]], 30) == [1, 1, 30]
+        assert smith_of_hermite([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == [1, 1, 30]
 
 
 @st.composite
