@@ -1,15 +1,15 @@
 """Small exact linear-algebra kernels, on integers only.
 
 Integer Hermite and Smith normal forms with plain bignum arithmetic; the
-leading principal minors; and one fraction-free Gauss-Jordan elimination
-(Bareiss) behind det_int, mat_inverse, which returns the pair (adjugate,
-determinant), and combination_in_rows, which solves any number of
-targets at once as integer numerators over one denominator; and the
-echelon reduction that finishes the Hermite form and reduces a vector
-modulo a lattice.  Everything here works on lists of lists of plain ints,
-up to cartan.MAX_RANK = 32 columns: dense lattices up to rank 16 take
-about 0.02 s, but at ranks 22-31 the Hermite form of a scaled dual can
-run for tens of seconds.
+leading principal minors; one fraction-free Gauss-Jordan elimination
+(Bareiss) behind det_int and mat_inverse (adjugate and determinant),
+which refuse a matrix that is not square, and combination_in_rows, which
+solves any number of targets at once as integer numerators over one
+denominator; and the echelon reduction that finishes the Hermite form and
+reduces a vector modulo a lattice.  Everything here works on lists of
+lists of plain ints, up to cartan.MAX_RANK = 32 columns: dense lattices
+up to rank 16 take about 0.02 s, but at ranks 22-31 the Hermite form of
+a scaled dual can run for tens of seconds.
 """
 
 from __future__ import annotations
@@ -204,17 +204,24 @@ def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:
     return prev, sign
 
 
+def _square(rows) -> int:
+    """The size n of an n x n matrix; ValueError naming any other shape."""
+    if any(len(row) != len(rows) for row in rows):
+        raise ValueError(f"a {len(rows)}-row matrix with row lengths {[len(row) for row in rows]} is not square")
+    return len(rows)
+
+
 def det_int(mat) -> int:
     """Determinant of a square integer matrix."""
     a = [list(r) for r in mat]
-    done = _gauss_jordan(a, len(a))
+    done = _gauss_jordan(a, _square(a))
     return 0 if done is None else done[0] * done[1]
 
 
 def mat_inverse(rows) -> tuple[list[list[int]], int]:
     """Adjugate and determinant (adj, det) of a square integer matrix, so
     that adj = det * rows ** -1.  Raises ValueError when it is singular."""
-    n = len(rows)
+    n = _square(rows)
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     done = _gauss_jordan(a, n)
     if done is None:

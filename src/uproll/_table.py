@@ -10,10 +10,10 @@ pass over the pairs, and the scans that run when it does not apply."""
 
 from __future__ import annotations
 
-from collections.abc import MutableMapping
+from collections.abc import Mapping
 from functools import cached_property
 from itertools import product
-from math import gcd, lcm
+from math import lcm
 
 from ._record import Record
 from .algebra import check_box_budget
@@ -75,48 +75,22 @@ class Grid:
         return rows
 
 
-class TableEntries(MutableMapping):
-    """A CocycleTable's entries, a mapping (n, m) -> ExponentModL held as
-    dense integer rows over one denominator den: rows[i][j] / den is the
-    unreduced exponent at (vecs[i], vecs[j]) of the grid, None where there
-    is no entry.  Writes are checked against the table's order of q; one
-    whose denominator does not divide den rescales the rows."""
+class TableEntries(Mapping):
+    """A CocycleTable's entries, a read-only mapping (n, m) -> ExponentModL
+    held as dense integer rows over one denominator den: rows[i][j] / den
+    is the unreduced exponent at (vecs[i], vecs[j]) of the grid, None where
+    there is no entry."""
 
     __slots__ = ("grid", "ell", "rows", "den")
 
     def __init__(self, grid: Grid, ell: int, rows: list[list], den: int):
         self.grid, self.ell, self.rows, self.den = grid, ell, rows, den
 
-    def _position(self, key) -> tuple[int, int]:
-        left, right = key
-        return self.grid.index[left], self.grid.index[right]
-
     def __getitem__(self, key) -> ExponentModL:
-        i, j = self._position(key)
-        if (x := self.rows[i][j]) is None:
+        left, right = key
+        if (x := self.rows[self.grid.index[left]][self.grid.index[right]]) is None:
             raise KeyError(key)
         return ExponentModL.over(x, self.den, self.ell)
-
-    def __setitem__(self, key, e: ExponentModL) -> None:
-        try:
-            i, j = self._position(key)
-        except KeyError:
-            raise ValueError(f"pair {key} lies outside the box {self.grid.box}") from None
-        if e.modulus != self.ell:
-            raise ValueError(
-                f"exponents live at different orders of q: {e.modulus} at {key}, {self.ell} in the table"
-            )
-        if self.den % e.den:
-            up = e.den // gcd(self.den, e.den)
-            self.rows = [[y if y is None else y * up for y in row] for row in self.rows]
-            self.den *= up
-        self.rows[i][j] = e.num * (self.den // e.den)
-
-    def __delitem__(self, key) -> None:
-        i, j = self._position(key)
-        if self.rows[i][j] is None:
-            raise KeyError(key)
-        self.rows[i][j] = None
 
     def __iter__(self):
         vecs = self.grid.vecs
@@ -147,8 +121,9 @@ class CocycleTable(Record):
     Entries are keyed by pairs of generator-coefficient vectors with all
     coefficients in [-box, box]; the value at (n, m) is the exponent of
     the product scalar on the corresponding pair of summands.  They are
-    held as dense integer rows over one denominator (TableEntries); a
-    plain dict of ExponentModL passed as entries is read into such rows.
+    held as dense integer rows over one denominator (TableEntries), read
+    once from any other mapping of ExponentModL passed as entries (a dict,
+    or the entries of a table of another box) and never edited.
     """
 
     generators: tuple[Weight, ...]
@@ -160,9 +135,18 @@ class CocycleTable(Record):
         if not isinstance(entries, TableEntries) or (
             entries.ell, entries.grid.box, entries.grid.dimension
         ) != (ell, box, len(generators)):
-            grid, items = Grid(len(generators), box), entries
-            entries = TableEntries(grid, ell, [[None] * len(grid.vecs) for _ in grid.vecs], 1)
-            entries.update(items)
+            grid, den = Grid(len(generators), box), lcm(1, *(e.den for e in entries.values()))
+            rows = [[None] * len(grid.vecs) for _ in grid.vecs]
+            for key, e in entries.items():
+                left, right = key
+                if left not in grid.index or right not in grid.index:
+                    raise ValueError(f"pair {key} lies outside the box {box}")
+                if e.modulus != ell:
+                    raise ValueError(
+                        f"exponents live at different orders of q: {e.modulus} at {key}, {ell} in the table"
+                    )
+                rows[grid.index[left]][grid.index[right]] = e.num * (den // e.den)
+            entries = TableEntries(grid, ell, rows, den)
         super().__init__(generators, box, ell, entries)
 
     @property

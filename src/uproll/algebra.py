@@ -17,8 +17,8 @@ A table on the coefficient box [-box, box]^d is stored as dense integer
 rows over one denominator den: rows[i][j] / den is the exponent at the
 i-th and j-th box vectors in lexicographic order.  Building, checking,
 twisting and normalizing a table all run on those integers; ExponentModL
-values appear only at the boundary, when entries are read or written
-through the table's mapping view or a gauge cochain is returned.
+values appear only at the boundary: a table built from a mapping, read
+through its mapping view, or a gauge cochain returned.
 
 The odd-odd sign of a superalgebra is an exponent shift of ell/2 when
 ell is even; for odd ell no power of q equals -1, so the sign is kept as

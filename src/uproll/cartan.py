@@ -47,21 +47,20 @@ MAX_RANK = 32
 
 
 def _ratio(x) -> tuple[int, int]:
-    """x, an int, a Fraction or a str, as integers (p, q), q > 0, with x = p / q.
-    A str -?[0-9]+ or -?[0-9]+/[0-9]+ of ASCII digits is read directly, any
-    other str through Fraction, with its syntax and exceptions; anything
-    else raises TypeError."""
-    if type(x) is int:
-        return x, 1
-    if type(x) is str and x.isascii():
-        num, slash, den = x.partition("/")
-        if (num[1:] if num[:1] == "-" else num).isdigit() and (den.isdigit() or not slash):
-            if q := int(den or 1):
-                return int(num), q
-    if not isinstance(x, (Fraction, int, str)):
+    """x, an int, a Fraction or a str -?[0-9]+(/[0-9]+)? of ASCII digits,
+    as integers (p, q), q > 0, with x = p / q.  Any other str raises
+    ValueError, a zero denominator ZeroDivisionError, and anything else
+    TypeError."""
+    if isinstance(x, (int, Fraction)):
+        return x.numerator, x.denominator
+    if not isinstance(x, str):
         raise TypeError(f"expected a rational, got {type(x).__name__}")
-    x = Fraction(x)
-    return x.numerator, x.denominator
+    num, slash, den = x.partition("/")
+    if not (x.isascii() and num.removeprefix("-").isdigit() and (den.isdigit() or not slash)):
+        raise ValueError(f"not a rational 'p/q': {x!r}")
+    if not (q := int(den or 1)):
+        raise ZeroDivisionError(f"zero denominator: {x!r}")
+    return int(num), q
 
 
 def is_multiple(x, step) -> bool:
@@ -160,16 +159,16 @@ def common_rows(weights) -> tuple[list[list[int]], int]:
 
 
 def weight(coords) -> Weight:
-    """Build a Weight from a sequence of ints, Fractions, or 'p/q' strings."""
+    """Build a Weight from a sequence of ints, Fractions, or ASCII -?[0-9]+(/[0-9]+)? strings."""
     return Weight(coords)
 
 
 class ExponentModL(Record):
     """Exact rational exponent e standing for the scalar q ** e, held like a
     Weight row: integers num / den in lowest terms at the order modulus >= 1
-    of q.  ExponentModL(value, modulus) reads an int, a Fraction or a 'p/q'
-    string and raises TypeError on anything else, a float too; over builds
-    one from integers, and value and canonical are Fractions read off them.
+    of q.  ExponentModL(value, modulus) reads what _ratio reads (an int, a
+    Fraction or an ASCII -?[0-9]+(/[0-9]+)? string) and raises as it does;
+    over builds one from integers, and value and canonical are Fractions.
     Equality is congruence modulo the order of q (exponents that differ by an
     integer share a reduced denominator): equal instances name one scalar.
     """

@@ -8,10 +8,11 @@ strings; no value is ever rendered through floating point.
 Exit codes:
   0  report produced (verdict commands exit 0 on clean negative verdicts)
   2  malformed input: bad or too deeply nested JSON, a "rank" or "ell"
-     that is not a JSON integer, a rational that is not a "p/q" string
-     or an integer, a list or object field of another JSON type, --box
-     below 0, a partial set of datum or triplet flags, unknown Dynkin
-     type, dimension mismatches, an odd generator that is not half-odd
+     that is not a JSON integer, a rational other than a JSON integer or
+     an ASCII -?[0-9]+(/[0-9]+)? string over a nonzero denominator, a
+     list or object field of another JSON type, --box below 0, a partial
+     set of datum or triplet flags, unknown Dynkin type, dimension
+     mismatches, an odd generator that is not half-odd, bq at an odd ell
   3  hypothesis violated: ell < 3, r <= max gcd(d_i, r), or a non-ADE
      series passed to the triplet command
   4  a lattice generator (or the odd generator) is outside the
@@ -43,11 +44,10 @@ import argparse
 import json
 import os
 import sys
-from fractions import Fraction
 from itertools import combinations
 
 from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, spec_verdict
-from .cartan import CartanDatum, ExponentModL, Weight, build_cartan_datum
+from .cartan import CartanDatum, ExponentModL, Weight, _ratio, build_cartan_datum
 from .errors import (
     AlgebraInvalid,
     BudgetExceeded,
@@ -107,13 +107,14 @@ def _doc_int(doc: dict, key: str) -> int:
     return value
 
 
-def _doc_rational(value, field: str) -> Fraction:
+def _doc_rational(value, field: str) -> int | str:
     if type(value) not in (int, str):
         raise ValueError(f"{field} must be a 'p/q' string or an integer, got {value!r}")
     try:
-        return Fraction(value)
+        _ratio(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{field} is not a rational: {value!r}") from None
+    return value
 
 
 def _doc_datum(doc: dict) -> CartanDatum:

@@ -25,6 +25,7 @@ from .cartan import (
     CartanDatum,
     ExponentModL,
     Weight,
+    _ratio,
     bilinear,
     build_cartan_datum,
     cartan_determinant,
@@ -112,7 +113,7 @@ class BqSpec:
         self.generators = self.algebra.generators
         self.lattice = self.algebra.lattice
         special = Fraction(-1, datum.r)
-        self.a_squared = special if a_squared is None else Fraction(a_squared)
+        self.a_squared = special if a_squared is None else Fraction(*_ratio(a_squared))
         # Whether the lattice equals r times the full weight lattice.
         self.is_full_weight_lattice = self.lattice == RationalLattice(n, r_identity, 1)
         # Whether the locality formula of bq_is_local applies.

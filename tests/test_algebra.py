@@ -1,6 +1,7 @@
 import math
 import random
 import re
+from collections.abc import MutableMapping
 from fractions import Fraction
 from itertools import product
 
@@ -54,6 +55,12 @@ def three_q_spec():
 def super_spec():
     alpha = A1_4.simple_root(0)
     return AlgebraSpec(A1_4, [2 * alpha], mu=alpha)
+
+
+def rebuilt(table, entries):
+    """A table on the generators, box and order of q of table, built from
+    the dict entries: a table is never edited, so an edit is a new table."""
+    return CocycleTable(table.generators, table.box, table.ell, entries)
 
 
 class TestSpecValidation:
@@ -161,7 +168,7 @@ class TestCocycleCheck:
         spec = three_q_spec()
         table = structure_constant_table(spec, 2)
         key = ((1, 0), (0, 1))
-        table.entries[key] = table.entries[key] + exponent(1, 6)
+        table = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(1, 6)})
         verdict = cocycle_check(table, A2_6)
         assert not verdict.valid
         assert verdict.first_violation[0] == "associativity"
@@ -169,8 +176,7 @@ class TestCocycleCheck:
     def test_zero_table_on_odd_lattice(self):
         spec = AlgebraSpec(A1_4, [A1_4.simple_root(0)])
         table = structure_constant_table(spec, 1)
-        for key in table.entries:
-            table.entries[key] = exponent(0, 4)
+        table = rebuilt(table, {key: exponent(0, 4) for key in table.entries})
         verdict = cocycle_check(table, A1_4)
         assert verdict.valid
         assert not verdict.commutative
@@ -213,7 +219,8 @@ def perturbed_table(spec, seed):
     if seed is not None:
         rng = random.Random(seed)
         key = rng.choice(sorted(table.entries))
-        table.entries[key] = table.entries[key] + exponent(rng.randrange(1, table.ell), table.ell)
+        shift = exponent(rng.randrange(1, table.ell), table.ell)
+        table = rebuilt(table, {**table.entries, key: table.entries[key] + shift})
     return table
 
 
@@ -231,7 +238,7 @@ def test_cocycle_first_violation_takes_the_first_third_vector():
     # with b + c in the box; the lexicographically first c is reported.
     table = perturbed_table(three_q_spec(), None)
     key = ((-2, -2), (0, 1))
-    table.entries[key] = table.entries[key] + exponent(1, 6)
+    table = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(1, 6)})
     verdict = cocycle_check(table, A2_6)
     assert verdict.first_violation == ("associativity", (-2, -2), (0, 1), (-2, -2))
 
@@ -312,7 +319,7 @@ class TestIncompleteTables:
     def test_gauge_normalize_needs_the_chain_entries(self):
         spec = three_q_spec()
         table = structure_constant_table(spec, 2)
-        del table.entries[((1, 0), (1, 0))]
+        table = rebuilt(table, {k: e for k, e in table.entries.items() if k != ((1, 0), (1, 0))})
         with pytest.raises(IncompleteTable):
             gauge_normalize(table, spec)
 
@@ -320,8 +327,7 @@ class TestIncompleteTables:
         spec = three_q_spec()
         table = structure_constant_table(spec, 2)
         later, first = ((1, 0), (-1, 1)), ((0, 1), (1, -1))
-        del table.entries[later]
-        del table.entries[first]
+        table = rebuilt(table, {k: e for k, e in table.entries.items() if k not in (later, first)})
         with pytest.raises(IncompleteTable, match=re.escape(f"({first[0]}, {first[1]})")):
             gauge_normalize(table, spec)
 
@@ -430,14 +436,17 @@ def test_cocycle_check_matches_a_fraction_scan_on_perturbed_tables(name, spec):
             # Adding a bilinear form k n_i m_j keeps the table a cocycle,
             # so only the commutation scan can fail.
             i, j, k = rng.randrange(table.dimension), rng.randrange(table.dimension), rng.choice(shifts)
-            for (n, m), e in table.entries.items():
-                table.entries[(n, m)] = e + exponent(k * n[i] * m[j], table.ell)
+            table = rebuilt(table, {
+                (n, m): e + exponent(k * n[i] * m[j], table.ell) for (n, m), e in table.entries.items()
+            })
             assert cocycle_check(table, spec.datum).valid
         else:
-            for key in rng.sample(sorted(table.entries), min(rng.randint(1, 3), len(table.entries))):
+            entries = dict(table.entries)
+            for key in rng.sample(sorted(entries), min(rng.randint(1, 3), len(entries))):
                 # fractional shifts give the table a denominator the pairings lack
                 shift = rng.choice(shifts)
-                table.entries[key] = table.entries[key] + exponent(shift, table.ell)
+                entries[key] = entries[key] + exponent(shift, table.ell)
+            table = rebuilt(table, entries)
         verdict = cocycle_check(table, spec.datum)
         assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
             table, spec.datum
@@ -460,8 +469,9 @@ def certified_table(spec, box, kind, rng):
         for _ in range(rng.randint(1, 3)):
             i, j = rng.randrange(dims), rng.randrange(dims)
             k = Fraction(rng.randint(-9, 9), rng.randint(1, 4))
-            for (n, m), e in table.entries.items():
-                table.entries[(n, m)] = e + exponent(k * n[i] * m[j], ell)
+            table = rebuilt(table, {
+                (n, m): e + exponent(k * n[i] * m[j], ell) for (n, m), e in table.entries.items()
+            })
     return table
 
 
@@ -488,7 +498,7 @@ def test_certificate_path_agrees_with_the_scan(seed, box, family, kind, perturb)
     if perturb:
         key = rng.choice(sorted(table.entries))
         shift = rng.choice([1, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])
-        table.entries[key] = table.entries[key] + exponent(shift, table.ell)
+        table = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(shift, table.ell)})
     verdict = cocycle_check(table, spec.datum)
     assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
         table, spec.datum
@@ -558,31 +568,44 @@ def test_entries_behave_as_the_dict_they_replace():
     assert ((1, 1), (2, 0)) not in table.entries
     with pytest.raises(KeyError):
         table.entries[((0, 0), (0, 2))]
+    # A table of another box is read like a dict, and its pairs must fit.
+    wider = CocycleTable(table.generators, 2, 6, table.entries)
+    assert wider.entries == plain and wider.entries.grid.box == 2
+    with pytest.raises(ValueError, match="outside the box 1"):
+        CocycleTable(table.generators, 1, 6, structure_constant_table(spec, 2).entries)
 
 
-def test_write_with_a_new_denominator_rescales_and_is_checked():
+def test_entries_are_read_only():
+    table = structure_constant_table(three_q_spec(), 1)
+    key = ((1, 0), (0, 1))
+    assert not isinstance(table.entries, MutableMapping)
+    with pytest.raises(TypeError):
+        table.entries[key] = exponent(0, 6)
+    with pytest.raises(TypeError):
+        del table.entries[key]
+
+
+def test_mixed_denominators_are_read_over_their_least_common_multiple():
     spec = three_q_spec()
     table = structure_constant_table(spec, 1)
     before = dict(table.entries.items())
     key = ((1, 0), (0, 1))
-    table.entries[key] = exponent(before[key].value + Fraction(1, 7), 6)
-    assert table.entries[key].value == before[key].value + Fraction(1, 7)
-    assert all(table.entries[k].value == e.value for k, e in before.items() if k != key)
-    verdict = cocycle_check(table, A2_6)
+    changed = rebuilt(table, {**before, key: exponent(before[key].value + Fraction(1, 7), 6)})
+    assert changed.entries.den % 7 == 0
+    assert changed.entries[key].value == before[key].value + Fraction(1, 7)
+    assert all(changed.entries[k].value == e.value for k, e in before.items() if k != key)
+    verdict = cocycle_check(changed, A2_6)
     assert not verdict.valid
     assert verdict.first_violation == ("associativity", (-1, -1), (1, 0), (0, 1))
-    table.entries[key] = before[key]
-    assert cocycle_check(table, A2_6).valid
+    assert cocycle_check(rebuilt(changed, {**changed.entries, key: before[key]}), A2_6).valid
+    assert dict(table.entries.items()) == before
 
 
-def test_deleted_entries_are_missing_for_lookup_and_check():
+def test_entries_left_out_are_missing_for_lookup_and_check():
     table = structure_constant_table(three_q_spec(), 1)
     later, first = ((1, 0), (-1, 1)), ((0, 1), (1, -1))
-    del table.entries[later]
-    del table.entries[first]
+    table = rebuilt(table, {k: e for k, e in table.entries.items() if k not in (later, first)})
     assert len(table.entries) == 79 and first not in table.entries
-    with pytest.raises(KeyError):
-        del table.entries[first]
     with pytest.raises(KeyError, match=re.escape(str(first))):
         table.entries[first]
     with pytest.raises(IncompleteTable, match=re.escape(f"({first[0]}, {first[1]})")):
@@ -705,14 +728,15 @@ def test_table_kernels_agree_with_a_dict_reference(seed, dims, box, holes, thin_
         return exponent(Fraction(rng.randrange(-4 * ell, 4 * ell), rng.randint(1, 4)), ell)
 
     vecs = list(product(range(-box, box + 1), repeat=dims))
-    table = CocycleTable(spec.ordered_basis, box, ell, {(a, b): value() for a in vecs for b in vecs})
+    entries = {(a, b): value() for a in vecs for b in vecs}
     pools = {"in box": [], "outside": []}
-    for key in table.entries:
+    for key in entries:
         pools["in box" if all(-box <= c <= box for c in plus(*key)) else "outside"].append(key)
     for kind, pool in pools.items():
         if holes in (kind, "both") and pool:
             for key in rng.sample(pool, min(len(pool), rng.randint(1, 3))):
-                del table.entries[key]
+                del entries[key]
+    table = CocycleTable(spec.ordered_basis, box, ell, entries)
     phi = {vec: value() for vec in product(range(-2 * box, 2 * box + 1), repeat=dims)}
     if thin_cochain:
         del phi[rng.choice(sorted(phi))]
@@ -742,11 +766,11 @@ def test_exponents_at_another_order_of_q_are_refused():
         apply_coboundary(table, cochain)
     key = ((0, 0), (1, 0))
     with pytest.raises(ValueError, match="different orders of q"):
-        table.entries[key] = exponent(0, 4)
+        rebuilt(table, {**table.entries, key: exponent(0, 4)})
     with pytest.raises(ValueError, match="different orders of q"):
         CocycleTable(table.generators, 1, 6, {key: exponent(0, 4)})
     with pytest.raises(ValueError, match="outside the box"):
-        table.entries[((0, 0), (2, 0))] = exponent(0, 6)
+        rebuilt(table, {**table.entries, ((0, 0), (2, 0)): exponent(0, 6)})
 
 
 def test_check_against_a_datum_at_another_order_is_refused():

@@ -303,6 +303,30 @@ def test_bad_numbers_exit_two_naming_the_field(argv, doc, field, tmp_path, capsy
     assert_exit_two_naming(argv, doc, field, tmp_path, capsys)
 
 
+# Strings that Fraction reads as 4 or 10 but the rational grammar
+# -?[0-9]+(/[0-9]+)? of ASCII digits refuses.
+OFF_GRAMMAR = ["4.0", " 4", "4_0", "1e1", "+4", "\u0664"]
+A1_4 = {"series": "A", "rank": 1, "ell": 4}
+RATIONAL_FIELDS = {
+    "lattice": (["census"], lambda s: {**A1_4, "lattice": [[s]]}, "lattice[0][0]"),
+    "mu": (["check-algebra"], lambda s: {**A1_4, "lattice": [["4"]], "mu": [s]}, "mu[0]"),
+    "pairs": (["monodromy"], lambda s: {**A1_4, "pairs": [[["2"], [s]]]}, "pairs[0][1][0]"),
+    "qg": (["bq"], lambda s: {**A1_4, "ext_weights": [{"qg": [s], "fock": ["0"]}]},
+           "ext_weights[0].qg[0]"),
+    "fock": (["bq"], lambda s: {**A1_4, "ext_weights": [{"qg": ["2"], "fock": [s]}]},
+             "ext_weights[0].fock[0]"),
+    "a_squared": (["bq"], lambda s: {**A1_4, "heisenberg": {"a_squared": s}},
+                  "heisenberg.a_squared"),
+}
+
+
+@pytest.mark.parametrize("text", OFF_GRAMMAR)
+@pytest.mark.parametrize("name", list(RATIONAL_FIELDS))
+def test_rationals_off_the_grammar_exit_two_naming_the_field(name, text, tmp_path, capsys):
+    argv, doc, field = RATIONAL_FIELDS[name]
+    assert_exit_two_naming(argv, doc(text), field, tmp_path, capsys)
+
+
 def assert_exit_two_naming(argv, doc, field, tmp_path, capsys):
     path = write_doc(tmp_path, "p.json", doc)
     assert run(argv + ["--input", path]) == 2
@@ -411,14 +435,14 @@ def test_closed_stdout_exits_six_without_traceback(tmp_path):
         tmp_path, "p.json",
         {"series": "A", "rank": 2, "ell": 8, "lattice": [["8", "-4"], ["-4", "8"]]},
     )
-    proc = subprocess.Popen(
+    with subprocess.Popen(
         [sys.executable, "-m", "uproll.cli", "monodromy", "--input", path],
         stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env(),
-    )
-    assert proc.stdout.readline() == b"{\n"
-    proc.stdout.close()
-    err = proc.stderr.read().decode()
-    assert proc.wait(timeout=60) == 6
+    ) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        err = proc.stderr.read().decode()
+        assert proc.wait(timeout=60) == 6
     assert "Traceback" not in err
     assert "stdout was closed" in err
 

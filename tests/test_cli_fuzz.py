@@ -37,9 +37,10 @@ junk = st.recursive(
 )
 
 
-# Coordinates outside (ell/2)Z, fractions and HUGE (which reaches the
-# census budget); most coordinates are drawn as small multiples of ell/2.
-COORDINATES = [1, 3, "1/2", "3/2", "-3", HUGE]
+# Coordinates outside (ell/2)Z, fractions, HUGE (which reaches the census
+# budget) and strings Fraction reads but the rational grammar refuses; most
+# coordinates are drawn as small multiples of ell/2.
+COORDINATES = [1, 3, "1/2", "3/2", "-3", HUGE, "4.0", " 2", "1_0"]
 TYPES = [("A", 1), ("A", 2), ("A", 3), ("B", 2), ("B", 3), ("C", 2), ("C", 3), ("D", 3), ("G", 2)]
 BAD_TYPES = [("X", 1), ("A", 0), ("A", 10**8), ("D", 2), ("E", 3), ("G", 3)]
 

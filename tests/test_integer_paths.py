@@ -3,9 +3,10 @@
 pairing_matrix, in_root_lattice, check_ribbon, bq_check_commutative and
 the twist and monodromy exponents run on integer numerators; each is
 checked here against the Fraction formula it replaced, written out with
-pairing and is_multiple.  Three guards keep it that way: outside the
-oracle no module calls is_multiple or is_integer, _linalg imports nothing
-from fractions, and the passing paths build no Fraction.
+pairing and is_multiple.  Guards keep it that way: outside the oracle no
+module calls is_multiple or is_integer, neither _linalg nor the CLI
+imports anything from fractions, reading a rational string builds no
+Fraction, and the passing paths build none either.
 """
 
 import ast
@@ -15,9 +16,9 @@ from pathlib import Path
 
 import pytest
 from helpers import ALL_TYPES, draw_commutativity_specs, draw_super_specs
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
-from test_weight import count_fractions
+from test_weight import count_fractions, rational_strings
 
 import uproll
 from uproll import (
@@ -294,8 +295,9 @@ def test_only_the_oracle_calls_is_multiple_or_is_integer():
     assert set(callers) == {"oracle.py"}, callers
 
 
-def test_linalg_imports_nothing_from_fractions():
-    tree = ast.parse((Path(uproll.__file__).parent / "_linalg.py").read_text(encoding="utf-8"))
+def fractions_imports(name: str) -> set:
+    """The modules of the fractions package that the uproll file name imports."""
+    tree = ast.parse((Path(uproll.__file__).parent / name).read_text(encoding="utf-8"))
     modules = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Import):
@@ -303,7 +305,30 @@ def test_linalg_imports_nothing_from_fractions():
         elif isinstance(node, ast.ImportFrom):
             modules.add(node.module)
     assert "__future__" in modules  # the walk finds the imports it looks for
-    assert not {m for m in modules if m and m.partition(".")[0] == "fractions"}, modules
+    return {m for m in modules if m and m.partition(".")[0] == "fractions"}
+
+
+def test_linalg_imports_nothing_from_fractions():
+    assert not fractions_imports("_linalg.py")
+
+
+def test_cli_imports_nothing_from_fractions():
+    # The CLI reads every rational through cartan._ratio.
+    assert not fractions_imports("cli.py")
+
+
+@settings(max_examples=200, deadline=None)
+@given(strings=st.lists(rational_strings, min_size=1, max_size=4))
+@example(["3/2", "-007/0140", "4.0", " 4", "4_0", "1e1", "+4", "\u0664", "3/0"])
+def test_reading_strings_builds_no_fractions(strings):
+    with pytest.MonkeyPatch.context() as patch:
+        made = count_fractions(patch)
+        for s in strings:
+            try:
+                weight([s])
+            except (ValueError, ZeroDivisionError):
+                pass
+    assert made == []
 
 
 def test_verdict_paths_build_no_fractions(monkeypatch):

@@ -1,4 +1,5 @@
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -200,6 +201,14 @@ class TestRationalKernels:
                 entry = sum(mat[i][k] * adj[k][j] for k in range(3))
                 assert entry == (det if i == j else 0)
 
+    @pytest.mark.parametrize("mat", [[[6, -3]], [[1], [2]], [[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]])
+    def test_a_matrix_that_is_not_square_is_refused_naming_its_shape(self, mat):
+        shape = re.escape(f"{len(mat)}-row matrix with row lengths {[len(row) for row in mat]}")
+        with pytest.raises(ValueError, match=shape):
+            det_int(mat)
+        with pytest.raises(ValueError, match=shape):
+            mat_inverse(mat)
+
     def test_combination_solves_and_detects(self):
         den, solutions = combination_in_rows([[2, 0], [1, 3]], [[4, 6], [0, 0], [1, 0]])
         assert den > 0
@@ -336,6 +345,7 @@ class TestEliminationAgainstSympy:
 
     def test_determinant_of_the_empty_matrix(self):
         assert det_int([]) == Matrix.zeros(0, 0).det() == 1
+        assert mat_inverse([]) == ([], 1)  # the empty matrix is square
 
     @settings(max_examples=150, deadline=None)
     @given(problem=combination_problems())

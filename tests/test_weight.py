@@ -9,6 +9,7 @@ coords.
 
 import ast
 import pickle
+import re
 from fractions import Fraction
 from math import gcd
 from pathlib import Path
@@ -39,12 +40,13 @@ pairs = st.integers(0, 4).flatmap(
     lambda n: st.tuples(*(st.lists(rationals, min_size=n, max_size=n),) * 2)
 )
 
-# Rational strings as Fraction reads them or refuses them: signs, leading
-# zeros, empty parts, zero denominators, decimals, exponents, underscores,
-# whitespace, and digits outside ASCII ('\u0663' is a digit to Fraction,
-# '\u00b2' is not, though str.isdigit accepts both).
+# Strings in and around the rational grammar -?[0-9]+(/[0-9]+)?: signs,
+# leading zeros, empty parts, zero denominators, decimals, exponents,
+# underscores, whitespace, and digits outside ASCII ('\u0663' is a digit to
+# Fraction, '\u00b2' is not, though str.isdigit accepts both).
 STRING_PIECES = ["-", "+", "/", " ", "\t", ".", "e", "E", "_", "0", "7",
                  "\u0663", "\u00b2", "\uff13"]
+GRAMMAR = re.compile("-?[0-9]+(/[0-9]+)?")  # [0-9] is ASCII only
 rational_strings = st.one_of(
     st.builds(
         "".join,
@@ -133,17 +135,27 @@ class TestModel:
     @example(["-007/0140", "\u0663", "\u00b2"])
     @example(["+3", " 3", "1.5", "1e3", "1_0", "-", "", "3/", "/3", "3/0", "-0/00"])
     def test_strings_read_as_fraction_reads_them(self, strings):
-        # The CLI prints the message, so it has to be Fraction's as well.
+        # A string of the grammar reads as Fraction reads it, and a zero
+        # denominator raises ZeroDivisionError; every other string raises
+        # ValueError, even one that Fraction reads.
         def outcome(build):
             try:
                 return build()
-            except (ValueError, ZeroDivisionError, TypeError) as exc:
-                return type(exc), str(exc)
+            except (ValueError, ZeroDivisionError) as exc:
+                return type(exc)
 
-        expected = outcome(lambda: Weight([Fraction(s) for s in strings]))
-        assert outcome(lambda: weight(strings)) == expected
+        def expected(s):
+            if not GRAMMAR.fullmatch(s):
+                return ValueError
+            if not int(s.partition("/")[2] or 1):
+                return ZeroDivisionError
+            return Weight([Fraction(s)])
+
         for s in strings:
-            assert outcome(lambda: weight([s])) == outcome(lambda: Weight([Fraction(s)]))
+            assert outcome(lambda: weight([s])) == expected(s)
+        refused = [e for e in map(expected, strings) if isinstance(e, type)]
+        whole = refused[0] if refused else Weight([Fraction(s) for s in strings])
+        assert outcome(lambda: weight(strings)) == whole
 
     def test_a_denominator_below_one_is_refused(self):
         for den in (0, -2):
