@@ -1,15 +1,17 @@
 """Small exact linear-algebra kernels, on integers only.
 
-Integer Hermite and Smith normal forms with plain bignum arithmetic; the
-leading principal minors; one fraction-free Gauss-Jordan elimination
-(Bareiss) behind det_int and mat_inverse (adjugate and determinant),
-which refuse a matrix that is not square, and combination_in_rows, which
-solves any number of targets at once as integer numerators over one
-denominator; and the echelon reduction that finishes the Hermite form and
-reduces a vector modulo a lattice.  Everything here works on lists of
-lists of plain ints, up to cartan.MAX_RANK = 32 columns: dense lattices
-up to rank 16 take about 0.02 s, but at ranks 22-31 the Hermite form of
-a scaled dual can run for tens of seconds.
+Integer Hermite and Smith normal forms with plain bignum arithmetic, the
+Smith form in rounds of column steps with the Hermite form taken again
+between them, which keeps its entries small; the leading principal
+minors; one fraction-free Gauss-Jordan elimination (Bareiss) behind
+det_int and mat_inverse (adjugate and determinant), which refuse a matrix
+that is not square, and combination_in_rows, which solves any number of
+targets at once as integer numerators over one denominator; and the
+echelon reduction that finishes the Hermite form and reduces a vector
+modulo a lattice.  Everything here works on lists of lists of plain ints,
+up to cartan.MAX_RANK = 32 columns: dense lattices up to rank 16 take
+about 0.02 s, but at ranks 22-31 the Hermite form of a scaled dual can
+run for tens of seconds.
 """
 
 from __future__ import annotations
@@ -89,75 +91,51 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
     each dividing the next, and vinv is the inverse of the accumulated
     unimodular column transform: U * mat * V = diag(diag) for unimodular
     U, V with vinv = V ** -1.  Row operations are not tracked.
+
+    Rounds of row_hermite_form alternate with column steps, and the
+    Hermite form between rounds keeps the entries small (Kannan and
+    Bachem, SIAM J. Comput. 8(4), 1979).  A round clears each row right of
+    its pivot p: an entry divisible by the pivot by subtracting column p,
+    which keeps the echelon form, any other by an xgcd step on the two
+    columns, which lowers the pivot and ends the round after that row.
+    Once every row holds one entry, the first pivots d, e with d not
+    dividing e are merged to their gcd by one column addition and a round.
     """
     a = [list(row) for row in mat]
-    m = len(a)
-    n = len(a[0]) if m else 0
+    n = len(a[0]) if a else 0
     vinv = [[int(i == j) for j in range(n)] for i in range(n)]
-
-    def col_add(dst: int, src: int, q: int) -> None:
-        # C <- C * (I + q e_{src,dst}); the inverse acts on rows of vinv.
-        for row in a:
-            row[dst] += q * row[src]
-        vinv[src] = [u - q * v for u, v in zip(vinv[src], vinv[dst])]
-
-    def col_swap(i: int, j: int) -> None:
-        for row in a:
-            row[i], row[j] = row[j], row[i]
-        vinv[i], vinv[j] = vinv[j], vinv[i]
-
-    t = 0
-    while t < min(m, n):
-        best = None
-        for i in range(t, m):
-            for j in range(t, n):
-                v = abs(a[i][j])
-                if v and (best is None or v < best[0]):
-                    best = (v, i, j)
-        if best is None:
-            break
-        _, bi, bj = best
-        if bi != t:
-            a[t], a[bi] = a[bi], a[t]
-        if bj != t:
-            col_swap(t, bj)
-        if a[t][t] < 0:
-            a[t] = [-x for x in a[t]]
-        while True:
-            done = True
-            for i in range(t + 1, m):
-                if a[i][t] == 0:
+    while True:
+        a = row_hermite_form(a)
+        pivots = [row.index(next(filter(None, row))) for row in a]
+        for row, p in zip(a, pivots):
+            pivot = row[p]
+            for j in range(p + 1, n):
+                if row[j] % row[p] == 0:
+                    if q := row[j] // row[p]:
+                        for r in a:
+                            r[j] -= q * r[p]
+                        vinv[p] = [u + q * v for u, v in zip(vinv[p], vinv[j])]
                     continue
-                q = a[i][t] // a[t][t]
-                a[i] = [x - q * y for x, y in zip(a[i], a[t])]
-                if a[i][t] != 0:
-                    a[t], a[i] = a[i], a[t]
-                    done = False
-            for j in range(t + 1, n):
-                if a[t][j] == 0:
-                    continue
-                q = a[t][j] // a[t][t]
-                col_add(j, t, -q)
-                if a[t][j] != 0:
-                    col_swap(t, j)
-                    done = False
-            if a[t][t] < 0:
-                a[t] = [-x for x in a[t]]
-            if done:
+                # Columns p, j times [[x, -t], [y, s]], of determinant 1.
+                g, x, y = xgcd(row[p], row[j])
+                s, t = row[p] // g, row[j] // g
+                for r in a:
+                    r[p], r[j] = x * r[p] + y * r[j], s * r[j] - t * r[p]
+                vp, vj = vinv[p], vinv[j]
+                vinv[p] = [s * u + t * v for u, v in zip(vp, vj)]
+                vinv[j] = [x * v - y * u for u, v in zip(vp, vj)]
+            if row[p] != pivot:  # an xgcd step lowered it and broke the echelon form
                 break
-        divisible = True
-        for i in range(t + 1, m):
-            for j in range(t + 1, n):
-                if a[i][j] % a[t][t]:
-                    col_add(t, j, 1)
-                    divisible = False
-                    break
-            if not divisible:
+        else:
+            diag = [row[p] for row, p in zip(a, pivots)]
+            k = next((k for k in range(1, len(a)) if diag[k] % diag[k - 1]), None)
+            if k is None:
                 break
-        if not divisible:
-            continue
-        t += 1
-    diag = [a[i][i] for i in range(t)]
+            # Column p_k onto column p_(k-1); only row k is nonzero at p_k.
+            a[k][pivots[k - 1]] = diag[k]
+            vinv[pivots[k]] = [u - v for u, v in zip(vinv[pivots[k]], vinv[pivots[k - 1]])]
+    for i, p in enumerate(pivots):
+        vinv[i], vinv[p] = vinv[p], vinv[i]
     return diag, vinv
 
 

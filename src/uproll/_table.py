@@ -87,7 +87,10 @@ class TableEntries(Mapping):
         self.grid, self.ell, self.rows, self.den = grid, ell, rows, den
 
     def __getitem__(self, key) -> ExponentModL:
-        left, right = key
+        try:
+            left, right = key
+        except (TypeError, ValueError):
+            raise KeyError(key) from None
         if (x := self.rows[self.grid.index[left]][self.grid.index[right]]) is None:
             raise KeyError(key)
         return ExponentModL.over(x, self.den, self.ell)

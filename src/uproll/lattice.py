@@ -179,15 +179,12 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
     targets = [[x * dual.denominator for x in row] for row in lattice.hnf]
     den, solutions = _linalg.combination_in_rows(rows, targets)
-    for coeffs, lam in zip(solutions, lattice.canonical_rows):
-        if coeffs is None:
-            raise NotSubgroup(
-                f"lattice row {lam!r} lies outside the span of the dual's lattice part"
-            )
-        if any(c % den for c in coeffs):
-            raise InternalError(
-                f"lattice row {lam!r} is not an integer combination of the dual basis"
-            )
+    for coeffs, row in zip(solutions, lattice.hnf):
+        if coeffs is None or any(c % den for c in coeffs):
+            lam = Weight.over(row, lattice.denominator)  # a weight only to name it
+            if coeffs is None:
+                raise NotSubgroup(f"lattice row {lam!r} lies outside the span of the dual's lattice part")
+            raise InternalError(f"lattice row {lam!r} is not an integer combination of the dual basis")
     return [[c // den for c in coeffs] for coeffs in solutions]
 
 

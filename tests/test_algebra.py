@@ -568,6 +568,9 @@ def test_entries_behave_as_the_dict_they_replace():
     assert ((1, 1), (2, 0)) not in table.entries
     with pytest.raises(KeyError):
         table.entries[((0, 0), (0, 2))]
+    # A key that is not a pair is missing, as in a dict.
+    assert "abc" not in table.entries and 5 not in table.entries
+    assert table.entries.get(((0, 0),)) is None
     # A table of another box is read like a dict, and its pairs must fit.
     wider = CocycleTable(table.generators, 2, 6, table.entries)
     assert wider.entries == plain and wider.entries.grid.box == 2

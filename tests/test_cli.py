@@ -157,6 +157,38 @@ class TestCensus:
         assert doc["complement_dimension"] == 1
 
 
+# A rank-7 lattice in A8 at ell = 6 whose census Smith form once ran past
+# 30 s: a min-pivot elimination grew its entries pass after pass.
+DENSE_A8 = {
+    "series": "A", "rank": 8, "ell": 6,
+    "lattice": [
+        ["-162", "54", "-108", "162", "-162", "54", "108", "-108"],
+        ["54", "-54", "-162", "108", "-54", "-54", "162", "54"],
+        ["162", "-108", "-108", "54", "162", "54", "-108", "108"],
+        ["-108", "-162", "162", "162", "162", "108", "108", "-54"],
+        ["54", "54", "54", "108", "54", "-162", "54", "-54"],
+        ["162", "108", "108", "54", "-108", "-162", "-54", "162"],
+        ["54", "-162", "-108", "-108", "-162", "-162", "-108", "108"],
+    ],
+}
+
+
+@pytest.mark.parametrize("command,code", [("census", 0), ("twists", 5), ("monodromy", 5)])
+def test_dense_rank_deficient_a8_census_ends(command, code):
+    # A child process, so that a hang fails the test at the timeout.
+    proc = subprocess.run([sys.executable, "-m", "uproll.cli", command], input=json.dumps(DENSE_A8),
+                          capture_output=True, text=True, env=child_env(), timeout=30)
+    assert proc.returncode == code
+    assert "Traceback" not in proc.stderr
+    if code == 0:
+        doc = json.loads(proc.stdout)
+        assert doc["finite"] is False
+        assert doc["invariant_factors"] == [108, 972, 972, 972, 1944, 1944, 3360947580000]
+    else:
+        assert proc.stdout == ""
+        assert "needs a finite census" in proc.stderr
+
+
 class TestRationalRoundTrip:
     def test_twists_report_round_trips(self, tmp_path, capsys):
         path = write_doc(

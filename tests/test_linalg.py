@@ -1,6 +1,8 @@
 import random
 import re
+import signal
 import time
+from contextlib import contextmanager
 from fractions import Fraction
 
 import pytest
@@ -268,6 +270,68 @@ def nonsingular_matrices(draw):
     return mat
 
 
+# The census box of a rank-7 lattice in A8 at ell = 6, a Hermite box with
+# wide entries right of its pivots, and a dense matrix: a min-pivot
+# elimination grew their entries pass after pass and did not end within
+# 1 s on any of them.
+SLOW_CENSUS_BOX = [
+    [67218951600, 0, 0, 0, 0, 0, 5292], [0, 1944, 0, 0, 0, 0, 5184], [0, 0, 972, 0, 0, 0, 1512],
+    [0, 0, 0, 972, 0, 0, 2916], [0, 0, 0, 0, 972, 0, 648], [0, 0, 0, 0, 0, 1944, 1944],
+    [0, 0, 0, 0, 0, 0, 5400],
+]
+SLOW_RECTANGULAR_BOX = [
+    [1, 0, 0, 0, 0, 2, 0, 4, 24385417, 25034169, 16915557, -21975483],
+    [0, 1, 0, 1, 0, 4, 0, 2, 28515074, 29273695, 19780198, -25697023],
+    [0, 0, 1, 0, 0, 0, 0, 5, 26537724, 27243732, 18408558, -23915081],
+    [0, 0, 0, 2, 0, 3, 0, 5, 26972868, 27690455, 18710407, -24307224],
+    [0, 0, 0, 0, 1, 3, 0, 5, 3066328, 3147900, 2127035, -2763285],
+    [0, 0, 0, 0, 0, 5, 0, 8, 15456103, 15867293, 10721514, -13928617],
+    [0, 0, 0, 0, 0, 0, 1, 6, 12134145, 12456956, 8417154, -10934959],
+    [0, 0, 0, 0, 0, 0, 0, 11, 7679523, 7883816, 5327092, -6920564],
+    [0, 0, 0, 0, 0, 0, 0, 0, 31959749, 32810014, 22169683, -28801276],
+]
+SLOW_DENSE = [
+    [-5, 8, 7, -9, -6, -6], [-6, 7, 4, 6, -4, -7], [-7, -4, 4, -1, -7, -8],
+    [4, -8, 4, 9, -3, -9], [-3, -8, 3, -5, -2, -7], [7, -6, 6, -6, -8, 3],
+]
+
+
+@contextmanager
+def time_limit(seconds):
+    """Raise TimeoutError inside the block once it has run for the given
+    wall time, so that a call that would never return fails too."""
+
+    def expire(signum, frame):
+        raise TimeoutError(f"still running after {seconds} s")
+
+    previous = signal.signal(signal.SIGALRM, expire)
+    signal.setitimer(signal.ITIMER_REAL, seconds)
+    try:
+        yield
+    finally:
+        signal.setitimer(signal.ITIMER_REAL, 0)
+        signal.signal(signal.SIGALRM, previous)
+
+
+def check_smith(mat):
+    """smith_normal_form(mat) within 1 s, with sympy's diagonal, a
+    unimodular vinv, and rows diag_i * vinv_i spanning the rows of mat."""
+    with time_limit(1.0):
+        diag, vinv = smith_normal_form(mat)
+    assert diag == [abs(int(x)) for x in invariant_factors(Matrix(mat)) if x]
+    assert abs(det_int(vinv)) == 1
+    scaled = [[d * x for x in row] for d, row in zip(diag, vinv)]
+    assert row_hermite_form(scaled) == row_hermite_form(mat)
+
+
+@st.composite
+def wide_matrices(draw):
+    """Integer matrices with 1-12 rows and 1-14 columns and entries in
+    [-9, 9]: their Hermite boxes are square, wide or tall, and often
+    rank-deficient."""
+    return draw(matrix_st(draw(st.integers(1, 12)), draw(st.integers(1, 14))))
+
+
 def smith_of_hermite(mat) -> list[int]:
     """The Smith diagonal as the census takes it: on the Hermite form."""
     return smith_normal_form(row_hermite_form(mat))[0]
@@ -295,6 +359,19 @@ class TestSmithDiagonalOfHermiteForm:
         assert smith_of_hermite([[6, 0], [0, 4]]) == [2, 12]
         # A zero pivot over a zero entry and a nonzero one.
         assert smith_of_hermite([[0, 2, 0], [0, 0, 3], [5, 0, 0]]) == [1, 1, 30]
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=wide_matrices())
+    def test_rectangular_boxes_up_to_twelve_rows(self, mat):
+        box = row_hermite_form(mat)
+        assume(box)
+        check_smith(box)
+
+    @pytest.mark.parametrize(
+        "mat", [SLOW_CENSUS_BOX, SLOW_RECTANGULAR_BOX, SLOW_DENSE], ids=["census", "rectangular", "dense"]
+    )
+    def test_inputs_whose_entries_once_grew_without_bound(self, mat):
+        check_smith(mat)
 
 
 @st.composite
