@@ -1,19 +1,20 @@
 """Storage for the representatives of a finite census and their twists:
-the census's mixed-radix system alone, and the twists as integer
-numerators over one denominator.  The representatives are Sum c_i D_i over
-the dual's HNF rows D_i with 0 <= c_i < H_ii, H the Hermite form of the
-change of basis; they are derived one mixed-radix digit at a time as they
-are read, and a weight's digits are read off at the steps' pivots.  Weight
-and ExponentModL values appear only through the read-only views CensusReps
-and CensusTwists; each is built from its integers.  The module is loaded on
-the first finite census, so that a command that builds none does not
-compile it."""
+the census's mixed-radix system alone, and the twists as the census's
+quadratic form, k + k^2 integers for k steps.  The representatives are
+Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii, H the
+Hermite form of the change of basis; they are derived one mixed-radix
+digit at a time as they are read.  A weight's digits are read off at the
+steps' pivots, and the form is evaluated at them; it is expanded only when
+iterated.  Weight and ExponentModL values appear only through the views
+CensusReps and CensusTwists.  The module is loaded on the first finite
+census, so that a command that builds none does not compile it."""
 
 from __future__ import annotations
 
-from collections.abc import ItemsView, Mapping, Sequence
+from collections.abc import ItemsView, Mapping, Sequence, ValuesView
+from itertools import accumulate
 from math import prod
-from operator import index
+from operator import index, mul
 
 from .cartan import ExponentModL, Weight
 
@@ -23,6 +24,23 @@ def extend_column(column: list[int], s: int, x: int) -> list[int]:
     one more mixed-radix digit, for one coordinate."""
     multiples = [c * x for c in range(s)]
     return [y + m for y in column for m in multiples]
+
+
+class _TwistValues(ValuesView):
+    """The exponents of a CensusTwists in census order: running sums of T
+    and of each step's cross term 2<x, a> over the prefixes enumerated."""
+
+    def __iter__(self):
+        twists = self._mapping
+        radix, single, twice = twists.reps.radix, twists.single, twists.twice
+        values, cross = [0], [[0] for _ in radix]
+        for k, (s, _) in enumerate(radix):
+            # T(c a) for c in range(s): each step adds T(a) + c 2<a, a>.
+            own = list(accumulate((single[k] + c * twice[k][k] for c in range(s - 1)), initial=0))
+            values = [t + c * g + u for t, g in zip(values, cross[k]) for c, u in enumerate(own)]
+            for j in range(k + 1, len(radix)):
+                cross[j] = extend_column(cross[j], s, twice[k][j])
+        return (ExponentModL.over(x, twists.den, twists.ell) for x in values)
 
 
 class CensusReps(Sequence):
@@ -38,11 +56,11 @@ class CensusReps(Sequence):
     of i, so the order is lexicographic in the coefficients, last one
     fastest, and the length is the product of the s.  [i] builds one row
     from the digits of i; iteration and slices derive the rows from
-    extend_column columns as they are read, and keep none.  position,
-    index and in read a weight's digits by back-substitution, each at its
-    step's pivot, and accept only integer digits in [0, s) that leave
-    nothing over: no elimination and no table of every row.  The view
-    equals, and hashes like, the tuple of Weights it stands for.
+    extend_column columns as they are read, and keep none.  digits (and
+    so position, index and in) reads a weight's digits by back-substitution
+    at each step's pivot, and accepts only integer digits in [0, s) that
+    leave nothing over: no elimination and no table of every row.  The
+    view equals, and hashes like, the tuple of Weights it stands for.
     """
 
     __slots__ = ("radix", "den", "rank")
@@ -80,19 +98,26 @@ class CensusReps(Sequence):
                 row = [y + c * x for y, x in zip(row, step)]
         return Weight.over(row, self.den)
 
-    def position(self, lam) -> int | None:
-        """The index of the weight lam, or None when it is no representative."""
+    def digits(self, lam) -> list[int] | None:
+        """The mixed-radix digits of the weight lam, or None if no representative."""
         if type(lam) is not Weight or len(lam) != self.rank or self.den % lam.den:
             return None
-        x, i = lam.row_over(self.den), 0
+        x, digits = lam.row_over(self.den), []
         for s, step in self.radix:
             p = step.index(next(filter(None, step)))  # the step's pivot
             digit, rest = divmod(x[p], step[p])
             if rest or not 0 <= digit < s:
                 return None
             x = [a - digit * b for a, b in zip(x, step)]
+            digits.append(digit)
+        return None if any(x) else digits
+
+    def position(self, lam) -> int | None:
+        """The index of the weight lam, or None when it is no representative."""
+        digits, i = self.digits(lam), 0
+        for (s, _), digit in zip(self.radix, digits or ()):
             i = i * s + digit
-        return None if any(x) else i
+        return None if digits is None else i
 
     def __contains__(self, lam) -> bool:
         return self.position(lam) is not None
@@ -117,34 +142,41 @@ class CensusReps(Sequence):
 
 class CensusTwists(Mapping):
     """Twist exponents of a finite census, a read-only mapping from each
-    representative Weight to its ExponentModL, in census order.  The
-    exponents are held as integer numerators over one denominator, and an
-    ExponentModL is built when one is read."""
+    representative Weight to its ExponentModL, in census order, held as the
+    census's quadratic form over den: k + k^2 integers single[i] = T(D_i)
+    and twice[i][j] = 2<D_i, D_j>.  A read evaluates Sum_i c_i (single[i] +
+    (c_i - 1) twice[i][i] / 2 + Sum_{j<i} c_j twice[i][j]) at the weight's
+    digits c; only iteration expands the form over the census."""
 
-    __slots__ = ("reps", "numerators", "den", "ell")
+    __slots__ = ("reps", "single", "twice", "den", "ell")
 
-    def __init__(self, reps: CensusReps, numerators: list[int], den: int, ell: int):
-        self.reps, self.numerators, self.den, self.ell = reps, numerators, den, ell
+    def __init__(self, reps: CensusReps, single: list, twice: list, den: int, ell: int):
+        self.reps, self.single, self.twice, self.den, self.ell = reps, single, twice, den, ell
 
     def __getitem__(self, lam) -> ExponentModL:
-        i = self.reps.position(lam)
-        if i is None:
+        c = self.reps.digits(lam)
+        if c is None:
             raise KeyError(lam)
-        return ExponentModL.over(self.numerators[i], self.den, self.ell)
+        total = sum(ci * (self.single[i] + (ci - 1) * row[i] // 2 + sum(map(mul, c[:i], row)))
+                    for i, (ci, row) in enumerate(zip(c, self.twice)))
+        return ExponentModL.over(total, self.den, self.ell)
+
+    def __contains__(self, lam) -> bool:
+        return lam in self.reps
 
     def __iter__(self):
         return iter(self.reps)
 
     def __len__(self) -> int:
-        return len(self.numerators)
+        return len(self.reps)
 
     def items(self):
         return _TwistItems(self)
 
+    def values(self):
+        return _TwistValues(self)
+
 
 class _TwistItems(ItemsView):
-    # Pairs in census order, without looking each representative up.
     def __iter__(self):
-        twists = self._mapping
-        den, ell = twists.den, twists.ell
-        return zip(twists.reps, (ExponentModL.over(x, den, ell) for x in twists.numerators))
+        return zip(self._mapping.reps, self._mapping.values())

@@ -9,10 +9,9 @@ simples.
 Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
 (the datum's twist_form, read once per datum) on a weight's row,
-monodromy_exponent the integer form bilinear, and census_twists, seeded
-by twist_exponent on the census steps and by form_matrix on their pairs,
-runs sums along the census's mixed-radix enumeration at O(1) amortised
-per further representative.
+monodromy_exponent the integer form bilinear.  census_twists gives the
+census's quadratic form (twist_exponent on the k steps, form_matrix on their
+pairs), k + k^2 integers read at a weight's digits, expanded only if iterated.
 
 The ribbon condition implemented here is sufficient only, so its
 negative answer is reported as "inconclusive" rather than as a
@@ -25,7 +24,6 @@ surfaced as a flag instead of being assumed.
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import accumulate
 from typing import TYPE_CHECKING
 
 from ._record import Record
@@ -145,40 +143,25 @@ def muger_center(spec: AlgebraSpec) -> MugerReport:
 
 
 def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
-    """Twist exponents of every representative of a finite census.
+    """Twist exponents of a finite census, as its quadratic form.
 
     The representatives are Sum c_i D_i over the dual's HNF rows D_i with
     0 <= c_i < H_ii (see quotient_census).  For x / d with integer row x,
-    T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer.  Along the step
-    a = D_i, T(x + c a) = T(x) + c 2<x, a> + T(c a), and the cross term
-    2<x, a> moves by 2<b, a> per step b taken before a.  T(a) comes from
-    twist_exponent on the step, and 2<a, b> over N d^2 is 2 a.(N G).b.
+    T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer, and T(x + y) =
+    T(x) + T(y) + 2<x, y>: T(D_i) from twist_exponent on the steps and
+    2<D_i, D_j> = 2 D_i.(N G).D_j give every twist, none enumerated here.
     """
-    from ._census import CensusTwists, extend_column
+    from ._census import CensusTwists
 
     if not census.finite:
         raise InfiniteCensus("census twists need a finite census")
-    reps = census.reps
-    den = reps.den
+    reps, den = census.reps, census.reps.den
     scale = datum.gram_denominator * den * den
-
-    def form(row) -> int:
-        e = twist_exponent(datum, Weight.over(row, den))
-        return e.num * (scale // e.den)
-
     steps = [step for _, step in reps.radix]
-    single = [form(a) for a in steps]
+    seeds = [twist_exponent(datum, Weight.over(a, den)) for a in steps]
+    single = [e.num * (scale // e.den) for e in seeds]
     twice = [[2 * p for p in row] for row in form_matrix(datum.scaled_gram, steps)]
-    # T over the prefixes enumerated so far, and for each step its cross
-    # term 2<x, a> over the same prefixes.
-    values, cross = [0], [[0] for _ in steps]
-    for k, (s, _) in enumerate(reps.radix):
-        # T(c a) for c in range(s): each step adds T(a) + c 2<a, a>.
-        own = list(accumulate((single[k] + c * twice[k][k] for c in range(s - 1)), initial=0))
-        values = [t + c * g + u for t, g in zip(values, cross[k]) for c, u in enumerate(own)]
-        for j in range(k + 1, len(steps)):
-            cross[j] = extend_column(cross[j], s, twice[k][j])
-    return CensusTwists(reps, values, scale, datum.ell)
+    return CensusTwists(reps, single, twice, scale, datum.ell)
 
 
 class LocalReport(Record):

@@ -1,5 +1,6 @@
 """The census views: representatives held as their mixed-radix system
-(CensusReps) and the census twists computed by running sums (CensusTwists).
+(CensusReps) and the census twists held as the census's quadratic form
+(CensusTwists).
 
 Each view is checked against what it stands for: the tuple of Weights
 that the Hermite-box enumeration gives, a brute expansion of the radix,
@@ -9,6 +10,7 @@ and the dict of twist_exponent values taken one representative at a time.
 import pickle
 from fractions import Fraction
 from itertools import product
+from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -19,12 +21,15 @@ from uproll import (
     AlgebraSpec,
     CensusReps,
     CensusTwists,
+    ExponentModL,
     Weight,
     _linalg,
     brute_transparent_reps,
     build_cartan_datum,
     census_twists,
     local_report,
+    monodromy_exponent,
+    muger_center,
     quotient_census,
     scaled_dual,
     simple_census,
@@ -32,7 +37,7 @@ from uproll import (
     twist_exponent,
     weight,
 )
-from uproll import cli, lattice
+from uproll import _census, cli, lattice, localmod
 from uproll.errors import InfiniteCensus
 from uproll.lattice import Census, _change_of_basis
 
@@ -111,6 +116,53 @@ class TestCensusTwists:
         assert twists.get(weight([0, 0, 0])) is None
         assert twists.get("not a weight") is None
 
+    def test_values_and_membership_solve_for_no_digits(self, monkeypatch):
+        datum, _, census = a2_census()
+        twists = census_twists(datum, census)
+        ref = [twist_exponent(datum, rep) for rep in census.reps]
+        monkeypatch.setattr(CensusReps, "digits",
+                            lambda *args: pytest.fail("iteration solved for a rep's digits"))
+        assert list(twists.values()) == ref
+        assert [e for _, e in twists.items()] == ref
+        monkeypatch.undo()
+
+        built = []
+        over = ExponentModL.over.__func__
+
+        def counting_over(cls, *args):
+            built.append(args)
+            return over(cls, *args)
+
+        monkeypatch.setattr(ExponentModL, "over", classmethod(counting_over))
+        assert all(rep in twists for rep in census.reps)
+        assert weight(["1/2", 0]) not in twists and "not a weight" not in twists
+        assert built == []
+
+    def test_a_report_on_a_big_census_enumerates_nothing(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail("a report enumerated the census")
+
+        monkeypatch.setattr(_census, "extend_column", refuse)
+        a1 = build_cartan_datum("A", 1, 99856)
+        reports = [(build_cartan_datum("E", 8, 8), triplet_report("E", 8, 4).report, 65536),
+                   (a1, local_report(AlgebraSpec(a1, [weight([99856])])), 99856)]
+        for datum, report, order in reports:
+            reps, twists = report.census.reps, report.twists
+            assert len(twists) == len(reps) == order
+            assert twists.get(Weight.zero(datum.rank)).is_zero
+            for i in (1, 2, 12345, order // 2, order - 2, -1):
+                assert twists[reps[i]] == twist_exponent(datum, reps[i])
+
+    def test_a_triplet_report_seeds_the_form_once_per_step(self, monkeypatch):
+        calls = []
+        real = localmod.twist_exponent
+        monkeypatch.setattr(localmod, "twist_exponent",
+                            lambda datum, lam: calls.append(lam) or real(datum, lam))
+        report = triplet_report("E", 6, 3)
+        steps = [Weight.over(step, report.report.census.reps.den)
+                 for _, step in report.report.census.reps.radix]
+        assert calls == steps and len(calls) == 6
+
     def test_infinite_census_has_no_twists(self):
         datum = build_cartan_datum("A", 2, 4)
         census = simple_census(AlgebraSpec(datum, [2 * datum.simple_root(0)]))
@@ -137,6 +189,42 @@ class TestCensusTwists:
             assert cli.run(argv + ["--input", str(path)]) == 0
         capsys.readouterr()
         assert calls == [4, 4, 4, 4]
+
+
+def radical(twists) -> list:
+    """The digit vectors c of the census box with Sum_i c_i twice[i][k] = 0
+    mod ell * den for every step k, by a brute scan of the box."""
+    mod = twists.ell * twists.den
+    box = product(*(range(s) for s, _ in twists.reps.radix))
+    return [c for c in box if all(sum(map(mul, c, col)) % mod == 0 for col in zip(*twists.twice))]
+
+
+def check_radical(spec):
+    """The census form's pairings are the steps' monodromies, and its
+    radical is the zero digit vector alone, as muger_center's closed form
+    says."""
+    datum, census = spec.datum, simple_census(spec)
+    twists = census_twists(datum, census)
+    steps = [Weight.over(step, twists.reps.den) for _, step in twists.reps.radix]
+    for a, row in zip(steps, twists.twice):
+        for b, p in zip(steps, row):
+            assert monodromy_exponent(datum, a, b).value == Fraction(p, twists.den)
+    assert radical(twists) == [(0,) * len(steps)]
+    muger = muger_center(spec)
+    assert muger.trivial and muger.transparent_reps == (Weight.zero(datum.rank),)
+
+
+class TestCensusFormRadical:
+    @pytest.mark.parametrize("series,rank,r", SMALL_TRIPLETS)
+    def test_triplet_censuses(self, series, rank, r):
+        check_radical(triplet_spec(series, rank, r))
+
+    @settings(max_examples=25, deadline=None)
+    @given(seed=st.integers(0, 10**6))
+    def test_drawn_commutative_specs(self, seed):
+        for spec in valid_finite(draw_commutativity_specs(seed, 4)):
+            if simple_census(spec).order <= 4374:
+                check_radical(spec)
 
 
 class TestCensusReps:
