@@ -1,17 +1,17 @@
 """Small exact linear-algebra kernels, on integers only.
 
-Integer Hermite and Smith normal forms with plain bignum arithmetic, the
-Smith form in rounds of column steps with the Hermite form taken again
-between them, which keeps its entries small; the leading principal
-minors; one fraction-free Gauss-Jordan elimination (Bareiss) behind
-det_int and mat_inverse (adjugate and determinant), which refuse a matrix
-that is not square, and combination_in_rows, which solves any number of
-targets at once as integer numerators over one denominator; and the
-echelon reduction that finishes the Hermite form and reduces a vector
-modulo a lattice.  Everything here works on lists of lists of plain ints,
-up to cartan.MAX_RANK = 32 columns: dense lattices up to rank 16 take
-about 0.02 s, but at ranks 22-31 the Hermite form of a scaled dual can
-run for tens of seconds.
+Integer Hermite and Smith normal forms with plain bignum arithmetic: the
+Hermite form adds one row at a time to a basis kept in Hermite form, and
+the Smith form alternates column steps with Hermite rounds, both of which
+keep the entries small; the leading principal minors; one fraction-free
+Gauss-Jordan elimination (Bareiss) behind det_int and mat_inverse
+(adjugate and determinant), which refuse a matrix that is not square, and
+combination_in_rows, which solves any number of targets at once as
+integer numerators over one denominator; and the echelon reduction of a
+vector modulo a lattice.  Everything here works on lists of lists of
+plain ints, up to cartan.MAX_RANK = 32 columns: the Hermite form of up to
+128 rows of 32 columns, and of the scaled dual of a dense rank-deficient
+lattice of A, B, C or D up to rank 32, takes about 0.1 s.
 """
 
 from __future__ import annotations
@@ -38,37 +38,40 @@ def row_hermite_form(rows) -> list[list[int]]:
     Pivots are positive, pivot columns strictly increase, entries above a
     pivot are reduced into [0, pivot), and zero rows are dropped.  The
     result depends only on the row span of the input.
+
+    Each row is added to a basis kept in this form (Micciancio and
+    Warinschi, ISSAC 2001): it is reduced, or merged by an xgcd step, at
+    each pivot it meets until it opens a new pivot column, and the rows at
+    and above the last basis row that changed are reduced again.
     """
-    work = [list(r) for r in rows if any(r)]
-    if not work:
-        return []
-    width = len(work[0])
-    result: list[list[int]] = []
-    for col in range(width):
-        acc = None
-        rest = []
-        for row in work:
-            if row[col] == 0:
-                rest.append(row)
+    basis: list[list[int]] = []
+    pivots: list[int] = []
+    for row in rows:
+        v, i = list(row), 0
+        first, last = len(basis), -1  # the first and last basis rows that change
+        for p in range(len(v)):
+            if not v[p]:
                 continue
-            if acc is None:
-                acc = row
-                continue
-            g, x, y = xgcd(acc[col], row[col])
-            fa, fr = acc[col] // g, row[col] // g
-            merged = [x * a + y * b for a, b in zip(acc, row)]
-            cleared = [fa * b - fr * a for a, b in zip(acc, row)]
-            acc = merged
-            if any(cleared):
-                rest.append(cleared)
-        work = rest
-        if acc is not None:
-            if acc[col] < 0:
-                acc = [-a for a in acc]
-            result.append(acc)
-        if not work:
-            break
-    return [echelon_reduce(row, result[i + 1:]) for i, row in enumerate(result)]
+            while i < len(pivots) and pivots[i] < p:
+                i += 1
+            if i == len(pivots) or pivots[i] > p:
+                basis.insert(i, v if v[p] > 0 else [-e for e in v])
+                pivots.insert(i, p)
+                first, last = min(first, i), i
+                break
+            b = basis[i]
+            g, x, y = xgcd(b[p], v[p])
+            fb, fv = b[p] // g, v[p] // g
+            if fb > 1:  # the pivot does not divide v[p]: the basis row takes the gcd
+                basis[i] = [x * s + y * t for s, t in zip(b, v)]
+                first, last = min(first, i), i
+            v = [fb * t - fv * s for s, t in zip(b, v)]
+        for j in range(first, len(basis)):
+            s, c = basis[j], pivots[j]
+            for k in range(min(j, last + 1)):
+                if q := basis[k][c] // s[c]:
+                    basis[k] = [e - q * f for e, f in zip(basis[k], s)]
+    return basis
 
 
 def echelon_reduce(v, rows) -> list[int]:

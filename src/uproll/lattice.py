@@ -174,17 +174,17 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
     # sum c_j (dl D_j) = dd L_i, an equation over the integers; one
     # elimination of the dual rows solves it for every lattice row.
-    # A row outside the span of the D_j meets the dual condition only through
-    # the continuous part of the dual group, which the census does not cover.
+    # The lattice part is the dual within its span, so a row in the span is in
+    # the dual exactly when its coefficients are integers; a row outside it can
+    # be only through the continuous part, which the census does not cover.
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
     targets = [[x * dual.denominator for x in row] for row in lattice.hnf]
     den, solutions = _linalg.combination_in_rows(rows, targets)
     for coeffs, row in zip(solutions, lattice.hnf):
         if coeffs is None or any(c % den for c in coeffs):
             lam = Weight.over(row, lattice.denominator)  # a weight only to name it
-            if coeffs is None:
-                raise NotSubgroup(f"lattice row {lam!r} lies outside the span of the dual's lattice part")
-            raise InternalError(f"lattice row {lam!r} is not an integer combination of the dual basis")
+            where = "outside the span of the dual's lattice part" if coeffs is None else "fails the dual condition"
+            raise NotSubgroup(f"lattice row {lam!r} {where}")
     return [[c // den for c in coeffs] for coeffs in solutions]
 
 
@@ -193,9 +193,10 @@ def quotient_census(
 ) -> Census:
     """Invariant factors and coset representatives of dual / lattice.
 
-    Every generator of the lattice must satisfy the dual condition and
-    lie in the span of the dual's lattice part; a failure raises
-    NotSubgroup, which signals a non-local summand upstream.  Every
+    Every generator of the lattice must lie in the span of the dual's
+    lattice part, and in the dual: the dual condition is read off the
+    change of basis, whose coefficients must be integers.  A failure
+    raises NotSubgroup, which signals a non-local summand upstream.  Every
     quotient takes its invariant factors off the Smith form of H, the
     Hermite form of the change of basis; it is finite when the lattice
     has the rank of the dual's lattice part and the dual no continuous
@@ -204,11 +205,6 @@ def quotient_census(
     the dual's HNF rows D_i with 0 <= c_i < H_ii, one per coset (Cohen,
     GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
     """
-    for i, h in enumerate(lattice.hnf):
-        if not in_dual(datum, dual.source, h, lattice.denominator):
-            raise NotSubgroup(
-                f"lattice generator {lattice.canonical_rows[i]!r} fails the dual condition"
-            )
     # The change of basis comes from one elimination of the dual rows.  When
     # it is square, its determinant is the order of the quotient of the
     # dual's lattice part.

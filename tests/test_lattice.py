@@ -354,16 +354,17 @@ class TestQuotientCensus:
         assert not hasattr(census, "free_rank")  # the always-zero field is gone
         assert census.complement_dimension == 1
 
-    def test_broken_change_of_basis_raises_internal_error(self, monkeypatch):
+    def test_broken_change_of_basis_raises_not_subgroup(self, monkeypatch):
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
         dual = scaled_dual(A2_4, lat)
-        # Every coefficient 1/2: the first lattice row is named.
+        # Every coefficient 1/2: the first lattice row fails the dual
+        # condition, which the change of basis decides, and is named.
         monkeypatch.setattr(
             _linalg, "combination_in_rows",
             lambda rows, targets: (2, [[1] * len(rows) for _ in targets]),
         )
-        with pytest.raises(InternalError, match=r"lattice row Weight\(2, 2\) is not an integer"):
+        with pytest.raises(NotSubgroup, match=r"lattice row Weight\(2, 2\) fails the dual condition"):
             quotient_census(A2_4, dual, lat)
         assert not issubclass(InternalError, UprollError)
 

@@ -1,3 +1,4 @@
+import json
 import random
 import re
 import signal
@@ -14,7 +15,9 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from helpers import ALL_TYPES
-from uproll import build_cartan_datum
+from uproll import Weight, build_cartan_datum, canonical_basis, contains, scaled_dual
+from uproll.cli import run
+from uproll.lattice import in_dual
 from uproll._linalg import (
     combination_in_rows,
     det_int,
@@ -155,11 +158,12 @@ class TestAgainstSympy:
 
 @st.composite
 def hermite_inputs(draw):
-    """Integer matrices up to 6x6 with entries in [-9, 9], with zero rows
-    and rows repeated up to sign, so rank deficiency is common."""
-    n = draw(st.integers(1, 6))
+    """Integer matrices up to 12 rows and 10 columns with entries in
+    [-9, 9], with zero rows and rows repeated up to sign, so rank
+    deficiency is common."""
+    n = draw(st.integers(1, 10))
     rows = []
-    for _ in range(draw(st.integers(0, 6))):
+    for _ in range(draw(st.integers(0, 12))):
         kind = draw(st.sampled_from(["random", "random", "zero", "repeat"]))
         if kind == "zero":
             rows.append([0] * n)
@@ -311,6 +315,69 @@ def time_limit(seconds):
     finally:
         signal.setitimer(signal.ITIMER_REAL, 0)
         signal.signal(signal.SIGALRM, previous)
+
+
+def dense_rows(count, width=32, seed=7):
+    """count seeded rows of width entries in [-9, 9]."""
+    rng = random.Random(seed)
+    return [[rng.randint(-9, 9) for _ in range(width)] for _ in range(count)]
+
+
+# The sizes the Hermite form is built for, in cartan.MAX_RANK = 32 columns.
+# A Hermite form that merged every row into one accumulator per column and
+# reduced only at the end took 4.5 s or more on each, most past 12 s.
+HERMITE_TIME_BOUND = 3.0
+
+
+@pytest.mark.parametrize(
+    "rows,rank",
+    [
+        (dense_rows(32), 32),
+        (dense_rows(48), 32),
+        (dense_rows(96), 32),
+        (dense_rows(128), 32),
+        ([row[:31] + [row[0] - row[30]] for row in dense_rows(48)], 31),
+    ],
+    ids=["full-rank-32", "overdetermined-48", "overdetermined-96", "overdetermined-128", "rank-31-of-48"],
+)
+def test_canonical_basis_of_dense_generators_within_a_time_bound(rows, rank):
+    datum = build_cartan_datum("A", 32, 4)
+    gens = [Weight.over(row, 1) for row in rows]
+    with time_limit(HERMITE_TIME_BOUND):
+        lattice = canonical_basis(datum, gens)
+    assert lattice.rank == rank
+    assert all(contains(lattice, g) for g in gens)
+
+
+@pytest.mark.parametrize(
+    "series,rank,ell",
+    [("A", 32, 4), ("B", 32, 6), ("C", 32, 6), ("C", 30, 6), ("D", 28, 4), ("D", 32, 4)],
+)
+def test_scaled_dual_of_a_dense_rank_deficient_lattice_within_a_time_bound(series, rank, ell):
+    # One generator short of full rank; each is ell N times nonzero entries
+    # in [-9, 9], so the dual rows carry entries the size of det P.
+    datum = build_cartan_datum(series, rank, ell)
+    rng = random.Random(3)
+    scale = datum.ell * datum.gram_denominator
+    nonzero = [x for x in range(-9, 10) if x]
+    rows = [[scale * rng.choice(nonzero) for _ in range(rank)] for _ in range(rank - 1)]
+    with time_limit(HERMITE_TIME_BOUND):
+        dual = scaled_dual(datum, canonical_basis(datum, [Weight.over(row, 1) for row in rows]))
+    part = dual.lattice_part
+    assert (part.rank, dual.complement_dimension) == (rank - 1, 1)
+    assert all(in_dual(datum, dual.source, row, part.denominator) for row in part.hnf)
+
+
+def test_census_on_dense_generators_exits_within_a_time_bound(tmp_path, capsys):
+    # Not commutative: the documented exit code 5, after the Hermite form of
+    # the 48 generators in 32 columns.  A run cut by the time limit exits 2
+    # instead, since TimeoutError is an OSError.
+    lattice = [[str(4 * x) for x in row] for row in dense_rows(48)]
+    path = tmp_path / "a32.json"
+    path.write_text(json.dumps({"series": "A", "rank": 32, "ell": 4, "lattice": lattice}), encoding="utf-8")
+    with time_limit(HERMITE_TIME_BOUND):
+        assert run(["census", "--input", str(path)]) == 5
+    assert "does not meet the command's precondition" in capsys.readouterr().err
 
 
 def check_smith(mat):
