@@ -28,7 +28,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cache, cached_property
 from math import gcd, lcm
-from operator import add, index, mul
+from operator import add, index, mul, sub
 
 from . import _linalg
 from ._record import Record
@@ -133,7 +133,10 @@ class Weight(Record):
         return Weight.over(map(add, self.row_over(den), other.row_over(den)), den)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        return self + (-other)
+        if len(self) != len(other):
+            raise DimensionMismatch("weights have different lengths")
+        den = lcm(self.den, other.den)
+        return Weight.over(map(sub, self.row_over(den), other.row_over(den)), den)
 
     def __neg__(self) -> "Weight":
         return Weight.over([-a for a in self.row], self.den)

@@ -41,13 +41,13 @@ input, so it is left uncaught rather than mapped to one of these codes.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import os
 import sys
 from itertools import combinations
+from typing import TYPE_CHECKING
 
-from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, spec_verdict
-from .cartan import CartanDatum, ExponentModL, Weight, _ratio, build_cartan_datum
 from .errors import (
     AlgebraInvalid,
     BudgetExceeded,
@@ -59,25 +59,12 @@ from .errors import (
     NotSubgroup,
     UprollError,
 )
-from .extensions import (
-    BqSpec,
-    ExtWeight,
-    bq_check_commutative,
-    bq_equivalent,
-    bq_is_local,
-    bq_monodromy_exponent,
-    bq_ribbon_verdict,
-    bq_transparent,
-    bq_twist_exponent,
-    triplet_report,
-)
-from .localmod import (
-    census_twists,
-    check_ribbon,
-    monodromy_exponent,
-    muger_center,
-    simple_census,
-)
+
+# Each helper below imports the library names it uses, so that a request
+# compiles only the modules of its own command.
+if TYPE_CHECKING:
+    from .algebra import AlgebraSpec
+    from .cartan import CartanDatum, ExponentModL, Weight
 
 
 def _exponent_json(e: ExponentModL) -> dict:
@@ -108,6 +95,8 @@ def _doc_int(doc: dict, key: str) -> int:
 
 
 def _doc_rational(value, field: str) -> int | str:
+    from .cartan import _ratio
+
     if type(value) not in (int, str):
         raise ValueError(f"{field} must be a 'p/q' string or an integer, got {value!r}")
     try:
@@ -118,6 +107,8 @@ def _doc_rational(value, field: str) -> int | str:
 
 
 def _doc_datum(doc: dict) -> CartanDatum:
+    from .cartan import build_cartan_datum
+
     return build_cartan_datum(
         str(doc["series"]), _doc_int(doc, "rank"), _doc_int(doc, "ell")
     )
@@ -145,12 +136,16 @@ def _doc_rows(doc: dict, key: str, rank: int) -> list[Weight] | None:
 
 
 def _doc_row(row, rank: int, field: str) -> Weight:
+    from .cartan import Weight
+
     if not isinstance(row, list) or len(row) != rank:
         raise ValueError(f"{field} must be a list of {rank} rationals")
     return Weight(tuple(_doc_rational(x, f"{field}[{k}]") for k, x in enumerate(row)))
 
 
 def _doc_spec(doc: dict) -> tuple[CartanDatum, AlgebraSpec]:
+    from .algebra import AlgebraSpec
+
     datum = _doc_datum(doc)
     gens = _doc_rows(doc, "lattice", datum.rank) or []
     mu = None if doc.get("mu") is None else _doc_row(doc["mu"], datum.rank, "mu")
@@ -168,6 +163,8 @@ def _census_json(census) -> dict:
 
 
 def _cmd_datum(args) -> dict:
+    from .cartan import build_cartan_datum
+
     if args.series is not None:
         datum = build_cartan_datum(args.series, args.rank, args.ell)
     else:
@@ -186,6 +183,8 @@ def _cmd_datum(args) -> dict:
 
 
 def _cmd_check_algebra(args) -> dict:
+    from .algebra import spec_verdict
+
     _, spec = _doc_spec(_load_document(args))
     verdict = spec_verdict(spec)
     return {
@@ -205,6 +204,8 @@ def _twist_rows(twists) -> list[dict]:
 def _cmd_census(args):
     """census and twists: the census JSON, or each rep with its twist as
     TSV rows or, for twists, as JSON rows after the census."""
+    from .localmod import census_twists, simple_census
+
     datum, spec = _doc_spec(_load_document(args))
     census = simple_census(spec)
     if args.command == "census" and args.format == "json":
@@ -221,6 +222,9 @@ def _cmd_census(args):
 
 
 def _cmd_monodromy(args) -> dict:
+    from .algebra import MAX_TABLE_ENTRIES
+    from .localmod import monodromy_exponent, simple_census
+
     doc = _load_document(args)
     datum = _doc_datum(doc)
     items = _doc_list(doc, "pairs")
@@ -255,6 +259,8 @@ def _cmd_monodromy(args) -> dict:
 
 
 def _cmd_ribbon(args) -> dict:
+    from .localmod import check_ribbon
+
     _, spec = _doc_spec(_load_document(args))
     verdict = check_ribbon(spec)
     return {
@@ -275,10 +281,14 @@ def _muger_json(report) -> dict:
 
 
 def _cmd_muger(args) -> dict:
+    from .localmod import muger_center
+
     return _muger_json(muger_center(_doc_spec(_load_document(args))[1]))
 
 
 def _cmd_triplet(args) -> dict:
+    from .extensions import triplet_report
+
     report = triplet_report(args.series, args.rank, args.r)
     return {
         "series": report.series,
@@ -300,6 +310,18 @@ def _cmd_bq(args) -> dict:
     """Twists and monodromy are always taken at a**2 = -1/r; another
     heisenberg.a_squared changes only commutative, local, transparent and
     equivalent, and turns the last three null."""
+    from .extensions import (
+        BqSpec,
+        ExtWeight,
+        bq_check_commutative,
+        bq_equivalent,
+        bq_is_local,
+        bq_monodromy_exponent,
+        bq_ribbon_verdict,
+        bq_transparent,
+        bq_twist_exponent,
+    )
+
     doc = _load_document(args)
     datum = _doc_datum(doc)
     a_squared = None
@@ -435,7 +457,11 @@ def run(argv=None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    code = run()
+    # The process is about to end: frozen objects are left out of the
+    # collections that interpreter shutdown makes over the whole heap.
+    gc.freeze()
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -37,10 +37,14 @@ if TYPE_CHECKING:
 
 
 def _require_valid(spec: AlgebraSpec) -> None:
-    if not spec.verdict:
-        kind = "supercommutative" if spec.mu is not None else "commutative"
+    """Raise AlgebraInvalid naming the first witness of a failed verdict
+    and counting the rest, so the message stays short on any spec."""
+    if not (verdict := spec.verdict):
+        first = verdict.witnesses[0]
+        stage = "supercommutativity" if spec.mu is not None else "commutativity"
         raise AlgebraInvalid(
-            f"spec is not {kind}; witnesses: {spec.verdict.witnesses}"
+            f"{stage} check fails: {first.kind} witness ({first.i}, {first.j}) has value "
+            f"{first.value}, and {len(verdict.witnesses) - 1} more witnesses fail"
         )
 
 

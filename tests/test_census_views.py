@@ -181,7 +181,6 @@ class TestCensusTwists:
             return real(datum, census)
 
         monkeypatch.setattr(localmod, "census_twists", counting)
-        monkeypatch.setattr(cli, "census_twists", counting)
         local_report(AlgebraSpec(build_cartan_datum("A", 1, 4), [weight([4])]))
         path = tmp_path / "p.json"
         path.write_text('{"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]]}')

@@ -6,6 +6,7 @@ that must stay out of that path, and check that the names loaded on
 first use still resolve.
 """
 
+import gc
 import json
 import os
 import subprocess
@@ -44,11 +45,99 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_the_oracle():
     assert left_out == []
     # Each of these is compiled on every request from a checkout without
     # bytecode, so a new start-up module has to be a deliberate change.
-    assert loaded == ["uproll"] + [
-        f"uproll.{m}"
-        for m in ("_linalg", "_record", "algebra", "cartan", "cli", "errors", "extensions",
-                  "lattice", "localmod")
-    ]
+    # Library modules load on first use, inside the command that uses them.
+    assert loaded == ["uproll", "uproll.cli", "uproll.errors"]
+
+
+def test_package_import_loads_no_submodule():
+    done = _python("-c", "import json, sys, uproll; "
+                         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('uproll'))))")
+    assert done.returncode == 0, done.stderr
+    assert json.loads(done.stdout) == ["uproll"]
+
+
+# A request run in a fresh interpreter; the last stdout line holds the exit
+# code and the uproll modules loaded by then.
+REQUEST = """
+import json, sys, uproll.cli
+code = uproll.cli.run(sys.argv[1:])
+print(json.dumps([code, sorted(m for m in sys.modules if m.split('.')[0] == 'uproll')]))
+"""
+A1_DOC = {"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]],
+          "ext_weights": [{"qg": ["0"], "fock": ["0"]}]}
+DATUM_MODULES = {"uproll", "uproll.cli", "uproll.errors", "uproll.cartan", "uproll._linalg",
+                 "uproll._record"}
+CENSUS_MODULES = DATUM_MODULES | {"uproll.lattice", "uproll.algebra", "uproll.localmod",
+                                  "uproll._census"}
+
+
+def _loaded_by(*argv):
+    done = _python("-c", REQUEST, *argv, input=json.dumps(A1_DOC))
+    assert done.returncode == 0, done.stderr
+    code, loaded = json.loads(done.stdout.splitlines()[-1])
+    assert code == 0
+    return set(loaded)
+
+
+def test_each_command_loads_only_the_modules_it_uses():
+    assert _loaded_by("datum", "--series", "A", "--rank", "2", "--ell", "6") == DATUM_MODULES
+    assert _loaded_by("census", "--format", "tsv") == CENSUS_MODULES
+    bq = _loaded_by("bq")
+    assert "uproll.extensions" in bq and bq <= CENSUS_MODULES | {"uproll.extensions"}
+    assert _loaded_by("triplet", "--series", "A", "--rank", "2", "--r", "2") == (
+        CENSUS_MODULES | {"uproll.extensions"})
+
+
+# Reads every public name once in a fresh interpreter, and prints those
+# that are not their defining module's object or not kept in the package.
+RESOLVE = """
+import json, sys, types, uproll
+wrong = []
+for name in uproll.__all__:
+    unread = name not in vars(uproll)
+    value = getattr(uproll, name)
+    if isinstance(value, types.ModuleType):
+        home, same = value, value is sys.modules["uproll." + name]
+    else:
+        home = sys.modules[value.__module__]
+        same = unread and getattr(home, name) is value
+    if not (same and home.__name__.startswith("uproll.") and vars(uproll)[name] is value):
+        wrong.append(name)
+print(json.dumps([len(uproll.__all__), wrong]))
+"""
+
+
+def test_every_public_name_resolves_to_its_module_object_and_is_kept():
+    done = _python("-c", RESOLVE)
+    assert done.returncode == 0, done.stderr
+    count, wrong = json.loads(done.stdout)
+    assert count == len(set(uproll.__all__)) > 70
+    assert wrong == []
+    assert uproll.Weight is uproll.cartan.Weight
+    assert set(uproll.__all__) <= set(dir(uproll))
+
+
+def test_main_freezes_the_heap_once_after_run_returns(monkeypatch):
+    from uproll import cli
+
+    events = []
+    monkeypatch.setattr(gc, "freeze", lambda: events.append("freeze"))
+    monkeypatch.setattr(sys, "exit", lambda code: events.append(("exit", code)))
+    monkeypatch.setattr(cli, "run", lambda argv=None: events.append("run") or 3)
+    cli.main()
+    assert events == ["run", "freeze", ("exit", 3)]
+
+
+def test_run_never_freezes_the_heap(monkeypatch, capsys):
+    from uproll import cli
+
+    frozen = []
+    monkeypatch.setattr(gc, "freeze", lambda: frozen.append(True))
+    assert cli.run(["datum", "--series", "A", "--rank", "2", "--ell", "6"]) == 0
+    assert cli.run(["datum", "--series", "X", "--rank", "2", "--ell", "6"]) == 2
+    assert cli.run(["triplet", "--series", "A", "--rank", "1", "--r", "2"]) == 0
+    capsys.readouterr()
+    assert frozen == []
 
 
 def test_oracle_names_resolve_on_first_use():

@@ -380,6 +380,21 @@ def test_census_on_dense_generators_exits_within_a_time_bound(tmp_path, capsys):
     assert "does not meet the command's precondition" in capsys.readouterr().err
 
 
+def test_census_refusal_names_one_witness_and_counts_the_rest(tmp_path, capsys):
+    # The 48 dense generators fail 936 congruences; the message names the
+    # stage and the first witness, with its value as a p/q string, and
+    # counts the other 935 instead of printing them.
+    lattice = [[str(4 * x) for x in row] for row in dense_rows(48)]
+    path = tmp_path / "a32.json"
+    path.write_text(json.dumps({"series": "A", "rank": 32, "ell": 4, "lattice": lattice}), encoding="utf-8")
+    assert run(["census", "--input", str(path)]) == 5
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert len(err.encode()) < 1024
+    assert "commutativity check fails: diagonal witness (0, 0) has value 393472/11" in err
+    assert "and 935 more witnesses fail" in err
+
+
 def check_smith(mat):
     """smith_normal_form(mat) within 1 s, with sympy's diagonal, a
     unimodular vinv, and rows diag_i * vinv_i spanning the rows of mat."""

@@ -32,6 +32,7 @@ from uproll import (
     weight,
 )
 from uproll.cartan import scaled_coords
+from uproll.errors import DimensionMismatch
 
 rationals = st.fractions(min_value=-20, max_value=20, max_denominator=12)
 models = st.integers(0, 4).flatmap(lambda n: st.lists(rationals, min_size=n, max_size=n))
@@ -96,6 +97,28 @@ class TestModel:
         assert (wa * k).coords == (k * wa).coords == tuple(x * k for x in a)
         assert (n * wa).coords == tuple(n * x for x in a)
         assert (wa * str(k)) == wa * k
+
+    @settings(max_examples=150, deadline=None)
+    @given(pair=pairs)
+    def test_difference_is_the_sum_with_the_negation(self, pair):
+        wa, wb = (Weight(m) for m in pair)
+        old = wa + (-wb)
+        diff = wa - wb
+        assert (diff.row, diff.den) == (old.row, old.den)
+
+    def test_difference_builds_one_weight(self, monkeypatch):
+        made = []
+        real = Weight.over.__func__
+        monkeypatch.setattr(Weight, "over", classmethod(
+            lambda cls, row, den: made.append(den) or real(cls, row, den)))
+        assert Weight(["1/2", 3]) - Weight(["1/3", -1]) == Weight(["1/6", 4])
+        assert made == [6]
+
+    def test_difference_of_unequal_lengths_is_refused(self):
+        with pytest.raises(DimensionMismatch):
+            Weight([1]) - Weight([1, 0])
+        with pytest.raises(DimensionMismatch):
+            Weight(["1/2", 0]) - Weight([1])
 
     @settings(max_examples=150, deadline=None)
     @given(
