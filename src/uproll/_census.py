@@ -16,6 +16,7 @@ from itertools import accumulate
 from math import prod
 from operator import index, mul
 
+from ._linalg import echelon_reduce
 from .cartan import ExponentModL, Weight
 
 
@@ -57,9 +58,9 @@ class CensusReps(Sequence):
     fastest, and the length is the product of the s.  [i] builds one row
     from the digits of i; iteration and slices derive the rows from
     extend_column columns as they are read, and keep none.  digits (and
-    so position, index and in) reads a weight's digits by back-substitution
-    at each step's pivot, and accepts only integer digits in [0, s) that
-    leave nothing over: no elimination and no table of every row.  The
+    so position, index and in) reads a weight's digits as the multiples
+    that echelon_reduce subtracts at the steps' pivots, and accepts only
+    digits in [0, s) that leave nothing over: no table of every row.  The
     view equals, and hashes like, the tuple of Weights it stands for.
     """
 
@@ -102,15 +103,10 @@ class CensusReps(Sequence):
         """The mixed-radix digits of the weight lam, or None if no representative."""
         if type(lam) is not Weight or len(lam) != self.rank or self.den % lam.den:
             return None
-        x, digits = lam.row_over(self.den), []
-        for s, step in self.radix:
-            p = step.index(next(filter(None, step)))  # the step's pivot
-            digit, rest = divmod(x[p], step[p])
-            if rest or not 0 <= digit < s:
-                return None
-            x = [a - digit * b for a, b in zip(x, step)]
-            digits.append(digit)
-        return None if any(x) else digits
+        rest, digits = echelon_reduce(lam.row_over(self.den), [step for _, step in self.radix])
+        if any(rest) or not all(0 <= c < s for c, (s, _) in zip(digits, self.radix)):
+            return None
+        return digits
 
     def position(self, lam) -> int | None:
         """The index of the weight lam, or None when it is no representative."""

@@ -3,15 +3,15 @@
 Integer Hermite and Smith normal forms with plain bignum arithmetic: the
 Hermite form adds one row at a time to a basis kept in Hermite form, and
 the Smith form alternates column steps with Hermite rounds, both of which
-keep the entries small; the leading principal minors; one fraction-free
-Gauss-Jordan elimination (Bareiss) behind det_int and mat_inverse
-(adjugate and determinant), which refuse a matrix that is not square, and
-combination_in_rows, which solves any number of targets at once as
-integer numerators over one denominator; and the echelon reduction of a
-vector modulo a lattice.  Everything here works on lists of lists of
-plain ints, up to cartan.MAX_RANK = 32 columns: the Hermite form of up to
-128 rows of 32 columns, and of the scaled dual of a dense rank-deficient
-lattice of A, B, C or D up to rank 32, takes about 0.1 s.
+keep the entries small; one fraction-free Gauss-Jordan elimination
+(Bareiss) behind det_int and mat_inverse (adjugate and determinant), which
+refuse a matrix that is not square, and combination_in_rows, which solves
+any number of targets at once as integer numerators over one denominator;
+and the echelon reduction of a vector modulo a lattice, which also returns
+the multiple of each row it subtracted.  Everything here works on lists
+of lists of plain ints, up to cartan.MAX_RANK = 32 columns: the Hermite
+form of up to 128 rows of 32 columns, and of the scaled dual of a dense
+rank-deficient lattice of A, B, C or D up to rank 32, takes about 0.1 s.
 """
 
 from __future__ import annotations
@@ -74,17 +74,20 @@ def row_hermite_form(rows) -> list[list[int]]:
     return basis
 
 
-def echelon_reduce(v, rows) -> list[int]:
-    """The integer vector v less integer multiples of the echelon rows,
-    taken in order of their pivots, so that v's entry at each row's pivot
-    ends in [0, pivot).  On the rows of a row Hermite form this is the
-    canonical representative of v modulo their integer span."""
+def echelon_reduce(v, rows) -> tuple[list[int], list[int]]:
+    """(rest, multiples): the integer vector v less integer multiples of the
+    echelon rows, taken in order of their pivots, so that v's entry at each
+    row's pivot ends in [0, pivot), and the multiple of each row that was
+    subtracted.  On the rows of a row Hermite form rest is the canonical
+    representative of v modulo their integer span."""
+    multiples = []
     for row in rows:
         p = row.index(next(filter(None, row)))  # the first nonzero entry
         q = v[p] // row[p]
         if q:
             v = [a - q * b for a, b in zip(v, row)]
-    return v
+        multiples.append(q)
+    return v, multiples
 
 
 def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
@@ -140,25 +143,6 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
     for i, p in enumerate(pivots):
         vinv[i], vinv[p] = vinv[p], vinv[i]
     return diag, vinv
-
-
-def leading_minors(mat) -> list[int]:
-    """The leading principal minors of a square integer matrix, in order,
-    up to and including the first that is not positive.  They are the
-    pivots of one fraction-free elimination (Bareiss) without row
-    exchanges; every division is by an earlier, positive pivot and exact."""
-    a = [list(r) for r in mat]
-    minors, prev = [], 1
-    for k, row in enumerate(a):
-        p = row[k]
-        minors.append(p)
-        if p <= 0:
-            break
-        for i in range(k + 1, len(a)):
-            f = a[i][k]
-            a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-        prev = p
-    return minors
 
 
 def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:
@@ -217,12 +201,14 @@ def combination_in_rows(rows, targets) -> tuple[int, list[list[int] | None]]:
     Returns (den, solutions) with den > 0: solution i lists integer
     numerators over den, or is None when target i lies outside the
     rational row span.  One elimination serves every target.  Raises
-    ValueError when the rows are linearly dependent, since coefficients
-    would not be unique.
+    ValueError when a target's length is not the rows' length, or when the
+    rows are linearly dependent, since coefficients would not be unique.
     """
     k = len(rows)
     if k == 0:
         return 1, [None if any(t) else [] for t in targets]
+    if any(len(t) != len(rows[0]) for t in targets):
+        raise ValueError(f"targets of lengths {[len(t) for t in targets]} against rows of length {len(rows[0])}")
     # The rows are the first k columns, and each target one more column.
     aug = [[row[i] for row in rows] + [t[i] for t in targets] for i in range(len(rows[0]))]
     done = _gauss_jordan(aug, k)

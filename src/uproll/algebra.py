@@ -45,6 +45,7 @@ from .cartan import (
 from .errors import (
     BudgetExceeded,
     DependentGenerators,
+    DimensionMismatch,
     MuNotHalfOdd,
     NotInLattice,
     NotInSimpleCurrentLattice,
@@ -126,9 +127,12 @@ class AlgebraSpec:
         """Canonical generator coefficients of a lattice element.
 
         For a superalgebra the odd coefficient is reduced into {0, 1}.
-        Raises NotInLattice when the weight is outside the algebra and
+        Raises DimensionMismatch when the weight's length is not the rank,
+        NotInLattice when the weight is outside the algebra and
         DependentGenerators when the even generators are not a basis.
         """
+        if len(lam) != self.datum.rank:
+            raise DimensionMismatch(f"weights must have length {self.datum.rank}")
         rows, den = self._generator_rows
 
         def solve(target: Weight):

@@ -12,11 +12,11 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
 on ell, as is the flat twist form, N*G's upper triangle and its row sums
-N*G*rho, which a datum reads once as twist_form, and det(A), which
-cartan_determinant takes once per type.  bilinear() evaluates the form on
-two weights' integer rows and form_matrix on every pair of two lists of
-them; pairing_matrix and in_root_lattice stay on those integers, and
-pairing and alpha_coordinates form a Fraction for each result.
+N*G*rho, which a datum reads once as twist_form, and det(A), read off the
+same inversion.  bilinear() evaluates the form on two weights' integer
+rows and form_matrix on every pair of two lists of them; pairing_matrix
+and in_root_lattice stay on those integers, and pairing and
+alpha_coordinates form a Fraction for each result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -27,17 +27,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cache, cached_property
-from math import gcd, lcm
+from math import gcd, lcm, prod
 from operator import add, index, mul, sub
 
 from . import _linalg
 from ._record import Record
-from .errors import (
-    DimensionMismatch,
-    HypothesisViolated,
-    InternalError,
-    InvalidSeriesRank,
-)
+from .errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
 
 # Larger ranks are refused before anything is allocated: the exact inverse
 # of the Cartan matrix alone takes on the order of rank**3 bignum steps.
@@ -346,35 +341,28 @@ class CartanDatum(Record):
 @cache
 def _type_table(series: str, rank: int):
     """The constants of the type (series, rank) that do not depend on ell,
-    as tuples (cartan, symmetrizers, scaled_gram, gram_denominator,
-    twist_form); each type is checked and its Gram matrix inverted once
-    per process.  The twist form, which twist_exponent reads as the datum's
-    twist_form, is its numerator x.(N G).x + s (N G rho).x as a flat form on
-    (x, s): terms (i, j, c), i <= j, c != 0, from the upper triangle of N*G,
+    as (cartan, symmetrizers, scaled_gram, gram_denominator, twist_form,
+    det(A)); each type's symmetrized Cartan matrix D A is inverted once per
+    process, and det(A) = det(D A) / prod d_i is read off that inversion.
+    The twist form, which twist_exponent reads as the datum's twist_form,
+    is its numerator x.(N G).x + s (N G rho).x as a flat form on (x, s):
+    terms (i, j, c), i <= j, c != 0, from the upper triangle of N*G,
     off-diagonal entries doubled, then its row sums at (i, rank)."""
     cartan, d = _series_data(series, rank)
     n = len(d)
-    b = [[d[i] * cartan[i][j] for j in range(n)] for i in range(n)]
-    if any(b[i][j] != b[j][i] for i in range(n) for j in range(n)):
-        raise InternalError(f"symmetrized Cartan matrix of {series}{n} is asymmetric")
-    if _linalg.leading_minors(b)[-1] <= 0:
-        raise InternalError(
-            f"symmetrized Cartan matrix of {series}{n} is not positive definite"
-        )
     # G = D (D A)^-1 D = D adj(D A) D / det(D A), reduced by the common gcd.
-    adj, det = _linalg.mat_inverse(b)
+    adj, det = _linalg.mat_inverse([[di * x for x in row] for di, row in zip(d, cartan)])
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
     common = gcd(det, *(x for row in scaled for x in row))
     g = tuple(tuple(x // common for x in row) for row in scaled)
     terms = [(i, j, g[i][j] * (1 + (i < j))) for i in range(n) for j in range(i, n)]
     terms += [(i, n, sum(row)) for i, row in enumerate(g)]
-    return cartan, d, g, det // common, tuple(t for t in terms if t[2])
+    return cartan, d, g, det // common, tuple(t for t in terms if t[2]), det // prod(d)
 
 
-@cache
 def cartan_determinant(series: str, rank: int) -> int:
-    """det(A) of the type (series, rank), taken once per type."""
-    return _linalg.det_int(_series_data(series, rank)[0])
+    """det(A) of the type (series, rank), from its type table."""
+    return _type_table(series, rank)[5]
 
 
 def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
@@ -382,12 +370,14 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
 
     Raises InvalidSeriesRank for an unknown Dynkin type and
     HypothesisViolated when ell < 3 or when r = 2*ell / (3 + (-1)**ell)
-    fails to exceed every gcd(d_i, r).  The ell-free constants come from
-    _type_table, which a refused type or ell never reaches.
+    fails to exceed every gcd(d_i, r).  rank and ell are read as exact
+    integers (operator.index), so a float or a str raises TypeError.  The
+    ell-free constants come from _type_table, which a refused type or ell
+    never reaches.
     """
     series = str(series).upper()
-    _, d = _series_data(series, int(rank))
-    ell = int(ell)
+    _, d = _series_data(series, index(rank))
+    ell = index(ell)
     if ell < 3:
         raise HypothesisViolated(f"need ell >= 3, got {ell}")
     r = ell if ell % 2 else ell // 2
@@ -397,7 +387,7 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
             f"need r > max gcd(d_i, r): r={r}, gcds={tuple(g)}"
         )
     n = len(d)
-    cartan, d, scaled_gram, gram_denominator, _ = _type_table(series, n)
+    cartan, d, scaled_gram, gram_denominator, *_ = _type_table(series, n)
     # Positional, in field order: a datum is built per spec.
     return CartanDatum(
         series, n, ell, cartan, d, r, tuple(r // gi for gi in g),

@@ -25,8 +25,9 @@ Exit codes:
   7  the work exceeds a fixed budget and is refused before it starts: a
      census of more than lattice.MAX_CENSUS_ORDER representatives, a
      monodromy table or an oracle box of more than
-     algebra.MAX_TABLE_ENTRIES pairs, or an oracle coset search of more
-     than lattice.MAX_CENSUS_ORDER combinations
+     algebra.MAX_TABLE_ENTRIES pairs, an oracle cocycle scan of more than
+     algebra.MAX_TABLE_ENTRIES associativity triples, or an oracle coset
+     search of more than lattice.MAX_CENSUS_ORDER combinations
 
 A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
 refused before any Cartan data is built.

@@ -101,7 +101,7 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
     representative.
     """
     rows, x, den = _over(lattice, lam)
-    return Weight.over(_linalg.echelon_reduce(x, rows), den)
+    return Weight.over(_linalg.echelon_reduce(x, rows)[0], den)
 
 
 class AdjoinResult(Record):
@@ -116,8 +116,8 @@ def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
     """Canonical form of L + Z*mu, with the flags (mu in L, 2*mu in L), both
     read off one reduction: 2*mu is in L when 2*(mu mod L) reduces to zero."""
     rows, x, den = _over(lattice, mu)
-    rest = _linalg.echelon_reduce(x, rows)
-    twice = _linalg.echelon_reduce([2 * a for a in rest], rows)
+    rest = _linalg.echelon_reduce(x, rows)[0]
+    twice = _linalg.echelon_reduce([2 * a for a in rest], rows)[0]
     joined = _from_rows(lattice.rank_ambient, rows + [x], den)
     return AdjoinResult(joined, not any(rest), not any(twice))
 

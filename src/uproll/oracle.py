@@ -4,9 +4,10 @@ These enumerate bounded coefficient boxes or census representatives and
 test the defining conditions directly.  Beyond ``cartan.pairing``, which
 they apply to whole weights, and, for the census-based checks, the
 census itself, they share no code with the closed forms they validate;
-they take no shortcuts and are deliberately naive.  A box of more than ``algebra.MAX_TABLE_ENTRIES``
-pairs, or a coset search over more than ``lattice.MAX_CENSUS_ORDER``
-combinations, raises BudgetExceeded before anything is enumerated.
+they take no shortcuts and are deliberately naive.  A box of more than
+``algebra.MAX_TABLE_ENTRIES`` pairs, a cocycle scan of more triples than
+that, or a coset search over more than ``lattice.MAX_CENSUS_ORDER``
+combinations raises BudgetExceeded before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from fractions import Fraction
 from itertools import product
 
 from ._record import Record
-from .algebra import AlgebraSpec, check_box_budget, structure_constant_table
+from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, check_box_budget, structure_constant_table
 from .cartan import Weight, is_multiple, pairing
 from .errors import BudgetExceeded, InfiniteCensus
 from .lattice import MAX_CENSUS_ORDER, coset_reduce, scaled_dual
@@ -76,9 +77,14 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     Verifies the unit rows, associativity on every in-box triple, and
     the ungraded commutation relation e(a, b) = e(b, a) + <a, b>, all
     mod ell.  Supercommutative specs fail the last relation on odd-odd
-    pairs by design; this oracle targets the commutative case.
+    pairs by design; this oracle targets the commutative case.  The scan
+    visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d triples (b has entry t,
+    a and c one of 2 box + 1 - |t|); above MAX_TABLE_ENTRIES it is refused.
     """
     b = _as_box(box, len(spec.ordered_basis))
+    triples = sum((2 * b.bound + 1 - abs(t)) ** 2 for t in range(-b.bound, b.bound + 1)) ** b.dimension
+    if triples > MAX_TABLE_ENTRIES:
+        raise BudgetExceeded(f"box {b.bound} has {triples} associativity triples, over {MAX_TABLE_ENTRIES}")
     table = structure_constant_table(spec, b.bound)
     datum = spec.datum
     ell = datum.ell

@@ -36,6 +36,7 @@ from uproll.algebra import MAX_TABLE_ENTRIES
 from uproll.errors import (
     BudgetExceeded,
     DependentGenerators,
+    DimensionMismatch,
     IncompleteTable,
     MuNotHalfOdd,
     NotInLattice,
@@ -156,6 +157,26 @@ class TestStructureConstantExponent:
         assert spec.coefficients(weight([6])) == (1, 1)
         assert spec.coefficients(weight([4])) == (1, 0)
         assert spec.coefficients(weight([-2])) == (-1, 1)
+
+    @pytest.mark.parametrize("coords", [[4, 0, 7], [4, 0, 0], [4], []])
+    def test_weight_of_another_length_is_refused(self, coords):
+        a2 = build_cartan_datum("A", 2, 4)
+        spec = AlgebraSpec(a2, [weight([4, 0]), weight([0, 4])])
+        assert spec.coefficients(weight([4, 0])) == (1, 0)
+        with pytest.raises(DimensionMismatch, match="weights must have length 2"):
+            spec.coefficients(weight(coords))
+        with pytest.raises(DimensionMismatch, match="weights must have length 2"):
+            structure_constant_exponent(spec, weight(coords), weight([4, 0]))
+        with pytest.raises(DimensionMismatch, match="weights must have length 2"):
+            structure_constant_exponent(spec, weight([4, 0]), weight(coords))
+
+    @pytest.mark.parametrize("coords", [[6, 0], [2, 7], [4, 0, 0], []])
+    def test_odd_and_dependent_specs_check_the_length_first(self, coords):
+        for spec in (super_spec(), AlgebraSpec(A1_4, [weight([4]), weight([6])])):
+            with pytest.raises(DimensionMismatch, match="weights must have length 1"):
+                spec.coefficients(weight(coords))
+            with pytest.raises(DimensionMismatch, match="weights must have length 1"):
+                structure_constant_exponent(spec, weight(coords), weight([4]))
 
 
 class TestCocycleCheck:

@@ -22,7 +22,7 @@ from uproll import (
 )
 from uproll.cartan import MAX_RANK, bilinear
 from uproll.cli import _exponent_json
-from uproll.errors import DimensionMismatch, HypothesisViolated, InternalError, InvalidSeriesRank
+from uproll.errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
 
 # a valid order of the root of unity for each type used in table tests
 DATA = [
@@ -61,14 +61,10 @@ class TestBuildCartanDatum:
             (Fraction(1, 3), Fraction(2, 3)),
         )
 
-    def test_indefinite_symmetrized_matrix_is_an_internal_error(self, monkeypatch):
-        # The type table may already hold A2, so the patched data goes
-        # through an empty table of its own, dropped with the patch.
-        fresh = cache(uproll.cartan._type_table.__wrapped__)
-        monkeypatch.setattr(uproll.cartan, "_type_table", fresh)
-        monkeypatch.setattr(uproll.cartan, "_series_data", lambda s, n: ([[2, -3], [-3, 2]], (1, 1)))
-        with pytest.raises(InternalError, match="symmetrized Cartan matrix of A2 is not positive definite"):
-            build_cartan_datum("A", 2, 7)
+    @pytest.mark.parametrize("rank,ell", [(2, 4.9), (2.0, 4), (2.7, 4), ("2", 4), (2, "4"), (2, Fraction(4))])
+    def test_rank_and_ell_are_read_as_exact_integers(self, rank, ell):
+        with pytest.raises(TypeError):
+            build_cartan_datum("A", rank, ell)
 
     def test_ell_below_three_rejected(self):
         with pytest.raises(HypothesisViolated):
@@ -334,9 +330,10 @@ def test_type_table_matches_a_direct_sympy_gram(series, rank):
     n = lcm(*(int(x.q) for x in gram))
     scaled = tuple(tuple(int(x * n) for x in gram.row(i)) for i in range(rank))
     # The fifth element is the flat twist form on (x, s), checked as the
-    # polynomial x.(N G).x + s (N G rho).x in symbols.
-    *table, form = uproll.cartan._type_table(series, rank)
+    # polynomial x.(N G).x + s (N G rho).x in symbols; the sixth is det(A).
+    *table, form, det = uproll.cartan._type_table(series, rank)
     assert table == [tuple(map(tuple, cartan)), tuple(d), scaled, n]
+    assert det == sympy.Matrix(cartan).det()
     x = sympy.symbols(f"x0:{rank + 1}")
     v = sympy.Matrix(x[:rank])
     expected = (v.T * sympy.Matrix(scaled) * (v + x[rank] * sympy.ones(rank, 1)))[0]

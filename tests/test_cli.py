@@ -543,6 +543,26 @@ def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+@pytest.mark.parametrize(
+    "box,doc,triples",
+    [
+        (8, {"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]}, 8_254_129),
+        (2, {"series": "A", "rank": 3, "ell": 4, "lattice": [["4", "0", "0"], ["0", "4", "0"], ["0", "0", "4"]]},
+         421_875),
+        (80, {**A1_4, "lattice": [["4"]]}, 2_434_481),
+    ],
+    ids=["A2-box-8", "A3-three-generators-box-2", "A1-box-80"],
+)
+def test_oracle_over_the_triple_budget_exits_seven_within_a_second(box, doc, triples, tmp_path, capsys):
+    # Each box is within the pair budget; its associativity triples are not.
+    start = time.perf_counter()
+    assert run(["oracle", "--box", str(box), "--input", write_doc(tmp_path, "p.json", doc)]) == 7
+    assert time.perf_counter() - start < 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: box {box} has {triples} associativity triples, over 100000\n"
+
+
 def test_bq_twist_and_monodromy_are_taken_at_minus_one_over_r(tmp_path, capsys):
     # bq_twist_exponent and bq_monodromy_exponent read the datum only, so
     # another a**2 changes the verdicts but not a single exponent.

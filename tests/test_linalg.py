@@ -5,6 +5,7 @@ import signal
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from math import prod
 
 import pytest
 from hypothesis import assume, given, settings
@@ -14,14 +15,15 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
-from helpers import ALL_TYPES
 from uproll import Weight, build_cartan_datum, canonical_basis, contains, scaled_dual
+from uproll.cartan import MAX_RANK, _series_data, cartan_determinant
 from uproll.cli import run
+from uproll.errors import InvalidSeriesRank
 from uproll.lattice import in_dual
 from uproll._linalg import (
     combination_in_rows,
     det_int,
-    leading_minors,
+    echelon_reduce,
     mat_inverse,
     row_hermite_form,
     smith_normal_form,
@@ -72,6 +74,22 @@ class TestHermiteForm:
     def test_zero_rows_dropped(self):
         assert row_hermite_form([[0, 0], [0, 0]]) == []
         assert row_hermite_form([]) == []
+
+
+@settings(max_examples=80, deadline=None)
+@given(mat=matrix_st(3, 3), v=st.lists(st.integers(-40, 40), min_size=3, max_size=3))
+def test_echelon_reduce_returns_the_multiple_of_each_row(mat, v):
+    rows = row_hermite_form(mat)
+    rest, multiples = echelon_reduce(v, rows)
+    assert len(multiples) == len(rows)
+    assert [a - sum(q * row[j] for q, row in zip(multiples, rows)) for j, a in enumerate(v)] == rest
+    for row in rows:
+        p = next(j for j, x in enumerate(row) if x)
+        assert 0 <= rest[p] < row[p]
+    # A vector in the span reduces to zero, and its multiples are its coefficients.
+    coeffs = [v[i] for i in range(len(rows))]
+    inside = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
+    assert echelon_reduce(inside, rows) == ([0, 0, 0], coeffs)
 
 
 class TestSmithForm:
@@ -231,6 +249,17 @@ class TestRationalKernels:
         for dependent in ([[0, 0], [1, 0]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]]):
             with pytest.raises(ValueError):
                 combination_in_rows(dependent, [[0, 0]])
+
+    @pytest.mark.parametrize("rows,targets", [
+        ([[2, 0], [1, 3]], [[4, 6, 0]]),
+        ([[2, 0], [1, 3]], [[4]]),
+        ([[2, 0], [1, 3]], [[4, 6], [1]]),
+        ([[1, 0, 0]], [[1, 0], [1, 0, 0]]),
+    ])
+    def test_a_target_of_another_length_is_refused_naming_the_shapes(self, rows, targets):
+        shape = re.escape(f"targets of lengths {[len(t) for t in targets]} against rows of length {len(rows[0])}")
+        with pytest.raises(ValueError, match=shape):
+            combination_in_rows(rows, targets)
 
     def test_random_combinations_round_trip(self):
         rng = random.Random(9)
@@ -526,42 +555,38 @@ class TestEliminationAgainstSympy:
             assert [Fraction(x, den) for x in got] == expected
 
 
-def sympy_minors_to_first_nonpositive(mat) -> list[int]:
-    ref, out = Matrix(mat), []
-    for k in range(1, ref.rows + 1):
-        out.append(int(ref[:k, :k].det()))
-        if out[-1] <= 0:
-            break
-    return out
+def _supported_types():
+    """Every (series, rank) that _series_data accepts, found by trying."""
+    found = []
+    for series in "ABCDEFG":
+        for rank in range(1, MAX_RANK + 1):
+            try:
+                _series_data(series, rank)
+            except InvalidSeriesRank:
+                continue
+            found.append((series, rank))
+    return found
 
 
-@pytest.mark.parametrize("series,rank", ALL_TYPES)
+@pytest.mark.parametrize("series,rank", _supported_types())
 def test_leading_minors_of_every_symmetrized_cartan_matrix(series, rank):
-    datum = build_cartan_datum(series, rank, 7)
-    b = [[d * x for x in row] for d, row in zip(datum.symmetrizers, datum.cartan)]
-    minors = leading_minors(b)
-    assert minors == sympy_minors_to_first_nonpositive(b)
-    assert len(minors) == rank and min(minors) > 0
-
-
-def test_leading_minors_stop_at_the_first_nonpositive_one():
-    rng = random.Random(31)
-    # Random draws seldom give a zero minor after a positive one.
-    cases = [[[2, 2, 1], [2, 2, 0], [1, 0, 3]], [[4, 2, 0, 1], [2, 5, 4, 0], [0, 4, 4, 1], [1, 0, 1, 9]]]
-    for _ in range(300):
-        n = rng.randint(1, 8)
-        a = [[rng.randint(-5, 5) for _ in range(n)] for _ in range(n)]
-        # A diagonal lift of the first k entries makes the first minors
-        # positive, so the elimination runs some steps before it stops.
-        k = rng.randint(0, n)
-        cases.append([[a[i][j] + a[j][i] + 40 * (i == j < k) for j in range(n)] for i in range(n)])
-    stops = set()
-    for sym in cases:
-        minors = leading_minors(sym)
-        assert minors == sympy_minors_to_first_nonpositive(sym)
-        if minors[-1] <= 0:
-            stops.add((len(minors) > 1, minors[-1] == 0))
-    assert stops == {(False, False), (False, True), (True, False), (True, True)}
+    # The type table checks nothing at run time, so this covers every type
+    # it can be asked for: D A is symmetric, and its leading principal
+    # minors, the running products of the pivots of a naive elimination
+    # over Fractions without row exchanges (no _linalg code), are positive,
+    # so D A is positive definite.
+    cartan, d = _series_data(series, rank)
+    b = [[Fraction(di * x) for x in row] for di, row in zip(d, cartan)]
+    assert b == [list(col) for col in zip(*b)]
+    minors = []
+    for k in range(rank):
+        minors.append(b[k][k] * (minors[-1] if minors else 1))
+        assert minors[-1] > 0
+        for i in range(k + 1, rank):
+            f = b[i][k] / b[k][k]
+            b[i] = [x - f * y for x, y in zip(b[i], b[k])]
+    # det(D A) = det(A) prod d_i, against the determinant the type table keeps.
+    assert len(minors) == rank and minors[-1] == cartan_determinant(series, rank) * prod(d)
 
 
 def combination_is_degenerate(rows):

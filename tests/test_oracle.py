@@ -37,6 +37,25 @@ class TestBox:
             Box(3, 3)
         Box(2, 3)
 
+    @pytest.mark.parametrize("dimension,bound", [(1, 28), (2, 8), (3, 2), (5, 1)])
+    def test_cocycle_oracle_refuses_more_triples_than_the_table_budget(self, dimension, bound):
+        # Triples (a, b, c) with a + b and b + c in the box, counted directly
+        # on one coordinate; the coordinates are independent.
+        side = range(-bound, bound + 1)
+        per_coordinate = sum(a + b in side and b + c in side for a in side for b in side for c in side)
+        triples = per_coordinate ** dimension
+        assert (2 * bound + 1) ** (2 * dimension) <= MAX_TABLE_ENTRIES < triples
+        a1, a2 = A2_6.simple_root(0), A2_6.simple_root(1)
+        spec = AlgebraSpec(A2_6, [3 * a1, 3 * a2, 6 * a1, 6 * a2, 9 * a1][:dimension])
+        with pytest.raises(BudgetExceeded, match=f"box {bound} has {triples} associativity triples"):
+            brute_cocycle(spec, bound)
+
+    def test_cocycle_oracle_runs_within_the_triple_budget(self):
+        # One generator at box 27 has 97,075 triples: the scan runs.
+        side = range(-27, 28)
+        assert sum(a + b in side and b + c in side for a in side for b in side for c in side) <= MAX_TABLE_ENTRIES
+        assert brute_cocycle(AlgebraSpec(A1_4, [weight([4])]), 27)
+
     def test_oracles_refuse_a_huge_box(self):
         spec = AlgebraSpec(A1_4, [weight([4])])
         for oracle in (brute_commutativity, brute_cocycle):
