@@ -3,11 +3,11 @@ the structure of their categories of local modules.
 
 Every module loads on first use: importing the package compiles nothing,
 and the first read of a public name imports the module that defines it
-and keeps the value here, so later reads are plain attribute reads.  A
-CLI request imports library names inside its command, so it compiles
-only the modules that command uses; and since the request is a whole
-process, ``cli.main`` freezes the heap before it exits, which spares
-interpreter shutdown its full collections.
+and keeps the value here, so later reads are plain attribute reads.  The
+CLI reads library names through the package as ``uproll.<module>.<name>``
+at call time, so a request compiles only the modules its command uses;
+and since the request is a whole process, ``cli.main`` freezes the heap
+before it exits, which spares interpreter shutdown its full collections.
 """
 
 from importlib import import_module as _import_module
@@ -34,8 +34,8 @@ _HOMES = {
                      "bq_monodromy_exponent", "bq_ribbon_verdict", "bq_transparent",
                      "bq_twist_exponent", "triplet_report"), "extensions"),
     "errors": "errors",
-    **dict.fromkeys(("Box", "brute_census_order", "brute_cocycle", "brute_commutativity",
-                     "brute_transparent_reps"), "oracle"),
+    **dict.fromkeys(("oracle", "Box", "brute_census_order", "brute_cocycle",
+                     "brute_commutativity", "brute_transparent_reps"), "oracle"),
     "CocycleTable": "_table",
     "CensusReps": "_census",
     "CensusTwists": "_census",

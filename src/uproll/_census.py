@@ -16,15 +16,8 @@ from itertools import accumulate
 from math import prod
 from operator import index, mul
 
-from ._linalg import echelon_reduce
+from ._linalg import box_dots, echelon_reduce
 from .cartan import ExponentModL, Weight
-
-
-def extend_column(column: list[int], s: int, x: int) -> list[int]:
-    """The values y + c*x for each y in column and c in range(s), c fastest:
-    one more mixed-radix digit, for one coordinate."""
-    multiples = [c * x for c in range(s)]
-    return [y + m for y in column for m in multiples]
 
 
 class _TwistValues(ValuesView):
@@ -33,14 +26,13 @@ class _TwistValues(ValuesView):
 
     def __iter__(self):
         twists = self._mapping
-        radix, single, twice = twists.reps.radix, twists.single, twists.twice
-        values, cross = [0], [[0] for _ in radix]
-        for k, (s, _) in enumerate(radix):
-            # T(c a) for c in range(s): each step adds T(a) + c 2<a, a>.
-            own = list(accumulate((single[k] + c * twice[k][k] for c in range(s - 1)), initial=0))
-            values = [t + c * g + u for t, g in zip(values, cross[k]) for c, u in enumerate(own)]
-            for j in range(k + 1, len(radix)):
-                cross[j] = extend_column(cross[j], s, twice[k][j])
+        single, twice = twists.single, twists.twice
+        spans, values = [range(s) for s, _ in twists.reps.radix], [0]
+        for k, span in enumerate(spans):
+            # T(c a) for c in span: each step adds T(a) + c 2<a, a>.
+            own = list(accumulate((single[k] + c * twice[k][k] for c in span[:-1]), initial=0))
+            cross = box_dots(spans[:k], [row[k] for row in twice[:k]])
+            values = [t + c * g + u for t, g in zip(values, cross) for c, u in enumerate(own)]
         return (ExponentModL.over(x, twists.den, twists.ell) for x in values)
 
 
@@ -56,8 +48,8 @@ class CensusReps(Sequence):
     the combination of steps whose coefficients are the mixed-radix digits
     of i, so the order is lexicographic in the coefficients, last one
     fastest, and the length is the product of the s.  [i] builds one row
-    from the digits of i; iteration and slices derive the rows from
-    extend_column columns as they are read, and keep none.  digits (and
+    from the digits of i, and so do slices; iteration derives the rows from
+    box_dots columns as they are read, and keeps none.  digits (and
     so position, index and in) reads a weight's digits as the multiples
     that echelon_reduce subtracts at the steps' pivots, and accepts only
     digits in [0, s) that leave nothing over: no table of every row.  The
@@ -69,25 +61,18 @@ class CensusReps(Sequence):
     def __init__(self, radix, den: int, rank: int):
         self.radix, self.den, self.rank = tuple(radix), den, rank
 
-    def _columns(self) -> list[list[int]]:
-        # Coordinate j of every representative, in census order.
-        cols = [[0] for _ in range(self.rank)]
-        for s, step in self.radix:
-            cols = [extend_column(col, s, x) for col, x in zip(cols, step)]
-        return cols
-
     def __len__(self) -> int:
         return prod(s for s, _ in self.radix)
 
     def __iter__(self):
-        den = self.den
-        return (Weight.over(row, den) for row in zip(*self._columns()))
+        # Coordinate j of every representative, in census order.
+        spans, den = [range(s) for s, _ in self.radix], self.den
+        cols = [box_dots(spans, [step[j] for _, step in self.radix]) for j in range(self.rank)]
+        return (Weight.over(row, den) for row in zip(*cols))
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            cols = self._columns()
-            return tuple(Weight.over([col[k] for col in cols], self.den)
-                         for k in range(len(self))[i])
+            return tuple(self[k] for k in range(len(self))[i])
         n, i = len(self), index(i)
         if not -n <= i < n:
             raise IndexError("census index out of range")

@@ -7,8 +7,9 @@ keep the entries small; one fraction-free Gauss-Jordan elimination
 (Bareiss) behind det_int and mat_inverse (adjugate and determinant), which
 refuse a matrix that is not square, and combination_in_rows, which solves
 any number of targets at once as integer numerators over one denominator;
-and the echelon reduction of a vector modulo a lattice, which also returns
-the multiple of each row it subtracted.  Everything here works on lists
+the echelon reduction of a vector modulo a lattice, which also returns
+the multiple of each row it subtracted; and the dot products of one
+integer row with every vector of a box.  Everything here works on lists
 of lists of plain ints, up to cartan.MAX_RANK = 32 columns: the Hermite
 form of up to 128 rows of 32 columns, and of the scaled dual of a dense
 rank-deficient lattice of A, B, C or D up to rank 32, takes about 0.1 s.
@@ -88,6 +89,16 @@ def echelon_reduce(v, rows) -> tuple[list[int], list[int]]:
             v = [a - q * b for a, b in zip(v, row)]
         multiples.append(q)
     return v, multiples
+
+
+def box_dots(spans, w) -> list[int]:
+    """The integers w.c for every vector c of the box spans[0] x spans[1] x
+    ..., in lexicographic order, last coordinate fastest."""
+    dots = [0]
+    for span, x in zip(spans, w):
+        steps = [c * x for c in span]
+        dots = [y + t for y in dots for t in steps]
+    return dots
 
 
 def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:

@@ -15,6 +15,7 @@ from functools import cached_property
 from itertools import product
 from math import lcm
 
+from ._linalg import box_dots
 from ._record import Record
 from .algebra import check_box_budget
 from .cartan import ExponentModL, Weight
@@ -46,7 +47,7 @@ class Grid:
         holds every sum of two box vectors: (at, zero) with the sum of the
         i-th and j-th box vectors at zero + at[i] + at[j]."""
         radix = [(4 * self.box + 1) ** t for t in reversed(range(self.dimension))]
-        return self.dots(radix), 2 * self.box * sum(radix)
+        return box_dots((self.span,) * self.dimension, radix), 2 * self.box * sum(radix)
 
     @cached_property
     def inside(self) -> list[int | None]:
@@ -56,20 +57,13 @@ class Grid:
         where = {zero + t: k for k, t in enumerate(at)}
         return [where.get(pos) for pos in range((4 * self.box + 1) ** self.dimension)]
 
-    def dots(self, w) -> list[int]:
-        """The integers w.m for every vector m of the box, in order."""
-        row = [0]
-        for x in w:
-            steps = [x * c for c in self.span]
-            row = [y + s for y in row for s in steps]
-        return row
-
     def forms(self, matrix) -> list[list[int]]:
         """For each vector a of the box in order, the integers a.matrix.m
         for every vector m of the box, in order.  By bilinearity each row
         is the one before it along an axis plus that axis's unit row."""
-        rows = [self.dots([-self.box * sum(col) for col in zip(*matrix)])]  # at (-box, ..., -box)
-        for unit in map(self.dots, matrix):
+        spans = (self.span,) * self.dimension
+        rows = [box_dots(spans, [-self.box * sum(col) for col in zip(*matrix)])]  # at (-box, ..., -box)
+        for unit in (box_dots(spans, m) for m in matrix):
             rows = [(row := first if c == -self.box else [x + y for x, y in zip(row, unit)])
                     for first in rows for c in self.span]
         return rows

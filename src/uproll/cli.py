@@ -49,6 +49,8 @@ import sys
 from itertools import combinations
 from typing import TYPE_CHECKING
 
+import uproll
+
 from .errors import (
     AlgebraInvalid,
     BudgetExceeded,
@@ -61,8 +63,7 @@ from .errors import (
     UprollError,
 )
 
-# Each helper below imports the library names it uses, so that a request
-# compiles only the modules of its own command.
+# The package loads each library module on its first read.
 if TYPE_CHECKING:
     from .algebra import AlgebraSpec
     from .cartan import CartanDatum, ExponentModL, Weight
@@ -96,21 +97,17 @@ def _doc_int(doc: dict, key: str) -> int:
 
 
 def _doc_rational(value, field: str) -> int | str:
-    from .cartan import _ratio
-
     if type(value) not in (int, str):
         raise ValueError(f"{field} must be a 'p/q' string or an integer, got {value!r}")
     try:
-        _ratio(value)
+        uproll.cartan._ratio(value)
     except (ValueError, ZeroDivisionError):
         raise ValueError(f"{field} is not a rational: {value!r}") from None
     return value
 
 
 def _doc_datum(doc: dict) -> CartanDatum:
-    from .cartan import build_cartan_datum
-
-    return build_cartan_datum(
+    return uproll.cartan.build_cartan_datum(
         str(doc["series"]), _doc_int(doc, "rank"), _doc_int(doc, "ell")
     )
 
@@ -137,20 +134,16 @@ def _doc_rows(doc: dict, key: str, rank: int) -> list[Weight] | None:
 
 
 def _doc_row(row, rank: int, field: str) -> Weight:
-    from .cartan import Weight
-
     if not isinstance(row, list) or len(row) != rank:
         raise ValueError(f"{field} must be a list of {rank} rationals")
-    return Weight(tuple(_doc_rational(x, f"{field}[{k}]") for k, x in enumerate(row)))
+    return uproll.cartan.Weight(tuple(_doc_rational(x, f"{field}[{k}]") for k, x in enumerate(row)))
 
 
 def _doc_spec(doc: dict) -> tuple[CartanDatum, AlgebraSpec]:
-    from .algebra import AlgebraSpec
-
     datum = _doc_datum(doc)
     gens = _doc_rows(doc, "lattice", datum.rank) or []
     mu = None if doc.get("mu") is None else _doc_row(doc["mu"], datum.rank, "mu")
-    return datum, AlgebraSpec(datum, gens, mu)
+    return datum, uproll.algebra.AlgebraSpec(datum, gens, mu)
 
 
 def _census_json(census) -> dict:
@@ -164,10 +157,8 @@ def _census_json(census) -> dict:
 
 
 def _cmd_datum(args) -> dict:
-    from .cartan import build_cartan_datum
-
     if args.series is not None:
-        datum = build_cartan_datum(args.series, args.rank, args.ell)
+        datum = uproll.cartan.build_cartan_datum(args.series, args.rank, args.ell)
     else:
         datum = _doc_datum(_load_document(args))
     return {
@@ -184,10 +175,8 @@ def _cmd_datum(args) -> dict:
 
 
 def _cmd_check_algebra(args) -> dict:
-    from .algebra import spec_verdict
-
     _, spec = _doc_spec(_load_document(args))
-    verdict = spec_verdict(spec)
+    verdict = uproll.algebra.spec_verdict(spec)
     return {
         "commutative" if spec.mu is None else "supercommutative": bool(verdict),
         "witnesses": [
@@ -205,15 +194,13 @@ def _twist_rows(twists) -> list[dict]:
 def _cmd_census(args):
     """census and twists: the census JSON, or each rep with its twist as
     TSV rows or, for twists, as JSON rows after the census."""
-    from .localmod import census_twists, simple_census
-
     datum, spec = _doc_spec(_load_document(args))
-    census = simple_census(spec)
+    census = uproll.localmod.simple_census(spec)
     if args.command == "census" and args.format == "json":
         return _census_json(census)
     if not census.finite:
         raise InfiniteCensus(f"{args.command} --format {args.format} needs a finite census")
-    twists = census_twists(datum, census).items()
+    twists = uproll.localmod.census_twists(datum, census).items()
     if args.format == "tsv":
         return "\n".join(
             "\t".join((",".join(rep.coord_strings()), *_exponent_json(e).values()))
@@ -223,9 +210,6 @@ def _cmd_census(args):
 
 
 def _cmd_monodromy(args) -> dict:
-    from .algebra import MAX_TABLE_ENTRIES
-    from .localmod import monodromy_exponent, simple_census
-
     doc = _load_document(args)
     datum = _doc_datum(doc)
     items = _doc_list(doc, "pairs")
@@ -237,14 +221,13 @@ def _cmd_monodromy(args) -> dict:
         pairs.append((a, b))
     if items is None:
         _, spec = _doc_spec(doc)
-        census = simple_census(spec)
+        census = uproll.localmod.simple_census(spec)
         if not census.finite:
             raise InfiniteCensus("monodromy table needs a finite census")
         size = census.order * (census.order + 1) // 2
-        if size > MAX_TABLE_ENTRIES:
-            raise BudgetExceeded(
-                f"monodromy table of {size} pairs exceeds the budget of {MAX_TABLE_ENTRIES}"
-            )
+        budget = uproll.algebra.MAX_TABLE_ENTRIES
+        if size > budget:
+            raise BudgetExceeded(f"monodromy table of {size} pairs exceeds the budget of {budget}")
         reps = tuple(census.reps)
         pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i:]]
     return {
@@ -252,7 +235,7 @@ def _cmd_monodromy(args) -> dict:
             {
                 "a": a.coord_strings(),
                 "b": b.coord_strings(),
-                **_exponent_json(monodromy_exponent(datum, a, b)),
+                **_exponent_json(uproll.localmod.monodromy_exponent(datum, a, b)),
             }
             for a, b in pairs
         ]
@@ -260,10 +243,8 @@ def _cmd_monodromy(args) -> dict:
 
 
 def _cmd_ribbon(args) -> dict:
-    from .localmod import check_ribbon
-
     _, spec = _doc_spec(_load_document(args))
-    verdict = check_ribbon(spec)
+    verdict = uproll.localmod.check_ribbon(spec)
     return {
         "verdict": verdict.status,
         "witnesses": [
@@ -282,15 +263,11 @@ def _muger_json(report) -> dict:
 
 
 def _cmd_muger(args) -> dict:
-    from .localmod import muger_center
-
-    return _muger_json(muger_center(_doc_spec(_load_document(args))[1]))
+    return _muger_json(uproll.localmod.muger_center(_doc_spec(_load_document(args))[1]))
 
 
 def _cmd_triplet(args) -> dict:
-    from .extensions import triplet_report
-
-    report = triplet_report(args.series, args.rank, args.r)
+    report = uproll.extensions.triplet_report(args.series, args.rank, args.r)
     return {
         "series": report.series,
         "rank": report.rank,
@@ -311,52 +288,41 @@ def _cmd_bq(args) -> dict:
     """Twists and monodromy are always taken at a**2 = -1/r; another
     heisenberg.a_squared changes only commutative, local, transparent and
     equivalent, and turns the last three null."""
-    from .extensions import (
-        BqSpec,
-        ExtWeight,
-        bq_check_commutative,
-        bq_equivalent,
-        bq_is_local,
-        bq_monodromy_exponent,
-        bq_ribbon_verdict,
-        bq_transparent,
-        bq_twist_exponent,
-    )
-
+    ext = uproll.extensions
     doc = _load_document(args)
     datum = _doc_datum(doc)
     a_squared = None
     if doc.get("heisenberg") is not None:
         heisenberg = _doc_object(doc["heisenberg"], "heisenberg", "a_squared")
         a_squared = _doc_rational(heisenberg["a_squared"], "heisenberg.a_squared")
-    spec = BqSpec(datum, _doc_rows(doc, "lattice", datum.rank), a_squared)
+    spec = ext.BqSpec(datum, _doc_rows(doc, "lattice", datum.rank), a_squared)
     ext_weights = []
     for i, item in enumerate(_doc_list(doc, "ext_weights") or []):
         item = _doc_object(item, f"ext_weights[{i}]", "qg", "fock")
         qg, fock = (_doc_row(item[k], datum.rank, f"ext_weights[{i}].{k}") for k in ("qg", "fock"))
-        ext_weights.append(ExtWeight(qg, fock))
+        ext_weights.append(ext.ExtWeight(qg, fock))
     rows = []
     for w in ext_weights:
-        local = bq_is_local(spec, w) if spec.is_standard else None
+        local = ext.bq_is_local(spec, w) if spec.is_standard else None
         rows.append({
             "qg": w.qg.coord_strings(),
             "fock": w.fock_tilde.coord_strings(),
-            "twist": _exponent_json(bq_twist_exponent(datum, w)),
+            "twist": _exponent_json(ext.bq_twist_exponent(datum, w)),
             "local": local,
-            "transparent": bq_transparent(spec, w) if local else None,
+            "transparent": ext.bq_transparent(spec, w) if local else None,
         })
     return {
         "a_squared": str(spec.a_squared),
-        "commutative": bq_check_commutative(spec),
-        "ribbon": bq_ribbon_verdict(datum),
+        "commutative": ext.bq_check_commutative(spec),
+        "ribbon": ext.bq_ribbon_verdict(datum),
         "weights": rows,
         "pairs": [
             {
                 "i": i,
                 "j": j,
-                "monodromy": _exponent_json(bq_monodromy_exponent(datum, a, b)),
+                "monodromy": _exponent_json(ext.bq_monodromy_exponent(datum, a, b)),
                 "equivalent": (
-                    bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
+                    ext.bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
                 ),
             }
             for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
@@ -365,17 +331,17 @@ def _cmd_bq(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    from . import oracle
-
     _, spec = _doc_spec(_load_document(args))
+    # The cocycle scan's budget is the tighter one, so it refuses first.
+    cocycle = uproll.oracle.brute_cocycle(spec, args.box)
     out = {
         "box": args.box,
-        "brute_commutativity": oracle.brute_commutativity(spec, args.box),
-        "brute_cocycle": oracle.brute_cocycle(spec, args.box),
+        "brute_commutativity": uproll.oracle.brute_commutativity(spec, args.box),
+        "brute_cocycle": cocycle,
         "brute_census_order": None,
     }
     try:
-        out["brute_census_order"] = oracle.brute_census_order(spec)
+        out["brute_census_order"] = uproll.oracle.brute_census_order(spec)
     except (InfiniteCensus, AlgebraInvalid):
         pass
     return out

@@ -79,10 +79,12 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     mod ell.  Supercommutative specs fail the last relation on odd-odd
     pairs by design; this oracle targets the commutative case.  The scan
     visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d triples (b has entry t,
-    a and c one of 2 box + 1 - |t|); above MAX_TABLE_ENTRIES it is refused.
+    a and c one of 2 box + 1 - |t|), a closed form never below the box's
+    pair count; above MAX_TABLE_ENTRIES it is refused.
     """
     b = _as_box(box, len(spec.ordered_basis))
-    triples = sum((2 * b.bound + 1 - abs(t)) ** 2 for t in range(-b.bound, b.bound + 1)) ** b.dimension
+    B, m = b.bound, 2 * b.bound + 1
+    triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
     if triples > MAX_TABLE_ENTRIES:
         raise BudgetExceeded(f"box {b.bound} has {triples} associativity triples, over {MAX_TABLE_ENTRIES}")
     table = structure_constant_table(spec, b.bound)

@@ -142,7 +142,7 @@ class TestCensusTwists:
         def refuse(*args):
             pytest.fail("a report enumerated the census")
 
-        monkeypatch.setattr(_census, "extend_column", refuse)
+        monkeypatch.setattr(_census, "box_dots", refuse)
         a1 = build_cartan_datum("A", 1, 99856)
         reports = [(build_cartan_datum("E", 8, 8), triplet_report("E", 8, 4).report, 65536),
                    (a1, local_report(AlgebraSpec(a1, [weight([99856])])), 99856)]
@@ -417,7 +417,7 @@ class TestMixedRadixViews:
         def refuse(name):
             return lambda *args: pytest.fail(f"CensusReps.{name} read the rows")
 
-        for name in ("_columns", "__iter__", "__getitem__"):
+        for name in ("__iter__", "__getitem__"):
             monkeypatch.setattr(CensusReps, name, refuse(name))
         solves = []
         real = _linalg.combination_in_rows

@@ -563,6 +563,25 @@ def test_oracle_over_the_triple_budget_exits_seven_within_a_second(box, doc, tri
     assert captured.err == f"budget exceeded: box {box} has {triples} associativity triples, over 100000\n"
 
 
+def test_oracle_refuses_the_cocycle_scan_before_the_pair_scan(tmp_path, monkeypatch, capsys):
+    doc = {"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]}
+    monkeypatch.setattr(uproll.oracle, "brute_commutativity",
+                        lambda *args: pytest.fail("the pair scan ran before the refusal"))
+    assert run(["oracle", "--box", "8", "--input", write_doc(tmp_path, "p.json", doc)]) == 7
+    assert capsys.readouterr().err.startswith("budget exceeded: box 8 has 8254129 associativity")
+
+
+def test_oracle_on_no_generators_takes_any_box_at_once(tmp_path, capsys):
+    # The box of dimension 0 holds one vector and one triple, whatever its bound.
+    start = time.perf_counter()
+    code, doc = run_json(capsys, ["oracle", "--box", str(10**12), "--input",
+                                  write_doc(tmp_path, "p.json", {**A1_4, "lattice": []})])
+    assert time.perf_counter() - start < 1
+    assert code == 0
+    assert doc == {"box": 10**12, "brute_commutativity": True, "brute_cocycle": True,
+                   "brute_census_order": None}
+
+
 def test_bq_twist_and_monodromy_are_taken_at_minus_one_over_r(tmp_path, capsys):
     # bq_twist_exponent and bq_monodromy_exponent read the datum only, so
     # another a**2 changes the verdicts but not a single exponent.

@@ -5,6 +5,7 @@ import signal
 import time
 from contextlib import contextmanager
 from fractions import Fraction
+from itertools import product
 from math import prod
 
 import pytest
@@ -21,6 +22,7 @@ from uproll.cli import run
 from uproll.errors import InvalidSeriesRank
 from uproll.lattice import in_dual
 from uproll._linalg import (
+    box_dots,
     combination_in_rows,
     det_int,
     echelon_reduce,
@@ -90,6 +92,13 @@ def test_echelon_reduce_returns_the_multiple_of_each_row(mat, v):
     coeffs = [v[i] for i in range(len(rows))]
     inside = [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
     assert echelon_reduce(inside, rows) == ([0, 0, 0], coeffs)
+
+
+def test_box_dots_read_every_vector_of_the_box_in_lexicographic_order():
+    spans, w = [range(2), range(-1, 2), range(3)], [5, -2, 7]
+    assert box_dots(spans, w) == [sum(c * x for c, x in zip(v, w)) for v in product(*spans)]
+    assert box_dots([], []) == [0]
+    assert box_dots([range(0)], [1]) == []
 
 
 class TestSmithForm:

@@ -1,7 +1,9 @@
 """Semantics of the immutable value records behind uproll's result types."""
 
 import ast
+import importlib
 import pickle
+import pkgutil
 from fractions import Fraction
 from pathlib import Path
 
@@ -19,7 +21,6 @@ from uproll import (
     exponent,
     weight,
 )
-from uproll import _census, _table, oracle  # noqa: F401  (loads every Record subclass)
 from uproll._record import Record
 from uproll.cartan import _type_table
 from uproll.errors import BudgetExceeded
@@ -33,7 +34,9 @@ def _census(**kwargs):
 
 
 def uproll_records() -> list[type]:
-    """Every Record subclass the uproll package defines."""
+    """Every Record subclass the uproll package defines, in any of its modules."""
+    for module in pkgutil.iter_modules(uproll.__path__):
+        importlib.import_module(f"uproll.{module.name}")
     found, todo = [], [Record]
     while todo:
         for cls in todo.pop().__subclasses__():
