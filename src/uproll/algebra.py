@@ -41,11 +41,11 @@ from .cartan import (
     common_rows,
     in_simple_current_lattice,
     pairing_matrix,
+    scaled_coords,
 )
 from .errors import (
     BudgetExceeded,
     DependentGenerators,
-    DimensionMismatch,
     MuNotHalfOdd,
     NotInLattice,
     NotInSimpleCurrentLattice,
@@ -55,8 +55,8 @@ from .lattice import adjoin, canonical_basis
 if TYPE_CHECKING:
     from ._table import CocycleTable
 
-# The most entries a structure-constant table may hold.  The brute-force
-# oracles and the CLI monodromy table are held to the same bound.
+# The most entries a structure-constant table may hold.  A spec's pair
+# matrix, the brute-force oracles and the CLI pair lists share the bound.
 MAX_TABLE_ENTRIES = 100_000
 
 
@@ -65,12 +65,17 @@ class AlgebraSpec:
 
     The generator order is significant: the structure-constant normal
     form depends on it, though different orders give isomorphic algebras.
+    With k generators, mu included, and k**2 above MAX_TABLE_ENTRIES, it
+    raises BudgetExceeded before its lattice is built.
     """
 
     def __init__(self, datum: CartanDatum, generators, mu: Weight | None = None):
         self.datum = datum
         self.generators = tuple(generators)
         self.mu = mu
+        k = len(self.generators) + (mu is not None)
+        if k * k > MAX_TABLE_ENTRIES:
+            raise BudgetExceeded(f"{k} generators make {k * k} pairs, over the budget of {MAX_TABLE_ENTRIES}")
         for g in self.generators:
             if not in_simple_current_lattice(datum, g):
                 raise NotInSimpleCurrentLattice(
@@ -119,10 +124,6 @@ class AlgebraSpec:
             return check_commutative(self)
         return check_supercommutative(self)
 
-    @cached_property
-    def _generator_rows(self) -> tuple[list[list[int]], int]:
-        return common_rows(self.generators)
-
     def coefficients(self, lam: Weight) -> tuple[int, ...]:
         """Canonical generator coefficients of a lattice element.
 
@@ -131,9 +132,8 @@ class AlgebraSpec:
         NotInLattice when the weight is outside the algebra and
         DependentGenerators when the even generators are not a basis.
         """
-        if len(lam) != self.datum.rank:
-            raise DimensionMismatch(f"weights must have length {self.datum.rank}")
-        rows, den = self._generator_rows
+        scaled_coords(self.datum, lam)  # the length check
+        rows, den = common_rows(self.generators)
 
         def solve(target: Weight):
             # The integer span of rows / den lies in (1/den) Z^n.

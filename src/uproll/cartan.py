@@ -121,17 +121,17 @@ class Weight(Record):
     def __len__(self) -> int:
         return len(self.row)
 
-    def __add__(self, other: "Weight") -> "Weight":
+    def _combine(self, other: "Weight", op) -> "Weight":
         if len(self) != len(other):
             raise DimensionMismatch("weights have different lengths")
         den = lcm(self.den, other.den)
-        return Weight.over(map(add, self.row_over(den), other.row_over(den)), den)
+        return Weight.over(map(op, self.row_over(den), other.row_over(den)), den)
+
+    def __add__(self, other: "Weight") -> "Weight":
+        return self._combine(other, add)
 
     def __sub__(self, other: "Weight") -> "Weight":
-        if len(self) != len(other):
-            raise DimensionMismatch("weights have different lengths")
-        den = lcm(self.den, other.den)
-        return Weight.over(map(sub, self.row_over(den), other.row_over(den)), den)
+        return self._combine(other, sub)
 
     def __neg__(self) -> "Weight":
         return Weight.over([-a for a in self.row], self.den)
@@ -396,11 +396,7 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
 
 
 def bilinear(matrix, u, v) -> int:
-    """The integer bilinear form sum_ij u_i M_ij v_j, skipping zero u_i.
-
-    A row shorter than v stands for a row padded with zeros, so ragged
-    rows give a triangular part of M without its zero entries.
-    """
+    """The integer bilinear form sum_ij u_i M_ij v_j, skipping zero u_i."""
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, matrix) if a)
 
 
@@ -447,9 +443,8 @@ def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], 
 
 def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
     """Membership in the simple-current lattice: every coordinate in (ell/2) Z."""
-    if len(lam) != datum.rank:
-        raise DimensionMismatch(f"weight must have length {datum.rank}")
-    return all(2 * a % (datum.ell * lam.den) == 0 for a in lam.row)
+    x, den = scaled_coords(datum, lam)
+    return all(2 * a % (datum.ell * den) == 0 for a in x)
 
 
 def _alpha_parts(datum: CartanDatum, lam: Weight) -> list[tuple[int, int]]:

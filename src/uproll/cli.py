@@ -23,11 +23,11 @@ Exit codes:
   6  stdout was closed before the report was written (for example by
      "| head"); the report is dropped without a traceback
   7  the work exceeds a fixed budget and is refused before it starts: a
-     census of more than lattice.MAX_CENSUS_ORDER representatives, a
-     monodromy table or an oracle box of more than
-     algebra.MAX_TABLE_ENTRIES pairs, an oracle cocycle scan of more than
-     algebra.MAX_TABLE_ENTRIES associativity triples, or an oracle coset
-     search of more than lattice.MAX_CENSUS_ORDER combinations
+     census of more than lattice.MAX_CENSUS_ORDER representatives; more
+     than algebra.MAX_TABLE_ENTRIES pairs in a monodromy table, a bq
+     ext_weights list, an oracle box or a spec's generators with mu (317
+     or more), or associativity triples in an oracle cocycle scan; or an
+     oracle coset search of more than lattice.MAX_CENSUS_ORDER combinations
 
 A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
 refused before any Cartan data is built.
@@ -301,6 +301,9 @@ def _cmd_bq(args) -> dict:
         item = _doc_object(item, f"ext_weights[{i}]", "qg", "fock")
         qg, fock = (_doc_row(item[k], datum.rank, f"ext_weights[{i}].{k}") for k in ("qg", "fock"))
         ext_weights.append(ext.ExtWeight(qg, fock))
+    size, budget = len(ext_weights) * (len(ext_weights) - 1) // 2, uproll.algebra.MAX_TABLE_ENTRIES
+    if size > budget:
+        raise BudgetExceeded(f"{len(ext_weights)} ext_weights make {size} pairs, over the budget of {budget}")
     rows = []
     for w in ext_weights:
         local = ext.bq_is_local(spec, w) if spec.is_standard else None

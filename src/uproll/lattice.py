@@ -182,15 +182,13 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
     den, solutions = _linalg.combination_in_rows(rows, targets)
     for coeffs, row in zip(solutions, lattice.hnf):
         if coeffs is None or any(c % den for c in coeffs):
-            lam = Weight.over(row, lattice.denominator)  # a weight only to name it
+            coords = ", ".join(Weight.over(row, lattice.denominator).coord_strings())
             where = "outside the span of the dual's lattice part" if coeffs is None else "fails the dual condition"
-            raise NotSubgroup(f"lattice row {lam!r} {where}")
+            raise NotSubgroup(f"change of basis: lattice row [{coords}] {where}")
     return [[c // den for c in coeffs] for coeffs in solutions]
 
 
-def quotient_census(
-    datum: CartanDatum, dual: DualGroup, lattice: RationalLattice
-) -> Census:
+def quotient_census(dual: DualGroup, lattice: RationalLattice) -> Census:
     """Invariant factors and coset representatives of dual / lattice.
 
     Every generator of the lattice must lie in the span of the dual's
@@ -227,4 +225,4 @@ def quotient_census(
 
     part = dual.lattice_part
     radix = [(row[i], step) for i, (row, step) in enumerate(zip(box, part.hnf)) if row[i] > 1]
-    return Census(True, factors, CensusReps(radix, part.denominator, datum.rank), order, 0)
+    return Census(True, factors, CensusReps(radix, part.denominator, lattice.rank_ambient), order, 0)

@@ -62,7 +62,7 @@ def simple_census(spec: AlgebraSpec) -> Census:
     """Census of simple local modules: scaled dual modulo the lattice."""
     _require_valid(spec)
     dual = scaled_dual(spec.datum, spec.extended_lattice)
-    return quotient_census(spec.datum, dual, spec.extended_lattice)
+    return quotient_census(dual, spec.extended_lattice)
 
 
 def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:

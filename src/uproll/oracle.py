@@ -37,12 +37,6 @@ class Box(Record):
         return product(range(-self.bound, self.bound + 1), repeat=self.dimension)
 
 
-def _as_box(box, dimension: int) -> Box:
-    if isinstance(box, Box):
-        return box
-    return Box(int(box), dimension)
-
-
 def _weight_of(vec, gens, rank: int) -> Weight:
     total = Weight.zero(rank)
     for c, g in zip(vec, gens):
@@ -57,7 +51,7 @@ def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     box combinations of the even generators, not just the generators.
     """
     gens = spec.generators
-    b = _as_box(box, len(gens))
+    b = Box(int(box), len(gens))
     datum = spec.datum
     ell = datum.ell
     lams = [_weight_of(u, gens, datum.rank) for u in b]
@@ -82,7 +76,7 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     a and c one of 2 box + 1 - |t|), a closed form never below the box's
     pair count; above MAX_TABLE_ENTRIES it is refused.
     """
-    b = _as_box(box, len(spec.ordered_basis))
+    b = Box(int(box), len(spec.ordered_basis))
     B, m = b.bound, 2 * b.bound + 1
     triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
     if triples > MAX_TABLE_ENTRIES:

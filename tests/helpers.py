@@ -1,9 +1,19 @@
-"""Shared draw helpers for the randomized spec tests."""
+"""Shared helpers: spec draws for the randomized tests, and bounded CLI
+child processes."""
 
 from __future__ import annotations
 
+import os
 import random
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
+
+try:
+    import resource
+except ImportError:  # not on every platform; children then run uncapped
+    resource = None
 
 from uproll import AlgebraSpec, build_cartan_datum, weight
 from uproll.errors import HypothesisViolated, UprollError
@@ -90,4 +100,27 @@ def random_weight(rng: random.Random, rank: int, span: int = 6, den: int = 4):
     """A random rational weight with bounded numerators and denominators."""
     return weight(
         [Fraction(rng.randint(-span, span), rng.randint(1, den)) for _ in range(rank)]
+    )
+
+
+def child_env() -> dict:
+    """The environment of a child process that imports this source tree."""
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def run_cli(argv, stdin=None, timeout=120, max_mb=1024) -> subprocess.CompletedProcess:
+    """Run python with argv (for a request, "-m", "uproll.cli", ...) in a
+    child that imports this source tree, with text stdin and captured text
+    output.  The child alone gets an address-space cap of max_mb MB, so a
+    request that outgrows its budget fails fast instead of swapping."""
+
+    def cap():
+        hard = resource.getrlimit(resource.RLIMIT_AS)[1]
+        limit = max_mb * 2**20 if hard == resource.RLIM_INFINITY else min(max_mb * 2**20, hard)
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    return subprocess.run(
+        [sys.executable, *argv], input=stdin, capture_output=True, text=True, env=child_env(),
+        timeout=timeout, preexec_fn=cap if resource else None,
     )

@@ -308,8 +308,6 @@ def test_bilinear_is_an_integer_kernel():
     m = ((2, -1, 0), (-1, 2, -1), (0, -1, 2))
     value = bilinear(m, (1, 0, 3), (4, 5, -6))
     assert type(value) is int and value == 1 * (8 - 5) + 3 * (-5 - 12)
-    # ragged rows stand for zero-padded ones: the strictly lower part
-    assert bilinear(((), (7,), (1, 2)), (1, 1, 1), (1, 1, 1)) == 10
 
 
 def test_rank_above_the_cap_is_refused():

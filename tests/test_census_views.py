@@ -65,7 +65,7 @@ def box_reps(datum, lat) -> tuple:
 def a2_census():
     datum = build_cartan_datum("A", 2, 4)
     lat = lattice.canonical_basis(datum, [2 * a for a in datum.simple_roots])
-    return datum, lat, quotient_census(datum, scaled_dual(datum, lat), lat)
+    return datum, lat, quotient_census(scaled_dual(datum, lat), lat)
 
 
 def valid_finite(specs):
@@ -231,7 +231,7 @@ class TestCensusReps:
         for series, rank, r in SMALL_TRIPLETS:
             datum = build_cartan_datum(series, rank, 2 * r)
             lat = lattice.canonical_basis(datum, [r * a for a in datum.simple_roots])
-            reps = quotient_census(datum, scaled_dual(datum, lat), lat).reps
+            reps = quotient_census(scaled_dual(datum, lat), lat).reps
             assert isinstance(reps, CensusReps)
             assert tuple(reps) == box_reps(datum, lat)
             assert [reps[i] for i in range(len(reps))] == list(box_reps(datum, lat))

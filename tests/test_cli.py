@@ -1,12 +1,11 @@
 import json
-import os
 import subprocess
 import sys
 import time
 from fractions import Fraction
-from pathlib import Path
 
 import pytest
+from helpers import child_env, run_cli
 
 import uproll
 from uproll import build_cartan_datum, twist_exponent, weight
@@ -23,12 +22,6 @@ def run_json(capsys, argv):
     code = run(argv)
     out = capsys.readouterr().out
     return code, json.loads(out) if out.strip() else None
-
-
-def child_env() -> dict:
-    """The environment of a CLI child process that imports this source tree."""
-    src = str(Path(uproll.__file__).resolve().parents[1])
-    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def walk_rationals(node):
@@ -176,8 +169,7 @@ DENSE_A8 = {
 @pytest.mark.parametrize("command,code", [("census", 0), ("twists", 5), ("monodromy", 5)])
 def test_dense_rank_deficient_a8_census_ends(command, code):
     # A child process, so that a hang fails the test at the timeout.
-    proc = subprocess.run([sys.executable, "-m", "uproll.cli", command], input=json.dumps(DENSE_A8),
-                          capture_output=True, text=True, env=child_env(), timeout=30)
+    proc = run_cli(["-m", "uproll.cli", command], json.dumps(DENSE_A8), timeout=30)
     assert proc.returncode == code
     assert "Traceback" not in proc.stderr
     if code == 0:
@@ -495,13 +487,12 @@ DEEP = "[" * 1200 + "]" * 1200
 )
 def test_deeply_nested_json_exits_two_without_traceback(command, text, from_file, tmp_path):
     # Past about a thousand levels json.load runs out of recursion depth.
-    argv = [sys.executable, "-m", "uproll.cli", command]
+    argv = ["-m", "uproll.cli", command]
     if from_file:
         path = tmp_path / "p.json"
         path.write_text(text, encoding="utf-8")
         argv += ["--input", str(path)]
-    proc = subprocess.run(argv, input="" if from_file else text, capture_output=True,
-                          text=True, env=child_env(), timeout=60)
+    proc = run_cli(argv, "" if from_file else text, timeout=60)
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert "Traceback" not in proc.stderr
@@ -580,6 +571,33 @@ def test_oracle_on_no_generators_takes_any_box_at_once(tmp_path, capsys):
     assert code == 0
     assert doc == {"box": 10**12, "brute_commutativity": True, "brute_cocycle": True,
                    "brute_census_order": None}
+
+
+@pytest.mark.parametrize(
+    "command,doc,code",
+    [
+        # k generators, mu included, make k**2 pairs; at ell = 6 each fails
+        # commutativity, so 316 of them print about 100000 witnesses.
+        ("check-algebra", {**A1_4, "ell": 6, "lattice": [["3"]] * 316}, 0),
+        ("check-algebra", {**A1_4, "ell": 6, "lattice": [["3"]] * 317}, 7),
+        ("census", {**A1_4, "lattice": [["4"]] * 315, "mu": ["2"]}, 0),
+        ("census", {**A1_4, "lattice": [["4"]] * 316, "mu": ["2"]}, 7),
+        ("bq", {**A1_4, "lattice": [["4"]] * 317}, 7),
+        # 448 weights make 100128 pairs, 447 make 99681.
+        ("bq", {**A1_4, "ext_weights": [{"qg": ["1"], "fock": ["1"]}] * 448}, 7),
+    ],
+    ids=["316-generators", "317-generators", "315-generators-and-mu", "316-generators-and-mu",
+         "bq-317-generators", "bq-448-weights"],
+)
+def test_requests_quadratic_in_their_input_stay_within_the_table_budget(command, doc, code):
+    start = time.perf_counter()
+    proc = run_cli(["-m", "uproll.cli", command], json.dumps(doc), timeout=30, max_mb=512)
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == code, proc.stderr
+    assert "Traceback" not in proc.stderr
+    if code == 7:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: ")
 
 
 def test_bq_twist_and_monodromy_are_taken_at_minus_one_over_r(tmp_path, capsys):

@@ -8,14 +8,12 @@ first use still resolve.
 
 import gc
 import json
-import os
-import subprocess
 import sys
-from pathlib import Path
+
+from helpers import run_cli
 
 import uproll
 
-ROOT = Path(__file__).resolve().parents[1]
 ORACLE_NAMES = (
     "Box",
     "brute_census_order",
@@ -25,21 +23,13 @@ ORACLE_NAMES = (
 )
 
 
-def _python(*args, **kwargs):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    return subprocess.run(
-        [sys.executable, *args], capture_output=True, text=True, env=env, timeout=120, **kwargs
-    )
-
-
 def test_cli_import_leaves_out_dataclasses_inspect_and_the_oracle():
-    done = _python(
+    done = run_cli([
         "-c",
         "import json, sys, uproll.cli; "
         "print(json.dumps([[m for m in ('dataclasses', 'inspect', 'uproll.oracle') "
         "if m in sys.modules], sorted(m for m in sys.modules if m.split('.')[0] == 'uproll')]))",
-    )
+    ])
     assert done.returncode == 0, done.stderr
     left_out, loaded = json.loads(done.stdout)
     assert left_out == []
@@ -50,8 +40,8 @@ def test_cli_import_leaves_out_dataclasses_inspect_and_the_oracle():
 
 
 def test_package_import_loads_no_submodule():
-    done = _python("-c", "import json, sys, uproll; "
-                         "print(json.dumps(sorted(m for m in sys.modules if m.startswith('uproll'))))")
+    done = run_cli(["-c", "import json, sys, uproll; "
+                          "print(json.dumps(sorted(m for m in sys.modules if m.startswith('uproll'))))"])
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout) == ["uproll"]
 
@@ -72,7 +62,7 @@ CENSUS_MODULES = DATUM_MODULES | {"uproll.lattice", "uproll.algebra", "uproll.lo
 
 
 def _loaded_by(*argv):
-    done = _python("-c", REQUEST, *argv, input=json.dumps(A1_DOC))
+    done = run_cli(["-c", REQUEST, *argv], json.dumps(A1_DOC))
     assert done.returncode == 0, done.stderr
     code, loaded = json.loads(done.stdout.splitlines()[-1])
     assert code == 0
@@ -108,7 +98,7 @@ print(json.dumps([len(uproll.__all__), wrong]))
 
 
 def test_every_public_name_resolves_to_its_module_object_and_is_kept():
-    done = _python("-c", RESOLVE)
+    done = run_cli(["-c", RESOLVE])
     assert done.returncode == 0, done.stderr
     count, wrong = json.loads(done.stdout)
     assert count == len(set(uproll.__all__)) > 70
@@ -153,7 +143,7 @@ def test_oracle_names_resolve_on_first_use():
 
 
 def test_cli_import_leaves_out_the_table_storage():
-    done = _python("-c", "import sys, uproll.cli; print('uproll._table' in sys.modules)")
+    done = run_cli(["-c", "import sys, uproll.cli; print('uproll._table' in sys.modules)"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -168,7 +158,7 @@ def test_table_names_resolve_on_first_use():
 
 
 def test_cli_import_leaves_out_the_census_views():
-    done = _python("-c", "import sys, uproll.cli; print('uproll._census' in sys.modules)")
+    done = run_cli(["-c", "import sys, uproll.cli; print('uproll._census' in sys.modules)"])
     assert done.returncode == 0, done.stderr
     assert done.stdout.strip() == "False"
 
@@ -197,7 +187,7 @@ def test_star_import_exports_the_oracle_names():
 
 def test_oracle_command_still_runs():
     doc = {"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]]}
-    done = _python("-m", "uproll.cli", "oracle", "--box", "2", input=json.dumps(doc))
+    done = run_cli(["-m", "uproll.cli", "oracle", "--box", "2"], json.dumps(doc))
     assert done.returncode == 0, done.stderr
     out = json.loads(done.stdout)
     assert out["brute_commutativity"] is True

@@ -316,7 +316,7 @@ def test_scaled_dual_matches_the_fraction_gram_inverse(series, rank):
 class TestQuotientCensus:
     def test_a1_order_four(self):
         lat = canonical_basis(A1_4, [weight([4])])
-        census = quotient_census(A1_4, scaled_dual(A1_4, lat), lat)
+        census = quotient_census(scaled_dual(A1_4, lat), lat)
         assert census.finite
         assert census.order == 4
         assert census.invariant_factors == (4,)
@@ -325,7 +325,7 @@ class TestQuotientCensus:
     def test_a2_order_twelve(self):
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
-        census = quotient_census(A2_4, scaled_dual(A2_4, lat), lat)
+        census = quotient_census(scaled_dual(A2_4, lat), lat)
         assert census.finite
         assert census.order == 12
         assert census.invariant_factors == (2, 6)
@@ -336,7 +336,7 @@ class TestQuotientCensus:
         datum = build_cartan_datum("A", 2, 5)
         lat = canonical_basis(datum, [weight([-5, -5]), weight(["5/2", -5])])
         assert lat.denominator == 2
-        census = quotient_census(datum, scaled_dual(datum, lat), lat)
+        census = quotient_census(scaled_dual(datum, lat), lat)
         (a, b), (c, d) = [
             [2 * pairing(datum, x, y) / 5 for y in lat.canonical_rows]
             for x in lat.canonical_rows
@@ -347,7 +347,7 @@ class TestQuotientCensus:
     def test_rank_deficit_is_infinite(self):
         a1, _ = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1])
-        census = quotient_census(A2_4, scaled_dual(A2_4, lat), lat)
+        census = quotient_census(scaled_dual(A2_4, lat), lat)
         assert not census.finite
         assert census.order is None
         assert census.reps is None
@@ -364,8 +364,8 @@ class TestQuotientCensus:
             _linalg, "combination_in_rows",
             lambda rows, targets: (2, [[1] * len(rows) for _ in targets]),
         )
-        with pytest.raises(NotSubgroup, match=r"lattice row Weight\(2, 2\) fails the dual condition"):
-            quotient_census(A2_4, dual, lat)
+        with pytest.raises(NotSubgroup, match=r"change of basis: lattice row \[2, 2\] fails the dual condition"):
+            quotient_census(dual, lat)
         assert not issubclass(InternalError, UprollError)
 
     def test_singular_change_of_basis_raises_internal_error(self, monkeypatch):
@@ -377,7 +377,7 @@ class TestQuotientCensus:
             lambda rows, targets: (1, [[1] * len(rows) for _ in targets]),
         )
         with pytest.raises(InternalError, match="singular"):
-            quotient_census(A2_4, dual, lat)
+            quotient_census(dual, lat)
 
     def test_one_change_of_basis_solve_per_census(self, monkeypatch):
         real, seen = _linalg.combination_in_rows, []
@@ -399,7 +399,7 @@ class TestQuotientCensus:
             lat = canonical_basis(datum, gens)
             dual = scaled_dual(datum, lat)
             seen.clear()
-            census = quotient_census(datum, dual, lat)
+            census = quotient_census(dual, lat)
             assert census.finite == (lat.rank == datum.rank)
             # One elimination of the dual rows for every lattice row at once.
             assert seen == [(dual.lattice_part.rank, lat.rank)]
@@ -409,12 +409,12 @@ class TestQuotientCensus:
         dual = scaled_dual(A1_4, base)  # the lattice 2Z omega
         outsider = canonical_basis(A1_4, [weight([1])])
         with pytest.raises(NotSubgroup):
-            quotient_census(A1_4, dual, outsider)
+            quotient_census(dual, outsider)
 
     def test_reps_pairwise_distinct(self):
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
-        census = quotient_census(A2_4, scaled_dual(A2_4, lat), lat)
+        census = quotient_census(scaled_dual(A2_4, lat), lat)
         reps = census.reps
         for i in range(len(reps)):
             for j in range(i + 1, len(reps)):
@@ -422,7 +422,7 @@ class TestQuotientCensus:
 
     def test_order_times_lattice_returns_to_zero_coset(self):
         lat = canonical_basis(A1_4, [weight([4])])
-        census = quotient_census(A1_4, scaled_dual(A1_4, lat), lat)
+        census = quotient_census(scaled_dual(A1_4, lat), lat)
         for rep in census.reps:
             assert contains(lat, census.order * rep)
 
@@ -437,7 +437,7 @@ def test_lattice_outside_the_dual_span_is_not_a_subgroup():
         lattice = canonical_basis(datum, gens)
         assert all(in_dual(datum, dual.source, row.row, row.den) for row in lattice.canonical_rows)
         with pytest.raises(NotSubgroup, match="outside the span"):
-            quotient_census(datum, dual, lattice)
+            quotient_census(dual, lattice)
 
 
 def test_empty_lattice_in_a_full_dual_is_infinite():
@@ -445,7 +445,7 @@ def test_empty_lattice_in_a_full_dual_is_infinite():
     datum = build_cartan_datum("A", 2, 6)
     empty = canonical_basis(datum, ())
     three_q = canonical_basis(datum, [3 * a for a in datum.simple_roots])
-    assert quotient_census(datum, scaled_dual(datum, three_q), empty) == Census(
+    assert quotient_census(scaled_dual(datum, three_q), empty) == Census(
         False, (), None, None, 0
     )
 
@@ -457,7 +457,7 @@ def test_lattice_below_the_dual_rank_is_infinite():
     a1, a2 = datum.simple_roots
     dual = scaled_dual(datum, canonical_basis(datum, [3 * a1, 3 * a2]))
     assert dual.complement_dimension == 0
-    census = quotient_census(datum, dual, canonical_basis(datum, [3 * a1]))
+    census = quotient_census(dual, canonical_basis(datum, [3 * a1]))
     assert census == Census(False, (3,), None, None, 0)
 
 
@@ -487,10 +487,10 @@ def test_census_past_the_budget_is_refused_before_enumeration():
         lat = canonical_basis(A1_4, [weight([2 * k])])
         dual = scaled_dual(A1_4, lat)
         if order <= MAX_CENSUS_ORDER:
-            assert quotient_census(A1_4, dual, lat).order == order
+            assert quotient_census(dual, lat).order == order
         else:
             with pytest.raises(BudgetExceeded, match=str(order)):
-                quotient_census(A1_4, dual, lat)
+                quotient_census(dual, lat)
 
 
 def test_census_budget_is_checked_before_the_smith_form(monkeypatch):
@@ -504,7 +504,7 @@ def test_census_budget_is_checked_before_the_smith_form(monkeypatch):
 
     monkeypatch.setattr(_linalg, "smith_normal_form", refuse)
     with pytest.raises(BudgetExceeded, match="120000"):
-        quotient_census(A2_4, dual, lat)
+        quotient_census(dual, lat)
 
 
 @st.composite
@@ -543,7 +543,7 @@ def test_census_smith_diagonal_matches_sympy(change):
     with pytest.MonkeyPatch.context() as patch:
         patch.setattr(uproll.lattice, "_change_of_basis", lambda part, lattice: change)
         patch.setattr(_linalg, "smith_normal_form", recording)
-        census = quotient_census(datum, dual, lat)
+        census = quotient_census(dual, lat)
     ((diag, _),) = seen
     ref = sympy_smith(Matrix(change), domain=ZZ)
     assert diag == [abs(int(ref[i, i])) for i in range(n)]
@@ -601,7 +601,7 @@ def test_finite_census_reps_fill_the_hermite_box(change, series):
     rows = [[sum(c * h[j] for c, h in zip(coeffs, part.hnf)) for j in range(n)]
             for coeffs in change]
     lat = canonical_basis(datum, [Weight.over(row, part.denominator) for row in rows])
-    census = quotient_census(datum, dual, lat)
+    census = quotient_census(dual, lat)
     order = abs(int(Matrix(change).det()))
     ref = sympy_smith(Matrix(change), domain=ZZ)
     assert census.finite and census.order == order
@@ -642,7 +642,7 @@ def test_infinite_census_factors_match_sympy(case):
     datum, lat = case
     start = time.perf_counter()
     dual = scaled_dual(datum, lat)
-    census = quotient_census(datum, dual, lat)
+    census = quotient_census(dual, lat)
     assert time.perf_counter() - start < 2.0
     assert not census.finite and census.reps is None and census.order is None
     assert census.complement_dimension == datum.rank - lat.rank

@@ -11,10 +11,9 @@ so it is caught here instead.
 import importlib
 import importlib.util
 import json
-import os
-import subprocess
-import sys
 from pathlib import Path
+
+from helpers import run_cli
 
 ROOT = Path(__file__).resolve().parents[1]
 SPANS = ROOT / "perfbench" / "spans.py"
@@ -75,12 +74,7 @@ def test_every_tracer_target_is_a_uproll_callable():
 
 
 def test_traced_sample_reaches_every_required_span():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", SAMPLE, str(SPANS)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_cli(["-c", SAMPLE, str(SPANS)])
     assert done.returncode == 0, done.stderr
     missing = json.loads(done.stdout.splitlines()[-1])
     assert missing == {"spec-stream": [], "triplet-census": [], "cocycle-box": []}
@@ -103,11 +97,6 @@ print(json.dumps(tracer.missing("triplet-census")))
 
 
 def test_triplet_report_alone_reaches_the_triplet_census_spans():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
-    done = subprocess.run(
-        [sys.executable, "-c", TRIPLET_ONLY, str(SPANS)],
-        capture_output=True, text=True, env=env, timeout=120,
-    )
+    done = run_cli(["-c", TRIPLET_ONLY, str(SPANS)])
     assert done.returncode == 0, done.stderr
     assert json.loads(done.stdout.splitlines()[-1]) == []
