@@ -112,6 +112,16 @@ class TableEntries(Mapping):
                     raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")
 
 
+def read_exponents(items, ell: int, den: int = 1) -> tuple[list[int], int]:
+    """The ExponentModL values of (key, value) items as integers over d,
+    the lcm of den and their denominators, and d; each must be mod ell."""
+    for key, x in items:
+        if x.modulus != ell:
+            raise ValueError(f"exponents live at different orders of q: {x.modulus} at {key}, {ell} in the table")
+    den = lcm(den, *(x.den for _, x in items))
+    return [x.num * (den // x.den) for _, x in items], den
+
+
 class CocycleTable(Record):
     """Structure-constant exponents on a bounded coefficient box.
 
@@ -132,17 +142,13 @@ class CocycleTable(Record):
         if not isinstance(entries, TableEntries) or (
             entries.ell, entries.grid.box, entries.grid.dimension
         ) != (ell, box, len(generators)):
-            grid, den = Grid(len(generators), box), lcm(1, *(e.den for e in entries.values()))
+            grid, items = Grid(len(generators), box), list(entries.items())
+            nums, den = read_exponents(items, ell)
             rows = [[None] * len(grid.vecs) for _ in grid.vecs]
-            for key, e in entries.items():
-                left, right = key
+            for ((left, right), _), x in zip(items, nums):
                 if left not in grid.index or right not in grid.index:
-                    raise ValueError(f"pair {key} lies outside the box {box}")
-                if e.modulus != ell:
-                    raise ValueError(
-                        f"exponents live at different orders of q: {e.modulus} at {key}, {ell} in the table"
-                    )
-                rows[grid.index[left]][grid.index[right]] = e.num * (den // e.den)
+                    raise ValueError(f"pair {(left, right)} lies outside the box {box}")
+                rows[grid.index[left]][grid.index[right]] = x
             entries = TableEntries(grid, ell, rows, den)
         super().__init__(generators, box, ell, entries)
 
@@ -196,22 +202,16 @@ def coboundary_rows(grid: Grid, rows, f) -> list[list]:
 
 def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
     """algebra.apply_coboundary on the table's rows."""
-    grid, ell = entries.grid, entries.ell
-    values = []
+    grid, items = entries.grid, []
     for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension):
         if (x := phi.get(vec)) is None:
             raise IncompleteTable(f"coboundary cochain missing {vec}")
-        if x.modulus != ell:
-            raise ValueError(
-                f"exponents live at different orders of q: {x.modulus} at {vec}, {ell} in the table"
-            )
-        values.append(x)
-    den = lcm(entries.den, *(x.den for x in values))
+        items.append((vec, x))
+    f, den = read_exponents(items, entries.ell, entries.den)
     rows = entries.rows
     if (up := den // entries.den) > 1:
         rows = [[x if x is None else x * up for x in row] for row in rows]
-    f = [x.num * (den // x.den) for x in values]
-    return TableEntries(grid, ell, coboundary_rows(grid, rows, f), den)
+    return TableEntries(grid, entries.ell, coboundary_rows(grid, rows, f), den)
 
 
 def normalize(entries: TableEntries) -> tuple[list[int], TableEntries]:

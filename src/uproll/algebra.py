@@ -44,11 +44,11 @@ from .cartan import (
     scaled_coords,
 )
 from .errors import (
-    BudgetExceeded,
     DependentGenerators,
     MuNotHalfOdd,
     NotInLattice,
     NotInSimpleCurrentLattice,
+    check_budget,
 )
 from .lattice import adjoin, canonical_basis
 
@@ -74,8 +74,7 @@ class AlgebraSpec:
         self.generators = tuple(generators)
         self.mu = mu
         k = len(self.generators) + (mu is not None)
-        if k * k > MAX_TABLE_ENTRIES:
-            raise BudgetExceeded(f"{k} generators make {k * k} pairs, over the budget of {MAX_TABLE_ENTRIES}")
+        check_budget("spec", k * k, f"pairs of {k} generators", MAX_TABLE_ENTRIES)
         for g in self.generators:
             if not in_simple_current_lattice(datum, g):
                 raise NotInSimpleCurrentLattice(
@@ -253,9 +252,7 @@ def check_box_budget(box: int, dimension: int) -> None:
     on it vacuous) and one of more than MAX_TABLE_ENTRIES pairs."""
     if box < 0:
         raise ValueError(f"box bound must be >= 0, got {box}")
-    size = (2 * box + 1) ** (2 * dimension)
-    if size > MAX_TABLE_ENTRIES:
-        raise BudgetExceeded(f"box {box} has {size} coefficient pairs, over {MAX_TABLE_ENTRIES}")
+    check_budget("box", (2 * box + 1) ** (2 * dimension), f"coefficient pairs in box {box}", MAX_TABLE_ENTRIES)
 
 
 def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:

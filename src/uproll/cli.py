@@ -22,12 +22,12 @@ Exit codes:
      weight is not local
   6  stdout was closed before the report was written (for example by
      "| head"); the report is dropped without a traceback
-  7  the work exceeds a fixed budget and is refused before it starts: a
-     census of more than lattice.MAX_CENSUS_ORDER representatives; more
-     than algebra.MAX_TABLE_ENTRIES pairs in a monodromy table, a bq
-     ext_weights list, an oracle box or a spec's generators with mu (317
-     or more), or associativity triples in an oracle cocycle scan; or an
-     oracle coset search of more than lattice.MAX_CENSUS_ORDER combinations
+  7  the work exceeds a fixed budget and is refused before it starts, with
+     "budget exceeded: <stage>: <size> <what>, over the budget of <limit>"
+     on stderr.  Stages census (reps) and coset search (oracle combinations)
+     are bounded by lattice.MAX_CENSUS_ORDER; spec (generator pairs, mu
+     included), box (oracle box pairs), cocycle scan (oracle triples),
+     monodromy table and bq (their pairs) by algebra.MAX_TABLE_ENTRIES
 
 A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
 refused before any Cartan data is built.
@@ -61,6 +61,7 @@ from .errors import (
     NotLocal,
     NotSubgroup,
     UprollError,
+    check_budget,
 )
 
 # The package loads each library module on its first read.
@@ -225,9 +226,7 @@ def _cmd_monodromy(args) -> dict:
         if not census.finite:
             raise InfiniteCensus("monodromy table needs a finite census")
         size = census.order * (census.order + 1) // 2
-        budget = uproll.algebra.MAX_TABLE_ENTRIES
-        if size > budget:
-            raise BudgetExceeded(f"monodromy table of {size} pairs exceeds the budget of {budget}")
+        check_budget("monodromy table", size, "pairs", uproll.algebra.MAX_TABLE_ENTRIES)
         reps = tuple(census.reps)
         pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i:]]
     return {
@@ -301,9 +300,8 @@ def _cmd_bq(args) -> dict:
         item = _doc_object(item, f"ext_weights[{i}]", "qg", "fock")
         qg, fock = (_doc_row(item[k], datum.rank, f"ext_weights[{i}].{k}") for k in ("qg", "fock"))
         ext_weights.append(ext.ExtWeight(qg, fock))
-    size, budget = len(ext_weights) * (len(ext_weights) - 1) // 2, uproll.algebra.MAX_TABLE_ENTRIES
-    if size > budget:
-        raise BudgetExceeded(f"{len(ext_weights)} ext_weights make {size} pairs, over the budget of {budget}")
+    size = len(ext_weights) * (len(ext_weights) - 1) // 2
+    check_budget("bq", size, f"pairs of {len(ext_weights)} ext_weights", uproll.algebra.MAX_TABLE_ENTRIES)
     rows = []
     for w in ext_weights:
         local = ext.bq_is_local(spec, w) if spec.is_standard else None
@@ -335,19 +333,18 @@ def _cmd_bq(args) -> dict:
 
 def _cmd_oracle(args) -> dict:
     _, spec = _doc_spec(_load_document(args))
-    # The cocycle scan's budget is the tighter one, so it refuses first.
-    cocycle = uproll.oracle.brute_cocycle(spec, args.box)
-    out = {
+    # Every budget refuses before a scan: the coset count checks its own first.
+    uproll.oracle.cocycle_box(spec, args.box)
+    try:
+        order = uproll.oracle.brute_census_order(spec)
+    except (InfiniteCensus, AlgebraInvalid):
+        order = None
+    return {
         "box": args.box,
         "brute_commutativity": uproll.oracle.brute_commutativity(spec, args.box),
-        "brute_cocycle": cocycle,
-        "brute_census_order": None,
+        "brute_cocycle": uproll.oracle.brute_cocycle(spec, args.box),
+        "brute_census_order": order,
     }
-    try:
-        out["brute_census_order"] = uproll.oracle.brute_census_order(spec)
-    except (InfiniteCensus, AlgebraInvalid):
-        pass
-    return out
 
 
 _COMMANDS = {

@@ -66,5 +66,12 @@ class BudgetExceeded(UprollError):
     before anything was allocated."""
 
 
+def check_budget(stage: str, size: int, what: str, limit: int) -> None:
+    """Refuse work of more than limit units before it starts: raise
+    BudgetExceeded as "<stage>: <size> <what>, over the budget of <limit>"."""
+    if size > limit:
+        raise BudgetExceeded(f"{stage}: {size} {what}, over the budget of {limit}")
+
+
 class InternalError(RuntimeError):
     """An invariant of the library itself failed: a bug, never bad input."""

@@ -27,7 +27,7 @@ from typing import TYPE_CHECKING
 from . import _linalg
 from ._record import Record
 from .cartan import CartanDatum, Weight, common_rows, form_matrix
-from .errors import BudgetExceeded, DimensionMismatch, InternalError, NotSubgroup
+from .errors import DimensionMismatch, InternalError, NotSubgroup, check_budget
 
 if TYPE_CHECKING:
     from ._census import CensusReps
@@ -131,8 +131,6 @@ class DualGroup(Record):
     complement_dimension counts the orthogonal directions.
     """
 
-    datum: CartanDatum
-    source: RationalLattice
     complement_dimension: int
     lattice_part: RationalLattice
 
@@ -157,7 +155,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
     num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
-    return DualGroup(datum, lattice, n - lattice.rank, _from_rows(n, rows, den // common))
+    return DualGroup(n - lattice.rank, _from_rows(n, rows, den // common))
 
 
 class Census(Record):
@@ -213,10 +211,8 @@ def quotient_census(dual: DualGroup, lattice: RationalLattice) -> Census:
         if order == 0:
             raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
     finite = square and not dual.complement_dimension
-    if finite and order > MAX_CENSUS_ORDER:
-        raise BudgetExceeded(
-            f"census of order {order} exceeds the budget of {MAX_CENSUS_ORDER} representatives"
-        )
+    if finite:
+        check_budget("census", order, "representatives", MAX_CENSUS_ORDER)
     box = _linalg.row_hermite_form(change)
     factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
     if not finite:

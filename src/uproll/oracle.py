@@ -6,8 +6,8 @@ they apply to whole weights, and, for the census-based checks, the
 census itself, they share no code with the closed forms they validate;
 they take no shortcuts and are deliberately naive.  A box of more than
 ``algebra.MAX_TABLE_ENTRIES`` pairs, a cocycle scan of more triples than
-that, or a coset search over more than ``lattice.MAX_CENSUS_ORDER``
-combinations raises BudgetExceeded before anything is enumerated.
+that, or a coset search over a census or combinations past
+``lattice.MAX_CENSUS_ORDER`` is refused before anything is enumerated.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from itertools import product
 from ._record import Record
 from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, check_box_budget, structure_constant_table
 from .cartan import Weight, is_multiple, pairing
-from .errors import BudgetExceeded, InfiniteCensus
+from .errors import InfiniteCensus, check_budget
 from .lattice import MAX_CENSUS_ORDER, coset_reduce, scaled_dual
 from .localmod import simple_census
 
@@ -65,22 +65,27 @@ def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     return True
 
 
+def cocycle_box(spec: AlgebraSpec, box) -> Box:
+    """brute_cocycle's box, refused past MAX_TABLE_ENTRIES triples.  The scan
+    visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d of them (b has entry t,
+    a and c one of 2 box + 1 - |t|), never fewer than the pairs of this box
+    or of brute_commutativity's, which has no more axes."""
+    b = Box(int(box), len(spec.ordered_basis))
+    B, m = b.bound, 2 * b.bound + 1
+    triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
+    check_budget("cocycle scan", triples, f"associativity triples in box {B}", MAX_TABLE_ENTRIES)
+    return b
+
+
 def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     """Build the normal-form table and grind through its congruences.
 
     Verifies the unit rows, associativity on every in-box triple, and
     the ungraded commutation relation e(a, b) = e(b, a) + <a, b>, all
     mod ell.  Supercommutative specs fail the last relation on odd-odd
-    pairs by design; this oracle targets the commutative case.  The scan
-    visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d triples (b has entry t,
-    a and c one of 2 box + 1 - |t|), a closed form never below the box's
-    pair count; above MAX_TABLE_ENTRIES it is refused.
+    pairs by design; this oracle targets the commutative case.
     """
-    b = Box(int(box), len(spec.ordered_basis))
-    B, m = b.bound, 2 * b.bound + 1
-    triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
-    if triples > MAX_TABLE_ENTRIES:
-        raise BudgetExceeded(f"box {b.bound} has {triples} associativity triples, over {MAX_TABLE_ENTRIES}")
+    b = cocycle_box(spec, box)
     table = structure_constant_table(spec, b.bound)
     datum = spec.datum
     ell = datum.ell
@@ -117,20 +122,17 @@ def brute_census_order(spec: AlgebraSpec, box=None) -> int:
     length wide enough for one fundamental domain (the largest invariant
     factor, since that multiple of the dual falls back into the lattice)
     and counts distinct cosets by direct membership tests.  A smaller
-    caller-supplied box yields a lower bound.
+    caller-supplied box yields a lower bound.  Its census is refused past
+    MAX_CENSUS_ORDER like any other, and so is a search over more
+    combinations.
     """
     census = simple_census(spec)
     if not census.finite:
         raise InfiniteCensus("coset enumeration needs a finite quotient")
     side = int(box) if box is not None else max(census.invariant_factors, default=1)
     lat = spec.extended_lattice
-    dual = scaled_dual(spec.datum, lat)
-    rows = dual.lattice_part.canonical_rows
-    combos = max(side, 0) ** len(rows)
-    if combos > MAX_CENSUS_ORDER:
-        raise BudgetExceeded(
-            f"coset search over {combos} combinations exceeds {MAX_CENSUS_ORDER}"
-        )
+    rows = scaled_dual(spec.datum, lat).lattice_part.canonical_rows
+    check_budget("coset search", max(side, 0) ** len(rows), "coset combinations", MAX_CENSUS_ORDER)
     found = set()
     for combo in product(range(side), repeat=len(rows)):
         found.add(coset_reduce(lat, _weight_of(combo, rows, spec.datum.rank)))

@@ -1,8 +1,10 @@
+import ast
 import json
 import subprocess
 import sys
 import time
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from helpers import child_env, run_cli
@@ -551,7 +553,9 @@ def test_oracle_over_the_triple_budget_exits_seven_within_a_second(box, doc, tri
     assert time.perf_counter() - start < 1
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == f"budget exceeded: box {box} has {triples} associativity triples, over 100000\n"
+    assert captured.err == (
+        f"budget exceeded: cocycle scan: {triples} associativity triples in box {box}, over the budget of 100000\n"
+    )
 
 
 def test_oracle_refuses_the_cocycle_scan_before_the_pair_scan(tmp_path, monkeypatch, capsys):
@@ -559,7 +563,83 @@ def test_oracle_refuses_the_cocycle_scan_before_the_pair_scan(tmp_path, monkeypa
     monkeypatch.setattr(uproll.oracle, "brute_commutativity",
                         lambda *args: pytest.fail("the pair scan ran before the refusal"))
     assert run(["oracle", "--box", "8", "--input", write_doc(tmp_path, "p.json", doc)]) == 7
-    assert capsys.readouterr().err.startswith("budget exceeded: box 8 has 8254129 associativity")
+    assert capsys.readouterr().err.startswith("budget exceeded: cocycle scan: 8254129 associativity triples in box 8")
+
+
+# The A2 lattice 300 Q at ell = 300 has a census of order 67,500 whose coset
+# search spans 202,500 combinations; 600 Q at ell = 600 has order 270,000.
+A2_300 = {"series": "A", "rank": 2, "ell": 300, "lattice": [["300", "-150"], ["-150", "300"]]}
+A2_600 = {"series": "A", "rank": 2, "ell": 600, "lattice": [["600", "-300"], ["-300", "600"]]}
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["triplet", "--series", "E", "--rank", "8", "--r", "30"], None,
+         "census: 656100000000 representatives"),
+        (["check-algebra"], {**A1_4, "ell": 6, "lattice": [["3"]] * 317}, "spec: 100489 pairs of 317 generators"),
+        (["oracle", "--box", str(10**9)], {**A1_4, "lattice": [["4"]]},
+         "box: 4000000004000000001 coefficient pairs in box 1000000000"),
+        (["oracle", "--box", "8"], {"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]},
+         "cocycle scan: 8254129 associativity triples in box 8"),
+        (["oracle", "--box", "3"], A2_300, "coset search: 202500 coset combinations"),
+        (["monodromy"], {**A1_4, "lattice": [["44"]]}, "monodromy table: 117370 pairs"),
+        (["bq"], {**A1_4, "ext_weights": [{"qg": ["1"], "fock": ["1"]}] * 448}, "bq: 100128 pairs of 448 ext_weights"),
+    ],
+    ids=["census", "spec", "box", "cocycle-scan", "coset-search", "monodromy-table", "bq"],
+)
+def test_every_refusal_names_its_stage(argv, doc, message, tmp_path, capsys):
+    if doc is not None:
+        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
+    start = time.perf_counter()
+    assert run(argv) == 7
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: {message}, over the budget of 100000\n"
+
+
+def budget_refusals(source: str) -> list[int]:
+    """The lines of the source that build a BudgetExceeded, by a call or by
+    raising the class itself."""
+    def named(node):
+        return getattr(node, "id", getattr(node, "attr", None)) == "BudgetExceeded"
+
+    return [
+        node.lineno
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and named(node.func) or isinstance(node, ast.Raise) and named(node.exc)
+    ]
+
+
+def test_only_the_errors_module_builds_budget_exceeded():
+    # The walk finds calls and bare raises, and not imports, handlers or text.
+    snippet = (
+        '"""raise BudgetExceeded("x")"""\n'
+        "raise BudgetExceeded(f'{size} pairs')\n"
+        "raise errors.BudgetExceeded\n"
+        "from .errors import BudgetExceeded\n"
+        "try:\n    pass\nexcept BudgetExceeded as exc:\n    pass\n"
+    )
+    assert sorted(budget_refusals(snippet)) == [2, 3]
+    src = Path(uproll.__file__).parent
+    builders = {}
+    for path in sorted(src.glob("*.py")):
+        if lines := budget_refusals(path.read_text(encoding="utf-8")):
+            builders[path.name] = lines
+    assert set(builders) == {"errors.py"}, builders
+
+
+@pytest.mark.parametrize(
+    "doc,message",
+    [(A2_300, "coset search: 202500 coset combinations"), (A2_600, "census: 270000 representatives")],
+    ids=["coset-search", "census"],
+)
+def test_oracle_checks_every_budget_before_it_scans(doc, message, tmp_path, monkeypatch, capsys):
+    for scan in ("brute_commutativity", "brute_cocycle"):
+        monkeypatch.setattr(uproll.oracle, scan, lambda *args, scan=scan: pytest.fail(f"{scan} ran before the refusal"))
+    assert run(["oracle", "--box", "3", "--input", write_doc(tmp_path, "p.json", doc)]) == 7
+    assert capsys.readouterr().err.startswith(f"budget exceeded: {message}, ")
 
 
 def test_oracle_on_no_generators_takes_any_box_at_once(tmp_path, capsys):

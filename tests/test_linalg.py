@@ -400,10 +400,11 @@ def test_scaled_dual_of_a_dense_rank_deficient_lattice_within_a_time_bound(serie
     nonzero = [x for x in range(-9, 10) if x]
     rows = [[scale * rng.choice(nonzero) for _ in range(rank)] for _ in range(rank - 1)]
     with time_limit(HERMITE_TIME_BOUND):
-        dual = scaled_dual(datum, canonical_basis(datum, [Weight.over(row, 1) for row in rows]))
+        lattice = canonical_basis(datum, [Weight.over(row, 1) for row in rows])
+        dual = scaled_dual(datum, lattice)
     part = dual.lattice_part
     assert (part.rank, dual.complement_dimension) == (rank - 1, 1)
-    assert all(in_dual(datum, dual.source, row, part.denominator) for row in part.hnf)
+    assert all(in_dual(datum, lattice, row, part.denominator) for row in part.hnf)
 
 
 def test_census_on_dense_generators_exits_within_a_time_bound(tmp_path, capsys):

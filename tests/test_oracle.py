@@ -47,7 +47,7 @@ class TestBox:
         assert (2 * bound + 1) ** (2 * dimension) <= MAX_TABLE_ENTRIES < triples
         a1, a2 = A2_6.simple_root(0), A2_6.simple_root(1)
         spec = AlgebraSpec(A2_6, [3 * a1, 3 * a2, 6 * a1, 6 * a2, 9 * a1][:dimension])
-        with pytest.raises(BudgetExceeded, match=f"box {bound} has {triples} associativity triples"):
+        with pytest.raises(BudgetExceeded, match=f"cocycle scan: {triples} associativity triples in box {bound},"):
             brute_cocycle(spec, bound)
 
     def test_cocycle_oracle_runs_within_the_triple_budget(self):
