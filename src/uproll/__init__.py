@@ -18,9 +18,8 @@ _HOMES = {
     **dict.fromkeys(("cartan", "CartanDatum", "ExponentModL", "Weight", "alpha_coordinates",
                      "build_cartan_datum", "exponent", "in_root_lattice",
                      "in_simple_current_lattice", "is_multiple", "pairing", "weight"), "cartan"),
-    **dict.fromkeys(("lattice", "AdjoinResult", "Census", "DualGroup", "RationalLattice",
-                     "adjoin", "canonical_basis", "contains", "coset_reduce", "quotient_census",
-                     "scaled_dual"), "lattice"),
+    **dict.fromkeys(("lattice", "Census", "RationalLattice", "adjoin", "canonical_basis",
+                     "contains", "coset_reduce", "quotient_census", "scaled_dual"), "lattice"),
     **dict.fromkeys(("algebra", "AlgebraSpec", "CocycleVerdict", "CommutativityVerdict",
                      "GaugeResult", "SuperVerdict", "Witness", "apply_coboundary",
                      "check_commutative", "check_supercommutative", "cocycle_check",

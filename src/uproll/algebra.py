@@ -50,7 +50,7 @@ from .errors import (
     NotInSimpleCurrentLattice,
     check_budget,
 )
-from .lattice import adjoin, canonical_basis
+from .lattice import adjoin, canonical_basis, contains
 
 if TYPE_CHECKING:
     from ._table import CocycleTable
@@ -88,12 +88,11 @@ class AlgebraSpec:
                 raise NotInSimpleCurrentLattice(
                     f"odd generator {mu!r} is outside the simple-current lattice"
                 )
-            joined = adjoin(self.lattice, mu)
-            if joined.mu_in_lattice:
+            self.extended_lattice = adjoin(self.lattice, mu)
+            if contains(self.lattice, mu):
                 raise MuNotHalfOdd(f"odd generator {mu!r} already lies in L")
-            if not joined.two_mu_in_lattice:
+            if not contains(self.lattice, 2 * mu):
                 raise MuNotHalfOdd(f"twice the odd generator {mu!r} must lie in L")
-            self.extended_lattice = joined.lattice
 
     @property
     def ordered_basis(self) -> tuple[Weight, ...]:

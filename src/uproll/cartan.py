@@ -432,8 +432,8 @@ def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], 
     """The pairings <w_i, w_j> as an integer matrix P over the least denominator
     p: over the weights' common denominator d each is an integer over
     M = N d^2, and p = M / gcd(M, *P)."""
-    if any(len(w) != datum.rank for w in weights):
-        raise DimensionMismatch(f"weights must have length {datum.rank}")
+    for w in weights:
+        scaled_coords(datum, w)  # the length check
     rows, d = common_rows(weights)
     mat = form_matrix(datum.scaled_gram, rows)
     m = datum.gram_denominator * d * d

@@ -24,7 +24,8 @@ Exit codes:
      "| head"); the report is dropped without a traceback
   7  the work exceeds a fixed budget and is refused before it starts, with
      "budget exceeded: <stage>: <size> <what>, over the budget of <limit>"
-     on stderr.  Stages census (reps) and coset search (oracle combinations)
+     on stderr, a size too long to print as a decimal shown as "about
+     2^<bits>".  Stages census (reps) and coset search (oracle combinations)
      are bounded by lattice.MAX_CENSUS_ORDER; spec (generator pairs, mu
      included), box (oracle box pairs), cocycle scan (oracle triples),
      monodromy table and bq (their pairs) by algebra.MAX_TABLE_ENTRIES

@@ -68,9 +68,14 @@ class BudgetExceeded(UprollError):
 
 def check_budget(stage: str, size: int, what: str, limit: int) -> None:
     """Refuse work of more than limit units before it starts: raise
-    BudgetExceeded as "<stage>: <size> <what>, over the budget of <limit>"."""
+    BudgetExceeded as "<stage>: <size> <what>, over the budget of <limit>",
+    with a size too long to print as a decimal shown as "about 2^<bits>"."""
     if size > limit:
-        raise BudgetExceeded(f"{stage}: {size} {what}, over the budget of {limit}")
+        try:
+            shown = str(size)
+        except ValueError:  # past the interpreter's limit on integer digits
+            shown = f"about 2^{size.bit_length()}"
+        raise BudgetExceeded(f"{stage}: {shown} {what}, over the budget of {limit}")
 
 
 class InternalError(RuntimeError):

@@ -9,12 +9,14 @@ equality of (ambient rank, HNF rows, denominator).
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
-point.  Every census takes its invariant factors off the Smith form of H,
-the Hermite form of the change of basis; a lattice below the rank of the
-dual's lattice part leaves it infinite.  A finite census lists Sum c_i D_i
-over the dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
-(uproll._census) keeps only that mixed-radix system, derives each rep as
-it is read and reads a weight's digits off at the pivots of the rows.
+point.  Each operation on lattices returns one: adjoin gives the join and
+scaled_dual the dual within the span of L, of the rank of L.  Every census
+takes its invariant factors off the Smith form of H, the Hermite form of
+the change of basis; a lattice below the rank of the dual leaves it
+infinite.  A finite census lists Sum c_i D_i over the dual's HNF rows D_i
+with 0 <= c_i < H_ii; its view CensusReps (uproll._census) keeps only
+that mixed-radix system, derives each rep as it is read and reads a
+weight's digits off at the pivots of the rows.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, common_rows, form_matrix
+from .cartan import CartanDatum, Weight, common_rows, form_matrix, scaled_coords
 from .errors import DimensionMismatch, InternalError, NotSubgroup, check_budget
 
 if TYPE_CHECKING:
@@ -63,11 +65,9 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
     denominator, which is then reduced to row Hermite normal form.
     """
     gens = tuple(generators)
-    n = datum.rank
     for g in gens:
-        if len(g) != n:
-            raise DimensionMismatch(f"generator {g!r} must have length {n}")
-    return _from_rows(n, *common_rows(gens))
+        scaled_coords(datum, g)  # the length check
+    return _from_rows(datum.rank, *common_rows(gens))
 
 
 def _from_rows(n: int, rows, den: int) -> RationalLattice:
@@ -79,9 +79,7 @@ def _from_rows(n: int, rows, den: int) -> RationalLattice:
 def _over(lattice: RationalLattice, lam: Weight) -> tuple[list[list[int]], list[int], int]:
     """The lattice's HNF rows and lam as integers over one denominator."""
     if len(lam) != lattice.rank_ambient:
-        raise DimensionMismatch(
-            f"weight must have length {lattice.rank_ambient}"
-        )
+        raise DimensionMismatch(f"weights must have length {lattice.rank_ambient}")
     den = lcm(lattice.denominator, lam.den)
     s = den // lattice.denominator
     return [[s * a for a in row] for row in lattice.hnf], lam.row_over(den), den
@@ -104,35 +102,10 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
     return Weight.over(_linalg.echelon_reduce(x, rows)[0], den)
 
 
-class AdjoinResult(Record):
-    """Outcome of adjoining one weight to a lattice."""
-
-    lattice: RationalLattice
-    mu_in_lattice: bool
-    two_mu_in_lattice: bool
-
-
-def adjoin(lattice: RationalLattice, mu: Weight) -> AdjoinResult:
-    """Canonical form of L + Z*mu, with the flags (mu in L, 2*mu in L), both
-    read off one reduction: 2*mu is in L when 2*(mu mod L) reduces to zero."""
+def adjoin(lattice: RationalLattice, mu: Weight) -> RationalLattice:
+    """Canonical form of L + Z*mu."""
     rows, x, den = _over(lattice, mu)
-    rest = _linalg.echelon_reduce(x, rows)[0]
-    twice = _linalg.echelon_reduce([2 * a for a in rest], rows)[0]
-    joined = _from_rows(lattice.rank_ambient, rows + [x], den)
-    return AdjoinResult(joined, not any(rest), not any(twice))
-
-
-class DualGroup(Record):
-    """The group of weights pairing into (ell/2) Z with every element of L.
-
-    When L has full rank this is itself a full lattice and lattice_part
-    describes it completely.  Otherwise the group contains a continuum:
-    lattice_part is the dual restricted to the rational span of L, and
-    complement_dimension counts the orthogonal directions.
-    """
-
-    complement_dimension: int
-    lattice_part: RationalLattice
+    return _from_rows(lattice.rank_ambient, rows + [x], den)
 
 
 def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
@@ -143,19 +116,23 @@ def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
     return all(2 * p % step == 0 for p in form_matrix(datum.scaled_gram, [x], lattice.hnf)[0])
 
 
-def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> DualGroup:
-    """The scaled dual group {x : 2<x, g> in ell*Z for all g in L}."""
-    n = datum.rank
+def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice:
+    """The scaled dual group {x : 2<x, g> in ell*Z for all g in L} within
+    the rational span of L, a lattice of the rank of L.  The full group
+    adds the orthogonal complement of L, a continuum of dimension
+    rank_ambient - rank.
+    """
     # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
     # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
-    # the basis gives the dual rows adj(P) H * ell N d / (2 det P).
+    # the basis gives the dual rows adj(P) H * ell N d / (2 det P); P is
+    # positive definite, so adj(P) is invertible and the rank is that of L.
     h = lattice.hnf
     adj, det = _linalg.mat_inverse(form_matrix(datum.scaled_gram, h))
     rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
     num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
-    return DualGroup(n - lattice.rank, _from_rows(n, rows, den // common))
+    return _from_rows(datum.rank, rows, den // common)
 
 
 class Census(Record):
@@ -172,7 +149,7 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
     # sum c_j (dl D_j) = dd L_i, an equation over the integers; one
     # elimination of the dual rows solves it for every lattice row.
-    # The lattice part is the dual within its span, so a row in the span is in
+    # dual is the full dual group within its span, so a row in the span is in
     # the dual exactly when its coefficients are integers; a row outside it can
     # be only through the continuous part, which the census does not cover.
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
@@ -186,39 +163,39 @@ def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[li
     return [[c // den for c in coeffs] for coeffs in solutions]
 
 
-def quotient_census(dual: DualGroup, lattice: RationalLattice) -> Census:
-    """Invariant factors and coset representatives of dual / lattice.
+def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
+    """Invariant factors and coset representatives of dual / lattice, where
+    dual is a scaled dual: the dual group within the span of its source.
 
-    Every generator of the lattice must lie in the span of the dual's
-    lattice part, and in the dual: the dual condition is read off the
-    change of basis, whose coefficients must be integers.  A failure
-    raises NotSubgroup, which signals a non-local summand upstream.  Every
-    quotient takes its invariant factors off the Smith form of H, the
-    Hermite form of the change of basis; it is finite when the lattice
-    has the rank of the dual's lattice part and the dual no continuous
-    part, and a finite order above MAX_CENSUS_ORDER raises BudgetExceeded
-    before either form is taken.  A finite census lists Sum c_i D_i over
-    the dual's HNF rows D_i with 0 <= c_i < H_ii, one per coset (Cohen,
-    GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
+    Every generator of the lattice must lie in the span of the dual, and
+    in the dual: the dual condition is read off the change of basis,
+    whose coefficients must be integers.  A failure raises NotSubgroup,
+    which signals a non-local summand upstream.  Every quotient takes its
+    invariant factors off the Smith form of H, the Hermite form of the
+    change of basis; it is finite when the lattice has the rank of the
+    dual and the dual has full rank, so that the full dual group has no
+    continuous part, and a finite order above MAX_CENSUS_ORDER raises
+    BudgetExceeded before either form is taken.  A finite census lists
+    Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii, one per
+    coset (Cohen, GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
     """
     # The change of basis comes from one elimination of the dual rows.  When
-    # it is square, its determinant is the order of the quotient of the
-    # dual's lattice part.
-    change = _change_of_basis(dual.lattice_part, lattice)
-    square = lattice.rank == dual.lattice_part.rank
+    # it is square, its determinant is the order of the quotient.
+    change = _change_of_basis(dual, lattice)
+    square = lattice.rank == dual.rank
     if square:
         order = abs(_linalg.det_int(change))
         if order == 0:
-            raise InternalError(f"rank-{lattice.rank} lattice has a singular change of basis")
-    finite = square and not dual.complement_dimension
+            raise InternalError(f"change of basis: rank-{lattice.rank} lattice has a singular change of basis")
+    complement = dual.rank_ambient - dual.rank
+    finite = square and not complement
     if finite:
         check_budget("census", order, "representatives", MAX_CENSUS_ORDER)
     box = _linalg.row_hermite_form(change)
     factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
     if not finite:
-        return Census(False, factors, None, None, dual.complement_dimension)
+        return Census(False, factors, None, None, complement)
     from ._census import CensusReps
 
-    part = dual.lattice_part
-    radix = [(row[i], step) for i, (row, step) in enumerate(zip(box, part.hnf)) if row[i] > 1]
-    return Census(True, factors, CensusReps(radix, part.denominator, lattice.rank_ambient), order, 0)
+    radix = [(row[i], step) for i, (row, step) in enumerate(zip(box, dual.hnf)) if row[i] > 1]
+    return Census(True, factors, CensusReps(radix, dual.denominator, lattice.rank_ambient), order, 0)

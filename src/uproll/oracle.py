@@ -131,7 +131,7 @@ def brute_census_order(spec: AlgebraSpec, box=None) -> int:
         raise InfiniteCensus("coset enumeration needs a finite quotient")
     side = int(box) if box is not None else max(census.invariant_factors, default=1)
     lat = spec.extended_lattice
-    rows = scaled_dual(spec.datum, lat).lattice_part.canonical_rows
+    rows = scaled_dual(spec.datum, lat).canonical_rows
     check_budget("coset search", max(side, 0) ** len(rows), "coset combinations", MAX_CENSUS_ORDER)
     found = set()
     for combo in product(range(side), repeat=len(rows)):

@@ -50,7 +50,7 @@ def box_reps(datum, lat) -> tuple:
     every coefficient vector c with 0 <= c_i < H_ii, H the Hermite form of
     the change of basis, last coefficient fastest, over the dual's HNF
     rows."""
-    part = scaled_dual(datum, lat).lattice_part
+    part = scaled_dual(datum, lat)
     box = _linalg.row_hermite_form(_change_of_basis(part, lat))
     rows = [Weight(tuple(Fraction(x, part.denominator) for x in row)) for row in part.hnf]
     reps = []
@@ -341,7 +341,7 @@ def check_views(spec) -> list:
         outsiders += [brute[0] + s * a, brute[-1] + s * a, brute[0] - a]
     # A unit row over den outside the dual's lattice part has a digit that
     # is no integer, or lies outside the span of the steps.
-    part = scaled_dual(datum, spec.extended_lattice).lattice_part
+    part = scaled_dual(datum, spec.extended_lattice)
     for j in range(rank):
         w = Weight.over([int(i == j) for i in range(rank)], den)
         if not lattice.contains(part, w):

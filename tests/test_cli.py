@@ -599,6 +599,61 @@ def test_every_refusal_names_its_stage(argv, doc, message, tmp_path, capsys):
     assert captured.err == f"budget exceeded: {message}, over the budget of 100000\n"
 
 
+@pytest.fixture
+def default_digit_limit():
+    """Python's default limit of 4300 digits on int-to-str conversion, which
+    an environment variable or an earlier test may have moved."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    yield
+    sys.set_int_max_str_digits(saved)
+
+
+@pytest.mark.parametrize(
+    "argv,doc,message",
+    [
+        (["triplet", "--series", "A", "--rank", "8", "--r", str(10**600 + 1)], None,
+         "census: about 2^15949 representatives"),
+        (["oracle", "--box", str(10**2200)], {**A1_4, "lattice": [["4"]]},
+         f"box: about 2^14619 coefficient pairs in box {10**2200}"),
+        (["census"], {**A1_4, "ell": 6, "lattice": [[str(3 * 10**2200)]]},
+         "census: about 2^14618 representatives"),
+    ],
+    ids=["triplet-census", "oracle-box", "census"],
+)
+def test_a_size_too_long_to_print_is_refused_with_its_bit_length(
+    argv, doc, message, tmp_path, capsys, default_digit_limit
+):
+    # Each size has more than 4300 digits; printed as a decimal it would
+    # raise ValueError and exit 2 as malformed input.
+    if doc is not None:
+        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
+    start = time.perf_counter()
+    assert run(argv) == 7
+    assert time.perf_counter() - start < 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"budget exceeded: {message}, over the budget of 100000\n"
+
+
+@pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits")
+@pytest.mark.parametrize("digits,shown", [(0, str(10**700)), (640, "about 2^2326")])
+def test_a_refusal_prints_its_size_at_any_digit_limit(digits, shown):
+    from uproll.errors import BudgetExceeded, check_budget
+
+    saved = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(digits)
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            check_budget("census", 10**700, "representatives", 100_000)
+    finally:
+        sys.set_int_max_str_digits(saved)
+    assert str(info.value) == f"census: {shown} representatives, over the budget of 100000"
+
+
 def budget_refusals(source: str) -> list[int]:
     """The lines of the source that build a BudgetExceeded, by a call or by
     raising the class itself."""

@@ -402,9 +402,8 @@ def test_scaled_dual_of_a_dense_rank_deficient_lattice_within_a_time_bound(serie
     with time_limit(HERMITE_TIME_BOUND):
         lattice = canonical_basis(datum, [Weight.over(row, 1) for row in rows])
         dual = scaled_dual(datum, lattice)
-    part = dual.lattice_part
-    assert (part.rank, dual.complement_dimension) == (rank - 1, 1)
-    assert all(in_dual(datum, lattice, row, part.denominator) for row in part.hnf)
+    assert (dual.rank, dual.rank_ambient - dual.rank) == (rank - 1, 1)
+    assert all(in_dual(datum, lattice, row, dual.denominator) for row in dual.hnf)
 
 
 def test_census_on_dense_generators_exits_within_a_time_bound(tmp_path, capsys):

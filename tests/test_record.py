@@ -112,7 +112,7 @@ class TestImmutability:
 def test_all_record_classes_are_found_and_choose_their_storage_once():
     classes = {cls.__name__: cls for cls in uproll_records()}
     assert {"Weight", "CartanDatum", "Census", "CocycleTable", "Box"} <= set(classes)
-    assert len(classes) == 19
+    assert len(classes) == 17
     for name, cls in classes.items():
         if name in ("Weight", "ExponentModL", "CartanDatum"):
             assert len(cls._setters) == len(cls._fields)
