@@ -1,22 +1,22 @@
 """Immutable value records, whose fields are the class's own annotations.
-A record class that declares __slots__ writes each field through its slot's
-__set__ (past the blocking __setattr__, cheaper than object.__setattr__), any
-other one its __dict__ in one update; reads from a __dict__ are slower."""
+Each record class keeps its fields in slots, which its metaclass declares
+from those annotations when the class is made; every field is written once,
+through its slot's __set__ (past the blocking __setattr__, cheaper than
+object.__setattr__), and no record has an instance __dict__."""
 
 
-class Record:
+class _RecordType(type):
+    def __new__(mcls, name, bases, namespace, **kwargs):
+        namespace["__slots__"] = fields = tuple(namespace.get("__annotations__", ()))
+        cls = super().__new__(mcls, name, bases, namespace, **kwargs)
+        cls._fields = fields
+        cls._setters = tuple(getattr(cls, key).__set__ for key in fields)
+        return cls
+
+
+class Record(metaclass=_RecordType):
     """Built from field values, positionally or by keyword; immutable; equal
     only to a record of the same class with equal fields."""
-
-    __slots__ = ()
-    _fields = ()
-    _setters = None
-
-    def __init_subclass__(cls, **kwargs):
-        super().__init_subclass__(**kwargs)
-        cls._fields = tuple(cls.__annotations__)
-        if "__slots__" in vars(cls):
-            cls._setters = tuple(getattr(cls, key).__set__ for key in cls._fields)
 
     def __init__(self, *args, **kwargs):
         fields, name = self._fields, type(self).__name__
@@ -31,11 +31,8 @@ class Record:
                 raise TypeError(f"{name} {problem % key}")
         if len(args) != len(fields):
             raise TypeError(f"{name} takes {len(fields)} fields, got {len(args)}")
-        if self._setters is None:
-            self.__dict__.update(zip(fields, args))
-        else:
-            for set_field, value in zip(self._setters, args):
-                set_field(self, value)
+        for set_field, value in zip(self._setters, args):
+            set_field(self, value)
 
     def __setattr__(self, *args):
         raise AttributeError(f"{type(self).__name__} is immutable")

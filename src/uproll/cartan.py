@@ -12,11 +12,11 @@ contract <omega_i, alpha_j> = d_j delta_ij holds exactly.
 A datum stores N*G as integers, N the least common denominator of G (it
 divides det(D A)), computed once per Dynkin type since it does not depend
 on ell, as is the flat twist form, N*G's upper triangle and its row sums
-N*G*rho, which a datum reads once as twist_form, and det(A), read off the
-same inversion.  bilinear() evaluates the form on two weights' integer
-rows and form_matrix on every pair of two lists of them; pairing_matrix
-and in_root_lattice stay on those integers, and pairing and
-alpha_coordinates form a Fraction for each result.
+N*G*rho, which every datum of the type shares as its twist_form field,
+and det(A), read off the same inversion.  bilinear() evaluates the form on
+two weights' integer rows and form_matrix on every pair of two lists of
+them; pairing_matrix and in_root_lattice stay on those integers, and
+pairing and alpha_coordinates form a Fraction for each result.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -26,7 +26,7 @@ kept, as an ExponentModL holding integers num / den compared modulo ell.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cache, cached_property
+from functools import cache
 from math import gcd, lcm, prod
 from operator import add, index, mul, sub
 
@@ -69,7 +69,6 @@ class Weight(Record):
     gcd(den, *row) = 1, so equal weights have equal fields.  Weight(coords,
     den) stands for coords / den; coords are read back as Fractions."""
 
-    __slots__ = ("row", "den")
     row: tuple[int, ...]
     den: int
 
@@ -171,7 +170,6 @@ class ExponentModL(Record):
     integer share a reduced denominator): equal instances name one scalar.
     """
 
-    __slots__ = ("num", "den", "modulus")
     num: int
     den: int
     modulus: int
@@ -296,11 +294,9 @@ def _series_data(series: str, rank: int) -> tuple[tuple[tuple[int, ...], ...], t
 
 
 class CartanDatum(Record):
-    """Root-system constants for one simple type at one root of unity,
-    slotted for the loops that read it; __dict__ holds only twist_form."""
+    """Root-system constants for one simple type at one root of unity;
+    every datum of a type shares its ell-free fields with the type table."""
 
-    __slots__ = ("series", "rank", "ell", "cartan", "symmetrizers", "r", "r_i",
-                 "scaled_gram", "gram_denominator", "rho", "__dict__")
     series: str
     rank: int
     ell: int
@@ -312,6 +308,8 @@ class CartanDatum(Record):
     scaled_gram: tuple[tuple[int, ...], ...]
     gram_denominator: int
     rho: Weight
+    # The type's flat twist form (see _type_table), read by twist_exponent.
+    twist_form: tuple[tuple[int, int, int], ...]
 
     @property
     def gram(self) -> tuple[tuple[Fraction, ...], ...]:
@@ -332,11 +330,6 @@ class CartanDatum(Record):
     def simple_roots(self) -> tuple[Weight, ...]:
         return tuple(self.simple_root(i) for i in range(self.rank))
 
-    @cached_property
-    def twist_form(self) -> tuple[tuple[int, int, int], ...]:
-        """The type's flat twist form (see _type_table); not a field."""
-        return _type_table(self.series, self.rank)[4]
-
 
 @cache
 def _type_table(series: str, rank: int):
@@ -344,7 +337,7 @@ def _type_table(series: str, rank: int):
     as (cartan, symmetrizers, scaled_gram, gram_denominator, twist_form,
     det(A)); each type's symmetrized Cartan matrix D A is inverted once per
     process, and det(A) = det(D A) / prod d_i is read off that inversion.
-    The twist form, which twist_exponent reads as the datum's twist_form,
+    The twist form, which a datum keeps as its twist_form field,
     is its numerator x.(N G).x + s (N G rho).x as a flat form on (x, s):
     terms (i, j, c), i <= j, c != 0, from the upper triangle of N*G,
     off-diagonal entries doubled, then its row sums at (i, rank)."""
@@ -387,11 +380,11 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
             f"need r > max gcd(d_i, r): r={r}, gcds={tuple(g)}"
         )
     n = len(d)
-    cartan, d, scaled_gram, gram_denominator, *_ = _type_table(series, n)
+    cartan, d, scaled_gram, gram_denominator, twist_form, _ = _type_table(series, n)
     # Positional, in field order: a datum is built per spec.
     return CartanDatum(
         series, n, ell, cartan, d, r, tuple(r // gi for gi in g),
-        scaled_gram, gram_denominator, Weight.over((1,) * n, 1),
+        scaled_gram, gram_denominator, Weight.over((1,) * n, 1), twist_form,
     )
 
 

@@ -21,7 +21,6 @@ weight's digits off at the pivots of the rows.
 
 from __future__ import annotations
 
-from functools import cached_property
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING
@@ -49,7 +48,7 @@ class RationalLattice(Record):
     def rank(self) -> int:
         return len(self.hnf)
 
-    @cached_property
+    @property
     def canonical_rows(self) -> tuple[Weight, ...]:
         return tuple(Weight.over(row, self.denominator) for row in self.hnf)
 

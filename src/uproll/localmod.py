@@ -8,7 +8,7 @@ simples.
 
 Exponents are integer arithmetic end to end, each an ExponentModL built
 from integers: twist_exponent evaluates its Dynkin type's flat twist form
-(the datum's twist_form, read once per datum) on a weight's row,
+(the datum's twist_form field, one tuple per type) on a weight's row,
 monodromy_exponent the integer form bilinear.  census_twists gives the
 census's quadratic form (twist_exponent on the k steps, form_matrix on their
 pairs), k + k^2 integers read at a weight's digits, expanded only if iterated.

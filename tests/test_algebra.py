@@ -307,6 +307,14 @@ class TestGaugeNormalize:
             for key, value in result.normalized.entries.items():
                 assert value == table.entries[key]
 
+    def test_a_table_on_another_ordered_basis_is_refused(self):
+        spec = three_q_spec()
+        first, second = spec.ordered_basis
+        swapped = structure_constant_table(AlgebraSpec(A2_6, [second, first]), 1)
+        assert swapped.generators == (second, first)
+        with pytest.raises(ValueError, match="spec's ordered basis"):
+            gauge_normalize(swapped, spec)
+
 
 class TestSuperSignLaw:
     def test_odd_odd_pairs_carry_the_half_shift(self):
@@ -597,6 +605,14 @@ def test_entries_behave_as_the_dict_they_replace():
     assert wider.entries == plain and wider.entries.grid.box == 2
     with pytest.raises(ValueError, match="outside the box 1"):
         CocycleTable(table.generators, 1, 6, structure_constant_table(spec, 2).entries)
+
+
+def test_entries_repr_is_the_repr_of_their_dict():
+    table = structure_constant_table(AlgebraSpec(A1_6, [weight([6])]), 1)
+    assert repr(table.entries) == f"TableEntries({dict(table.entries.items())!r})"
+    assert repr(structure_constant_table(three_q_spec(), 0).entries) == (
+        "TableEntries({((0, 0), (0, 0)): ExponentModL(0 mod 6)})"
+    )
 
 
 def test_entries_are_read_only():

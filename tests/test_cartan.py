@@ -206,6 +206,12 @@ class TestExponentModL:
         assert exponent(1, 6) != exponent(2, 6)
         assert exponent(1, 6) != exponent(1, 4)
 
+    @pytest.mark.parametrize("other", [0, Fraction(1, 2), "1/2", (1, 2, 4)])
+    def test_an_exponent_equals_nothing_but_an_exponent(self, other):
+        e = exponent(Fraction(1, 2), 4)
+        assert e.__eq__(other) is NotImplemented
+        assert e != other and not e == other
+
     def test_arithmetic(self):
         a = exponent(Fraction(5, 2), 4)
         b = exponent(Fraction(3, 2), 4)

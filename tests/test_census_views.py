@@ -411,6 +411,13 @@ class TestMixedRadixViews:
             CensusReps((), 1, 3)[1]
         assert list(CensusReps((), 1, 3)) == [Weight.zero(3)]
 
+    def test_repr_lists_the_representatives(self):
+        datum = build_cartan_datum("A", 1, 4)
+        lat = lattice.canonical_basis(datum, [weight([4])])
+        reps = quotient_census(scaled_dual(datum, lat), lat).reps
+        assert repr(reps) == "CensusReps((Weight(0), Weight(1), Weight(2), Weight(3)))"
+        assert repr(CensusReps((), 1, 3)) == "CensusReps((Weight(0, 0, 0),))"
+
     def test_a_triplet_report_builds_no_row_table(self, monkeypatch):
         assert CensusReps.__slots__ == ("radix", "den", "rank")
 

@@ -62,6 +62,15 @@ class TestCanonicalBasis:
         det = rows[0].coords[0] * rows[1].coords[1] - rows[0].coords[1] * rows[1].coords[0]
         assert abs(det) == 12
 
+    def test_repr_lists_the_canonical_rows(self):
+        a1, a2 = a2_roots()
+        assert repr(canonical_basis(A2_4, [a1, 2 * a2, 2 * a1])) == (
+            "RationalLattice(rank 2 in ambient 2: Weight(2, 2), Weight(0, 3))"
+        )
+        half = canonical_basis(A1_4, [weight(["3/2"]), weight([1])])
+        assert repr(half) == "RationalLattice(rank 1 in ambient 1: Weight(1/2))"
+        assert repr(canonical_basis(A1_4, ())) == "RationalLattice(rank 0 in ambient 1: )"
+
     def test_canonical_is_generator_set_independent(self):
         half = canonical_basis(A1_4, [weight(["1/2"]), weight(["3/2"])])
         assert half == canonical_basis(A1_4, [weight(["1/2"])])

@@ -114,10 +114,10 @@ def test_all_record_classes_are_found_and_choose_their_storage_once():
     assert {"Weight", "CartanDatum", "Census", "CocycleTable", "Box"} <= set(classes)
     assert len(classes) == 17
     for name, cls in classes.items():
-        if name in ("Weight", "ExponentModL", "CartanDatum"):
-            assert len(cls._setters) == len(cls._fields)
-        else:
-            assert cls._setters is None, name
+        assert len(cls._setters) == len(cls._fields), name
+        record = object.__new__(cls)
+        Record.__init__(record, *range(len(cls._fields)))
+        assert not hasattr(record, "__dict__"), name
 
 
 def _weights():
@@ -161,12 +161,12 @@ def test_every_construction_path_agrees(make):
 def test_reading_the_twist_form_leaves_a_datum_unchanged():
     fresh, read = build_cartan_datum("F", 4, 6), build_cartan_datum("F", 4, 6)
     assert read.twist_form is _type_table("F", 4)[4]
-    assert "twist_form" in vars(read) and "twist_form" not in vars(fresh)
+    assert read._fields[-1] == "twist_form" and read._values()[-1] is read.twist_form
     assert read == fresh and hash(read) == hash(fresh)
     assert repr(read) == repr(fresh)
     assert pickle.dumps(read) == pickle.dumps(fresh)
     restored = pickle.loads(pickle.dumps(read))
-    assert restored == fresh and "twist_form" not in vars(restored)
+    assert restored == fresh
     with pytest.raises(AttributeError):
         read.twist_form = ()
 
@@ -198,6 +198,50 @@ def test_only_the_record_module_uses_object_setattr():
         if lines := object_setattr_uses(path.read_text(encoding="utf-8")):
             users[path.name] = lines
     assert set(users) <= {"_record.py"}, users
+
+
+def storage_declarations(source: str, records) -> list[int]:
+    """The lines where a class deriving from one of the named records names
+    __slots__ or cached_property: assigned, decorating or read."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ClassDef) and any(
+            isinstance(base, ast.Name) and base.id in records for base in node.bases
+        ):
+            lines += [
+                inner.lineno
+                for inner in ast.walk(node)
+                if {"__slots__", "cached_property"}
+                & {getattr(inner, "id", None), getattr(inner, "attr", None)}
+            ]
+    return sorted(lines)
+
+
+def test_no_record_class_declares_its_own_storage():
+    # Records deriving from records count; other classes and text do not.
+    snippet = (
+        "class A(Record):\n"
+        "    '''__slots__ and cached_property'''\n"
+        "    __slots__ = ('x',)\n"
+        "class B(A):\n"
+        "    @functools.cached_property\n"
+        "    def y(self): ...\n"
+        "class C(Record):\n"
+        "    @cached_property\n"
+        "    def z(self): ...\n"
+        "class Spec:\n"
+        "    __slots__ = ()\n"
+        "    @cached_property\n"
+        "    def v(self): ...\n"
+    )
+    assert storage_declarations(snippet, {"Record", "A"}) == [3, 5, 8]
+    records = {"Record"} | {cls.__name__ for cls in uproll_records()}
+    src = Path(uproll.__file__).parent
+    found = {}
+    for path in sorted(src.glob("*.py")):
+        if lines := storage_declarations(path.read_text(encoding="utf-8"), records):
+            found[path.name] = lines
+    assert found == {}
 
 
 class TestEqualityAndHash:
