@@ -6,8 +6,8 @@ Hermite form of the change of basis; they are derived one mixed-radix
 digit at a time as they are read.  A weight's digits are read off at the
 steps' pivots, and the form is evaluated at them; it is expanded only when
 iterated.  Weight and ExponentModL values appear only through the views
-CensusReps and CensusTwists.  The module is loaded on the first finite
-census, so that a command that builds none does not compile it."""
+CensusReps and CensusTwists, two records.  The module is loaded on the
+first finite census, so that a command that builds none does not compile it."""
 
 from __future__ import annotations
 
@@ -17,6 +17,7 @@ from math import prod
 from operator import index, mul
 
 from ._linalg import box_dots, echelon_reduce
+from ._record import Record
 from .cartan import ExponentModL, Weight
 
 
@@ -36,7 +37,7 @@ class _TwistValues(ValuesView):
         return (ExponentModL.over(x, twists.den, twists.ell) for x in values)
 
 
-class CensusReps(Sequence):
+class CensusReps(Sequence, Record):
     """The coset representatives of a finite census, a read-only sequence
     of Weights that stores only its mixed-radix system: radix, den, rank.
 
@@ -53,13 +54,12 @@ class CensusReps(Sequence):
     so position, index and in) reads a weight's digits as the multiples
     that echelon_reduce subtracts at the steps' pivots, and accepts only
     digits in [0, s) that leave nothing over: no table of every row.  The
-    view equals, and hashes like, the tuple of Weights it stands for.
+    record equals, and hashes like, the tuple of Weights it stands for.
     """
 
-    __slots__ = ("radix", "den", "rank")
-
-    def __init__(self, radix, den: int, rank: int):
-        self.radix, self.den, self.rank = tuple(radix), den, rank
+    radix: tuple[tuple[int, tuple[int, ...]], ...]
+    den: int
+    rank: int
 
     def __len__(self) -> int:
         return prod(s for s, _ in self.radix)
@@ -121,18 +121,20 @@ class CensusReps(Sequence):
         return f"CensusReps({tuple(self)!r})"
 
 
-class CensusTwists(Mapping):
+class CensusTwists(Mapping, Record):
     """Twist exponents of a finite census, a read-only mapping from each
     representative Weight to its ExponentModL, in census order, held as the
     census's quadratic form over den: k + k^2 integers single[i] = T(D_i)
     and twice[i][j] = 2<D_i, D_j>.  A read evaluates Sum_i c_i (single[i] +
     (c_i - 1) twice[i][i] / 2 + Sum_{j<i} c_j twice[i][j]) at the weight's
-    digits c; only iteration expands the form over the census."""
+    digits c; only iteration expands the form over the census.  The
+    record equals any mapping of the same items, and is unhashable."""
 
-    __slots__ = ("reps", "single", "twice", "den", "ell")
-
-    def __init__(self, reps: CensusReps, single: list, twice: list, den: int, ell: int):
-        self.reps, self.single, self.twice, self.den, self.ell = reps, single, twice, den, ell
+    reps: CensusReps
+    single: list[int]
+    twice: list[list[int]]
+    den: int
+    ell: int
 
     def __getitem__(self, lam) -> ExponentModL:
         c = self.reps.digits(lam)

@@ -2,10 +2,13 @@
 Each record class keeps its fields in slots, which its metaclass declares
 from those annotations when the class is made; every field is written once,
 through its slot's __set__ (past the blocking __setattr__, cheaper than
-object.__setattr__), and no record has an instance __dict__."""
+object.__setattr__), and no record has an instance __dict__.  As an ABCMeta,
+the metaclass lets a record be a collections.abc Sequence or Mapping too."""
+
+from abc import ABCMeta
 
 
-class _RecordType(type):
+class _RecordType(ABCMeta):
     def __new__(mcls, name, bases, namespace, **kwargs):
         namespace["__slots__"] = fields = tuple(namespace.get("__annotations__", ()))
         cls = super().__new__(mcls, name, bases, namespace, **kwargs)

@@ -2,7 +2,7 @@
 denominator, indexed by the box vectors in lexicographic order.  The table
 operations in uproll.algebra run their kernels here, on these rows, and
 read each pair sum at its position in the doubled box; ExponentModL
-values appear only through the mapping view TableEntries.
+values appear only through the mapping view TableEntries, a record.
 
 The cocycle identities are decided here too: the gauge recursion that
 builds a table's cochain, the split certificate that proves them in one
@@ -10,8 +10,8 @@ pass over the pairs, and the scans that run when it does not apply."""
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Mapping
-from functools import cached_property
 from itertools import product
 from math import lcm
 
@@ -34,14 +34,14 @@ class Grid:
         self.index = {v: i for i, v in enumerate(self.vecs)}
         self.zero = self.index[(0,) * dimension]
 
-    @cached_property
+    @functools.cached_property
     def units(self) -> list[int]:
         """The positions of the unit vectors, one per axis; none at box 0."""
         if not self.box:
             return []
         return [self.zero + (2 * self.box + 1) ** t for t in reversed(range(self.dimension))]
 
-    @cached_property
+    @functools.cached_property
     def doubled(self) -> tuple[list[int], int]:
         """Positions in the doubled box [-2 box, 2 box]^dimension, which
         holds every sum of two box vectors: (at, zero) with the sum of the
@@ -49,7 +49,7 @@ class Grid:
         radix = [(4 * self.box + 1) ** t for t in reversed(range(self.dimension))]
         return box_dots((self.span,) * self.dimension, radix), 2 * self.box * sum(radix)
 
-    @cached_property
+    @functools.cached_property
     def inside(self) -> list[int | None]:
         """For each position of the doubled box, the position of the same
         vector in the box, None where it lies outside."""
@@ -69,16 +69,17 @@ class Grid:
         return rows
 
 
-class TableEntries(Mapping):
+class TableEntries(Mapping, Record):
     """A CocycleTable's entries, a read-only mapping (n, m) -> ExponentModL
     held as dense integer rows over one denominator den: rows[i][j] / den
     is the unreduced exponent at (vecs[i], vecs[j]) of the grid, None where
-    there is no entry."""
+    there is no entry.  The record equals any mapping of the same items,
+    and is unhashable."""
 
-    __slots__ = ("grid", "ell", "rows", "den")
-
-    def __init__(self, grid: Grid, ell: int, rows: list[list], den: int):
-        self.grid, self.ell, self.rows, self.den = grid, ell, rows, den
+    grid: Grid
+    ell: int
+    rows: list[list[int | None]]
+    den: int
 
     def __getitem__(self, key) -> ExponentModL:
         try:

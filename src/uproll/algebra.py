@@ -28,7 +28,6 @@ separate bookkeeping by callers and the exponent tables stay unsigned.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property
 from typing import TYPE_CHECKING
 
 from . import _linalg
@@ -50,7 +49,7 @@ from .errors import (
     NotInSimpleCurrentLattice,
     check_budget,
 )
-from .lattice import adjoin, canonical_basis, contains
+from .lattice import RationalLattice, adjoin, canonical_basis, contains
 
 if TYPE_CHECKING:
     from ._table import CocycleTable
@@ -60,67 +59,55 @@ if TYPE_CHECKING:
 MAX_TABLE_ENTRIES = 100_000
 
 
-class AlgebraSpec:
+class AlgebraSpec(Record):
     """An algebra of simple currents: ordered even generators, optional odd one.
 
     The generator order is significant: the structure-constant normal
     form depends on it, though different orders give isomorphic algebras.
     With k generators, mu included, and k**2 above MAX_TABLE_ENTRIES, it
-    raises BudgetExceeded before its lattice is built.
+    raises BudgetExceeded before its lattice is built.  After its checks it
+    takes, once, the pair matrix of the ordered basis as integers P over one
+    denominator p, <b_i, b_j> = P_ij / p, and its verdict.  It equals, and
+    pickles as, a spec built from the same datum, generators and mu.
     """
 
+    datum: CartanDatum
+    generators: tuple[Weight, ...]
+    mu: Weight | None
+    lattice: RationalLattice
+    extended_lattice: RationalLattice
+    pair_matrix: tuple[tuple[tuple[int, ...], ...], int]
+    verdict: CommutativityVerdict | SuperVerdict
+
     def __init__(self, datum: CartanDatum, generators, mu: Weight | None = None):
-        self.datum = datum
-        self.generators = tuple(generators)
-        self.mu = mu
-        k = len(self.generators) + (mu is not None)
+        generators = tuple(generators)
+        k = len(generators) + (mu is not None)
         check_budget("spec", k * k, f"pairs of {k} generators", MAX_TABLE_ENTRIES)
-        for g in self.generators:
+        for g in generators:
             if not in_simple_current_lattice(datum, g):
-                raise NotInSimpleCurrentLattice(
-                    f"generator {g!r} is outside the simple-current lattice"
-                )
-        self.lattice = canonical_basis(datum, self.generators)
-        if mu is None:
-            self.extended_lattice = self.lattice
-        else:
+                raise NotInSimpleCurrentLattice(f"generator {g!r} is outside the simple-current lattice")
+        lattice = extended = canonical_basis(datum, generators)
+        if mu is not None:
             if not in_simple_current_lattice(datum, mu):
-                raise NotInSimpleCurrentLattice(
-                    f"odd generator {mu!r} is outside the simple-current lattice"
-                )
-            self.extended_lattice = adjoin(self.lattice, mu)
-            if contains(self.lattice, mu):
+                raise NotInSimpleCurrentLattice(f"odd generator {mu!r} is outside the simple-current lattice")
+            extended = adjoin(lattice, mu)
+            if contains(lattice, mu):
                 raise MuNotHalfOdd(f"odd generator {mu!r} already lies in L")
-            if not contains(self.lattice, 2 * mu):
+            if not contains(lattice, 2 * mu):
                 raise MuNotHalfOdd(f"twice the odd generator {mu!r} must lie in L")
+        pairs = pairing_matrix(datum, generators if mu is None else generators + (mu,))
+        # The checks read the six fields before the verdict, so those are written first.
+        for set_field, value in zip(self._setters, (datum, generators, mu, lattice, extended, pairs)):
+            set_field(self, value)
+        self._setters[-1](self, check_commutative(self) if mu is None else check_supercommutative(self))
+
+    def __reduce__(self):
+        return type(self), (self.datum, self.generators, self.mu)
 
     @property
     def ordered_basis(self) -> tuple[Weight, ...]:
         """Even generators followed by the odd one when present."""
-        if self.mu is None:
-            return self.generators
-        return self.generators + (self.mu,)
-
-    @cached_property
-    def pair_matrix(self) -> tuple[tuple[tuple[int, ...], ...], int]:
-        """Pairings of the ordered basis against itself, as an integer
-        matrix P over one denominator p: <b_i, b_j> = P_ij / p."""
-        return pairing_matrix(self.datum, self.ordered_basis)
-
-    @cached_property
-    def _lower_pairs(self) -> tuple[tuple[int, ...], ...]:
-        # The strictly lower part of the pair matrix, zero on and above the diagonal.
-        return tuple(
-            tuple(x if k < i else 0 for k, x in enumerate(row))
-            for i, row in enumerate(self.pair_matrix[0])
-        )
-
-    @cached_property
-    def verdict(self) -> CommutativityVerdict | SuperVerdict:
-        """The validity check, commutative or supercommutative, run once."""
-        if self.mu is None:
-            return check_commutative(self)
-        return check_supercommutative(self)
+        return self.generators if self.mu is None else self.generators + (self.mu,)
 
     def coefficients(self, lam: Weight) -> tuple[int, ...]:
         """Canonical generator coefficients of a lattice element.
@@ -235,10 +222,15 @@ def spec_verdict(spec: AlgebraSpec):
     return spec.verdict
 
 
+def _lower_pairs(spec: AlgebraSpec) -> tuple[tuple[int, ...], ...]:
+    """The strictly lower part of the pair matrix, zero on and above the diagonal."""
+    return tuple(tuple(x if k < i else 0 for k, x in enumerate(row)) for i, row in enumerate(spec.pair_matrix[0]))
+
+
 def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
     """Normal-form exponent for elements given by generator coefficients:
     the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
-    return ExponentModL.over(bilinear(spec._lower_pairs, left, right), spec.pair_matrix[1], spec.datum.ell)
+    return ExponentModL.over(bilinear(_lower_pairs(spec), left, right), spec.pair_matrix[1], spec.datum.ell)
 
 
 def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> ExponentModL:
@@ -261,7 +253,7 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     from ._table import CocycleTable, Grid, TableEntries
 
     grid = Grid(len(spec.ordered_basis), box)
-    entries = TableEntries(grid, spec.datum.ell, grid.forms(spec._lower_pairs), spec.pair_matrix[1])
+    entries = TableEntries(grid, spec.datum.ell, grid.forms(_lower_pairs(spec)), spec.pair_matrix[1])
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 

@@ -141,11 +141,12 @@ def _doc_row(row, rank: int, field: str) -> Weight:
     return uproll.cartan.Weight(tuple(_doc_rational(x, f"{field}[{k}]") for k, x in enumerate(row)))
 
 
-def _doc_spec(doc: dict) -> tuple[CartanDatum, AlgebraSpec]:
-    datum = _doc_datum(doc)
+def _doc_spec(doc: dict, datum: CartanDatum | None = None) -> AlgebraSpec:
+    """The document's spec, on its datum unless one built from it is given."""
+    datum = _doc_datum(doc) if datum is None else datum
     gens = _doc_rows(doc, "lattice", datum.rank) or []
     mu = None if doc.get("mu") is None else _doc_row(doc["mu"], datum.rank, "mu")
-    return datum, uproll.algebra.AlgebraSpec(datum, gens, mu)
+    return uproll.algebra.AlgebraSpec(datum, gens, mu)
 
 
 def _census_json(census) -> dict:
@@ -177,7 +178,7 @@ def _cmd_datum(args) -> dict:
 
 
 def _cmd_check_algebra(args) -> dict:
-    _, spec = _doc_spec(_load_document(args))
+    spec = _doc_spec(_load_document(args))
     verdict = uproll.algebra.spec_verdict(spec)
     return {
         "commutative" if spec.mu is None else "supercommutative": bool(verdict),
@@ -196,13 +197,13 @@ def _twist_rows(twists) -> list[dict]:
 def _cmd_census(args):
     """census and twists: the census JSON, or each rep with its twist as
     TSV rows or, for twists, as JSON rows after the census."""
-    datum, spec = _doc_spec(_load_document(args))
+    spec = _doc_spec(_load_document(args))
     census = uproll.localmod.simple_census(spec)
     if args.command == "census" and args.format == "json":
         return _census_json(census)
     if not census.finite:
         raise InfiniteCensus(f"{args.command} --format {args.format} needs a finite census")
-    twists = uproll.localmod.census_twists(datum, census).items()
+    twists = uproll.localmod.census_twists(spec.datum, census).items()
     if args.format == "tsv":
         return "\n".join(
             "\t".join((",".join(rep.coord_strings()), *_exponent_json(e).values()))
@@ -222,8 +223,7 @@ def _cmd_monodromy(args) -> dict:
         a, b = (_doc_row(w, datum.rank, f"pairs[{i}][{k}]") for k, w in enumerate(item))
         pairs.append((a, b))
     if items is None:
-        _, spec = _doc_spec(doc)
-        census = uproll.localmod.simple_census(spec)
+        census = uproll.localmod.simple_census(_doc_spec(doc, datum))
         if not census.finite:
             raise InfiniteCensus("monodromy table needs a finite census")
         size = census.order * (census.order + 1) // 2
@@ -243,8 +243,7 @@ def _cmd_monodromy(args) -> dict:
 
 
 def _cmd_ribbon(args) -> dict:
-    _, spec = _doc_spec(_load_document(args))
-    verdict = uproll.localmod.check_ribbon(spec)
+    verdict = uproll.localmod.check_ribbon(_doc_spec(_load_document(args)))
     return {
         "verdict": verdict.status,
         "witnesses": [
@@ -263,7 +262,7 @@ def _muger_json(report) -> dict:
 
 
 def _cmd_muger(args) -> dict:
-    return _muger_json(uproll.localmod.muger_center(_doc_spec(_load_document(args))[1]))
+    return _muger_json(uproll.localmod.muger_center(_doc_spec(_load_document(args))))
 
 
 def _cmd_triplet(args) -> dict:
@@ -333,7 +332,7 @@ def _cmd_bq(args) -> dict:
 
 
 def _cmd_oracle(args) -> dict:
-    _, spec = _doc_spec(_load_document(args))
+    spec = _doc_spec(_load_document(args))
     # Every budget refuses before a scan: the coset count checks its own first.
     uproll.oracle.cocycle_box(spec, args.box)
     try:

@@ -89,35 +89,38 @@ class ExtWeight(Record):
     def __add__(self, other: "ExtWeight") -> "ExtWeight":
         return ExtWeight(self.qg + other.qg, self.fock_tilde + other.fock_tilde)
 
-    def __sub__(self, other: "ExtWeight") -> "ExtWeight":
-        return ExtWeight(self.qg - other.qg, self.fock_tilde - other.fock_tilde)
 
-
-class BqSpec:
-    """Augmented extension data: even order, the currents' AlgebraSpec, and a**2.
+class BqSpec(Record):
+    """Augmented extension data: the currents' AlgebraSpec and a**2.
 
     a**2 feeds bq_check_commutative and is_standard only: bq_twist_exponent
-    and bq_monodromy_exponent take the datum alone, at a**2 = -1/r.
+    and bq_monodromy_exponent take the datum alone, at a**2 = -1/r.  It is
+    built, and pickles, as BqSpec(datum, generators or r*P, a**2 or -1/r).
     """
+
+    algebra: AlgebraSpec
+    a_squared: Fraction
+    # Whether the lattice equals r times the full weight lattice.
+    is_full_weight_lattice: bool
+    # Whether the locality formula of bq_is_local applies.
+    is_standard: bool
 
     def __init__(self, datum: CartanDatum, generators=None, a_squared=None):
         if datum.ell % 2:
             raise OddEll("the augmented construction needs ell = 2r even")
-        self.datum = datum
         n = datum.rank
         # r*P as the rows r*I over 1, which are also its Hermite form.
         r_identity = tuple(tuple(datum.r * (i == j) for j in range(n)) for i in range(n))
         if generators is None:
             generators = [Weight.over(row, 1) for row in r_identity]
-        self.algebra = AlgebraSpec(datum, generators)
-        self.generators = self.algebra.generators
-        self.lattice = self.algebra.lattice
+        algebra = AlgebraSpec(datum, generators)
         special = Fraction(-1, datum.r)
-        self.a_squared = special if a_squared is None else Fraction(*_ratio(a_squared))
-        # Whether the lattice equals r times the full weight lattice.
-        self.is_full_weight_lattice = self.lattice == RationalLattice(n, r_identity, 1)
-        # Whether the locality formula of bq_is_local applies.
-        self.is_standard = self.is_full_weight_lattice and self.a_squared == special
+        a_squared = special if a_squared is None else Fraction(*_ratio(a_squared))
+        full = algebra.lattice == RationalLattice(n, r_identity, 1)
+        super().__init__(algebra, a_squared, full, full and a_squared == special)
+
+    def __reduce__(self):
+        return type(self), (self.algebra.datum, self.algebra.generators, self.a_squared)
 
 
 def bq_check_commutative(spec: BqSpec) -> bool:
@@ -130,10 +133,10 @@ def bq_check_commutative(spec: BqSpec) -> bool:
     matrix scaled by c.
     """
     a2 = spec.a_squared
-    c = a2.denominator + spec.datum.r * a2.numerator  # c / a2.denominator = 1 + r * a**2
+    c = a2.denominator + spec.algebra.datum.r * a2.numerator  # c / a2.denominator = 1 + r * a**2
     pairs, den = spec.algebra.pair_matrix
     scaled = [[c * x for x in row] for row in pairs]
-    return not commutativity_witnesses(scaled, den * a2.denominator, spec.datum.ell, len(pairs))
+    return not commutativity_witnesses(scaled, den * a2.denominator, spec.algebra.datum.ell, len(pairs))
 
 
 def bq_is_local(spec: BqSpec, w: ExtWeight) -> bool:
@@ -145,7 +148,7 @@ def bq_is_local(spec: BqSpec, w: ExtWeight) -> bool:
     """
     if not spec.is_standard:
         raise ValueError("the locality formula is specific to the lattice r*P and a**2 = -1/r")
-    return in_root_lattice(spec.datum, w.qg - w.fock_tilde)
+    return in_root_lattice(spec.algebra.datum, w.qg - w.fock_tilde)
 
 
 def bq_equivalent(spec: BqSpec, w: ExtWeight, other: ExtWeight) -> bool:
@@ -158,7 +161,7 @@ def bq_equivalent(spec: BqSpec, w: ExtWeight, other: ExtWeight) -> bool:
         if not bq_is_local(spec, candidate):
             raise NotLocal(f"{candidate!r} does not induce a local module")
     dq = other.qg - w.qg
-    step = spec.datum.r * dq.den
+    step = spec.algebra.datum.r * dq.den
     return dq == other.fock_tilde - w.fock_tilde and all(a % step == 0 for a in dq.row)
 
 
@@ -195,8 +198,8 @@ def bq_transparent(spec: BqSpec, w: ExtWeight) -> bool:
     0 mod 2r because <omega_i, alpha_j> = d_j delta_ij.  Raises NotLocal
     for a weight that is not local.
     """
-    unit = ExtWeight(Weight.zero(spec.datum.rank), Weight.zero(spec.datum.rank))
-    return bq_equivalent(spec, w, unit)
+    zero = Weight.zero(spec.algebra.datum.rank)
+    return bq_equivalent(spec, w, ExtWeight(zero, zero))
 
 
 def bq_ribbon_verdict(datum: CartanDatum) -> str:

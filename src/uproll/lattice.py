@@ -196,5 +196,5 @@ def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
         return Census(False, factors, None, None, complement)
     from ._census import CensusReps
 
-    radix = [(row[i], step) for i, (row, step) in enumerate(zip(box, dual.hnf)) if row[i] > 1]
+    radix = tuple((row[i], step) for i, (row, step) in enumerate(zip(box, dual.hnf)) if row[i] > 1)
     return Census(True, factors, CensusReps(radix, dual.denominator, lattice.rank_ambient), order, 0)

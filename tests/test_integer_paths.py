@@ -69,9 +69,9 @@ def draw_datum(data, types, ells):
 
 def naive_bq_commutative(spec: BqSpec) -> bool:
     """The Fraction formula: c<g, g> in 2r*Z and c<g, h> in r*Z, c = 1 + r a**2."""
-    datum, r = spec.datum, spec.datum.r
+    datum, r = spec.algebra.datum, spec.algebra.datum.r
     c = 1 + r * spec.a_squared
-    gens = spec.generators
+    gens = spec.algebra.generators
     for i, g in enumerate(gens):
         if not is_multiple(c * pairing(datum, g, g), 2 * r):
             return False
@@ -228,7 +228,7 @@ class TestBqLocality:
         off = data.draw(st.sampled_from([Weight.zero(rank), *omegas]))
         w = ExtWeight(qg, qg - root - off)
         trivial = all(
-            bq_monodromy_exponent(datum, w, ExtWeight(g, g)).is_zero for g in spec.generators
+            bq_monodromy_exponent(datum, w, ExtWeight(g, g)).is_zero for g in spec.algebra.generators
         )
         assert bq_is_local(spec, w) == trivial
         if off.is_zero:
@@ -237,12 +237,13 @@ class TestBqLocality:
 
 def test_bq_verdicts_leave_the_c_equals_one_verdict_unrun():
     # The currents' own verdict is the check at c = 1; the B_Q functions
-    # scale by c = 1 + r a**2 instead and must not compute it.
+    # scale by c = 1 + r a**2 instead and must not read it.
     datum = build_cartan_datum("A", 2, 4)
     spec = BqSpec(datum)
     w = ExtWeight(weight([1, 0]), weight([1, 0]))
-    assert bq_check_commutative(spec) and bq_is_local(spec, w) and bq_equivalent(spec, w, w)
-    assert "verdict" not in vars(spec.algebra)
+    assert bq_check_commutative(spec) is True and bq_is_local(spec, w) and bq_equivalent(spec, w, w)
+    assert spec.algebra.verdict.commutative is False
+    assert len(spec.algebra.verdict.witnesses) == 3
 
 
 def test_bq_monodromy_refuses_odd_ell():
@@ -339,7 +340,7 @@ def test_verdict_paths_build_no_fractions(monkeypatch):
     odd = AlgebraSpec(a1_4, [weight([4])], mu=weight([2]))
     weights = [Weight([1, -2], 3), Weight([5, 7], 2), 3 * a1]
     bq = BqSpec(build_cartan_datum("D", 4, 6))
-    g = bq.generators[0]
+    g = bq.algebra.generators[0]
     locals_ = [ExtWeight(g, g), ExtWeight(weight([1, 0, 0, 0]), weight([1, 0, 0, 0]))]
     made = count_fractions(monkeypatch)
 
@@ -352,4 +353,16 @@ def test_verdict_paths_build_no_fractions(monkeypatch):
     for w in locals_:
         assert bq_is_local(bq, w)
         assert bq_equivalent(bq, w, locals_[0]) == (w == locals_[0])
+    assert made == []
+
+
+def test_building_a_spec_and_its_verdict_builds_no_fractions(monkeypatch):
+    # A spec takes its verdict when it is built, so the count starts first.
+    a2 = build_cartan_datum("A", 2, 6)
+    a1, al2 = a2.simple_roots
+    a1_4 = build_cartan_datum("A", 1, 4)
+    gens, odd_gens, mu = [3 * a1, 3 * al2], [weight([4])], weight([2])
+    made = count_fractions(monkeypatch)
+    even, odd = AlgebraSpec(a2, gens), AlgebraSpec(a1_4, odd_gens, mu=mu)
+    assert even.verdict and odd.verdict
     assert made == []

@@ -11,17 +11,25 @@ import pytest
 
 import uproll
 from uproll import (
+    AlgebraSpec,
     Box,
+    BqSpec,
     Census,
+    CensusReps,
+    CensusTwists,
     CommutativityVerdict,
     ExponentModL,
     SuperVerdict,
     Weight,
     build_cartan_datum,
+    census_twists,
     exponent,
+    simple_census,
+    structure_constant_table,
     weight,
 )
 from uproll._record import Record
+from uproll._table import TableEntries
 from uproll.cartan import _type_table
 from uproll.errors import BudgetExceeded
 
@@ -112,7 +120,7 @@ class TestImmutability:
 def test_all_record_classes_are_found_and_choose_their_storage_once():
     classes = {cls.__name__: cls for cls in uproll_records()}
     assert {"Weight", "CartanDatum", "Census", "CocycleTable", "Box"} <= set(classes)
-    assert len(classes) == 17
+    assert len(classes) == 22
     for name, cls in classes.items():
         assert len(cls._setters) == len(cls._fields), name
         record = object.__new__(cls)
@@ -304,3 +312,135 @@ class TestBox:
             Box(bound=-1, dimension=1)
         assert Box(bound=1, dimension=2) == Box(1, 2)
         assert len(list(Box(1, 2))) == 9
+
+
+def _library_objects():
+    """A census with its twists, a spec, a superalgebra spec, a table and a
+    BqSpec, each built through the library's own functions."""
+    datum = build_cartan_datum("A", 2, 4)
+    spec = AlgebraSpec(datum, [2 * a for a in datum.simple_roots])
+    census = simple_census(AlgebraSpec(datum, [4 * a for a in datum.simple_roots]))
+    twists = census_twists(datum, census)
+    odd = AlgebraSpec(build_cartan_datum("A", 1, 4), [weight([4])], mu=weight([2]))
+    return census, twists, spec, odd, structure_constant_table(odd, 1), BqSpec(datum)
+
+
+class TestLibraryObjectsAreRecords:
+    def test_views_refuse_changes(self):
+        census, twists, _, _, table, _ = _library_objects()
+        reps_before, hash_before = tuple(census.reps), hash(census)
+        for view, field, value in ((census.reps, "den", 2), (twists, "den", 1), (table.entries, "ell", 5)):
+            with pytest.raises(AttributeError):
+                setattr(view, field, value)
+            with pytest.raises(AttributeError):
+                delattr(view, field)
+            assert not hasattr(view, "__dict__")
+        assert tuple(census.reps) == reps_before and hash(census) == hash_before
+        assert {census: 1}[census] == 1
+
+    def test_specs_built_from_the_same_inputs_are_equal(self):
+        datum = build_cartan_datum("A", 2, 4)
+        make = [lambda: AlgebraSpec(datum, [2 * a for a in datum.simple_roots]),
+                lambda: AlgebraSpec(build_cartan_datum("A", 1, 4), [weight([4])], mu=weight([2])),
+                lambda: BqSpec(datum),
+                lambda: BqSpec(datum, a_squared="1/3")]
+        for build in make:
+            first, second = build(), build()
+            assert first is not second and first == second and hash(first) == hash(second)
+        assert make[0]() != make[1]() and make[2]() != make[3]()
+        with pytest.raises(AttributeError):
+            make[0]().verdict = None
+
+    def test_specs_and_views_survive_a_pickle_round_trip(self):
+        for obj in _library_objects():
+            again = pickle.loads(pickle.dumps(obj))
+            assert type(again) is type(obj) and again == obj
+        census, twists, spec, odd, table, bq = _library_objects()
+        assert pickle.loads(pickle.dumps(census)).reps.index(census.reps[5]) == 5
+        assert pickle.loads(pickle.dumps(twists)).items() == twists.items()
+        assert pickle.loads(pickle.dumps(spec)).verdict == spec.verdict
+        assert pickle.loads(pickle.dumps(odd)).extended_lattice == odd.extended_lattice
+        assert pickle.loads(pickle.dumps(bq)).is_standard
+
+    def test_specs_pickle_as_their_inputs(self):
+        _, _, spec, odd, _, bq = _library_objects()
+        assert spec.__reduce__() == (AlgebraSpec, (spec.datum, spec.generators, None))
+        assert odd.__reduce__() == (AlgebraSpec, (odd.datum, odd.generators, odd.mu))
+        assert bq.__reduce__() == (BqSpec, (bq.algebra.datum, bq.algebra.generators, bq.a_squared))
+
+    def test_the_twist_and_table_views_stay_unhashable(self):
+        _, twists, _, _, table, _ = _library_objects()
+        for view in (twists, table.entries):
+            with pytest.raises(TypeError):
+                hash(view)
+        assert twists == dict(twists.items()) and table.entries == dict(table.entries.items())
+
+
+def plain_classes(source: str, namespace: dict) -> list[str]:
+    """The classes the source defines, read from the namespace it was run
+    in, that are neither records nor exceptions."""
+    return [
+        node.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ClassDef)
+        and not issubclass(namespace[node.name], (Record, BaseException))
+    ]
+
+
+def storage_names(source: str, allowed: str) -> list[int]:
+    """The lines that name __slots__ or cached_property (as a name, an
+    attribute or an import) outside the class called allowed."""
+    lines, todo = [], [ast.parse(source)]
+    while todo:
+        node = todo.pop()
+        if isinstance(node, ast.ClassDef) and node.name == allowed:
+            continue
+        todo += ast.iter_child_nodes(node)
+        names = {getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)}
+        if {"__slots__", "cached_property"} & names:
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_every_class_is_a_record_an_exception_or_a_named_plain_class():
+    snippet = (
+        "class A(Record):\n"
+        "    pass\n"
+        "class E(ValueError):\n"
+        "    pass\n"
+        "class Spec:\n"
+        "    pass\n"
+    )
+    namespace = {"Record": Record}
+    exec(snippet, namespace)
+    assert plain_classes(snippet, namespace) == ["Spec"]
+    # Besides Grid: the records' metaclass, and the two collections.abc
+    # views that items() and values() of a CensusTwists return, which hold
+    # only the mapping they view, in collections.abc's own slot.
+    found = {}
+    for path in sorted(Path(uproll.__file__).parent.glob("*.py")):
+        module = importlib.import_module(f"uproll.{path.stem}")
+        found.update(dict.fromkeys(plain_classes(path.read_text(encoding="utf-8"), vars(module)), path.name))
+    assert found == {"_RecordType": "_record.py", "Grid": "_table.py",
+                     "_TwistItems": "_census.py", "_TwistValues": "_census.py"}
+    for cls in (AlgebraSpec, BqSpec, CensusReps, CensusTwists, TableEntries):
+        assert issubclass(cls, Record), cls
+
+
+def test_only_grid_names_slots_or_cached_property():
+    snippet = (
+        "from functools import cached_property\n"
+        "class Grid:\n"
+        "    @functools.cached_property\n"
+        "    def units(self): ...\n"
+        "class Spec:\n"
+        "    __slots__ = ()\n"
+        "    @functools.cached_property\n"
+        "    def v(self): ...\n"
+    )
+    assert storage_names(snippet, "Grid") == [1, 6, 7]
+    found = {}
+    for path in sorted(Path(uproll.__file__).parent.glob("*.py")):
+        if lines := storage_names(path.read_text(encoding="utf-8"), "Grid"):
+            found[path.name] = lines
+    assert found == {}
