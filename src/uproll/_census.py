@@ -124,15 +124,15 @@ class CensusReps(Sequence, Record):
 class CensusTwists(Mapping, Record):
     """Twist exponents of a finite census, a read-only mapping from each
     representative Weight to its ExponentModL, in census order, held as the
-    census's quadratic form over den: k + k^2 integers single[i] = T(D_i)
-    and twice[i][j] = 2<D_i, D_j>.  A read evaluates Sum_i c_i (single[i] +
-    (c_i - 1) twice[i][i] / 2 + Sum_{j<i} c_j twice[i][j]) at the weight's
-    digits c; only iteration expands the form over the census.  The
-    record equals any mapping of the same items, and is unhashable."""
+    census's quadratic form over den: k + k^2 integers in tuples, single[i]
+    = T(D_i) and twice[i][j] = 2<D_i, D_j>.  A read evaluates Sum_i c_i
+    (single[i] + (c_i - 1) twice[i][i] / 2 + Sum_{j<i} c_j twice[i][j]) at
+    the weight's digits c; only iteration expands the form over the census.
+    The record equals any mapping of the same items, and is unhashable."""
 
     reps: CensusReps
-    single: list[int]
-    twice: list[list[int]]
+    single: tuple[int, ...]
+    twice: tuple[tuple[int, ...], ...]
     den: int
     ell: int
 

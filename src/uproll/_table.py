@@ -1,12 +1,12 @@
-"""Dense storage for structure-constant tables: integer rows over one
-denominator, indexed by the box vectors in lexicographic order.  The table
-operations in uproll.algebra run their kernels here, on these rows, and
-read each pair sum at its position in the doubled box; ExponentModL
-values appear only through the mapping view TableEntries, a record.
+"""Dense storage for structure-constant tables: integer row tuples over one
+denominator, each distinct row stored once, indexed by the box vectors in
+lexicographic order.  The table operations in uproll.algebra run their
+kernels here, on these rows, and read each pair sum at its position in the
+doubled box; ExponentModL values appear only through TableEntries, a record.
 
-The cocycle identities are decided here too: the gauge recursion that
-builds a table's cochain, the split certificate that proves them in one
-pass over the pairs, and the scans that run when it does not apply."""
+The cocycle identities are decided here too, in order: by the comparison
+with the bilinear form read off the unit pairs, by the split certificate on
+the gauge recursion's cochain, and by the scans when neither applies."""
 
 from __future__ import annotations
 
@@ -14,6 +14,7 @@ import functools
 from collections.abc import Mapping
 from itertools import product
 from math import lcm
+from operator import add
 
 from ._linalg import box_dots
 from ._record import Record
@@ -25,7 +26,9 @@ from .errors import IncompleteTable
 class Grid:
     """The box [-box, box]^dimension: its vectors in lexicographic order,
     their positions and (on first use) those in the doubled box of the pair
-    sums, built once per table and handed on to the tables derived from it."""
+    sums, built once per table and handed on to the tables derived from it.
+    A plain class, not a record: doubled and inside are built lazily, since
+    building them eagerly moves their cost between the table operations."""
 
     def __init__(self, dimension: int, box: int):
         check_box_budget(box, dimension)
@@ -57,28 +60,31 @@ class Grid:
         where = {zero + t: k for k, t in enumerate(at)}
         return [where.get(pos) for pos in range((4 * self.box + 1) ** self.dimension)]
 
-    def forms(self, matrix) -> list[list[int]]:
+    def forms(self, matrix) -> tuple[tuple[int, ...], ...]:
         """For each vector a of the box in order, the integers a.matrix.m
         for every vector m of the box, in order.  By bilinearity each row
-        is the one before it along an axis plus that axis's unit row."""
+        is the one before it along an axis plus that axis's unit row.  The
+        slowest axes whose matrix rows are zero add nothing, so the rows
+        over the others are built once and repeated, each row one tuple."""
         spans = (self.span,) * self.dimension
-        rows = [box_dots(spans, [-self.box * sum(col) for col in zip(*matrix)])]  # at (-box, ..., -box)
-        for unit in (box_dots(spans, m) for m in matrix):
-            rows = [(row := first if c == -self.box else [x + y for x, y in zip(row, unit)])
+        skip = next((t for t, m in enumerate(matrix) if any(m)), len(matrix))
+        rows = [tuple(box_dots(spans, [-self.box * sum(col) for col in zip(*matrix)]))]  # at (-box, ..., -box)
+        for unit in (box_dots(spans, m) for m in matrix[skip:]):
+            rows = [(row := first if c == -self.box else tuple(map(add, row, unit)))
                     for first in rows for c in self.span]
-        return rows
+        return tuple(rows) * len(self.span) ** skip
 
 
 class TableEntries(Mapping, Record):
     """A CocycleTable's entries, a read-only mapping (n, m) -> ExponentModL
-    held as dense integer rows over one denominator den: rows[i][j] / den
-    is the unreduced exponent at (vecs[i], vecs[j]) of the grid, None where
-    there is no entry.  The record equals any mapping of the same items,
-    and is unhashable."""
+    held as dense integer row tuples over one denominator den: rows[i][j] /
+    den is the unreduced exponent at (vecs[i], vecs[j]) of the grid, None
+    where there is no entry; equal rows may be one shared tuple.  The
+    record equals any mapping of the same items, and is unhashable."""
 
     grid: Grid
     ell: int
-    rows: list[list[int | None]]
+    rows: tuple[tuple[int | None, ...], ...]
     den: int
 
     def __getitem__(self, key) -> ExponentModL:
@@ -103,10 +109,10 @@ class TableEntries(Mapping, Record):
 
     def require(self, positions) -> None:
         """Raise IncompleteTable naming the first (i, j) in positions with no entry."""
-        # A sum of ints raises exactly when some entry is None, without the
-        # rich comparison with None that "None in row" makes per entry.
+        # A sum of ints raises exactly when some entry is None, without the rich
+        # comparison with None that "None in row" makes; a shared row counts once.
         try:
-            sum(map(sum, self.rows))
+            sum(map(sum, {id(row): row for row in self.rows}.values()))
         except TypeError:
             for i, j in positions:
                 if self.rows[i][j] is None:
@@ -150,7 +156,7 @@ class CocycleTable(Record):
                 if left not in grid.index or right not in grid.index:
                     raise ValueError(f"pair {(left, right)} lies outside the box {box}")
                 rows[grid.index[left]][grid.index[right]] = x
-            entries = TableEntries(grid, ell, rows, den)
+            entries = TableEntries(grid, ell, tuple(map(tuple, rows)), den)
         super().__init__(generators, box, ell, entries)
 
     @property
@@ -190,15 +196,15 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
     return f
 
 
-def coboundary_rows(grid: Grid, rows, f) -> list[list]:
+def coboundary_rows(grid: Grid, rows, f) -> tuple[tuple, ...]:
     """The rows of x + f(a + b) - f(a) - f(b), with x = rows[i][j] at the
     i-th and j-th box vectors a and b and f listed over the doubled box
     (Grid.doubled); None where x or f(a + b) is None."""
     at, zero = grid.doubled
     keys = [zero + t for t in at]
     f_box = [f[k] for k in keys]
-    return [[None if x is None or (s := f[a + b]) is None else x + s - fa - fb
-             for x, b, fb in zip(row, at, f_box)] for a, fa, row in zip(keys, f_box, rows)]
+    return tuple(tuple([None if x is None or (s := f[a + b]) is None else x + s - fa - fb
+                        for x, b, fb in zip(row, at, f_box)]) for a, fa, row in zip(keys, f_box, rows))
 
 
 def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
@@ -239,22 +245,25 @@ def normalize(entries: TableEntries) -> tuple[list[int], TableEntries]:
 # - e(a, b) - e(b, a) = B(a, b) - B(b, a), so the commutation defect is
 #   bilinear and vanishes on the box iff it does on the unit pairs.
 # Every pair counts: e(a + b, c) is read where a + b + c leaves the box.
-# A fail proves nothing, and the scans decide.
+# A table whose rows are B's (a normal form) is B, with psi = phi = 0, so one
+# comparison proves it before f is built.  A fail proves nothing; scans decide.
 def split_certificate(entries: TableEntries) -> bool:
     """Whether the table is a bilinear form plus a coboundary on every pair
     of the box (see the comment above)."""
     grid, rows, mod = entries.grid, entries.rows, entries.den * entries.ell
-    f = gauge_cochain(grid, rows)
     # B's matrix is empty at box 0, where the only vector is zero.
     units = grid.units
     lower = [[rows[ui][uk] - rows[uk][ui] if i > k else 0 for k, uk in enumerate(units)]
              for i, ui in enumerate(units)]
+    if (forms := grid.forms(lower)) == rows:
+        return True
+    f = gauge_cochain(grid, rows)
     # A sum's position in the doubled box, which every sum reaches, and h
     # modulo den * ell make one int; a map of sums has one int per sum.
     at, zero = grid.doubled
     keys = [mod * (zero + t) for t in at]
     seen = {k + -x % mod for k, x in zip(keys, f)}
-    for fa, t, row, form in zip(f, at, rows, grid.forms(lower)):
+    for fa, t, row, form in zip(f, at, rows, forms):
         shift = mod * t
         seen.update([(x - y - fa - fb) % mod + k + shift for x, y, fb, k in zip(row, form, f, keys)])
     return len(seen) == (4 * grid.box + 1) ** grid.dimension
@@ -305,7 +314,8 @@ def scan_commutation(entries: TableEntries, pairs, p: int) -> tuple | None:
 
 def violations(entries: TableEntries, pairs, p: int) -> tuple[tuple | None, tuple | None]:
     """cocycle_check's first structure and first commutation violation,
-    None for each that holds; the certificate spares what it proves."""
+    None for each that holds; the form comparison and the certificate
+    spare what they prove."""
     entries.require(product(range(len(entries.grid.vecs)), repeat=2))
     if not split_certificate(entries):
         return scan_structure(entries), scan_commutation(entries, pairs, p)

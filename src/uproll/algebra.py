@@ -28,6 +28,7 @@ separate bookkeeping by callers and the exponent tables stay unsigned.
 from __future__ import annotations
 
 from fractions import Fraction
+from types import MappingProxyType
 from typing import TYPE_CHECKING
 
 from . import _linalg
@@ -275,12 +276,13 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     reported separately (tables of supercommutative algebras fail it on
     odd-odd pairs by the half-shift, which is the expected sign).
 
-    The split certificate comes first: if the table is a bilinear form B
-    plus the coboundary of a cochain on every pair of the box, the unit
-    rows and associativity hold, and the commutation defect is bilinear,
-    so the unit pairs decide it.  Whatever it leaves open is scanned in
-    lexicographic order, which fixes first_violation.  A missing entry
-    raises IncompleteTable, the first one in lexicographic order.
+    The form B read off the unit pairs comes first: a table whose rows
+    (tuples, one per distinct row) are B's, as a normal form's are, is B.
+    Else the split certificate asks whether it is B plus a coboundary on
+    every pair of the box.  Either way the unit rows and associativity
+    hold and the commutation defect is bilinear, so the unit pairs decide
+    it.  The rest is scanned in lexicographic order, which fixes
+    first_violation.  The first missing entry raises IncompleteTable.
     """
     from ._table import violations
 
@@ -304,10 +306,16 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
 
 
 class GaugeResult(Record):
-    """Gauge 1-cochain (on coefficient vectors) and the normalized table."""
+    """Gauge 1-cochain (read-only, on coefficient vectors) and the normalized table."""
 
-    phi: dict
+    phi: MappingProxyType
     normalized: CocycleTable
+
+    def __init__(self, phi, normalized: CocycleTable):
+        super().__init__(MappingProxyType(dict(phi)), normalized)
+
+    def __reduce__(self):
+        return type(self), (dict(self.phi), self.normalized)
 
 
 def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
@@ -324,7 +332,7 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     The recursion (uproll._table.gauge_cochain, which cocycle_check's
     certificate shares) runs on the table's integer rows, and each pair
     sum is read at its position in the doubled box, with no pair list
-    kept; phi is returned as a dict of ExponentModL built at the end.
+    kept; phi is returned as a read-only mapping of ExponentModL.
     """
     from ._table import CocycleTable, normalize
 

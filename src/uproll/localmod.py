@@ -163,8 +163,8 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     scale = datum.gram_denominator * den * den
     steps = [step for _, step in reps.radix]
     seeds = [twist_exponent(datum, Weight.over(a, den)) for a in steps]
-    single = [e.num * (scale // e.den) for e in seeds]
-    twice = [[2 * p for p in row] for row in form_matrix(datum.scaled_gram, steps)]
+    single = tuple(e.num * (scale // e.den) for e in seeds)
+    twice = tuple(tuple(2 * p for p in row) for row in form_matrix(datum.scaled_gram, steps))
     return CensusTwists(reps, single, twice, scale, datum.ell)
 
 

@@ -39,17 +39,17 @@ ALL_TYPES = (
 TYPE_POOL = [("A", 1), ("A", 2), ("B", 1), ("B", 2), ("C", 1), ("C", 2)]
 
 
-def draw_commutativity_specs(seed: int, count: int) -> list[AlgebraSpec]:
+def draw_commutativity_specs(seed: int, count: int, pool=TYPE_POOL) -> list[AlgebraSpec]:
     """Random low-rank specs with generators in the simple-current lattice.
 
-    Series A/B/C at rank <= 2, ell in 3..12 (resampling combinations that
-    violate the datum hypothesis), one or two generators with coefficient
-    multiples of ell/2 drawn from [-2, 2].
+    Types from pool (by default series A/B/C at rank <= 2), ell in 3..12
+    (resampling combinations that violate the datum hypothesis), one or
+    two generators with coefficient multiples of ell/2 drawn from [-2, 2].
     """
     rng = random.Random(seed)
     specs = []
     while len(specs) < count:
-        series, rank = rng.choice(TYPE_POOL)
+        series, rank = rng.choice(pool)
         ell = rng.randint(3, 12)
         try:
             datum = build_cartan_datum(series, rank, ell)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 import uproll._table
 import uproll.algebra
-from helpers import draw_commutativity_specs, draw_super_specs
+from helpers import TYPE_POOL, draw_commutativity_specs, draw_super_specs
 from uproll import (
     AlgebraSpec,
     CocycleTable,
@@ -413,8 +413,10 @@ def reference_scan(table, datum):
     vecs = list(table.vectors())
     zero = (0,) * table.dimension
 
+    values = {key: x.value for key, x in table.entries.items()}
+
     def e(a, b):
-        return table.entries[a, b].value
+        return values[a, b]
 
     def plus(a, b):
         s = tuple(x + y for x, y in zip(a, b))
@@ -507,13 +509,14 @@ def certified_table(spec, box, kind, rng):
 @settings(max_examples=60, deadline=None)
 @given(
     seed=st.integers(0, 10**6),
-    box=st.integers(0, 2),
+    box=st.integers(0, 3),
     family=st.sampled_from(["even", "super", "unit"]),
     kind=st.sampled_from(["normal", "coboundary", "bilinear"]),
     perturb=st.booleans(),
 )
 def test_certificate_path_agrees_with_the_scan(seed, box, family, kind, perturb):
-    specs = draw_commutativity_specs(seed, 1)
+    # Normal forms are decided by the form comparison, the other kinds by the certificate.
+    specs = draw_commutativity_specs(seed, 1, TYPE_POOL + [("A", 3), ("G", 2)])
     if family == "super":
         specs = draw_super_specs(specs) or specs
     elif family == "unit":
@@ -557,6 +560,60 @@ def test_certified_tables_skip_both_scans(monkeypatch):
     # The super table is a cocycle, so only the commutation scan runs.
     with pytest.raises(ScanReached, match="commutation"):
         cocycle_check(structure_constant_table(super_spec(), 2), A1_4)
+
+
+@pytest.mark.parametrize("dims,box", [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
+def test_lower_forms_share_one_tuple_per_distinct_row(dims, box):
+    rng = random.Random(f"lower {dims} {box}")
+    # Strictly lower, with a nonzero second row, so only the first axis adds nothing.
+    lower = [[rng.randint(-9, 9) if k < i else 0 for k in range(dims)] for i in range(dims)]
+    if dims > 1:
+        lower[1][0] = rng.choice([-3, 2, 5])
+    grid = uproll._table.Grid(dims, box)
+    rows = grid.forms(lower)
+    assert type(rows) is tuple and all(type(row) is tuple for row in rows)
+    vecs = list(product(range(-box, box + 1), repeat=dims))
+    assert rows == tuple(
+        tuple(sum(n[i] * lower[i][k] * m[k] for i in range(dims) for k in range(dims)) for m in vecs)
+        for n in vecs
+    )
+    assert len({id(row) for row in rows}) == (2 * box + 1) ** (dims - 1)
+    with pytest.raises(TypeError):
+        rows[-1][0] = 0
+
+
+@pytest.mark.parametrize("box", [1, 2])
+def test_normal_form_rows_are_shared_read_only_tuples(box):
+    spec = AlgebraSpec(A2_6, [3 * A2_6.simple_root(0), 3 * A2_6.simple_root(1), 6 * A2_6.simple_root(0)])
+    table = structure_constant_table(spec, box)
+    gens, dims = spec.ordered_basis, len(spec.ordered_basis)
+    lower = [(i, k, pairing(A2_6, gens[i], gens[k])) for i in range(dims) for k in range(i)]
+    for (n, m), e in table.entries.items():
+        assert e.value == sum(n[i] * x * m[k] for i, k, x in lower)
+    rows = table.entries.rows
+    assert len({id(row) for row in rows}) == (2 * box + 1) ** (dims - 1)
+    with pytest.raises(TypeError):
+        rows[1][0] = 0
+    with pytest.raises(TypeError):
+        rows[0] = ()
+
+
+def test_only_a_table_off_its_form_builds_the_gauge_cochain(monkeypatch):
+    built = []
+    real = uproll._table.gauge_cochain
+
+    def recording(grid, rows):
+        built.append(grid.box)
+        return real(grid, rows)
+
+    monkeypatch.setattr(uproll._table, "gauge_cochain", recording)
+    table = structure_constant_table(three_q_spec(), 3)
+    assert cocycle_check(table, A2_6) == CocycleVerdict(True, True, None)
+    assert built == []
+    key = ((1, 0), (0, 1))
+    off = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(1, 6)})
+    assert cocycle_check(off, A2_6).first_violation[0] == "associativity"
+    assert built == [3]
 
 
 def test_table_budget_is_checked_before_building():
