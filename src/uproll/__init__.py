@@ -15,16 +15,14 @@ from importlib import import_module as _import_module
 # Each public name, with the module that defines it; a module's own name
 # stands for the module.
 _HOMES = {
-    **dict.fromkeys(("cartan", "CartanDatum", "ExponentModL", "Weight", "alpha_coordinates",
-                     "build_cartan_datum", "exponent", "in_root_lattice",
-                     "in_simple_current_lattice", "is_multiple", "pairing", "weight"), "cartan"),
+    **dict.fromkeys(("cartan", "CartanDatum", "ExponentModL", "Weight", "build_cartan_datum",
+                     "exponent", "in_root_lattice", "in_simple_current_lattice", "weight"), "cartan"),
     **dict.fromkeys(("lattice", "Census", "RationalLattice", "adjoin", "canonical_basis",
                      "contains", "coset_reduce", "quotient_census", "scaled_dual"), "lattice"),
     **dict.fromkeys(("algebra", "AlgebraSpec", "CocycleVerdict", "CommutativityVerdict",
                      "GaugeResult", "SuperVerdict", "Witness", "apply_coboundary",
                      "check_commutative", "check_supercommutative", "cocycle_check",
-                     "exponent_from_coefficients", "gauge_normalize", "spec_verdict",
-                     "structure_constant_exponent", "structure_constant_table"), "algebra"),
+                     "gauge_normalize", "spec_verdict", "structure_constant_table"), "algebra"),
     **dict.fromkeys(("localmod", "LocalReport", "MugerReport", "RibbonVerdict", "census_twists",
                      "check_ribbon", "is_local", "local_report", "monodromy_exponent",
                      "muger_center", "simple_census", "twist_exponent"), "localmod"),
@@ -34,7 +32,8 @@ _HOMES = {
                      "bq_twist_exponent", "triplet_report"), "extensions"),
     "errors": "errors",
     **dict.fromkeys(("oracle", "Box", "brute_census_order", "brute_cocycle",
-                     "brute_commutativity", "brute_transparent_reps"), "oracle"),
+                     "brute_commutativity", "brute_transparent_reps", "is_multiple",
+                     "pairing"), "oracle"),
     "CocycleTable": "_table",
     "CensusReps": "_census",
     "CensusTwists": "_census",

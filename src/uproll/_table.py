@@ -159,16 +159,6 @@ class CocycleTable(Record):
             entries = TableEntries(grid, ell, tuple(map(tuple, rows)), den)
         super().__init__(generators, box, ell, entries)
 
-    @property
-    def dimension(self) -> int:
-        return len(self.generators)
-
-    def vectors(self):
-        return iter(self.entries.grid.vecs)
-
-    def in_box(self, vec) -> bool:
-        return all(-self.box <= c <= self.box for c in vec)
-
 
 def gauge_cochain(grid: Grid, e) -> list[int]:
     """The cochain f of algebra.gauge_normalize's recursion on integer rows

@@ -9,9 +9,10 @@ generator coefficients n, m is
     e(n, m) = sum over k of < lam^{>k}, mu^k >,
 
 where lam^{>k} collects the generator components of index greater than k
-and mu^k is the k-th component.  Gauge-equivalent tables differ by the
-coboundary of a 1-cochain phi, and the normalization recursion recovers
-the normal form from any valid table.
+and mu^k is the k-th component; structure_constant_table(spec, box)
+holds it at every pair (n, m) of the box as entries[(n, m)].
+Gauge-equivalent tables differ by the coboundary of a 1-cochain phi, and
+the normalization recursion recovers the normal form from any valid table.
 
 A table on the coefficient box [-box, box]^d is stored as dense integer
 rows over one denominator den: rows[i][j] / den is the exponent at the
@@ -31,25 +32,9 @@ from fractions import Fraction
 from types import MappingProxyType
 from typing import TYPE_CHECKING
 
-from . import _linalg
 from ._record import Record
-from .cartan import (
-    CartanDatum,
-    ExponentModL,
-    Weight,
-    bilinear,
-    common_rows,
-    in_simple_current_lattice,
-    pairing_matrix,
-    scaled_coords,
-)
-from .errors import (
-    DependentGenerators,
-    MuNotHalfOdd,
-    NotInLattice,
-    NotInSimpleCurrentLattice,
-    check_budget,
-)
+from .cartan import CartanDatum, ExponentModL, Weight, in_simple_current_lattice, pairing_matrix
+from .errors import MuNotHalfOdd, NotInSimpleCurrentLattice, check_budget
 from .lattice import RationalLattice, adjoin, canonical_basis, contains
 
 if TYPE_CHECKING:
@@ -109,41 +94,6 @@ class AlgebraSpec(Record):
     def ordered_basis(self) -> tuple[Weight, ...]:
         """Even generators followed by the odd one when present."""
         return self.generators if self.mu is None else self.generators + (self.mu,)
-
-    def coefficients(self, lam: Weight) -> tuple[int, ...]:
-        """Canonical generator coefficients of a lattice element.
-
-        For a superalgebra the odd coefficient is reduced into {0, 1}.
-        Raises DimensionMismatch when the weight's length is not the rank,
-        NotInLattice when the weight is outside the algebra and
-        DependentGenerators when the even generators are not a basis.
-        """
-        scaled_coords(self.datum, lam)  # the length check
-        rows, den = common_rows(self.generators)
-
-        def solve(target: Weight):
-            # The integer span of rows / den lies in (1/den) Z^n.
-            if den % target.den:
-                return None
-            try:
-                q, (combo,) = _linalg.combination_in_rows(rows, [target.row_over(den)])
-            except ValueError as exc:
-                raise DependentGenerators(str(exc)) from None
-            if combo is None or any(c % q for c in combo):
-                return None
-            return tuple(c // q for c in combo)
-
-        even = solve(lam)
-        if self.mu is None:
-            if even is None:
-                raise NotInLattice(f"{lam!r} is not in the algebra lattice")
-            return even
-        if even is not None:
-            return even + (0,)
-        odd = solve(lam - self.mu)
-        if odd is not None:
-            return odd + (1,)
-        raise NotInLattice(f"{lam!r} is not in the extended algebra lattice")
 
 
 class Witness(Record):
@@ -223,22 +173,6 @@ def spec_verdict(spec: AlgebraSpec):
     return spec.verdict
 
 
-def _lower_pairs(spec: AlgebraSpec) -> tuple[tuple[int, ...], ...]:
-    """The strictly lower part of the pair matrix, zero on and above the diagonal."""
-    return tuple(tuple(x if k < i else 0 for k, x in enumerate(row)) for i, row in enumerate(spec.pair_matrix[0]))
-
-
-def exponent_from_coefficients(spec: AlgebraSpec, left, right) -> ExponentModL:
-    """Normal-form exponent for elements given by generator coefficients:
-    the sum of left_i <b_i, b_k> right_k over basis indices i > k."""
-    return ExponentModL.over(bilinear(_lower_pairs(spec), left, right), spec.pair_matrix[1], spec.datum.ell)
-
-
-def structure_constant_exponent(spec: AlgebraSpec, lam: Weight, mu: Weight) -> ExponentModL:
-    """Normal-form structure-constant exponent on a pair of lattice elements."""
-    return exponent_from_coefficients(spec, spec.coefficients(lam), spec.coefficients(mu))
-
-
 def check_box_budget(box: int, dimension: int) -> None:
     """Refuse a negative box (ValueError: it would be empty, and every check
     on it vacuous) and one of more than MAX_TABLE_ENTRIES pairs."""
@@ -253,8 +187,10 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     strictly lower pair matrix."""
     from ._table import CocycleTable, Grid, TableEntries
 
+    pairs, den = spec.pair_matrix
+    lower = tuple(tuple(x if k < i else 0 for k, x in enumerate(row)) for i, row in enumerate(pairs))
     grid = Grid(len(spec.ordered_basis), box)
-    entries = TableEntries(grid, spec.datum.ell, grid.forms(_lower_pairs(spec)), spec.pair_matrix[1])
+    entries = TableEntries(grid, spec.datum.ell, grid.forms(lower), den)
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 

@@ -15,8 +15,9 @@ on ell, as is the flat twist form, N*G's upper triangle and its row sums
 N*G*rho, which every datum of the type shares as its twist_form field,
 and det(A), read off the same inversion.  bilinear() evaluates the form on
 two weights' integer rows and form_matrix on every pair of two lists of
-them; pairing_matrix and in_root_lattice stay on those integers, and
-pairing and alpha_coordinates form a Fraction for each result.
+them; pairing_matrix and in_root_lattice stay on those integers.  The
+oracle's pairing, which forms a Fraction for each pair, lives in
+uproll.oracle.
 
 Scalars are powers of a fixed primitive root of unity q = exp(2 pi i / ell)
 and are never materialized as complex numbers: only their exponents are
@@ -56,11 +57,6 @@ def _ratio(x) -> tuple[int, int]:
     if not (q := int(den or 1)):
         raise ZeroDivisionError(f"zero denominator: {x!r}")
     return int(num), q
-
-
-def is_multiple(x, step) -> bool:
-    """True when x lies in step * Z, for a nonzero rational step."""
-    return (Fraction(*_ratio(x)) / Fraction(*_ratio(step))).denominator == 1
 
 
 class Weight(Record):
@@ -201,10 +197,6 @@ class ExponentModL(Record):
         """The reduced representative in [0, modulus)."""
         return Fraction(self.num % (self.modulus * self.den), self.den)
 
-    @property
-    def is_zero(self) -> bool:
-        return not self.num % (self.modulus * self.den)
-
     def __eq__(self, other) -> bool:
         if not isinstance(other, ExponentModL):
             return NotImplemented
@@ -317,11 +309,6 @@ class CartanDatum(Record):
         n = self.gram_denominator
         return tuple(tuple(Fraction(x, n) for x in row) for row in self.scaled_gram)
 
-    def fundamental_weight(self, i: int) -> Weight:
-        row = [0] * self.rank
-        row[i] = 1
-        return Weight.over(row, 1)
-
     def simple_root(self, i: int) -> Weight:
         """Simple root i as a weight (column i of the Cartan matrix)."""
         return Weight.over([row[i] for row in self.cartan], 1)
@@ -414,13 +401,6 @@ def scaled_coords(datum: CartanDatum, lam: Weight) -> tuple[tuple[int, ...], int
     return lam.row, lam.den
 
 
-def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
-    """The normalized bilinear form <lam, mu>, exact."""
-    x, dx = scaled_coords(datum, lam)
-    y, dy = scaled_coords(datum, mu)
-    return Fraction(bilinear(datum.scaled_gram, x, y), datum.gram_denominator * dx * dy)
-
-
 def pairing_matrix(datum: CartanDatum, weights) -> tuple[tuple[tuple[int, ...], ...], int]:
     """The pairings <w_i, w_j> as an integer matrix P over the least denominator
     p: over the weights' common denominator d each is an integer over
@@ -440,25 +420,11 @@ def in_simple_current_lattice(datum: CartanDatum, lam: Weight) -> bool:
     return all(2 * a % (datum.ell * den) == 0 for a in x)
 
 
-def _alpha_parts(datum: CartanDatum, lam: Weight) -> list[tuple[int, int]]:
-    # Coordinate i of alpha_coordinates as the integers (N G x)_i and N den d_i.
+def in_root_lattice(datum: CartanDatum, lam: Weight) -> bool:
+    """True when the weight is an integer combination of simple roots:
+    since <omega_i, alpha_j> = d_j delta_ij, its coordinate i over the
+    simple roots is <lam, omega_i> / d_i, row i of N G x over N den d_i."""
     x, den = scaled_coords(datum, lam)
     scale = datum.gram_denominator * den
-    return [
-        (sum(map(mul, row, x)), scale * d)
-        for row, d in zip(datum.scaled_gram, datum.symmetrizers)
-    ]
-
-
-def alpha_coordinates(datum: CartanDatum, lam: Weight) -> tuple[Fraction, ...]:
-    """Coordinates of a weight over the simple roots.
-
-    Since <omega_i, alpha_j> = d_j delta_ij, coordinate i is
-    <lam, omega_i> / d_i, read off row i of the Gram matrix.
-    """
-    return tuple(Fraction(a, b) for a, b in _alpha_parts(datum, lam))
-
-
-def in_root_lattice(datum: CartanDatum, lam: Weight) -> bool:
-    """True when the weight is an integer combination of simple roots."""
-    return all(a % b == 0 for a, b in _alpha_parts(datum, lam))
+    return all(sum(map(mul, row, x)) % (scale * d) == 0
+               for row, d in zip(datum.scaled_gram, datum.symmetrizers))

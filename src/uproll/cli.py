@@ -10,8 +10,8 @@ Exit codes:
   2  malformed input: bad or too deeply nested JSON, a "rank" or "ell"
      that is not a JSON integer, a rational other than a JSON integer or
      an ASCII -?[0-9]+(/[0-9]+)? string over a nonzero denominator, a
-     list or object field of another JSON type, --box below 0, a partial
-     set of datum or triplet flags, unknown Dynkin type, dimension
+     list or object field of another JSON type, an unknown subcommand, a
+     partial set of datum or triplet flags, unknown Dynkin type, dimension
      mismatches, an odd generator that is not half-odd, bq at an odd ell
   3  hypothesis violated: ell < 3, r <= max gcd(d_i, r), or a non-ADE
      series passed to the triplet command
@@ -25,10 +25,9 @@ Exit codes:
   7  the work exceeds a fixed budget and is refused before it starts, with
      "budget exceeded: <stage>: <size> <what>, over the budget of <limit>"
      on stderr, a size too long to print as a decimal shown as "about
-     2^<bits>".  Stages census (reps) and coset search (oracle combinations)
-     are bounded by lattice.MAX_CENSUS_ORDER; spec (generator pairs, mu
-     included), box (oracle box pairs), cocycle scan (oracle triples),
-     monodromy table and bq (their pairs) by algebra.MAX_TABLE_ENTRIES
+     2^<bits>".  Stage census (reps) is bounded by lattice.MAX_CENSUS_ORDER;
+     spec (generator pairs, mu included), monodromy table and bq (their
+     pairs) by algebra.MAX_TABLE_ENTRIES
 
 A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
 refused before any Cartan data is built.
@@ -331,22 +330,6 @@ def _cmd_bq(args) -> dict:
     }
 
 
-def _cmd_oracle(args) -> dict:
-    spec = _doc_spec(_load_document(args))
-    # Every budget refuses before a scan: the coset count checks its own first.
-    uproll.oracle.cocycle_box(spec, args.box)
-    try:
-        order = uproll.oracle.brute_census_order(spec)
-    except (InfiniteCensus, AlgebraInvalid):
-        order = None
-    return {
-        "box": args.box,
-        "brute_commutativity": uproll.oracle.brute_commutativity(spec, args.box),
-        "brute_cocycle": uproll.oracle.brute_cocycle(spec, args.box),
-        "brute_census_order": order,
-    }
-
-
 _COMMANDS = {
     "datum": _cmd_datum,
     "check-algebra": _cmd_check_algebra,
@@ -357,7 +340,6 @@ _COMMANDS = {
     "muger": _cmd_muger,
     "triplet": _cmd_triplet,
     "bq": _cmd_bq,
-    "oracle": _cmd_oracle,
 }
 
 
@@ -378,8 +360,6 @@ def _build_parser() -> argparse.ArgumentParser:
             p.add_argument("--input", default=None, help="problem JSON file (default stdin)")
         if name in ("census", "twists"):
             p.add_argument("--format", choices=("json", "tsv"), default="json")
-        if name == "oracle":
-            p.add_argument("--box", type=int, default=3, help="oracle coefficient bound")
         for flag in _DATUM_FLAGS.get(name, ()):
             p.add_argument(f"--{flag}", type=None if flag == "series" else int)
     return parser

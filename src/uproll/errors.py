@@ -25,14 +25,6 @@ class MuNotHalfOdd(UprollError):
     """The odd generator must satisfy mu not in L and 2*mu in L."""
 
 
-class NotInLattice(UprollError):
-    """A weight is not an integer combination of the given generators."""
-
-
-class DependentGenerators(UprollError):
-    """Coefficient representations need a linearly independent generator list."""
-
-
 class NotSubgroup(UprollError):
     """A lattice generator fails the dual condition of the target group."""
 

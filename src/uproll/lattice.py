@@ -48,12 +48,8 @@ class RationalLattice(Record):
     def rank(self) -> int:
         return len(self.hnf)
 
-    @property
-    def canonical_rows(self) -> tuple[Weight, ...]:
-        return tuple(Weight.over(row, self.denominator) for row in self.hnf)
-
     def __repr__(self) -> str:
-        rows = ", ".join(repr(w) for w in self.canonical_rows)
+        rows = ", ".join(repr(Weight.over(row, self.denominator)) for row in self.hnf)
         return f"RationalLattice(rank {self.rank} in ambient {self.rank_ambient}: {rows})"
 
 

@@ -1,13 +1,17 @@
 """Brute-force checkers for the closed-form verdicts.
 
 These enumerate bounded coefficient boxes or census representatives and
-test the defining conditions directly.  Beyond ``cartan.pairing``, which
-they apply to whole weights, and, for the census-based checks, the
-census itself, they share no code with the closed forms they validate;
-they take no shortcuts and are deliberately naive.  A box of more than
-``algebra.MAX_TABLE_ENTRIES`` pairs, a cocycle scan of more triples than
-that, or a coset search over a census or combinations past
-``lattice.MAX_CENSUS_ORDER`` is refused before anything is enumerated.
+test the defining conditions directly: pairing evaluates the form on whole
+weights, one Fraction per pair, and is_multiple tests each value; both live
+here, and no verdict calls them.  Beyond the integer kernel cartan.bilinear
+under pairing and, for the census-based checks, the census itself, they
+share no code with the closed forms they validate; they take no shortcuts
+and are deliberately naive.  No CLI command runs them; the test suite
+does.  A box of more than ``algebra.MAX_TABLE_ENTRIES`` pairs (stage
+"box"), a cocycle scan of more triples than that ("cocycle scan"), or a
+coset search over a census or combinations past
+``lattice.MAX_CENSUS_ORDER`` ("census", "coset search") is refused before
+anything is enumerated.
 """
 
 from __future__ import annotations
@@ -17,10 +21,22 @@ from itertools import product
 
 from ._record import Record
 from .algebra import MAX_TABLE_ENTRIES, AlgebraSpec, check_box_budget, structure_constant_table
-from .cartan import Weight, is_multiple, pairing
+from .cartan import CartanDatum, Weight, _ratio, bilinear, scaled_coords
 from .errors import InfiniteCensus, check_budget
 from .lattice import MAX_CENSUS_ORDER, coset_reduce, scaled_dual
 from .localmod import simple_census
+
+
+def pairing(datum: CartanDatum, lam: Weight, mu: Weight) -> Fraction:
+    """The normalized bilinear form <lam, mu>, exact."""
+    x, dx = scaled_coords(datum, lam)
+    y, dy = scaled_coords(datum, mu)
+    return Fraction(bilinear(datum.scaled_gram, x, y), datum.gram_denominator * dx * dy)
+
+
+def is_multiple(x, step) -> bool:
+    """True when x lies in step * Z, for a nonzero rational step."""
+    return (Fraction(*_ratio(x)) / Fraction(*_ratio(step))).denominator == 1
 
 
 class Box(Record):
@@ -65,36 +81,31 @@ def brute_commutativity(spec: AlgebraSpec, box=3) -> bool:
     return True
 
 
-def cocycle_box(spec: AlgebraSpec, box) -> Box:
-    """brute_cocycle's box, refused past MAX_TABLE_ENTRIES triples.  The scan
-    visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d of them (b has entry t,
-    a and c one of 2 box + 1 - |t|), never fewer than the pairs of this box
-    or of brute_commutativity's, which has no more axes."""
-    b = Box(int(box), len(spec.ordered_basis))
-    B, m = b.bound, 2 * b.bound + 1
-    triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
-    check_budget("cocycle scan", triples, f"associativity triples in box {B}", MAX_TABLE_ENTRIES)
-    return b
-
-
 def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
     """Build the normal-form table and grind through its congruences.
 
     Verifies the unit rows, associativity on every in-box triple, and
     the ungraded commutation relation e(a, b) = e(b, a) + <a, b>, all
     mod ell.  Supercommutative specs fail the last relation on odd-odd
-    pairs by design; this oracle targets the commutative case.
+    pairs by design; this oracle targets the commutative case.  Past
+    MAX_TABLE_ENTRIES triples it is refused before the table is built:
+    the scan visits (sum_{|t| <= box} (2 box + 1 - |t|)^2)^d of them (b
+    has entry t, a and c one of 2 box + 1 - |t|), never fewer than the
+    pairs of this box or of brute_commutativity's, which has no more axes.
     """
-    b = cocycle_box(spec, box)
-    table = structure_constant_table(spec, b.bound)
+    b = Box(int(box), len(spec.ordered_basis))
+    B, m = b.bound, 2 * b.bound + 1
+    triples = (m * m + (2 * B * m * (4 * B + 1) - B * (B + 1) * m) // 3) ** b.dimension
+    check_budget("cocycle scan", triples, f"associativity triples in box {B}", MAX_TABLE_ENTRIES)
+    table = structure_constant_table(spec, B)
     datum = spec.datum
     ell = datum.ell
 
     # Every exponent read once; the table stores them as integer rows.
     e = {key: x.value for key, x in table.entries.items()}
-    vecs = list(table.vectors())
+    vecs = list(b)
     lams = {v: _weight_of(v, table.generators, datum.rank) for v in vecs}
-    zero = (0,) * table.dimension
+    zero = (0,) * b.dimension
     for v in vecs:
         if e[v, zero] % ell or e[zero, v] % ell:
             return False
@@ -104,11 +115,11 @@ def brute_cocycle(spec: AlgebraSpec, box=3) -> bool:
             if delta % ell:
                 return False
             v12 = tuple(a + c for a, c in zip(v1, v2))
-            if not table.in_box(v12):
+            if not all(-B <= c <= B for c in v12):
                 continue
             for v3 in vecs:
                 v23 = tuple(a + c for a, c in zip(v2, v3))
-                if not table.in_box(v23):
+                if not all(-B <= c <= B for c in v23):
                     continue
                 if (e[v12, v3] + e[v1, v2] - e[v1, v23] - e[v2, v3]) % ell:
                     return False
@@ -131,7 +142,8 @@ def brute_census_order(spec: AlgebraSpec, box=None) -> int:
         raise InfiniteCensus("coset enumeration needs a finite quotient")
     side = int(box) if box is not None else max(census.invariant_factors, default=1)
     lat = spec.extended_lattice
-    rows = scaled_dual(spec.datum, lat).canonical_rows
+    dual = scaled_dual(spec.datum, lat)
+    rows = [Weight.over(row, dual.denominator) for row in dual.hnf]
     check_budget("coset search", max(side, 0) ** len(rows), "coset combinations", MAX_CENSUS_ORDER)
     found = set()
     for combo in product(range(side), repeat=len(rows)):

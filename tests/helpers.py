@@ -15,7 +15,7 @@ try:
 except ImportError:  # not on every platform; children then run uncapped
     resource = None
 
-from uproll import AlgebraSpec, build_cartan_datum, weight
+from uproll import AlgebraSpec, Weight, build_cartan_datum, weight
 from uproll.errors import HypothesisViolated, UprollError
 
 # (series, rank, r, expected census order det(A) * r^rank) of triplet cases
@@ -94,6 +94,24 @@ def sympy_form(gram, lam, mu) -> Fraction:
 
     value = (column(lam).T * gram * column(mu))[0, 0]
     return Fraction(int(value.p), int(value.q))
+
+
+def fundamental_weight(datum, i: int) -> Weight:
+    """The i-th fundamental weight of the datum."""
+    return Weight.over([int(k == i) for k in range(datum.rank)], 1)
+
+
+def alpha_coordinates(datum, lam) -> tuple[Fraction, ...]:
+    """Coordinates of a weight over the simple roots.  Since <omega_i,
+    alpha_j> = d_j delta_ij, coordinate i is <lam, omega_i> / d_i, read off
+    row i of the Gram matrix."""
+    return tuple(sum(g * c for g, c in zip(row, lam.coords)) / d
+                 for row, d in zip(datum.gram, datum.symmetrizers))
+
+
+def lattice_rows(lattice) -> tuple[Weight, ...]:
+    """The lattice's canonical basis, its Hermite rows, as weights."""
+    return tuple(Weight.over(row, lattice.denominator) for row in lattice.hnf)
 
 
 def random_weight(rng: random.Random, rank: int, span: int = 6, den: int = 4):

@@ -36,7 +36,6 @@ from uproll import (
     gauge_normalize,
     is_local,
     monodromy_exponent,
-    pairing,
     simple_census,
     structure_constant_table,
     triplet_report,
@@ -44,7 +43,7 @@ from uproll import (
     weight,
 )
 from uproll.cli import run
-from uproll.oracle import _weight_of
+from uproll.oracle import _weight_of, pairing
 
 
 @contextmanager

@@ -9,19 +9,18 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import uproll.cartan
-from helpers import ALL_TYPES, random_weight, sympy_form, sympy_gram
+from helpers import ALL_TYPES, alpha_coordinates, fundamental_weight, random_weight, sympy_form, sympy_gram
 from uproll import (
     ExponentModL,
     Weight,
-    alpha_coordinates,
     build_cartan_datum,
     exponent,
     in_simple_current_lattice,
-    pairing,
     weight,
 )
 from uproll.cartan import MAX_RANK, bilinear
 from uproll.cli import _exponent_json
+from uproll.oracle import pairing
 from uproll.errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
 
 # a valid order of the root of unity for each type used in table tests
@@ -105,7 +104,7 @@ class TestBuildCartanDatum:
         for i in range(rank):
             for j in range(rank):
                 expected = d.symmetrizers[j] if i == j else 0
-                assert pairing(d, d.fundamental_weight(i), d.simple_root(j)) == expected
+                assert pairing(d, fundamental_weight(d, i), d.simple_root(j)) == expected
 
     @pytest.mark.parametrize("series,rank,ell", DATA)
     def test_short_roots_have_length_two(self, series, rank, ell):
@@ -278,7 +277,7 @@ def test_alpha_coordinates_invert_the_cartan_matrix(series, rank):
     inv = sympy.Matrix(d.cartan).inv()
     for i in range(rank):
         expected = tuple(Fraction(int(inv[j, i].p), int(inv[j, i].q)) for j in range(rank))
-        assert alpha_coordinates(d, d.fundamental_weight(i)) == expected
+        assert alpha_coordinates(d, fundamental_weight(d, i)) == expected
 
 
 @pytest.mark.parametrize("series,rank", ALL_TYPES)

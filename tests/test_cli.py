@@ -10,8 +10,10 @@ import pytest
 from helpers import child_env, run_cli
 
 import uproll
-from uproll import build_cartan_datum, twist_exponent, weight
+import uproll.oracle
+from uproll import AlgebraSpec, build_cartan_datum, twist_exponent, weight
 from uproll.cli import run
+from uproll.errors import BudgetExceeded, InfiniteCensus
 
 
 def write_doc(tmp_path, name, doc):
@@ -270,20 +272,6 @@ class TestOtherCommands:
         assert code == 0
         assert doc["trivial"] is True and doc["transparent_reps"] == [["0"]]
 
-    def test_oracle_report(self, tmp_path, capsys):
-        path = write_doc(
-            tmp_path, "p.json",
-            {"series": "A", "rank": 1, "ell": 4, "lattice": [["4"]]},
-        )
-        code, doc = run_json(capsys, ["oracle", "--input", path, "--box", "2"])
-        assert code == 0
-        assert doc == {
-            "box": 2,
-            "brute_commutativity": True,
-            "brute_cocycle": True,
-            "brute_census_order": 4,
-        }
-
     def test_bq_report(self, tmp_path, capsys):
         path = write_doc(
             tmp_path, "p.json",
@@ -320,10 +308,9 @@ A1_NON_COMMUTATIVE = {"series": "A", "rank": 1, "ell": 4, "lattice": [["2"]]}
         (["check-algebra"], {**A1_NON_COMMUTATIVE, "mu": [True]}, "mu[0]"),
         (["bq"], {"series": "A", "rank": 1, "ell": 4, "heisenberg": {"a_squared": 0.5}},
          "heisenberg.a_squared"),
-        (["oracle", "--box", "-1"], A1_NON_COMMUTATIVE, "box"),
     ],
     ids=["rank-float", "rank-bool", "ell-overflow", "ell-string", "zero-denominator",
-         "rational-float", "mu-bool", "a-squared-float", "negative-box"],
+         "rational-float", "mu-bool", "a-squared-float"],
 )
 def test_bad_numbers_exit_two_naming_the_field(argv, doc, field, tmp_path, capsys):
     assert_exit_two_naming(argv, doc, field, tmp_path, capsys)
@@ -516,13 +503,12 @@ def test_rank_past_the_cap_exits_two_at_once(tmp_path, capsys):
     "argv,doc",
     [
         (["triplet", "--series", "E", "--rank", "8", "--r", "30"], None),
-        (["oracle", "--box", str(10**9)], {**A1_4, "lattice": [["4"]]}),
         (["census"], {**A1_4, "lattice": [["2000"]]}),
         (["twists", "--format", "tsv"], {**A1_4, "lattice": [["2000"]]}),
         # 484 reps are within the census budget, but not their 117370 pairs
         (["monodromy"], {**A1_4, "lattice": [["44"]]}),
     ],
-    ids=["triplet-E8-r30", "oracle-huge-box", "census", "twists", "monodromy-table"],
+    ids=["triplet-E8-r30", "census", "twists", "monodromy-table"],
 )
 def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
     if doc is not None:
@@ -536,6 +522,12 @@ def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def doc_spec(doc):
+    """The spec of a problem document, built in the library."""
+    datum = build_cartan_datum(doc["series"], doc["rank"], doc["ell"])
+    return AlgebraSpec(datum, [weight(row) for row in doc["lattice"]])
+
+
 @pytest.mark.parametrize(
     "box,doc,triples",
     [
@@ -546,24 +538,40 @@ def test_oversized_work_exits_seven_at_once(argv, doc, tmp_path, capsys):
     ],
     ids=["A2-box-8", "A3-three-generators-box-2", "A1-box-80"],
 )
-def test_oracle_over_the_triple_budget_exits_seven_within_a_second(box, doc, triples, tmp_path, capsys):
+def test_oracle_over_the_triple_budget_exits_seven_within_a_second(box, doc, triples):
     # Each box is within the pair budget; its associativity triples are not.
+    # No command reaches the cocycle scan, so the refusal is the library's.
+    spec = doc_spec(doc)
     start = time.perf_counter()
-    assert run(["oracle", "--box", str(box), "--input", write_doc(tmp_path, "p.json", doc)]) == 7
+    with pytest.raises(BudgetExceeded) as info:
+        uproll.oracle.brute_cocycle(spec, box)
     assert time.perf_counter() - start < 1
+    assert str(info.value) == f"cocycle scan: {triples} associativity triples in box {box}, over the budget of 100000"
+
+
+def test_oracle_refuses_the_cocycle_scan_before_the_pair_scan(monkeypatch):
+    # brute_cocycle builds no table and pairs no weights before its triple budget refuses.
+    spec = doc_spec({"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]})
+    for name in ("structure_constant_table", "pairing"):
+        monkeypatch.setattr(uproll.oracle, name, lambda *args, name=name: pytest.fail(f"{name} ran before the refusal"))
+    with pytest.raises(BudgetExceeded, match="^cocycle scan: 8254129 associativity triples in box 8,"):
+        uproll.oracle.brute_cocycle(spec, 8)
+
+
+def refusal(argv, doc, tmp_path, capsys) -> str:
+    """The stderr of a refused request, which must exit 7 and print nothing.
+    A stage that no command reaches is given as a library call instead, with
+    the line the CLI prints for its BudgetExceeded."""
+    if callable(argv):
+        with pytest.raises(BudgetExceeded) as info:
+            argv()
+        return f"budget exceeded: {info.value}\n"
+    if doc is not None:
+        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
+    assert run(argv) == 7
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err == (
-        f"budget exceeded: cocycle scan: {triples} associativity triples in box {box}, over the budget of 100000\n"
-    )
-
-
-def test_oracle_refuses_the_cocycle_scan_before_the_pair_scan(tmp_path, monkeypatch, capsys):
-    doc = {"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]}
-    monkeypatch.setattr(uproll.oracle, "brute_commutativity",
-                        lambda *args: pytest.fail("the pair scan ran before the refusal"))
-    assert run(["oracle", "--box", "8", "--input", write_doc(tmp_path, "p.json", doc)]) == 7
-    assert capsys.readouterr().err.startswith("budget exceeded: cocycle scan: 8254129 associativity triples in box 8")
+    return captured.err
 
 
 # The A2 lattice 300 Q at ell = 300 has a census of order 67,500 whose coset
@@ -578,25 +586,23 @@ A2_600 = {"series": "A", "rank": 2, "ell": 600, "lattice": [["600", "-300"], ["-
         (["triplet", "--series", "E", "--rank", "8", "--r", "30"], None,
          "census: 656100000000 representatives"),
         (["check-algebra"], {**A1_4, "ell": 6, "lattice": [["3"]] * 317}, "spec: 100489 pairs of 317 generators"),
-        (["oracle", "--box", str(10**9)], {**A1_4, "lattice": [["4"]]},
+        # The library's own stages: a table box, and the oracles' scans.
+        (lambda: uproll.structure_constant_table(doc_spec({**A1_4, "lattice": [["4"]]}), 10**9), None,
          "box: 4000000004000000001 coefficient pairs in box 1000000000"),
-        (["oracle", "--box", "8"], {"series": "A", "rank": 2, "ell": 6, "lattice": [["6", "-3"], ["-3", "6"]]},
+        (lambda: uproll.oracle.brute_cocycle(doc_spec({"series": "A", "rank": 2, "ell": 6,
+                                                       "lattice": [["6", "-3"], ["-3", "6"]]}), 8), None,
          "cocycle scan: 8254129 associativity triples in box 8"),
-        (["oracle", "--box", "3"], A2_300, "coset search: 202500 coset combinations"),
+        (lambda: uproll.oracle.brute_census_order(doc_spec(A2_300)), None, "coset search: 202500 coset combinations"),
         (["monodromy"], {**A1_4, "lattice": [["44"]]}, "monodromy table: 117370 pairs"),
         (["bq"], {**A1_4, "ext_weights": [{"qg": ["1"], "fock": ["1"]}] * 448}, "bq: 100128 pairs of 448 ext_weights"),
     ],
     ids=["census", "spec", "box", "cocycle-scan", "coset-search", "monodromy-table", "bq"],
 )
 def test_every_refusal_names_its_stage(argv, doc, message, tmp_path, capsys):
-    if doc is not None:
-        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
     start = time.perf_counter()
-    assert run(argv) == 7
+    err = refusal(argv, doc, tmp_path, capsys)
     assert time.perf_counter() - start < 2
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"budget exceeded: {message}, over the budget of 100000\n"
+    assert err == f"budget exceeded: {message}, over the budget of 100000\n"
 
 
 @pytest.fixture
@@ -617,32 +623,29 @@ def default_digit_limit():
     [
         (["triplet", "--series", "A", "--rank", "8", "--r", str(10**600 + 1)], None,
          "census: about 2^15949 representatives"),
-        (["oracle", "--box", str(10**2200)], {**A1_4, "lattice": [["4"]]},
+        (lambda: uproll.oracle.Box(10**2200, 1), None, f"box: about 2^14619 coefficient pairs in box {10**2200}"),
+        (lambda: uproll.structure_constant_table(doc_spec({**A1_4, "lattice": [["4"]]}), 10**2200), None,
          f"box: about 2^14619 coefficient pairs in box {10**2200}"),
         (["census"], {**A1_4, "ell": 6, "lattice": [[str(3 * 10**2200)]]},
          "census: about 2^14618 representatives"),
     ],
-    ids=["triplet-census", "oracle-box", "census"],
+    ids=["triplet-census", "oracle-box", "table-box", "census"],
 )
 def test_a_size_too_long_to_print_is_refused_with_its_bit_length(
     argv, doc, message, tmp_path, capsys, default_digit_limit
 ):
     # Each size has more than 4300 digits; printed as a decimal it would
     # raise ValueError and exit 2 as malformed input.
-    if doc is not None:
-        argv = argv + ["--input", write_doc(tmp_path, "p.json", doc)]
     start = time.perf_counter()
-    assert run(argv) == 7
+    err = refusal(argv, doc, tmp_path, capsys)
     assert time.perf_counter() - start < 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert captured.err == f"budget exceeded: {message}, over the budget of 100000\n"
+    assert err == f"budget exceeded: {message}, over the budget of 100000\n"
 
 
 @pytest.mark.skipif(not hasattr(sys, "set_int_max_str_digits"), reason="no limit on integer digits")
 @pytest.mark.parametrize("digits,shown", [(0, str(10**700)), (640, "about 2^2326")])
 def test_a_refusal_prints_its_size_at_any_digit_limit(digits, shown):
-    from uproll.errors import BudgetExceeded, check_budget
+    from uproll.errors import check_budget
 
     saved = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(digits)
@@ -690,22 +693,25 @@ def test_only_the_errors_module_builds_budget_exceeded():
     [(A2_300, "coset search: 202500 coset combinations"), (A2_600, "census: 270000 representatives")],
     ids=["coset-search", "census"],
 )
-def test_oracle_checks_every_budget_before_it_scans(doc, message, tmp_path, monkeypatch, capsys):
-    for scan in ("brute_commutativity", "brute_cocycle"):
-        monkeypatch.setattr(uproll.oracle, scan, lambda *args, scan=scan: pytest.fail(f"{scan} ran before the refusal"))
-    assert run(["oracle", "--box", "3", "--input", write_doc(tmp_path, "p.json", doc)]) == 7
-    assert capsys.readouterr().err.startswith(f"budget exceeded: {message}, ")
-
-
-def test_oracle_on_no_generators_takes_any_box_at_once(tmp_path, capsys):
-    # The box of dimension 0 holds one vector and one triple, whatever its bound.
+def test_oracle_checks_every_budget_before_it_scans(doc, message, monkeypatch):
+    # brute_census_order refuses its census, and then its coset search, before a coset is reduced.
+    monkeypatch.setattr(uproll.oracle, "coset_reduce", lambda *args: pytest.fail("a coset was reduced"))
     start = time.perf_counter()
-    code, doc = run_json(capsys, ["oracle", "--box", str(10**12), "--input",
-                                  write_doc(tmp_path, "p.json", {**A1_4, "lattice": []})])
+    with pytest.raises(BudgetExceeded) as info:
+        uproll.oracle.brute_census_order(doc_spec(doc))
+    assert time.perf_counter() - start < 2
+    assert str(info.value) == f"{message}, over the budget of 100000"
+
+
+def test_oracle_on_no_generators_takes_any_box_at_once():
+    # The box of dimension 0 holds one vector and one triple, whatever its bound.
+    spec = doc_spec({**A1_4, "lattice": []})
+    start = time.perf_counter()
+    assert uproll.oracle.brute_commutativity(spec, 10**12)
+    assert uproll.oracle.brute_cocycle(spec, 10**12)
     assert time.perf_counter() - start < 1
-    assert code == 0
-    assert doc == {"box": 10**12, "brute_commutativity": True, "brute_cocycle": True,
-                   "brute_census_order": None}
+    with pytest.raises(InfiniteCensus):
+        uproll.oracle.brute_census_order(spec)
 
 
 @pytest.mark.parametrize(

@@ -108,6 +108,7 @@ def stdin_text(draw, rnd):
 
 FLAG_VALUES = {
     "--format": ["json", "tsv", "xml"],
+    # No subcommand reads --box.
     "--box": ["-1", "0", "1", "1", "1", str(10**9), "two"],
     "--series": ["A", "D", "E", "E", "B", "X", "e"],
     "--rank": ["-1", "0", "1", "2", "4", "6", "8", str(10**8), "x"],
@@ -119,12 +120,11 @@ FLAG_VALUES = {
 OWN_FLAGS = {
     "census": ["--format"],
     "twists": ["--format"],
-    "oracle": ["--box"],
     "datum": ["--series", "--rank", "--ell"],
     "triplet": ["--series", "--rank", "--r"],
 }
 COMMANDS = ["datum", "check-algebra", "census", "twists", "monodromy", "ribbon", "muger",
-            "triplet", "bq", "oracle"]
+            "triplet", "bq"]
 
 
 def command_line(rnd: random.Random) -> list[str]:
@@ -135,10 +135,6 @@ def command_line(rnd: random.Random) -> list[str]:
     argv = [cmd]
     for name in names:
         argv += [name, rnd.choice(FLAG_VALUES[name])]
-    if cmd == "oracle" and "--box" not in argv:
-        # The default box 3 runs the naive oracles for seconds on three
-        # generators; the default is covered by the CLI tests.
-        argv += ["--box", "1"]
     return argv
 
 

@@ -134,14 +134,6 @@ CASES = {
         ["ribbon"], {"series": "A", "rank": 1, "ell": 8, "lattice": [["-4"]]},
         "3b14307ac3066a5e894aa9a184f3c24af10bbaf14757e935e77abe7313fd8c0e",
     ),
-    "oracle-commutative": (
-        ["oracle", "--box", "2"], {**A1_4, "lattice": [["4"]]},
-        "2e42fd1e42eaf64f4fc2da66f5f13083bf933b3e35d983cb4e227e851f84a6e4",
-    ),
-    "oracle-non-commutative": (
-        ["oracle", "--box", "1"], {**A1_4, "lattice": [["2"]]},
-        "045dfa46f857b39bc753ce0445a0cf6a6566af66966bb46b2a8a6d3d2e038647",
-    ),
 }
 
 

@@ -15,7 +15,7 @@ from math import gcd
 from pathlib import Path
 
 import pytest
-from helpers import ALL_TYPES, draw_commutativity_specs, draw_super_specs
+from helpers import ALL_TYPES, alpha_coordinates, draw_commutativity_specs, draw_super_specs, fundamental_weight
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from test_weight import count_fractions, rational_strings
@@ -26,7 +26,6 @@ from uproll import (
     BqSpec,
     ExtWeight,
     Weight,
-    alpha_coordinates,
     bq_check_commutative,
     bq_equivalent,
     bq_is_local,
@@ -36,15 +35,14 @@ from uproll import (
     census_twists,
     check_ribbon,
     in_root_lattice,
-    is_multiple,
     monodromy_exponent,
-    pairing,
     simple_census,
     twist_exponent,
     weight,
 )
 from uproll.cartan import pairing_matrix
 from uproll.errors import DimensionMismatch, HypothesisViolated, OddEll
+from uproll.oracle import is_multiple, pairing
 
 SMALL_TYPES = [(s, n) for s, n in ALL_TYPES if n <= 4]
 
@@ -163,7 +161,7 @@ class TestInRootLattice:
         # Off the root lattice about half the time: a fundamental weight or a fraction.
         shift = data.draw(st.sampled_from(["none", "omega", "fraction"]))
         if shift == "omega":
-            lam = lam + datum.fundamental_weight(data.draw(st.integers(0, datum.rank - 1)))
+            lam = lam + fundamental_weight(datum, data.draw(st.integers(0, datum.rank - 1)))
         elif shift == "fraction":
             lam = lam + weight(data.draw(rational_rows(datum.rank)))
         coords = alpha_coordinates(datum, lam)
@@ -224,11 +222,11 @@ class TestBqLocality:
         root = sum(
             (k * a for k, a in zip(data.draw(ints(rank)), datum.simple_roots)), Weight.zero(rank)
         )
-        omegas = [datum.fundamental_weight(i) for i in range(rank)]
+        omegas = [fundamental_weight(datum, i) for i in range(rank)]
         off = data.draw(st.sampled_from([Weight.zero(rank), *omegas]))
         w = ExtWeight(qg, qg - root - off)
         trivial = all(
-            bq_monodromy_exponent(datum, w, ExtWeight(g, g)).is_zero for g in spec.algebra.generators
+            bq_monodromy_exponent(datum, w, ExtWeight(g, g)).canonical == 0 for g in spec.algebra.generators
         )
         assert bq_is_local(spec, w) == trivial
         if off.is_zero:

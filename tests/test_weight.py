@@ -219,9 +219,8 @@ def test_hot_paths_build_no_fractions(monkeypatch):
         coset_reduce(spec.lattice, w)
         adjoin(spec.lattice, w)
     canonical_basis(datum, gens)
-    # The change of basis into the dual and the generator coefficients.
+    # The change of basis into the dual.
     assert simple_census(spec).order == len(reps)
-    assert spec.coefficients(3 * a1 + 6 * a2) == (1, 2)
     assert list(reps)[3] == reps[3] == reps[3:4][0]
     assert reps[-1] in reps
     assert [reps.index(w) for w in reps] == list(range(len(reps)))
