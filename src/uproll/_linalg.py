@@ -3,19 +3,23 @@
 Integer Hermite and Smith normal forms with plain bignum arithmetic: the
 Hermite form adds one row at a time to a basis kept in Hermite form, and
 the Smith form alternates column steps with Hermite rounds, both of which
-keep the entries small; one fraction-free Gauss-Jordan elimination
-(Bareiss) behind det_int and mat_inverse (adjugate and determinant), which
-refuse a matrix that is not square, and combination_in_rows, which solves
-any number of targets at once as integer numerators over one denominator;
-the echelon reduction of a vector modulo a lattice, which also returns
-the multiple of each row it subtracted; and the dot products of one
-integer row with every vector of a box.  Everything here works on lists
-of lists of plain ints, up to cartan.MAX_RANK = 32 columns: the Hermite
-form of up to 128 rows of 32 columns, and of the scaled dual of a dense
-rank-deficient lattice of A, B, C or D up to rank 32, takes about 0.1 s.
+keep the entries small; det_int and mat_inverse (adjugate and
+determinant), which refuse a matrix that is not square, take an upper
+triangular matrix by its diagonal and back-substitution and any other by
+one fraction-free Gauss-Jordan elimination (Bareiss); combination_in_rows,
+which back-substitutes any number of targets against echelon rows, as
+integer numerators over one denominator; the echelon reduction of a
+vector modulo a lattice, which also returns the multiple of each row it
+subtracted; and the dot products of one integer row with every vector of
+a box.  Everything here works on lists of lists of plain ints, up to
+cartan.MAX_RANK = 32 columns: the Hermite form of up to 128 rows of 32
+columns, and of the scaled dual of a dense rank-deficient lattice of A,
+B, C or D up to rank 32, takes about 0.1 s.
 """
 
 from __future__ import annotations
+
+from math import gcd, lcm, prod
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -187,17 +191,45 @@ def _square(rows) -> int:
     return len(rows)
 
 
+def _upper_triangular(rows) -> bool:
+    """Whether every entry below the diagonal of a square matrix is zero."""
+    return not any(any(row[:i]) for i, row in enumerate(rows))
+
+
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix."""
+    """Determinant of a square integer matrix: the product of the diagonal
+    when the matrix is upper triangular, else one Bareiss elimination."""
+    n = _square(mat)
+    if _upper_triangular(mat):
+        return prod(row[i] for i, row in enumerate(mat))
     a = [list(r) for r in mat]
-    done = _gauss_jordan(a, _square(a))
+    done = _gauss_jordan(a, n)
     return 0 if done is None else done[0] * done[1]
 
 
 def mat_inverse(rows) -> tuple[list[list[int]], int]:
     """Adjugate and determinant (adj, det) of a square integer matrix, so
-    that adj = det * rows ** -1.  Raises ValueError when it is singular."""
+    that adj = det * rows ** -1.  Raises ValueError when it is singular.
+
+    An upper triangular matrix H is inverted by back-substitution: adj is
+    upper triangular too, and row i of H adj = det I gives adj's row i from
+    the rows below it, divided exactly by H_ii since adj is integral.
+    """
     n = _square(rows)
+    if _upper_triangular(rows):
+        det = prod(row[i] for i, row in enumerate(rows))
+        if not det:
+            raise ValueError("matrix is singular")
+        adj = [None] * n
+        for i in reversed(range(n)):
+            row = rows[i]
+            v = [0] * n
+            v[i] = det
+            for k in range(i + 1, n):
+                if c := row[k]:
+                    v = [x - c * y for x, y in zip(v, adj[k])]
+            adj[i] = [x // row[i] for x in v]
+        return adj, det
     a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
     done = _gauss_jordan(a, n)
     if done is None:
@@ -207,26 +239,43 @@ def mat_inverse(rows) -> tuple[list[list[int]], int]:
 
 
 def combination_in_rows(rows, targets) -> tuple[int, list[list[int] | None]]:
-    """Each integer target as a rational combination of the integer rows.
+    """Each integer target as a rational combination of the echelon rows.
 
-    Returns (den, solutions) with den > 0: solution i lists integer
-    numerators over den, or is None when target i lies outside the
-    rational row span.  One elimination serves every target.  Raises
-    ValueError when a target's length is not the rows' length, or when the
-    rows are linearly dependent, since coefficients would not be unique.
+    The rows must be echelon: each nonzero, and the column of its first
+    nonzero entry, its pivot, right of the pivot of the row before, as on
+    the rows of a row_hermite_form; echelon rows are independent, so the
+    coefficients are unique.  Returns (den, solutions) with den > 0:
+    solution i lists integer numerators over den, or is None when target i
+    lies outside the rational row span.  Each target is back-substituted
+    against the rows in pivot order (Cohen, GTM 138, 2.4) and scaled only
+    at a pivot that does not divide its entry there; den is the lcm of
+    those scales, so targets with integer coefficients give den = 1.
+    Raises ValueError when a target's length is not the rows' length, or
+    when the rows are not echelon.
     """
-    k = len(rows)
-    if k == 0:
+    if not rows:
         return 1, [None if any(t) else [] for t in targets]
     if any(len(t) != len(rows[0]) for t in targets):
         raise ValueError(f"targets of lengths {[len(t) for t in targets]} against rows of length {len(rows[0])}")
-    # The rows are the first k columns, and each target one more column.
-    aug = [[row[i] for row in rows] + [t[i] for t in targets] for i in range(len(rows[0]))]
-    done = _gauss_jordan(aug, k)
-    if done is None:
-        raise ValueError("rows are linearly dependent")
-    sign = 1 if done[0] > 0 else -1
-    return sign * done[0], [
-        None if any(row[j] for row in aug[k:]) else [sign * row[j] for row in aug[:k]]
-        for j in range(k, k + len(targets))
-    ]
+    pivots = []
+    for row in rows:
+        p = next((j for j, x in enumerate(row) if x), None)
+        if p is None or pivots and p <= pivots[-1]:
+            raise ValueError(f"rows are not echelon: row {len(pivots)} has pivot column {p} after {pivots}")
+        pivots.append(p)
+    solved = []
+    for t in targets:
+        v, coeffs, scale = list(t), [], 1
+        for row, p in zip(rows, pivots):
+            f = abs(row[p]) // gcd(row[p], v[p])
+            if f > 1:  # the pivot does not divide v[p]
+                scale *= f
+                v = [f * x for x in v]
+                coeffs = [f * c for c in coeffs]
+            q = v[p] // row[p]
+            if q:
+                v = [x - q * y for x, y in zip(v, row)]
+            coeffs.append(q)
+        solved.append(None if any(v) else (coeffs, scale))
+    den = lcm(*(scale for _, scale in filter(None, solved)))
+    return den, [None if s is None else [c * (den // s[1]) for c in s[0]] for s in solved]

@@ -10,13 +10,15 @@ equality of (ambient rank, HNF rows, denominator).
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
 point.  Each operation on lattices returns one: adjoin gives the join and
-scaled_dual the dual within the span of L, of the rank of L.  Every census
-takes its invariant factors off the Smith form of H, the Hermite form of
-the change of basis; a lattice below the rank of the dual leaves it
-infinite.  A finite census lists Sum c_i D_i over the dual's HNF rows D_i
-with 0 <= c_i < H_ii; its view CensusReps (uproll._census) keeps only
-that mixed-radix system, derives each rep as it is read and reads a
-weight's digits off at the pivots of the rows.
+scaled_dual the dual within the span of L, of the rank of L, from the
+triangular Hermite form of L and the Cartan matrix when L has full rank.
+The change of basis of a census is back-substituted against the dual's
+Hermite rows, and every census takes its invariant factors off the Smith
+form of H, the Hermite form of that change of basis; a lattice below the
+rank of the dual leaves it infinite.  A finite census lists Sum c_i D_i
+over the dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
+(uproll._census) keeps only that mixed-radix system, derives each rep as
+it is read and reads a weight's digits off at the pivots of the rows.
 """
 
 from __future__ import annotations
@@ -115,16 +117,29 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice
     """The scaled dual group {x : 2<x, g> in ell*Z for all g in L} within
     the rational span of L, a lattice of the rank of L.  The full group
     adds the orthogonal complement of L, a continuum of dimension
-    rank_ambient - rank.
+    rank_ambient - rank.  A lattice of full rank takes its dual from the
+    adjugate of its triangular Hermite form and the Cartan matrix, any
+    other from the inverse of its Gram matrix.
     """
     # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
     # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
     # the basis gives the dual rows adj(P) H * ell N d / (2 det P); P is
     # positive definite, so adj(P) is invertible and the rank is that of L.
+    # When L has full rank, H is square and upper triangular, and
+    # P^-1 H = H^-T (N G)^-1, with G^-1 = A D^-1 since G = D (D A)^-1 D: the
+    # dual rows are adj(H)^T A D^-1 * ell d / (2 det H), and D^-1 is
+    # diag(m / d_i) / m for m = lcm(d_i).
     h = lattice.hnf
-    adj, det = _linalg.mat_inverse(form_matrix(datum.scaled_gram, h))
-    rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
-    num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
+    if len(h) == datum.rank:
+        adj, det = _linalg.mat_inverse(h)
+        m = lcm(*datum.symmetrizers)
+        cols = [(col, m // di) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
+        rows = [[sum(map(mul, row, col)) * s for col, s in cols] for row in zip(*adj)]
+        num, den = datum.ell * lattice.denominator, 2 * det * m
+    else:
+        adj, det = _linalg.mat_inverse(form_matrix(datum.scaled_gram, h))
+        rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
+        num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
     return _from_rows(datum.rank, rows, den // common)
@@ -142,8 +157,8 @@ class Census(Record):
 
 def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[list[int]]:
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
-    # sum c_j (dl D_j) = dd L_i, an equation over the integers; one
-    # elimination of the dual rows solves it for every lattice row.
+    # sum c_j (dl D_j) = dd L_i, an equation over the integers, which
+    # back-substitution against the echelon dual rows solves.
     # dual is the full dual group within its span, so a row in the span is in
     # the dual exactly when its coefficients are integers; a row outside it can
     # be only through the continuous part, which the census does not cover.
@@ -165,17 +180,20 @@ def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
     Every generator of the lattice must lie in the span of the dual, and
     in the dual: the dual condition is read off the change of basis,
     whose coefficients must be integers.  A failure raises NotSubgroup,
-    which signals a non-local summand upstream.  Every quotient takes its
-    invariant factors off the Smith form of H, the Hermite form of the
-    change of basis; it is finite when the lattice has the rank of the
-    dual and the dual has full rank, so that the full dual group has no
-    continuous part, and a finite order above MAX_CENSUS_ORDER raises
-    BudgetExceeded before either form is taken.  A finite census lists
-    Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii, one per
-    coset (Cohen, GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
+    which signals a non-local summand upstream.  The change of basis is
+    back-substituted against the dual's Hermite rows; when it is square,
+    it is upper triangular and its determinant is the product of its
+    diagonal.  Every quotient takes its invariant factors off the Smith
+    form of H, the Hermite form of the change of basis; it is finite when
+    the lattice has the rank of the dual and the dual has full rank, so
+    that the full dual group has no continuous part, and a finite order
+    above MAX_CENSUS_ORDER raises BudgetExceeded before either form is
+    taken.  A finite census lists Sum c_i D_i over the dual's HNF rows D_i
+    with 0 <= c_i < H_ii, one per coset (Cohen, GTM 138, 2.4.3), each
+    entry at most (order - 1) max |D_ij|.
     """
-    # The change of basis comes from one elimination of the dual rows.  When
-    # it is square, its determinant is the order of the quotient.
+    # When the change of basis is square, its determinant is the order of
+    # the quotient.
     change = _change_of_basis(dual, lattice)
     square = lattice.rank == dual.rank
     if square:

@@ -145,3 +145,42 @@ def test_source_lines_count_the_package_modules(tmp_path):
     (package / "b.py").write_text("z = 3\n")
     (package / "notes.txt").write_text("not counted\n")
     assert bench_pairs.source_lines(tmp_path) == 3
+
+
+def fake_run(exit=0, failed=0, guard=()):
+    """A run as run_once returns it."""
+    return {"exit": exit, "correct": not failed, "attempted": 84, "failed": failed, "span_guard": list(guard),
+            "metrics": {name: 1.0 for name in NAMES}}
+
+
+def run_main(monkeypatch, tmp_path, runs):
+    """main on one cocycle-box pair with no git and no benchmark: run_once
+    hands out the given runs in call order (the pair, then the traced run
+    of each side), and the file goes to tmp_path."""
+    calls = iter(runs)
+    monkeypatch.setattr(bench_pairs, "resolve", lambda rev: {"commit": rev * 12, "measured": {}})
+    monkeypatch.setattr(bench_pairs, "export", lambda commit, dest: dest)
+    monkeypatch.setattr(bench_pairs, "source_lines", lambda copy: 0)
+    monkeypatch.setattr(bench_pairs, "run_once", lambda *args: next(calls))
+    out = tmp_path / "bench.json"
+    code = bench_pairs.main(["--parent", "p", "--change", "c", "--pr", "t", "--pairs", "1",
+                             "--workloads", "cocycle-box", "--workdir", str(tmp_path), "--out", str(out)])
+    return code, json.loads(out.read_text())
+
+
+def test_clean_runs_exit_zero(monkeypatch, tmp_path, capsys):
+    code, doc = run_main(monkeypatch, tmp_path, [fake_run() for _ in range(4)])
+    assert code == 0 and doc["workloads"]["cocycle-box"]["pairs"] == 1
+    assert "bad run" not in capsys.readouterr().err
+
+
+def test_a_failed_wrong_or_guarded_run_is_named_and_exits_one(monkeypatch, tmp_path, capsys):
+    runs = [fake_run(), fake_run(exit=1, failed=2), fake_run(guard=["span guard: linalg.det_int made no call"]),
+            fake_run()]
+    code, doc = run_main(monkeypatch, tmp_path, runs)
+    assert code == 1
+    # The file is written all the same.
+    assert doc["workloads"]["cocycle-box"]["runs"][0]["change"]["exit"] == 1
+    bad = [line for line in capsys.readouterr().err.splitlines() if line.startswith("bad run: ")]
+    assert bad == ["bad run: cocycle-box pair 1 seed 1 change: exit 1; 2 of 84 answers wrong",
+                   "bad run: cocycle-box traced parent: span guard: linalg.det_int made no call"]

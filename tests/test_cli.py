@@ -1,5 +1,6 @@
 import ast
 import json
+import random
 import subprocess
 import sys
 import time
@@ -739,6 +740,37 @@ def test_requests_quadratic_in_their_input_stay_within_the_table_budget(command,
     if code == 7:
         assert proc.stdout == ""
         assert proc.stderr.startswith("budget exceeded: ")
+
+
+def large_integer_census(rank, rows, digits):
+    """A census request on A_rank at ell = 4 whose entries are 4 (rank + 1) y
+    for signed random integers y of the given digit count (seed 5); every
+    such spec is valid."""
+    rng = random.Random(5)
+    lattice = [[str(4 * (rank + 1) * rng.choice((-1, 1)) * rng.randrange(10 ** (digits - 1), 10 ** digits))
+                for _ in range(rank)] for _ in range(rows)]
+    return {"series": "A", "rank": rank, "ell": 4, "lattice": lattice}
+
+
+@pytest.mark.parametrize(
+    "rank,rows,digits,code",
+    [(16, 16, 10, 7), (16, 16, 100, 7), (32, 32, 10, 7), (32, 32, 100, 7), (16, 15, 30, 0)],
+    ids=["A16-10-digits", "A16-100-digits", "A32-10-digits", "A32-100-digits", "A16-15-rows-30-digits"],
+)
+def test_census_on_large_integers_ends_within_a_time_bound(rank, rows, digits, code):
+    # Full rank is refused over budget after the dual and the change of
+    # basis, which once took 4 to more than 30 s on these entries; one row
+    # short gives an infinite census.
+    start = time.perf_counter()
+    proc = run_cli(["-m", "uproll.cli", "census"], json.dumps(large_integer_census(rank, rows, digits)), timeout=30)
+    assert time.perf_counter() - start < 3
+    assert proc.returncode == code, proc.stderr
+    if code == 7:
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("budget exceeded: census: ")
+    else:
+        doc = json.loads(proc.stdout)
+        assert doc["finite"] is False and doc["complement_dimension"] == 1
 
 
 def test_bq_twist_and_monodromy_are_taken_at_minus_one_over_r(tmp_path, capsys):

@@ -5,13 +5,14 @@ from fractions import Fraction
 
 import pytest
 from helpers import ALL_TYPES, fundamental_weight, lattice_rows, random_weight
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 import uproll.lattice
 from uproll import (
+    AlgebraSpec,
     _linalg,
     Weight,
     adjoin,
@@ -330,6 +331,88 @@ def test_scaled_dual_matches_the_fraction_gram_inverse(series, rank):
                 for g in lattice_rows(lattice)
             )
             assert in_dual(datum, lattice, lam.row, lam.den) == expected
+
+
+def sympy_gram_route_dual(datum, lattice):
+    """The scaled dual of the rows of H / d by the Gram route, through
+    sympy's exact inverse: the rows P^-1 H * ell N d / 2, P = H (N G) H^T."""
+    h = Matrix(lattice.hnf)
+    p = h * Matrix(datum.scaled_gram) * h.T
+    rows = p.inv() * h * Rational(datum.ell * datum.gram_denominator * lattice.denominator, 2)
+    return canonical_basis(datum, [
+        weight([Fraction(int(x.p), int(x.q)) for x in rows.row(i)]) for i in range(rows.rows)
+    ])
+
+
+@st.composite
+def full_rank_lattices(draw):
+    """A datum of any type up to rank 8 at a valid ell in 3..12, and a
+    lattice of full rank: n drawn rows over a denominator in 1..6, or the
+    extended lattice of a super spec whose generators are ell times the
+    rows and whose odd generator is half of one of them."""
+    series, rank = draw(st.sampled_from(ALL_TYPES))
+    ell = draw(st.integers(3, 12))
+    try:
+        datum = build_cartan_datum(series, rank, ell)
+    except HypothesisViolated:
+        assume(False)
+    rows = draw(st.lists(st.lists(st.integers(-9, 9), min_size=rank, max_size=rank),
+                         min_size=rank, max_size=rank))
+    assume(Matrix(rows).rank() == rank)
+    if draw(st.booleans()):
+        den = draw(st.integers(1, 6))
+        return datum, canonical_basis(datum, [Weight.over(row, den) for row in rows])
+    i = draw(st.integers(0, rank - 1))
+    try:
+        spec = AlgebraSpec(datum, [Weight.over([ell * x for x in row], 1) for row in rows],
+                           mu=Weight.over([ell * x for x in rows[i]], 2))
+    except UprollError:  # half of that generator already lies in L
+        assume(False)
+    return datum, spec.extended_lattice
+
+
+@settings(max_examples=150, deadline=None)
+@given(case=full_rank_lattices())
+def test_full_rank_dual_matches_the_gram_route_through_sympy(case):
+    datum, lattice = case
+    assert lattice.rank == datum.rank
+    dual = scaled_dual(datum, lattice)
+    assert dual == sympy_gram_route_dual(datum, lattice)
+    assert all(in_dual(datum, lattice, row, dual.denominator) for row in dual.hnf)
+
+
+def test_a_full_rank_census_takes_no_elimination(monkeypatch):
+    # The E6 triplet at r = 3: the dual from the triangular Hermite form,
+    # the change of basis by back-substitution and its determinant off the
+    # diagonal.  The datum's own inversion of D A runs before the patch.
+    datum = build_cartan_datum("E", 6, 6)
+
+    def refuse(*args):
+        raise AssertionError("a full-rank census ran the Bareiss elimination")
+
+    monkeypatch.setattr(_linalg, "_gauss_jordan", refuse)
+    lattice = canonical_basis(datum, [3 * a for a in datum.simple_roots])
+    census = quotient_census(scaled_dual(datum, lattice), lattice)
+    assert census.order == 3 * 3**6
+    assert census.invariant_factors == (3, 3, 3, 3, 3, 9)
+
+
+@pytest.mark.parametrize("kind", ["fails the dual condition", "outside the span"])
+def test_a_lattice_row_outside_the_dual_is_named(kind):
+    # No patched kernel: the dual of 3Q at ell = 6 is P, which holds no
+    # omega_1 / 2, and the rank-1 dual of 3 alpha_1 does not span alpha_2.
+    datum = build_cartan_datum("A", 2, 6)
+    a1, a2 = datum.simple_roots
+    if kind == "fails the dual condition":
+        source, gens = [3 * a1, 3 * a2], [weight(["1/2", 0]), weight([0, 1])]
+        message = "change of basis: lattice row [1/2, 0] fails the dual condition"
+    else:
+        source, gens = [3 * a1], [3 * a2]
+        message = "change of basis: lattice row [3, -6] outside the span of the dual's lattice part"
+    dual = scaled_dual(datum, canonical_basis(datum, source))
+    with pytest.raises(NotSubgroup) as info:
+        quotient_census(dual, canonical_basis(datum, gens))
+    assert str(info.value) == message
 
 
 class TestQuotientCensus:

@@ -1,4 +1,5 @@
 import json
+import math
 import random
 import re
 import signal
@@ -17,6 +18,7 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from uproll import Weight, build_cartan_datum, canonical_basis, contains, scaled_dual
+from uproll import _linalg
 from uproll.cartan import MAX_RANK, _series_data, cartan_determinant
 from uproll.cli import run
 from uproll.errors import InvalidSeriesRank
@@ -243,11 +245,13 @@ class TestRationalKernels:
             mat_inverse(mat)
 
     def test_combination_solves_and_detects(self):
-        den, solutions = combination_in_rows([[2, 0], [1, 3]], [[4, 6], [0, 0], [1, 0]])
-        assert den > 0
+        den, solutions = combination_in_rows([[2, 1], [0, 3]], [[4, 8], [0, 0], [1, 0]])
+        assert den == 6
         assert [[Fraction(x, den) for x in sol] for sol in solutions] == [
-            [1, 2], [0, 0], [Fraction(1, 2), 0]
+            [2, 2], [0, 0], [Fraction(1, 2), Fraction(-1, 6)]
         ]
+        # Negative pivots, and integer coefficients with no scaling at all.
+        assert combination_in_rows([[-2, 1], [0, -3]], [[4, 1], [0, 6]]) == (1, [[-2, -1], [0, -2]])
         # Inside and outside the span in one call.
         rows = [[1, 0, 0], [0, 1, 0]]
         den, solutions = combination_in_rows(rows, [[0, 0, 1], [2, 3, 0], [0, 0, 0]])
@@ -255,9 +259,12 @@ class TestRationalKernels:
         assert [Fraction(x, den) for x in solutions[1]] == [2, 3]
         assert combination_in_rows(rows, [])[1] == []
         assert combination_in_rows([], [[0, 0], [1, 0]]) == (1, [[], None])
-        for dependent in ([[0, 0], [1, 0]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]]):
-            with pytest.raises(ValueError):
-                combination_in_rows(dependent, [[0, 0]])
+        # Dependent rows are never echelon; independent ones out of pivot
+        # order are refused too.
+        for refused in ([[0, 0], [1, 0]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 0]],
+                        [[2, 0], [1, 3]], [[1, 2, 3], [0, 0, 0]]):
+            with pytest.raises(ValueError, match="not echelon"):
+                combination_in_rows(refused, [[0] * len(refused[0])])
 
     @pytest.mark.parametrize("rows,targets", [
         ([[2, 0], [1, 3]], [[4, 6, 0]]),
@@ -273,16 +280,21 @@ class TestRationalKernels:
     def test_random_combinations_round_trip(self):
         rng = random.Random(9)
         for _ in range(40):
-            rows = [[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)]
-            if combination_is_degenerate(rows):
-                continue
-            batch = [[rng.randint(-4, 4) for _ in range(2)] for _ in range(rng.randint(1, 3))]
+            rows = row_hermite_form([[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)])
+            rows = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
+            batch = [[rng.randint(-4, 4) for _ in rows] for _ in range(rng.randint(1, 3))]
             targets = [
                 [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
                 for coeffs in batch
             ]
-            den, solutions = combination_in_rows(rows, targets)
-            assert [[Fraction(x, den) for x in sol] for sol in solutions] == batch
+            # Integer coefficients: no pivot ever scales a target.
+            assert combination_in_rows(rows, targets) == (1, batch)
+            doubled = [[2 * x for x in t] for t in targets]
+            den, solutions = combination_in_rows([[2 * x for x in row] for row in rows], targets)
+            assert [[Fraction(x, den) for x in sol] for sol in solutions] == [
+                [Fraction(c, 2) for c in coeffs] for coeffs in batch
+            ]
+            assert combination_in_rows(rows, doubled) == (1, [[2 * c for c in coeffs] for coeffs in batch])
 
 
 @st.composite
@@ -494,11 +506,18 @@ class TestSmithDiagonalOfHermiteForm:
         check_smith(mat)
 
 
+def is_echelon(rows) -> bool:
+    """Every row nonzero, each first nonzero entry right of the one above."""
+    pivots = [next((j for j, x in enumerate(row) if x), None) for row in rows]
+    return None not in pivots and pivots == sorted(set(pivots))
+
+
 @st.composite
 def combination_problems(draw):
     """Integer rows and one batch of integer targets: 1 <= k <= n rows of
-    length n, some made dependent or zero, and targets inside the row
-    span, anywhere, or zero, in any number."""
+    length n, some made dependent or zero, then mostly replaced by their
+    Hermite form with some rows negated, so that some pivots are negative,
+    and targets inside the row span, anywhere, or zero, in any number."""
     entry = st.integers(-9, 9)
     n = draw(st.integers(1, 6))
     k = draw(st.integers(1, n))
@@ -509,16 +528,29 @@ def combination_problems(draw):
         rows[-1] = [c * x - y for x, y in zip(rows[0], rows[k // 2 - 1])]
     elif broken == 1:
         rows[draw(st.integers(0, k - 1))] = [0] * n
+    if draw(st.integers(0, 3)):
+        rows = [[-x for x in row] if draw(st.booleans()) else row for row in row_hermite_form(rows)]
     targets = []
     for kind in draw(st.lists(st.sampled_from(["span", "any", "zero"]), max_size=4)):
         if kind == "span":
-            coeffs = draw(st.lists(entry, min_size=k, max_size=k))
+            coeffs = draw(st.lists(entry, min_size=len(rows), max_size=len(rows)))
             targets.append([sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(n)])
         elif kind == "any":
             targets.append(draw(st.lists(entry, min_size=n, max_size=n)))
         else:
             targets.append([0] * n)
     return rows, targets
+
+
+@st.composite
+def upper_triangular_matrices(draw):
+    """Upper triangular square matrices up to 8x8 with entries in
+    [-100, 100] above a diagonal in [-9, 9]; a zero on it makes one
+    singular."""
+    n = draw(st.integers(1, 8))
+    diag = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    above = draw(matrix_st(n, n, 100))
+    return [[diag[i] if i == j else above[i][j] if j > i else 0 for j in range(n)] for i in range(n)]
 
 
 class TestEliminationAgainstSympy:
@@ -548,13 +580,17 @@ class TestEliminationAgainstSympy:
     @given(problem=combination_problems())
     def test_combination_matches_sympy_solve(self, problem):
         rows, targets = problem
-        if Matrix(rows).rank() < len(rows):
-            with pytest.raises(ValueError):
+        if not is_echelon(rows):
+            with pytest.raises(ValueError, match="not echelon"):
                 combination_in_rows(rows, targets)
             return
         den, solutions = combination_in_rows(rows, targets)
         assert den > 0 and len(solutions) == len(targets)
+        denominators = [1]
         for target, got in zip(targets, solutions):
+            if not rows:
+                assert got == ([] if not any(target) else None)
+                continue
             try:
                 solution, _ = Matrix(rows).T.gauss_jordan_solve(Matrix(target))
             except ValueError:  # sympy: no solution, target outside the span
@@ -562,6 +598,35 @@ class TestEliminationAgainstSympy:
                 continue
             expected = [Fraction(int(x.p), int(x.q)) for x in solution]
             assert [Fraction(x, den) for x in got] == expected
+            denominators += [c.denominator for c in expected]
+        # A target is scaled only as far as its coefficients need.
+        assert den == math.lcm(*denominators)
+
+    @settings(max_examples=150, deadline=None)
+    @given(mat=upper_triangular_matrices())
+    def test_triangular_determinant_and_inverse_match_sympy(self, mat):
+        ref = Matrix(mat)
+        det = ref.det()
+        assert det_int(mat) == det == prod(mat[i][i] for i in range(len(mat)))
+        if det == 0:
+            with pytest.raises(ValueError, match="matrix is singular"):
+                mat_inverse(mat)
+            return
+        adj, got = mat_inverse(mat)
+        assert got == det
+        assert Matrix(adj) == ref.adjugate()
+
+    def test_triangular_matrices_take_no_elimination(self, monkeypatch):
+        def refuse(*args):
+            raise AssertionError("an upper triangular matrix went through the Bareiss elimination")
+
+        monkeypatch.setattr(_linalg, "_gauss_jordan", refuse)
+        mat = [[3, -7, 2], [0, -2, 5], [0, 0, 4]]
+        assert det_int(mat) == -24
+        assert mat_inverse(mat) == ([[-8, 28, -31], [0, 12, -15], [0, 0, -6]], -24)
+        assert det_int([[3, 1], [0, 0]]) == 0
+        with pytest.raises(ValueError, match="matrix is singular"):
+            mat_inverse([[3, 1], [0, 0]])
 
 
 def _supported_types():
@@ -596,10 +661,3 @@ def test_leading_minors_of_every_symmetrized_cartan_matrix(series, rank):
             b[i] = [x - f * y for x, y in zip(b[i], b[k])]
     # det(D A) = det(A) prod d_i, against the determinant the type table keeps.
     assert len(minors) == rank and minors[-1] == cartan_determinant(series, rank) * prod(d)
-
-
-def combination_is_degenerate(rows):
-    a, b = rows
-    return all(
-        a[i] * b[j] == a[j] * b[i] for i in range(3) for j in range(3)
-    )

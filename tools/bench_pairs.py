@@ -30,6 +30,10 @@ side (exit code, answers, span-guard messages and per-pass layer metrics)
 and the line count of ``src/uproll`` on each side.  An existing output file
 whose two sides have the same ``src`` and ``perfbench`` trees keeps the
 workloads this call does not run, so they can be measured in separate calls.
+
+The exit code is 0 when every run the file holds exited 0, answered every
+operation correctly and printed no span-guard line; otherwise the file is
+still written, each such run is named on stderr, and the exit code is 1.
 """
 
 from __future__ import annotations
@@ -133,6 +137,26 @@ def failures(runs: list[dict], side: str) -> dict:
     return {"failed": sum(r[side]["failed"] for r in runs), "attempted": sum(r[side]["attempted"] for r in runs)}
 
 
+def bad_runs(doc: dict) -> list[str]:
+    """One line for each run in doc that exited non-zero, answered wrongly
+    or printed a span-guard line, naming the run and what went wrong."""
+    named = [(f"{workload} pair {i + 1} seed {pair['seed']} {side}", pair[side])
+             for workload, entry in doc["workloads"].items()
+             for i, pair in enumerate(entry["runs"]) for side in ("parent", "change")]
+    named += [(f"{workload} traced {side}", run) for workload, sides in doc["trace"].items()
+              for side, run in sides.items()]
+    out = []
+    for name, run in named:
+        problems = list(run["span_guard"])
+        if not run["correct"]:
+            problems.insert(0, f"{run['failed']} of {run['attempted']} answers wrong")
+        if run["exit"]:
+            problems.insert(0, f"exit {run['exit']}")
+        if problems:
+            out.append(f"{name}: {'; '.join(problems)}")
+    return out
+
+
 def summarize(runs: list[dict], end_to_end: list[dict]) -> dict:
     """Per end-to-end metric: each side's spread, the pair wins, the bound,
     the median's relative change and the verdict.  runs holds one entry
@@ -214,7 +238,10 @@ def main(argv=None) -> int:
             rel = "" if m["relative_change"] is None else f" ({m['relative_change']:+.1%})"
             print(f"{workload:15} {name:12} {m['parent']['median']:.6g} -> {m['change']['median']:.6g}"
                   f"{rel}, won {m['wins']}/{m['pairs']}: {m['verdict']}")
-    return 0
+    bad = bad_runs(doc)
+    for line in bad:
+        print(f"bad run: {line}", file=sys.stderr)
+    return 1 if bad else 0
 
 
 if __name__ == "__main__":
