@@ -3,10 +3,10 @@
 Integer Hermite and Smith normal forms with plain bignum arithmetic: the
 Hermite form adds one row at a time to a basis kept in Hermite form, and
 the Smith form alternates column steps with Hermite rounds, both of which
-keep the entries small; det_int and mat_inverse (adjugate and
-determinant), which refuse a matrix that is not square, take an upper
-triangular matrix by its diagonal and back-substitution and any other by
-one fraction-free Gauss-Jordan elimination (Bareiss); combination_in_rows,
+keep the entries small; det_int, which takes only an upper triangular
+matrix, by its diagonal; mat_inverse (adjugate and determinant) an upper
+triangular matrix by back-substitution and any other square one by one
+fraction-free Gauss-Jordan elimination (Bareiss); combination_in_rows,
 which back-substitutes any number of targets against echelon rows, as
 integer numerators over one denominator; the echelon reduction of a
 vector modulo a lattice, which also returns the multiple of each row it
@@ -197,14 +197,12 @@ def _upper_triangular(rows) -> bool:
 
 
 def det_int(mat) -> int:
-    """Determinant of a square integer matrix: the product of the diagonal
-    when the matrix is upper triangular, else one Bareiss elimination."""
+    """Determinant of a square, upper triangular integer matrix: the
+    product of its diagonal.  Raises ValueError for any other matrix."""
     n = _square(mat)
-    if _upper_triangular(mat):
-        return prod(row[i] for i, row in enumerate(mat))
-    a = [list(r) for r in mat]
-    done = _gauss_jordan(a, n)
-    return 0 if done is None else done[0] * done[1]
+    if not _upper_triangular(mat):
+        raise ValueError(f"a {n}x{n} matrix with an entry below the diagonal is not upper triangular")
+    return prod(row[i] for i, row in enumerate(mat))
 
 
 def mat_inverse(rows) -> tuple[list[list[int]], int]:

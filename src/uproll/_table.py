@@ -1,12 +1,14 @@
 """Dense storage for structure-constant tables: integer row tuples over one
 denominator, each distinct row stored once, indexed by the box vectors in
-lexicographic order.  The table operations in uproll.algebra run their
-kernels here, on these rows, and read each pair sum at its position in the
-doubled box; ExponentModL values appear only through TableEntries, a record.
+lexicographic order, on the one Grid that box_grid builds per box in a
+process.  The table operations in uproll.algebra run their kernels here,
+on these rows, and read each pair sum at its position in the doubled box;
+ExponentModL values appear only through TableEntries, a record.
 
 The cocycle identities are decided here too, in order: by the comparison
 with the bilinear form read off the unit pairs, by the split certificate on
-the gauge recursion's cochain, and by the scans when neither applies."""
+the gauge recursion's cochain, and by the scans when neither applies; after
+either of the first two, commutation by its bilinear defect on the unit pairs."""
 
 from __future__ import annotations
 
@@ -14,7 +16,8 @@ import functools
 from collections.abc import Mapping
 from itertools import product
 from math import lcm
-from operator import add
+from operator import add, mul
+from types import MappingProxyType
 
 from ._linalg import box_dots
 from ._record import Record
@@ -23,42 +26,26 @@ from .cartan import ExponentModL, Weight
 from .errors import IncompleteTable
 
 
-class Grid:
+class Grid(Record):
     """The box [-box, box]^dimension: its vectors in lexicographic order,
-    their positions and (on first use) those in the doubled box of the pair
-    sums, built once per table and handed on to the tables derived from it.
-    A plain class, not a record: doubled and inside are built lazily, since
-    building them eagerly moves their cost between the table operations."""
+    their positions (index), those of zero and of the unit vectors (one per
+    axis, none at box 0), and where the pair sums lie.  It pickles as
+    box_grid(dimension, box), so it unpickles onto the process's own grid."""
 
-    def __init__(self, dimension: int, box: int):
-        check_box_budget(box, dimension)
-        self.dimension, self.box, self.span = dimension, box, range(-box, box + 1)
-        self.vecs = list(product(self.span, repeat=dimension))
-        self.index = {v: i for i, v in enumerate(self.vecs)}
-        self.zero = self.index[(0,) * dimension]
+    dimension: int
+    box: int
+    zero: int
+    vecs: tuple[tuple[int, ...], ...]
+    units: tuple[int, ...]
+    # (at, zero) on the doubled box [-2 box, 2 box]^dimension, which holds
+    # every pair sum: the i-th plus the j-th box vector is at zero + at[i] + at[j].
+    doubled: tuple[tuple[int, ...], int]
+    # For each position of the doubled box, that vector's position in the box, None outside.
+    inside: tuple[int | None, ...]
+    index: MappingProxyType
 
-    @functools.cached_property
-    def units(self) -> list[int]:
-        """The positions of the unit vectors, one per axis; none at box 0."""
-        if not self.box:
-            return []
-        return [self.zero + (2 * self.box + 1) ** t for t in reversed(range(self.dimension))]
-
-    @functools.cached_property
-    def doubled(self) -> tuple[list[int], int]:
-        """Positions in the doubled box [-2 box, 2 box]^dimension, which
-        holds every sum of two box vectors: (at, zero) with the sum of the
-        i-th and j-th box vectors at zero + at[i] + at[j]."""
-        radix = [(4 * self.box + 1) ** t for t in reversed(range(self.dimension))]
-        return box_dots((self.span,) * self.dimension, radix), 2 * self.box * sum(radix)
-
-    @functools.cached_property
-    def inside(self) -> list[int | None]:
-        """For each position of the doubled box, the position of the same
-        vector in the box, None where it lies outside."""
-        at, zero = self.doubled
-        where = {zero + t: k for k, t in enumerate(at)}
-        return [where.get(pos) for pos in range((4 * self.box + 1) ** self.dimension)]
+    def __reduce__(self):
+        return box_grid, (self.dimension, self.box)
 
     def forms(self, matrix) -> tuple[tuple[int, ...], ...]:
         """For each vector a of the box in order, the integers a.matrix.m
@@ -66,13 +53,31 @@ class Grid:
         is the one before it along an axis plus that axis's unit row.  The
         slowest axes whose matrix rows are zero add nothing, so the rows
         over the others are built once and repeated, each row one tuple."""
-        spans = (self.span,) * self.dimension
+        spans = (span := range(-self.box, self.box + 1),) * self.dimension
         skip = next((t for t, m in enumerate(matrix) if any(m)), len(matrix))
         rows = [tuple(box_dots(spans, [-self.box * sum(col) for col in zip(*matrix)]))]  # at (-box, ..., -box)
         for unit in (box_dots(spans, m) for m in matrix[skip:]):
             rows = [(row := first if c == -self.box else tuple(map(add, row, unit)))
-                    for first in rows for c in self.span]
-        return tuple(rows) * len(self.span) ** skip
+                    for first in rows for c in span]
+        return tuple(rows) * len(span) ** skip
+
+
+# Typed, so that a float box, which the range refuses, never meets an int box's grid.
+@functools.lru_cache(maxsize=None, typed=True)
+def box_grid(dimension: int, box: int) -> Grid:
+    """The one Grid of the box [-box, box]^dimension in this process, which
+    every table on the box shares; check_box_budget runs before it is built."""
+    check_box_budget(box, dimension)
+    span = range(-box, box + 1)
+    vecs = tuple(product(span, repeat=dimension))
+    index = {v: i for i, v in enumerate(vecs)}
+    zero = index[(0,) * dimension]
+    units = tuple(zero + (2 * box + 1) ** t for t in reversed(range(dimension))) if box else ()
+    radix = [(4 * box + 1) ** t for t in reversed(range(dimension))]
+    at, middle = tuple(box_dots((span,) * dimension, radix)), 2 * box * sum(radix)
+    where = {middle + t: k for k, t in enumerate(at)}
+    inside = tuple(map(where.get, range((4 * box + 1) ** dimension)))
+    return Grid(dimension, box, zero, vecs, units, (at, middle), inside, MappingProxyType(index))
 
 
 class TableEntries(Mapping, Record):
@@ -149,7 +154,7 @@ class CocycleTable(Record):
         if not isinstance(entries, TableEntries) or (
             entries.ell, entries.grid.box, entries.grid.dimension
         ) != (ell, box, len(generators)):
-            grid, items = Grid(len(generators), box), list(entries.items())
+            grid, items = box_grid(len(generators), box), list(entries.items())
             nums, den = read_exponents(items, ell)
             rows = [[None] * len(grid.vecs) for _ in grid.vecs]
             for ((left, right), _), x in zip(items, nums):
@@ -283,18 +288,16 @@ def scan_structure(entries: TableEntries) -> tuple | None:
     )
 
 
-def scan_commutation(entries: TableEntries, pairs, p: int) -> tuple | None:
-    """The first pair, in lexicographic order, failing the commutation
-    relation, with <g_i, g_k> = pairs[i][k] / p."""
-    grid = entries.grid
-    vecs, den = grid.vecs, lcm(p, entries.den)
-    up, scale, mod = den // entries.den, den // p, den * entries.ell
+def scan_commutation(entries: TableEntries, pairs, up: int, scale: int, mod: int) -> tuple | None:
+    """The first pair, in lexicographic order, failing the commutation relation
+    on the rows times up, with <g_i, g_k> as scale * pairs[i][k], modulo mod."""
+    vecs = entries.grid.vecs
     e = [[x * up for x in row] for row in entries.rows] if up > 1 else entries.rows
     scaled = [[scale * x for x in row] for row in pairs]
     return next(
         (
             ("commutativity", v1, vecs[i2])
-            for i1, (v1, e1, pair_row) in enumerate(zip(vecs, e, grid.forms(scaled)))
+            for i1, (v1, e1, pair_row) in enumerate(zip(vecs, e, entries.grid.forms(scaled)))
             for i2, (x, e2, c) in enumerate(zip(e1, e, pair_row))
             if (x - e2[i1] - c) % mod
         ),
@@ -304,18 +307,19 @@ def scan_commutation(entries: TableEntries, pairs, p: int) -> tuple | None:
 
 def violations(entries: TableEntries, pairs, p: int) -> tuple[tuple | None, tuple | None]:
     """cocycle_check's first structure and first commutation violation,
-    None for each that holds; the form comparison and the certificate
-    spare what they prove."""
-    entries.require(product(range(len(entries.grid.vecs)), repeat=2))
-    if not split_certificate(entries):
-        return scan_structure(entries), scan_commutation(entries, pairs, p)
-    # The commutation defect is now bilinear, so the unit pairs decide it.
-    rows, units, den = entries.rows, entries.grid.units, lcm(p, entries.den)
+    None for each that holds, with <g_i, g_k> = pairs[i][k] / p; the form
+    comparison and the certificate spare what they prove."""
+    grid, rows = entries.grid, entries.rows
+    entries.require(product(range(len(grid.vecs)), repeat=2))
+    den = lcm(p, entries.den)
     up, scale, mod = den // entries.den, den // p, den * entries.ell
-    if all(
-        ((rows[ui][uk] - rows[uk][ui]) * up - scale * pairs[i][k]) % mod == 0
-        for i, ui in enumerate(units)
-        for k, uk in enumerate(units)
-    ):
+    if not split_certificate(entries):
+        return scan_structure(entries), scan_commutation(entries, pairs, up, scale, mod)
+    # The commutation defect is now bilinear, a.M.b: M, read off the unit pairs by
+    # columns, decides it, and the first row a.M not zero mod mod holds the first failure.
+    cols = [[(rows[ui][uk] - rows[uk][ui]) * up - scale * pairs[i][k] for i, ui in enumerate(grid.units)]
+            for k, uk in enumerate(grid.units)]
+    if not any(x % mod for col in cols for x in col):
         return None, None
-    return None, scan_commutation(entries, pairs, p)
+    a, w = next((a, w) for a in grid.vecs for w in [[sum(map(mul, a, c)) for c in cols]] if any(x % mod for x in w))
+    return None, next(("commutativity", a, b) for b in grid.vecs if sum(map(mul, w, b)) % mod)

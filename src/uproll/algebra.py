@@ -185,11 +185,11 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     """The normal-form table on all coefficient pairs within the box: row n
     is e(n, m) = w.m, with w = n P_lower the integer row of n against the
     strictly lower pair matrix."""
-    from ._table import CocycleTable, Grid, TableEntries
+    from ._table import CocycleTable, TableEntries, box_grid
 
     pairs, den = spec.pair_matrix
     lower = tuple(tuple(x if k < i else 0 for k, x in enumerate(row)) for i, row in enumerate(pairs))
-    grid = Grid(len(spec.ordered_basis), box)
+    grid = box_grid(len(spec.ordered_basis), box)
     entries = TableEntries(grid, spec.datum.ell, grid.forms(lower), den)
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 

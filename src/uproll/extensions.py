@@ -100,9 +100,7 @@ class BqSpec(Record):
 
     algebra: AlgebraSpec
     a_squared: Fraction
-    # Whether the lattice equals r times the full weight lattice.
-    is_full_weight_lattice: bool
-    # Whether the locality formula of bq_is_local applies.
+    # Whether the locality formula of bq_is_local applies: the lattice is r*P and a**2 = -1/r.
     is_standard: bool
 
     def __init__(self, datum: CartanDatum, generators=None, a_squared=None):
@@ -116,8 +114,8 @@ class BqSpec(Record):
         algebra = AlgebraSpec(datum, generators)
         special = Fraction(-1, datum.r)
         a_squared = special if a_squared is None else Fraction(*_ratio(a_squared))
-        full = algebra.lattice == RationalLattice(n, r_identity, 1)
-        super().__init__(algebra, a_squared, full, full and a_squared == special)
+        standard = algebra.lattice == RationalLattice(n, r_identity, 1) and a_squared == special
+        super().__init__(algebra, a_squared, standard)
 
     def __reduce__(self):
         return type(self), (self.algebra.datum, self.algebra.generators, self.a_squared)

@@ -1,4 +1,5 @@
 import math
+import pickle
 import random
 import re
 from collections.abc import MutableMapping
@@ -513,9 +514,12 @@ def test_certified_tables_skip_both_scans(monkeypatch):
     perturbed = perturbed_table(three_q_spec(), 0)
     with pytest.raises(ScanReached, match="structure"):
         cocycle_check(perturbed, A2_6)
-    # The super table is a cocycle, so only the commutation scan runs.
-    with pytest.raises(ScanReached, match="commutation"):
-        cocycle_check(structure_constant_table(super_spec(), 2), A1_4)
+    # The super normal form fails commutation by the odd-odd half-shift; its
+    # defect is bilinear, so the first failing pair is read off its forms.
+    odd = structure_constant_table(super_spec(), 2)
+    verdict = cocycle_check(odd, A1_4)
+    assert not verdict.commutative
+    assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(odd, A1_4)
 
 
 @pytest.mark.parametrize("dims,box", [(1, 2), (2, 1), (2, 3), (3, 1), (3, 2), (4, 1)])
@@ -525,7 +529,7 @@ def test_lower_forms_share_one_tuple_per_distinct_row(dims, box):
     lower = [[rng.randint(-9, 9) if k < i else 0 for k in range(dims)] for i in range(dims)]
     if dims > 1:
         lower[1][0] = rng.choice([-3, 2, 5])
-    grid = uproll._table.Grid(dims, box)
+    grid = uproll._table.box_grid(dims, box)
     rows = grid.forms(lower)
     assert type(rows) is tuple and all(type(row) is tuple for row in rows)
     vecs = list(product(range(-box, box + 1), repeat=dims))
@@ -578,6 +582,34 @@ def test_table_budget_is_checked_before_building():
         structure_constant_table(spec, 10**9)
     side = math.isqrt(math.isqrt(MAX_TABLE_ENTRIES))  # (2b+1)^4 entries for 2 generators
     assert len(structure_constant_table(spec, (side - 1) // 2).entries) <= MAX_TABLE_ENTRIES
+
+
+def test_tables_on_one_box_share_one_grid():
+    spec = three_q_spec()
+    table = structure_constant_table(spec, 4)
+    grid = table.entries.grid
+    assert grid is uproll._table.box_grid(2, 4)
+    twisted = apply_coboundary(table, random_cochain(random.Random(4), 2, 4, 6))
+    gauge = gauge_normalize(twisted, spec)
+    rebuilt_table = CocycleTable(table.generators, 4, 6, dict(table.entries))
+    again = pickle.loads(pickle.dumps(gauge))
+    assert again == gauge
+    for other in (twisted, gauge.normalized, rebuilt_table, again.normalized, structure_constant_table(spec, 4)):
+        assert other.entries.grid is grid
+    assert pickle.loads(pickle.dumps(grid)) is grid
+    assert grid.__reduce__() == (uproll._table.box_grid, (2, 4))
+
+
+@pytest.mark.parametrize("box,error", [(-1, ValueError), (10**9, BudgetExceeded), (2.0, TypeError),
+                                       (2.5, TypeError)])
+def test_a_refused_box_is_refused_again_and_leaves_no_grid(box, error):
+    spec = three_q_spec()
+    structure_constant_table(spec, 2)
+    before = uproll._table.box_grid.cache_info().currsize
+    for build in (lambda: structure_constant_table(spec, box), lambda: CocycleTable(spec.ordered_basis, box, 6, {})):
+        with pytest.raises(error, match="^box: " if error is BudgetExceeded else None):
+            build()
+    assert uproll._table.box_grid.cache_info().currsize == before
 
 
 # -- the dense integer table behind CocycleTable.entries ----------------------

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from uproll import (
     BqSpec,
     ExtWeight,
+    RationalLattice,
     Weight,
     bq_check_commutative,
     bq_equivalent,
@@ -67,7 +68,7 @@ class TestTripletReport:
 class TestBqSpec:
     def test_default_is_r_times_weight_lattice(self):
         spec = BqSpec(A1_4)
-        assert spec.is_full_weight_lattice
+        assert spec.algebra.lattice == RationalLattice(1, ((2,),), 1)
         assert spec.a_squared == Fraction(-1, 2)
 
     def test_odd_order_rejected(self):

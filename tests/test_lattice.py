@@ -474,9 +474,10 @@ class TestQuotientCensus:
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
         dual = scaled_dual(A2_4, lat)
+        # Upper triangular, as every square change of basis is, and singular.
         monkeypatch.setattr(
             _linalg, "combination_in_rows",
-            lambda rows, targets: (1, [[1] * len(rows) for _ in targets]),
+            lambda rows, targets: (1, [[int(i == 0)] * len(rows) for i, _ in enumerate(targets)]),
         )
         with pytest.raises(InternalError, match="singular"):
             quotient_census(dual, lat)

@@ -55,6 +55,36 @@ def test_summary_flags_only_what_no_rule_allows():
     assert reach.summarize(functions, functions)["flagged"] == []
 
 
+def test_only_protocol_dunders_are_allowed_unreached(tmp_path):
+    package = tmp_path / "pkg"
+    package.mkdir()
+    (package / "beta.py").write_text(
+        "from collections.abc import Sequence\n\n\n"
+        "class Row(Sequence, Record):\n"
+        "    def __getitem__(self, i): ...\n"
+        "    def __len__(self): ...\n"
+        "    def __neg__(self): ...\n"
+        "    def __repr__(self): ...\n\n\n"
+        "class Flag(Record):\n"
+        "    def __bool__(self): ...\n"
+        "    def __len__(self): ...\n"
+        "    def __reduce__(self): ...\n",
+        encoding="utf-8",
+    )
+    src = reach.defined(package)
+    summary = reach.summarize(src, [], reach.class_bases(package))
+    # __neg__ is no Sequence's, and __bool__ and __len__ are no Record's or object's.
+    assert summary["flagged"] == ["beta.Row.__neg__", "beta.Flag.__bool__", "beta.Flag.__len__"]
+    assert summary["allowed"] == ["beta.Row.__getitem__", "beta.Row.__len__", "beta.Row.__repr__",
+                                  "beta.Flag.__reduce__"]
+    # Without its bases a class has only object's and Record's dunders, and
+    # a dunder that Record defines counts on every class.
+    assert reach.summarize(src, [])["allowed"] == ["beta.Row.__repr__", "beta.Flag.__reduce__"]
+    record = ["_record.Record.__bool__"]
+    assert reach.summarize(record + src, record)["allowed"] == [
+        "beta.Row.__repr__", "beta.Flag.__bool__", "beta.Flag.__reduce__"]
+
+
 def test_the_readme_names_every_allowed_function():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     for name in reach.ALLOWED:

@@ -1,7 +1,7 @@
 """Every object the library returns holds only values: a walk through the
 fields of its records, and through tuples, frozensets and read-only
-mappings, reaches no list, dict, set or bytearray.  The one exception is a
-table's Grid, a plain class that builds its positions lazily."""
+mappings, reaches no list, dict, set or bytearray, a table's Grid
+included."""
 
 import pickle
 import random
@@ -26,7 +26,6 @@ from uproll import (
     weight,
 )
 from uproll._record import Record
-from uproll._table import Grid
 
 MUTABLE = (list, dict, set, bytearray)
 
@@ -35,7 +34,7 @@ def mutable_fields(obj, path="", found=None, seen=None):
     """The paths, as Class.field[...] strings, of the mutable containers
     reachable from obj."""
     found, seen = ([] if found is None else found), (set() if seen is None else seen)
-    if id(obj) in seen or isinstance(obj, Grid):
+    if id(obj) in seen:
         return found
     seen.add(id(obj))
     if isinstance(obj, MUTABLE):
@@ -105,6 +104,8 @@ def test_in_place_edits_raise():
     for key in ("structure_constant_table", "apply_coboundary"):
         with pytest.raises(TypeError):
             objects[key].entries.rows[0] = ()
+    with pytest.raises(TypeError):
+        objects["structure_constant_table"].entries.grid.index[(0, 0)] = 1
     phi = objects["gauge_normalize"].phi
     with pytest.raises(TypeError):
         phi[(0, 0)] = exponent(1, 4)

@@ -16,19 +16,22 @@ of each Python call and, at exit, writes one reach line per function of
 It then lists each function that an ``ast`` walk finds defined in
 ``src/uproll`` (nested functions included) and that no reach line names.
 With ``--check`` it exits 1 when one of them is not allowed: allowed are
-dunders, everything in ``oracle.py`` (the naive cross-checks, which the
-test suite runs) and the names in ALLOWED, each of which README.md names
-with its reason.  It exits 2 when a run fails: a benchmark run that is not
-correct, or a corpus request whose exit code or stdout differs from the
-corpus's.  ``--root`` points it at another checkout, such as a ``git
-archive`` copy of an earlier commit.  It needs Python 3.11 or later, whose
-code objects carry their qualified names.
+the dunders that ``object``, ``Record`` or one of the class's own
+``collections.abc`` bases defines (protocol methods, which callers reach
+through the language), everything in ``oracle.py`` (the naive
+cross-checks, which the test suite runs) and the names in ALLOWED, each of
+which README.md names with its reason.  It exits 2 when a run fails: a
+benchmark run that is not correct, or a corpus request whose exit code or
+stdout differs from the corpus's.  ``--root`` points it at another
+checkout, such as a ``git archive`` copy of an earlier commit.  It needs
+Python 3.11 or later, whose code objects carry their qualified names.
 """
 
 from __future__ import annotations
 
 import argparse
 import ast
+import collections.abc
 import hashlib
 import json
 import os
@@ -46,6 +49,9 @@ ALLOWED = {
     "localmod.is_local": "the paper's locality test, kept as library API",
     "lattice.in_dual": "the kernel of is_local",
     "_table.scan_structure": "the cocycle scan for tables that neither the form nor the certificate decides",
+    "cartan.Weight.__neg__": "weight negation, with + and - the weight arithmetic of the library API",
+    "extensions.ExtWeight.__add__": "the sum of current-Fock weights, library API that the tests use",
+    "localmod.RibbonVerdict.__bool__": "a ribbon verdict's truth, as every other verdict record has",
 }
 
 # Written to a directory put first on each child's PYTHONPATH.  Code objects
@@ -101,22 +107,48 @@ def defined(src: Path) -> list[str]:
     return names
 
 
-def is_allowed(name: str) -> bool:
-    module, _, qualname = name.partition(".")
-    last = qualname.rpartition(".")[2]
-    return module == "oracle" or name in ALLOWED or (last.startswith("__") and last.endswith("__"))
+def class_bases(src: Path) -> dict[str, tuple[str, ...]]:
+    """The names of the bases of every class defined in the package, by
+    <module>.<qualname>."""
+    bases = {}
+    for path in sorted(src.glob("*.py")):
+        todo = [(ast.parse(path.read_text(encoding="utf-8")), "")]
+        while todo:
+            node, prefix = todo.pop()
+            for child in ast.iter_child_nodes(node):
+                if isinstance(child, ast.ClassDef):
+                    names = tuple(getattr(base, "id", getattr(base, "attr", None)) for base in child.bases)
+                    bases[f"{path.stem}.{prefix}{child.name}"] = names
+                    todo.append((child, f"{prefix}{child.name}."))
+                elif not isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    todo.append((child, prefix))
+    return bases
 
 
-def summarize(functions, reach_lines) -> dict:
+def is_protocol(name: str, bases: dict, record: set) -> bool:
+    """Whether name is a dunder that object, Record (whose dunders are
+    record) or one of its class's collections.abc bases defines."""
+    owner, _, last = name.rpartition(".")
+    if not (last.startswith("__") and last.endswith("__")):
+        return False
+    abcs = [getattr(collections.abc, base) for base in bases.get(owner, ()) if base in collections.abc.__all__]
+    return last in record or any(hasattr(cls, last) for cls in (object, *abcs))
+
+
+def summarize(functions, reach_lines, bases=None) -> dict:
     """The reached count, and the unreached functions split into those
-    --check flags and those it allows."""
+    --check flags and those it allows; bases maps each class to the names
+    of its bases (class_bases)."""
     reached = {line.strip() for line in reach_lines}
     missed = [name for name in functions if name not in reached]
+    record = {name.rpartition(".")[2] for name in functions if name.startswith("_record.Record.")}
+    allowed = [name for name in missed if name.partition(".")[0] == "oracle" or name in ALLOWED
+               or is_protocol(name, bases or {}, record)]
     return {
         "functions": len(functions),
         "reached": len(functions) - len(missed),
-        "flagged": [name for name in missed if not is_allowed(name)],
-        "allowed": [name for name in missed if is_allowed(name)],
+        "flagged": [name for name in missed if name not in allowed],
+        "allowed": allowed,
     }
 
 
@@ -173,7 +205,8 @@ def main(argv=None) -> int:
         parser.error("the hook reads co_qualname, which needs Python 3.11 or later")
     root = args.root.resolve()
     lines, failures = trace(root)
-    summary = summarize(defined(root / "src" / "uproll"), lines)
+    src = root / "src" / "uproll"
+    summary = summarize(defined(src), lines, class_bases(src))
     print(f"{summary['reached']} of {summary['functions']} functions reached")
     for name in summary["allowed"]:
         print(f"unreached, allowed: {name}")
