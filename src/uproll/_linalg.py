@@ -13,8 +13,9 @@ vector modulo a lattice, which also returns the multiple of each row it
 subtracted; and the dot products of one integer row with every vector of
 a box.  Everything here works on lists of lists of plain ints, up to
 cartan.MAX_RANK = 32 columns: the Hermite form of up to 128 rows of 32
-columns, and of the scaled dual of a dense rank-deficient lattice of A,
-B, C or D up to rank 32, takes about 0.1 s.
+columns takes about 0.1 s, and the Smith form of the discriminant matrix
+of a dense rank-deficient lattice of A, B, C or D up to rank 32 about
+0.015 s (Python 3.11).
 """
 
 from __future__ import annotations

@@ -37,8 +37,9 @@ from .errors import DimensionMismatch, HypothesisViolated, InvalidSeriesRank
 
 # Larger ranks are refused before anything is allocated: the exact inverse
 # of the Cartan matrix alone takes on the order of rank**3 bignum steps.
-# The Hermite forms behind a census stay near 0.1 s up to this rank, on
-# 128 generators or on the scaled dual of a dense rank-deficient lattice.
+# The normal forms behind a census stay under 0.1 s up to this rank, on
+# 128 generators or on the discriminant matrix of a dense rank-deficient
+# lattice.
 MAX_RANK = 32
 
 

@@ -32,6 +32,12 @@ Exit codes:
 A rank above cartan.MAX_RANK is an unknown Dynkin type (exit 2) and is
 refused before any Cartan data is built.
 
+The document is read under the interpreter's limit on the digits of an
+int-str conversion (4300 by default), so a longer integer is malformed
+input.  The report and the witness messages print every value in full,
+whatever its length: the limit is lifted while they are formatted and
+restored after.
+
 A null field means the same as an absent one, so monodromy prints every
 census pair when "pairs" is absent or null, and no pair for "pairs": [].
 
@@ -61,6 +67,7 @@ from .errors import (
     NotLocal,
     NotSubgroup,
     UprollError,
+    all_digits,
     check_budget,
 )
 
@@ -179,13 +186,14 @@ def _cmd_datum(args) -> dict:
 def _cmd_check_algebra(args) -> dict:
     spec = _doc_spec(_load_document(args))
     verdict = uproll.algebra.spec_verdict(spec)
-    return {
-        "commutative" if spec.mu is None else "supercommutative": bool(verdict),
-        "witnesses": [
-            {"kind": w.kind, "i": w.i, "j": w.j, "value": str(w.value)}
-            for w in verdict.witnesses
-        ],
-    }
+    with all_digits():
+        return {
+            "commutative" if spec.mu is None else "supercommutative": bool(verdict),
+            "witnesses": [
+                {"kind": w.kind, "i": w.i, "j": w.j, "value": str(w.value)}
+                for w in verdict.witnesses
+            ],
+        }
 
 
 def _twist_rows(twists) -> list[dict]:
@@ -198,17 +206,19 @@ def _cmd_census(args):
     TSV rows or, for twists, as JSON rows after the census."""
     spec = _doc_spec(_load_document(args))
     census = uproll.localmod.simple_census(spec)
-    if args.command == "census" and args.format == "json":
-        return _census_json(census)
-    if not census.finite:
+    reps_only = args.command == "census" and args.format == "json"
+    if not (reps_only or census.finite):
         raise InfiniteCensus(f"{args.command} --format {args.format} needs a finite census")
-    twists = uproll.localmod.census_twists(spec.datum, census).items()
-    if args.format == "tsv":
-        return "\n".join(
-            "\t".join((",".join(rep.coord_strings()), *_exponent_json(e).values()))
-            for rep, e in twists
-        )
-    return {**_census_json(census), "twists": _twist_rows(twists)}
+    with all_digits():
+        if reps_only:
+            return _census_json(census)
+        twists = uproll.localmod.census_twists(spec.datum, census).items()
+        if args.format == "tsv":
+            return "\n".join(
+                "\t".join((",".join(rep.coord_strings()), *_exponent_json(e).values()))
+                for rep, e in twists
+            )
+        return {**_census_json(census), "twists": _twist_rows(twists)}
 
 
 def _cmd_monodromy(args) -> dict:
@@ -229,27 +239,29 @@ def _cmd_monodromy(args) -> dict:
         check_budget("monodromy table", size, "pairs", uproll.algebra.MAX_TABLE_ENTRIES)
         reps = tuple(census.reps)
         pairs = [(a, b) for i, a in enumerate(reps) for b in reps[i:]]
-    return {
-        "pairs": [
-            {
-                "a": a.coord_strings(),
-                "b": b.coord_strings(),
-                **_exponent_json(uproll.localmod.monodromy_exponent(datum, a, b)),
-            }
-            for a, b in pairs
-        ]
-    }
+    with all_digits():
+        return {
+            "pairs": [
+                {
+                    "a": a.coord_strings(),
+                    "b": b.coord_strings(),
+                    **_exponent_json(uproll.localmod.monodromy_exponent(datum, a, b)),
+                }
+                for a, b in pairs
+            ]
+        }
 
 
 def _cmd_ribbon(args) -> dict:
     verdict = uproll.localmod.check_ribbon(_doc_spec(_load_document(args)))
-    return {
-        "verdict": verdict.status,
-        "witnesses": [
-            {"kind": kind, "index": idx, "value": str(val)}
-            for kind, idx, val in verdict.witnesses
-        ],
-    }
+    with all_digits():
+        return {
+            "verdict": verdict.status,
+            "witnesses": [
+                {"kind": kind, "index": idx, "value": str(val)}
+                for kind, idx, val in verdict.witnesses
+            ],
+        }
 
 
 def _muger_json(report) -> dict:
@@ -301,33 +313,34 @@ def _cmd_bq(args) -> dict:
         ext_weights.append(ext.ExtWeight(qg, fock))
     size = len(ext_weights) * (len(ext_weights) - 1) // 2
     check_budget("bq", size, f"pairs of {len(ext_weights)} ext_weights", uproll.algebra.MAX_TABLE_ENTRIES)
-    rows = []
-    for w in ext_weights:
-        local = ext.bq_is_local(spec, w) if spec.is_standard else None
-        rows.append({
-            "qg": w.qg.coord_strings(),
-            "fock": w.fock_tilde.coord_strings(),
-            "twist": _exponent_json(ext.bq_twist_exponent(datum, w)),
-            "local": local,
-            "transparent": ext.bq_transparent(spec, w) if local else None,
-        })
-    return {
-        "a_squared": str(spec.a_squared),
-        "commutative": ext.bq_check_commutative(spec),
-        "ribbon": ext.bq_ribbon_verdict(datum),
-        "weights": rows,
-        "pairs": [
-            {
-                "i": i,
-                "j": j,
-                "monodromy": _exponent_json(ext.bq_monodromy_exponent(datum, a, b)),
-                "equivalent": (
-                    ext.bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
-                ),
-            }
-            for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
-        ],
-    }
+    with all_digits():
+        rows = []
+        for w in ext_weights:
+            local = ext.bq_is_local(spec, w) if spec.is_standard else None
+            rows.append({
+                "qg": w.qg.coord_strings(),
+                "fock": w.fock_tilde.coord_strings(),
+                "twist": _exponent_json(ext.bq_twist_exponent(datum, w)),
+                "local": local,
+                "transparent": ext.bq_transparent(spec, w) if local else None,
+            })
+        return {
+            "a_squared": str(spec.a_squared),
+            "commutative": ext.bq_check_commutative(spec),
+            "ribbon": ext.bq_ribbon_verdict(datum),
+            "weights": rows,
+            "pairs": [
+                {
+                    "i": i,
+                    "j": j,
+                    "monodromy": _exponent_json(ext.bq_monodromy_exponent(datum, a, b)),
+                    "equivalent": (
+                        ext.bq_equivalent(spec, a, b) if rows[i]["local"] and rows[j]["local"] else None
+                    ),
+                }
+                for (i, a), (j, b) in combinations(enumerate(ext_weights), 2)
+            ],
+        }
 
 
 _COMMANDS = {
@@ -376,6 +389,8 @@ def run(argv=None) -> int:
         return 2
     try:
         result = _COMMANDS[args.command](args)
+        with all_digits():
+            text = result if isinstance(result, str) else json.dumps(result, indent=2)
     except (HypothesisViolated, NonADESeries) as exc:
         print(f"hypothesis violated: {exc}", file=sys.stderr)
         return 3
@@ -392,7 +407,7 @@ def run(argv=None) -> int:
         print(f"malformed input: {exc}", file=sys.stderr)
         return 2
     try:
-        print(result if isinstance(result, str) else json.dumps(result, indent=2))
+        print(text)
         sys.stdout.flush()
     except BrokenPipeError:
         # The interpreter flushes stdout again at exit; send what is left to

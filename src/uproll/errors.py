@@ -1,4 +1,8 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, the budget check, and the
+lift of the interpreter's digit limit under which values are printed."""
+
+import sys
+from contextlib import contextmanager
 
 
 class UprollError(Exception):
@@ -68,6 +72,24 @@ def check_budget(stage: str, size: int, what: str, limit: int) -> None:
         except ValueError:  # past the interpreter's limit on integer digits
             shown = f"about 2^{size.bit_length()}"
         raise BudgetExceeded(f"{stage}: {shown} {what}, over the budget of {limit}")
+
+
+@contextmanager
+def all_digits():
+    """Lift the interpreter's limit on the digits of an int-to-str
+    conversion (Python 3.11, and 3.10 from 3.10.7) for the block, and
+    restore it after.  The limit guards the parsing of untrusted text;
+    the integers of a report or a witness message are computed from input
+    that was parsed under it, so they print in full."""
+    if not hasattr(sys, "set_int_max_str_digits"):
+        yield
+        return
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
 
 
 class InternalError(RuntimeError):

@@ -12,13 +12,16 @@ with exact integer normal forms; nothing here ever touches floating
 point.  Each operation on lattices returns one: adjoin gives the join and
 scaled_dual the dual within the span of L, of the rank of L, from the
 triangular Hermite form of L and the Cartan matrix when L has full rank.
-The change of basis of a census is back-substituted against the dual's
-Hermite rows, and every census takes its invariant factors off the Smith
-form of H, the Hermite form of that change of basis; a lattice below the
-rank of the dual leaves it infinite.  A finite census lists Sum c_i D_i
-over the dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
+quotient_census back-substitutes its change of basis against the dual's
+Hermite rows and takes its invariant factors off the Smith form of H, the
+Hermite form of that change of basis; a lattice below the rank of the
+dual leaves it infinite.  A finite census lists Sum c_i D_i over the
+dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
 (uproll._census) keeps only that mixed-radix system, derives each rep as
 it is read and reads a weight's digits off at the pivots of the rows.
+An infinite census needs only its invariant factors, and
+discriminant_matrix gives them without a dual: the Smith form of the
+Gram matrix of 2<,>/ell on the Hermite basis of L.
 """
 
 from __future__ import annotations
@@ -143,6 +146,24 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
     return _from_rows(datum.rank, rows, den // common)
+
+
+def discriminant_matrix(datum: CartanDatum, lattice: RationalLattice) -> list[list[int]]:
+    """The Gram matrix M of 2<,>/ell on the lattice's Hermite basis, an
+    integer k x k matrix for k = rank of L.  The scaled dual within the
+    span of L is {c H / d : c M integral}, so its quotient by L is
+    Z^k / Z^k M, the discriminant group of L under 2<,>/ell (Conway and
+    Sloane, SPLAG, ch. 15; Nikulin 1979), whose invariant factors are
+    those of M's Smith form.  A valid spec's verdict puts every 2<g, g'>
+    over its lattice in ell*Z, so an entry off the integers is a bug and
+    raises InternalError.
+    """
+    # M = 2P / (ell N d^2) with P = H (N G) H^T, as derived in scaled_dual.
+    step = datum.ell * datum.gram_denominator * lattice.denominator ** 2
+    twice = [[2 * p for p in row] for row in form_matrix(datum.scaled_gram, lattice.hnf)]
+    if bad := [(i, j) for i, row in enumerate(twice) for j, x in enumerate(row) if x % step]:
+        raise InternalError(f"census: entry {bad[0]} of 2<,>/ell on the lattice's Hermite basis is not an integer")
+    return [[x // step for x in row] for row in twice]
 
 
 class Census(Record):

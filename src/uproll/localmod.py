@@ -26,11 +26,12 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import TYPE_CHECKING
 
+from . import _linalg
 from ._record import Record
 from .algebra import AlgebraSpec
 from .cartan import CartanDatum, ExponentModL, Weight, bilinear, form_matrix, scaled_coords
-from .errors import AlgebraInvalid, InfiniteCensus
-from .lattice import Census, in_dual, quotient_census, scaled_dual
+from .errors import AlgebraInvalid, InfiniteCensus, all_digits
+from .lattice import Census, discriminant_matrix, in_dual, quotient_census, scaled_dual
 
 if TYPE_CHECKING:
     from ._census import CensusTwists
@@ -42,9 +43,11 @@ def _require_valid(spec: AlgebraSpec) -> None:
     if not (verdict := spec.verdict):
         first = verdict.witnesses[0]
         stage = "supercommutativity" if spec.mu is not None else "commutativity"
+        with all_digits():
+            value = str(first.value)
         raise AlgebraInvalid(
             f"{stage} check fails: {first.kind} witness ({first.i}, {first.j}) has value "
-            f"{first.value}, and {len(verdict.witnesses) - 1} more witnesses fail"
+            f"{value}, and {len(verdict.witnesses) - 1} more witnesses fail"
         )
 
 
@@ -59,10 +62,20 @@ def is_local(spec: AlgebraSpec, lam: Weight) -> bool:
 
 
 def simple_census(spec: AlgebraSpec) -> Census:
-    """Census of simple local modules: scaled dual modulo the lattice."""
+    """Census of simple local modules: scaled dual modulo the lattice.
+
+    A lattice of full rank goes through quotient_census on its scaled
+    dual, which lists the representatives.  One of lower rank leaves the
+    census infinite, with a continuum of dimension rank - rank of L, and
+    its invariant factors are read off the Smith form of the lattice's
+    discriminant_matrix, with no dual or change of basis.
+    """
     _require_valid(spec)
-    dual = scaled_dual(spec.datum, spec.extended_lattice)
-    return quotient_census(dual, spec.extended_lattice)
+    datum, lattice = spec.datum, spec.extended_lattice
+    if lattice.rank < datum.rank:
+        diag = _linalg.smith_normal_form(discriminant_matrix(datum, lattice))[0]
+        return Census(False, tuple(s for s in diag if s > 1), None, None, datum.rank - lattice.rank)
+    return quotient_census(scaled_dual(datum, lattice), lattice)
 
 
 def twist_exponent(datum: CartanDatum, lam: Weight) -> ExponentModL:

@@ -658,6 +658,56 @@ def test_a_refusal_prints_its_size_at_any_digit_limit(digits, shown):
     assert str(info.value) == f"census: {shown} representatives, over the budget of 100000"
 
 
+# a = 3 (10^2200 + 1) has 2201 digits, and the values printed from it, the
+# factor 2 (a/3)^2 of the A2 census and the witness <g, g> = a^2 / 2 on A1,
+# have 4401: past the default limit, they print in full.
+HUGE_ENTRY = 3 * (10**2200 + 1)
+A2_HUGE = {"series": "A", "rank": 2, "ell": 6, "lattice": [[str(HUGE_ENTRY), "0"]]}
+A1_HUGE = {"series": "A", "rank": 1, "ell": 6, "lattice": [[str(HUGE_ENTRY)]]}
+
+
+@pytest.mark.parametrize(
+    "command,doc,code,report,message",
+    [
+        ("census", A2_HUGE, 0, {"finite": False, "order": None, "invariant_factors": [2 * (HUGE_ENTRY // 3) ** 2],
+                                "complement_dimension": 1, "reps": None}, None),
+        ("check-algebra", A1_HUGE, 0,
+         {"commutative": False, "witnesses": [{"kind": "diagonal", "i": 0, "j": 0,
+                                               "value": Fraction(HUGE_ENTRY**2, 2)}]}, None),
+        ("census", A1_HUGE, 5, None,
+         "spec does not meet the command's precondition: commutativity check fails: diagonal witness (0, 0) "
+         "has value {}, and 0 more witnesses fail\n".format),
+    ],
+    ids=["census-factor", "check-algebra-witness", "census-witness-message"],
+)
+def test_values_past_the_digit_limit_print_in_full(
+    command, doc, code, report, message, tmp_path, capsys, default_digit_limit
+):
+    start = time.perf_counter()
+    assert run([command, "--input", write_doc(tmp_path, "p.json", doc)]) == code
+    assert time.perf_counter() - start < 2
+    captured = capsys.readouterr()
+    # The limit holds again once the report is out.
+    assert not hasattr(sys, "get_int_max_str_digits") or sys.get_int_max_str_digits() == 4300
+    with uproll.errors.all_digits():
+        if report is not None:
+            assert captured.err == ""
+            assert captured.out == json.dumps(report, indent=2, default=str) + "\n"
+        else:
+            assert captured.out == ""
+            assert captured.err == message(Fraction(HUGE_ENTRY**2, 2))
+
+
+def test_a_report_past_the_digit_limit_exits_zero_in_a_child():
+    # The interpreter's default limit, with no test fixture in between.
+    env = {key: value for key, value in child_env().items() if key != "PYTHONINTMAXSTRDIGITS"}
+    proc = subprocess.run([sys.executable, "-m", "uproll.cli", "census"], input=json.dumps(A2_HUGE),
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, "")
+    factor = proc.stdout.splitlines()[4].strip()
+    assert len(factor) == 4401 and factor.startswith("2") and factor.endswith("2")
+
+
 def budget_refusals(source: str) -> list[int]:
     """The lines of the source that build a BudgetExceeded, by a call or by
     raising the class itself."""
@@ -754,13 +804,17 @@ def large_integer_census(rank, rows, digits):
 
 @pytest.mark.parametrize(
     "rank,rows,digits,code",
-    [(16, 16, 10, 7), (16, 16, 100, 7), (32, 32, 10, 7), (32, 32, 100, 7), (16, 15, 30, 0)],
-    ids=["A16-10-digits", "A16-100-digits", "A32-10-digits", "A32-100-digits", "A16-15-rows-30-digits"],
+    [(16, 16, 10, 7), (16, 16, 100, 7), (32, 32, 10, 7), (32, 32, 100, 7), (16, 15, 30, 0),
+     (16, 15, 100, 0), (32, 31, 30, 0)],
+    ids=["A16-10-digits", "A16-100-digits", "A32-10-digits", "A32-100-digits", "A16-15-rows-30-digits",
+         "A16-15-rows-100-digits", "A32-31-rows-30-digits"],
 )
 def test_census_on_large_integers_ends_within_a_time_bound(rank, rows, digits, code):
     # Full rank is refused over budget after the dual and the change of
     # basis, which once took 4 to more than 30 s on these entries; one row
-    # short gives an infinite census.
+    # short gives an infinite census, whose factors come from the Smith
+    # form of the lattice's discriminant matrix (about 5 s on A32 by way of
+    # the dual).
     start = time.perf_counter()
     proc = run_cli(["-m", "uproll.cli", "census"], json.dumps(large_integer_census(rank, rows, digits)), timeout=30)
     assert time.perf_counter() - start < 3

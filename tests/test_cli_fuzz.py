@@ -3,7 +3,9 @@
 Every invocation must end in a documented exit code (0, 2-7) with no
 exception escaping cli.run; an argparse rejection counts as its exit 2.
 Sizes stay small so that the whole property runs in a few seconds, with
-a few huge integers mixed in to reach the rank cap and the budgets.
+a few huge integers mixed in to reach the rank cap and the budgets; valid
+problems on integers of up to 4300 digits, the interpreter's default limit
+on the digits it parses, must end in one too, with no traceback.
 """
 
 import io
@@ -19,6 +21,7 @@ from hypothesis import strategies as st
 
 from uproll import build_cartan_datum
 from uproll.cli import run
+from uproll.errors import HypothesisViolated
 
 EXIT_CODES = {0, 2, 3, 4, 5, 6, 7}
 HUGE = 10**40
@@ -138,18 +141,20 @@ def command_line(rnd: random.Random) -> list[str]:
     return argv
 
 
-def invoke(argv, text) -> int:
+def invoke(argv, text) -> tuple[int, str]:
+    """The exit code and the stderr of one in-process run."""
     out, err = io.StringIO(), io.StringIO()
     saved = sys.stdin
     sys.stdin = io.StringIO(text)
     try:
         with redirect_stdout(out), redirect_stderr(err):
             try:
-                return run(argv)
+                code = run(argv)
             except SystemExit as exc:  # argparse rejects the command line
-                return exc.code
+                code = exc.code
     finally:
         sys.stdin = saved
+    return code, err.getvalue()
 
 
 @st.composite
@@ -165,7 +170,7 @@ def invocation(draw):
 )
 @given(case=invocation())
 def test_every_invocation_ends_in_a_documented_exit_code(case):
-    assert invoke(*case) in EXIT_CODES
+    assert invoke(*case)[0] in EXIT_CODES
 
 
 # Dense lattices of rank below the datum's: the census is infinite, and its
@@ -195,5 +200,75 @@ def dense_deficient_invocation(draw):
 @given(case=dense_deficient_invocation())
 def test_dense_rank_deficient_lattices_end_promptly(case):
     start = time.perf_counter()
-    assert invoke(*case) in EXIT_CODES
+    assert invoke(*case)[0] in EXIT_CODES
     assert time.perf_counter() - start < 2.0, case
+
+
+# Valid problems on huge integers at ranks 1-3: every entry is 0 or has 1000
+# to 4300 digits, and the values printed from them have up to twice as many.
+# Lattice rows are ell/2 or ell*N times integers, N the Gram denominator, so
+# they lie in the simple-current lattice, and the ell*N rows also pass the
+# commutativity check; the orders are even, so bq runs too.
+HUGE_DATUMS = []
+for series, rank in TYPES:
+    for ell in (4, 6, 8, 12):
+        try:
+            HUGE_DATUMS.append(build_cartan_datum(series, rank, ell))
+        except HypothesisViolated:
+            pass
+
+
+def huge_integer(rnd: random.Random, scale: int = 1) -> int:
+    """scale times a signed random integer, with 1000 to 4300 digits in all."""
+    digits = rnd.randint(1000, 4300 - len(str(scale)) + 1)
+    return rnd.choice((-1, 1)) * scale * rnd.randrange(10 ** (digits - 1), 10**digits)
+
+
+@st.composite
+def huge_valid_invocation(draw):
+    rnd = random.Random(draw(st.integers(0, 2**32)))
+    command = draw(st.sampled_from(COMMANDS))
+    datum = rnd.choice(HUGE_DATUMS)
+    if command == "triplet":
+        series = "D" if datum.series == "D" else "A"
+        return ["triplet", "--series", series, "--rank", str(datum.rank), "--r", str(abs(huge_integer(rnd)))], ""
+
+    def rational():
+        x = huge_integer(rnd)
+        return str(x) if rnd.random() < 0.5 else f"{x}/{abs(huge_integer(rnd))}"
+
+    def row(entry):
+        return [entry() if rnd.random() < 0.8 else "0" for _ in range(datum.rank)]
+
+    scale = rnd.choice([datum.ell // 2, datum.ell * datum.gram_denominator])
+    doc = {
+        "series": datum.series,
+        "rank": datum.rank,
+        "ell": datum.ell,
+        "lattice": [row(lambda: str(huge_integer(rnd, scale))) for _ in range(rnd.randint(0, datum.rank))],
+        # null: the monodromy table of the census
+        "pairs": None if rnd.random() < 0.5 else [[row(rational), row(rational)] for _ in range(rnd.randint(1, 2))],
+        "ext_weights": [{"qg": row(rational), "fock": row(rational)} for _ in range(rnd.randint(0, 3))],
+    }
+    return [command], json.dumps(doc)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(case=huge_valid_invocation())
+def test_valid_problems_on_huge_integers_end_promptly_without_a_traceback(case):
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(4300)
+    try:
+        start = time.perf_counter()
+        code, err = invoke(*case)
+        elapsed = time.perf_counter() - start
+        # The limit holds again once the report is out.
+        assert not limited or sys.get_int_max_str_digits() == 4300
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
+    # A well-formed document is never malformed input, whatever its size.
+    assert code in EXIT_CODES - {2} and "Traceback" not in err, (case[0], err[:200])
+    assert elapsed < 1.0, case[0]

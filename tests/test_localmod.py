@@ -6,8 +6,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from helpers import (
+    ALL_TYPES,
     TRIPLET_CASES,
+    TYPE_POOL,
     draw_commutativity_specs,
+    draw_super_specs,
     random_weight,
     sympy_form,
     sympy_gram,
@@ -29,8 +32,8 @@ from uproll import (
     weight,
 )
 from uproll import algebra, localmod
-from uproll.errors import AlgebraInvalid, InfiniteCensus
-from uproll.lattice import Census, in_dual
+from uproll.errors import AlgebraInvalid, InfiniteCensus, InternalError
+from uproll.lattice import Census, RationalLattice, discriminant_matrix, in_dual, quotient_census, scaled_dual
 from uproll.oracle import is_multiple, pairing
 
 A1_4 = build_cartan_datum("A", 1, 4)
@@ -118,6 +121,38 @@ class TestSimpleCensus:
         spec = AlgebraSpec(A2_4, [2 * A2_4.simple_root(0)])
         census = simple_census(spec)
         assert not census.finite
+
+    def test_rank_deficit_takes_no_dual_or_change_of_basis(self, monkeypatch):
+        # 2<2 alpha, 2 alpha>/4 = 4: one factor 4 and a line of complement.
+        for name in ("scaled_dual", "quotient_census"):
+            monkeypatch.setattr(localmod, name, lambda *args, name=name: pytest.fail(f"{name} was called"))
+        census = simple_census(AlgebraSpec(A2_4, [2 * A2_4.simple_root(0)]))
+        assert census == Census(False, (4,), None, None, 1)
+
+    def test_a_fractional_discriminant_entry_is_an_internal_error(self):
+        # <omega, omega> = 1/2 on A1, so 2<,>/4 is 1/4 on the lattice Z omega,
+        # a lattice that no valid spec has.
+        lattice = AlgebraSpec(A1_4, [2 * A1_4.simple_root(0)]).extended_lattice
+        assert discriminant_matrix(A1_4, lattice) == [[4]]
+        with pytest.raises(InternalError) as info:
+            discriminant_matrix(A1_4, RationalLattice(1, ((1,),), 1))
+        assert str(info.value) == "census: entry (0, 0) of 2<,>/ell on the lattice's Hermite basis is not an integer"
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(0, 2**32), pool=st.sampled_from([TYPE_POOL, ALL_TYPES]))
+    def test_factors_match_the_quotient_of_the_scaled_dual(self, seed, pool):
+        # Full-rank, super and rank-deficient specs alike: the Smith form of
+        # the discriminant matrix against the dual's change of basis.
+        specs = draw_commutativity_specs(seed, 4, pool)
+        for spec in specs + draw_super_specs(specs):
+            if not spec.verdict:
+                continue
+            lattice = spec.extended_lattice
+            census = simple_census(spec)
+            expected = quotient_census(scaled_dual(spec.datum, lattice), lattice)
+            assert census.invariant_factors == expected.invariant_factors
+            assert census.complement_dimension == expected.complement_dimension
+            assert census.finite == (lattice.rank == spec.datum.rank)
 
     def test_reps_are_local_and_distinct(self):
         for spec in (doubled_root_spec(), super_spec()):
