@@ -5,22 +5,22 @@ Hermite form adds one row at a time to a basis kept in Hermite form, and
 the Smith form alternates column steps with Hermite rounds, both of which
 keep the entries small; det_int, which takes only an upper triangular
 matrix, by its diagonal; mat_inverse (adjugate and determinant) an upper
-triangular matrix by back-substitution and any other square one by one
-fraction-free Gauss-Jordan elimination (Bareiss); combination_in_rows,
-which back-substitutes any number of targets against echelon rows, as
-integer numerators over one denominator; the echelon reduction of a
-vector modulo a lattice, which also returns the multiple of each row it
-subtracted; and the dot products of one integer row with every vector of
-a box.  Everything here works on lists of lists of plain ints, up to
-cartan.MAX_RANK = 32 columns: the Hermite form of up to 128 rows of 32
-columns takes about 0.1 s, and the Smith form of the discriminant matrix
-of a dense rank-deficient lattice of A, B, C or D up to rank 32 about
-0.015 s (Python 3.11).
+triangular matrix by back-substitution and any other square one, each
+type's symmetrized Cartan matrix D A, by one fraction-free Gauss-Jordan
+elimination (Bareiss); the echelon reduction of a vector modulo a
+lattice, which also returns the multiple of each row it subtracted, and
+combination_in_rows, which reads off those multiples for any number of
+targets against square, upper triangular rows; and the dot products of
+one integer row with every vector of a box.  Everything here works on
+lists of lists of plain ints, up to cartan.MAX_RANK = 32 columns: the
+Hermite form of up to 128 rows of 32 columns takes about 0.1 s, and the
+Smith form of the discriminant matrix of a dense rank-deficient lattice
+of A, B, C or D up to rank 32 about 0.015 s (Python 3.11).
 """
 
 from __future__ import annotations
 
-from math import gcd, lcm, prod
+from math import prod
 
 
 def xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -237,44 +237,17 @@ def mat_inverse(rows) -> tuple[list[list[int]], int]:
     return [[sign * x for x in row[n:]] for row in a], sign * det
 
 
-def combination_in_rows(rows, targets) -> tuple[int, list[list[int] | None]]:
-    """Each integer target as a rational combination of the echelon rows.
-
-    The rows must be echelon: each nonzero, and the column of its first
-    nonzero entry, its pivot, right of the pivot of the row before, as on
-    the rows of a row_hermite_form; echelon rows are independent, so the
-    coefficients are unique.  Returns (den, solutions) with den > 0:
-    solution i lists integer numerators over den, or is None when target i
-    lies outside the rational row span.  Each target is back-substituted
-    against the rows in pivot order (Cohen, GTM 138, 2.4) and scaled only
-    at a pivot that does not divide its entry there; den is the lcm of
-    those scales, so targets with integer coefficients give den = 1.
-    Raises ValueError when a target's length is not the rows' length, or
-    when the rows are not echelon.
+def combination_in_rows(rows, targets) -> list[list[int] | None]:
+    """Each integer target as an integer combination of the rows of a
+    square, upper triangular integer matrix with a nonzero diagonal, such
+    as the Hermite form of a lattice of full rank: the multiples that
+    echelon_reduce subtracts (Cohen, GTM 138, 2.4), or None when the
+    target is not in the integer row span.  Raises ValueError when a
+    target's length is not the rows' length, and for any other rows.
     """
-    if not rows:
-        return 1, [None if any(t) else [] for t in targets]
-    if any(len(t) != len(rows[0]) for t in targets):
-        raise ValueError(f"targets of lengths {[len(t) for t in targets]} against rows of length {len(rows[0])}")
-    pivots = []
-    for row in rows:
-        p = next((j for j, x in enumerate(row) if x), None)
-        if p is None or pivots and p <= pivots[-1]:
-            raise ValueError(f"rows are not echelon: row {len(pivots)} has pivot column {p} after {pivots}")
-        pivots.append(p)
-    solved = []
-    for t in targets:
-        v, coeffs, scale = list(t), [], 1
-        for row, p in zip(rows, pivots):
-            f = abs(row[p]) // gcd(row[p], v[p])
-            if f > 1:  # the pivot does not divide v[p]
-                scale *= f
-                v = [f * x for x in v]
-                coeffs = [f * c for c in coeffs]
-            q = v[p] // row[p]
-            if q:
-                v = [x - q * y for x, y in zip(v, row)]
-            coeffs.append(q)
-        solved.append(None if any(v) else (coeffs, scale))
-    den = lcm(*(scale for _, scale in filter(None, solved)))
-    return den, [None if s is None else [c * (den // s[1]) for c in s[0]] for s in solved]
+    n = _square(rows)
+    if any(len(t) != n for t in targets):
+        raise ValueError(f"targets of lengths {[len(t) for t in targets]} against rows of length {n}")
+    if not _upper_triangular(rows) or not all(row[i] for i, row in enumerate(rows)):
+        raise ValueError(f"a {n}x{n} matrix is not upper triangular with a nonzero diagonal")
+    return [None if any(rest) else multiples for rest, multiples in (echelon_reduce(t, rows) for t in targets)]

@@ -10,18 +10,18 @@ equality of (ambient rank, HNF rows, denominator).
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
 point.  Each operation on lattices returns one: adjoin gives the join and
-scaled_dual the dual within the span of L, of the rank of L, from the
-triangular Hermite form of L and the Cartan matrix when L has full rank.
-quotient_census back-substitutes its change of basis against the dual's
-Hermite rows and takes its invariant factors off the Smith form of H, the
-Hermite form of that change of basis; a lattice below the rank of the
-dual leaves it infinite.  A finite census lists Sum c_i D_i over the
-dual's HNF rows D_i with 0 <= c_i < H_ii; its view CensusReps
-(uproll._census) keeps only that mixed-radix system, derives each rep as
-it is read and reads a weight's digits off at the pivots of the rows.
-An infinite census needs only its invariant factors, and
-discriminant_matrix gives them without a dual: the Smith form of the
-Gram matrix of 2<,>/ell on the Hermite basis of L.
+scaled_dual the dual of a lattice of full rank, from its triangular
+Hermite form and the Cartan matrix.  quotient_census takes a lattice and
+a dual of full rank, back-substitutes its change of basis against the
+dual's triangular Hermite rows and takes its invariant factors off the
+Smith form of H, the Hermite form of that change of basis.  Its census
+lists Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii; its
+view CensusReps (uproll._census) keeps only that mixed-radix system,
+derives each rep as it is read and reads a weight's digits off at the
+pivots of the rows.  A lattice below full rank has an infinite census,
+which scaled_dual and quotient_census refuse with InfiniteCensus; its
+invariant factors need no dual, and discriminant_matrix gives them: the
+Smith form of the Gram matrix of 2<,>/ell on the Hermite basis of L.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 from . import _linalg
 from ._record import Record
 from .cartan import CartanDatum, Weight, common_rows, form_matrix, scaled_coords
-from .errors import DimensionMismatch, InternalError, NotSubgroup, check_budget
+from .errors import DimensionMismatch, InfiniteCensus, InternalError, NotSubgroup, check_budget
 
 if TYPE_CHECKING:
     from ._census import CensusReps
@@ -116,33 +116,32 @@ def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
     return all(2 * p % step == 0 for p in form_matrix(datum.scaled_gram, [x], lattice.hnf)[0])
 
 
+def _require_ambient(lattice: RationalLattice, rank: int, of: str) -> None:
+    """DimensionMismatch naming both ranks when the lattice's ambient rank
+    is not the given rank of a datum or a dual."""
+    if lattice.rank_ambient != rank:
+        raise DimensionMismatch(f"a lattice of ambient rank {lattice.rank_ambient} against {of} {rank}")
+
+
 def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice:
-    """The scaled dual group {x : 2<x, g> in ell*Z for all g in L} within
-    the rational span of L, a lattice of the rank of L.  The full group
-    adds the orthogonal complement of L, a continuum of dimension
-    rank_ambient - rank.  A lattice of full rank takes its dual from the
-    adjugate of its triangular Hermite form and the Cartan matrix, any
-    other from the inverse of its Gram matrix.
+    """The scaled dual {x : 2<x, g> in ell*Z for all g in L} of a lattice
+    of full rank, from the adjugate of its triangular Hermite form and the
+    Cartan matrix.  The dual of a lattice below full rank adds a continuum
+    and raises InfiniteCensus, naming the stage census.
     """
-    # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
-    # matrix 2P / (ell N d^2) with P = H (N G) H^T.  Its inverse applied to
-    # the basis gives the dual rows adj(P) H * ell N d / (2 det P); P is
-    # positive definite, so adj(P) is invertible and the rank is that of L.
-    # When L has full rank, H is square and upper triangular, and
-    # P^-1 H = H^-T (N G)^-1, with G^-1 = A D^-1 since G = D (D A)^-1 D: the
-    # dual rows are adj(H)^T A D^-1 * ell d / (2 det H), and D^-1 is
-    # diag(m / d_i) / m for m = lcm(d_i).
-    h = lattice.hnf
-    if len(h) == datum.rank:
-        adj, det = _linalg.mat_inverse(h)
-        m = lcm(*datum.symmetrizers)
-        cols = [(col, m // di) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
-        rows = [[sum(map(mul, row, col)) * s for col, s in cols] for row in zip(*adj)]
-        num, den = datum.ell * lattice.denominator, 2 * det * m
-    else:
-        adj, det = _linalg.mat_inverse(form_matrix(datum.scaled_gram, h))
-        rows = [[sum(map(mul, row, col)) for col in zip(*h)] for row in adj]
-        num, den = datum.ell * datum.gram_denominator * lattice.denominator, 2 * det
+    # The dual rows are P^-1 H * ell N d / 2 (see discriminant_matrix).  H is
+    # square and upper triangular, and P^-1 H = H^-T (N G)^-1, with
+    # G^-1 = A D^-1 since G = D (D A)^-1 D: the dual rows are
+    # adj(H)^T A D^-1 * ell d / (2 det H), and D^-1 is diag(m / d_i) / m for
+    # m = lcm(d_i).
+    _require_ambient(lattice, datum.rank, "a datum of rank")
+    if lattice.rank < datum.rank:
+        raise InfiniteCensus(f"census: a rank-{lattice.rank} lattice in rank {datum.rank} has no finite census")
+    adj, det = _linalg.mat_inverse(lattice.hnf)
+    m = lcm(*datum.symmetrizers)
+    cols = [(col, m // di) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
+    rows = [[sum(map(mul, row, col)) * s for col, s in cols] for row in zip(*adj)]
+    num, den = datum.ell * lattice.denominator, 2 * det * m
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
     return _from_rows(datum.rank, rows, den // common)
@@ -158,7 +157,10 @@ def discriminant_matrix(datum: CartanDatum, lattice: RationalLattice) -> list[li
     over its lattice in ell*Z, so an entry off the integers is a bug and
     raises InternalError.
     """
-    # M = 2P / (ell N d^2) with P = H (N G) H^T, as derived in scaled_dual.
+    # L is spanned by the rows of H / d, on which 2<,>/ell has the Gram
+    # matrix M = 2P / (ell N d^2) with P = H (N G) H^T, so the dual rows
+    # M^-1 H / d are P^-1 H * ell N d / 2.
+    _require_ambient(lattice, datum.rank, "a datum of rank")
     step = datum.ell * datum.gram_denominator * lattice.denominator ** 2
     twice = [[2 * p for p in row] for row in form_matrix(datum.scaled_gram, lattice.hnf)]
     if bad := [(i, j) for i, row in enumerate(twice) for j, x in enumerate(row) if x % step]:
@@ -179,57 +181,47 @@ class Census(Record):
 def _change_of_basis(dual: RationalLattice, lattice: RationalLattice) -> list[list[int]]:
     # On HNF rows, sum c_j D_j / dd = L_i / dl holds exactly when
     # sum c_j (dl D_j) = dd L_i, an equation over the integers, which
-    # back-substitution against the echelon dual rows solves.
-    # dual is the full dual group within its span, so a row in the span is in
-    # the dual exactly when its coefficients are integers; a row outside it can
-    # be only through the continuous part, which the census does not cover.
+    # back-substitution against the triangular dual rows solves.
     rows = [[x * lattice.denominator for x in row] for row in dual.hnf]
     targets = [[x * dual.denominator for x in row] for row in lattice.hnf]
-    den, solutions = _linalg.combination_in_rows(rows, targets)
-    for coeffs, row in zip(solutions, lattice.hnf):
-        if coeffs is None or any(c % den for c in coeffs):
-            coords = ", ".join(Weight.over(row, lattice.denominator).coord_strings())
-            where = "outside the span of the dual's lattice part" if coeffs is None else "fails the dual condition"
-            raise NotSubgroup(f"change of basis: lattice row [{coords}] {where}")
-    return [[c // den for c in coeffs] for coeffs in solutions]
+    solutions = _linalg.combination_in_rows(rows, targets)
+    if None in solutions:
+        coords = ", ".join(Weight.over(lattice.hnf[solutions.index(None)], lattice.denominator).coord_strings())
+        raise NotSubgroup(f"change of basis: lattice row [{coords}] fails the dual condition")
+    return solutions
 
 
 def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
     """Invariant factors and coset representatives of dual / lattice, where
-    dual is a scaled dual: the dual group within the span of its source.
+    dual is the scaled dual of a lattice of full rank and lattice is of
+    full rank too.
 
-    Every generator of the lattice must lie in the span of the dual, and
-    in the dual: the dual condition is read off the change of basis,
-    whose coefficients must be integers.  A failure raises NotSubgroup,
-    which signals a non-local summand upstream.  The change of basis is
-    back-substituted against the dual's Hermite rows; when it is square,
-    it is upper triangular and its determinant is the product of its
-    diagonal.  Every quotient takes its invariant factors off the Smith
-    form of H, the Hermite form of the change of basis; it is finite when
-    the lattice has the rank of the dual and the dual has full rank, so
-    that the full dual group has no continuous part, and a finite order
-    above MAX_CENSUS_ORDER raises BudgetExceeded before either form is
-    taken.  A finite census lists Sum c_i D_i over the dual's HNF rows D_i
-    with 0 <= c_i < H_ii, one per coset (Cohen, GTM 138, 2.4.3), each
-    entry at most (order - 1) max |D_ij|.
+    Every generator of the lattice must lie in the dual: the dual
+    condition is read off the change of basis, back-substituted against
+    the dual's Hermite rows, whose coefficients must be integers.  A
+    failure raises NotSubgroup, which signals a non-local summand
+    upstream.  The change of basis is upper triangular, and its
+    determinant, the product of its diagonal, is the order of the
+    quotient; an order above MAX_CENSUS_ORDER raises BudgetExceeded
+    before the invariant factors are taken off the Smith form of H, the
+    Hermite form of the change of basis.  The census lists Sum c_i D_i
+    over the dual's HNF rows D_i with 0 <= c_i < H_ii, one per coset
+    (Cohen, GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
+    A lattice or dual below full rank raises InfiniteCensus.
     """
-    # When the change of basis is square, its determinant is the order of
-    # the quotient.
+    n = dual.rank_ambient
+    _require_ambient(lattice, n, "a dual of ambient rank")
+    if min(lattice.rank, dual.rank) < n:
+        raise InfiniteCensus(f"census: a rank-{lattice.rank} lattice in a rank-{dual.rank} dual "
+                             f"of ambient rank {n} has no finite census")
     change = _change_of_basis(dual, lattice)
-    square = lattice.rank == dual.rank
-    if square:
-        order = abs(_linalg.det_int(change))
-        if order == 0:
-            raise InternalError(f"change of basis: rank-{lattice.rank} lattice has a singular change of basis")
-    complement = dual.rank_ambient - dual.rank
-    finite = square and not complement
-    if finite:
-        check_budget("census", order, "representatives", MAX_CENSUS_ORDER)
+    order = abs(_linalg.det_int(change))
+    if order == 0:
+        raise InternalError(f"change of basis: rank-{lattice.rank} lattice has a singular change of basis")
+    check_budget("census", order, "representatives", MAX_CENSUS_ORDER)
     box = _linalg.row_hermite_form(change)
     factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
-    if not finite:
-        return Census(False, factors, None, None, complement)
     from ._census import CensusReps
 
     radix = tuple((row[i], step) for i, (row, step) in enumerate(zip(box, dual.hnf)) if row[i] > 1)
-    return Census(True, factors, CensusReps(radix, dual.denominator, lattice.rank_ambient), order, 0)
+    return Census(True, factors, CensusReps(radix, dual.denominator, n), order, 0)

@@ -65,10 +65,10 @@ def simple_census(spec: AlgebraSpec) -> Census:
     """Census of simple local modules: scaled dual modulo the lattice.
 
     A lattice of full rank goes through quotient_census on its scaled
-    dual, which lists the representatives.  One of lower rank leaves the
-    census infinite, with a continuum of dimension rank - rank of L, and
-    its invariant factors are read off the Smith form of the lattice's
-    discriminant_matrix, with no dual or change of basis.
+    dual, the only lattices those two take, and the census lists the
+    representatives.  One of lower rank leaves the census infinite, with
+    a continuum of dimension rank - rank of L, and its invariant factors
+    are read off the Smith form of the lattice's discriminant_matrix.
     """
     _require_valid(spec)
     datum, lattice = spec.datum, spec.extended_lattice

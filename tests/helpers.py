@@ -114,6 +114,25 @@ def lattice_rows(lattice) -> tuple[Weight, ...]:
     return tuple(Weight.over(row, lattice.denominator) for row in lattice.hnf)
 
 
+def sympy_discriminant_factors(datum, lattice) -> tuple[int, ...]:
+    """The invariant factors above 1 of the scaled dual within the span of
+    the lattice modulo the lattice: sympy's Smith form of the Fraction
+    matrix 2<h_i, h_j>/ell on its Hermite rows, each entry from
+    oracle.pairing, which must be integral."""
+    from sympy import ZZ, Matrix
+    from sympy.matrices.normalforms import smith_normal_form
+
+    from uproll.oracle import pairing
+
+    rows = lattice_rows(lattice)
+    gram = [[2 * pairing(datum, x, y) / datum.ell for y in rows] for x in rows]
+    assert all(x.denominator == 1 for row in gram for x in row)
+    if not rows:
+        return ()
+    ref = smith_normal_form(Matrix([[int(x) for x in row] for row in gram]), domain=ZZ)
+    return tuple(s for s in (abs(int(ref[i, i])) for i in range(len(rows))) if s > 1)
+
+
 def random_weight(rng: random.Random, rank: int, span: int = 6, den: int = 4):
     """A random rational weight with bounded numerators and denominators."""
     return weight(

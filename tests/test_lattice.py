@@ -4,7 +4,7 @@ import time
 from fractions import Fraction
 
 import pytest
-from helpers import ALL_TYPES, fundamental_weight, lattice_rows, random_weight
+from helpers import ALL_TYPES, fundamental_weight, lattice_rows, random_weight, sympy_discriminant_factors
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 from sympy import ZZ, Matrix, Rational
@@ -22,17 +22,19 @@ from uproll import (
     coset_reduce,
     quotient_census,
     scaled_dual,
+    simple_census,
     weight,
 )
 from uproll.errors import (
     BudgetExceeded,
     DimensionMismatch,
     HypothesisViolated,
+    InfiniteCensus,
     InternalError,
     NotSubgroup,
     UprollError,
 )
-from uproll.lattice import MAX_CENSUS_ORDER, Census, RationalLattice, in_dual
+from uproll.lattice import MAX_CENSUS_ORDER, RationalLattice, discriminant_matrix, in_dual
 from uproll.oracle import is_multiple, pairing
 
 A1_4 = build_cartan_datum("A", 1, 4)
@@ -245,9 +247,13 @@ class TestScaledDual:
         assert dual2 == canonical_basis(A1_4, [weight([2])])
 
     def test_rank_deficient(self):
+        # The dual of a lattice below full rank, the zero lattice among
+        # them, adds a continuum.
         a1, _ = a2_roots()
-        dual = scaled_dual(A2_4, canonical_basis(A2_4, [2 * a1]))
-        assert (dual.rank_ambient, dual.rank) == (2, 1)
+        for gens, rank in (([2 * a1], 1), ([], 0)):
+            with pytest.raises(InfiniteCensus) as info:
+                scaled_dual(A2_4, canonical_basis(A2_4, gens))
+            assert str(info.value) == f"census: a rank-{rank} lattice in rank 2 has no finite census"
 
     def test_dual_condition_on_rows(self):
         a1, a2 = a2_roots()
@@ -258,7 +264,8 @@ class TestScaledDual:
 
     def test_antitone_under_inclusion(self):
         rng = random.Random(31)
-        for _ in range(25):
+        checked = 0
+        while checked < 25:
             outer_gens = [
                 weight([2 * rng.randint(-2, 2), 2 * rng.randint(-2, 2)])
                 for _ in range(2)
@@ -272,16 +279,21 @@ class TestScaledDual:
                 for _ in range(2)
             ]
             inner = canonical_basis(A2_4, inner_gens)
+            if inner.rank < 2:  # then outer, which holds it, has full rank too
+                continue
+            checked += 1
             dual_outer = scaled_dual(A2_4, outer)
             dual_inner = scaled_dual(A2_4, inner)
             for row in lattice_rows(dual_outer):
                 assert in_dual(A2_4, inner, row.row, row.den)
+                assert contains(dual_inner, row)
 
 
 def reference_dual(datum, lattice):
-    """The lattice part of the scaled dual in its first formulation: the
-    Fraction Gram matrix of 2<,>/ell on the canonical rows, inverted by
-    Gauss-Jordan elimination over Fraction and applied to those rows."""
+    """The scaled dual within the span of the lattice in its first
+    formulation: the Fraction Gram matrix of 2<,>/ell on the canonical
+    rows, inverted by Gauss-Jordan elimination over Fraction and applied
+    to those rows."""
     basis = lattice_rows(lattice)
     k = len(basis)
     a = [
@@ -313,8 +325,9 @@ def test_scaled_dual_matches_the_fraction_gram_inverse(series, rank):
             datum = build_cartan_datum(series, rank, rng.choice((5, 6, 8, 12)))
         except HypothesisViolated:
             datum = build_cartan_datum(series, rank, 7)
-        gens = [random_weight(rng, rank, span=4, den=3) for _ in range(rng.randint(1, rank))]
-        lattice = canonical_basis(datum, gens)
+        lattice = canonical_basis(datum, ())
+        while lattice.rank < rank:  # scaled_dual takes full-rank lattices only
+            lattice = canonical_basis(datum, [random_weight(rng, rank, span=4, den=3) for _ in range(rank)])
         dual = scaled_dual(datum, lattice)
         part = reference_dual(datum, lattice)
         assert dual == part
@@ -397,22 +410,19 @@ def test_a_full_rank_census_takes_no_elimination(monkeypatch):
     assert census.invariant_factors == (3, 3, 3, 3, 3, 9)
 
 
-@pytest.mark.parametrize("kind", ["fails the dual condition", "outside the span"])
-def test_a_lattice_row_outside_the_dual_is_named(kind):
-    # No patched kernel: the dual of 3Q at ell = 6 is P, which holds no
-    # omega_1 / 2, and the rank-1 dual of 3 alpha_1 does not span alpha_2.
+@pytest.mark.parametrize(
+    "gens,row",
+    [([weight(["1/2", 0]), weight([0, 1])], "1/2, 0"), ([weight([1, 0]), weight([0, "1/2"])], "0, 1/2")],
+    ids=["fails the dual condition", "a later row fails the dual condition"],
+)
+def test_a_lattice_row_outside_the_dual_is_named(gens, row):
+    # No patched kernel: the dual of 3Q at ell = 6 is P, which holds
+    # neither omega_1 / 2 nor omega_2 / 2; the first row outside it is named.
     datum = build_cartan_datum("A", 2, 6)
-    a1, a2 = datum.simple_roots
-    if kind == "fails the dual condition":
-        source, gens = [3 * a1, 3 * a2], [weight(["1/2", 0]), weight([0, 1])]
-        message = "change of basis: lattice row [1/2, 0] fails the dual condition"
-    else:
-        source, gens = [3 * a1], [3 * a2]
-        message = "change of basis: lattice row [3, -6] outside the span of the dual's lattice part"
-    dual = scaled_dual(datum, canonical_basis(datum, source))
+    dual = scaled_dual(datum, canonical_basis(datum, [3 * a for a in datum.simple_roots]))
     with pytest.raises(NotSubgroup) as info:
         quotient_census(dual, canonical_basis(datum, gens))
-    assert str(info.value) == message
+    assert str(info.value) == f"change of basis: lattice row [{row}] fails the dual condition"
 
 
 class TestQuotientCensus:
@@ -447,25 +457,22 @@ class TestQuotientCensus:
         assert census.invariant_factors == (5, 15)
 
     def test_rank_deficit_is_infinite(self):
-        a1, _ = a2_roots()
-        lat = canonical_basis(A2_4, [2 * a1])
-        census = quotient_census(scaled_dual(A2_4, lat), lat)
-        assert not census.finite
-        assert census.order is None
-        assert census.reps is None
-        assert not hasattr(census, "free_rank")  # the always-zero field is gone
-        assert census.complement_dimension == 1
+        # A dual below full rank, which scaled_dual never returns, is refused
+        # whatever the lattice, before its change of basis is taken.
+        a1, a2 = a2_roots()
+        line = canonical_basis(A2_4, [2 * a1])
+        for lat in (line, canonical_basis(A2_4, [2 * a1, 2 * a2])):
+            with pytest.raises(InfiniteCensus) as info:
+                quotient_census(line, lat)
+            assert str(info.value) == f"census: a rank-{lat.rank} lattice in a rank-1 dual of ambient rank 2 has no finite census"
 
     def test_broken_change_of_basis_raises_not_subgroup(self, monkeypatch):
         a1, a2 = a2_roots()
         lat = canonical_basis(A2_4, [2 * a1, 2 * a2])
         dual = scaled_dual(A2_4, lat)
-        # Every coefficient 1/2: the first lattice row fails the dual
+        # No integer coefficients: the first lattice row fails the dual
         # condition, which the change of basis decides, and is named.
-        monkeypatch.setattr(
-            _linalg, "combination_in_rows",
-            lambda rows, targets: (2, [[1] * len(rows) for _ in targets]),
-        )
+        monkeypatch.setattr(_linalg, "combination_in_rows", lambda rows, targets: [None for _ in targets])
         with pytest.raises(NotSubgroup, match=r"change of basis: lattice row \[2, 2\] fails the dual condition"):
             quotient_census(dual, lat)
         assert not issubclass(InternalError, UprollError)
@@ -477,7 +484,7 @@ class TestQuotientCensus:
         # Upper triangular, as every square change of basis is, and singular.
         monkeypatch.setattr(
             _linalg, "combination_in_rows",
-            lambda rows, targets: (1, [[int(i == 0)] * len(rows) for i, _ in enumerate(targets)]),
+            lambda rows, targets: [[int(i == 0)] * len(rows) for i, _ in enumerate(targets)],
         )
         with pytest.raises(InternalError, match="singular"):
             quotient_census(dual, lat)
@@ -500,19 +507,13 @@ class TestQuotientCensus:
 
         a1, a2 = a2_roots()
         d4 = build_cartan_datum("D", 4, 6)
-        cases = [
-            (A2_4, [2 * a1, 2 * a2]),  # finite
-            (A2_4, [4 * a1]),  # infinite, rank 1 in 2
-            (d4, [3 * r for r in d4.simple_roots]),  # finite, rank 4
-            (d4, [6 * r for r in d4.simple_roots[:3]]),  # infinite, rank 3 in 4
-        ]
+        cases = [(A2_4, [2 * a1, 2 * a2]), (d4, [3 * r for r in d4.simple_roots])]
         monkeypatch.setattr(_linalg, "combination_in_rows", recording)
         for datum, gens in cases:
             lat = canonical_basis(datum, gens)
             dual = scaled_dual(datum, lat)
             seen.clear()
-            census = quotient_census(dual, lat)
-            assert census.finite == (lat.rank == datum.rank)
+            assert quotient_census(dual, lat).finite
             # One elimination of the dual rows for every lattice row at once.
             assert seen == [(dual.rank, lat.rank)]
 
@@ -539,28 +540,12 @@ class TestQuotientCensus:
             assert contains(lat, census.order * rep)
 
 
-def test_lattice_outside_the_dual_span_is_not_a_subgroup():
-    # Both lattices meet the dual condition of 3 alpha_1 at ell = 6 through
-    # the continuous part of its dual, outside the census's lattice part.
-    datum = build_cartan_datum("A", 2, 6)
-    a1, a2 = datum.simple_root(0), datum.simple_root(1)
-    source = canonical_basis(datum, [3 * a1])
-    dual = scaled_dual(datum, source)
-    for gens in ([3 * a2], [3 * a1, 3 * a2]):
-        lattice = canonical_basis(datum, gens)
-        assert all(in_dual(datum, source, row.row, row.den) for row in lattice_rows(lattice))
-        with pytest.raises(NotSubgroup, match="outside the span"):
-            quotient_census(dual, lattice)
-
-
 def test_empty_lattice_in_a_full_dual_is_infinite():
     # The empty spec, with the whole space as its dual, is in test_localmod.
     datum = build_cartan_datum("A", 2, 6)
-    empty = canonical_basis(datum, ())
     three_q = canonical_basis(datum, [3 * a for a in datum.simple_roots])
-    assert quotient_census(scaled_dual(datum, three_q), empty) == Census(
-        False, (), None, None, 0
-    )
+    with pytest.raises(InfiniteCensus, match="a rank-0 lattice in a rank-2 dual"):
+        quotient_census(scaled_dual(datum, three_q), canonical_basis(datum, ()))
 
 
 def test_lattice_below_the_dual_rank_is_infinite():
@@ -570,14 +555,33 @@ def test_lattice_below_the_dual_rank_is_infinite():
     a1, a2 = datum.simple_roots
     dual = scaled_dual(datum, canonical_basis(datum, [3 * a1, 3 * a2]))
     assert dual.rank == dual.rank_ambient
-    census = quotient_census(dual, canonical_basis(datum, [3 * a1]))
-    assert census == Census(False, (3,), None, None, 0)
+    with pytest.raises(InfiniteCensus, match="a rank-1 lattice in a rank-2 dual"):
+        quotient_census(dual, canonical_basis(datum, [3 * a1]))
 
 
-def test_dual_of_the_zero_lattice_is_everything():
-    datum = build_cartan_datum("A", 2, 6)
-    empty = canonical_basis(datum, ())
-    assert scaled_dual(datum, empty) == empty
+FULL_A2 = RationalLattice(2, ((2, 2), (0, 6)), 1)  # 2Q in A2
+
+
+@pytest.mark.parametrize(
+    "kernel,first,second,message",
+    [
+        (scaled_dual, A2_4, RationalLattice(3, ((4, 0, 0),), 1), "a lattice of ambient rank 3 against a datum of rank 2"),
+        (discriminant_matrix, A2_4, RationalLattice(3, ((6, 0, 5),), 1),
+         "a lattice of ambient rank 3 against a datum of rank 2"),
+        (quotient_census, RationalLattice(2, ((1, 0), (0, 1)), 1), RationalLattice(3, ((4, 0, 0),), 1),
+         "a lattice of ambient rank 3 against a dual of ambient rank 2"),
+        (quotient_census, RationalLattice(3, ((1, 0, 0), (0, 1, 0), (0, 0, 1)), 1), FULL_A2,
+         "a lattice of ambient rank 2 against a dual of ambient rank 3"),
+    ],
+    ids=["scaled_dual", "discriminant_matrix", "quotient_census-lattice", "quotient_census-dual"],
+)
+def test_a_wrong_ambient_rank_is_a_dimension_mismatch(kernel, first, second, message):
+    # Checked before any other refusal: each rank-1 lattice here is also
+    # below full rank, and a lattice of ambient rank 3 has a coordinate that
+    # the A2 datum would drop.
+    with pytest.raises(DimensionMismatch) as info:
+        kernel(first, second)
+    assert str(info.value) == message
 
 
 def test_dual_and_membership_build_no_weights(monkeypatch):
@@ -752,16 +756,20 @@ def deficient_lattices(draw):
 @given(case=deficient_lattices())
 def test_infinite_census_factors_match_sympy(case):
     datum, lat = case
+    spec = AlgebraSpec(datum, lattice_rows(lat))
     start = time.perf_counter()
-    dual = scaled_dual(datum, lat)
-    census = quotient_census(dual, lat)
+    census = simple_census(spec)
     assert time.perf_counter() - start < 2.0
     assert not census.finite and census.reps is None and census.order is None
     assert census.complement_dimension == datum.rank - lat.rank
-    # The change of basis C with C D = L on the HNF rows, solved by sympy.
+    factors = sympy_discriminant_factors(datum, lat)
+    assert census.invariant_factors == factors
+    # The same factors off the reference dual within the span of L: the
+    # change of basis C with C D = L on the HNF rows, solved by sympy.
+    dual = reference_dual(datum, lat)
     d = Matrix(dual.hnf) / dual.denominator
     change = Matrix(lat.hnf) / lat.denominator * d.T * (d * d.T).inv()
     assert all(x.is_integer for x in change)
     ref = sympy_smith(change, domain=ZZ)
     diag = (abs(int(ref[i, i])) for i in range(lat.rank))
-    assert census.invariant_factors == tuple(s for s in diag if s > 1)
+    assert factors == tuple(s for s in diag if s > 1)

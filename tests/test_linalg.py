@@ -1,5 +1,4 @@
 import json
-import math
 import random
 import re
 import signal
@@ -17,12 +16,12 @@ from sympy.matrices.normalforms import hermite_normal_form as sympy_hermite
 from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
-from uproll import Weight, build_cartan_datum, canonical_basis, contains, scaled_dual
+from uproll import Weight, build_cartan_datum, canonical_basis, contains
 from uproll import _linalg
 from uproll.cartan import MAX_RANK, _series_data, cartan_determinant
 from uproll.cli import run
 from uproll.errors import InvalidSeriesRank
-from uproll.lattice import in_dual
+from uproll.lattice import discriminant_matrix
 from uproll._linalg import (
     box_dots,
     combination_in_rows,
@@ -245,32 +244,25 @@ class TestRationalKernels:
             mat_inverse(mat)
 
     def test_combination_solves_and_detects(self):
-        den, solutions = combination_in_rows([[2, 1], [0, 3]], [[4, 8], [0, 0], [1, 0]])
-        assert den == 6
-        assert [[Fraction(x, den) for x in sol] for sol in solutions] == [
-            [2, 2], [0, 0], [Fraction(1, 2), Fraction(-1, 6)]
-        ]
-        # Negative pivots, and integer coefficients with no scaling at all.
-        assert combination_in_rows([[-2, 1], [0, -3]], [[4, 1], [0, 6]]) == (1, [[-2, -1], [0, -2]])
-        # Inside and outside the span in one call.
-        rows = [[1, 0, 0], [0, 1, 0]]
-        den, solutions = combination_in_rows(rows, [[0, 0, 1], [2, 3, 0], [0, 0, 0]])
-        assert solutions[0] is None and solutions[2] == [0, 0]
-        assert [Fraction(x, den) for x in solutions[1]] == [2, 3]
-        assert combination_in_rows(rows, [])[1] == []
-        assert combination_in_rows([], [[0, 0], [1, 0]]) == (1, [[], None])
-        # Dependent rows are never echelon; independent ones out of pivot
-        # order are refused too.
-        for refused in ([[0, 0], [1, 0]], [[1, 2], [-2, -4]], [[1, 0], [0, 1], [1, 1]], [[0, 1], [1, 0]],
-                        [[2, 0], [1, 3]], [[1, 2, 3], [0, 0, 0]]):
-            with pytest.raises(ValueError, match="not echelon"):
+        # Integer coefficients, or None off the integer row span.
+        rows = [[2, 1], [0, 3]]
+        assert combination_in_rows(rows, [[4, 8], [0, 0], [1, 0], [2, 0]]) == [[2, 2], [0, 0], None, None]
+        # Negative pivots.
+        assert combination_in_rows([[-2, 1], [0, -3]], [[4, 1], [0, 6]]) == [[-2, -1], [0, -2]]
+        assert combination_in_rows(rows, []) == []
+        assert combination_in_rows([], [[]]) == [[]]
+        # Rows that are not square, not triangular or singular are refused.
+        for refused, why in (([[1, 0, 0], [0, 0, 1]], "not square"), ([[1, 2]], "not square"),
+                             ([[2, 0], [1, 3]], "not upper triangular"), ([[0, 1], [1, 0]], "not upper triangular"),
+                             ([[1, 2], [0, 0]], "nonzero diagonal"), ([[0, 1], [0, 1]], "nonzero diagonal")):
+            with pytest.raises(ValueError, match=why):
                 combination_in_rows(refused, [[0] * len(refused[0])])
 
     @pytest.mark.parametrize("rows,targets", [
-        ([[2, 0], [1, 3]], [[4, 6, 0]]),
-        ([[2, 0], [1, 3]], [[4]]),
-        ([[2, 0], [1, 3]], [[4, 6], [1]]),
-        ([[1, 0, 0]], [[1, 0], [1, 0, 0]]),
+        ([[2, 1], [0, 3]], [[4, 6, 0]]),
+        ([[2, 1], [0, 3]], [[4]]),
+        ([[2, 1], [0, 3]], [[4, 6], [1]]),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], [[1, 0], [1, 0, 0]]),
     ])
     def test_a_target_of_another_length_is_refused_naming_the_shapes(self, rows, targets):
         shape = re.escape(f"targets of lengths {[len(t) for t in targets]} against rows of length {len(rows[0])}")
@@ -280,21 +272,23 @@ class TestRationalKernels:
     def test_random_combinations_round_trip(self):
         rng = random.Random(9)
         for _ in range(40):
-            rows = row_hermite_form([[rng.randint(-5, 5) for _ in range(3)] for _ in range(2)])
+            rows = []
+            while len(rows) < 3:
+                rows = row_hermite_form([[rng.randint(-5, 5) for _ in range(3)] for _ in range(3)])
             rows = [[-x for x in row] if rng.random() < 0.5 else row for row in rows]
             batch = [[rng.randint(-4, 4) for _ in rows] for _ in range(rng.randint(1, 3))]
             targets = [
                 [sum(c * row[j] for c, row in zip(coeffs, rows)) for j in range(3)]
                 for coeffs in batch
             ]
-            # Integer coefficients: no pivot ever scales a target.
-            assert combination_in_rows(rows, targets) == (1, batch)
+            assert combination_in_rows(rows, targets) == batch
             doubled = [[2 * x for x in t] for t in targets]
-            den, solutions = combination_in_rows([[2 * x for x in row] for row in rows], targets)
-            assert [[Fraction(x, den) for x in sol] for sol in solutions] == [
-                [Fraction(c, 2) for c in coeffs] for coeffs in batch
+            assert combination_in_rows(rows, doubled) == [[2 * c for c in coeffs] for coeffs in batch]
+            # Against doubled rows a target is in the span when its
+            # coefficients are all even.
+            assert combination_in_rows([[2 * x for x in row] for row in rows], targets) == [
+                [c // 2 for c in coeffs] if all(c % 2 == 0 for c in coeffs) else None for coeffs in batch
             ]
-            assert combination_in_rows(rows, doubled) == (1, [[2 * c for c in coeffs] for coeffs in batch])
 
 
 @st.composite
@@ -405,7 +399,9 @@ def test_canonical_basis_of_dense_generators_within_a_time_bound(rows, rank):
 )
 def test_scaled_dual_of_a_dense_rank_deficient_lattice_within_a_time_bound(series, rank, ell):
     # One generator short of full rank; each is ell N times nonzero entries
-    # in [-9, 9], so the dual rows carry entries the size of det P.
+    # in [-9, 9].  The census of such a lattice takes the Smith form of its
+    # discriminant matrix in place of the scaled dual, whose rows carried
+    # entries the size of det P.
     datum = build_cartan_datum(series, rank, ell)
     rng = random.Random(3)
     scale = datum.ell * datum.gram_denominator
@@ -413,9 +409,11 @@ def test_scaled_dual_of_a_dense_rank_deficient_lattice_within_a_time_bound(serie
     rows = [[scale * rng.choice(nonzero) for _ in range(rank)] for _ in range(rank - 1)]
     with time_limit(HERMITE_TIME_BOUND):
         lattice = canonical_basis(datum, [Weight.over(row, 1) for row in rows])
-        dual = scaled_dual(datum, lattice)
-    assert (dual.rank, dual.rank_ambient - dual.rank) == (rank - 1, 1)
-    assert all(in_dual(datum, lattice, row, dual.denominator) for row in dual.hnf)
+        gram = discriminant_matrix(datum, lattice)
+        diag = smith_normal_form(gram)[0]
+    assert lattice.rank == len(diag) == rank - 1
+    assert all(b % a == 0 for a, b in zip(diag, diag[1:]))
+    assert prod(diag) == abs(Matrix(gram).det(method="bareiss"))
 
 
 def test_census_on_dense_generators_exits_within_a_time_bound(tmp_path, capsys):
@@ -506,30 +504,31 @@ class TestSmithDiagonalOfHermiteForm:
         check_smith(mat)
 
 
-def is_echelon(rows) -> bool:
-    """Every row nonzero, each first nonzero entry right of the one above."""
-    pivots = [next((j for j, x in enumerate(row) if x), None) for row in rows]
-    return None not in pivots and pivots == sorted(set(pivots))
+@st.composite
+def upper_triangular_matrices(draw):
+    """Upper triangular square matrices up to 8x8 with entries in
+    [-100, 100] above a diagonal in [-9, 9]; a zero on it makes one
+    singular."""
+    n = draw(st.integers(1, 8))
+    diag = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
+    above = draw(matrix_st(n, n, 100))
+    return [[diag[i] if i == j else above[i][j] if j > i else 0 for j in range(n)] for i in range(n)]
 
 
 @st.composite
 def combination_problems(draw):
-    """Integer rows and one batch of integer targets: 1 <= k <= n rows of
-    length n, some made dependent or zero, then mostly replaced by their
-    Hermite form with some rows negated, so that some pivots are negative,
-    and targets inside the row span, anywhere, or zero, in any number."""
+    """Integer rows and one batch of integer targets: the rows of
+    upper_triangular_matrices, negated at random, some with a zero on the
+    diagonal, an entry put below it or the last row dropped; targets
+    integer combinations of the rows, anything, or zero, in any number."""
     entry = st.integers(-9, 9)
-    n = draw(st.integers(1, 6))
-    k = draw(st.integers(1, n))
-    rows = draw(st.lists(st.lists(entry, min_size=n, max_size=n), min_size=k, max_size=k))
+    rows = [[-x for x in row] if draw(st.booleans()) else row for row in draw(upper_triangular_matrices())]
+    n = len(rows)
     broken = draw(st.integers(0, 5))
-    if k > 1 and broken == 0:
-        c = draw(entry)
-        rows[-1] = [c * x - y for x, y in zip(rows[0], rows[k // 2 - 1])]
-    elif broken == 1:
-        rows[draw(st.integers(0, k - 1))] = [0] * n
-    if draw(st.integers(0, 3)):
-        rows = [[-x for x in row] if draw(st.booleans()) else row for row in row_hermite_form(rows)]
+    if n > 1 and broken == 0:
+        rows[draw(st.integers(1, n - 1))][0] = draw(entry.filter(bool))
+    elif n > 1 and broken == 1:
+        rows.pop()
     targets = []
     for kind in draw(st.lists(st.sampled_from(["span", "any", "zero"]), max_size=4)):
         if kind == "span":
@@ -540,17 +539,6 @@ def combination_problems(draw):
         else:
             targets.append([0] * n)
     return rows, targets
-
-
-@st.composite
-def upper_triangular_matrices(draw):
-    """Upper triangular square matrices up to 8x8 with entries in
-    [-100, 100] above a diagonal in [-9, 9]; a zero on it makes one
-    singular."""
-    n = draw(st.integers(1, 8))
-    diag = draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n))
-    above = draw(matrix_st(n, n, 100))
-    return [[diag[i] if i == j else above[i][j] if j > i else 0 for j in range(n)] for i in range(n)]
 
 
 class TestEliminationAgainstSympy:
@@ -585,27 +573,16 @@ class TestEliminationAgainstSympy:
     @given(problem=combination_problems())
     def test_combination_matches_sympy_solve(self, problem):
         rows, targets = problem
-        if not is_echelon(rows):
-            with pytest.raises(ValueError, match="not echelon"):
+        ref = Matrix(rows)
+        if not (ref.is_square and ref.is_upper and ref.det()):
+            with pytest.raises(ValueError, match="not square|not upper triangular"):
                 combination_in_rows(rows, targets)
             return
-        den, solutions = combination_in_rows(rows, targets)
-        assert den > 0 and len(solutions) == len(targets)
-        denominators = [1]
+        solutions = combination_in_rows(rows, targets)
+        assert len(solutions) == len(targets)
         for target, got in zip(targets, solutions):
-            if not rows:
-                assert got == ([] if not any(target) else None)
-                continue
-            try:
-                solution, _ = Matrix(rows).T.gauss_jordan_solve(Matrix(target))
-            except ValueError:  # sympy: no solution, target outside the span
-                assert got is None
-                continue
-            expected = [Fraction(int(x.p), int(x.q)) for x in solution]
-            assert [Fraction(x, den) for x in got] == expected
-            denominators += [c.denominator for c in expected]
-        # A target is scaled only as far as its coefficients need.
-        assert den == math.lcm(*denominators)
+            expected = list(ref.T.solve(Matrix(target)))
+            assert got == ([int(x) for x in expected] if all(x.is_integer for x in expected) else None)
 
     @settings(max_examples=150, deadline=None)
     @given(mat=upper_triangular_matrices())
