@@ -3,19 +3,20 @@
 Integer Hermite and Smith normal forms with plain bignum arithmetic: the
 Hermite form adds one row at a time to a basis kept in Hermite form, and
 the Smith form alternates column steps with Hermite rounds, both of which
-keep the entries small; det_int, which takes only an upper triangular
-matrix, by its diagonal; mat_inverse (adjugate and determinant) an upper
-triangular matrix by back-substitution and any other square one, each
-type's symmetrized Cartan matrix D A, by one fraction-free Gauss-Jordan
-elimination (Bareiss); the echelon reduction of a vector modulo a
-lattice, which also returns the multiple of each row it subtracted, and
-combination_in_rows, which reads off those multiples for any number of
-targets against square, upper triangular rows; and the dot products of
-one integer row with every vector of a box.  Everything here works on
-lists of lists of plain ints, up to cartan.MAX_RANK = 32 columns: the
-Hermite form of up to 128 rows of 32 columns takes about 0.1 s, and the
-Smith form of the discriminant matrix of a dense rank-deficient lattice
-of A, B, C or D up to rank 32 about 0.015 s (Python 3.11).
+keep the entries small; det_int and mat_inverse (adjugate and
+determinant), which take only an upper triangular matrix, by its
+diagonal and by back-substitution, so that any other square matrix is
+inverted through the Hermite form of [M | I] (Cohen, GTM 138, 2.4.3), as
+cartan does for each type's D A; the echelon reduction of a vector
+modulo a lattice, which also returns the multiple of each row it
+subtracted, and combination_in_rows, which reads off those multiples for
+any number of targets against square, upper triangular rows; and the dot
+products of one integer row with every vector of a box.  Everything
+here works on lists of lists of plain ints, up to cartan.MAX_RANK = 32
+columns: the Hermite form of up to 128 rows of 32 columns takes about
+0.1 s, and the Smith form of the discriminant matrix of a dense
+rank-deficient lattice of A, B, C or D up to rank 32 about 0.015 s
+(Python 3.11).
 """
 
 from __future__ import annotations
@@ -161,30 +162,6 @@ def smith_normal_form(mat) -> tuple[list[int], list[list[int]]]:
     return diag, vinv
 
 
-def _gauss_jordan(a: list[list[int]], width: int) -> tuple[int, int] | None:
-    """Fraction-free Gauss-Jordan elimination (Bareiss) of the integer rows
-    a, in place, on columns 0..width-1; Sylvester's identity makes every
-    division exact.  The first width columns end as the last pivot times
-    the identity over zero rows.  Returns (last pivot, sign of the row
-    permutation), or None when some column has no pivot."""
-    n = len(a)
-    sign, prev = 1, 1
-    for k in range(width):
-        piv = next((i for i in range(k, n) if a[i][k]), None)
-        if piv is None:
-            return None
-        if piv != k:
-            a[k], a[piv] = a[piv], a[k]
-            sign = -sign
-        row, p = a[k], a[k][k]
-        for i in range(n):
-            if i != k:
-                f = a[i][k]
-                a[i] = [(p * x - f * y) // prev for x, y in zip(a[i], row)]
-        prev = p
-    return prev, sign
-
-
 def _square(rows) -> int:
     """The size n of an n x n matrix; ValueError naming any other shape."""
     if any(len(row) != len(rows) for row in rows):
@@ -207,34 +184,27 @@ def det_int(mat) -> int:
 
 
 def mat_inverse(rows) -> tuple[list[list[int]], int]:
-    """Adjugate and determinant (adj, det) of a square integer matrix, so
-    that adj = det * rows ** -1.  Raises ValueError when it is singular.
-
-    An upper triangular matrix H is inverted by back-substitution: adj is
-    upper triangular too, and row i of H adj = det I gives adj's row i from
-    the rows below it, divided exactly by H_ii since adj is integral.
+    """Adjugate and determinant (adj, det) of a square, upper triangular
+    integer matrix H, so that adj = det * H ** -1, by back-substitution:
+    adj is upper triangular too, and row i of H adj = det I gives adj's row
+    i from the rows below it, divided exactly by H_ii since adj is
+    integral.  Raises det_int's ValueError for any other matrix, and
+    ValueError when H is singular.
     """
-    n = _square(rows)
-    if _upper_triangular(rows):
-        det = prod(row[i] for i, row in enumerate(rows))
-        if not det:
-            raise ValueError("matrix is singular")
-        adj = [None] * n
-        for i in reversed(range(n)):
-            row = rows[i]
-            v = [0] * n
-            v[i] = det
-            for k in range(i + 1, n):
-                if c := row[k]:
-                    v = [x - c * y for x, y in zip(v, adj[k])]
-            adj[i] = [x // row[i] for x in v]
-        return adj, det
-    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(rows)]
-    done = _gauss_jordan(a, n)
-    if done is None:
+    det = det_int(rows)
+    if not det:
         raise ValueError("matrix is singular")
-    det, sign = done
-    return [[sign * x for x in row[n:]] for row in a], sign * det
+    n = len(rows)
+    adj = [None] * n
+    for i in reversed(range(n)):
+        row = rows[i]
+        v = [0] * n
+        v[i] = det
+        for k in range(i + 1, n):
+            if c := row[k]:
+                v = [x - c * y for x, y in zip(v, adj[k])]
+        adj[i] = [x // row[i] for x in v]
+    return adj, det
 
 
 def combination_in_rows(rows, targets) -> list[list[int] | None]:

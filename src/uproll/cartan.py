@@ -324,15 +324,23 @@ def _type_table(series: str, rank: int):
     """The constants of the type (series, rank) that do not depend on ell,
     as (cartan, symmetrizers, scaled_gram, gram_denominator, twist_form,
     det(A)); each type's symmetrized Cartan matrix D A is inverted once per
-    process, and det(A) = det(D A) / prod d_i is read off that inversion.
+    process, through the Hermite form [H | U] of [D A | I], and
+    det(A) = det(D A) / prod d_i is read off that inversion.
     The twist form, which a datum keeps as its twist_form field,
     is its numerator x.(N G).x + s (N G rho).x as a flat form on (x, s):
     terms (i, j, c), i <= j, c != 0, from the upper triangle of N*G,
     off-diagonal entries doubled, then its row sums at (i, rank)."""
     cartan, d = _series_data(series, rank)
     n = len(d)
+    # U D A = H with U unimodular, and det U = 1 since D A is positive
+    # definite and H has a positive diagonal, so det(D A) = det H and
+    # adj(D A) = adj(H) U (Cohen, GTM 138, 2.4.3).  Then
     # G = D (D A)^-1 D = D adj(D A) D / det(D A), reduced by the common gcd.
-    adj, det = _linalg.mat_inverse([[di * x for x in row] for di, row in zip(d, cartan)])
+    hu = _linalg.row_hermite_form([[di * x for x in row] + [int(i == j) for j in range(n)]
+                                   for i, (di, row) in enumerate(zip(d, cartan))])
+    adj_h, det = _linalg.mat_inverse([row[:n] for row in hu])
+    u_cols = list(zip(*(row[n:] for row in hu)))
+    adj = [[sum(map(mul, row, col)) for col in u_cols] for row in adj_h]
     scaled = [[d[i] * adj[i][j] * d[j] for j in range(n)] for i in range(n)]
     common = gcd(det, *(x for row in scaled for x in row))
     g = tuple(tuple(x // common for x in row) for row in scaled)

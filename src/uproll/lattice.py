@@ -127,13 +127,15 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice
     """The scaled dual {x : 2<x, g> in ell*Z for all g in L} of a lattice
     of full rank, from the adjugate of its triangular Hermite form and the
     Cartan matrix.  The dual of a lattice below full rank adds a continuum
-    and raises InfiniteCensus, naming the stage census.
+    and raises InfiniteCensus, naming the stage census; rows that are not
+    upper triangular raise mat_inverse's ValueError.
     """
     # The dual rows are P^-1 H * ell N d / 2 (see discriminant_matrix).  H is
     # square and upper triangular, and P^-1 H = H^-T (N G)^-1, with
     # G^-1 = A D^-1 since G = D (D A)^-1 D: the dual rows are
     # adj(H)^T A D^-1 * ell d / (2 det H), and D^-1 is diag(m / d_i) / m for
-    # m = lcm(d_i).
+    # m = lcm(d_i).  Negated rows span the same lattice, so the denominator
+    # takes |det H|, positive also on caller-built rows with a negative pivot.
     _require_ambient(lattice, datum.rank, "a datum of rank")
     if lattice.rank < datum.rank:
         raise InfiniteCensus(f"census: a rank-{lattice.rank} lattice in rank {datum.rank} has no finite census")
@@ -141,7 +143,7 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice
     m = lcm(*datum.symmetrizers)
     cols = [(col, m // di) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
     rows = [[sum(map(mul, row, col)) * s for col, s in cols] for row in zip(*adj)]
-    num, den = datum.ell * lattice.denominator, 2 * det * m
+    num, den = datum.ell * lattice.denominator, 2 * abs(det) * m
     common = gcd(den, num * gcd(*(x for row in rows for x in row)))
     rows = [[x * num // common for x in row] for row in rows]
     return _from_rows(datum.rank, rows, den // common)

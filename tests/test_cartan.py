@@ -322,7 +322,7 @@ def test_rank_above_the_cap_is_refused():
 
 
 @pytest.mark.parametrize(
-    "series,rank", ALL_TYPES + [("A", MAX_RANK), ("B", MAX_RANK), ("D", MAX_RANK)]
+    "series,rank", ALL_TYPES + [("A", MAX_RANK), ("B", MAX_RANK), ("C", MAX_RANK), ("D", MAX_RANK)]
 )
 def test_type_table_matches_a_direct_sympy_gram(series, rank):
     import sympy

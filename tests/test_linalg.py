@@ -17,8 +17,7 @@ from sympy.matrices.normalforms import invariant_factors, smith_normal_decomp
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
 from uproll import Weight, build_cartan_datum, canonical_basis, contains
-from uproll import _linalg
-from uproll.cartan import MAX_RANK, _series_data, cartan_determinant
+from uproll.cartan import MAX_RANK, _series_data, _type_table, cartan_determinant
 from uproll.cli import run
 from uproll.errors import InvalidSeriesRank
 from uproll.lattice import discriminant_matrix
@@ -223,18 +222,6 @@ def test_hermite_form_matches_sympy(rows):
 
 
 class TestRationalKernels:
-    @settings(max_examples=60, deadline=None)
-    @given(mat=matrix_st(3, 3))
-    def test_inverse(self, mat):
-        if Matrix(mat).det() == 0:
-            return
-        adj, det = mat_inverse(mat)
-        assert det == Matrix(mat).det()
-        for i in range(3):
-            for j in range(3):
-                entry = sum(mat[i][k] * adj[k][j] for k in range(3))
-                assert entry == (det if i == j else 0)
-
     @pytest.mark.parametrize("mat", [[[6, -3]], [[1], [2]], [[1, 2]], [[1, 2], [3]], [[1, 2], [3, 4], [5, 6]]])
     def test_a_matrix_that_is_not_square_is_refused_naming_its_shape(self, mat):
         shape = re.escape(f"{len(mat)}-row matrix with row lengths {[len(row) for row in mat]}")
@@ -542,28 +529,16 @@ def combination_problems(draw):
 
 
 class TestEliminationAgainstSympy:
-    @settings(max_examples=120, deadline=None)
-    @given(mat=square_matrices())
-    def test_inverse_is_adjugate_and_determinant(self, mat):
-        ref = Matrix(mat)
-        det = ref.det()
-        if det == 0:
-            with pytest.raises(ValueError):
-                mat_inverse(mat)
-            return
-        adj, got = mat_inverse(mat)
-        assert got == det
-        assert Matrix(adj) == ref.adjugate()
-
     @settings(max_examples=150, deadline=None)
     @given(mat=square_matrices())
     def test_determinant_matches_sympy(self, mat):
-        # det_int takes upper triangular matrices only.
+        # det_int and mat_inverse take upper triangular matrices only.
         upper = [[x if j >= i else 0 for j, x in enumerate(row)] for i, row in enumerate(mat)]
         assert det_int(upper) == Matrix(upper).det()
         if upper != mat:
-            with pytest.raises(ValueError, match="not upper triangular"):
-                det_int(mat)
+            for kernel in (det_int, mat_inverse):
+                with pytest.raises(ValueError, match="not upper triangular"):
+                    kernel(mat)
 
     def test_determinant_of_the_empty_matrix(self):
         assert det_int([]) == Matrix.zeros(0, 0).det() == 1
@@ -598,18 +573,6 @@ class TestEliminationAgainstSympy:
         assert got == det
         assert Matrix(adj) == ref.adjugate()
 
-    def test_triangular_matrices_take_no_elimination(self, monkeypatch):
-        def refuse(*args):
-            raise AssertionError("an upper triangular matrix went through the Bareiss elimination")
-
-        monkeypatch.setattr(_linalg, "_gauss_jordan", refuse)
-        mat = [[3, -7, 2], [0, -2, 5], [0, 0, 4]]
-        assert det_int(mat) == -24
-        assert mat_inverse(mat) == ([[-8, 28, -31], [0, 12, -15], [0, 0, -6]], -24)
-        assert det_int([[3, 1], [0, 0]]) == 0
-        with pytest.raises(ValueError, match="matrix is singular"):
-            mat_inverse([[3, 1], [0, 0]])
-
 
 def _supported_types():
     """Every (series, rank) that _series_data accepts, found by trying."""
@@ -643,3 +606,9 @@ def test_leading_minors_of_every_symmetrized_cartan_matrix(series, rank):
             b[i] = [x - f * y for x, y in zip(b[i], b[k])]
     # det(D A) = det(A) prod d_i, against the determinant the type table keeps.
     assert len(minors) == rank and minors[-1] == cartan_determinant(series, rank) * prod(d)
+    # G A = D, since G = D (D A)^-1 D: the type table's N G times A is N D,
+    # in plain integers.
+    _, _, scaled_gram, n, _, _ = _type_table(series, rank)
+    assert [[sum(g * row[j] for g, row in zip(grow, cartan)) for j in range(rank)] for grow in scaled_gram] == [
+        [n * di * (i == j) for j in range(rank)] for i, di in enumerate(d)
+    ]
