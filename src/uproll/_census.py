@@ -1,8 +1,8 @@
 """Storage for the representatives of a finite census and their twists:
 the census's mixed-radix system alone, and the twists as the census's
 quadratic form, k + k^2 integers for k steps.  The representatives are
-Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii, H the
-Hermite form of the change of basis; they are derived one mixed-radix
+Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < C_ii, C the
+change of basis into the lattice; they are derived one mixed-radix
 digit at a time as they are read.  A weight's digits are read off at the
 steps' pivots, and the form is evaluated at them; it is expanded only when
 iterated.  Weight and ExponentModL values appear only through the views
@@ -41,10 +41,10 @@ class CensusReps(Sequence, Record):
     """The coset representatives of a finite census, a read-only sequence
     of Weights that stores only its mixed-radix system: radix, den, rank.
 
-    radix lists the pairs (s, step) = (H_ii, D_i) with H_ii above 1,
+    radix lists the pairs (s, step) = (C_ii, D_i) with C_ii above 1,
     slowest first: the representatives are Sum c_i D_i over the dual's HNF
-    rows D_i, integer rows over den, with 0 <= c_i < H_ii, H the Hermite
-    form of the change of basis.  So the steps are echelon rows, their
+    rows D_i, integer rows over den, with 0 <= c_i < C_ii, C the change
+    of basis into the lattice.  So the steps are echelon rows, their
     pivot columns strictly increasing.  The representative at index i is
     the combination of steps whose coefficients are the mixed-radix digits
     of i, so the order is lexicographic in the coefficients, last one

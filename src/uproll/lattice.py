@@ -3,36 +3,37 @@
 A finitely generated subgroup of the rational weight space is stored as
 its canonical basis only: an integer matrix in row-style Hermite normal
 form over a single common denominator, the convention a Weight follows
-with its (row, den) fields, which are read here as integers.  The
-canonical form depends only on the span, so lattice equality is literal
-equality of (ambient rank, HNF rows, denominator).
+with its (row, den) fields, which are read here as integers.  Every
+RationalLattice takes that form of its rows, which depends only on their
+span, so lattice equality is literal equality of its three fields.
 
 Scaled dual groups and quotient censuses are computed from these bases
 with exact integer normal forms; nothing here ever touches floating
 point.  Each operation on lattices returns one: adjoin gives the join and
 scaled_dual the dual of a lattice of full rank, from its triangular
 Hermite form and the Cartan matrix.  quotient_census takes a lattice and
-a dual of full rank, back-substitutes its change of basis against the
+a dual of full rank, back-substitutes its change of basis C against the
 dual's triangular Hermite rows and takes its invariant factors off the
-Smith form of H, the Hermite form of that change of basis.  Its census
-lists Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < H_ii; its
-view CensusReps (uproll._census) keeps only that mixed-radix system,
-derives each rep as it is read and reads a weight's digits off at the
-pivots of the rows.  A lattice below full rank has an infinite census,
-which scaled_dual and quotient_census refuse with InfiniteCensus; its
-invariant factors need no dual, and discriminant_matrix gives them: the
-Smith form of the Gram matrix of 2<,>/ell on the Hermite basis of L.
+Smith form of C.  Its census lists Sum c_i D_i over the dual's HNF rows
+D_i with 0 <= c_i < C_ii; its view CensusReps (uproll._census) keeps
+only that mixed-radix system, derives each rep as it is read and reads a
+weight's digits off at the pivots of the rows.  A lattice below full
+rank has an infinite census, which scaled_dual and quotient_census refuse
+with InfiniteCensus; its invariant factors need no dual, and
+discriminant_matrix gives them: the Smith form of the Gram matrix of
+2<,>/ell on the Hermite basis of L.
 """
 
 from __future__ import annotations
 
+from itertools import chain
 from math import gcd, lcm
 from operator import mul
 from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, common_rows, form_matrix, scaled_coords
+from .cartan import CartanDatum, Weight, common_rows, form_matrix
 from .errors import DimensionMismatch, InfiniteCensus, InternalError, NotSubgroup, check_budget
 
 if TYPE_CHECKING:
@@ -43,11 +44,23 @@ MAX_CENSUS_ORDER = 100_000
 
 
 class RationalLattice(Record):
-    """Finitely generated subgroup of the weight space."""
+    """The span of integer rows over a denominator, kept as its canonical
+    basis with their common content divided out.  A denominator below 1
+    raises ValueError, a row not of length rank_ambient DimensionMismatch."""
 
     rank_ambient: int
     hnf: tuple[tuple[int, ...], ...]
     denominator: int
+
+    def __init__(self, rank_ambient: int, hnf, denominator: int):
+        if denominator < 1:
+            raise ValueError(f"lattice denominator must be positive, got {denominator}")
+        rows = list(map(tuple, hnf))
+        if any(len(row) != rank_ambient for row in rows):
+            raise DimensionMismatch(f"weights must have length {rank_ambient}")
+        g = gcd(denominator, *chain.from_iterable(rows))  # the rows' Hermite form has their content
+        rows = _linalg.row_hermite_form([a // g for a in row] for row in rows)
+        super().__init__(rank_ambient, tuple(map(tuple, rows)), denominator // g)
 
     @property
     def rank(self) -> int:
@@ -62,18 +75,9 @@ def canonical_basis(datum: CartanDatum, generators) -> RationalLattice:
     """Canonical form of the subgroup generated by the given weights.
 
     The generators are cleared to an integer matrix by their least common
-    denominator, which is then reduced to row Hermite normal form.
+    denominator, which RationalLattice reduces to row Hermite normal form.
     """
-    gens = tuple(generators)
-    for g in gens:
-        scaled_coords(datum, g)  # the length check
-    return _from_rows(datum.rank, *common_rows(gens))
-
-
-def _from_rows(n: int, rows, den: int) -> RationalLattice:
-    """The lattice spanned by the integer rows over the denominator den."""
-    hnf = _linalg.row_hermite_form(rows)
-    return RationalLattice(n, tuple(map(tuple, hnf)), den)
+    return RationalLattice(datum.rank, *common_rows(tuple(generators)))
 
 
 def _over(lattice: RationalLattice, lam: Weight) -> tuple[list[list[int]], list[int], int]:
@@ -105,7 +109,7 @@ def coset_reduce(lattice: RationalLattice, lam: Weight) -> Weight:
 def adjoin(lattice: RationalLattice, mu: Weight) -> RationalLattice:
     """Canonical form of L + Z*mu."""
     rows, x, den = _over(lattice, mu)
-    return _from_rows(lattice.rank_ambient, rows + [x], den)
+    return RationalLattice(lattice.rank_ambient, rows + [x], den)
 
 
 def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
@@ -127,26 +131,21 @@ def scaled_dual(datum: CartanDatum, lattice: RationalLattice) -> RationalLattice
     """The scaled dual {x : 2<x, g> in ell*Z for all g in L} of a lattice
     of full rank, from the adjugate of its triangular Hermite form and the
     Cartan matrix.  The dual of a lattice below full rank adds a continuum
-    and raises InfiniteCensus, naming the stage census; rows that are not
-    upper triangular raise mat_inverse's ValueError.
+    and raises InfiniteCensus, naming the stage census.
     """
     # The dual rows are P^-1 H * ell N d / 2 (see discriminant_matrix).  H is
     # square and upper triangular, and P^-1 H = H^-T (N G)^-1, with
     # G^-1 = A D^-1 since G = D (D A)^-1 D: the dual rows are
     # adj(H)^T A D^-1 * ell d / (2 det H), and D^-1 is diag(m / d_i) / m for
-    # m = lcm(d_i).  Negated rows span the same lattice, so the denominator
-    # takes |det H|, positive also on caller-built rows with a negative pivot.
+    # m = lcm(d_i).
     _require_ambient(lattice, datum.rank, "a datum of rank")
     if lattice.rank < datum.rank:
         raise InfiniteCensus(f"census: a rank-{lattice.rank} lattice in rank {datum.rank} has no finite census")
     adj, det = _linalg.mat_inverse(lattice.hnf)
-    m = lcm(*datum.symmetrizers)
-    cols = [(col, m // di) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
+    m, num = lcm(*datum.symmetrizers), datum.ell * lattice.denominator
+    cols = [(col, num * (m // di)) for col, di in zip(zip(*datum.cartan), datum.symmetrizers)]
     rows = [[sum(map(mul, row, col)) * s for col, s in cols] for row in zip(*adj)]
-    num, den = datum.ell * lattice.denominator, 2 * abs(det) * m
-    common = gcd(den, num * gcd(*(x for row in rows for x in row)))
-    rows = [[x * num // common for x in row] for row in rows]
-    return _from_rows(datum.rank, rows, den // common)
+    return RationalLattice(datum.rank, rows, 2 * det * m)
 
 
 def discriminant_matrix(datum: CartanDatum, lattice: RationalLattice) -> list[list[int]]:
@@ -202,14 +201,14 @@ def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
     condition is read off the change of basis, back-substituted against
     the dual's Hermite rows, whose coefficients must be integers.  A
     failure raises NotSubgroup, which signals a non-local summand
-    upstream.  The change of basis is upper triangular, and its
-    determinant, the product of its diagonal, is the order of the
-    quotient; an order above MAX_CENSUS_ORDER raises BudgetExceeded
-    before the invariant factors are taken off the Smith form of H, the
-    Hermite form of the change of basis.  The census lists Sum c_i D_i
-    over the dual's HNF rows D_i with 0 <= c_i < H_ii, one per coset
-    (Cohen, GTM 138, 2.4.3), each entry at most (order - 1) max |D_ij|.
-    A lattice or dual below full rank raises InfiniteCensus.
+    upstream.  The change of basis C between two canonical bases of full
+    rank is upper triangular, and its positive diagonal, which its Hermite
+    form shares, has the order of the quotient as its product; an order
+    above MAX_CENSUS_ORDER raises BudgetExceeded before the invariant
+    factors are taken off the Smith form of C.  The census lists
+    Sum c_i D_i over the dual's HNF rows D_i with 0 <= c_i < C_ii, one per
+    coset (Cohen, GTM 138, 2.4.3), each entry at most (order - 1) max
+    |D_ij|.  A lattice or dual below full rank raises InfiniteCensus.
     """
     n = dual.rank_ambient
     _require_ambient(lattice, n, "a dual of ambient rank")
@@ -217,13 +216,12 @@ def quotient_census(dual: RationalLattice, lattice: RationalLattice) -> Census:
         raise InfiniteCensus(f"census: a rank-{lattice.rank} lattice in a rank-{dual.rank} dual "
                              f"of ambient rank {n} has no finite census")
     change = _change_of_basis(dual, lattice)
-    order = abs(_linalg.det_int(change))
+    order = _linalg.det_int(change)
     if order == 0:
         raise InternalError(f"change of basis: rank-{lattice.rank} lattice has a singular change of basis")
     check_budget("census", order, "representatives", MAX_CENSUS_ORDER)
-    box = _linalg.row_hermite_form(change)
-    factors = tuple(s for s in _linalg.smith_normal_form(box)[0] if s > 1)
+    factors = tuple(s for s in _linalg.smith_normal_form(change)[0] if s > 1)
     from ._census import CensusReps
 
-    radix = tuple((row[i], step) for i, (row, step) in enumerate(zip(box, dual.hnf)) if row[i] > 1)
+    radix = tuple((row[i], step) for i, (row, step) in enumerate(zip(change, dual.hnf)) if row[i] > 1)
     return Census(True, factors, CensusReps(radix, dual.denominator, n), order, 0)

@@ -163,7 +163,7 @@ def census_twists(datum: CartanDatum, census: Census) -> CensusTwists:
     """Twist exponents of a finite census, as its quadratic form.
 
     The representatives are Sum c_i D_i over the dual's HNF rows D_i with
-    0 <= c_i < H_ii (see quotient_census).  For x / d with integer row x,
+    0 <= c_i < C_ii (see quotient_census).  For x / d with integer row x,
     T(x) = N d^2 <x/d, x/d + 2(1-r) rho> is an integer, and T(x + y) =
     T(x) + T(y) + 2<x, y>: T(D_i) from twist_exponent on the steps and
     2<D_i, D_j> = 2 D_i.(N G).D_j give every twist, none enumerated here.

@@ -40,19 +40,40 @@ def test_defined_names_every_function_by_module_and_qualname(tmp_path):
 
 
 def test_summary_flags_only_what_no_rule_allows():
-    functions = ["cli.main", "cli.run", "cli._cmd_gone", "algebra.Spec.__reduce__", "algebra.Spec.helper",
-                 "oracle.brute", "localmod.is_local", "lattice.in_dual", "_table.scan_structure",
-                 "algebra.Spec.helper.<locals>.solve"]
+    functions = ["extensions.ExtWeight.__add__", "cli.run", "cli._cmd_gone", "algebra.Spec.__reduce__",
+                 "algebra.Spec.helper", "oracle.brute", "localmod.is_local", "lattice.in_dual",
+                 "_table.scan_structure", "algebra.Spec.helper.<locals>.solve"]
     # Lines repeat across processes, carry line ends and may name what no longer exists.
-    lines = ["cli.run\n", "cli.run", "algebra.Spec.helper", "", "gone.function"]
+    lines = ["cli.run\n", "cli.run", "algebra.Spec.helper", "", "gone.function", "_table.scan_structure"]
     assert reach.summarize(functions, lines) == {
         "functions": 10,
-        "reached": 2,
+        "reached": 3,
         "flagged": ["cli._cmd_gone", "algebra.Spec.helper.<locals>.solve"],
-        "allowed": ["cli.main", "algebra.Spec.__reduce__", "oracle.brute", "localmod.is_local",
-                    "lattice.in_dual", "_table.scan_structure"],
+        "allowed": ["extensions.ExtWeight.__add__", "algebra.Spec.__reduce__", "oracle.brute",
+                    "localmod.is_local", "lattice.in_dual"],
+        "stale": [],
     }
     assert reach.summarize(functions, functions)["flagged"] == []
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11), reason="main refuses to run the hook")
+def test_an_allowed_function_that_a_run_reaches_is_stale(monkeypatch, capsys):
+    functions = ["lattice.in_dual", "cli.run", "oracle.brute", "algebra.Spec.__reduce__", "localmod.is_local"]
+    lines = ["cli.run", "localmod.is_local\n", "oracle.brute", "algebra.Spec.__reduce__"]
+    # Only a name in ALLOWED goes stale: the oracle and protocol dunders are
+    # allowed by rule, reached or not.
+    summary = reach.summarize(functions, lines)
+    assert summary["allowed"] == ["lattice.in_dual"]
+    assert summary["stale"] == ["localmod.is_local"]
+    monkeypatch.setattr(reach, "trace", lambda root: (lines, []))
+    monkeypatch.setattr(reach, "defined", lambda src: functions)
+    assert reach.main(["--check"]) == 1
+    assert "reached, but allowed: localmod.is_local\n" in capsys.readouterr().out
+    assert reach.main([]) == 0
+    capsys.readouterr()
+    monkeypatch.delitem(reach.ALLOWED, "localmod.is_local")
+    assert reach.main(["--check"]) == 0
+    assert "reached, but allowed" not in capsys.readouterr().out
 
 
 def test_only_protocol_dunders_are_allowed_unreached(tmp_path):

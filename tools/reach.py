@@ -20,9 +20,10 @@ the dunders that ``object``, ``Record`` or one of the class's own
 ``collections.abc`` bases defines (protocol methods, which callers reach
 through the language), everything in ``oracle.py`` (the naive
 cross-checks, which the test suite runs) and the names in ALLOWED, each of
-which README.md names with its reason.  It exits 2 when a run fails: a
-benchmark run that is not correct, or a corpus request whose exit code or
-stdout differs from the corpus's.  ``--root`` points it at another
+which README.md names with its reason.  With ``--check`` it also exits 1
+when a run reaches a name in ALLOWED, whose allowance has then outlived its
+reason.  It exits 2 when a run fails: a benchmark run that is not correct,
+or a corpus request whose exit code or stdout differs from the corpus's.  ``--root`` points it at another
 checkout, such as a ``git archive`` copy of an earlier commit.  It needs
 Python 3.11 or later, whose code objects carry their qualified names.
 """
@@ -45,10 +46,8 @@ SEEDS = (1, 2, 3)
 
 # Unreached on purpose; README.md says why for each.
 ALLOWED = {
-    "cli.main": "the console script's entry point; runs call cli.run",
     "localmod.is_local": "the paper's locality test, kept as library API",
     "lattice.in_dual": "the kernel of is_local",
-    "_table.scan_structure": "the cocycle scan for tables that neither the form nor the certificate decides",
     "cartan.Weight.__neg__": "weight negation, with + and - the weight arithmetic of the library API",
     "extensions.ExtWeight.__add__": "the sum of current-Fock weights, library API that the tests use",
     "localmod.RibbonVerdict.__bool__": "a ribbon verdict's truth, as every other verdict record has",
@@ -136,9 +135,9 @@ def is_protocol(name: str, bases: dict, record: set) -> bool:
 
 
 def summarize(functions, reach_lines, bases=None) -> dict:
-    """The reached count, and the unreached functions split into those
-    --check flags and those it allows; bases maps each class to the names
-    of its bases (class_bases)."""
+    """The reached count, the unreached functions split into those --check
+    flags and those it allows, and the names in ALLOWED that a run reached
+    (stale); bases maps each class to the names of its bases (class_bases)."""
     reached = {line.strip() for line in reach_lines}
     missed = [name for name in functions if name not in reached]
     record = {name.rpartition(".")[2] for name in functions if name.startswith("_record.Record.")}
@@ -149,6 +148,7 @@ def summarize(functions, reach_lines, bases=None) -> dict:
         "reached": len(functions) - len(missed),
         "flagged": [name for name in missed if name not in allowed],
         "allowed": allowed,
+        "stale": [name for name in ALLOWED if name in reached],
     }
 
 
@@ -198,7 +198,8 @@ def trace(root: Path) -> tuple[list[str], list[str]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--check", action="store_true", help="exit 1 on an unreached function not allowed")
+    parser.add_argument("--check", action="store_true",
+                        help="exit 1 on an unreached function not allowed, or on an allowed one reached")
     parser.add_argument("--root", type=Path, default=ROOT, help="checkout to trace (default: this one)")
     args = parser.parse_args(argv)
     if sys.version_info < (3, 11):
@@ -212,10 +213,12 @@ def main(argv=None) -> int:
         print(f"unreached, allowed: {name}")
     for name in summary["flagged"]:
         print(f"unreached: {name}")
+    for name in summary["stale"]:
+        print(f"reached, but allowed: {name}")
     if failures:
         print("runs that failed:", *failures, sep="\n", file=sys.stderr)
         return 2
-    return 1 if args.check and summary["flagged"] else 0
+    return 1 if args.check and (summary["flagged"] or summary["stale"]) else 0
 
 
 if __name__ == "__main__":
