@@ -1,22 +1,25 @@
-"""Dense storage for structure-constant tables: integer row tuples over one
-denominator, each distinct row stored once, indexed by the box vectors in
-lexicographic order, on the one Grid that box_grid builds per box in a
-process.  The table operations in uproll.algebra run their kernels here,
-on these rows, and read each pair sum at its position in the doubled box;
-ExponentModL values appear only through TableEntries, a record.
+"""Factored storage for structure-constant tables.  Every table the library
+builds is a bilinear form B plus the coboundary of a cochain f: B as its
+strictly lower integer matrix, f listed over the doubled box, both over one
+denominator, on the one Grid that box_grid builds per box in a process.
+structure_constant_table stores B alone, apply_coboundary adds its cochain
+to f, and gauge_normalize reads the entries its recursion needs one at a
+time and keeps f's coboundary on the pairs whose sum stays in the box.  A
+table read from a mapping is factored once, or kept whole as a dense
+residual when it is not B plus a coboundary.  Rows are derived only when
+read; ExponentModL values appear only through TableEntries, a record.
 
-The cocycle identities are decided here too, in order: by the comparison
-with the bilinear form read off the unit pairs, by the split certificate on
-the gauge recursion's cochain, and by the scans when neither applies; after
-either of the first two, commutation by its bilinear defect on the unit pairs."""
+The cocycle identities are decided here too: a factored table passes unit
+(unless f(0) is not zero) and associativity, and its commutation defect is
+bilinear, decided on the unit pairs; a residual is scanned."""
 
 from __future__ import annotations
 
 import functools
-from collections.abc import Mapping
+from collections.abc import ItemsView, Mapping
 from itertools import product
 from math import lcm
-from operator import add, mul
+from operator import add, mul, sub
 from types import MappingProxyType
 
 from ._linalg import box_dots
@@ -82,46 +85,101 @@ def box_grid(dimension: int, box: int) -> Grid:
 
 class TableEntries(Mapping, Record):
     """A CocycleTable's entries, a read-only mapping (n, m) -> ExponentModL
-    held as dense integer row tuples over one denominator den: rows[i][j] /
-    den is the unreduced exponent at (vecs[i], vecs[j]) of the grid, None
-    where there is no entry; equal rows may be one shared tuple.  The
-    record equals any mapping of the same items, and is unhashable."""
+    held as a form plus a cochain over one denominator den: the exponent at
+    the box vectors (a, b) is (B(a, b) + f(a + b) - f(a) - f(b) + R(a, b)) /
+    den.  B(a, b) = a.lower.b, with lower B's strictly lower integer matrix;
+    the cochain f is listed over the doubled box (Grid.doubled); the
+    residual R is dense rows, which hold a table read from a mapping that is
+    not B plus a coboundary (B is then zero), None where there is no entry.
+    cochain and residual are None when zero.  With inbox set, only the pairs
+    whose sum stays in the box have an entry.  Rows are derived only when
+    read.  The record equals any mapping of the same items, and is unhashable."""
 
     grid: Grid
     ell: int
-    rows: tuple[tuple[int | None, ...], ...]
+    lower: tuple[tuple[int, ...], ...]
+    cochain: tuple[int, ...] | None
     den: int
+    inbox: bool
+    residual: tuple[tuple[int | None, ...], ...] | None
+
+    def at(self, i: int, j: int) -> int | None:
+        """The integer over den at the i-th and j-th box vectors, None where there is no entry."""
+        grid, f, res = self.grid, self.cochain, self.residual
+        (at, zero), b = grid.doubled, grid.vecs[j]
+        s = zero + at[i] + at[j]
+        if self.inbox and grid.inside[s] is None or res is not None and res[i][j] is None:
+            return None
+        x = 0 if res is None else res[i][j]
+        for c, row in zip(grid.vecs[i], self.lower):
+            if c:
+                x += c * sum(map(mul, row, b))
+        return x if f is None else x + f[s] - f[zero + at[i]] - f[zero + at[j]]
+
+    @property
+    def rows(self) -> tuple[tuple[int | None, ...], ...]:
+        """The dense rows: rows[i][j] / den is the exponent at (vecs[i],
+        vecs[j]), None where there is no entry.  B's rows are the grid's
+        forms, so a table that is B alone shares one tuple per distinct row."""
+        grid, f = self.grid, self.cochain
+        rows = grid.forms(self.lower) if self.residual is None else self.residual
+        (at, zero), inside = grid.doubled, grid.inside
+        keys = [zero + t for t in at]
+        if f is not None:
+            fk = [f[k] for k in keys]
+            rows = [[x if x is None else x + f[a + b] - fa - fb for x, b, fb in zip(row, at, fk)]
+                    for a, fa, row in zip(keys, fk, rows)]
+        if self.inbox:
+            rows = [[None if inside[a + b] is None else x for x, b in zip(row, at)] for a, row in zip(keys, rows)]
+        return tuple(map(tuple, rows))
 
     def __getitem__(self, key) -> ExponentModL:
         try:
             left, right = key
         except (TypeError, ValueError):
             raise KeyError(key) from None
-        if (x := self.rows[self.grid.index[left]][self.grid.index[right]]) is None:
+        if (x := self.at(self.grid.index[left], self.grid.index[right])) is None:
             raise KeyError(key)
         return ExponentModL.over(x, self.den, self.ell)
 
     def __iter__(self):
         vecs = self.grid.vecs
-        for left, row in zip(vecs, self.rows):
-            yield from ((left, right) for right, x in zip(vecs, row) if x is not None)
+        return ((left, right) for left, row in zip(vecs, self.rows) for right, x in zip(vecs, row) if x is not None)
 
     def __len__(self) -> int:
-        return sum(len(row) - row.count(None) for row in self.rows)
+        if self.residual is not None:
+            return sum(len(row) - row.count(None) for row in self.rows)
+        # Per axis, 3 box^2 + 3 box + 1 of the (2 box + 1)^2 pairs have their sum in the box.
+        box, d = self.grid.box, self.grid.dimension
+        return (3 * box * box + 3 * box + 1 if self.inbox else (2 * box + 1) ** 2) ** d
+
+    def items(self):
+        return _TableItems(self)
 
     def __repr__(self) -> str:
         return f"TableEntries({dict(self.items())!r})"
 
     def require(self, positions) -> None:
         """Raise IncompleteTable naming the first (i, j) in positions with no entry."""
-        # A sum of ints raises exactly when some entry is None, without the rich
-        # comparison with None that "None in row" makes; a shared row counts once.
-        try:
-            sum(map(sum, {id(row): row for row in self.rows}.values()))
-        except TypeError:
-            for i, j in positions:
-                if self.rows[i][j] is None:
-                    raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")
+        if not self.inbox:
+            # A sum of ints raises exactly when some entry is None, without the
+            # rich comparison with None that "None in row" makes.
+            try:
+                sum(map(sum, self.residual or ()))
+                return
+            except TypeError:
+                pass
+        for i, j in positions:
+            if self.at(i, j) is None:
+                raise IncompleteTable(f"no entry for pair ({self.grid.vecs[i]}, {self.grid.vecs[j]})")
+
+
+class _TableItems(ItemsView):
+    def __iter__(self):
+        e = self._mapping
+        vecs, den, ell, over = e.grid.vecs, e.den, e.ell, ExponentModL.over
+        for left, row in zip(vecs, e.rows):
+            yield from (((left, right), over(x, den, ell)) for right, x in zip(vecs, row) if x is not None)
 
 
 def read_exponents(items, ell: int, den: int = 1) -> tuple[list[int], int]:
@@ -140,9 +198,9 @@ class CocycleTable(Record):
     Entries are keyed by pairs of generator-coefficient vectors with all
     coefficients in [-box, box]; the value at (n, m) is the exponent of
     the product scalar on the corresponding pair of summands.  They are
-    held as dense integer rows over one denominator (TableEntries), read
-    once from any other mapping of ExponentModL passed as entries (a dict,
-    or the entries of a table of another box) and never edited.
+    held as a form plus a cochain over one denominator (TableEntries),
+    factored once from any other mapping of ExponentModL passed as entries
+    (a dict, or the entries of a table of another box) and never edited.
     """
 
     generators: tuple[Weight, ...]
@@ -161,15 +219,16 @@ class CocycleTable(Record):
                 if left not in grid.index or right not in grid.index:
                     raise ValueError(f"pair {(left, right)} lies outside the box {box}")
                 rows[grid.index[left]][grid.index[right]] = x
-            entries = TableEntries(grid, ell, tuple(map(tuple, rows)), den)
+            entries = factored(grid, ell, tuple(map(tuple, rows)), den)
         super().__init__(generators, box, ell, entries)
 
 
 def gauge_cochain(grid: Grid, e) -> list[int]:
-    """The cochain f of algebra.gauge_normalize's recursion on integer rows
-    e: zero at 0 and on each generator, and built so that e(a, b) +
-    f(a + b) - f(a) - f(b) vanishes on the pairs (n g_i, g_i) and on
-    (v - t, t) for t the last nonzero component of v."""
+    """The cochain f of algebra.gauge_normalize's recursion on the integer
+    entries e(i, j) at the i-th and j-th box vectors: zero at 0 and on each
+    generator, and built so that e(a, b) + f(a + b) - f(a) - f(b) vanishes
+    on the pairs (n g_i, g_i) and on (v - t, t) for t the last nonzero
+    component of v.  It reads only pairs whose sum stays in the box."""
     vecs, zero = grid.vecs, grid.zero
     steps = [one - zero for one in grid.units]
     f = [None] * len(vecs)
@@ -177,9 +236,9 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
     for one, step in zip(grid.units, steps):
         f[one] = 0
         for pos in range(one, zero + grid.box * step, step):
-            f[pos + step] = f[pos] - e[pos][one]
+            f[pos + step] = f[pos] - e(pos, one)
         for pos in range(zero - step, zero - grid.box * step - 1, -step):
-            f[pos] = f[pos + step] + e[pos][one]
+            f[pos] = f[pos + step] + e(pos, one)
     # Fewer nonzero components first, so each head is known before its vector.
     for pos in sorted(range(len(vecs)), key=lambda i: len(vecs[i]) - vecs[i].count(0)):
         if f[pos] is None:
@@ -187,81 +246,85 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
             k = max(i for i, c in enumerate(vec) if c)
             tail = zero + vec[k] * steps[k]
             head = pos + zero - tail
-            f[pos] = f[head] + f[tail] - e[head][tail]
+            f[pos] = f[head] + f[tail] - e(head, tail)
     return f
 
 
-def coboundary_rows(grid: Grid, rows, f) -> tuple[tuple, ...]:
-    """The rows of x + f(a + b) - f(a) - f(b), with x = rows[i][j] at the
-    i-th and j-th box vectors a and b and f listed over the doubled box
-    (Grid.doubled); None where x or f(a + b) is None."""
-    at, zero = grid.doubled
-    keys = [zero + t for t in at]
-    f_box = [f[k] for k in keys]
-    return tuple(tuple([None if x is None or (s := f[a + b]) is None else x + s - fa - fb
-                        for x, b, fb in zip(row, at, f_box)]) for a, fa, row in zip(keys, f_box, rows))
+# The split.  Let B be the strictly lower form with B(g_i, g_k) = e(g_i, g_k)
+# - e(g_k, g_i) for i > k, and f a cochain over the doubled box with f(0) = 0.
+# If e = B + f(a + b) - f(a) - f(b) on every pair of the box, then:
+# - the unit rows are e(a, 0) = -f(0) = 0;
+# - in each associativity defect on a triple the scan reads, the B terms
+#   cancel by bilinearity and the f terms cancel, f(a + b + c) included,
+#   also where a + b + c leaves the box;
+# - e(a, b) - e(b, a) = B(a, b) - B(b, a), so the commutation defect is
+#   bilinear and vanishes on the box iff it does on the unit pairs.
+# B vanishes on the pairs the gauge recursion reads, so its cochain is -f
+# plus a linear part, which has no coboundary; each sum s that leaves the box
+# is the pair (a, s - a) with a = s clamped to the box, where e gives f(s).
+# So a table read from a mapping is factored once; when it has a hole or is
+# not B + f(a + b) - f(a) - f(b), it is kept whole as the residual R, with B
+# and f zero.
+def factored(grid: Grid, ell: int, rows, den: int) -> TableEntries:
+    """The entries of the integer rows over den (tuples, None where there is
+    no entry), factored by the split (see the comment above)."""
+    d, units, box = grid.dimension, grid.units, grid.box
+    (at, zero), inside, index = grid.doubled, grid.inside, grid.index
+    whole = TableEntries(grid, ell, ((0,) * d,) * d, None, den, False, rows)
+    try:
+        lower = tuple(tuple(rows[ui][units[k]] - rows[units[k]][ui] if k < i else 0 for k in range(d))
+                      for i, ui in enumerate(units)) or whole.lower
+        forms, f = grid.forms(lower), [0] * len(inside)
+        for t, x in zip(at, gauge_cochain(grid, lambda i, j: rows[i][j])):
+            f[zero + t] = -x
+        for s, vec in enumerate(product(range(-2 * box, 2 * box + 1), repeat=d)):
+            if inside[s] is None:
+                a = tuple(max(-box, min(box, c)) for c in vec)
+                i, j = index[a], index[tuple(map(sub, vec, a))]
+                f[s] = rows[i][j] - forms[i][j] + f[zero + at[i]] + f[zero + at[j]]
+    except TypeError:  # a pair the split reads has no entry
+        return whole
+    split = TableEntries(grid, ell, lower, tuple(f) if any(f) else None, den, False, None)
+    return split if split.rows == rows else whole
 
 
 def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
-    """algebra.apply_coboundary on the table's rows."""
+    """algebra.apply_coboundary on the factored table: phi, read once over
+    the doubled box, is added to its cochain; B and R stay."""
     grid, items = entries.grid, []
     for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension):
         if (x := phi.get(vec)) is None:
             raise IncompleteTable(f"coboundary cochain missing {vec}")
         items.append((vec, x))
     f, den = read_exponents(items, entries.ell, entries.den)
-    rows = entries.rows
+    lower, old, res = entries.lower, entries.cochain, entries.residual
     if (up := den // entries.den) > 1:
-        rows = [[x if x is None else x * up for x in row] for row in rows]
-    return TableEntries(grid, entries.ell, coboundary_rows(grid, rows, f), den)
+        lower = tuple(tuple(x * up for x in row) for row in lower)
+        old = old and [x * up for x in old]
+        res = res and tuple(tuple(x if x is None else x * up for x in row) for row in res)
+    if old:
+        f = list(map(add, f, old))
+    return TableEntries(grid, entries.ell, lower, tuple(f) if any(f) else None, den, entries.inbox, res)
 
 
 def normalize(entries: TableEntries) -> tuple[list[int], TableEntries]:
-    """algebra.gauge_normalize on the table's rows: the gauge cochain on the
-    box, in order, and the normalized entries, none where a sum leaves the box."""
-    grid, rows = entries.grid, entries.rows
+    """algebra.gauge_normalize on the factored table: the gauge cochain g on
+    the box, in order, read off O(1) entries, and the normalized entries,
+    none where a sum leaves the box: B, the residual and the coboundary of
+    f + g, which is kept less its linear part, whose coboundary is zero."""
+    grid, f = entries.grid, entries.cochain
     (at, zero), inside = grid.doubled, grid.inside
-    entries.require((i, j) for i, a in enumerate(at) for j, b in enumerate(at)
-                    if inside[zero + a + b] is not None)
-    f = gauge_cochain(grid, rows)
-    spread = [k if k is None else f[k] for k in inside]
-    return f, TableEntries(grid, entries.ell, coboundary_rows(grid, rows, spread), entries.den)
-
-
-# The split certificate.  Modulo den * ell, let B be the strictly lower form
-# with B(g_i, g_k) = e(g_i, g_k) - e(g_k, g_i) for i > k and phi = -f the
-# gauge cochain.  If h(a, b) = e(a, b) - B(a, b) + phi(a) + phi(b) depends
-# only on a + b for every pair of box vectors, as psi(a + b), with psi = phi
-# on the box, then e = B + psi(a + b) - phi(a) - phi(b), and:
-# - the unit rows are e(a, 0) = -phi(0) = 0;
-# - in each associativity defect on a triple the scan reads, the B terms
-#   cancel by bilinearity, the phi terms cancel, and psi(a + b + c), also
-#   where a + b + c leaves the box, enters both sides;
-# - e(a, b) - e(b, a) = B(a, b) - B(b, a), so the commutation defect is
-#   bilinear and vanishes on the box iff it does on the unit pairs.
-# Every pair counts: e(a + b, c) is read where a + b + c leaves the box.
-# A table whose rows are B's (a normal form) is B, with psi = phi = 0, so one
-# comparison proves it before f is built.  A fail proves nothing; scans decide.
-def split_certificate(entries: TableEntries) -> bool:
-    """Whether the table is a bilinear form plus a coboundary on every pair
-    of the box (see the comment above)."""
-    grid, rows, mod = entries.grid, entries.rows, entries.den * entries.ell
-    # B's matrix is empty at box 0, where the only vector is zero.
-    units = grid.units
-    lower = [[rows[ui][uk] - rows[uk][ui] if i > k else 0 for k, uk in enumerate(units)]
-             for i, ui in enumerate(units)]
-    if (forms := grid.forms(lower)) == rows:
-        return True
-    f = gauge_cochain(grid, rows)
-    # A sum's position in the doubled box, which every sum reaches, and h
-    # modulo den * ell make one int; a map of sums has one int per sum.
-    at, zero = grid.doubled
-    keys = [mod * (zero + t) for t in at]
-    seen = {k + -x % mod for k, x in zip(keys, f)}
-    for fa, t, row, form in zip(f, at, rows, forms):
-        shift = mod * t
-        seen.update([(x - y - fa - fb) % mod + k + shift for x, y, fb, k in zip(row, form, f, keys)])
-    return len(seen) == (4 * grid.box + 1) ** grid.dimension
+    if entries.residual is not None:
+        entries.require((i, j) for i, a in enumerate(at) for j, b in enumerate(at)
+                        if inside[zero + a + b] is not None)
+    g = gauge_cochain(grid, entries.at)
+    h = g if f is None else [x + f[zero + t] for x, t in zip(g, at)]
+    linear = [h[one] for one in grid.units]
+    cochain = [0] * len(inside)
+    for t, x, vec in zip(at, h, grid.vecs):
+        cochain[zero + t] = x - sum(map(mul, vec, linear))
+    cochain = tuple(cochain) if any(cochain) else None
+    return g, TableEntries(grid, entries.ell, entries.lower, cochain, entries.den, True, entries.residual)
 
 
 def scan_structure(entries: TableEntries) -> tuple | None:
@@ -307,19 +370,22 @@ def scan_commutation(entries: TableEntries, pairs, up: int, scale: int, mod: int
 
 def violations(entries: TableEntries, pairs, p: int) -> tuple[tuple | None, tuple | None]:
     """cocycle_check's first structure and first commutation violation,
-    None for each that holds, with <g_i, g_k> = pairs[i][k] / p; the form
-    comparison and the certificate spare what they prove."""
-    grid, rows = entries.grid, entries.rows
+    None for each that holds, with <g_i, g_k> = pairs[i][k] / p; the split
+    spares what it proves."""
+    grid, units = entries.grid, range(len(entries.grid.units))
     entries.require(product(range(len(grid.vecs)), repeat=2))
     den = lcm(p, entries.den)
     up, scale, mod = den // entries.den, den // p, den * entries.ell
-    if not split_certificate(entries):
+    if entries.residual is not None:
         return scan_structure(entries), scan_commutation(entries, pairs, up, scale, mod)
-    # The commutation defect is now bilinear, a.M.b: M, read off the unit pairs by
-    # columns, decides it, and the first row a.M not zero mod mod holds the first failure.
-    cols = [[(rows[ui][uk] - rows[uk][ui]) * up - scale * pairs[i][k] for i, ui in enumerate(grid.units)]
-            for k, uk in enumerate(grid.units)]
+    # e(a, 0) = e(0, a) = -f(0) at every a, so the unit rows fail from the first vector on or nowhere.
+    f, zero = entries.cochain, grid.doubled[1]
+    structure = ("unit", grid.vecs[0]) if f is not None and f[zero] % (entries.den * entries.ell) else None
+    # The commutation defect is B(a, b) - B(b, a) - <a, b>, bilinear, a.M.b: M, read off
+    # lower by columns, decides it, and the first row a.M not zero mod mod holds the first failure.
+    lower = entries.lower
+    cols = [[(lower[i][k] - lower[k][i]) * up - scale * pairs[i][k] for i in units] for k in units]
     if not any(x % mod for col in cols for x in col):
-        return None, None
+        return structure, None
     a, w = next((a, w) for a in grid.vecs for w in [[sum(map(mul, a, c)) for c in cols]] if any(x % mod for x in w))
-    return None, next(("commutativity", a, b) for b in grid.vecs if sum(map(mul, w, b)) % mod)
+    return structure, next(("commutativity", a, b) for b in grid.vecs if sum(map(mul, w, b)) % mod)

@@ -14,12 +14,13 @@ holds it at every pair (n, m) of the box as entries[(n, m)].
 Gauge-equivalent tables differ by the coboundary of a 1-cochain phi, and
 the normalization recursion recovers the normal form from any valid table.
 
-A table on the coefficient box [-box, box]^d is stored as dense integer
-rows over one denominator den: rows[i][j] / den is the exponent at the
-i-th and j-th box vectors in lexicographic order.  Building, checking,
-twisting and normalizing a table all run on those integers; ExponentModL
-values appear only at the boundary: a table built from a mapping, read
-through its mapping view, or a gauge cochain returned.
+A table on the coefficient box [-box, box]^d is stored as a form plus a
+cochain, integers over one denominator den: B's strictly lower matrix and
+a cochain f on the doubled box, with e = B + f(a + b) - f(a) - f(b).
+Building a table stores B, twisting adds to f, and normalizing reads the
+entries its recursion needs, so none of them writes a row per box vector;
+ExponentModL values appear only at the boundary: a table built from a
+mapping, read through its mapping view, or a gauge cochain returned.
 
 The odd-odd sign of a superalgebra is an exponent shift of ell/2 when
 ell is even; for odd ell no power of q equals -1, so the sign is kept as
@@ -190,7 +191,7 @@ def structure_constant_table(spec: AlgebraSpec, box: int) -> CocycleTable:
     pairs, den = spec.pair_matrix
     lower = tuple(tuple(x if k < i else 0 for k, x in enumerate(row)) for i, row in enumerate(pairs))
     grid = box_grid(len(spec.ordered_basis), box)
-    entries = TableEntries(grid, spec.datum.ell, grid.forms(lower), den)
+    entries = TableEntries(grid, spec.datum.ell, lower, None, den, False, None)
     return CocycleTable(spec.ordered_basis, box, spec.datum.ell, entries)
 
 
@@ -212,13 +213,13 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
     reported separately (tables of supercommutative algebras fail it on
     odd-odd pairs by the half-shift, which is the expected sign).
 
-    The form B read off the unit pairs comes first: a table whose rows
-    (tuples, one per distinct row) are B's, as a normal form's are, is B.
-    Else the split certificate asks whether it is B plus a coboundary on
-    every pair of the box.  Either way the unit rows and associativity
-    hold and the commutation defect is bilinear, so the unit pairs decide
-    it.  The rest is scanned in lexicographic order, which fixes
-    first_violation.  The first missing entry raises IncompleteTable.
+    A table the library built is B plus a coboundary on every pair, and so
+    is a table read from a mapping that factors that way (see
+    uproll._table.factored).  Then associativity holds, the unit rows hold
+    unless the cochain is not zero at 0, and the commutation defect is
+    bilinear, so the unit pairs decide it.  Any other table is scanned in
+    lexicographic order, which fixes first_violation.  The first missing
+    entry raises IncompleteTable.
     """
     from ._table import violations
 
@@ -234,7 +235,8 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
     phi maps coefficient vectors to ExponentModL values at the table's
     order of q and must cover every in-box pair sum (so, the box of width
     2*box) with phi(0) = 0.  It is read once into integers over one
-    denominator, listed by mixed-radix position in that doubled box.
+    denominator, listed by mixed-radix position in that doubled box, and
+    added to the table's cochain.
     """
     from ._table import CocycleTable, coboundary
 
@@ -265,10 +267,11 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     and by splitting off the last nonzero component for mixed vectors.
     The normalized table carries entries for every in-box pair whose sum
     stays in the box, and on those pairs it agrees with the normal form.
-    The recursion (uproll._table.gauge_cochain, which cocycle_check's
-    certificate shares) runs on the table's integer rows, and each pair
-    sum is read at its position in the doubled box, with no pair list
-    kept; phi is returned as a read-only mapping of ExponentModL.
+    The recursion (uproll._table.gauge_cochain) reads each entry it needs
+    off the table's form and cochain; the normalized table is the same form,
+    with the cochain's coboundary restricted to those pairs, which is zero
+    on a table that is a form plus the coboundary of a cochain zero at 0.
+    phi is returned as a read-only mapping of ExponentModL.
     """
     from ._table import CocycleTable, normalize
 

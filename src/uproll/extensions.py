@@ -33,7 +33,6 @@ from .cartan import (
     scaled_coords,
 )
 from .errors import NonADESeries, NotLocal, OddEll
-from .lattice import RationalLattice
 from .localmod import LocalReport, local_report, monodromy_exponent, twist_exponent
 
 
@@ -114,7 +113,8 @@ class BqSpec(Record):
         algebra = AlgebraSpec(datum, generators)
         special = Fraction(-1, datum.r)
         a_squared = special if a_squared is None else Fraction(*_ratio(a_squared))
-        standard = algebra.lattice == RationalLattice(n, r_identity, 1) and a_squared == special
+        lattice = algebra.lattice
+        standard = lattice.hnf == r_identity and lattice.denominator == 1 and a_squared == special
         super().__init__(algebra, a_squared, standard)
 
     def __reduce__(self):

@@ -45,14 +45,20 @@ MAX_CENSUS_ORDER = 100_000
 
 class RationalLattice(Record):
     """The span of integer rows over a denominator, kept as its canonical
-    basis with their common content divided out.  A denominator below 1
-    raises ValueError, a row not of length rank_ambient DimensionMismatch."""
+    basis with their common content divided out.  An ambient rank that is
+    not an int (a bool is not) raises TypeError, a negative one or a
+    denominator below 1 ValueError, and a row not of length rank_ambient
+    DimensionMismatch."""
 
     rank_ambient: int
     hnf: tuple[tuple[int, ...], ...]
     denominator: int
 
     def __init__(self, rank_ambient: int, hnf, denominator: int):
+        if not isinstance(rank_ambient, int) or isinstance(rank_ambient, bool):
+            raise TypeError(f"lattice ambient rank must be an int, got {rank_ambient!r}")
+        if rank_ambient < 0:
+            raise ValueError(f"lattice ambient rank must be >= 0, got {rank_ambient}")
         if denominator < 1:
             raise ValueError(f"lattice denominator must be positive, got {denominator}")
         rows = list(map(tuple, hnf))

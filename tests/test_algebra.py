@@ -483,7 +483,7 @@ def test_certificate_path_agrees_with_the_scan(seed, box, family, kind, perturb)
     box = min(box, 1) if len(spec.ordered_basis) > 2 else box
     rng = random.Random(seed)
     table = certified_table(spec, box, kind, rng)
-    assert uproll._table.split_certificate(table.entries)
+    assert table.entries.residual is None
     if perturb:
         key = rng.choice(sorted(table.entries))
         shift = rng.choice([1, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4)])
@@ -559,21 +559,51 @@ def test_normal_form_rows_are_shared_read_only_tuples(box):
 
 
 def test_only_a_table_off_its_form_builds_the_gauge_cochain(monkeypatch):
+    # The cochain is built when a table read from a mapping is factored, and by
+    # gauge_normalize; never by cocycle_check or apply_coboundary.
     built = []
     real = uproll._table.gauge_cochain
 
-    def recording(grid, rows):
+    def recording(grid, entry):
         built.append(grid.box)
-        return real(grid, rows)
+        return real(grid, entry)
 
     monkeypatch.setattr(uproll._table, "gauge_cochain", recording)
     table = structure_constant_table(three_q_spec(), 3)
     assert cocycle_check(table, A2_6) == CocycleVerdict(True, True, None)
+    twisted = apply_coboundary(table, random_cochain(random.Random(6), 2, 3, 6))
+    assert cocycle_check(twisted, A2_6) == CocycleVerdict(True, True, None)
     assert built == []
     key = ((1, 0), (0, 1))
     off = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(1, 6)})
+    assert built == [3]
     assert cocycle_check(off, A2_6).first_violation[0] == "associativity"
     assert built == [3]
+    gauge_normalize(twisted, three_q_spec())
+    assert built == [3, 3]
+
+
+@pytest.mark.parametrize("name,spec", [("A2", three_q_spec()), ("A1-super", super_spec())])
+def test_library_tables_hold_a_form_and_a_cochain(name, spec):
+    # No operation of the library writes a dense table: the normal form is B
+    # alone, a twist adds to the cochain, and normalizing a twist of B by a
+    # cochain zero at 0 gives back B on the pairs whose sum stays in the box.
+    table = structure_constant_table(spec, 3)
+    form = table.entries.lower
+    assert (table.entries.cochain, table.entries.inbox, table.entries.residual) == (None, False, None)
+    rng = random.Random(name)
+    for at_zero in (0, Fraction(1, 3)):
+        cochain = random_cochain(rng, len(table.generators), 3, table.ell)
+        cochain[(0,) * len(table.generators)] = exponent(at_zero, table.ell)
+        twisted = apply_coboundary(table, cochain)
+        assert twisted.entries.residual is None and twisted.entries.cochain is not None
+        normalized = gauge_normalize(twisted, spec).normalized.entries
+        assert normalized.inbox and normalized.residual is None
+        assert (normalized.cochain is None) == (at_zero == 0)
+        if at_zero == 0:
+            assert normalized.lower == tuple(tuple(x * (normalized.den // table.entries.den) for x in row)
+                                             for row in form)
+            assert normalized.rows == gauge_normalize(table, spec).normalized.entries.rows
 
 
 def test_table_budget_is_checked_before_building():
@@ -867,3 +897,213 @@ def test_check_against_a_datum_at_another_order_is_refused():
     table = structure_constant_table(three_q_spec(), 1)
     with pytest.raises(ValueError, match=r"order 6 .* order 9"):
         cocycle_check(table, build_cartan_datum("A", 2, 9))
+
+
+# -- the dense reference: tables as integer rows over one denominator ---------
+#
+# The library stores a table as a form plus a cochain.  As a reference, these
+# functions keep a table as dense rows, one integer per pair of the box (None
+# where there is no entry), and run the coboundary and the gauge recursion on
+# them; every factored table must read as its dense twin.
+
+
+def dense_gauge_cochain(grid, rows):
+    """The gauge recursion's cochain on dense rows, listed over the box."""
+    vecs, zero = grid.vecs, grid.zero
+    steps = [one - zero for one in grid.units]
+    f = [None] * len(vecs)
+    f[zero] = 0
+    for one, step in zip(grid.units, steps):
+        f[one] = 0
+        for pos in range(one, zero + grid.box * step, step):
+            f[pos + step] = f[pos] - rows[pos][one]
+        for pos in range(zero - step, zero - grid.box * step - 1, -step):
+            f[pos] = f[pos + step] + rows[pos][one]
+    for pos in sorted(range(len(vecs)), key=lambda i: len(vecs[i]) - vecs[i].count(0)):
+        if f[pos] is None:
+            vec = vecs[pos]
+            k = max(i for i, c in enumerate(vec) if c)
+            tail = zero + vec[k] * steps[k]
+            head = pos + zero - tail
+            f[pos] = f[head] + f[tail] - rows[head][tail]
+    return f
+
+
+def dense_coboundary_rows(grid, rows, f):
+    """The rows of x + f(a + b) - f(a) - f(b), f listed over the doubled box;
+    None where x or f(a + b) is None."""
+    at, zero = grid.doubled
+    keys = [zero + t for t in at]
+    f_box = [f[k] for k in keys]
+    return tuple(tuple(None if x is None or (s := f[a + b]) is None else x + s - fa - fb
+                       for x, b, fb in zip(row, at, f_box)) for a, fa, row in zip(keys, f_box, rows))
+
+
+def dense_of_spec(spec, box):
+    """The normal form's rows by its defining sum, over the pair matrix's denominator."""
+    pairs, den = spec.pair_matrix
+    d = len(pairs)
+    vecs = list(product(range(-box, box + 1), repeat=d))
+    rows = tuple(tuple(sum(n[i] * pairs[i][k] * m[k] for i in range(d) for k in range(i)) for m in vecs)
+                 for n in vecs)
+    return rows, den
+
+
+def dense_of_mapping(grid, mapping):
+    """A mapping's entries as dense rows over the lcm of their denominators."""
+    den = math.lcm(1, *(e.den for e in mapping.values()))
+    rows = [[None] * len(grid.vecs) for _ in grid.vecs]
+    for (a, b), e in mapping.items():
+        rows[grid.index[a]][grid.index[b]] = e.num * (den // e.den)
+    return tuple(map(tuple, rows)), den
+
+
+def dense_twist(grid, dense, phi):
+    rows, den = dense
+    doubled = list(product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension))
+    missing = next((vec for vec in doubled if vec not in phi), None)
+    if missing is not None:
+        raise IncompleteTable(f"coboundary cochain missing {missing}")
+    new = math.lcm(den, *(phi[vec].den for vec in doubled))
+    f = [phi[vec].num * (new // phi[vec].den) for vec in doubled]
+    rows = [[None if x is None else x * (new // den) for x in row] for row in rows]
+    return dense_coboundary_rows(grid, rows, f), new
+
+
+def dense_gauge(grid, dense):
+    """The gauge cochain on the box and the normalized rows, none where a sum leaves the box."""
+    rows, den = dense
+    (at, zero), inside = grid.doubled, grid.inside
+    for i, a in enumerate(at):
+        for j, b in enumerate(at):
+            if inside[zero + a + b] is not None and rows[i][j] is None:
+                raise IncompleteTable(f"no entry for pair ({grid.vecs[i]}, {grid.vecs[j]})")
+    f = dense_gauge_cochain(grid, rows)
+    spread = [k if k is None else f[k] for k in inside]
+    return f, (dense_coboundary_rows(grid, rows, spread), den)
+
+
+def assert_reads_as(entries, dense):
+    """The factored entries read as the dense rows: items in order, keys,
+    len, lookups, rows, equality with a dict both ways, and a pickle round trip."""
+    rows, den = dense
+    grid, ell = entries.grid, entries.ell
+    items = [((a, b), Fraction(x, den)) for a, row in zip(grid.vecs, rows) for b, x in zip(grid.vecs, row)
+             if x is not None]
+    assert [(key, e.value) for key, e in entries.items()] == items
+    assert list(entries) == [key for key, _ in items]
+    assert len(entries) == len(items) == len(entries.items())
+    assert all(entries[key].value == x for key, x in items)
+    assert (entries.den, entries.rows) == (den, rows)
+    plain = {key: exponent(x, ell) for key, x in items}
+    assert entries == plain and plain == entries
+    again = pickle.loads(pickle.dumps(entries))
+    assert again == entries and again.rows == rows and again.grid is grid
+    holes = [(a, b) for a, row in zip(grid.vecs, rows) for b, x in zip(grid.vecs, row) if x is None]
+    for key in holes[:5]:
+        assert key not in entries
+        with pytest.raises(KeyError):
+            entries[key]
+
+
+def first_missing(grid, rows):
+    return next(((a, b) for a, row in zip(grid.vecs, rows) for b, x in zip(grid.vecs, row) if x is None), None)
+
+
+def drawn_cochain(rng, grid, ell, zero_at_zero):
+    """Fractional values over the doubled box; zero at 0 unless told otherwise."""
+    return {
+        vec: exponent(Fraction(rng.randrange(-4 * ell, 4 * ell), rng.randint(1, 4))
+                      if any(vec) or not zero_at_zero else 0, ell)
+        for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension)
+    }
+
+
+def starting_table(spec, box, start, rng):
+    """The normal form, or a table built from a dict of it: perturbed,
+    with a bilinear form added, with holes in or outside the box, or with
+    exactly the pairs whose sum stays in the box."""
+    table = structure_constant_table(spec, box)
+    if start == "normal":
+        return table, None
+    entries = dict(table.entries)
+    ell, dims = table.ell, len(table.generators)
+    shifts = [1, Fraction(1, 2), Fraction(2, 3), Fraction(-5, 4), ell]
+    in_box = [key for key in entries if all(-box <= c <= box for c in plus(*key))]
+    outside = [key for key in entries if key not in set(in_box)]
+    if start == "perturbed":
+        for key in rng.sample(sorted(entries), min(rng.randint(1, 3), len(entries))):
+            entries[key] = entries[key] + exponent(rng.choice(shifts), ell)
+    elif start == "bilinear" and dims:
+        i, j, k = rng.randrange(dims), rng.randrange(dims), Fraction(rng.randint(-9, 9), rng.randint(1, 4))
+        entries = {(n, m): e + exponent(k * n[i] * m[j], ell) for (n, m), e in entries.items()}
+    elif start == "holes in box":
+        for key in rng.sample(in_box, min(len(in_box), rng.randint(1, 3))):
+            del entries[key]
+    elif start == "holes outside" and outside:
+        for key in rng.sample(outside, min(len(outside), rng.randint(1, 3))):
+            del entries[key]
+    elif start == "in box only":
+        entries = {key: entries[key] for key in in_box}
+    return rebuilt(table, entries), entries
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    seed=st.integers(0, 10**6),
+    family=st.sampled_from(["even", "super", "unit", "three"]),
+    box=st.integers(0, 4),
+    start=st.sampled_from(["normal", "perturbed", "bilinear", "holes in box", "holes outside", "in box only"]),
+    ops=st.lists(st.sampled_from(["twist", "gauge", "rebuild", "thin twist"]), max_size=3),
+    zero_at_zero=st.booleans(),
+)
+def test_factored_tables_read_as_their_dense_rows(seed, family, box, start, ops, zero_at_zero):
+    if family == "three":
+        spec = AlgebraSpec(A2_6, [3 * A2_6.simple_root(0), 3 * A2_6.simple_root(1), 6 * A2_6.simple_root(0)])
+    else:
+        (spec,) = draw_commutativity_specs(seed, 1, TYPE_POOL + [("A", 3), ("G", 2)])
+        if family == "super":
+            spec = (draw_super_specs([spec]) or [spec])[0]
+        elif family == "unit":
+            spec = AlgebraSpec(spec.datum, ())
+    dims = len(spec.ordered_basis)
+    while (2 * box + 1) ** (2 * dims) > 6561:
+        box -= 1
+    rng = random.Random(seed)
+    table, source = starting_table(spec, box, start, rng)
+    grid, ell = table.entries.grid, table.ell
+    dense = dense_of_spec(spec, box) if source is None else dense_of_mapping(grid, source)
+    for op in [None, *ops]:
+        if op in ("twist", "thin twist"):
+            phi = drawn_cochain(rng, grid, ell, zero_at_zero)
+            if op == "thin twist":
+                del phi[rng.choice(sorted(phi))]
+            mine, ref = outcome(apply_coboundary, table, phi), outcome(dense_twist, grid, dense, phi)
+            if isinstance(ref, str):
+                assert mine == ref
+                continue
+            table, dense = mine, ref
+        elif op == "gauge":
+            mine, ref = outcome(gauge_normalize, table, spec), outcome(dense_gauge, grid, dense)
+            if isinstance(ref, str):
+                assert mine == ref
+                continue
+            f, dense = ref
+            assert {v: e.value for v, e in mine.phi.items()} == {v: Fraction(x, dense[1]) for v, x in zip(grid.vecs, f)}
+            table = mine.normalized
+        elif op == "rebuild":
+            table = rebuilt(table, dict(table.entries))
+            dense = dense_of_mapping(grid, {
+                (a, b): exponent(Fraction(x, dense[1]), ell)
+                for a, row in zip(grid.vecs, dense[0]) for b, x in zip(grid.vecs, row) if x is not None
+            })
+        assert_reads_as(table.entries, dense)
+        if (missing := first_missing(grid, dense[0])) is not None:
+            with pytest.raises(IncompleteTable, match=re.escape(f"({missing[0]}, {missing[1]})")):
+                cocycle_check(table, spec.datum)
+        elif len(grid.vecs) <= 27:  # the Fraction reference scan is cubic in the box size
+            verdict = cocycle_check(table, spec.datum)
+            assert (verdict.first_violation, verdict.valid, verdict.commutative) == reference_scan(
+                table, spec.datum
+            )
+

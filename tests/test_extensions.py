@@ -6,7 +6,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import uproll._linalg
 from uproll import (
+    AlgebraSpec,
     BqSpec,
     ExtWeight,
     RationalLattice,
@@ -86,6 +88,41 @@ class TestBqSpec:
     def test_empty_lattice_commutative(self):
         spec = BqSpec(A1_4, generators=())
         assert bq_check_commutative(spec)
+
+
+@pytest.mark.parametrize("series,rank,ell", [("A", 1, 4), ("A", 2, 6), ("B", 2, 8), ("G", 2, 8)])
+def test_bq_verdicts_on_the_standard_spec_and_on_twice_it(series, rank, ell, monkeypatch):
+    # The standard flag is read off the algebra's own lattice; r*P as a second
+    # lattice would cost a Hermite form that AlgebraSpec does not need.
+    datum = build_cartan_datum(series, rank, ell)
+    r, n = datum.r, datum.rank
+    forms = []
+    real = uproll._linalg.row_hermite_form
+    monkeypatch.setattr(uproll._linalg, "row_hermite_form", lambda rows: forms.append(1) or real(rows))
+
+    def scaled_identity(k):
+        return [[k * r * (i == j) for j in range(n)] for i in range(n)]
+
+    for generators, standard in ((None, True), ([Weight.over(row, 1) for row in scaled_identity(2)], False)):
+        forms.clear()
+        spec = BqSpec(datum, generators)
+        bq_forms = len(forms)
+        forms.clear()
+        AlgebraSpec(datum, spec.algebra.generators)
+        assert bq_forms == len(forms)
+        assert spec.is_standard is standard
+        assert spec.algebra.lattice == RationalLattice(n, scaled_identity(1 if standard else 2), 1)
+        assert bq_check_commutative(spec)
+        zero, diagonal = ext([0] * n, [0] * n), ext([1] + [0] * (n - 1), [1] + [0] * (n - 1))
+        if standard:
+            assert bq_is_local(spec, zero) and bq_is_local(spec, diagonal)
+            assert bq_transparent(spec, zero) and not bq_transparent(spec, diagonal)
+            assert not bq_equivalent(spec, zero, diagonal)
+        else:
+            for check in (bq_is_local, bq_transparent):
+                with pytest.raises(ValueError, match="r\\*P"):
+                    check(spec, zero)
+    assert not BqSpec(datum, a_squared=Fraction(1, r)).is_standard
 
 
 class TestBqLocality:

@@ -1,6 +1,7 @@
 import math
 import pickle
 import random
+import re
 import time
 from fractions import Fraction
 
@@ -11,6 +12,7 @@ from hypothesis import strategies as st
 from sympy import ZZ, Matrix, Rational
 from sympy.matrices.normalforms import smith_normal_form as sympy_smith
 
+import uproll._linalg
 import uproll.lattice
 from uproll import (
     AlgebraSpec,
@@ -165,6 +167,21 @@ def test_any_integer_rows_build_the_canonical_lattice(case, lam, lam_den):
             RationalLattice(n, rows, bad)
     with pytest.raises(DimensionMismatch, match=f"^weights must have length {n}$"):
         RationalLattice(n, [*rows, [1] * (n - 1)], d)
+
+
+@pytest.mark.parametrize("rank,rows,error,named", [
+    (-1, (), ValueError, "-1"),
+    (-2, [[1, 2]], ValueError, "-2"),
+    ("2", (), TypeError, "'2'"),
+    ("2", [[1, 2]], TypeError, "'2'"),
+    (True, [[1]], TypeError, "True"),
+    (2.0, [[1, 2]], TypeError, "2.0"),
+])
+def test_the_ambient_rank_is_an_int_of_at_least_zero(rank, rows, error, named, monkeypatch):
+    # Refused before any Hermite work, naming the value.
+    monkeypatch.setattr(uproll._linalg, "row_hermite_form", lambda rows: pytest.fail("Hermite form taken"))
+    with pytest.raises(error, match=f"ambient rank .*got {re.escape(named)}$"):
+        RationalLattice(rank, rows, 1)
 
 
 def test_caller_built_lattices_are_values():

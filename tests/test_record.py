@@ -410,14 +410,16 @@ def test_every_class_is_a_record_an_exception_or_a_named_plain_class():
     namespace = {"Record": Record}
     exec(snippet, namespace)
     assert plain_classes(snippet, namespace) == ["Spec"]
-    # Only the records' metaclass, and the two collections.abc views that
-    # items() and values() of a CensusTwists return, which hold only the
-    # mapping they view, in collections.abc's own slot.
+    # Only the records' metaclass, the two collections.abc views that
+    # items() and values() of a CensusTwists return and the one that items()
+    # of a TableEntries returns, which hold only the mapping they view, in
+    # collections.abc's own slot.
     found = {}
     for path in sorted(Path(uproll.__file__).parent.glob("*.py")):
         module = importlib.import_module(f"uproll.{path.stem}")
         found.update(dict.fromkeys(plain_classes(path.read_text(encoding="utf-8"), vars(module)), path.name))
-    assert found == {"_RecordType": "_record.py", "_TwistItems": "_census.py", "_TwistValues": "_census.py"}
+    assert found == {"_RecordType": "_record.py", "_TwistItems": "_census.py", "_TwistValues": "_census.py",
+                     "_TableItems": "_table.py"}
     for cls in (AlgebraSpec, BqSpec, CensusReps, CensusTwists, Grid, TableEntries):
         assert issubclass(cls, Record), cls
 
