@@ -1,17 +1,17 @@
 """Factored storage for structure-constant tables.  Every table the library
-builds is a bilinear form B plus the coboundary of a cochain f: B as its
-strictly lower integer matrix, f listed over the doubled box, both over one
-denominator, on the one Grid that box_grid builds per box in a process.
-structure_constant_table stores B alone, apply_coboundary adds its cochain
-to f, and gauge_normalize reads the entries its recursion needs one at a
-time and keeps f's coboundary on the pairs whose sum stays in the box.  A
-table read from a mapping is factored once, or kept whole as a dense
-residual when it is not B plus a coboundary.  Rows are derived only when
-read; ExponentModL values appear only through TableEntries, a record.
+builds is a bilinear form B plus the coboundary of a cochain f zero at 0:
+B as its strictly lower integer matrix, f listed over the doubled box, both
+over one denominator, on the one Grid that box_grid builds per box in a
+process.  structure_constant_table stores B alone, apply_coboundary adds its
+cochain to f, and gauge_normalize reads its gauge cochain off f in closed
+form and returns B.  A table read from a mapping is factored once, or kept
+whole as a dense residual when it is not B plus a coboundary; only a
+residual's rows run the gauge recursion.  Rows are derived only when read;
+ExponentModL values appear only through TableEntries, a record.
 
 The cocycle identities are decided here too: a factored table passes unit
-(unless f(0) is not zero) and associativity, and its commutation defect is
-bilinear, decided on the unit pairs; a residual is scanned."""
+and associativity, and its commutation defect is bilinear, decided on the
+unit pairs; a residual is scanned."""
 
 from __future__ import annotations
 
@@ -88,7 +88,7 @@ class TableEntries(Mapping, Record):
     held as a form plus a cochain over one denominator den: the exponent at
     the box vectors (a, b) is (B(a, b) + f(a + b) - f(a) - f(b) + R(a, b)) /
     den.  B(a, b) = a.lower.b, with lower B's strictly lower integer matrix;
-    the cochain f is listed over the doubled box (Grid.doubled); the
+    the cochain f is listed over the doubled box (Grid.doubled), zero at 0; the
     residual R is dense rows, which hold a table read from a mapping that is
     not B plus a coboundary (B is then zero), None where there is no entry.
     cochain and residual are None when zero.  With inbox set, only the pairs
@@ -223,12 +223,12 @@ class CocycleTable(Record):
         super().__init__(generators, box, ell, entries)
 
 
-def gauge_cochain(grid: Grid, e) -> list[int]:
-    """The cochain f of algebra.gauge_normalize's recursion on the integer
-    entries e(i, j) at the i-th and j-th box vectors: zero at 0 and on each
-    generator, and built so that e(a, b) + f(a + b) - f(a) - f(b) vanishes
-    on the pairs (n g_i, g_i) and on (v - t, t) for t the last nonzero
-    component of v.  It reads only pairs whose sum stays in the box."""
+def gauge_cochain(grid: Grid, rows) -> list[int]:
+    """The cochain f of algebra.gauge_normalize's recursion on the dense
+    integer rows e, listed over the box: zero at 0 and on each generator, and
+    built so that e(a, b) + f(a + b) - f(a) - f(b) vanishes on the pairs
+    (n g_i, g_i) and on (v - t, t) for t the last nonzero component of v.
+    It reads only pairs whose sum stays in the box."""
     vecs, zero = grid.vecs, grid.zero
     steps = [one - zero for one in grid.units]
     f = [None] * len(vecs)
@@ -236,9 +236,9 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
     for one, step in zip(grid.units, steps):
         f[one] = 0
         for pos in range(one, zero + grid.box * step, step):
-            f[pos + step] = f[pos] - e(pos, one)
+            f[pos + step] = f[pos] - rows[pos][one]
         for pos in range(zero - step, zero - grid.box * step - 1, -step):
-            f[pos] = f[pos + step] + e(pos, one)
+            f[pos] = f[pos + step] + rows[pos][one]
     # Fewer nonzero components first, so each head is known before its vector.
     for pos in sorted(range(len(vecs)), key=lambda i: len(vecs[i]) - vecs[i].count(0)):
         if f[pos] is None:
@@ -246,7 +246,7 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
             k = max(i for i, c in enumerate(vec) if c)
             tail = zero + vec[k] * steps[k]
             head = pos + zero - tail
-            f[pos] = f[head] + f[tail] - e(head, tail)
+            f[pos] = f[head] + f[tail] - rows[head][tail]
     return f
 
 
@@ -259,9 +259,10 @@ def gauge_cochain(grid: Grid, e) -> list[int]:
 #   also where a + b + c leaves the box;
 # - e(a, b) - e(b, a) = B(a, b) - B(b, a), so the commutation defect is
 #   bilinear and vanishes on the box iff it does on the unit pairs.
-# B vanishes on the pairs the gauge recursion reads, so its cochain is -f
-# plus a linear part, which has no coboundary; each sum s that leaves the box
-# is the pair (a, s - a) with a = s clamped to the box, where e gives f(s).
+# The gauge recursion g is linear in e, zero on B (which vanishes on the pairs
+# it reads) and L_f - f on f's coboundary, L_f(v) = sum_i v_i f(g_i); so -g
+# is f less L_f, which has no coboundary.  Each sum s that leaves the box is
+# the pair (a, s - a) with a = s clamped to the box, where e gives f(s).
 # So a table read from a mapping is factored once; when it has a hole or is
 # not B + f(a + b) - f(a) - f(b), it is kept whole as the residual R, with B
 # and f zero.
@@ -275,7 +276,7 @@ def factored(grid: Grid, ell: int, rows, den: int) -> TableEntries:
         lower = tuple(tuple(rows[ui][units[k]] - rows[units[k]][ui] if k < i else 0 for k in range(d))
                       for i, ui in enumerate(units)) or whole.lower
         forms, f = grid.forms(lower), [0] * len(inside)
-        for t, x in zip(at, gauge_cochain(grid, lambda i, j: rows[i][j])):
+        for t, x in zip(at, gauge_cochain(grid, rows)):
             f[zero + t] = -x
         for s, vec in enumerate(product(range(-2 * box, 2 * box + 1), repeat=d)):
             if inside[s] is None:
@@ -290,13 +291,16 @@ def factored(grid: Grid, ell: int, rows, den: int) -> TableEntries:
 
 def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
     """algebra.apply_coboundary on the factored table: phi, read once over
-    the doubled box, is added to its cochain; B and R stay."""
-    grid, items = entries.grid, []
+    the doubled box, is added to its cochain, phi(0) as 0; B and R stay."""
+    grid, items, zero = entries.grid, [], entries.grid.doubled[1]
     for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension):
         if (x := phi.get(vec)) is None:
             raise IncompleteTable(f"coboundary cochain missing {vec}")
         items.append((vec, x))
     f, den = read_exponents(items, entries.ell, entries.den)
+    if f[zero] % (den * entries.ell):
+        raise ValueError(f"coboundary cochain must be 0 modulo {entries.ell} at 0, got {items[zero][1].value}")
+    f[zero] = 0
     lower, old, res = entries.lower, entries.cochain, entries.residual
     if (up := den // entries.den) > 1:
         lower = tuple(tuple(x * up for x in row) for row in lower)
@@ -308,23 +312,20 @@ def coboundary(entries: TableEntries, phi: dict) -> TableEntries:
 
 
 def normalize(entries: TableEntries) -> tuple[list[int], TableEntries]:
-    """algebra.gauge_normalize on the factored table: the gauge cochain g on
-    the box, in order, read off O(1) entries, and the normalized entries,
-    none where a sum leaves the box: B, the residual and the coboundary of
-    f + g, which is kept less its linear part, whose coboundary is zero."""
-    grid, f = entries.grid, entries.cochain
+    """algebra.gauge_normalize by the split (see the comment above factored):
+    the gauge cochain on the box, L_f - f plus the recursion's cochain h on the
+    residual, and the entries B + R + h's coboundary on the in-box pairs."""
+    grid, res = entries.grid, entries.residual
     (at, zero), inside = grid.doubled, grid.inside
-    if entries.residual is not None:
+    f, h = entries.cochain or [0] * len(inside), [0] * len(inside)
+    if res is not None:
         entries.require((i, j) for i, a in enumerate(at) for j, b in enumerate(at)
                         if inside[zero + a + b] is not None)
-    g = gauge_cochain(grid, entries.at)
-    h = g if f is None else [x + f[zero + t] for x, t in zip(g, at)]
-    linear = [h[one] for one in grid.units]
-    cochain = [0] * len(inside)
-    for t, x, vec in zip(at, h, grid.vecs):
-        cochain[zero + t] = x - sum(map(mul, vec, linear))
-    cochain = tuple(cochain) if any(cochain) else None
-    return g, TableEntries(grid, entries.ell, entries.lower, cochain, entries.den, True, entries.residual)
+        for t, x in zip(at, gauge_cochain(grid, res)):
+            h[zero + t] = x
+    linear = [f[zero + at[one]] for one in grid.units]
+    g = [h[zero + t] + sum(map(mul, vec, linear)) - f[zero + t] for t, vec in zip(at, grid.vecs)]
+    return g, TableEntries(grid, entries.ell, entries.lower, tuple(h) if any(h) else None, entries.den, True, res)
 
 
 def scan_structure(entries: TableEntries) -> tuple | None:
@@ -372,20 +373,16 @@ def violations(entries: TableEntries, pairs, p: int) -> tuple[tuple | None, tupl
     """cocycle_check's first structure and first commutation violation,
     None for each that holds, with <g_i, g_k> = pairs[i][k] / p; the split
     spares what it proves."""
-    grid, units = entries.grid, range(len(entries.grid.units))
+    grid, lower, units = entries.grid, entries.lower, range(len(entries.grid.units))
     entries.require(product(range(len(grid.vecs)), repeat=2))
     den = lcm(p, entries.den)
     up, scale, mod = den // entries.den, den // p, den * entries.ell
     if entries.residual is not None:
         return scan_structure(entries), scan_commutation(entries, pairs, up, scale, mod)
-    # e(a, 0) = e(0, a) = -f(0) at every a, so the unit rows fail from the first vector on or nowhere.
-    f, zero = entries.cochain, grid.doubled[1]
-    structure = ("unit", grid.vecs[0]) if f is not None and f[zero] % (entries.den * entries.ell) else None
     # The commutation defect is B(a, b) - B(b, a) - <a, b>, bilinear, a.M.b: M, read off
     # lower by columns, decides it, and the first row a.M not zero mod mod holds the first failure.
-    lower = entries.lower
     cols = [[(lower[i][k] - lower[k][i]) * up - scale * pairs[i][k] for i in units] for k in units]
     if not any(x % mod for col in cols for x in col):
-        return structure, None
+        return None, None
     a, w = next((a, w) for a in grid.vecs for w in [[sum(map(mul, a, c)) for c in cols]] if any(x % mod for x in w))
-    return structure, next(("commutativity", a, b) for b in grid.vecs if sum(map(mul, w, b)) % mod)
+    return None, next(("commutativity", a, b) for b in grid.vecs if sum(map(mul, w, b)) % mod)

@@ -16,9 +16,9 @@ the normalization recursion recovers the normal form from any valid table.
 
 A table on the coefficient box [-box, box]^d is stored as a form plus a
 cochain, integers over one denominator den: B's strictly lower matrix and
-a cochain f on the doubled box, with e = B + f(a + b) - f(a) - f(b).
-Building a table stores B, twisting adds to f, and normalizing reads the
-entries its recursion needs, so none of them writes a row per box vector;
+a cochain f on the doubled box, zero at 0, with e = B + f(a + b) - f(a) - f(b).
+Building a table stores B, twisting adds to f, and normalizing reads its gauge
+cochain off f and returns B, so none of them writes a row per box vector;
 ExponentModL values appear only at the boundary: a table built from a
 mapping, read through its mapping view, or a gauge cochain returned.
 
@@ -215,9 +215,9 @@ def cocycle_check(table: CocycleTable, datum: CartanDatum) -> CocycleVerdict:
 
     A table the library built is B plus a coboundary on every pair, and so
     is a table read from a mapping that factors that way (see
-    uproll._table.factored).  Then associativity holds, the unit rows hold
-    unless the cochain is not zero at 0, and the commutation defect is
-    bilinear, so the unit pairs decide it.  Any other table is scanned in
+    uproll._table.factored).  Then the unit rows and associativity hold, as
+    every cochain is zero at 0, and the commutation defect is bilinear, so
+    the unit pairs decide it.  Any other table is scanned in
     lexicographic order, which fixes first_violation.  The first missing
     entry raises IncompleteTable.
     """
@@ -234,9 +234,10 @@ def apply_coboundary(table: CocycleTable, phi: dict) -> CocycleTable:
 
     phi maps coefficient vectors to ExponentModL values at the table's
     order of q and must cover every in-box pair sum (so, the box of width
-    2*box) with phi(0) = 0.  It is read once into integers over one
-    denominator, listed by mixed-radix position in that doubled box, and
-    added to the table's cochain.
+    2*box), with phi(0) = 0 modulo ell, taken as 0 (ValueError names any
+    other value).  It is read once into integers over one denominator,
+    listed by mixed-radix position in that doubled box, and added to the
+    table's cochain.
     """
     from ._table import CocycleTable, coboundary
 
@@ -267,10 +268,10 @@ def gauge_normalize(table: CocycleTable, spec: AlgebraSpec) -> GaugeResult:
     and by splitting off the last nonzero component for mixed vectors.
     The normalized table carries entries for every in-box pair whose sum
     stays in the box, and on those pairs it agrees with the normal form.
-    The recursion (uproll._table.gauge_cochain) reads each entry it needs
-    off the table's form and cochain; the normalized table is the same form,
-    with the cochain's coboundary restricted to those pairs, which is zero
-    on a table that is a form plus the coboundary of a cochain zero at 0.
+    The recursion is linear and zero on the form B, so on a table B + f(a +
+    b) - f(a) - f(b) it gives phi(v) = sum_i v_i f(g_i) - f(v) and the
+    normalized table B; it runs (uproll._table.gauge_cochain) only on the
+    residual rows of a table read from a mapping that is not of that shape.
     phi is returned as a read-only mapping of ExponentModL.
     """
     from ._table import CocycleTable, normalize

@@ -14,7 +14,7 @@ divides det(D A)), computed once per Dynkin type since it does not depend
 on ell, as is the flat twist form, N*G's upper triangle and its row sums
 N*G*rho, which every datum of the type shares as its twist_form field,
 and det(A), read off the same inversion.  bilinear() evaluates the form on
-two weights' integer rows and form_matrix on every pair of two lists of
+two weights' integer rows and form_matrix on every pair of one list of
 them; pairing_matrix and in_root_lattice stay on those integers.  The
 oracle's pairing, which forms a Fraction for each pair, lives in
 uproll.oracle.
@@ -360,10 +360,13 @@ def build_cartan_datum(series: str, rank: int, ell: int) -> CartanDatum:
     Raises InvalidSeriesRank for an unknown Dynkin type and
     HypothesisViolated when ell < 3 or when r = 2*ell / (3 + (-1)**ell)
     fails to exceed every gcd(d_i, r).  rank and ell are read as exact
-    integers (operator.index), so a float or a str raises TypeError.  The
-    ell-free constants come from _type_table, which a refused type or ell
-    never reaches.
+    integers (operator.index), so a float, a str or a bool raises TypeError.
+    The ell-free constants come from _type_table, which a refused type or
+    ell never reaches.
     """
+    for name, value in (("rank", rank), ("ell", ell)):
+        if isinstance(value, bool):
+            raise TypeError(f"{name} must be an int, got {value!r}")
     series = str(series).upper()
     _, d = _series_data(series, index(rank))
     ell = index(ell)
@@ -389,16 +392,14 @@ def bilinear(matrix, u, v) -> int:
     return sum(a * sum(map(mul, row, v)) for a, row in zip(u, matrix) if a)
 
 
-def form_matrix(matrix, left, right=None) -> list[list[int]]:
-    """The integers u M v for each u in left (rows) and v in right (columns,
-    left by default), for a symmetric integer matrix M.  Each u M is formed
-    once, so k rows of length n take O(k n^2 + k^2 n) products where k^2
-    calls of bilinear take O(k^2 n^2)."""
-    right = left if right is None else right
+def form_matrix(matrix, rows) -> list[list[int]]:
+    """The integers u M v for each pair of u, v in rows, for a symmetric
+    integer matrix M.  Each u M is formed once, so k rows of length n take
+    O(k n^2 + k^2 n) products where k^2 calls of bilinear take O(k^2 n^2)."""
     out = []
-    for u in left:
+    for u in rows:
         um = [sum(map(mul, row, u)) for row in matrix]  # u M, as M is symmetric
-        out.append([sum(map(mul, um, v)) for v in right])
+        out.append([sum(map(mul, um, v)) for v in rows])
     return out
 
 

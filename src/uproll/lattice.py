@@ -33,7 +33,7 @@ from typing import TYPE_CHECKING
 
 from . import _linalg
 from ._record import Record
-from .cartan import CartanDatum, Weight, common_rows, form_matrix
+from .cartan import CartanDatum, Weight, bilinear, common_rows, form_matrix
 from .errors import DimensionMismatch, InfiniteCensus, InternalError, NotSubgroup, check_budget
 
 if TYPE_CHECKING:
@@ -123,7 +123,7 @@ def in_dual(datum: CartanDatum, lattice: RationalLattice, x, den: int) -> bool:
     of the lattice: for each HNF row h / d, 2<x / den, h / d> in ell*Z,
     that is 2 x (N G) h = 0 mod ell * N * den * d."""
     step = datum.ell * datum.gram_denominator * den * lattice.denominator
-    return all(2 * p % step == 0 for p in form_matrix(datum.scaled_gram, [x], lattice.hnf)[0])
+    return all(2 * bilinear(datum.scaled_gram, x, h) % step == 0 for h in lattice.hnf)
 
 
 def _require_ambient(lattice: RationalLattice, rank: int, of: str) -> None:

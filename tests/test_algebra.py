@@ -559,51 +559,89 @@ def test_normal_form_rows_are_shared_read_only_tuples(box):
 
 
 def test_only_a_table_off_its_form_builds_the_gauge_cochain(monkeypatch):
-    # The cochain is built when a table read from a mapping is factored, and by
-    # gauge_normalize; never by cocycle_check or apply_coboundary.
+    # The cochain is built when a table read from a mapping is factored, and
+    # when gauge_normalize meets a residual, once, on its rows; never by
+    # cocycle_check or apply_coboundary, nor by gauge_normalize on a factored
+    # table, which normalizes to its form alone.
     built = []
     real = uproll._table.gauge_cochain
 
-    def recording(grid, entry):
-        built.append(grid.box)
-        return real(grid, entry)
+    def recording(grid, rows):
+        built.append(rows)
+        return real(grid, rows)
 
     monkeypatch.setattr(uproll._table, "gauge_cochain", recording)
-    table = structure_constant_table(three_q_spec(), 3)
+    spec = three_q_spec()
+    table = structure_constant_table(spec, 3)
     assert cocycle_check(table, A2_6) == CocycleVerdict(True, True, None)
     twisted = apply_coboundary(table, random_cochain(random.Random(6), 2, 3, 6))
     assert cocycle_check(twisted, A2_6) == CocycleVerdict(True, True, None)
     assert built == []
+    for factored in (table, twisted):
+        normalized = gauge_normalize(factored, spec).normalized.entries
+        assert built == []
+        assert normalized.lower is factored.entries.lower
+        assert (normalized.cochain, normalized.inbox, normalized.residual) == (None, True, None)
+    from_dict = rebuilt(table, dict(twisted.entries))
+    assert len(built) == 1 and from_dict.entries.residual is None
+    gauge_normalize(from_dict, spec)
+    assert len(built) == 1
     key = ((1, 0), (0, 1))
     off = rebuilt(table, {**table.entries, key: table.entries[key] + exponent(1, 6)})
-    assert built == [3]
+    assert len(built) == 2 and off.entries.residual is not None
     assert cocycle_check(off, A2_6).first_violation[0] == "associativity"
-    assert built == [3]
-    gauge_normalize(twisted, three_q_spec())
-    assert built == [3, 3]
+    assert len(built) == 2
+    gauge_normalize(off, spec)
+    assert len(built) == 3 and built[-1] is off.entries.residual
 
 
 @pytest.mark.parametrize("name,spec", [("A2", three_q_spec()), ("A1-super", super_spec())])
 def test_library_tables_hold_a_form_and_a_cochain(name, spec):
     # No operation of the library writes a dense table: the normal form is B
-    # alone, a twist adds to the cochain, and normalizing a twist of B by a
-    # cochain zero at 0 gives back B on the pairs whose sum stays in the box.
+    # alone, a twist adds to the cochain, which is zero at 0, and normalizing
+    # a twist of B gives back B on the pairs whose sum stays in the box.  A
+    # cochain not zero at 0 modulo ell is refused.
     table = structure_constant_table(spec, 3)
     form = table.entries.lower
     assert (table.entries.cochain, table.entries.inbox, table.entries.residual) == (None, False, None)
     rng = random.Random(name)
-    for at_zero in (0, Fraction(1, 3)):
+    zero = (0,) * len(table.generators)
+    for at_zero in (0, table.ell, Fraction(1, 3)):
         cochain = random_cochain(rng, len(table.generators), 3, table.ell)
-        cochain[(0,) * len(table.generators)] = exponent(at_zero, table.ell)
+        cochain[zero] = exponent(at_zero, table.ell)
+        if at_zero % table.ell:
+            with pytest.raises(ValueError, match=f"modulo {table.ell} at 0, got 1/3$"):
+                apply_coboundary(table, cochain)
+            continue
         twisted = apply_coboundary(table, cochain)
         assert twisted.entries.residual is None and twisted.entries.cochain is not None
+        assert twisted.entries.cochain[twisted.entries.grid.doubled[1]] == 0
         normalized = gauge_normalize(twisted, spec).normalized.entries
-        assert normalized.inbox and normalized.residual is None
-        assert (normalized.cochain is None) == (at_zero == 0)
-        if at_zero == 0:
-            assert normalized.lower == tuple(tuple(x * (normalized.den // table.entries.den) for x in row)
-                                             for row in form)
-            assert normalized.rows == gauge_normalize(table, spec).normalized.entries.rows
+        assert normalized.inbox and (normalized.cochain, normalized.residual) == (None, None)
+        assert normalized.lower == tuple(tuple(x * (normalized.den // table.entries.den) for x in row)
+                                         for row in form)
+        assert normalized.rows == gauge_normalize(table, spec).normalized.entries.rows
+
+
+def test_a_coboundary_cochain_must_vanish_at_zero_modulo_ell():
+    # A cochain with phi(0) = 1 would break the unit rows, ('unit', (-1, -1)),
+    # and leave the normalized entry at ((0, 0), (1, 0)) at -1 where the normal
+    # form has 0; phi(0) = ell is 0 modulo ell and is added as 0.
+    spec = three_q_spec()
+    table = structure_constant_table(spec, 1)
+    phi = {vec: exponent(0, 6) for vec in product(range(-2, 3), repeat=2)}
+    with pytest.raises(ValueError, match=r"^coboundary cochain must be 0 modulo 6 at 0, got 1$"):
+        apply_coboundary(table, {**phi, (0, 0): exponent(1, 6)})
+    twisted = apply_coboundary(table, {**phi, (0, 0): exponent(6, 6)})
+    assert twisted.entries.cochain is None
+    assert cocycle_check(twisted, A2_6) == CocycleVerdict(True, True, None)
+    gauge = gauge_normalize(twisted, spec)
+    assert all(x.value == 0 for x in gauge.phi.values())
+    normal = gauge_normalize(table, spec).normalized.entries
+    assert [(key, e.value) for key, e in gauge.normalized.entries.items()] == [
+        (key, e.value) for key, e in normal.items()
+    ] == [(key, e.value) for key, e in table.entries.items() if key in normal]
+    assert gauge.normalized.entries[(0, 0), (1, 0)].value == 0
 
 
 def test_table_budget_is_checked_before_building():
@@ -780,7 +818,9 @@ def reference_coboundary(table, phi):
     missing = next((vec for vec in doubled if vec not in phi), None)
     if missing is not None:
         raise IncompleteTable(f"coboundary cochain missing {missing}")
-    f = {vec: x.value for vec, x in phi.items()}
+    zero = (0,) * len(table.generators)
+    refused_at_zero(phi, zero, table.ell)
+    f = {vec: x.value for vec, x in phi.items()} | {zero: 0}
     return {(a, b): x.value + f[plus(a, b)] - f[a] - f[b] for (a, b), x in table.entries.items()}
 
 
@@ -821,8 +861,14 @@ def reference_gauge(table):
 def outcome(fn, *args):
     try:
         return fn(*args)
-    except IncompleteTable as exc:
-        return f"IncompleteTable: {exc}"
+    except (IncompleteTable, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+def refused_at_zero(phi, zero, ell):
+    """The ValueError of a cochain whose value at 0 is not 0 modulo ell."""
+    if phi[zero].value % ell:
+        raise ValueError(f"coboundary cochain must be 0 modulo {ell} at 0, got {phi[zero].value}")
 
 
 @settings(max_examples=40, deadline=None)
@@ -858,6 +904,7 @@ def test_table_kernels_agree_with_a_dict_reference(seed, dims, box, holes, thin_
                 del entries[key]
     table = CocycleTable(spec.ordered_basis, box, ell, entries)
     phi = {vec: value() for vec in product(range(-2 * box, 2 * box + 1), repeat=dims)}
+    phi[(0,) * dims] = rng.choice([value(), exponent(ell * rng.randint(-2, 2), ell)])
     if thin_cochain:
         del phi[rng.choice(sorted(phi))]
 
@@ -964,8 +1011,10 @@ def dense_twist(grid, dense, phi):
     missing = next((vec for vec in doubled if vec not in phi), None)
     if missing is not None:
         raise IncompleteTable(f"coboundary cochain missing {missing}")
+    zero = (0,) * grid.dimension
+    refused_at_zero(phi, zero, phi[zero].modulus)
     new = math.lcm(den, *(phi[vec].den for vec in doubled))
-    f = [phi[vec].num * (new // phi[vec].den) for vec in doubled]
+    f = [phi[vec].num * (new // phi[vec].den) if any(vec) else 0 for vec in doubled]
     rows = [[None if x is None else x * (new // den) for x in row] for row in rows]
     return dense_coboundary_rows(grid, rows, f), new
 
@@ -1011,12 +1060,15 @@ def first_missing(grid, rows):
 
 
 def drawn_cochain(rng, grid, ell, zero_at_zero):
-    """Fractional values over the doubled box; zero at 0 unless told otherwise."""
-    return {
-        vec: exponent(Fraction(rng.randrange(-4 * ell, 4 * ell), rng.randint(1, 4))
-                      if any(vec) or not zero_at_zero else 0, ell)
+    """Fractional values over the doubled box; zero at 0, or else a multiple
+    of ell or a fractional value there."""
+    phi = {
+        vec: exponent(Fraction(rng.randrange(-4 * ell, 4 * ell), rng.randint(1, 4)), ell)
         for vec in product(range(-2 * grid.box, 2 * grid.box + 1), repeat=grid.dimension)
     }
+    zero = (0,) * grid.dimension
+    phi[zero] = exponent(0, ell) if zero_at_zero else rng.choice([phi[zero], exponent(ell * rng.randint(-2, 2), ell)])
+    return phi
 
 
 def starting_table(spec, box, start, rng):
@@ -1107,3 +1159,27 @@ def test_factored_tables_read_as_their_dense_rows(seed, family, box, start, ops,
                 table, spec.datum
             )
 
+
+
+@pytest.mark.parametrize("key", [((1, 0), (1, 0)), ((-1, 0), (1, 0)), ((0, 1), (0, 1)), ((1, 0), (0, 1))])
+def test_a_residual_normalizes_by_the_cochain_of_its_rows(key):
+    # A table perturbed on a pair the gauge recursion reads keeps a residual
+    # whose cochain h is not zero: normalizing stores h, and a twist and a
+    # second normalization of that table still read as the dense reference.
+    spec, rng = three_q_spec(), random.Random(repr(key))
+    table = structure_constant_table(spec, 2)
+    entries = {**table.entries, key: table.entries[key] + exponent(Fraction(2, 3), 6)}
+    table = rebuilt(table, entries)
+    grid = table.entries.grid
+    dense = dense_of_mapping(grid, entries)
+    for step in ("gauge", "twist", "gauge", "gauge"):
+        if step == "twist":
+            phi = drawn_cochain(rng, grid, 6, True)
+            table, dense = apply_coboundary(table, phi), dense_twist(grid, dense, phi)
+        else:
+            gauge = gauge_normalize(table, spec)
+            f, dense = dense_gauge(grid, dense)
+            assert {v: e.value for v, e in gauge.phi.items()} == {v: Fraction(x, dense[1]) for v, x in zip(grid.vecs, f)}
+            table = gauge.normalized
+            assert table.entries.residual is not None and table.entries.cochain is not None
+        assert_reads_as(table.entries, dense)

@@ -65,6 +65,20 @@ class TestBuildCartanDatum:
         with pytest.raises(TypeError):
             build_cartan_datum("A", rank, ell)
 
+    @pytest.mark.parametrize("rank,ell,message", [(True, 6, "rank must be an int, got True"),
+                                                  (False, 6, "rank must be an int, got False"),
+                                                  (2, True, "ell must be an int, got True"),
+                                                  (True, True, "rank must be an int, got True")])
+    def test_a_bool_rank_or_ell_is_refused_by_name(self, rank, ell, message):
+        # index(True) is 1, and the type cache would take True for rank 1:
+        # the refusal comes before it is consulted.
+        before = uproll.cartan._series_data.cache_info()
+        with pytest.raises(TypeError, match=f"^{message}$"):
+            build_cartan_datum("A", rank, ell)
+        after = uproll.cartan._series_data.cache_info()
+        assert (after.hits, after.misses) == (before.hits, before.misses)
+        assert build_cartan_datum("A", 1, 6).rank == 1
+
     def test_ell_below_three_rejected(self):
         with pytest.raises(HypothesisViolated):
             build_cartan_datum("A", 1, 2)
